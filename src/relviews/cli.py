@@ -14,14 +14,12 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .errors import FaultReachable, ModelError, RelviewsError, UniverseTooLarge
 from .linearizability import (
     abstract_histories,
-    all_instances,
     check_linearizable,
     check_obligations,
     concrete_histories,
@@ -81,18 +79,12 @@ def _emit(report: RunReport, fmt: str) -> None:
 
 
 def cmd_check_lin(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     model = load_model(args.model)
-    try:
-        res = check_linearizable(model, args.bound, cap=_effective_cap(args))
-    except FaultReachable as exc:
-        report = RunReport("fault reachable", False, detail=str(exc),
-                           timing=time.time() - t0)
-        _emit(report, args.format)
-        return EXIT_VIOLATION
+    res = check_linearizable(model, args.bound, cap=_effective_cap(args))
     ce = render_history(res.counterexample) if res.counterexample else None
     report = RunReport(res.verdict(), res.ok, counterexample=ce,
-                       stats=res.stats, timing=time.time() - t0)
+                       stats=res.stats, timing=time.perf_counter() - t0)
     if res.ok and res.still_growing:
         report.detail = ("the concrete history set is still growing at this "
                          "bound; inclusion is proved up to the bound only")
@@ -100,55 +92,25 @@ def cmd_check_lin(args) -> int:
     return EXIT_OK if res.ok else EXIT_VIOLATION
 
 
-def _check_instance(payload):
-    model_path, outline_path, inst = payload
-    model = load_model(model_path)
-    load_outlines(outline_path, model)
-    report = check_obligations(model, instances=[inst],
-                               include_shared=False)
-    return [(it.obligation, it.subject, it.ok, it.detail)
-            for it in report.items]
-
-
 def cmd_check_proof(args) -> int:
-    """Per-instance checks are independent, so they may be farmed out to
-    workers; the report is reassembled in instance order either way, which
-    keeps the output identical across worker counts."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     model = load_model(args.model)
     load_outlines(args.outline, model)
-    instances = all_instances(model)
-    payloads = [(args.model, args.outline, inst) for inst in instances]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            per_instance = list(pool.map(_check_instance, payloads))
-    else:
-        per_instance = [_check_instance(p) for p in payloads]
-    shared = check_obligations(model, instances=[], include_shared=True)
-    rows = [(it.obligation, it.subject, it.ok, it.detail)
-            for it in shared.items[:1]]
-    for chunk in per_instance:
-        rows.extend(chunk)
-    rows.extend((it.obligation, it.subject, it.ok, it.detail)
-                for it in shared.items[1:])
-    ok = all(row[2] for row in rows)
-    first_fail = next((row for row in rows if not row[2]), None)
-    lines = [f"[{'pass' if row[2] else 'FAIL'}] {row[0]} {row[1]}"
-             + (f": {row[3]}" if row[3] and not row[2] else "")
-             for row in rows]
-    verdict = "proof accepted" if ok else "proof rejected"
-    detail = "\n".join(lines)
-    if first_fail:
-        detail += (f"\nfirst failure: {first_fail[0]} {first_fail[1]}: "
-                   f"{first_fail[3]}")
-    out = RunReport(verdict, ok, stats={"checks": len(lines)},
-                    timing=time.time() - t0, detail=detail)
+    report = check_obligations(model, jobs=args.jobs)
+    detail = "\n".join(it.line() for it in report.items)
+    fail = report.first_failure()
+    if fail:
+        detail += (f"\nfirst failure: {fail.obligation} {fail.subject}: "
+                   f"{fail.detail}")
+    out = RunReport("proof accepted" if report.ok else "proof rejected",
+                    report.ok, stats={"checks": len(report.items)},
+                    timing=time.perf_counter() - t0, detail=detail)
     _emit(out, args.format)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def cmd_histories(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     model = load_model(args.model)
     cap = _effective_cap(args)
     if args.side == "abstract":
@@ -164,7 +126,7 @@ def cmd_histories(args) -> int:
             print(render_history(h))
     if args.format != "machine":
         print(f"{len(ordered)} histories ({args.side}, bound {args.bound}, "
-              f"{time.time() - t0:.2f}s)")
+              f"{time.perf_counter() - t0:.2f}s)")
     return EXIT_OK
 
 
@@ -208,8 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
         return args.fn(args)
+    except FaultReachable as exc:
+        _emit(RunReport("fault reachable", False, detail=str(exc),
+                        timing=time.perf_counter() - t0), args.format)
+        return EXIT_VIOLATION
     except (ModelError, UniverseTooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -404,10 +404,11 @@ def desugar_while(e: Expr, body: Command) -> Command:
 
 
 def command_prims(c: Command) -> frozenset:
+    """The primitive commands occurring in a command."""
     if isinstance(c, Skip):
         return frozenset()
     if isinstance(c, Prim):
-        return frozenset([c.prim.name])
+        return frozenset([c.prim])
     if isinstance(c, Seq):
         return command_prims(c.first) | command_prims(c.second)
     if isinstance(c, Choice):
@@ -418,6 +419,7 @@ def command_prims(c: Command) -> frozenset:
 
 
 def validate_command(c: Command, table: TransformerTable) -> None:
-    for name in command_prims(c):
-        if not table.declared(name):
-            raise ModelError(f"command uses undeclared primitive {name!r}")
+    for prim in command_prims(c):
+        if not table.declared(prim.name):
+            raise ModelError(
+                f"command uses undeclared primitive {prim.name!r}")

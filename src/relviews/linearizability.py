@@ -11,6 +11,8 @@ proof outlines plus token pinning and the token-swap correspondence.
 
 from __future__ import annotations
 
+import itertools
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -49,7 +51,7 @@ from .state_model import (
 )
 from .subst import subst_assertion, subst_outline
 from .vassn import VAssn
-from .views_core import Semantics
+from .views_core import Semantics, ViewMonoid
 
 Event = Tuple[int, str, str, int]  # (thread, "call"|"ret", method, value)
 History = Tuple[Event, ...]
@@ -98,14 +100,6 @@ class LibraryModel:
             raise ModelError(f"no body for {m}({a})->{r}")
         return self.bodies[key]
 
-    def apcom_space(self) -> Tuple[APCom, ...]:
-        out = []
-        for m in self.methods():
-            for a in self.method_args[m]:
-                for r in self.dom.values:
-                    out.append(APCom(m, a, r))
-        return tuple(out)
-
     def monoid(self, cap: Optional[int] = None):
         if self._monoid is None:
             sem = self.semantics()
@@ -114,14 +108,10 @@ class LibraryModel:
             elif self.monoid_kind == "rgsep":
                 universe = None
                 if self.shared_universe_assn is not None:
-                    probe = RgsepMonoid(self.dom, sem,
-                                        shared_universe=(World(
-                                            self.init_conc, self.init_abst,
-                                            TokenMap()),))
+                    frags = ViewMonoid(self.dom, sem).fragments(
+                        self.shared_universe_assn, {})
                     universe = frozenset(
-                        w for w in probe.fragments(self.shared_universe_assn,
-                                                   {})
-                        if world_in_domains(w, self.dom))
+                        w for w in frags if world_in_domains(w, self.dom))
                     if not universe:
                         raise ModelError("declared shared universe is empty")
                     cap_eff = cap if cap is not None else self.dom.cap
@@ -451,62 +441,70 @@ def all_instances(model: LibraryModel) -> List[Tuple[str, int, int, int]]:
     ]
 
 
-def check_obligations(model: LibraryModel,
-                      instances: Optional[List[Tuple[str, int, int, int]]] = None,
-                      include_shared: bool = True,
-                      ) -> ObligationReport:
+def instance_obligations(model: LibraryModel,
+                         inst: Tuple[str, int, int, int],
+                         ) -> List[ObligationItem]:
+    """The obligations of one command instance (method, thread, argument,
+    expected return): its outline (1) and the tokens pinned in its pre and
+    postcondition (2)."""
+    m, t, a, r = inst
+    subject = f"{m}(a={a},r={r}) in thread {t}"
+    env = model.assertion_env(t)
+    outline = model.outline(m, t, a, r)
+    fail = check_proof(outline, env)
+    items = [ObligationItem("(1) outline", subject, fail is None,
+                            str(fail) if fail else "")]
+    ap = APCom(m, a, r)
+    try:
+        pre = env.eval(outline.pre, {})
+        post = env.eval(outline.post, {})
+    except RelviewsError as exc:
+        items.append(ObligationItem(
+            "(2) todo pinned", subject, False,
+            f"assertion family not evaluable: {exc}"))
+        return items
+    bad_pre = [w for w in _token_worlds(model, pre)
+               if w.toks.get(t) != Token(TODO, ap)]
+    items.append(ObligationItem(
+        "(2) todo pinned", subject, not bad_pre,
+        f"{len(bad_pre)} precondition worlds lack todo({ap!r})"))
+    bad_post = [w for w in _token_worlds(model, post)
+                if w.toks.get(t) != Token(DONE, ap)]
+    items.append(ObligationItem(
+        "(2) done pinned", subject, not bad_post,
+        f"{len(bad_post)} postcondition worlds lack done({ap!r})"))
+    return items
+
+
+def check_obligations(model: LibraryModel, jobs: int = 1) -> ObligationReport:
     """Verify the linearizability obligations over the declared domains:
     per-method outlines, token pinning in the pre/post families, the
     token-swap correspondence, and coverage of the initial states by the
     composed preconditions.
 
-    `instances` restricts the per-instance checks; `include_shared` controls
-    the instance-independent ones, so parallel drivers can split the work
-    and reassemble an identical report."""
-    items: List[ObligationItem] = []
+    With `jobs` > 1 the per-instance obligations run in that many worker
+    processes, one contiguous chunk of instances each; every worker gets a
+    pickled copy of the model, and the report is the same for every `jobs`.
+    """
     methods = model.methods()
-    if include_shared:
-        missing = [m for m in methods if m not in model.atable.methods]
-        items.append(ObligationItem(
-            "dom(concrete)=dom(abstract)", "library",
-            not missing, f"abstract methods missing: {missing}"))
+    missing = [m for m in methods if m not in model.atable.methods]
+    items = [ObligationItem("dom(concrete)=dom(abstract)", "library",
+                            not missing, f"abstract methods missing: {missing}")]
 
-    todo_insts = instances
-    if todo_insts is None:
-        todo_insts = all_instances(model)
-
-    for m, t, a, r in todo_insts:
-        env = model.assertion_env(t)
-        outline = model.outline(m, t, a, r)
-        fail = check_proof(outline, env)
-        items.append(ObligationItem(
-            "(1) outline", f"{m}(a={a},r={r}) in thread {t}",
-            fail is None, str(fail) if fail else ""))
-
-        ap = APCom(m, a, r)
-        try:
-            pre = env.eval(outline.pre, {})
-            post = env.eval(outline.post, {})
-        except RelviewsError as exc:
-            items.append(ObligationItem(
-                "(2) todo pinned", f"{m}(a={a},r={r}) in thread {t}",
-                False, f"assertion family not evaluable: {exc}"))
-            continue
-        bad_pre = [w for w in _token_worlds(model, pre)
-                   if w.toks.get(t) != Token(TODO, ap)]
-        items.append(ObligationItem(
-            "(2) todo pinned", f"{m}(a={a},r={r}) in thread {t}",
-            not bad_pre,
-            f"{len(bad_pre)} precondition worlds lack todo({ap!r})"))
-        bad_post = [w for w in _token_worlds(model, post)
-                    if w.toks.get(t) != Token(DONE, ap)]
-        items.append(ObligationItem(
-            "(2) done pinned", f"{m}(a={a},r={r}) in thread {t}",
-            not bad_post,
-            f"{len(bad_post)} postcondition worlds lack done({ap!r})"))
-
-    if not include_shared:
-        return ObligationReport(items)
+    todo = all_instances(model)
+    if jobs > 1 and len(todo) > 1:
+        chunk = -(-len(todo) // jobs)
+        # each chunk carries one pickled copy of the model; this process
+        # evaluates nothing before every chunk is back, so the copies are
+        # taken before any of the model's caches fill
+        with ProcessPoolExecutor(-(-len(todo) // chunk)) as pool:
+            for per_inst in pool.map(instance_obligations,
+                                     itertools.repeat(model), todo,
+                                     chunksize=chunk):
+                items.extend(per_inst)
+    else:
+        for inst in todo:
+            items.extend(instance_obligations(model, inst))
 
     # (3): across every pair of command instances, post and pre states agree
     # up to the thread's token.
@@ -544,11 +542,9 @@ def _initial_coverage(model: LibraryModel, insts) -> ObligationItem:
     initial states for some choice of pending commands; otherwise the
     linearizability conclusion is vacuous (e.g. two threads both claiming
     the same token or cell)."""
-    import itertools as it
-
     mon = model.monoid()
     tids = list(model.dom.thread_ids())
-    for combo in it.product(insts, repeat=len(tids)):
+    for combo in itertools.product(insts, repeat=len(tids)):
         view = None
         for t, (m, a, r) in zip(tids, combo):
             env = model.assertion_env(t)

@@ -183,27 +183,6 @@ class FailureReport:
         return f"{self.rule} fails at {where} (interp {self.interp}): {self.detail}{ce}"
 
 
-def node_command(node: OutlineNode) -> Command:
-    from .command_lang import SKIP, Choice, Iter, Prim, Seq
-
-    if isinstance(node, OPrim):
-        return Prim(node.prim)
-    if isinstance(node, OSkip):
-        return SKIP
-    if isinstance(node, OSeq):
-        out = node_command(node.children[-1])
-        for child in reversed(node.children[:-1]):
-            out = Seq(node_command(child), out)
-        return out
-    if isinstance(node, OChoice):
-        return Choice(node_command(node.left), node_command(node.right))
-    if isinstance(node, OIter):
-        return Iter(node_command(node.body))
-    if isinstance(node, OConseq):
-        return node_command(node.inner)
-    raise ModelError(f"unknown outline node {node!r}")
-
-
 def _interps(names: Iterable[str], values) -> Iterable[Dict[str, int]]:
     names = sorted(names)
     if not names:

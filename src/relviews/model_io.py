@@ -13,7 +13,9 @@ flow desugared); loading the output reproduces the model exactly.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+import string
+from contextlib import contextmanager
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .command_lang import (
     And,
@@ -37,8 +39,10 @@ from .command_lang import (
     Tid,
     AbstractTable,
     TransformerTable,
+    command_prims,
     desugar_if,
     desugar_while,
+    expr_locs,
     validate_command,
 )
 from .errors import ModelError
@@ -74,6 +78,46 @@ from .vassn import (
 
 def _fail(path: str, msg: str):
     raise ModelError(f"{path}: {msg}")
+
+
+@contextmanager
+def _malformed_is_model_error(path: str):
+    """A missing key or a value of the wrong shape in a document is a model
+    error naming the document, not a crash."""
+    try:
+        yield
+    except KeyError as exc:
+        _fail(path, f"malformed document: missing key {exc}")
+    except (ValueError, TypeError, AttributeError) as exc:
+        _fail(path, f"malformed document: {exc}")
+
+
+def _check_placeholders(locs: Iterable[str], allowed: frozenset, path: str):
+    """Locations left unresolved by instantiation are resolved at run time
+    with the executing thread alone, so no other placeholder may remain."""
+    for loc in locs:
+        names = {f for _, f, _, _ in string.Formatter().parse(loc)} - {None}
+        if not names <= allowed:
+            _fail(path, f"location {loc!r} uses a placeholder other than "
+                        + ", ".join(f"{{{n}}}" for n in sorted(allowed)))
+
+
+def _command_locs(cmd) -> Iterable[str]:
+    return (loc for prim in command_prims(cmd) for e in prim.args
+            for loc in expr_locs(e))
+
+
+def _update_locs(spec: GuardedUpdate) -> Iterable[str]:
+    exprs = [e for _, e in spec.updates]
+    if spec.guard is not None:
+        exprs.append(spec.guard)
+    return [loc for loc, _ in spec.updates] + [
+        loc for e in exprs for loc in expr_locs(e)]
+
+
+_THREAD_ONLY = frozenset({"t"})
+# outline instantiation binds the thread, argument and expected return
+_OUTLINE_BOUND = frozenset({"t", "a", "r"})
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +372,7 @@ def dump_vassn(a):
     raise ModelError(f"cannot serialize assertion {a!r}")
 
 
-def _validate_vassn(a, allow_box: bool, path: str):
+def _validate_vassn(a, path: str):
     check_no_nested_box(a)
     _validate_true_placement(a, False, path)
 
@@ -356,7 +400,7 @@ def parse_assertion(doc, macros: MacroTable, nthreads: int,
         return RImplAssn(parse_assertion(doc[1], macros, nthreads, path),
                          parse_assertion(doc[2], macros, nthreads, path))
     rho = parse_vassn(doc, macros, nthreads, path)
-    _validate_vassn(rho, True, path)
+    _validate_vassn(rho, path)
     return VLeaf(rho)
 
 
@@ -383,6 +427,7 @@ def parse_outline_node(doc, macros: MacroTable, nthreads: int,
         cmd = parse_command(doc["cmd"], f"{path}/cmd")
         if not isinstance(cmd, Prim):
             _fail(path, "outline prim node must hold a primitive command")
+        _check_placeholders(_command_locs(cmd), _OUTLINE_BOUND, path)
         return OPrim(cmd.prim)
     if kind == "skip":
         return OSkip()
@@ -449,6 +494,11 @@ def dump_outline_node(node):
 
 
 def parse_model(doc: dict, path: str = "model") -> LibraryModel:
+    with _malformed_is_model_error(path):
+        return _parse_model(doc, path)
+
+
+def _parse_model(doc: dict, path: str) -> LibraryModel:
     if not isinstance(doc, dict):
         _fail(path, "model document must be an object")
     for key in ("name", "monoid", "domains", "methods", "abstract",
@@ -479,6 +529,8 @@ def parse_model(doc: dict, path: str = "model") -> LibraryModel:
         prims[pname] = GuardedUpdate(
             params=tuple(spec.get("params", [])), guard=guard,
             updates=updates)
+        _check_placeholders(_update_locs(prims[pname]), _THREAD_ONLY,
+                            f"{path}/primitives/{pname}")
     ctable = TransformerTable(prims)
 
     amethods = {}
@@ -490,6 +542,8 @@ def parse_model(doc: dict, path: str = "model") -> LibraryModel:
             for loc, e in spec.get("updates", []))
         amethods[mname] = GuardedUpdate(params=("a", "r"), guard=guard,
                                         updates=updates)
+        _check_placeholders(_update_locs(amethods[mname]), _THREAD_ONLY,
+                            f"{path}/abstract/{mname}")
     atable = AbstractTable(amethods)
 
     method_args = {}
@@ -509,6 +563,8 @@ def parse_model(doc: dict, path: str = "model") -> LibraryModel:
             for r in values:
                 body = subst_command(template, {"a": a, "r": r})
                 validate_command(body, ctable)
+                _check_placeholders(_command_locs(body), _THREAD_ONLY,
+                                    f"{path}/methods/{mname}")
                 if isinstance(body, Skip):
                     # a zero-step body would let concrete histories outrun
                     # the abstract generator at equal bounds
@@ -561,7 +617,7 @@ def parse_model(doc: dict, path: str = "model") -> LibraryModel:
     if doc.get("shared_universe") is not None:
         shared_universe = parse_vassn(doc["shared_universe"], macros,
                                       nthreads, f"{path}/shared_universe")
-        _validate_vassn(shared_universe, False, f"{path}/shared_universe")
+        _validate_vassn(shared_universe, f"{path}/shared_universe")
 
     actions = {}
     for aname, spec in doc.get("actions", {}).items():
@@ -570,7 +626,7 @@ def parse_model(doc: dict, path: str = "model") -> LibraryModel:
         post = parse_vassn(spec["post"], macros, nthreads,
                            f"{path}/actions/{aname}/post")
         for side in (pre, post):
-            _validate_vassn(side, False, f"{path}/actions/{aname}")
+            _validate_vassn(side, f"{path}/actions/{aname}")
         actions[aname] = (pre, post)
     for aname in list(doc.get("guarantee", [])) + list(doc.get("rely_extra",
                                                                [])):
@@ -705,16 +761,17 @@ def load_outlines(path: str, model: LibraryModel) -> None:
 
 
 def attach_outlines(doc: dict, model: LibraryModel, path: str = "outline") -> None:
-    macros = MacroTable({**model.macros_raw, **doc.get("macros", {})})
-    outlines = doc.get("outlines")
-    if not isinstance(outlines, dict):
-        _fail(path, "outline document needs an 'outlines' object")
-    templates = {}
-    for mname, node in outlines.items():
-        if mname not in model.method_args:
-            _fail(path, f"outline for unknown method {mname!r}")
-        templates[mname] = parse_outline_node(
-            node, macros, model.dom.nthreads, f"{path}/{mname}")
+    with _malformed_is_model_error(path):
+        macros = MacroTable({**model.macros_raw, **doc.get("macros", {})})
+        outlines = doc.get("outlines")
+        if not isinstance(outlines, dict):
+            _fail(path, "outline document needs an 'outlines' object")
+        templates = {}
+        for mname, node in outlines.items():
+            if mname not in model.method_args:
+                _fail(path, f"outline for unknown method {mname!r}")
+            templates[mname] = parse_outline_node(
+                node, macros, model.dom.nthreads, f"{path}/{mname}")
     missing = [m for m in model.method_args if m not in templates]
     if missing:
         _fail(path, f"outlines missing for methods: {missing}")

@@ -12,38 +12,10 @@ singleton).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 
-from .command_lang import PrimCommand, eval_expr
-from .errors import ModelError, UndefinedLocation
-from .state_model import (
-    EMPTY_HEAP,
-    EMPTY_TOKENS,
-    EMPTY_WORLD,
-    APCom,
-    Domains,
-    Heap,
-    Token,
-    TokenMap,
-    World,
-    compose_worlds,
-    enumerate_worlds,
-    world_sort_key,
-)
-from .vassn import (
-    APt,
-    BoxA,
-    CPt,
-    EmpA,
-    ExistsA,
-    OrA,
-    PureA,
-    StarA,
-    TokA,
-    TrueA,
-    VAssn,
-    WorldsA,
-)
+from .command_lang import PrimCommand
+from .state_model import EMPTY_WORLD, Domains, compose_worlds, enumerate_worlds
 from .views_core import (
     ImplVerdict,
     Semantics,
@@ -93,8 +65,7 @@ def powerset_frames(worlds) -> Iterator[DcslView]:
 
 class DcslMonoid(ViewMonoid):
     def __init__(self, dom: Domains, sem: Semantics, cap: Optional[int] = None):
-        self.dom = dom
-        self.sem = sem
+        super().__init__(dom, sem)
         self.cap = cap
         self._frames = None
 
@@ -126,93 +97,10 @@ class DcslMonoid(ViewMonoid):
     def repart_implies(self, p, q) -> ImplVerdict:
         return repart_implies_with_frames(self, p, q, self.frames())
 
-    def eval_vassn(self, rho: VAssn, interp: Dict[str, int]) -> DcslView:
-        return eval_vassn_dcsl(rho, interp, self.dom, self.sem.modulus)
-
-
-def eval_vassn_dcsl(rho: VAssn, interp: Dict[str, int], dom: Domains,
-                    modulus: int) -> DcslView:
-    """Expand an assertion into the world set it denotes."""
-    if isinstance(rho, EmpA):
-        return UNIT_DCSL
-    if isinstance(rho, WorldsA):
-        return frozenset(rho.worlds)
-    if isinstance(rho, CPt):
-        v = _eval_closed(rho.value, interp, modulus)
-        loc = _loc(rho.loc, interp)
-        if v not in dict(dom.cloc).get(loc, ()):
-            return EMPTY_VIEW  # outside the declared domains
-        return frozenset({World(Heap({loc: v}), EMPTY_HEAP, EMPTY_TOKENS)})
-    if isinstance(rho, APt):
-        v = _eval_closed(rho.value, interp, modulus)
-        loc = _loc(rho.loc, interp)
-        if v not in dict(dom.aloc).get(loc, ()):
-            return EMPTY_VIEW
-        return frozenset({World(EMPTY_HEAP, Heap({loc: v}), EMPTY_TOKENS)})
-    if isinstance(rho, TokA):
-        tid = _eval_closed(rho.tid, interp, modulus)
-        if tid not in dom.thread_ids():
-            return EMPTY_VIEW
-        a = _eval_closed(rho.arg, interp, modulus)
-        r = _eval_closed(rho.ret, interp, modulus)
-        ap = APCom(rho.method, a, r)
-        if ap not in dom.apcoms:
-            return EMPTY_VIEW
-        tok = Token(rho.kind, ap)
-        return frozenset(
-            {World(EMPTY_HEAP, EMPTY_HEAP, TokenMap({tid: tok}))}
-        )
-    if isinstance(rho, PureA):
-        if _eval_closed(rho.cond, interp, modulus) != 0:
-            return UNIT_DCSL
-        return EMPTY_VIEW
-    if isinstance(rho, StarA):
-        out = UNIT_DCSL
-        for part in rho.parts:
-            out = compose_dcsl(out, eval_vassn_dcsl(part, interp, dom, modulus))
-        return out
-    if isinstance(rho, OrA):
-        out = EMPTY_VIEW
-        for part in rho.parts:
-            out = out | eval_vassn_dcsl(part, interp, dom, modulus)
-        return out
-    if isinstance(rho, ExistsA):
-        out = EMPTY_VIEW
-        for n in dom.values:
-            out = out | eval_vassn_dcsl(
-                rho.body, {**interp, rho.var: n}, dom, modulus
-            )
-        return out
-    if isinstance(rho, (BoxA, TrueA)):
-        raise ModelError("boxed/true assertions are not DCSL view assertions")
-    raise ModelError(f"unknown assertion node {rho!r}")
-
-
-def _loc(loc: str, interp) -> str:
-    if "{" not in loc:
-        return loc
-    try:
-        return loc.format_map(interp)
-    except KeyError as exc:
-        raise ModelError(
-            f"location {loc!r} references unbound logical variable {exc}")
-
-
-def _eval_closed(e, interp, modulus) -> int:
-    try:
-        return eval_expr(e, EMPTY_HEAP, interp, 0, modulus)
-    except UndefinedLocation as exc:
-        raise ModelError(
-            "view assertions may not read program locations in value "
-            f"position (location {exc.loc!r})"
-        )
+    eval_vassn = ViewMonoid.fragments  # a view is the set of its fragments
 
 
 def token_exclusive(p: DcslView) -> bool:
     """No world holds two tokens for one thread; true by construction, kept
     as an executable invariant for the test suites."""
     return all(len(dict(w.toks.items())) == len(w.toks) for w in p)
-
-
-def sorted_worlds(p: DcslView):
-    return sorted(p, key=world_sort_key)

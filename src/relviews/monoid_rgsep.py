@@ -18,47 +18,23 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
-from .command_lang import PrimCommand, eval_expr
-from .errors import (
-    LocalityViolation,
-    ModelError,
-    StabilityViolation,
-    UndefinedLocation,
-)
+from .command_lang import PrimCommand
+from .errors import LocalityViolation, ModelError, StabilityViolation
 from .state_model import (
-    EMPTY_HEAP,
-    EMPTY_TOKENS,
     EMPTY_WORLD,
     FAULT,
-    APCom,
     Domains,
     Heap,
-    Token,
-    TokenMap,
     World,
     compose_states,
-    compose_tokens,
     compose_worlds,
+    enumerate_heaps,
     enumerate_worlds,
     world_leq,
     world_minus,
     world_sort_key,
 )
-from .vassn import (
-    APt,
-    BoxA,
-    CPt,
-    EmpA,
-    ExistsA,
-    OrA,
-    PureA,
-    StarA,
-    TokA,
-    TrueA,
-    VAssn,
-    WorldsA,
-    free_lvars,
-)
+from .vassn import BoxA, ExistsA, OrA, StarA, TrueA, VAssn, free_lvars
 from .views_core import (
     ActionCounterexample,
     ImplVerdict,
@@ -192,18 +168,13 @@ class RgsepMonoid(ViewMonoid):
     def __init__(self, dom: Domains, sem: Semantics,
                  shared_universe: Optional[Iterable[World]] = None,
                  cap: Optional[int] = None):
-        self.dom = dom
-        self.sem = sem
+        super().__init__(dom, sem)
         if shared_universe is None:
             shared_universe = enumerate_worlds(dom, cap)
         self.universe = tuple(sorted(set(shared_universe), key=world_sort_key))
         self._universe_set = frozenset(self.universe)
-        self._frag_cache: Dict = {}
         self._local_ok: set = set()
         self._unit = None
-        self._cloc = dict(dom.cloc)
-        self._aloc = dict(dom.aloc)
-        self._apcoms = frozenset(dom.apcoms)
 
     # -- monoid operations
 
@@ -235,87 +206,6 @@ class RgsepMonoid(ViewMonoid):
         return reify_rgsep(p)
 
     # -- assertion satisfaction
-
-    def fragments(self, rho: VAssn, interp: Dict[str, int]) -> frozenset:
-        """All world fragments exactly satisfying a box-free assertion."""
-        key = (rho, tuple(sorted(interp.items())))
-        hit = self._frag_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._fragments(rho, interp)
-        self._frag_cache[key] = out
-        return out
-
-    def _fragments(self, rho: VAssn, interp) -> frozenset:
-        if isinstance(rho, EmpA):
-            return frozenset({EMPTY_WORLD})
-        if isinstance(rho, WorldsA):
-            return frozenset(rho.worlds)
-        if isinstance(rho, CPt):
-            v = self._value(rho.value, interp)
-            loc = _loc(rho.loc, interp)
-            if v not in self._cloc.get(loc, ()):
-                return frozenset()  # outside the declared domains
-            return frozenset({World(Heap({loc: v}), EMPTY_HEAP,
-                                    EMPTY_TOKENS)})
-        if isinstance(rho, APt):
-            v = self._value(rho.value, interp)
-            loc = _loc(rho.loc, interp)
-            if v not in self._aloc.get(loc, ()):
-                return frozenset()
-            return frozenset({World(EMPTY_HEAP, Heap({loc: v}),
-                                    EMPTY_TOKENS)})
-        if isinstance(rho, TokA):
-            tid = self._value(rho.tid, interp)
-            a = self._value(rho.arg, interp)
-            r = self._value(rho.ret, interp)
-            if tid not in self.dom.thread_ids():
-                return frozenset()
-            ap = APCom(rho.method, a, r)
-            if ap not in self._apcoms:
-                return frozenset()
-            tok = Token(rho.kind, ap)
-            return frozenset({World(EMPTY_HEAP, EMPTY_HEAP,
-                                    TokenMap({tid: tok}))})
-        if isinstance(rho, PureA):
-            if self._value(rho.cond, interp) != 0:
-                return frozenset({EMPTY_WORLD})
-            return frozenset()
-        if isinstance(rho, StarA):
-            cur = frozenset({EMPTY_WORLD})
-            for part in rho.parts:
-                nxt = set()
-                for f1 in cur:
-                    for f2 in self.fragments(part, interp):
-                        f = compose_worlds(f1, f2)
-                        if f is not None:
-                            nxt.add(f)
-                cur = frozenset(nxt)
-                if not cur:
-                    return cur
-            return cur
-        if isinstance(rho, OrA):
-            out = set()
-            for part in rho.parts:
-                out |= self.fragments(part, interp)
-            return frozenset(out)
-        if isinstance(rho, ExistsA):
-            out = set()
-            for n in self.dom.values:
-                out |= self.fragments(rho.body, {**interp, rho.var: n})
-            return frozenset(out)
-        if isinstance(rho, (BoxA, TrueA)):
-            raise ModelError(
-                "boxed/true assertions cannot appear in fragment position")
-        raise ModelError(f"unknown assertion node {rho!r}")
-
-    def _value(self, e, interp) -> int:
-        try:
-            return eval_expr(e, EMPTY_HEAP, interp, 0, self.sem.modulus)
-        except UndefinedLocation as exc:
-            raise ModelError(
-                f"assertion value expressions may not read the heap "
-                f"(location {exc.loc!r})")
 
     def box_holds(self, body: VAssn, s: World, interp) -> bool:
         """Does the shared state satisfy the box interior? `true` conjuncts
@@ -394,11 +284,6 @@ class RgsepMonoid(ViewMonoid):
             raise StabilityViolation(*witness)
         return RgsepView(pred, rely, guar)
 
-    def eval_vassn(self, rho, interp):
-        raise ModelError(
-            "RGSep assertions need a rely and a guarantee; "
-            "use eval_vassn_rg")
-
     # -- action denotations
 
     def denote_action(self, pre: VAssn, post: VAssn) -> Rel:
@@ -454,11 +339,11 @@ class RgsepMonoid(ViewMonoid):
                    for loc in sorted(footprint)]
         extra = next((l for l in sorted(cloc) if l not in footprint), None)
         frame_doms = [(extra, cloc[extra])] if extra is not None else []
-        for sigma in _heaps_over(locdoms):
+        for sigma in enumerate_heaps(locdoms):
             res = self.sem.ctable.apply(alpha, t, sigma, self.sem.modulus)
             if FAULT in res:
                 continue
-            for frame in _heaps_over(frame_doms):
+            for frame in enumerate_heaps(frame_doms):
                 if not frame.items():
                     continue
                 combined = compose_states(sigma, frame)
@@ -486,10 +371,10 @@ class RgsepMonoid(ViewMonoid):
             return True
         if q.bot:
             for l, s in sorted(p.pred, key=_pair_key):
-                joined = _join(l, s)
-                if joined is not None:
+                world = compose_worlds(l, s)
+                if world is not None:
                     return ActionCounterexample(
-                        t, alpha, None, World(*joined), None,
+                        t, alpha, None, world, None,
                         "postcondition is inconsistent (bottom view)")
             return True
         if p.rely != q.rely or p.guar != q.guar:
@@ -501,7 +386,7 @@ class RgsepMonoid(ViewMonoid):
         post_by_conc: Dict[Heap, list] = {}
         if not q.bot:
             for l2, s2 in sorted(q.pred, key=_pair_key):
-                joined = _join(l2, s2)
+                joined = compose_worlds(l2, s2)
                 if joined is None:
                     continue
                 sigma2, abs2, toks2 = joined
@@ -509,11 +394,10 @@ class RgsepMonoid(ViewMonoid):
                     (s2, abs2, toks2))
         guar = p.guar
         for l, s in sorted(p.pred, key=_pair_key):
-            joined = _join(l, s)
-            if joined is None:
+            world = compose_worlds(l, s)
+            if world is None:
                 continue
-            sigma, sigma_a, toks = joined
-            world = World(sigma, sigma_a, toks)
+            sigma, sigma_a, toks = world
             lp_set = None
             for sigma2 in sem.ctable.apply(alpha, t, sigma, sem.modulus):
                 if sigma2 is FAULT:
@@ -577,18 +461,16 @@ class RgsepMonoid(ViewMonoid):
         if p.bot:
             return
         for l, s in sorted(p.pred, key=_pair_key):
-            joined = _join(l, s)
-            if joined is None:
-                continue
-            yield World(*joined)
+            world = compose_worlds(l, s)
+            if world is not None:
+                yield world
 
     def strip_token_set(self, p: RgsepView, t: int) -> frozenset:
         """Predicate pairs with thread t's token erased (keeping its side),
         for the token-swap correspondence check."""
         out = set()
         for l, s in p.pred:
-            joined = _join(l, s)
-            if joined is None:
+            if compose_worlds(l, s) is None:
                 continue
             side = "local" if t in l.toks else (
                 "shared" if t in s.toks else "none")
@@ -600,41 +482,10 @@ class RgsepMonoid(ViewMonoid):
         return frozenset(out)
 
 
-def _loc(loc: str, interp: Dict[str, int]) -> str:
-    if "{" not in loc:
-        return loc
-    try:
-        return loc.format_map(interp)
-    except KeyError as exc:
-        raise ModelError(
-            f"location {loc!r} references unbound logical variable {exc}")
-
-
 def _prim_locs(e) -> set:
     from .command_lang import expr_locs
 
     return set(expr_locs(e))
-
-
-def _heaps_over(locdoms):
-    choices = []
-    for loc, vals in locdoms:
-        choices.append([(loc, v) for v in [None] + list(vals)])
-    for combo in itertools.product(*choices):
-        yield Heap({loc: v for loc, v in combo if v is not None})
-
-
-def _join(l: World, s: World):
-    sigma = compose_states(l.conc, s.conc)
-    if sigma is None or sigma is FAULT:
-        return None
-    abs_ = compose_states(l.abst, s.abst)
-    if abs_ is None or abs_ is FAULT:
-        return None
-    toks = compose_tokens(l.toks, s.toks)
-    if toks is None:
-        return None
-    return (sigma, abs_, toks)
 
 
 def _pair_key(pair: Pair):

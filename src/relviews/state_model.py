@@ -80,10 +80,6 @@ class Heap:
         drop = set(locs)
         return Heap({k: v for k, v in self._d.items() if k not in drop})
 
-    def restrict(self, locs: Iterable[str]) -> "Heap":
-        keep = set(locs)
-        return Heap({k: v for k, v in self._d.items() if k in keep})
-
     def subheap_of(self, other: "Heap") -> bool:
         return all(other.get(k) == v for k, v in self._key)
 
@@ -302,7 +298,8 @@ def _heap_count(locdoms) -> int:
     return n
 
 
-def _enumerate_heaps(locdoms):
+def enumerate_heaps(locdoms):
+    """Every partial heap over (location, value domain) pairs."""
     choices = []
     for loc, vals in locdoms:
         opts = [None] + list(vals)
@@ -341,8 +338,8 @@ def enumerate_worlds(dom: Domains, cap: Optional[int] = None) -> Tuple[World, ..
     tok_opts = _token_options(dom)
     tids = list(dom.thread_ids())
     worlds = []
-    for conc in _enumerate_heaps(dom.cloc):
-        for abst in _enumerate_heaps(dom.aloc):
+    for conc in enumerate_heaps(dom.cloc):
+        for abst in enumerate_heaps(dom.aloc):
             for combo in itertools.product(tok_opts, repeat=len(tids)):
                 toks = TokenMap(
                     {t: tok for t, tok in zip(tids, combo) if tok is not None}

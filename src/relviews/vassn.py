@@ -4,7 +4,8 @@ A view assertion describes a set of world fragments: singleton concrete or
 abstract cells, token literals, pure facts, separating conjunction,
 disjunction and finite existentials.  Boxed assertions (shared-state
 fragments) and `true` are meaningful only for the RGSep monoid and are
-rejected by the DCSL evaluator.
+rejected by the box-free denotation `ViewMonoid.fragments`, which is DCSL's
+whole evaluator.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 A view monoid supplies composition, a unit, disjunction, reification and a
 frame strategy; this module implements what is common to all monoids: the
+denotation of box-free view assertions as world-fragment sets, the
 linearization-point relation on (abstract state, tokens) pairs, the
 frame-quantified action judgement, and the repartitioning implication.
 """
@@ -10,10 +11,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Dict, Iterable
 
-from .command_lang import AbstractTable, PrimCommand, TransformerTable
-from .state_model import DONE, FAULT, Heap, Token, TokenMap, World
+from .command_lang import (
+    AbstractTable,
+    PrimCommand,
+    TransformerTable,
+    eval_expr,
+)
+from .errors import ModelError, UndefinedLocation
+from .state_model import (
+    DONE,
+    EMPTY_HEAP,
+    EMPTY_TOKENS,
+    EMPTY_WORLD,
+    FAULT,
+    APCom,
+    Domains,
+    Heap,
+    Token,
+    TokenMap,
+    World,
+    compose_worlds,
+)
+from .vassn import (
+    APt,
+    BoxA,
+    CPt,
+    EmpA,
+    ExistsA,
+    OrA,
+    PureA,
+    StarA,
+    TokA,
+    TrueA,
+    VAssn,
+    WorldsA,
+)
 
 
 @dataclass(frozen=True)
@@ -81,15 +115,24 @@ class ImplVerdict(Enum):
         return self is ImplVerdict.HOLDS
 
 
+_EMP = frozenset({EMPTY_WORLD})
+
+
 class ViewMonoid:
     """Interface a monoid instantiation must supply.
 
     Subclasses provide extensional views plus a frame-checking strategy that
     decides the (in principle frame-quantified) action judgement and
-    repartitioning implication.
+    repartitioning implication.  The denotation of box-free view assertions
+    does not depend on the monoid and lives here.
     """
 
-    sem: Semantics
+    def __init__(self, dom: Domains, sem: Semantics):
+        self.dom = dom
+        self.sem = sem
+        self._frag_cache: Dict = {}
+        self._locdoms = {CPt: dict(dom.cloc), APt: dict(dom.aloc)}
+        self._apcoms = frozenset(dom.apcoms)
 
     def compose(self, p, q):
         raise NotImplementedError
@@ -117,6 +160,74 @@ class ViewMonoid:
 
     def eval_vassn(self, rho, interp):
         raise NotImplementedError
+
+    def fragments(self, rho: VAssn, interp: Dict[str, int]) -> frozenset:
+        """All world fragments exactly satisfying a box-free assertion under
+        an interpretation of its logical variables; memoized.  Cells outside
+        the declared domains and tokens outside the alphabet denote
+        nothing."""
+        key = (rho, tuple(sorted(interp.items())))
+        out = self._frag_cache.get(key)
+        if out is not None:
+            return out
+
+        def value(e) -> int:
+            try:
+                return eval_expr(e, EMPTY_HEAP, interp, 0, self.sem.modulus)
+            except UndefinedLocation as exc:
+                raise ModelError(
+                    "view assertion values may not read the heap "
+                    f"(location {exc.loc!r})")
+
+        if isinstance(rho, EmpA):
+            out = _EMP
+        elif isinstance(rho, WorldsA):
+            out = frozenset(rho.worlds)
+        elif isinstance(rho, (CPt, APt)):
+            v = value(rho.value)
+            try:
+                loc = rho.loc.format_map(interp) if "{" in rho.loc else rho.loc
+            except KeyError as exc:
+                raise ModelError(f"location {rho.loc!r} references unbound "
+                                 f"logical variable {exc}")
+            out = frozenset()  # outside the declared domains
+            if v in self._locdoms[type(rho)].get(loc, ()):
+                cell = Heap({loc: v})
+                out = frozenset({World(cell, EMPTY_HEAP, EMPTY_TOKENS)
+                                 if isinstance(rho, CPt) else
+                                 World(EMPTY_HEAP, cell, EMPTY_TOKENS)})
+        elif isinstance(rho, TokA):
+            tid, ap = value(rho.tid), APCom(rho.method, value(rho.arg),
+                                            value(rho.ret))
+            out = frozenset()
+            if tid in self.dom.thread_ids() and ap in self._apcoms:
+                out = frozenset({World(EMPTY_HEAP, EMPTY_HEAP,
+                                       TokenMap({tid: Token(rho.kind, ap)}))})
+        elif isinstance(rho, PureA):
+            out = _EMP if value(rho.cond) != 0 else frozenset()
+        elif isinstance(rho, StarA):
+            out = _EMP
+            for part in rho.parts:
+                frags = self.fragments(part, interp)
+                out = frozenset(w for f1 in out for f2 in frags
+                                for w in (compose_worlds(f1, f2),)
+                                if w is not None)
+                if not out:
+                    break
+        elif isinstance(rho, OrA):
+            out = frozenset().union(
+                *(self.fragments(part, interp) for part in rho.parts))
+        elif isinstance(rho, ExistsA):
+            out = frozenset().union(
+                *(self.fragments(rho.body, {**interp, rho.var: n})
+                  for n in self.dom.values))
+        elif isinstance(rho, (BoxA, TrueA)):
+            raise ModelError(
+                "boxed/true assertions cannot appear in fragment position")
+        else:
+            raise ModelError(f"unknown assertion node {rho!r}")
+        self._frag_cache[key] = out
+        return out
 
 
 def check_action_with_frames(monoid: ViewMonoid, t: int, alpha: PrimCommand,

@@ -24,8 +24,10 @@ from relviews.command_lang import (
 )
 from relviews.fixtures import fixture_manifest
 from relviews.linearizability import (
+    ObligationReport,
     check_linearizable,
     check_obligations,
+    instance_obligations,
     render_history,
 )
 from relviews.logic import check_safe
@@ -350,7 +352,7 @@ def test_criterion_7_bug_detection():
 
     broken = load_model(f"{FIX}/flat-combiner-noaction4/model.json")
     load_outlines(f"{FIX}/flat-combiner-noaction4/outline.json", broken)
-    rep = check_obligations(broken, instances=[("inc", 1, 1, 0)])
+    rep = ObligationReport(instance_obligations(broken, ("inc", 1, 1, 0)))
     fail = rep.first_failure()
     at_lp = (fail is not None and "(1) outline" == fail.obligation
              and "store(Read(loc='res[" in fail.detail)

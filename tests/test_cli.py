@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from relviews import cli
 from relviews.cli import main
+from relviews.model_io import load_model
 
 FIX = "src/relviews/fixtures"
 
@@ -107,3 +111,108 @@ def test_jobs_flag_same_verdict(capsys):
                          "--jobs", "4", "--format", "machine")
     assert code1 == code2 == 0
     assert json.loads(out1)["verdict"] == json.loads(out2)["verdict"]
+
+
+def _first_choice(node):
+    """The first outline node of kind `choice`, depth first."""
+    if isinstance(node, dict):
+        if node.get("kind") == "choice":
+            return node
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            found = _first_choice(child)
+            if found is not None:
+                return found
+    return None
+
+
+def _break_body(doc):
+    del doc["methods"]["inc"]["body"]
+
+
+def _break_action(doc):
+    del next(iter(doc["actions"].values()))["post"]
+
+
+def _break_values(doc):
+    doc["domains"]["values"] = "abc"
+
+
+def _break_placeholder(doc):
+    doc["methods"]["inc"]["body"] = ["store", "k[{i}]", 1]
+
+
+def _break_primitive_loc(doc):
+    next(iter(doc["primitives"].values()))["updates"].append(["k[{i}]", 0])
+
+
+def _break_abstract_loc(doc):
+    doc["abstract"]["inc"]["updates"].append(["K[{i}]", 0])
+
+
+@pytest.mark.parametrize("mutate", [_break_body, _break_action,
+                                    _break_values, _break_placeholder,
+                                    _break_primitive_loc,
+                                    _break_abstract_loc])
+def test_malformed_model_exit_two(capsys, tmp_path, mutate):
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    mutate(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check-proof", str(bad),
+                       f"{FIX}/atomic-inc/outline.json")
+    assert code == 2
+    assert err.startswith("error:") and str(bad) in err
+
+
+def _break_choice(doc):
+    del _first_choice(doc)["left"]
+
+
+def _break_outline_loc(doc):
+    doc["outlines"]["inc"] = {"kind": "prim", "cmd": ["store", "k[{i}]", 1]}
+
+
+@pytest.mark.parametrize("mutate", [_break_choice, _break_outline_loc])
+def test_malformed_outline_exit_two(capsys, tmp_path, mutate):
+    doc = json.load(open(f"{FIX}/flat-combiner/outline.json"))
+    mutate(doc)
+    bad = tmp_path / "outline.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check-proof",
+                       f"{FIX}/flat-combiner/model.json", str(bad))
+    assert code == 2
+    assert err.startswith("error:") and str(bad) in err
+
+
+@pytest.mark.parametrize("argv", [["check-lin", "--bound", "4"],
+                                  ["histories", "--bound", "4"]])
+def test_fault_reported_as_verdict(capsys, tmp_path, argv):
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["methods"]["inc"]["body"] = ["store", "zz", 1]
+    bad = tmp_path / "faulting.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, argv[0], str(bad), *argv[1:],
+                       "--format", "machine")
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fault reachable" and not report["ok"]
+    assert "thread 1 faults" in report["detail"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_check_proof_loads_model_once(capsys, monkeypatch, tmp_path, jobs):
+    # loads are logged to a file, so a load in a worker process counts too
+    log = tmp_path / "loads.log"
+
+    def logged_load(path):
+        with open(log, "a") as fh:
+            fh.write(path + "\n")
+        return load_model(path)
+
+    monkeypatch.setattr(cli, "load_model", logged_load)
+    code, out, _ = run(capsys, "check-proof", f"{FIX}/atomic-inc/model.json",
+                       f"{FIX}/atomic-inc/outline.json", "--jobs", jobs)
+    assert code == 0 and "proof accepted" in out
+    assert log.read_text().splitlines() == [f"{FIX}/atomic-inc/model.json"]

@@ -9,6 +9,7 @@ from relviews.linearizability import (
     check_obligations,
     concrete_histories,
     history_sort_key,
+    instance_obligations,
     render_event,
     render_history,
 )
@@ -105,8 +106,8 @@ def test_obligation_two_fails_without_token():
     m = parse_model(doc)
     out = json.load(open(f"{FIX}/atomic-inc/outline.json"))
     attach_outlines(out, m)
-    rep = check_obligations(m, instances=[("inc", 1, 1, 1)])
-    failed = {it.obligation for it in rep.items if not it.ok}
+    items = instance_obligations(m, ("inc", 1, 1, 1))
+    failed = {it.obligation for it in items if not it.ok}
     assert "(2) todo pinned" in failed
 
 
@@ -120,7 +121,7 @@ def test_obligation_three_fails_on_asymmetric_families():
     m = parse_model(doc)
     out = json.load(open(f"{FIX}/dcsl-cell/outline.json"))
     attach_outlines(out, m)
-    rep = check_obligations(m, instances=[("put", 1, 0, 0)])
+    rep = check_obligations(m)
     failed = {it.obligation for it in rep.items if not it.ok}
     assert "(3) token swap" in failed
 
@@ -150,8 +151,8 @@ def test_mutated_final_token_rejected():
     m = parse_model(doc)
     out = json.load(open(f"{FIX}/flat-combiner/outline.json"))
     attach_outlines(out, m)
-    rep = check_obligations(m, instances=[("inc", 1, 1, 0)])
-    failed = {it.obligation for it in rep.items if not it.ok}
+    items = instance_obligations(m, ("inc", 1, 1, 0))
+    failed = {it.obligation for it in items if not it.ok}
     assert "(2) done pinned" in failed
     assert "(1) outline" in failed
 

@@ -7,8 +7,8 @@ from relviews.errors import ModelError, UniverseTooLarge
 from relviews.monoid_dcsl import (
     EMPTY_VIEW,
     UNIT_DCSL,
+    DcslMonoid,
     compose_dcsl,
-    eval_vassn_dcsl,
     frames_dcsl,
     powerset_frames,
     reify_dcsl,
@@ -36,7 +36,8 @@ from relviews.vassn import (
     WorldsA,
 )
 from relviews.command_lang import Const, Eq, LVar
-from util import micro_dcsl, micro_domains, sample_view
+from relviews.monoid_rgsep import RgsepMonoid
+from util import micro_dcsl, micro_domains, micro_semantics, sample_view
 
 AP = APCom("op", 0, 0)
 
@@ -134,52 +135,55 @@ def test_disjunction_laws():
 # Assertion evaluation
 
 
-def _dom():
-    return micro_domains(cloc={"l": (0, 1)}, aloc={"m": (0, 1)},
-                         apcoms=(AP,), values=(0, 1))
+def _monoids():
+    """The denotation is shared: both monoids must agree on every input."""
+    dom = micro_domains(cloc={"l": (0, 1)}, aloc={"m": (0, 1)},
+                        apcoms=(AP,), values=(0, 1))
+    sem = micro_semantics(dom)
+    return DcslMonoid(dom, sem), RgsepMonoid(dom, sem)
 
 
 def test_eval_emp_and_cells():
-    dom = _dom()
-    assert eval_vassn_dcsl(EmpA(), {}, dom, 2) == UNIT_DCSL
-    got = eval_vassn_dcsl(CPt("l", Const(1)), {}, dom, 2)
-    assert got == frozenset({w({"l": 1})})
-    got = eval_vassn_dcsl(APt("m", Const(0)), {}, dom, 2)
-    assert got == frozenset({w(abst={"m": 0})})
+    for mono in _monoids():
+        assert mono.fragments(EmpA(), {}) == UNIT_DCSL
+        got = mono.fragments(CPt("l", Const(1)), {})
+        assert got == frozenset({w({"l": 1})})
+        got = mono.fragments(APt("m", Const(0)), {})
+        assert got == frozenset({w(abst={"m": 0})})
 
 
 def test_eval_star_or_exists():
-    dom = _dom()
     rho = StarA((CPt("l", LVar("V")), APt("m", LVar("V"))))
-    both = eval_vassn_dcsl(ExistsA("V", rho), {}, dom, 2)
-    assert both == frozenset({w({"l": 0}, {"m": 0}), w({"l": 1}, {"m": 1})})
-    either = eval_vassn_dcsl(OrA((CPt("l", Const(0)), CPt("l", Const(1)))),
-                             {}, dom, 2)
-    assert len(either) == 2
+    for mono in _monoids():
+        both = mono.fragments(ExistsA("V", rho), {})
+        assert both == frozenset({w({"l": 0}, {"m": 0}),
+                                  w({"l": 1}, {"m": 1})})
+        either = mono.fragments(
+            OrA((CPt("l", Const(0)), CPt("l", Const(1)))), {})
+        assert len(either) == 2
 
 
 def test_eval_pure_and_token():
-    dom = _dom()
-    assert eval_vassn_dcsl(PureA(Eq(Const(1), Const(1))), {}, dom, 2) \
-        == UNIT_DCSL
-    assert eval_vassn_dcsl(PureA(Eq(Const(1), Const(0))), {}, dom, 2) \
-        == EMPTY_VIEW
     tok = TokA(TODO, Const(1), "op", Const(0), Const(0))
-    assert eval_vassn_dcsl(tok, {}, dom, 2) == frozenset(
-        {w(toks={1: Token(TODO, AP)})})
+    for mono in _monoids():
+        assert mono.fragments(PureA(Eq(Const(1), Const(1))), {}) == UNIT_DCSL
+        assert mono.fragments(PureA(Eq(Const(1), Const(0))), {}) \
+            == EMPTY_VIEW
+        assert mono.fragments(tok, {}) == frozenset(
+            {w(toks={1: Token(TODO, AP)})})
 
 
 def test_eval_worlds_literal_and_box_rejected():
-    dom = _dom()
     lit = WorldsA((w({"l": 0}),))
-    assert eval_vassn_dcsl(lit, {}, dom, 2) == frozenset({w({"l": 0})})
-    with pytest.raises(ModelError):
-        eval_vassn_dcsl(BoxA(EmpA()), {}, dom, 2)
+    for mono in _monoids():
+        assert mono.fragments(lit, {}) == frozenset({w({"l": 0})})
+        with pytest.raises(ModelError):
+            mono.fragments(BoxA(EmpA()), {})
 
 
 def test_eval_out_of_domain_cell_denotes_nothing():
-    dom = _dom()
-    assert eval_vassn_dcsl(CPt("l", Const(7)), {}, dom, 8) == EMPTY_VIEW
+    for mono in _monoids():
+        assert mono.fragments(CPt("l", Const(7)), {}) == EMPTY_VIEW
 
 
 # ---------------------------------------------------------------------------
