@@ -64,11 +64,18 @@ class RunReport:
         }, sort_keys=True)
 
 
-def _effective_cap(args) -> Optional[int]:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("RELVIEWS_CAP")
-    return int(env) if env else None
+def _count(minimum: int, source: str = ""):
+    """An argparse type: an integer of at least `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}{source}, got {text!r}")
+        return n
+    return parse
 
 
 def _emit(report: RunReport, fmt: str) -> None:
@@ -81,7 +88,7 @@ def _emit(report: RunReport, fmt: str) -> None:
 def cmd_check_lin(args) -> int:
     t0 = time.perf_counter()
     model = load_model(args.model)
-    res = check_linearizable(model, args.bound, cap=_effective_cap(args))
+    res = check_linearizable(model, args.bound, cap=args.cap)
     ce = render_history(res.counterexample) if res.counterexample else None
     report = RunReport(res.verdict(), res.ok, counterexample=ce,
                        stats=res.stats, timing=time.perf_counter() - t0)
@@ -96,7 +103,7 @@ def cmd_check_proof(args) -> int:
     t0 = time.perf_counter()
     model = load_model(args.model)
     load_outlines(args.outline, model)
-    report = check_obligations(model, jobs=args.jobs)
+    report = check_obligations(model, jobs=args.jobs, cap=args.cap)
     detail = "\n".join(it.line() for it in report.items)
     fail = report.first_failure()
     if fail:
@@ -112,11 +119,10 @@ def cmd_check_proof(args) -> int:
 def cmd_histories(args) -> int:
     t0 = time.perf_counter()
     model = load_model(args.model)
-    cap = _effective_cap(args)
     if args.side == "abstract":
-        hs = abstract_histories(model, args.bound, cap=cap)
+        hs = abstract_histories(model, args.bound, cap=args.cap)
     else:
-        hs = concrete_histories(model, args.bound, cap=cap)
+        hs = concrete_histories(model, args.bound, cap=args.cap)
     ordered = sorted(hs, key=history_sort_key)
     for i, h in enumerate(ordered):
         if args.format == "machine":
@@ -137,33 +143,41 @@ def build_parser() -> argparse.ArgumentParser:
                     "proof outlines for concurrent library models")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--cap", type=int, default=None,
-                        help="state-count cap (also RELVIEWS_CAP)")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for independent checks")
+    # a string default goes through `type`, so a bad RELVIEWS_CAP is a
+    # usage error like a bad --cap
+    cap_default = os.environ.get("RELVIEWS_CAP") or None
+
+    def common(sp, jobs_help, jobs_choices=None):
+        sp.add_argument("--cap", type=_count(0, " (--cap or RELVIEWS_CAP)"),
+                        default=cap_default,
+                        help="state-count cap, an integer >= 0 (default: "
+                             "RELVIEWS_CAP, else the model's own cap)")
+        sp.add_argument("--jobs", type=_count(1), default=1,
+                        choices=jobs_choices, help=jobs_help)
         sp.add_argument("--format", choices=("text", "machine"),
                         default="text")
 
+    one_process = "must be 1: this check runs in one process"
     sp = sub.add_parser("check-lin", help="bounded history-inclusion check")
     sp.add_argument("model")
-    sp.add_argument("--bound", type=int, required=True)
-    common(sp)
+    sp.add_argument("--bound", type=_count(0), required=True)
+    common(sp, one_process, (1,))
     sp.set_defaults(fn=cmd_check_lin)
 
     sp = sub.add_parser("check-proof",
                         help="verify proof outlines and obligations")
     sp.add_argument("model")
     sp.add_argument("outline")
-    common(sp)
+    common(sp, "worker processes for the per-instance obligations, an "
+               "integer >= 1")
     sp.set_defaults(fn=cmd_check_proof)
 
     sp = sub.add_parser("histories", help="print a generated history set")
     sp.add_argument("model")
     sp.add_argument("--side", choices=("concrete", "abstract"),
                     default="concrete")
-    sp.add_argument("--bound", type=int, required=True)
-    common(sp)
+    sp.add_argument("--bound", type=_count(0), required=True)
+    common(sp, one_process, (1,))
     sp.set_defaults(fn=cmd_histories)
     return p
 

@@ -2,7 +2,12 @@
 
 
 class RelviewsError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    A subclass whose constructor takes other arguments than its message
+    defines `__reduce__`, so that an error raised in a `--jobs` worker
+    unpickles in the parent.
+    """
 
 
 class ModelError(RelviewsError):
@@ -16,6 +21,9 @@ class UndefinedLocation(RelviewsError):
         super().__init__(f"read of undefined location {loc!r}")
         self.loc = loc
 
+    def __reduce__(self):
+        return type(self), (self.loc,)
+
 
 class FaultReachable(RelviewsError):
     """A transformer produced the fault state; carries the offending context."""
@@ -23,6 +31,9 @@ class FaultReachable(RelviewsError):
     def __init__(self, detail, schedule=None):
         super().__init__(detail)
         self.schedule = schedule or []
+
+    def __reduce__(self):
+        return type(self), (*self.args, self.schedule)
 
 
 class UniverseTooLarge(RelviewsError):
@@ -36,6 +47,9 @@ class UniverseTooLarge(RelviewsError):
         self.size = size
         self.cap = cap
 
+    def __reduce__(self):
+        return type(self), (self.size, self.cap)
+
 
 class StabilityViolation(RelviewsError):
     """A view assertion's predicate is not closed under its rely."""
@@ -47,6 +61,9 @@ class StabilityViolation(RelviewsError):
         )
         self.witness = (local, shared, shared2)
 
+    def __reduce__(self):
+        return type(self), self.witness
+
 
 class LocalityViolation(RelviewsError):
     """A primitive's transformer is not local in the separation-logic sense."""
@@ -56,3 +73,6 @@ class LocalityViolation(RelviewsError):
         self.prim = prim
         self.state = state
         self.frame = frame
+
+    def __reduce__(self):
+        return type(self), (self.prim, self.state, self.frame)

@@ -87,6 +87,15 @@ class LibraryModel:
         self._monoid = None
         self._guars = None
         self._relys = None
+        self._envs: Dict[int, AssertionEnv] = {}
+
+    def __getstate__(self):
+        """A pickled model (a `--jobs` worker's copy) carries the model
+        data only: the monoid, rely/guarantee and assertion envs, with
+        their caches, are rebuilt where they are first used."""
+        state = dict(self.__dict__)
+        state.update(_monoid=None, _guars=None, _relys=None, _envs={})
+        return state
 
     def semantics(self) -> Semantics:
         return Semantics(self.ctable, self.atable, self.dom.modulus)
@@ -101,6 +110,9 @@ class LibraryModel:
         return self.bodies[key]
 
     def monoid(self, cap: Optional[int] = None):
+        """The model's view monoid, built on the first call; `cap` bounds
+        its shared universe (RGSep) or frame universe (DCSL) in place of
+        the declared one."""
         if self._monoid is None:
             sem = self.semantics()
             if self.monoid_kind == "dcsl":
@@ -167,10 +179,18 @@ class LibraryModel:
         self._relys = relys
 
     def assertion_env(self, t: int) -> AssertionEnv:
-        mon = self.monoid()
-        if self.monoid_kind == "rgsep":
-            return AssertionEnv(mon, rely=self.rely(t), guar=self.guarantee(t))
-        return AssertionEnv(mon)
+        """Thread t's env, one per thread, so its eval memo is shared by
+        every check of the model."""
+        env = self._envs.get(t)
+        if env is None:
+            mon = self.monoid()
+            if self.monoid_kind == "rgsep":
+                env = AssertionEnv(mon, rely=self.rely(t),
+                                   guar=self.guarantee(t))
+            else:
+                env = AssertionEnv(mon)
+            self._envs[t] = env
+        return env
 
     def pre_assertion(self, m: str, t: int, a: int, r: int) -> Assertion:
         if m not in self.pre_templates:
@@ -443,11 +463,12 @@ def all_instances(model: LibraryModel) -> List[Tuple[str, int, int, int]]:
 
 def instance_obligations(model: LibraryModel,
                          inst: Tuple[str, int, int, int],
-                         ) -> List[ObligationItem]:
+                         cap: Optional[int] = None) -> List[ObligationItem]:
     """The obligations of one command instance (method, thread, argument,
     expected return): its outline (1) and the tokens pinned in its pre and
-    postcondition (2)."""
+    postcondition (2).  `cap` is passed to `model.monoid`."""
     m, t, a, r = inst
+    model.monoid(cap)
     subject = f"{m}(a={a},r={r}) in thread {t}"
     env = model.assertion_env(t)
     outline = model.outline(m, t, a, r)
@@ -476,16 +497,20 @@ def instance_obligations(model: LibraryModel,
     return items
 
 
-def check_obligations(model: LibraryModel, jobs: int = 1) -> ObligationReport:
+def check_obligations(model: LibraryModel, jobs: int = 1,
+                      cap: Optional[int] = None) -> ObligationReport:
     """Verify the linearizability obligations over the declared domains:
     per-method outlines, token pinning in the pre/post families, the
     token-swap correspondence, and coverage of the initial states by the
-    composed preconditions.
+    composed preconditions.  `cap` bounds the monoid's universe, as in
+    `LibraryModel.monoid`.
 
     With `jobs` > 1 the per-instance obligations run in that many worker
     processes, one contiguous chunk of instances each; every worker gets a
-    pickled copy of the model, and the report is the same for every `jobs`.
+    pickled copy of the model (without its monoid or caches), and the
+    report is the same for every `jobs`.
     """
+    model.monoid(cap)
     methods = model.methods()
     missing = [m for m in methods if m not in model.atable.methods]
     items = [ObligationItem("dom(concrete)=dom(abstract)", "library",
@@ -494,17 +519,15 @@ def check_obligations(model: LibraryModel, jobs: int = 1) -> ObligationReport:
     todo = all_instances(model)
     if jobs > 1 and len(todo) > 1:
         chunk = -(-len(todo) // jobs)
-        # each chunk carries one pickled copy of the model; this process
-        # evaluates nothing before every chunk is back, so the copies are
-        # taken before any of the model's caches fill
+        # each chunk carries one pickled copy of the model
         with ProcessPoolExecutor(-(-len(todo) // chunk)) as pool:
             for per_inst in pool.map(instance_obligations,
                                      itertools.repeat(model), todo,
-                                     chunksize=chunk):
+                                     itertools.repeat(cap), chunksize=chunk):
                 items.extend(per_inst)
     else:
         for inst in todo:
-            items.extend(instance_obligations(model, inst))
+            items.extend(instance_obligations(model, inst, cap))
 
     # (3): across every pair of command instances, post and pre states agree
     # up to the thread's token.

@@ -55,6 +55,8 @@ class RImplAssn:
 
 Assertion = Union[VLeaf, StarAssn, OrAssn, ExistsAssn, RImplAssn]
 
+_UNSEEN = object()
+
 
 class AssertionEnv:
     """Binds a monoid (and, for RGSep, a fixed rely/guarantee) so that
@@ -64,6 +66,7 @@ class AssertionEnv:
         self.monoid = monoid
         self.rely = rely
         self.guar = guar
+        self._views: Dict = {}
 
     def eval_leaf(self, rho: VAssn, interp):
         from .monoid_rgsep import RgsepMonoid
@@ -73,6 +76,16 @@ class AssertionEnv:
         return self.monoid.eval_vassn(rho, interp)
 
     def eval(self, assn: Assertion, interp: Dict[str, int]):
+        """The view an assertion denotes under an interpretation; memoized.
+        An error (an unstable predicate, say) is not cached: the next
+        evaluation raises it again."""
+        key = (assn, tuple(sorted(interp.items())))
+        view = self._views.get(key, _UNSEEN)
+        if view is _UNSEEN:
+            view = self._views[key] = self._eval(assn, interp)
+        return view
+
+    def _eval(self, assn: Assertion, interp: Dict[str, int]):
         if isinstance(assn, VLeaf):
             return self.eval_leaf(assn.rho, interp)
         if isinstance(assn, StarAssn):

@@ -207,82 +207,73 @@ class RgsepMonoid(ViewMonoid):
 
     # -- assertion satisfaction
 
-    def box_holds(self, body: VAssn, s: World, interp) -> bool:
-        """Does the shared state satisfy the box interior? `true` conjuncts
-        absorb an arbitrary remainder; without one the match is exact."""
-        if isinstance(body, OrA):
-            return any(self.box_holds(p, s, interp) for p in body.parts)
-        if isinstance(body, ExistsA):
-            return any(
-                self.box_holds(body.body, s, {**interp, body.var: n})
-                for n in self.dom.values
-            )
-        parts = body.parts if isinstance(body, StarA) else (body,)
-        rest = []
-        has_true = False
-        for p in parts:
-            if isinstance(p, TrueA):
-                has_true = True
-            else:
-                rest.append(p)
-        core = StarA(tuple(rest)) if len(rest) != 1 else rest[0]
-        frags = (self.fragments(core, interp) if rest
-                 else frozenset({EMPTY_WORLD}))
-        if has_true:
-            return any(world_leq(f, s) for f in frags)
-        return s in frags
-
-    def local_sets(self, rho: VAssn, s: World, interp) -> frozenset:
-        """All local fragments l with (l, s) satisfying the assertion."""
-        if isinstance(rho, BoxA):
-            if self.box_holds(rho.body, s, interp):
-                return frozenset({EMPTY_WORLD})
-            return frozenset()
-        if isinstance(rho, StarA):
-            cur = frozenset({EMPTY_WORLD})
-            for part in rho.parts:
-                nxt = set()
-                for l1 in cur:
-                    for l2 in self.local_sets(part, s, interp):
-                        l = compose_worlds(l1, l2)
-                        if l is not None:
-                            nxt.add(l)
-                cur = frozenset(nxt)
-                if not cur:
-                    return cur
-            return cur
-        if isinstance(rho, OrA):
-            out = set()
-            for part in rho.parts:
-                out |= self.local_sets(part, s, interp)
-            return frozenset(out)
-        if isinstance(rho, ExistsA):
-            out = set()
-            for n in self.dom.values:
-                out |= self.local_sets(rho.body, s, {**interp, rho.var: n})
-            return frozenset(out)
-        if isinstance(rho, TrueA):
-            raise ModelError("`true` is only supported inside boxes")
-        return self.fragments(rho, interp)
-
-    def satisfies(self, local: World, shared: World, interp,
-                  rho: VAssn) -> bool:
-        """Does the (local, shared) pair satisfy the assertion?"""
-        return local in self.local_sets(rho, shared, interp)
-
     def eval_vassn_rg(self, rho: VAssn, rely: Optional[Rel], guar: Rel,
                       interp: Dict[str, int]) -> RgsepView:
-        """Materialize an assertion as a view; rejects unstable predicates
-        rather than silently stabilizing them."""
-        pred = set()
-        for s in self.universe:
-            for l in self.local_sets(rho, s, interp):
-                pred.add((l, s))
-        pred = frozenset(pred)
-        witness = stable(pred, rely, self.universe)
+        """Materialize an assertion as a view in one pass over the shared
+        universe; rejects unstable predicates rather than silently
+        stabilizing them."""
+        universe = self.universe
+        cols = self._local_columns(rho, interp, range(len(universe)))
+        pred = frozenset((l, universe[i]) for i, ls in cols.items()
+                         for l in ls)
+        witness = stable(pred, rely, universe)
         if witness is not None:
             raise StabilityViolation(*witness)
         return RgsepView(pred, rely, guar)
+
+    def _local_columns(self, rho: VAssn, interp,
+                       live) -> Dict[int, frozenset]:
+        """For each live index i into the universe, the local fragments l
+        such that (l, universe[i]) satisfies the assertion.  A part is
+        evaluated at exactly the shared states where a state-by-state
+        reading looks at it (a star gives up on a state once its prefix
+        denotes nothing there), so a model error is raised exactly when
+        that reading raises one; of several faulty parts, the one reported
+        may differ."""
+        if not live:
+            return {}
+        if isinstance(rho, BoxA):
+            held = self._box_states(rho.body, interp, live)
+            return {i: _EMP if i in held else _NONE for i in live}
+        if isinstance(rho, StarA):
+            cur = dict.fromkeys(live, _EMP)
+            for part in rho.parts:
+                live = [i for i in live if cur[i]]
+                cur.update(_columnwise(_compose_sets, cur, self._local_columns(
+                    part, interp, live)))
+            return cur
+        if isinstance(rho, (OrA, ExistsA)):
+            cur = dict.fromkeys(live, _NONE)
+            for part, sub in _branches(rho, interp, self.dom.values):
+                cur = _columnwise(frozenset.union, cur, self._local_columns(
+                    part, sub, live))
+            return cur
+        if isinstance(rho, TrueA):
+            raise ModelError("`true` is only supported inside boxes")
+        return dict.fromkeys(live, self.fragments(rho, interp))
+
+    def _box_states(self, body: VAssn, interp, live) -> set:
+        """The live universe indices whose shared state satisfies the box
+        interior; a disjunct or witness is tried only where the earlier
+        ones failed.  `true` conjuncts absorb an arbitrary remainder (the
+        upward closure of the rest); without one the match is exact."""
+        if not live:
+            return set()
+        if isinstance(body, (OrA, ExistsA)):
+            held = set()
+            for part, sub in _branches(body, interp, self.dom.values):
+                held |= self._box_states(
+                    part, sub, [i for i in live if i not in held])
+            return held
+        parts = body.parts if isinstance(body, StarA) else (body,)
+        rest = [p for p in parts if not isinstance(p, TrueA)]
+        core = StarA(tuple(rest)) if len(rest) != 1 else rest[0]
+        frags = self.fragments(core, interp) if rest else _EMP
+        universe = self.universe
+        if len(rest) == len(parts):
+            return {i for i in live if universe[i] in frags}
+        return {i for i in live
+                if any(world_leq(f, universe[i]) for f in frags)}
 
     # -- action denotations
 
@@ -480,6 +471,38 @@ class RgsepMonoid(ViewMonoid):
                 side,
             ))
         return frozenset(out)
+
+
+_EMP = frozenset({EMPTY_WORLD})
+_NONE = frozenset()
+
+
+def _compose_sets(left: frozenset, right: frozenset) -> frozenset:
+    return frozenset(w for l1 in left for l2 in right
+                     for w in (compose_worlds(l1, l2),) if w is not None)
+
+
+def _columnwise(op, left: Dict[int, frozenset],
+                right: Dict[int, frozenset]) -> Dict[int, frozenset]:
+    """op applied at each index of `right`, once per distinct pair of
+    sets: most shared states see the same pair."""
+    done: Dict = {}
+    out = {}
+    for i, r in right.items():
+        key = (left[i], r)
+        got = done.get(key)
+        if got is None:
+            got = done[key] = op(*key)
+        out[i] = got
+    return out
+
+
+def _branches(rho: VAssn, interp, values):
+    """The (part, interpretation) alternatives of a disjunction or a
+    finite existential, in evaluation order."""
+    if isinstance(rho, OrA):
+        return [(part, interp) for part in rho.parts]
+    return [(rho.body, {**interp, rho.var: n}) for n in values]
 
 
 def _prim_locs(e) -> set:

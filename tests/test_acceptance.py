@@ -397,9 +397,11 @@ def test_criterion_9_determinism(capsys):
         for fx in fixture_manifest():
             for cmd, spec in sorted(fx.expected.items()):
                 if cmd == "check-lin":
+                    # check-lin runs in one process: it accepts only
+                    # --jobs 1, so both passes run it the same way
                     argv = ["check-lin", fx.model_path,
                             "--bound", str(spec["bound"]),
-                            "--jobs", jobs, "--format", "machine"]
+                            "--jobs", "1", "--format", "machine"]
                 elif cmd == "check-proof" and fx.outline_path:
                     argv = ["check-proof", fx.model_path, fx.outline_path,
                             "--jobs", jobs, "--format", "machine"]

@@ -216,3 +216,53 @@ def test_check_proof_loads_model_once(capsys, monkeypatch, tmp_path, jobs):
                        f"{FIX}/atomic-inc/outline.json", "--jobs", jobs)
     assert code == 0 and "proof accepted" in out
     assert log.read_text().splitlines() == [f"{FIX}/atomic-inc/model.json"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("via_env", [False, True])
+@pytest.mark.parametrize("name", ["flat-combiner", "dcsl-cell"])
+def test_check_proof_honours_cap(capsys, monkeypatch, jobs, via_env, name):
+    # flat-combiner declares a 54-state shared universe; dcsl-cell's frames
+    # range over 81 worlds, enumerated in the workers at --jobs 2
+    argv = ["check-proof", f"{FIX}/{name}/model.json",
+            f"{FIX}/{name}/outline.json", "--jobs", jobs]
+    if via_env:
+        monkeypatch.setenv("RELVIEWS_CAP", "5")
+    else:
+        argv += ["--cap", "5"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceeds cap 5" in err
+
+
+ATOMIC = f"{FIX}/atomic-inc/model.json"
+ATOMIC_OUTLINE = f"{FIX}/atomic-inc/outline.json"
+
+
+@pytest.mark.parametrize("env,argv", [
+    (None, ["check-lin", ATOMIC, "--bound", "-3"]),
+    (None, ["check-lin", ATOMIC, "--bound", "x"]),
+    (None, ["histories", ATOMIC, "--bound", "-1"]),
+    (None, ["check-lin", ATOMIC, "--bound", "4", "--cap", "-1"]),
+    (None, ["check-proof", ATOMIC, ATOMIC_OUTLINE, "--jobs", "0"]),
+    (None, ["check-proof", ATOMIC, ATOMIC_OUTLINE, "--jobs", "-2"]),
+    (None, ["check-lin", ATOMIC, "--bound", "4", "--jobs", "8"]),
+    (None, ["histories", ATOMIC, "--bound", "4", "--jobs", "2"]),
+    ("abc", ["check-lin", ATOMIC, "--bound", "4"]),
+    ("-4", ["check-proof", ATOMIC, ATOMIC_OUTLINE]),
+])
+def test_bad_numeric_input_is_usage_error(capsys, monkeypatch, env, argv):
+    if env is not None:
+        monkeypatch.setenv("RELVIEWS_CAP", env)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "error:" in out.err and "Traceback" not in out.err
+
+
+def test_single_process_checks_accept_jobs_one(capsys):
+    for argv in (["check-lin", ATOMIC, "--bound", "4"],
+                 ["histories", ATOMIC, "--bound", "2"]):
+        code, out, _ = run(capsys, *argv, "--jobs", "1")
+        assert code == 0 and out

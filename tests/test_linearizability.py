@@ -1,8 +1,16 @@
 import json
+import pickle
 
 import pytest
 
-from relviews.errors import FaultReachable, ModelError
+from relviews.errors import (
+    FaultReachable,
+    LocalityViolation,
+    ModelError,
+    StabilityViolation,
+    UndefinedLocation,
+    UniverseTooLarge,
+)
 from relviews.linearizability import (
     abstract_histories,
     check_linearizable,
@@ -13,7 +21,13 @@ from relviews.linearizability import (
     render_event,
     render_history,
 )
-from relviews.model_io import attach_outlines, load_model, parse_model
+from relviews.model_io import (
+    attach_outlines,
+    load_model,
+    load_outlines,
+    parse_model,
+)
+from relviews.state_model import EMPTY_HEAP, EMPTY_WORLD
 
 FIX = "src/relviews/fixtures"
 
@@ -212,3 +226,56 @@ def test_helping_completes_a_spinning_thread():
     # linearization point happened in thread 1
     done = _complete(t2_cmd, sigma2, 2, m, avoid=("cas_succ", "cas_fail"))
     assert done is not None
+
+
+def _with_outline(name):
+    model = load_model(f"{FIX}/{name}/model.json")
+    load_outlines(f"{FIX}/{name}/outline.json", model)
+    return model
+
+
+def test_assertion_env_is_one_per_thread():
+    model = _with_outline("atomic-inc")
+    envs = {t: model.assertion_env(t) for t in model.dom.thread_ids()}
+    assert len(set(map(id, envs.values()))) == len(envs)
+    for t, env in envs.items():
+        assert model.assertion_env(t) is env
+    # the memo hands back the very view it computed
+    pre = model.pre_assertion("inc", 1, 1, 0)
+    assert envs[1].eval(pre, {}) is envs[1].eval(pre, {})
+
+
+def test_pickled_model_carries_no_monoid_or_eval_cache():
+    model = _with_outline("atomic-inc")
+    fresh = pickle.dumps(_with_outline("atomic-inc"))
+    report = check_obligations(model)  # fills the monoid and env caches
+    assert model._envs and model.assertion_env(1)._views
+    # a worker's copy is byte-for-byte the copy of an unused model
+    assert pickle.dumps(model) == fresh
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy._monoid is None and copy._guars is None and not copy._envs
+    assert [it.line() for it in check_obligations(copy).items] \
+        == [it.line() for it in report.items]
+
+
+def test_obligations_honour_the_cap():
+    # 54 shared states in the declared universe
+    with pytest.raises(UniverseTooLarge):
+        check_obligations(_with_outline("flat-combiner"), cap=5)
+    # a --jobs worker builds its monoid from the cap it is handed
+    with pytest.raises(UniverseTooLarge):
+        instance_obligations(_with_outline("flat-combiner"),
+                             ("get", 1, 0, 0), cap=5)
+
+
+@pytest.mark.parametrize("exc", [
+    UniverseTooLarge(81, 5),
+    UndefinedLocation("x"),
+    StabilityViolation(EMPTY_WORLD, EMPTY_WORLD, EMPTY_WORLD),
+    LocalityViolation("store", EMPTY_HEAP, EMPTY_HEAP),
+    FaultReachable("thread 1 faults", ["step"]),
+])
+def test_errors_survive_the_trip_from_a_worker(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc) and str(back) == str(exc)
+    assert vars(back) == vars(exc)

@@ -2,9 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relviews.command_lang import (
     Const,
+    Eq,
+    LVar,
     PrimCommand,
     Read,
     TransformerTable,
@@ -32,9 +36,34 @@ from relviews.state_model import (
     TokenMap,
     World,
 )
-from relviews.vassn import BoxA, CPt, StarA, TokA, TrueA
+from relviews.fixtures import fixture_path
+from relviews.linearizability import all_instances
+from relviews.logic import (
+    AssertionEnv,
+    ExistsAssn,
+    OrAssn,
+    RImplAssn,
+    StarAssn,
+    VLeaf,
+    outline_assertions,
+)
+from relviews.model_io import load_model, load_outlines
+from relviews.state_model import enumerate_worlds
+from relviews.vassn import (
+    BoxA,
+    CPt,
+    EmpA,
+    ExistsA,
+    OrA,
+    PureA,
+    StarA,
+    TokA,
+    TrueA,
+    free_lvars,
+)
 from relviews.views_core import ActionCounterexample, ImplVerdict, Semantics
 from relviews.command_lang import AbstractTable
+from oracles import rgsep_pred, satisfies
 from util import micro_domains, micro_semantics
 
 AP = APCom("op", 0, 0)
@@ -94,16 +123,212 @@ def test_reify():
 def test_satisfaction_clauses():
     mono = _mono(cloc={"x": (0, 1, 3), "y": (0, 4)}, values=(0, 1, 3, 4))
     s = w({"y": 0})
-    assert mono.satisfies(w({"x": 3}), s, {}, CPt("x", Const(3)))
-    assert not mono.satisfies(w({"x": 3}), s, {}, CPt("x", Const(1)))
+    assert satisfies(mono, w({"x": 3}), s, {}, CPt("x", Const(3)))
+    assert not satisfies(mono, w({"x": 3}), s, {}, CPt("x", Const(1)))
     # boxes require an empty local part
-    assert not mono.satisfies(w({"x": 3}), s, {}, BoxA(TrueA()))
-    assert mono.satisfies(EMPTY_WORLD, s, {},
-                          BoxA(StarA((TrueA(), CPt("y", Const(0))))))
+    assert not satisfies(mono, w({"x": 3}), s, {}, BoxA(TrueA()))
+    assert satisfies(mono, EMPTY_WORLD, s, {},
+                     BoxA(StarA((TrueA(), CPt("y", Const(0))))))
     # star splits the local state
     rho = StarA((CPt("x", Const(3)), CPt("y", Const(4))))
-    assert mono.satisfies(w({"x": 3, "y": 4}), s, {}, rho)
-    assert not mono.satisfies(w({"x": 3}), s, {}, rho)
+    assert satisfies(mono, w({"x": 3, "y": 4}), s, {}, rho)
+    assert not satisfies(mono, w({"x": 3}), s, {}, rho)
+    # the whole-universe evaluation agrees with the clauses
+    for rho in (CPt("x", Const(3)), BoxA(TrueA()), rho,
+                BoxA(StarA((TrueA(), CPt("y", Const(0)))))):
+        got = mono.eval_vassn_rg(rho, frozenset(), frozenset(), {})
+        assert got.pred == rgsep_pred(mono, rho, {})
+
+
+def _eval_or_error(mono, rho, interp):
+    """The predicate eval_vassn_rg computes under an empty rely (so every
+    predicate is stable), or the model error it raises."""
+    try:
+        return mono.eval_vassn_rg(rho, frozenset(), frozenset(), interp).pred
+    except ModelError as exc:
+        return ("error", str(exc))
+
+
+def _oracle_or_error(mono, rho, interp):
+    try:
+        return rgsep_pred(mono, rho, interp)
+    except ModelError as exc:
+        return ("error", str(exc))
+
+
+def _view_leaves(assn):
+    if isinstance(assn, VLeaf):
+        yield assn.rho
+    elif isinstance(assn, (StarAssn, OrAssn)):
+        for part in assn.parts:
+            yield from _view_leaves(part)
+    elif isinstance(assn, ExistsAssn):
+        yield from _view_leaves(assn.body)
+    elif isinstance(assn, RImplAssn):
+        yield from _view_leaves(assn.pre)
+        yield from _view_leaves(assn.post)
+
+
+@pytest.mark.parametrize("name", ["atomic-inc", "flat-combiner",
+                                  "flat-combiner-noaction4"])
+def test_eval_matches_oracle_on_fixture_assertions(name):
+    model = load_model(fixture_path(name, "model.json"))
+    load_outlines(fixture_path(name, "outline.json"), model)
+    mono = model.monoid()
+    leaves = set()
+    for inst in all_instances(model):
+        outline = model.outline(*inst)
+        for assn in ((outline.pre, outline.post)
+                     + outline_assertions(outline.body)):
+            leaves.update(_view_leaves(assn))
+    assert leaves
+    for rho in sorted(leaves, key=repr):
+        names = sorted(free_lvars(rho))
+        for combo in itertools.product(mono.dom.values, repeat=len(names)):
+            interp = dict(zip(names, combo))
+            assert _eval_or_error(mono, rho, interp) \
+                == _oracle_or_error(mono, rho, interp), (rho, interp)
+
+
+_FALSE = PureA(Eq(Const(0), Const(1)))
+# `true` in fragment position inside a box: a model error wherever the
+# box interior is looked at
+_BAD_BOX_PART = StarA((OrA((TrueA(), EmpA())),))
+_X0 = w({"x": 0})
+
+
+@pytest.mark.parametrize("rho,universe,raises", [
+    # a star gives up on a state once its prefix denotes nothing there
+    (StarA((_FALSE, TrueA())), None, False),
+    (StarA((BoxA(CPt("x", Const(0))), TrueA())), None, True),
+    (StarA((BoxA(CPt("x", Const(0))), TrueA())), (w(), w({"x": 1})), False),
+    (OrA((StarA((_FALSE, TrueA())), BoxA(TrueA()))), None, False),
+    # a box disjunct or witness is tried only where the earlier ones failed
+    (BoxA(OrA((TrueA(), _BAD_BOX_PART))), None, False),
+    (BoxA(OrA((CPt("x", Const(0)), _BAD_BOX_PART))), None, True),
+    (BoxA(OrA((CPt("x", Const(0)), _BAD_BOX_PART))), (_X0,), False),
+    (BoxA(ExistsA("v", OrA((StarA((TrueA(), PureA(Eq(LVar("v"), Const(0))))),
+                            _BAD_BOX_PART)))), None, False),
+])
+def test_eval_raises_exactly_where_the_oracle_does(rho, universe, raises):
+    mono = _mono()
+    if universe is not None:
+        mono = RgsepMonoid(mono.dom, mono.sem, universe)
+    got = _eval_or_error(mono, rho, {})
+    assert got == _oracle_or_error(mono, rho, {})
+    assert isinstance(got, tuple) == raises
+
+
+# Small assertions over one or two locations.  A box interior is a
+# disjunction or existential over stars of box-free parts with optional
+# `true` conjuncts; `true` anywhere else is a model error.
+_VARS = ("u", "v")
+
+
+def _value(bound):
+    return st.sampled_from([Const(0), Const(1)] + [LVar(x) for x in bound])
+
+
+def _leaf(locs, bound):
+    return st.one_of(
+        st.just(EmpA()),
+        st.builds(CPt, st.sampled_from(locs), _value(bound)),
+        st.builds(lambda a, b: PureA(Eq(a, b)), _value(bound),
+                  _value(bound)),
+    )
+
+
+def _box_free(locs, bound, depth):
+    if depth == 0:
+        return _leaf(locs, bound)
+    sub = _box_free(locs, bound, depth - 1)
+    return st.one_of(
+        _leaf(locs, bound),
+        st.builds(lambda ps: StarA(tuple(ps)), st.lists(sub, min_size=2,
+                                                         max_size=3)),
+        st.builds(lambda ps: OrA(tuple(ps)), st.lists(sub, min_size=2,
+                                                       max_size=2)),
+        _exists(lambda b: _box_free(locs, b, depth - 1), bound),
+    )
+
+
+def _exists(body, bound):
+    """An existential over `body`, binding the next unused variable."""
+    free = [x for x in _VARS if x not in bound]
+    if not free:
+        return body(bound)
+    return body(bound + (free[0],)).map(lambda b: ExistsA(free[0], b))
+
+
+def _box_body(locs, bound, depth):
+    conj = st.builds(
+        lambda trues, ps: StarA((TrueA(),) * trues + tuple(ps)),
+        st.integers(0, 2), st.lists(_box_free(locs, bound, 1), max_size=2))
+    if depth == 0:
+        return conj
+    sub = _box_body(locs, bound, depth - 1)
+    return st.one_of(
+        conj,
+        st.just(TrueA()),
+        st.builds(lambda ps: OrA(tuple(ps)), st.lists(sub, min_size=2,
+                                                       max_size=2)),
+        _exists(lambda b: _box_body(locs, b, depth - 1), bound),
+    )
+
+
+def _assertion(locs, bound=(), depth=2):
+    if depth == 0:
+        return st.one_of(_leaf(locs, bound),
+                         st.builds(BoxA, _box_body(locs, bound, 1)))
+    sub = _assertion(locs, bound, depth - 1)
+    return st.one_of(
+        _leaf(locs, bound),
+        st.builds(BoxA, _box_body(locs, bound, 1)),
+        st.just(TrueA()),
+        st.builds(lambda ps: StarA(tuple(ps)), st.lists(sub, min_size=2,
+                                                         max_size=3)),
+        st.builds(lambda ps: OrA(tuple(ps)), st.lists(sub, min_size=2,
+                                                       max_size=2)),
+        _exists(lambda b: _assertion(locs, b, depth - 1), bound),
+    )
+
+
+_LOCS = (("x",), ("x", "y"))
+_ASSERTIONS = {locs: _assertion(locs) for locs in _LOCS}
+
+
+@st.composite
+def _case(draw):
+    locs = draw(st.sampled_from(_LOCS))
+    dom = micro_domains(cloc={loc: (0, 1) for loc in locs}, values=(0, 1))
+    worlds = enumerate_worlds(dom)
+    universe = draw(st.lists(st.sampled_from(worlds), min_size=1,
+                             unique=True))
+    rho = draw(_ASSERTIONS[locs])
+    return RgsepMonoid(dom, micro_semantics(dom), universe), rho
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_case())
+def test_eval_matches_oracle_on_generated_assertions(case):
+    mono, rho = case
+    assert _eval_or_error(mono, rho, {}) == _oracle_or_error(mono, rho, {})
+
+
+def test_generated_assertions_include_errors_and_boxes():
+    # the generator above reaches both outcomes of the comparison
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_case())
+    def collect(case):
+        mono, rho = case
+        got = _oracle_or_error(mono, rho, {})
+        seen.add("error" if isinstance(got, tuple) else
+                 "nonempty" if got else "empty")
+
+    collect()
+    assert seen == {"error", "nonempty", "empty"}
 
 
 def test_token_literal_pins_local_tokens():
@@ -132,6 +357,16 @@ def test_unstable_assertion_rejected():
     pred = stabilize(frozenset({(EMPTY_WORLD, s0)}), rely, mono.universe)
     assert stable(pred, rely, mono.universe) is None
     assert (EMPTY_WORLD, s1) in pred
+
+
+def test_unstable_assertion_not_memoized():
+    mono = _mono()
+    s0, s1 = w({"x": 0}), w({"x": 1})
+    env = AssertionEnv(mono, rely=frozenset({(s0, s1)}), guar=frozenset())
+    assn = VLeaf(BoxA(CPt("x", Const(0))))
+    for _ in range(2):
+        with pytest.raises(StabilityViolation):
+            env.eval(assn, {})
 
 
 def test_denote_action_contains_identity_and_preserves_remainder():
