@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .errors import FaultReachable, ModelError, RelviewsError, UniverseTooLarge
+from .errors import FaultReachable, RelviewsError
 from .linearizability import (
     abstract_histories,
     check_linearizable,
@@ -191,12 +191,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         _emit(RunReport("fault reachable", False, detail=str(exc),
                         timing=time.perf_counter() - t0), args.format)
         return EXIT_VIOLATION
-    except (ModelError, UniverseTooLarge, OSError) as exc:
+    except (RelviewsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except RelviewsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

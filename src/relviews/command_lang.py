@@ -315,11 +315,13 @@ class AbstractTable:
         self.methods = dict(methods)
 
     def apply(self, method: str, arg: int, ret: int, t: int, sigma: Heap,
-              modulus: int) -> Tuple[HeapState, ...]:
+              modulus: int) -> Tuple[Heap, ...]:
+        """Run one abstract command atomically; it blocks, never faults."""
         if method not in self.methods:
             raise ModelError(f"no abstract command for method {method!r}")
-        spec = self.methods[method]
-        return apply_guarded(spec, {"a": arg, "r": ret}, t, sigma, modulus)
+        out = apply_guarded(self.methods[method], {"a": arg, "r": ret}, t,
+                            sigma, modulus)
+        return () if out and out[0] is FAULT else out
 
 
 def _loc_arg(e: Expr) -> str:

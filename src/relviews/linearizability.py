@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .command_lang import (
     AbstractTable,
+    SKIP,
     Command,
     Skip,
     TransformerTable,
@@ -40,6 +41,7 @@ from .monoid_dcsl import DcslMonoid
 from .monoid_rgsep import RgsepMonoid
 from .state_model import (
     DONE,
+    FAULT,
     TODO,
     APCom,
     Domains,
@@ -72,6 +74,7 @@ class LibraryModel:
     init_abst: Heap
     method_args: Dict[str, Tuple[int, ...]]
     bodies: Dict[Tuple[str, int, int], Command]
+    body_templates: Dict[str, Command]  # as parsed, before instantiation
     # proof data (optional)
     pre_templates: Dict[str, Assertion] = field(default_factory=dict)
     post_templates: Dict[str, Assertion] = field(default_factory=dict)
@@ -81,7 +84,6 @@ class LibraryModel:
     rely_extra_names: Tuple[str, ...] = ()
     shared_universe_assn: Optional[VAssn] = None
     macros_raw: Dict[str, dict] = field(default_factory=dict)
-    source: Optional[dict] = None  # round-trippable document
 
     def __post_init__(self):
         self._monoid = None
@@ -236,6 +238,15 @@ def history_sort_key(h: History):
 class _HistoryGen:
     """Memoized recursive generator for the inductive history sets.
 
+    One definition serves both libraries.  A configuration is a pool of
+    per-thread slots, each idle or a running (method, command, expected
+    return), plus a heap.  A call starts a command in an idle slot, a
+    running command takes silent steps, and a `Skip` command returns.  The
+    sides differ only in the command a call starts and in how it steps: a
+    concrete body runs under the small-step semantics, where a fault
+    raises `FaultReachable`; an abstract method is its pending `APCom`,
+    run atomically to `Skip`, and blocks rather than faults.
+
     Every recursion level contributes the empty history, so level n yields
     the union of all depths up to n; the sets are prefix-closed and
     monotone in the bound by construction.
@@ -245,104 +256,74 @@ class _HistoryGen:
         self.model = model
         self.cap = cap if cap is not None else model.dom.cap
         self.memo: Dict = {}
-        self.sem = model.semantics()
+        self._idle = tuple(IDLE for _ in model.dom.thread_ids())
+        calls = [(m, a, v) for m in model.methods()
+                 for a in model.method_args[m] for v in model.dom.values]
+        # per side: the step relation and (method, arg, started slot) per
+        # call; plain functions, so that no cycle keeps a used memo alive
+        self._sides = {
+            "c": (_concrete_step,
+                  tuple((m, a, (m, model.body(m, a, v), v))
+                        for m, a, v in calls)),
+            "a": (_abstract_step,
+                  tuple((m, a, (m, APCom(m, a, v), v)) for m, a, v in calls)),
+        }
 
-    def stats(self) -> Dict[str, int]:
-        return {"configurations": len(self.memo)}
+    def concrete(self, n: int) -> frozenset:
+        return self._histories("c", n, self._idle, self.model.init_conc)
 
-    def _guard_cap(self):
+    def abstract(self, n: int) -> frozenset:
+        return self._histories("a", n, self._idle, self.model.init_abst)
+
+    def _histories(self, side: str, n: int, pool: tuple, sigma) -> frozenset:
+        key = (side, n, pool, sigma)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
         if len(self.memo) > self.cap:
             raise UniverseTooLarge(len(self.memo), self.cap)
-
-    def concrete(self, n: int, pool=None, sigma=None) -> frozenset:
-        model = self.model
-        if pool is None:
-            pool = tuple(IDLE for _ in model.dom.thread_ids())
-            sigma = model.init_conc
-        key = ("c", n, pool, sigma)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        self._guard_cap()
         out = {()}
         if n > 0:
+            steps, calls = self._sides[side]
             for idx, slot in enumerate(pool):
                 t = idx + 1
                 if slot is IDLE:
-                    for m in model.methods():
-                        for a in model.method_args[m]:
-                            for v in model.dom.values:
-                                body = model.body(m, a, v)
-                                sub = self.concrete(
-                                    n - 1,
-                                    _set(pool, idx, (m, body, v)),
-                                    sigma)
-                                ev = (t, "call", m, a)
-                                out.update((ev,) + h for h in sub)
-                else:
-                    m, cmd, v = slot
-                    if isinstance(cmd, Skip):
-                        sub = self.concrete(n - 1, _set(pool, idx, IDLE),
-                                            sigma)
-                        ev = (t, "ret", m, v)
+                    for m, a, started in calls:
+                        sub = self._histories(
+                            side, n - 1, _set(pool, idx, started), sigma)
+                        ev = (t, "call", m, a)
                         out.update((ev,) + h for h in sub)
-                    else:
-                        for alpha, cmd2, sigma2 in state_step(
-                                cmd, sigma, t, model.ctable,
-                                model.dom.modulus):
-                            if isinstance(sigma2, Heap):
-                                out.update(self.concrete(
-                                    n - 1, _set(pool, idx, (m, cmd2, v)),
-                                    sigma2))
-                            else:
-                                raise FaultReachable(
-                                    f"thread {t} faults executing "
-                                    f"{alpha!r} in method {m} at state "
-                                    f"{sigma!r}")
-        result = frozenset(out)
-        self.memo[key] = result
-        return result
-
-    def abstract(self, n: int, pool=None, sigma=None) -> frozenset:
-        model = self.model
-        if pool is None:
-            pool = tuple(IDLE for _ in model.dom.thread_ids())
-            sigma = model.init_abst
-        key = ("a", n, pool, sigma)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        self._guard_cap()
-        out = {()}
-        if n > 0:
-            for idx, slot in enumerate(pool):
-                t = idx + 1
-                if slot is IDLE:
-                    for m in model.methods():
-                        for a in model.method_args[m]:
-                            for v in model.dom.values:
-                                sub = self.abstract(
-                                    n - 1,
-                                    _set(pool, idx, ("pending", m, a, v)),
-                                    sigma)
-                                ev = (t, "call", m, a)
-                                out.update((ev,) + h for h in sub)
-                elif slot[0] == "pending":
-                    _, m, a, v = slot
-                    for sigma2 in model.atable.apply(m, a, v, t, sigma,
-                                                     model.dom.modulus):
-                        if isinstance(sigma2, Heap):
-                            out.update(self.abstract(
-                                n - 1, _set(pool, idx, ("done", m, v)),
-                                sigma2))
-                else:
-                    _, m, v = slot
-                    sub = self.abstract(n - 1, _set(pool, idx, IDLE), sigma)
+                    continue
+                m, cmd, v = slot
+                if isinstance(cmd, Skip):
+                    sub = self._histories(side, n - 1, _set(pool, idx, IDLE),
+                                          sigma)
                     ev = (t, "ret", m, v)
                     out.update((ev,) + h for h in sub)
+                    continue
+                for cmd2, sigma2 in steps(self.model, cmd, sigma, t, m):
+                    out.update(self._histories(
+                        side, n - 1, _set(pool, idx, (m, cmd2, v)), sigma2))
         result = frozenset(out)
         self.memo[key] = result
         return result
+
+
+def _concrete_step(model: LibraryModel, cmd: Command, sigma: Heap, t: int,
+                   m: str):
+    for alpha, cmd2, sigma2 in state_step(cmd, sigma, t, model.ctable,
+                                          model.dom.modulus):
+        if sigma2 is FAULT:
+            raise FaultReachable(
+                f"thread {t} faults executing {alpha!r} in method {m} at "
+                f"state {sigma!r}")
+        yield cmd2, sigma2
+
+
+def _abstract_step(model: LibraryModel, ap: APCom, sigma: Heap, t: int,
+                   m: str):
+    return [(SKIP, sigma2) for sigma2 in model.atable.apply(
+        *ap, t, sigma, model.dom.modulus)]
 
 
 def _set(pool: tuple, idx: int, value) -> tuple:
@@ -350,23 +331,13 @@ def _set(pool: tuple, idx: int, value) -> tuple:
 
 
 def concrete_histories(model: LibraryModel, bound: int,
-                       cap: Optional[int] = None,
-                       sigma: Optional[Heap] = None) -> frozenset:
-    gen = _HistoryGen(model, cap)
-    if sigma is None:
-        return gen.concrete(bound)
-    pool = tuple(IDLE for _ in model.dom.thread_ids())
-    return gen.concrete(bound, pool, sigma)
+                       cap: Optional[int] = None) -> frozenset:
+    return _HistoryGen(model, cap).concrete(bound)
 
 
 def abstract_histories(model: LibraryModel, bound: int,
-                       cap: Optional[int] = None,
-                       sigma: Optional[Heap] = None) -> frozenset:
-    gen = _HistoryGen(model, cap)
-    if sigma is None:
-        return gen.abstract(bound)
-    pool = tuple(IDLE for _ in model.dom.thread_ids())
-    return gen.abstract(bound, pool, sigma)
+                       cap: Optional[int] = None) -> frozenset:
+    return _HistoryGen(model, cap).abstract(bound)
 
 
 @dataclass
@@ -393,9 +364,9 @@ def check_linearizable(model: LibraryModel, bound: int,
     abst = gen.abstract(bound)
     missing = conc - abst
     prev = gen.concrete(bound - 1) if bound > 0 else frozenset()
-    stats = gen.stats()
-    stats["concrete_histories"] = len(conc)
-    stats["abstract_histories"] = len(abst)
+    stats = {"configurations": len(gen.memo),
+             "concrete_histories": len(conc),
+             "abstract_histories": len(abst)}
     if missing:
         ce = min(missing, key=history_sort_key)
         return LinResult(False, bound, ce, stats, conc != prev)
@@ -434,23 +405,6 @@ class ObligationReport:
         return None
 
 
-def _token_worlds(model: LibraryModel, view):
-    mon = model.monoid()
-    if isinstance(mon, RgsepMonoid):
-        return list(mon.reified_token_worlds(view))
-    return sorted(mon.reify(view), key=lambda w: repr(w))
-
-
-def _strip_tokens(model: LibraryModel, view, t: int):
-    mon = model.monoid()
-    if isinstance(mon, RgsepMonoid):
-        return mon.strip_token_set(view, t)
-    out = set()
-    for w in mon.reify(view):
-        out.add(World(w.conc, w.abst, w.toks.remove(t)))
-    return frozenset(out)
-
-
 def all_instances(model: LibraryModel) -> List[Tuple[str, int, int, int]]:
     return [
         (m, t, a, r)
@@ -468,7 +422,7 @@ def instance_obligations(model: LibraryModel,
     expected return): its outline (1) and the tokens pinned in its pre and
     postcondition (2).  `cap` is passed to `model.monoid`."""
     m, t, a, r = inst
-    model.monoid(cap)
+    mon = model.monoid(cap)
     subject = f"{m}(a={a},r={r}) in thread {t}"
     env = model.assertion_env(t)
     outline = model.outline(m, t, a, r)
@@ -484,12 +438,12 @@ def instance_obligations(model: LibraryModel,
             "(2) todo pinned", subject, False,
             f"assertion family not evaluable: {exc}"))
         return items
-    bad_pre = [w for w in _token_worlds(model, pre)
+    bad_pre = [w for w in mon.reified_token_worlds(pre)
                if w.toks.get(t) != Token(TODO, ap)]
     items.append(ObligationItem(
         "(2) todo pinned", subject, not bad_pre,
         f"{len(bad_pre)} precondition worlds lack todo({ap!r})"))
-    bad_post = [w for w in _token_worlds(model, post)
+    bad_post = [w for w in mon.reified_token_worlds(post)
                 if w.toks.get(t) != Token(DONE, ap)]
     items.append(ObligationItem(
         "(2) done pinned", subject, not bad_post,
@@ -510,7 +464,7 @@ def check_obligations(model: LibraryModel, jobs: int = 1,
     pickled copy of the model (without its monoid or caches), and the
     report is the same for every `jobs`.
     """
-    model.monoid(cap)
+    mon = model.monoid(cap)
     methods = model.methods()
     missing = [m for m in methods if m not in model.atable.methods]
     items = [ObligationItem("dom(concrete)=dom(abstract)", "library",
@@ -540,8 +494,8 @@ def check_obligations(model: LibraryModel, jobs: int = 1,
             for m, a, r in insts:
                 p = env.eval(model.pre_assertion(m, t, a, r), {})
                 q = env.eval(model.post_assertion(m, t, a, r), {})
-                stripped[("P", m, a, r)] = _strip_tokens(model, p, t)
-                stripped[("Q", m, a, r)] = _strip_tokens(model, q, t)
+                stripped[("P", m, a, r)] = mon.strip_token_set(p, t)
+                stripped[("Q", m, a, r)] = mon.strip_token_set(q, t)
             base = stripped[("P", *insts[0])]
             ok = all(stripped[("P", *i)] == base for i in insts) and all(
                 stripped[("Q", *i)] == base for i in insts)

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .command_lang import Command, PrimCommand, Skip, step
 from .command_lang import reachable_commands
-from .errors import ModelError, StabilityViolation
+from .errors import LocalityViolation, ModelError, StabilityViolation
 from .vassn import VAssn, free_lvars
 from .views_core import ActionCounterexample, ViewMonoid
 
@@ -268,10 +268,12 @@ class ProofChecker:
             try:
                 p = self.env.eval(pre, interp)
                 q = self.env.eval(post, interp)
+                verdict = self.monoid.check_action(t, node.prim, p, q)
             except StabilityViolation as exc:
                 return FailureReport(path, "Prim", interp,
                                      f"unstable assertion: {exc}")
-            verdict = self.monoid.check_action(t, node.prim, p, q)
+            except LocalityViolation as exc:
+                return FailureReport(path, "Prim", interp, str(exc))
             if verdict is not True:
                 return FailureReport(
                     path, "Prim", interp,

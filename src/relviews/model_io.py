@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import string
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .command_lang import (
     And,
@@ -643,7 +643,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         post_templates[mname] = parse_assertion(
             spec["post"], macros, nthreads, f"{path}/assertions/{mname}/post")
 
-    model = LibraryModel(
+    return LibraryModel(
         name=name,
         monoid_kind=monoid_kind,
         dom=dom,
@@ -653,6 +653,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         init_abst=init_abst,
         method_args=method_args,
         bodies=bodies,
+        body_templates=body_templates,
         pre_templates=pre_templates,
         post_templates=post_templates,
         outline_templates={},
@@ -661,17 +662,11 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         rely_extra_names=tuple(doc.get("rely_extra", [])),
         shared_universe_assn=shared_universe,
         macros_raw=dict(doc.get("macros", {})),
-        source=None,
     )
-    model.source = serialize_model(model, body_templates)
-    return model
 
 
-def serialize_model(model: LibraryModel,
-                    body_templates: Optional[Dict[str, Command]] = None) -> dict:
+def serialize_model(model: LibraryModel) -> dict:
     """Emit the parsed (macro-expanded, desugared) document."""
-    if body_templates is None and model.source is not None:
-        return model.source
     doc = {
         "name": model.name,
         "monoid": model.monoid_kind,
@@ -700,23 +695,16 @@ def serialize_model(model: LibraryModel,
             }
             for name, spec in sorted(model.atable.methods.items())
         },
-        "methods": {},
+        "methods": {
+            m: {"args": list(model.method_args[m]),
+                "body": dump_command(model.body_templates[m])}
+            for m in model.methods()
+        },
         "initial": {
             "concrete": {k: v for k, v in model.init_conc.items()},
             "abstract": {k: v for k, v in model.init_abst.items()},
         },
     }
-    for mname in model.methods():
-        if body_templates and mname in body_templates:
-            template = body_templates[mname]
-        else:
-            a = model.method_args[mname][0]
-            r = model.dom.values[0]
-            template = model.body(mname, a, r)
-        doc["methods"][mname] = {
-            "args": list(model.method_args[mname]),
-            "body": dump_command(template),
-        }
     if model.macros_raw:
         doc["macros"] = model.macros_raw
     if model.shared_universe_assn is not None:

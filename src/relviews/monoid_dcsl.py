@@ -15,7 +15,13 @@ import itertools
 from typing import Iterator, Optional
 
 from .command_lang import PrimCommand
-from .state_model import EMPTY_WORLD, Domains, compose_worlds, enumerate_worlds
+from .state_model import (
+    EMPTY_WORLD,
+    Domains,
+    World,
+    compose_worlds,
+    enumerate_worlds,
+)
 from .views_core import (
     ImplVerdict,
     Semantics,
@@ -98,6 +104,13 @@ class DcslMonoid(ViewMonoid):
         return repart_implies_with_frames(self, p, q, self.frames())
 
     eval_vassn = ViewMonoid.fragments  # a view is the set of its fragments
+
+    def reified_token_worlds(self, p):
+        return sorted(p, key=repr)
+
+    def strip_token_set(self, p, t: int) -> frozenset:
+        """The worlds with thread t's token erased (token-swap check)."""
+        return frozenset(World(w.conc, w.abst, w.toks.remove(t)) for w in p)
 
 
 def token_exclusive(p: DcslView) -> bool:

@@ -66,8 +66,6 @@ def lp_step(sigma_a: Heap, toks: TokenMap, sem: Semantics) -> frozenset:
     for tid, ap in toks.todos():
         for sigma2 in sem.atable.apply(ap.method, ap.arg, ap.ret, tid,
                                        sigma_a, sem.modulus):
-            if sigma2 is FAULT:
-                continue  # abstract transformers block rather than fault
             out.add((sigma2, toks.set(tid, Token(DONE, ap))))
     return frozenset(out)
 
@@ -150,6 +148,12 @@ class ViewMonoid:
         raise NotImplementedError
 
     def reify(self, p) -> frozenset:
+        raise NotImplementedError
+
+    def reified_token_worlds(self, p):
+        raise NotImplementedError
+
+    def strip_token_set(self, p, t: int) -> frozenset:
         raise NotImplementedError
 
     def check_action(self, t: int, alpha: PrimCommand, p, q):

@@ -5,12 +5,24 @@ RGSep satisfaction, one shared state at a time: `local_sets(mono, rho, s,
 interp)` is the set of local fragments l such that (l, s) satisfies the
 assertion.  `RgsepMonoid.eval_vassn_rg` computes the same predicate in one
 pass over the whole shared universe.
+
+Histories, by a plain walk: `history_depths(model, bound, side)` maps every
+history within the bound to its least number of moves.  The memoized
+`_HistoryGen` behind `concrete_histories`/`abstract_histories` computes the
+same sets.
 """
 
 from __future__ import annotations
 
-from relviews.errors import ModelError
-from relviews.state_model import EMPTY_WORLD, World, compose_worlds, world_leq
+from relviews.command_lang import SKIP, apply_guarded, step
+from relviews.errors import FaultReachable, ModelError
+from relviews.state_model import (
+    EMPTY_WORLD,
+    FAULT,
+    World,
+    compose_worlds,
+    world_leq,
+)
 from relviews.vassn import BoxA, ExistsA, OrA, StarA, TrueA, VAssn
 
 
@@ -83,3 +95,63 @@ def rgsep_pred(mono, rho: VAssn, interp) -> frozenset:
     """{(l, s) | s in the shared universe, l in local_sets(rho, s)}."""
     return frozenset((l, s) for s in mono.universe
                      for l in local_sets(mono, rho, s, interp))
+
+
+def history_depths(model, bound: int, side: str) -> dict:
+    """Every history of a library within `bound` moves, mapped to the least
+    number of moves that produces it, by a plain depth-first walk over
+    (pool, heap) without a memo.
+
+    A move is a call (an idle thread starts a method on an argument, with a
+    guessed return value), a step of a running method, or the return of a
+    finished one.  On the "concrete" side a running method is its
+    instantiated body, stepped one primitive at a time; a step into the
+    fault state raises `FaultReachable`.  On the "abstract" side a method
+    takes one atomic step, its abstract command, which blocks where it
+    would fault.  The history set at bound k is every history of depth at
+    most k.
+    """
+    concrete = side == "concrete"
+    heap0 = model.init_conc if concrete else model.init_abst
+    modulus = model.dom.modulus
+    depths = {}
+
+    def walk(used, pool, sigma, hist):
+        if depths.get(hist, bound + 1) > used:
+            depths[hist] = used
+        if used == bound:
+            return
+        for idx, slot in enumerate(pool):
+            t = idx + 1
+
+            def move(new_slot, sigma2, ev=None):
+                pool2 = pool[:idx] + (new_slot,) + pool[idx + 1:]
+                walk(used + 1, pool2, sigma2,
+                     hist + (ev,) if ev else hist)
+
+            if slot is None:
+                for m in sorted(model.method_args):
+                    for a in model.method_args[m]:
+                        for r in model.dom.values:
+                            run = model.bodies[(m, a, r)] if concrete else m
+                            move((m, a, r, run), sigma, (t, "call", m, a))
+                continue
+            m, a, r, run = slot
+            if run == SKIP:
+                move(None, sigma, (t, "ret", m, r))
+            elif concrete:
+                for alpha, run2 in step(run):
+                    for sigma2 in model.ctable.apply(alpha, t, sigma,
+                                                     modulus):
+                        if sigma2 is FAULT:
+                            raise FaultReachable(f"thread {t} faults")
+                        move((m, a, r, run2), sigma2)
+            else:
+                spec = model.atable.methods[m]
+                for sigma2 in apply_guarded(spec, {"a": a, "r": r}, t, sigma,
+                                            modulus):
+                    if sigma2 is not FAULT:
+                        move((m, a, r, SKIP), sigma2)
+
+    walk(0, tuple(None for _ in model.dom.thread_ids()), heap0, ())
+    return depths

@@ -27,7 +27,11 @@ from relviews.model_io import (
     load_outlines,
     parse_model,
 )
-from relviews.state_model import EMPTY_HEAP, EMPTY_WORLD
+from relviews import cli
+from relviews.command_lang import TransformerTable
+from relviews.fixtures import fixture_manifest
+from relviews.state_model import EMPTY_HEAP, EMPTY_WORLD, FAULT
+from oracles import history_depths
 
 FIX = "src/relviews/fixtures"
 
@@ -279,3 +283,82 @@ def test_errors_survive_the_trip_from_a_worker(exc):
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc) and str(back) == str(exc)
     assert vars(back) == vars(exc)
+
+
+# Both history sets against the unmemoized walk in tests/oracles.py, at
+# every bound up to ORACLE_BOUND (one walk gives every smaller bound).
+ORACLE_BOUND = 7
+
+
+@pytest.mark.parametrize("fixture", fixture_manifest(), ids=lambda f: f.name)
+def test_history_sets_equal_the_unmemoized_oracle(fixture):
+    m = load_model(fixture.model_path)
+    for side, histories in (("concrete", concrete_histories),
+                            ("abstract", abstract_histories)):
+        depths = history_depths(m, ORACLE_BOUND, side)
+        for k in range(ORACLE_BOUND + 1):
+            want = frozenset(h for h, d in depths.items() if d <= k)
+            assert histories(m, k) == want, (side, k)
+
+
+def test_a_fault_raises_on_the_concrete_side_and_blocks_on_the_abstract():
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    # neither ghost cell is initialized, so both updates hit a missing cell
+    doc["domains"]["locations"]["ghost"] = [0]
+    doc["primitives"]["inc_atomic"]["updates"].append(["ghost", 0])
+    doc["domains"]["abstract_locations"]["GHOST"] = [0]
+    doc["abstract"]["inc"]["updates"].append(["GHOST", 0])
+    m = parse_model(doc)
+    with pytest.raises(FaultReachable):
+        concrete_histories(m, 4)
+    with pytest.raises(FaultReachable):
+        history_depths(m, 4, "concrete")
+    hs = abstract_histories(m, 4)
+    assert hs == frozenset(history_depths(m, 4, "abstract"))
+    # every abstract call blocks, so no call ever returns
+    assert len(hs) > 1
+    assert all(kind == "call" for h in hs for _t, kind, _m, _v in h)
+
+
+class _LeakyTable(TransformerTable):
+    """`inc_atomic` also zeroes the cell `spare` whenever the state has it:
+    its effect depends on a frame outside its footprint."""
+
+    def apply(self, alpha, t, sigma, modulus):
+        out = super().apply(alpha, t, sigma, modulus)
+        if alpha.name != "inc_atomic" or "spare" not in sigma:
+            return out
+        return tuple(s if s is FAULT else s.set("spare", 0) for s in out)
+
+
+def _leaky_atomic_inc():
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["domains"]["locations"]["spare"] = [0, 1]
+    model = parse_model(doc)
+    load_outlines(f"{FIX}/atomic-inc/outline.json", model)
+    model.ctable = _LeakyTable(model.ctable.custom)
+    return model
+
+
+def test_a_non_local_primitive_rejects_the_outline():
+    # JSON guarded updates are local by construction; only a table built
+    # through the API can break locality
+    report = check_obligations(_leaky_atomic_inc())
+    fail = report.first_failure()
+    assert fail.obligation == "(1) outline"
+    # inc_atomic(1, 0) is enabled only at k = 3
+    assert "primitive inc_atomic is not local at [k:3] with frame " \
+        "[spare:1]" in fail.detail
+
+
+def test_a_non_local_primitive_is_a_verdict_not_an_error(capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(cli, "load_model", lambda path: _leaky_atomic_inc())
+    monkeypatch.setattr(cli, "load_outlines", lambda path, model: None)
+    code = cli.main(["check-proof", "model.json", "outline.json",
+                     "--format", "machine"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["verdict"] == "proof rejected" and not doc["ok"]
+    assert "inc_atomic is not local" in doc["detail"]
