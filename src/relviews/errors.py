@@ -40,8 +40,11 @@ class UniverseTooLarge(RelviewsError):
     """An enumeration would exceed the configured state cap."""
 
     def __init__(self, size, cap):
+        """`size` is None where only "more than cap" is known."""
+        what = f"of size {size}" if size is not None else \
+            f"of more than {cap} states"
         super().__init__(
-            f"universe of size {size} exceeds cap {cap}; "
+            f"universe {what} exceeds cap {cap}; "
             f"raise --cap / RELVIEWS_CAP or restrict the model domains"
         )
         self.size = size

@@ -30,13 +30,7 @@ from .errors import (
     RelviewsError,
     UniverseTooLarge,
 )
-from .logic import (
-    Assertion,
-    AssertionEnv,
-    OutlineNode,
-    ProofOutline,
-    check_proof,
-)
+from .logic import AssertionEnv, OutlineNode, ProofOutline, check_proof
 from .monoid_dcsl import DcslMonoid
 from .monoid_rgsep import RgsepMonoid
 from .state_model import (
@@ -51,7 +45,7 @@ from .state_model import (
     World,
     world_in_domains,
 )
-from .subst import subst_assertion, subst_outline
+from .subst import subst_outline, subst_vassn
 from .vassn import VAssn
 from .views_core import Semantics, ViewMonoid
 
@@ -76,8 +70,8 @@ class LibraryModel:
     bodies: Dict[Tuple[str, int, int], Command]
     body_templates: Dict[str, Command]  # as parsed, before instantiation
     # proof data (optional)
-    pre_templates: Dict[str, Assertion] = field(default_factory=dict)
-    post_templates: Dict[str, Assertion] = field(default_factory=dict)
+    pre_templates: Dict[str, VAssn] = field(default_factory=dict)
+    post_templates: Dict[str, VAssn] = field(default_factory=dict)
     outline_templates: Dict[str, OutlineNode] = field(default_factory=dict)
     actions: Dict[str, Tuple[VAssn, VAssn]] = field(default_factory=dict)
     guarantee_names: Tuple[str, ...] = ()
@@ -156,8 +150,6 @@ class LibraryModel:
         denote = {}
         for name, (pre, post) in self.actions.items():
             for t in self.dom.thread_ids():
-                from .subst import subst_vassn
-
                 pre_t = subst_vassn(pre, {"t": t})
                 post_t = subst_vassn(post, {"t": t})
                 denote[(name, t)] = mon.denote_action(pre_t, post_t)
@@ -194,15 +186,15 @@ class LibraryModel:
             self._envs[t] = env
         return env
 
-    def pre_assertion(self, m: str, t: int, a: int, r: int) -> Assertion:
+    def pre_assertion(self, m: str, t: int, a: int, r: int) -> VAssn:
         if m not in self.pre_templates:
             raise ModelError(f"method {m!r} declares no precondition family")
-        return subst_assertion(self.pre_templates[m], {"t": t, "a": a, "r": r})
+        return subst_vassn(self.pre_templates[m], {"t": t, "a": a, "r": r})
 
-    def post_assertion(self, m: str, t: int, a: int, r: int) -> Assertion:
+    def post_assertion(self, m: str, t: int, a: int, r: int) -> VAssn:
         if m not in self.post_templates:
             raise ModelError(f"method {m!r} declares no postcondition family")
-        return subst_assertion(self.post_templates[m], {"t": t, "a": a, "r": r})
+        return subst_vassn(self.post_templates[m], {"t": t, "a": a, "r": r})
 
     def outline(self, m: str, t: int, a: int, r: int) -> ProofOutline:
         if m not in self.outline_templates:
@@ -281,7 +273,9 @@ class _HistoryGen:
         if hit is not None:
             return hit
         if len(self.memo) > self.cap:
-            raise UniverseTooLarge(len(self.memo), self.cap)
+            # how far past the cap the memo has grown depends on the
+            # exploration order, so the message does not say
+            raise UniverseTooLarge(None, self.cap)
         out = {()}
         if n > 0:
             steps, calls = self._sides[side]

@@ -1,11 +1,10 @@
-"""Assertions, the proof-outline checker and the safety fixpoint.
+"""The proof-outline checker.
 
-Assertions layer disjunction, separating conjunction and finite
-existentials over monoid view assertions.  The outline checker walks an
-annotated command tree rule by rule, discharging primitive nodes through
-the monoid's action judgement.  The safety judgement is the greatest
-fixpoint of the usual step functional, computed over a finite view
-universe by iterated removal.
+Every assertion slot of an outline holds a view assertion (`vassn.VAssn`),
+evaluated to a view by the monoid through a per-thread `AssertionEnv`.  The
+checker walks an annotated command tree rule by rule, discharging
+primitive nodes through the monoid's action judgement and skip and
+consequence sites through the repartitioning implication.
 """
 
 from __future__ import annotations
@@ -14,53 +13,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-from .command_lang import Command, PrimCommand, Skip, step
-from .command_lang import reachable_commands
+from .command_lang import PrimCommand
 from .errors import LocalityViolation, ModelError, StabilityViolation
+from .monoid_rgsep import RgsepMonoid
 from .vassn import VAssn, free_lvars
 from .views_core import ActionCounterexample, ViewMonoid
-
-# ---------------------------------------------------------------------------
-# Assertion language
-
-
-@dataclass(frozen=True)
-class VLeaf:
-    rho: VAssn
-
-
-@dataclass(frozen=True)
-class StarAssn:
-    parts: Tuple["Assertion", ...]
-
-
-@dataclass(frozen=True)
-class OrAssn:
-    parts: Tuple["Assertion", ...]
-
-
-@dataclass(frozen=True)
-class ExistsAssn:
-    var: str
-    body: "Assertion"
-
-
-@dataclass(frozen=True)
-class RImplAssn:
-    """Repartitioning implication; legal only as a Conseq side condition."""
-
-    pre: "Assertion"
-    post: "Assertion"
-
-
-Assertion = Union[VLeaf, StarAssn, OrAssn, ExistsAssn, RImplAssn]
 
 _UNSEEN = object()
 
 
 class AssertionEnv:
     """Binds a monoid (and, for RGSep, a fixed rely/guarantee) so that
-    assertions evaluate to views."""
+    view assertions evaluate to views."""
 
     def __init__(self, monoid: ViewMonoid, rely=None, guar=None):
         self.monoid = monoid
@@ -68,64 +32,20 @@ class AssertionEnv:
         self.guar = guar
         self._views: Dict = {}
 
-    def eval_leaf(self, rho: VAssn, interp):
-        from .monoid_rgsep import RgsepMonoid
-
-        if isinstance(self.monoid, RgsepMonoid):
-            return self.monoid.eval_vassn_rg(rho, self.rely, self.guar, interp)
-        return self.monoid.eval_vassn(rho, interp)
-
-    def eval(self, assn: Assertion, interp: Dict[str, int]):
+    def eval(self, rho: VAssn, interp: Dict[str, int]):
         """The view an assertion denotes under an interpretation; memoized.
         An error (an unstable predicate, say) is not cached: the next
         evaluation raises it again."""
-        key = (assn, tuple(sorted(interp.items())))
+        key = (rho, tuple(sorted(interp.items())))
         view = self._views.get(key, _UNSEEN)
         if view is _UNSEEN:
-            view = self._views[key] = self._eval(assn, interp)
+            if isinstance(self.monoid, RgsepMonoid):
+                view = self.monoid.eval_vassn_rg(rho, self.rely, self.guar,
+                                                 interp)
+            else:
+                view = self.monoid.eval_vassn(rho, interp)
+            self._views[key] = view
         return view
-
-    def _eval(self, assn: Assertion, interp: Dict[str, int]):
-        if isinstance(assn, VLeaf):
-            return self.eval_leaf(assn.rho, interp)
-        if isinstance(assn, StarAssn):
-            views = [self.eval(p, interp) for p in assn.parts]
-            out = views[0]
-            for v in views[1:]:
-                out = self.monoid.compose(out, v)
-            return out
-        if isinstance(assn, OrAssn):
-            views = [self.eval(p, interp) for p in assn.parts]
-            out = views[0]
-            for v in views[1:]:
-                out = self.monoid.disjoin(out, v)
-            return out
-        if isinstance(assn, ExistsAssn):
-            out = None
-            for n in self.monoid.dom.values:
-                v = self.eval(assn.body, {**interp, assn.var: n})
-                out = v if out is None else self.monoid.disjoin(out, v)
-            return out
-        if isinstance(assn, RImplAssn):
-            raise ModelError(
-                "a repartitioning implication only makes sense as a Conseq "
-                "side condition, not nested inside other assertions")
-        raise ModelError(f"unknown assertion node {assn!r}")
-
-
-def assertion_lvars(assn: Assertion) -> frozenset:
-    if isinstance(assn, VLeaf):
-        return free_lvars(assn.rho)
-    if isinstance(assn, (StarAssn, OrAssn)):
-        out = frozenset()
-        for p in assn.parts:
-            out |= assertion_lvars(p)
-        return out
-    if isinstance(assn, ExistsAssn):
-        return assertion_lvars(assn.body) - {assn.var}
-    if isinstance(assn, RImplAssn):
-        return assertion_lvars(assn.pre) | assertion_lvars(assn.post)
-    raise ModelError(f"unknown assertion node {assn!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +67,7 @@ class OSeq:
     """Children interleaved with the intermediate assertions between them."""
 
     children: Tuple["OutlineNode", ...]
-    mids: Tuple[Assertion, ...]
+    mids: Tuple[VAssn, ...]
 
 
 @dataclass(frozen=True)
@@ -158,7 +78,7 @@ class OChoice:
 
 @dataclass(frozen=True)
 class OIter:
-    invariant: Assertion
+    invariant: VAssn
     body: "OutlineNode"
 
 
@@ -166,8 +86,8 @@ class OIter:
 class OConseq:
     """Explicit consequence: strengthen the pre, weaken the post."""
 
-    pre: Assertion
-    post: Assertion
+    pre: VAssn
+    post: VAssn
     inner: "OutlineNode"
 
 
@@ -177,9 +97,9 @@ OutlineNode = Union[OPrim, OSkip, OSeq, OChoice, OIter, OConseq]
 @dataclass(frozen=True)
 class ProofOutline:
     thread: int
-    pre: Assertion
+    pre: VAssn
     body: OutlineNode
-    post: Assertion
+    post: VAssn
 
 
 @dataclass
@@ -263,7 +183,7 @@ class ProofChecker:
         raise ModelError(f"unknown outline node {node!r}")
 
     def _prim(self, node, pre, post, t, path):
-        names = assertion_lvars(pre) | assertion_lvars(post)
+        names = free_lvars(pre) | free_lvars(post)
         for interp in _interps(names, self.monoid.dom.values):
             try:
                 p = self.env.eval(pre, interp)
@@ -282,7 +202,7 @@ class ProofChecker:
         return None
 
     def _implies(self, pre, post, t, path, rule):
-        names = assertion_lvars(pre) | assertion_lvars(post)
+        names = free_lvars(pre) | free_lvars(post)
         for interp in _interps(names, self.monoid.dom.values):
             try:
                 p = self.env.eval(pre, interp)
@@ -301,93 +221,3 @@ class ProofChecker:
 def check_proof(outline: ProofOutline,
                 env: AssertionEnv) -> Optional[FailureReport]:
     return ProofChecker(env).check(outline)
-
-
-def outline_assertions(node: OutlineNode) -> Tuple[Assertion, ...]:
-    """Every assertion annotated inside a node (not the outer pre/post)."""
-    if isinstance(node, (OPrim, OSkip)):
-        return ()
-    if isinstance(node, OSeq):
-        out = list(node.mids)
-        for child in node.children:
-            out.extend(outline_assertions(child))
-        return tuple(out)
-    if isinstance(node, OChoice):
-        return outline_assertions(node.left) + outline_assertions(node.right)
-    if isinstance(node, OIter):
-        return (node.invariant,) + outline_assertions(node.body)
-    if isinstance(node, OConseq):
-        return (node.pre, node.post) + outline_assertions(node.inner)
-    raise ModelError(f"unknown outline node {node!r}")
-
-
-def outline_views(outline: ProofOutline, env: AssertionEnv):
-    """The views an accepted outline annotates, deduplicated; this is the
-    witness universe for the safety judgement."""
-    views = []
-    for assn in ((outline.pre, outline.post)
-                 + outline_assertions(outline.body)):
-        for interp in _interps(assertion_lvars(assn),
-                               env.monoid.dom.values):
-            v = env.eval(assn, interp)
-            if v not in views:
-                views.append(v)
-    return views
-
-
-# ---------------------------------------------------------------------------
-# The safety judgement
-
-
-def check_safe(t: int, p, cmd: Command, q, universe, monoid: ViewMonoid,
-               _caches=None) -> bool:
-    """Greatest-fixpoint safety: does (p, cmd, q) survive iterated removal
-    over the given view universe?
-
-    The universe must contain the intermediate views needed to witness each
-    step (outline annotations supply them in practice); p and q are added
-    if missing.
-    """
-    views = list(universe)
-    for extra in (p, q, monoid.empty):
-        if extra not in views:
-            views.append(extra)
-    cmds = sorted(reachable_commands(cmd), key=repr)
-    alive = {(v, c) for v in views for c in cmds}
-    if _caches is None:
-        _caches = {}
-    action_cache = _caches.setdefault("action", {})
-    impl_cache = _caches.setdefault("impl", {})
-
-    def action_ok(alpha, v1, v2):
-        key = (t, alpha, v1, v2)
-        if key not in action_cache:
-            action_cache[key] = monoid.check_action(t, alpha, v1, v2) is True
-        return action_cache[key]
-
-    def impl_ok(v1, v2):
-        key = (v1, v2)
-        if key not in impl_cache:
-            impl_cache[key] = monoid.repart_implies(v1, v2).ok()
-        return impl_cache[key]
-
-    changed = True
-    while changed:
-        changed = False
-        for entry in list(alive):
-            v, c = entry
-            if isinstance(c, Skip):
-                ok = impl_ok(v, q)
-            else:
-                ok = True
-                for alpha, c2 in step(c):
-                    if not any(
-                        (v2, c2) in alive and action_ok(alpha, v, v2)
-                        for v2 in views
-                    ):
-                        ok = False
-                        break
-            if not ok:
-                alive.discard(entry)
-                changed = True
-    return (p, cmd) in alive

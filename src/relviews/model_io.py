@@ -47,19 +47,7 @@ from .command_lang import (
 )
 from .errors import ModelError
 from .linearizability import LibraryModel
-from .logic import (
-    ExistsAssn,
-    OChoice,
-    OConseq,
-    OIter,
-    OPrim,
-    OSeq,
-    OSkip,
-    OrAssn,
-    RImplAssn,
-    StarAssn,
-    VLeaf,
-)
+from .logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
 from .state_model import APCom, Domains, Heap
 from .vassn import (
     APt,
@@ -72,7 +60,6 @@ from .vassn import (
     StarA,
     TokA,
     TrueA,
-    check_no_nested_box,
 )
 
 
@@ -332,6 +319,9 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
     if tag == "box" and len(args) == 1:
         return BoxA(parse_vassn(args[0], macros, nthreads, f"{path}/box",
                                 stack))
+    if tag == "rimpl":
+        _fail(path, "a repartitioning implication is not an assertion; "
+                    "a conseq outline node checks one")
     if tag == "macro" and args:
         body, stack2 = macros.expand(str(args[0]), list(args[1:]), path, stack)
         return parse_vassn(body, macros, nthreads, f"{path}/{args[0]}",
@@ -372,50 +362,32 @@ def dump_vassn(a):
     raise ModelError(f"cannot serialize assertion {a!r}")
 
 
-def _validate_vassn(a, path: str):
-    check_no_nested_box(a)
-    _validate_true_placement(a, False, path)
-
-
-def _validate_true_placement(a, inside_box: bool, path: str):
+def _validate_vassn(a, path: str, inside_box: bool = False):
+    """Boxes may not nest, and `true` may only stand inside a box."""
     if isinstance(a, TrueA):
         if not inside_box:
             _fail(path, "`true` is only supported inside boxed assertions")
     elif isinstance(a, BoxA):
-        _validate_true_placement(a.body, True, path)
+        if inside_box:
+            _fail(path, "boxed assertions must not be nested")
+        _validate_vassn(a.body, path, True)
     elif isinstance(a, (StarA, OrA)):
         for p in a.parts:
-            _validate_true_placement(p, inside_box, path)
+            _validate_vassn(p, path, inside_box)
     elif isinstance(a, ExistsA):
-        _validate_true_placement(a.body, inside_box, path)
-
-
-# ---------------------------------------------------------------------------
-# Assertion trees for outlines (logic level)
+        _validate_vassn(a.body, path, inside_box)
 
 
 def parse_assertion(doc, macros: MacroTable, nthreads: int,
                     path: str = "assn"):
-    if isinstance(doc, list) and doc and doc[0] == "rimpl" and len(doc) == 3:
-        return RImplAssn(parse_assertion(doc[1], macros, nthreads, path),
-                         parse_assertion(doc[2], macros, nthreads, path))
+    """Parse and validate the view assertion in any assertion slot."""
     rho = parse_vassn(doc, macros, nthreads, path)
     _validate_vassn(rho, path)
-    return VLeaf(rho)
+    return rho
 
 
-def dump_assertion(a):
-    if isinstance(a, VLeaf):
-        return dump_vassn(a.rho)
-    if isinstance(a, StarAssn):
-        return ["star", *[dump_assertion(p) for p in a.parts]]
-    if isinstance(a, OrAssn):
-        return ["or", *[dump_assertion(p) for p in a.parts]]
-    if isinstance(a, ExistsAssn):
-        return ["exists", a.var, dump_assertion(a.body)]
-    if isinstance(a, RImplAssn):
-        return ["rimpl", dump_assertion(a.pre), dump_assertion(a.post)]
-    raise ModelError(f"cannot serialize assertion {a!r}")
+# ---------------------------------------------------------------------------
+# Outlines
 
 
 def parse_outline_node(doc, macros: MacroTable, nthreads: int,
@@ -462,31 +434,6 @@ def parse_outline_node(doc, macros: MacroTable, nthreads: int,
             parse_outline_node(doc["inner"], macros, nthreads,
                                f"{path}/inner"))
     _fail(path, f"unknown outline node kind {kind!r}")
-
-
-def dump_outline_node(node):
-    if isinstance(node, OPrim):
-        return {"kind": "prim", "cmd": dump_command(Prim(node.prim))}
-    if isinstance(node, OSkip):
-        return {"kind": "skip"}
-    if isinstance(node, OSeq):
-        steps = []
-        for i, child in enumerate(node.children):
-            if i:
-                steps.append(dump_assertion(node.mids[i - 1]))
-            steps.append(dump_outline_node(child))
-        return {"kind": "seq", "steps": steps}
-    if isinstance(node, OChoice):
-        return {"kind": "choice", "left": dump_outline_node(node.left),
-                "right": dump_outline_node(node.right)}
-    if isinstance(node, OIter):
-        return {"kind": "iter", "invariant": dump_assertion(node.invariant),
-                "body": dump_outline_node(node.body)}
-    if isinstance(node, OConseq):
-        return {"kind": "conseq", "pre": dump_assertion(node.pre),
-                "post": dump_assertion(node.post),
-                "inner": dump_outline_node(node.inner)}
-    raise ModelError(f"cannot serialize outline node {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -615,19 +562,15 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
 
     shared_universe = None
     if doc.get("shared_universe") is not None:
-        shared_universe = parse_vassn(doc["shared_universe"], macros,
-                                      nthreads, f"{path}/shared_universe")
-        _validate_vassn(shared_universe, f"{path}/shared_universe")
+        shared_universe = parse_assertion(doc["shared_universe"], macros,
+                                          nthreads, f"{path}/shared_universe")
 
     actions = {}
     for aname, spec in doc.get("actions", {}).items():
-        pre = parse_vassn(spec["pre"], macros, nthreads,
-                          f"{path}/actions/{aname}/pre")
-        post = parse_vassn(spec["post"], macros, nthreads,
-                           f"{path}/actions/{aname}/post")
-        for side in (pre, post):
-            _validate_vassn(side, f"{path}/actions/{aname}")
-        actions[aname] = (pre, post)
+        actions[aname] = tuple(
+            parse_assertion(spec[side], macros, nthreads,
+                            f"{path}/actions/{aname}/{side}")
+            for side in ("pre", "post"))
     for aname in list(doc.get("guarantee", [])) + list(doc.get("rely_extra",
                                                                [])):
         if aname not in actions:
@@ -718,8 +661,8 @@ def serialize_model(model: LibraryModel) -> dict:
         doc["rely_extra"] = list(model.rely_extra_names)
     if model.pre_templates:
         doc["assertions"] = {
-            m: {"pre": dump_assertion(model.pre_templates[m]),
-                "post": dump_assertion(model.post_templates[m])}
+            m: {"pre": dump_vassn(model.pre_templates[m]),
+                "post": dump_vassn(model.post_templates[m])}
             for m in sorted(model.pre_templates)
         }
     return doc

@@ -11,7 +11,6 @@ singleton).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Optional
 
 from .command_lang import PrimCommand
@@ -57,18 +56,6 @@ def frames_dcsl(dom: Domains, cap: Optional[int] = None) -> Iterator[DcslView]:
         yield frozenset({w})
 
 
-def powerset_frames(worlds) -> Iterator[DcslView]:
-    """Every subset of the given worlds; only usable on tiny universes.
-
-    This is the brute-force oracle the singleton strategy is validated
-    against.
-    """
-    ws = list(worlds)
-    for n in range(len(ws) + 1):
-        for combo in itertools.combinations(ws, n):
-            yield frozenset(combo)
-
-
 class DcslMonoid(ViewMonoid):
     def __init__(self, dom: Domains, sem: Semantics, cap: Optional[int] = None):
         super().__init__(dom, sem)
@@ -112,8 +99,3 @@ class DcslMonoid(ViewMonoid):
         """The worlds with thread t's token erased (token-swap check)."""
         return frozenset(World(w.conc, w.abst, w.toks.remove(t)) for w in p)
 
-
-def token_exclusive(p: DcslView) -> bool:
-    """No world holds two tokens for one thread; true by construction, kept
-    as an executable invariant for the test suites."""
-    return all(len(dict(w.toks.items())) == len(w.toks) for w in p)

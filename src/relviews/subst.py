@@ -43,7 +43,6 @@ from .vassn import (
     TokA,
     TrueA,
     VAssn,
-    WorldsA,
 )
 
 Binding = Dict[str, int]
@@ -102,7 +101,7 @@ def subst_command(c: Command, b: Binding) -> Command:
 
 
 def subst_vassn(a: VAssn, b: Binding) -> VAssn:
-    if isinstance(a, (EmpA, TrueA, WorldsA)):
+    if isinstance(a, (EmpA, TrueA)):
         return a
     if isinstance(a, CPt):
         return CPt(subst_loc(a.loc, b), subst_expr(a.value, b))
@@ -125,23 +124,6 @@ def subst_vassn(a: VAssn, b: Binding) -> VAssn:
     raise ModelError(f"unknown assertion node {a!r}")
 
 
-def subst_assertion(a, b: Binding):
-    from .logic import ExistsAssn, OrAssn, RImplAssn, StarAssn, VLeaf
-
-    if isinstance(a, VLeaf):
-        return VLeaf(subst_vassn(a.rho, b))
-    if isinstance(a, StarAssn):
-        return StarAssn(tuple(subst_assertion(p, b) for p in a.parts))
-    if isinstance(a, OrAssn):
-        return OrAssn(tuple(subst_assertion(p, b) for p in a.parts))
-    if isinstance(a, ExistsAssn):
-        inner = {k: v for k, v in b.items() if k != a.var}
-        return ExistsAssn(a.var, subst_assertion(a.body, inner))
-    if isinstance(a, RImplAssn):
-        return RImplAssn(subst_assertion(a.pre, b), subst_assertion(a.post, b))
-    raise ModelError(f"unknown assertion node {a!r}")
-
-
 def subst_outline(node, b: Binding):
     from .logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
 
@@ -153,14 +135,14 @@ def subst_outline(node, b: Binding):
         return node
     if isinstance(node, OSeq):
         return OSeq(tuple(subst_outline(c, b) for c in node.children),
-                    tuple(subst_assertion(m, b) for m in node.mids))
+                    tuple(subst_vassn(m, b) for m in node.mids))
     if isinstance(node, OChoice):
         return OChoice(subst_outline(node.left, b), subst_outline(node.right, b))
     if isinstance(node, OIter):
-        return OIter(subst_assertion(node.invariant, b),
+        return OIter(subst_vassn(node.invariant, b),
                      subst_outline(node.body, b))
     if isinstance(node, OConseq):
-        return OConseq(subst_assertion(node.pre, b),
-                       subst_assertion(node.post, b),
+        return OConseq(subst_vassn(node.pre, b),
+                       subst_vassn(node.post, b),
                        subst_outline(node.inner, b))
     raise ModelError(f"unknown outline node {node!r}")

@@ -1,11 +1,16 @@
-"""View-assertion syntax shared by the two monoids.
+"""The one assertion language: view assertions.
 
-A view assertion describes a set of world fragments: singleton concrete or
-abstract cells, token literals, pure facts, separating conjunction,
-disjunction and finite existentials.  Boxed assertions (shared-state
-fragments) and `true` are meaningful only for the RGSep monoid and are
-rejected by the box-free denotation `ViewMonoid.fragments`, which is DCSL's
-whole evaluator.
+Every assertion slot holds a view assertion: method pre/postcondition
+families, the intermediate assertions, invariants and consequence
+pre/posts of outlines, rely/guarantee actions and the RGSep shared
+universe.  A view assertion describes a set of world fragments: singleton
+concrete or abstract cells, token literals, pure facts, separating
+conjunction, disjunction and finite existentials.  Boxed assertions
+(shared-state fragments) and `true` are meaningful only for the RGSep
+monoid and are rejected by the box-free denotation `ViewMonoid.fragments`,
+which is DCSL's whole evaluator.  Repartitioning implication is not an
+assertion form: it is the side condition the outline checker discharges at
+skip and consequence sites.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from typing import Tuple, Union
 
 from .command_lang import Expr
 from .errors import ModelError
-from .state_model import World
 
 
 @dataclass(frozen=True)
@@ -85,41 +89,7 @@ class BoxA:
     body: "VAssn"
 
 
-@dataclass(frozen=True)
-class WorldsA:
-    """Explicit world-set literal (DCSL only)."""
-
-    worlds: Tuple[World, ...]
-
-
-VAssn = Union[EmpA, CPt, APt, TokA, PureA, StarA, OrA, ExistsA, TrueA, BoxA,
-              WorldsA]
-
-
-def star(*parts: VAssn) -> VAssn:
-    flat = []
-    for p in parts:
-        if isinstance(p, StarA):
-            flat.extend(p.parts)
-        elif not isinstance(p, EmpA):
-            flat.append(p)
-    if not flat:
-        return EmpA()
-    if len(flat) == 1:
-        return flat[0]
-    return StarA(tuple(flat))
-
-
-def disj(*parts: VAssn) -> VAssn:
-    flat = []
-    for p in parts:
-        if isinstance(p, OrA):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if len(flat) == 1:
-        return flat[0]
-    return OrA(tuple(flat))
+VAssn = Union[EmpA, CPt, APt, TokA, PureA, StarA, OrA, ExistsA, TrueA, BoxA]
 
 
 def free_lvars_expr(e) -> frozenset:
@@ -135,7 +105,7 @@ def free_lvars_expr(e) -> frozenset:
 
 
 def free_lvars(a: VAssn) -> frozenset:
-    if isinstance(a, (EmpA, TrueA, WorldsA)):
+    if isinstance(a, (EmpA, TrueA)):
         return frozenset()
     if isinstance(a, (CPt, APt)):
         return free_lvars_expr(a.value)
@@ -154,15 +124,3 @@ def free_lvars(a: VAssn) -> frozenset:
     if isinstance(a, BoxA):
         return free_lvars(a.body)
     raise ModelError(f"unknown assertion node {a!r}")
-
-
-def check_no_nested_box(a: VAssn, inside: bool = False) -> None:
-    if isinstance(a, BoxA):
-        if inside:
-            raise ModelError("boxed assertions must not be nested")
-        check_no_nested_box(a.body, True)
-    elif isinstance(a, (StarA, OrA)):
-        for p in a.parts:
-            check_no_nested_box(p, inside)
-    elif isinstance(a, ExistsA):
-        check_no_nested_box(a.body, inside)

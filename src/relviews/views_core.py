@@ -46,7 +46,6 @@ from .vassn import (
     TokA,
     TrueA,
     VAssn,
-    WorldsA,
 )
 
 
@@ -185,8 +184,6 @@ class ViewMonoid:
 
         if isinstance(rho, EmpA):
             out = _EMP
-        elif isinstance(rho, WorldsA):
-            out = frozenset(rho.worlds)
         elif isinstance(rho, (CPt, APt)):
             v = value(rho.value)
             try:

@@ -10,12 +10,27 @@ Histories, by a plain walk: `history_depths(model, bound, side)` maps every
 history within the bound to its least number of moves.  The memoized
 `_HistoryGen` behind `concrete_histories`/`abstract_histories` computes the
 same sets.
+
+Proof-side references: `check_safe`, the greatest-fixpoint safety
+judgement over a finite view universe, which an accepted outline's views
+(`outline_views`) must witness; `powerset_frames`, every DCSL frame, which
+the unit-plus-singleton strategy is validated against; and
+`token_exclusive`, the one-token-per-thread invariant of DCSL views.
 """
 
 from __future__ import annotations
 
-from relviews.command_lang import SKIP, apply_guarded, step
+import itertools
+
+from relviews.command_lang import (
+    SKIP,
+    Skip,
+    apply_guarded,
+    reachable_commands,
+    step,
+)
 from relviews.errors import FaultReachable, ModelError
+from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
 from relviews.state_model import (
     EMPTY_WORLD,
     FAULT,
@@ -23,7 +38,7 @@ from relviews.state_model import (
     compose_worlds,
     world_leq,
 )
-from relviews.vassn import BoxA, ExistsA, OrA, StarA, TrueA, VAssn
+from relviews.vassn import BoxA, ExistsA, OrA, StarA, TrueA, VAssn, free_lvars
 
 
 def box_holds(mono, body: VAssn, s: World, interp) -> bool:
@@ -155,3 +170,103 @@ def history_depths(model, bound: int, side: str) -> dict:
 
     walk(0, tuple(None for _ in model.dom.thread_ids()), heap0, ())
     return depths
+
+
+def outline_assertions(node) -> tuple:
+    """Every assertion annotated inside an outline node (not the outer
+    pre/post)."""
+    if isinstance(node, (OPrim, OSkip)):
+        return ()
+    if isinstance(node, OSeq):
+        out = list(node.mids)
+        for child in node.children:
+            out.extend(outline_assertions(child))
+        return tuple(out)
+    if isinstance(node, OChoice):
+        return outline_assertions(node.left) + outline_assertions(node.right)
+    if isinstance(node, OIter):
+        return (node.invariant,) + outline_assertions(node.body)
+    if isinstance(node, OConseq):
+        return (node.pre, node.post) + outline_assertions(node.inner)
+    raise ModelError(f"unknown outline node {node!r}")
+
+
+def outline_views(outline, env) -> list:
+    """The views an accepted outline annotates, deduplicated; this is the
+    witness universe for the safety judgement."""
+    views = []
+    for rho in ((outline.pre, outline.post)
+                + outline_assertions(outline.body)):
+        names = sorted(free_lvars(rho))
+        for combo in itertools.product(env.monoid.dom.values,
+                                       repeat=len(names)):
+            v = env.eval(rho, dict(zip(names, combo)))
+            if v not in views:
+                views.append(v)
+    return views
+
+
+def check_safe(t: int, p, cmd, q, universe, monoid, _caches=None) -> bool:
+    """Greatest-fixpoint safety: does (p, cmd, q) survive iterated removal
+    over the given view universe?
+
+    The universe must contain the intermediate views needed to witness each
+    step (outline annotations supply them in practice); p and q are added
+    if missing.
+    """
+    views = list(universe)
+    for extra in (p, q, monoid.empty):
+        if extra not in views:
+            views.append(extra)
+    cmds = sorted(reachable_commands(cmd), key=repr)
+    alive = {(v, c) for v in views for c in cmds}
+    if _caches is None:
+        _caches = {}
+    action_cache = _caches.setdefault("action", {})
+    impl_cache = _caches.setdefault("impl", {})
+
+    def action_ok(alpha, v1, v2):
+        key = (t, alpha, v1, v2)
+        if key not in action_cache:
+            action_cache[key] = monoid.check_action(t, alpha, v1, v2) is True
+        return action_cache[key]
+
+    def impl_ok(v1, v2):
+        key = (v1, v2)
+        if key not in impl_cache:
+            impl_cache[key] = monoid.repart_implies(v1, v2).ok()
+        return impl_cache[key]
+
+    changed = True
+    while changed:
+        changed = False
+        for entry in list(alive):
+            v, c = entry
+            if isinstance(c, Skip):
+                ok = impl_ok(v, q)
+            else:
+                ok = True
+                for alpha, c2 in step(c):
+                    if not any(
+                        (v2, c2) in alive and action_ok(alpha, v, v2)
+                        for v2 in views
+                    ):
+                        ok = False
+                        break
+            if not ok:
+                alive.discard(entry)
+                changed = True
+    return (p, cmd) in alive
+
+
+def powerset_frames(worlds):
+    """Every subset of the given worlds; only usable on tiny universes."""
+    ws = list(worlds)
+    for n in range(len(ws) + 1):
+        for combo in itertools.combinations(ws, n):
+            yield frozenset(combo)
+
+
+def token_exclusive(p) -> bool:
+    """No world of a DCSL view holds two tokens for one thread."""
+    return all(len(dict(w.toks.items())) == len(w.toks) for w in p)

@@ -30,14 +30,8 @@ from relviews.linearizability import (
     instance_obligations,
     render_history,
 )
-from relviews.logic import check_safe
 from relviews.model_io import load_model, load_outlines
-from relviews.monoid_dcsl import (
-    UNIT_DCSL,
-    compose_dcsl,
-    powerset_frames,
-    reify_dcsl,
-)
+from relviews.monoid_dcsl import UNIT_DCSL, compose_dcsl, reify_dcsl
 from relviews.monoid_rgsep import RgsepMonoid, RgsepView, stabilize
 from relviews.state_model import (
     APCom,
@@ -54,6 +48,7 @@ from relviews.views_core import (
     lp_star,
     repart_implies_with_frames,
 )
+from oracles import check_safe, powerset_frames
 from util import (
     PRIMS_1LOC,
     micro_dcsl,

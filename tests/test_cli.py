@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -266,3 +269,23 @@ def test_single_process_checks_accept_jobs_one(capsys):
                  ["histories", ATOMIC, "--bound", "2"]):
         code, out, _ = run(capsys, *argv, "--jobs", "1")
         assert code == 0 and out
+
+
+def test_cap_error_text_independent_of_hash_seed():
+    """Successors are explored in per-process hash order, so how far the
+    memo has grown when the cap trips varies; the message must not."""
+    src = os.path.abspath("src")
+    errs = set()
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "relviews.cli", "check-lin",
+             f"{FIX}/flat-combiner/model.json", "--bound", "12",
+             "--cap", "3000"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        errs.add(proc.stderr)
+    assert len(errs) == 1
+    assert "exceeds cap 3000" in errs.pop()

@@ -1,8 +1,6 @@
 import itertools
 import random
 
-import pytest
-
 from relviews.command_lang import (
     Const,
     Eq,
@@ -15,23 +13,15 @@ from relviews.command_lang import (
     desugar_while,
     store,
 )
-from relviews.errors import ModelError
 from relviews.logic import (
     AssertionEnv,
-    ExistsAssn,
     OChoice,
     OIter,
     OPrim,
     OSeq,
     OSkip,
-    OrAssn,
     ProofOutline,
-    RImplAssn,
-    StarAssn,
-    VLeaf,
     check_proof,
-    check_safe,
-    outline_views,
 )
 from relviews.model_io import load_model, load_outlines
 from relviews.state_model import (
@@ -40,8 +30,9 @@ from relviews.state_model import (
     World,
     enumerate_worlds,
 )
-from relviews.vassn import CPt, EmpA
+from relviews.vassn import APt, CPt, ExistsA, OrA, StarA
 from relviews.command_lang import LVar
+from oracles import check_safe, outline_views
 from util import micro_dcsl
 
 FIX = "src/relviews/fixtures"
@@ -58,35 +49,26 @@ def _mono():
 def test_eval_assertion_leaf_star_or():
     mono = _mono()
     env = AssertionEnv(mono)
-    leaf = VLeaf(CPt("l", Const(0)))
+    leaf = CPt("l", Const(0))
     assert env.eval(leaf, {}) == frozenset({w({"l": 0})})
-    from relviews.vassn import APt
-    star = StarAssn((leaf, VLeaf(APt("x", Const(1)))))
+    star = StarA((leaf, APt("x", Const(1))))
     got = env.eval(star, {})
     assert got == frozenset({w({"l": 0}, {"x": 1})})
-    both = env.eval(OrAssn((leaf, VLeaf(CPt("l", Const(1))))), {})
+    both = env.eval(OrA((leaf, CPt("l", Const(1)))), {})
     assert both == frozenset({w({"l": 0}), w({"l": 1})})
 
 
 def test_eval_exists_is_finite_disjunction():
     mono = _mono()
     env = AssertionEnv(mono)
-    got = env.eval(ExistsAssn("X", VLeaf(CPt("l", LVar("X")))), {})
+    got = env.eval(ExistsA("X", CPt("l", LVar("X"))), {})
     assert got == frozenset({w({"l": 0}), w({"l": 1})})
-
-
-def test_rimpl_not_evaluable_inside_assertions():
-    mono = _mono()
-    env = AssertionEnv(mono)
-    leaf = VLeaf(EmpA())
-    with pytest.raises(ModelError):
-        env.eval(RImplAssn(leaf, leaf), {})
 
 
 def test_check_proof_prim_id_accepted():
     mono = _mono()
     env = AssertionEnv(mono)
-    p = VLeaf(CPt("l", Const(0)))
+    p = CPt("l", Const(0))
     outline = ProofOutline(1, p, OPrim(PrimCommand("id")), p)
     assert check_proof(outline, env) is None
 
@@ -94,8 +76,8 @@ def test_check_proof_prim_id_accepted():
 def test_check_proof_rejects_wrong_post():
     mono = _mono()
     env = AssertionEnv(mono)
-    p = VLeaf(CPt("l", Const(0)))
-    q = VLeaf(CPt("l", Const(1)))
+    p = CPt("l", Const(0))
+    q = CPt("l", Const(1))
     outline = ProofOutline(1, p, OPrim(PrimCommand("id")), q)
     fail = check_proof(outline, env)
     assert fail is not None
@@ -105,15 +87,15 @@ def test_check_proof_rejects_wrong_post():
 def test_check_proof_structural_rules():
     mono = _mono()
     env = AssertionEnv(mono)
-    p0 = VLeaf(CPt("l", Const(0)))
-    p1 = VLeaf(CPt("l", Const(1)))
+    p0 = CPt("l", Const(0))
+    p1 = CPt("l", Const(1))
     node = OSeq(
         (OPrim(PrimCommand("store", (Read("l"), Const(1)))),
          OPrim(PrimCommand("store", (Read("l"), Const(0))))),
         (p1,),
     )
     assert check_proof(ProofOutline(1, p0, node, p0), env) is None
-    both = OrAssn((p0, p1))
+    both = OrA((p0, p1))
     ch = OChoice(OPrim(PrimCommand("store", (Read("l"), Const(0)))),
                  OPrim(PrimCommand("store", (Read("l"), Const(0)))))
     assert check_proof(ProofOutline(1, both, ch, p0), env) is None

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from relviews.cli import main
 from relviews.errors import ModelError
 from relviews.fixtures import fixture_manifest
 from relviews.model_io import (
@@ -136,3 +137,37 @@ def test_cas_loads_as_success_failure_choice():
     assert "cas_succ" in dumped and "cas_fail" in dumped
     assert "choice" in dumped
     assert parse_command(dump_command(cmd)) == cmd
+
+
+# A repartitioning implication is the side condition of a conseq node, not
+# an assertion form: a document that writes one is rejected at load.
+_RIMPL = ["rimpl", ["emp"], ["emp"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-lin", "{model}", "--bound", "2"],
+    ["histories", "{model}", "--side", "concrete", "--bound", "2"],
+    ["check-proof", "{model}", f"{FIX}/atomic-inc/outline.json"],
+])
+def test_rimpl_in_model_assertions_rejected_at_load(capsys, tmp_path, argv):
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["assertions"]["inc"]["post"] = ["star", _RIMPL, ["emp"]]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code = main([a.format(model=bad) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and str(bad) in err
+    assert "repartitioning implication" in err
+
+
+def test_rimpl_in_outline_rejected_at_load(capsys, tmp_path):
+    bad = tmp_path / "outline.json"
+    bad.write_text(json.dumps({"outlines": {"inc": {
+        "kind": "conseq", "pre": _RIMPL, "post": ["emp"],
+        "inner": {"kind": "skip"}}}}))
+    code = main(["check-proof", f"{FIX}/atomic-inc/model.json", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and str(bad) in err
+    assert "repartitioning implication" in err

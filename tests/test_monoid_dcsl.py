@@ -10,9 +10,7 @@ from relviews.monoid_dcsl import (
     DcslMonoid,
     compose_dcsl,
     frames_dcsl,
-    powerset_frames,
     reify_dcsl,
-    token_exclusive,
 )
 from relviews.state_model import (
     APCom,
@@ -33,10 +31,10 @@ from relviews.vassn import (
     PureA,
     StarA,
     TokA,
-    WorldsA,
 )
 from relviews.command_lang import Const, Eq, LVar
 from relviews.monoid_rgsep import RgsepMonoid
+from oracles import powerset_frames, token_exclusive
 from util import micro_dcsl, micro_domains, micro_semantics, sample_view
 
 AP = APCom("op", 0, 0)
@@ -173,10 +171,8 @@ def test_eval_pure_and_token():
             {w(toks={1: Token(TODO, AP)})})
 
 
-def test_eval_worlds_literal_and_box_rejected():
-    lit = WorldsA((w({"l": 0}),))
+def test_eval_box_rejected():
     for mono in _monoids():
-        assert mono.fragments(lit, {}) == frozenset({w({"l": 0})})
         with pytest.raises(ModelError):
             mono.fragments(BoxA(EmpA()), {})
 

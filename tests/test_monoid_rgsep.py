@@ -38,15 +38,7 @@ from relviews.state_model import (
 )
 from relviews.fixtures import fixture_path
 from relviews.linearizability import all_instances
-from relviews.logic import (
-    AssertionEnv,
-    ExistsAssn,
-    OrAssn,
-    RImplAssn,
-    StarAssn,
-    VLeaf,
-    outline_assertions,
-)
+from relviews.logic import AssertionEnv
 from relviews.model_io import load_model, load_outlines
 from relviews.state_model import enumerate_worlds
 from relviews.vassn import (
@@ -63,7 +55,7 @@ from relviews.vassn import (
 )
 from relviews.views_core import ActionCounterexample, ImplVerdict, Semantics
 from relviews.command_lang import AbstractTable
-from oracles import rgsep_pred, satisfies
+from oracles import outline_assertions, rgsep_pred, satisfies
 from util import micro_domains, micro_semantics
 
 AP = APCom("op", 0, 0)
@@ -156,33 +148,19 @@ def _oracle_or_error(mono, rho, interp):
         return ("error", str(exc))
 
 
-def _view_leaves(assn):
-    if isinstance(assn, VLeaf):
-        yield assn.rho
-    elif isinstance(assn, (StarAssn, OrAssn)):
-        for part in assn.parts:
-            yield from _view_leaves(part)
-    elif isinstance(assn, ExistsAssn):
-        yield from _view_leaves(assn.body)
-    elif isinstance(assn, RImplAssn):
-        yield from _view_leaves(assn.pre)
-        yield from _view_leaves(assn.post)
-
-
 @pytest.mark.parametrize("name", ["atomic-inc", "flat-combiner",
                                   "flat-combiner-noaction4"])
 def test_eval_matches_oracle_on_fixture_assertions(name):
     model = load_model(fixture_path(name, "model.json"))
     load_outlines(fixture_path(name, "outline.json"), model)
     mono = model.monoid()
-    leaves = set()
+    assns = set()
     for inst in all_instances(model):
         outline = model.outline(*inst)
-        for assn in ((outline.pre, outline.post)
-                     + outline_assertions(outline.body)):
-            leaves.update(_view_leaves(assn))
-    assert leaves
-    for rho in sorted(leaves, key=repr):
+        assns.update((outline.pre, outline.post)
+                     + outline_assertions(outline.body))
+    assert assns
+    for rho in sorted(assns, key=repr):
         names = sorted(free_lvars(rho))
         for combo in itertools.product(mono.dom.values, repeat=len(names)):
             interp = dict(zip(names, combo))
@@ -363,7 +341,7 @@ def test_unstable_assertion_not_memoized():
     mono = _mono()
     s0, s1 = w({"x": 0}), w({"x": 1})
     env = AssertionEnv(mono, rely=frozenset({(s0, s1)}), guar=frozenset())
-    assn = VLeaf(BoxA(CPt("x", Const(0))))
+    assn = BoxA(CPt("x", Const(0)))
     for _ in range(2):
         with pytest.raises(StabilityViolation):
             env.eval(assn, {})
