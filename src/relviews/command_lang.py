@@ -8,7 +8,7 @@ transformer.  Conditionals and loops are encodings on top of assume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Dict, Optional, Tuple, Union
 
@@ -16,58 +16,100 @@ from .errors import ModelError, UndefinedLocation
 from .state_model import FAULT, Heap, HeapState
 
 # ---------------------------------------------------------------------------
+# Immutable tree nodes
+
+
+def cached_hash(cls):
+    """Class decorator for a frozen dataclass tree node: compute the
+    generated hash, the hash of the field tuple, once per node and keep it,
+    so memo and set lookups stop rehashing whole trees.
+
+    A hash of a tree that holds strings is valid only in the process that
+    computed it, so the cache never crosses a process boundary: as with
+    `state_model.Heap`, `__reduce__` rebuilds the node from its fields and
+    the unpickling process hashes it afresh.
+    """
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple([getattr(self, n) for n in names]))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        return (cls, tuple([getattr(self, n) for n in names]))
+
+    cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Const:
     value: int
 
 
+@cached_hash
 @dataclass(frozen=True)
 class LVar:
     name: str
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Read:
     loc: str
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Tid:
     pass
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Plus:
     a: "Expr"
     b: "Expr"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Eq:
     a: "Expr"
     b: "Expr"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Lt:
     a: "Expr"
     b: "Expr"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Not:
     a: "Expr"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class And:
     a: "Expr"
     b: "Expr"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Or:
     a: "Expr"
@@ -136,6 +178,7 @@ def expr_locs(e: Expr) -> frozenset:
 # Commands
 
 
+@cached_hash
 @dataclass(frozen=True)
 class PrimCommand:
     name: str
@@ -147,28 +190,33 @@ class PrimCommand:
         return f"{self.name}({', '.join(map(repr, self.args))})"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Prim:
     prim: PrimCommand
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Seq:
     first: "Command"
     second: "Command"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Choice:
     left: "Command"
     right: "Command"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Iter:
     body: "Command"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Skip:
     pass
@@ -378,19 +426,6 @@ def state_step(c: Command, sigma: Heap, t: int, table: TransformerTable,
         for sigma2 in table.apply(alpha, t, sigma, modulus):
             out.add((alpha, c2, sigma2))
     return frozenset(out)
-
-
-def reachable_commands(c: Command) -> frozenset:
-    """All command shapes reachable from c by stepping (finite)."""
-    seen = {c}
-    frontier = [c]
-    while frontier:
-        cur = frontier.pop()
-        for _, nxt in step(cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ class AssertionEnv:
         self.rely = rely
         self.guar = guar
         self._views: Dict = {}
+        self._lvars: Dict[VAssn, frozenset] = {}
 
     def eval(self, rho: VAssn, interp: Dict[str, int]):
         """The view an assertion denotes under an interpretation; memoized.
@@ -46,6 +47,13 @@ class AssertionEnv:
                 view = self.monoid.eval_vassn(rho, interp)
             self._views[key] = view
         return view
+
+    def lvars(self, rho: VAssn) -> frozenset:
+        """The logical variables free in an assertion; memoized."""
+        names = self._lvars.get(rho)
+        if names is None:
+            names = self._lvars[rho] = free_lvars(rho)
+        return names
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +191,7 @@ class ProofChecker:
         raise ModelError(f"unknown outline node {node!r}")
 
     def _prim(self, node, pre, post, t, path):
-        names = free_lvars(pre) | free_lvars(post)
+        names = self.env.lvars(pre) | self.env.lvars(post)
         for interp in _interps(names, self.monoid.dom.values):
             try:
                 p = self.env.eval(pre, interp)
@@ -202,7 +210,7 @@ class ProofChecker:
         return None
 
     def _implies(self, pre, post, t, path, rule):
-        names = free_lvars(pre) | free_lvars(post)
+        names = self.env.lvars(pre) | self.env.lvars(post)
         for interp in _interps(names, self.monoid.dom.values):
             try:
                 p = self.env.eval(pre, interp)

@@ -18,15 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from .command_lang import Expr
+from .command_lang import Expr, cached_hash
 from .errors import ModelError
 
 
+@cached_hash
 @dataclass(frozen=True)
 class EmpA:
     pass
 
 
+@cached_hash
 @dataclass(frozen=True)
 class CPt:
     """Concrete singleton cell: loc |-> value."""
@@ -35,6 +37,7 @@ class CPt:
     value: Expr
 
 
+@cached_hash
 @dataclass(frozen=True)
 class APt:
     """Abstract singleton cell: loc ~> value."""
@@ -43,6 +46,7 @@ class APt:
     value: Expr
 
 
+@cached_hash
 @dataclass(frozen=True)
 class TokA:
     """Token literal [kind(method(arg, ret))]_tid."""
@@ -54,6 +58,7 @@ class TokA:
     ret: Expr
 
 
+@cached_hash
 @dataclass(frozen=True)
 class PureA:
     """Pure fact over values; holds of the empty fragment only."""
@@ -61,27 +66,32 @@ class PureA:
     cond: Expr
 
 
+@cached_hash
 @dataclass(frozen=True)
 class StarA:
     parts: Tuple["VAssn", ...]
 
 
+@cached_hash
 @dataclass(frozen=True)
 class OrA:
     parts: Tuple["VAssn", ...]
 
 
+@cached_hash
 @dataclass(frozen=True)
 class ExistsA:
     var: str
     body: "VAssn"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class TrueA:
     """Soaks up an arbitrary remainder; RGSep boxes only."""
 
 
+@cached_hash
 @dataclass(frozen=True)
 class BoxA:
     """Shared-state assertion; must not be nested."""

@@ -12,7 +12,8 @@ history within the bound to its least number of moves.  The memoized
 same sets.
 
 Proof-side references: `check_safe`, the greatest-fixpoint safety
-judgement over a finite view universe, which an accepted outline's views
+judgement over a finite view universe and the command shapes that
+`reachable_commands` finds, which an accepted outline's views
 (`outline_views`) must witness; `powerset_frames`, every DCSL frame, which
 the unit-plus-singleton strategy is validated against; and
 `token_exclusive`, the one-token-per-thread invariant of DCSL views.
@@ -24,9 +25,9 @@ import itertools
 
 from relviews.command_lang import (
     SKIP,
+    Command,
     Skip,
     apply_guarded,
-    reachable_commands,
     step,
 )
 from relviews.errors import FaultReachable, ModelError
@@ -204,6 +205,19 @@ def outline_views(outline, env) -> list:
             if v not in views:
                 views.append(v)
     return views
+
+
+def reachable_commands(c: Command) -> frozenset:
+    """All command shapes reachable from c by stepping (finite)."""
+    seen = {c}
+    frontier = [c]
+    while frontier:
+        cur = frontier.pop()
+        for _, nxt in step(cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
 
 
 def check_safe(t: int, p, cmd, q, universe, monoid, _caches=None) -> bool:

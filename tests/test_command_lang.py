@@ -23,7 +23,6 @@ from relviews.command_lang import (
     desugar_if,
     desugar_while,
     eval_expr,
-    reachable_commands,
     state_step,
     step,
     store,
@@ -31,6 +30,8 @@ from relviews.command_lang import (
 )
 from relviews.errors import ModelError, UndefinedLocation
 from relviews.state_model import FAULT, Heap
+
+from oracles import reachable_commands
 
 TBL = TransformerTable()
 

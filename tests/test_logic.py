@@ -65,6 +65,18 @@ def test_eval_exists_is_finite_disjunction():
     assert got == frozenset({w({"l": 0}), w({"l": 1})})
 
 
+def test_free_lvars_memoized_per_env():
+    env = AssertionEnv(_mono())
+    rho = ExistsA("X", StarA((CPt("l", LVar("X")), APt("x", LVar("Y")))))
+    assert env.lvars(rho) == frozenset({"Y"})
+    assert env.lvars(rho) is env.lvars(rho)
+    # an equal tree built apart shares the entry
+    assert env.lvars(ExistsA("X", StarA((CPt("l", LVar("X")),
+                                         APt("x", LVar("Y")))))) \
+        is env.lvars(rho)
+    assert AssertionEnv(_mono()).lvars(rho) is not env.lvars(rho)
+
+
 def test_check_proof_prim_id_accepted():
     mono = _mono()
     env = AssertionEnv(mono)
