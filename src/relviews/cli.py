@@ -87,8 +87,8 @@ def _emit(report: RunReport, fmt: str) -> None:
 
 def cmd_check_lin(args) -> int:
     t0 = time.perf_counter()
-    model = load_model(args.model)
-    res = check_linearizable(model, args.bound, cap=args.cap)
+    model = load_model(args.model, args.cap)
+    res = check_linearizable(model, args.bound)
     ce = render_history(res.counterexample) if res.counterexample else None
     report = RunReport(res.verdict(), res.ok, counterexample=ce,
                        stats=res.stats, timing=time.perf_counter() - t0)
@@ -101,9 +101,9 @@ def cmd_check_lin(args) -> int:
 
 def cmd_check_proof(args) -> int:
     t0 = time.perf_counter()
-    model = load_model(args.model)
+    model = load_model(args.model, args.cap)
     load_outlines(args.outline, model)
-    report = check_obligations(model, jobs=args.jobs, cap=args.cap)
+    report = check_obligations(model, jobs=args.jobs)
     detail = "\n".join(it.line() for it in report.items)
     fail = report.first_failure()
     if fail:
@@ -118,11 +118,11 @@ def cmd_check_proof(args) -> int:
 
 def cmd_histories(args) -> int:
     t0 = time.perf_counter()
-    model = load_model(args.model)
+    model = load_model(args.model, args.cap)
     if args.side == "abstract":
-        hs = abstract_histories(model, args.bound, cap=args.cap)
+        hs = abstract_histories(model, args.bound)
     else:
-        hs = concrete_histories(model, args.bound, cap=args.cap)
+        hs = concrete_histories(model, args.bound)
     ordered = sorted(hs, key=history_sort_key)
     for i, h in enumerate(ordered):
         if args.format == "machine":

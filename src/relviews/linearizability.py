@@ -105,14 +105,13 @@ class LibraryModel:
             raise ModelError(f"no body for {m}({a})->{r}")
         return self.bodies[key]
 
-    def monoid(self, cap: Optional[int] = None):
-        """The model's view monoid, built on the first call; `cap` bounds
-        its shared universe (RGSep) or frame universe (DCSL) in place of
-        the declared one."""
+    def monoid(self):
+        """The model's view monoid, built on the first call; `dom.cap`
+        bounds its shared universe (RGSep) or frame universe (DCSL)."""
         if self._monoid is None:
             sem = self.semantics()
             if self.monoid_kind == "dcsl":
-                self._monoid = DcslMonoid(self.dom, sem, cap)
+                self._monoid = DcslMonoid(self.dom, sem)
             elif self.monoid_kind == "rgsep":
                 universe = None
                 if self.shared_universe_assn is not None:
@@ -122,11 +121,10 @@ class LibraryModel:
                         w for w in frags if world_in_domains(w, self.dom))
                     if not universe:
                         raise ModelError("declared shared universe is empty")
-                    cap_eff = cap if cap is not None else self.dom.cap
-                    if len(universe) > cap_eff:
-                        raise UniverseTooLarge(len(universe), cap_eff)
+                    if len(universe) > self.dom.cap:
+                        raise UniverseTooLarge(len(universe), self.dom.cap)
                 self._monoid = RgsepMonoid(self.dom, sem,
-                                           shared_universe=universe, cap=cap)
+                                           shared_universe=universe)
             else:
                 raise ModelError(f"unknown monoid {self.monoid_kind!r}")
         return self._monoid
@@ -244,9 +242,9 @@ class _HistoryGen:
     monotone in the bound by construction.
     """
 
-    def __init__(self, model: LibraryModel, cap: Optional[int] = None):
+    def __init__(self, model: LibraryModel):
         self.model = model
-        self.cap = cap if cap is not None else model.dom.cap
+        self.cap = model.dom.cap
         self.memo: Dict = {}
         self._idle = tuple(IDLE for _ in model.dom.thread_ids())
         calls = [(m, a, v) for m in model.methods()
@@ -324,14 +322,12 @@ def _set(pool: tuple, idx: int, value) -> tuple:
     return pool[:idx] + (value,) + pool[idx + 1:]
 
 
-def concrete_histories(model: LibraryModel, bound: int,
-                       cap: Optional[int] = None) -> frozenset:
-    return _HistoryGen(model, cap).concrete(bound)
+def concrete_histories(model: LibraryModel, bound: int) -> frozenset:
+    return _HistoryGen(model).concrete(bound)
 
 
-def abstract_histories(model: LibraryModel, bound: int,
-                       cap: Optional[int] = None) -> frozenset:
-    return _HistoryGen(model, cap).abstract(bound)
+def abstract_histories(model: LibraryModel, bound: int) -> frozenset:
+    return _HistoryGen(model).abstract(bound)
 
 
 @dataclass
@@ -348,12 +344,11 @@ class LinResult:
         return "counterexample history found"
 
 
-def check_linearizable(model: LibraryModel, bound: int,
-                       cap: Optional[int] = None) -> LinResult:
+def check_linearizable(model: LibraryModel, bound: int) -> LinResult:
     """History inclusion up to the bound.  The abstract bound equals the
     concrete one: an abstract run needs at most one step per completed call,
     never more than the concrete run it matches."""
-    gen = _HistoryGen(model, cap)
+    gen = _HistoryGen(model)
     conc = gen.concrete(bound)
     abst = gen.abstract(bound)
     missing = conc - abst
@@ -410,13 +405,13 @@ def all_instances(model: LibraryModel) -> List[Tuple[str, int, int, int]]:
 
 
 def instance_obligations(model: LibraryModel,
-                         inst: Tuple[str, int, int, int],
-                         cap: Optional[int] = None) -> List[ObligationItem]:
+                         inst: Tuple[str, int, int, int]
+                         ) -> List[ObligationItem]:
     """The obligations of one command instance (method, thread, argument,
     expected return): its outline (1) and the tokens pinned in its pre and
-    postcondition (2).  `cap` is passed to `model.monoid`."""
+    postcondition (2)."""
     m, t, a, r = inst
-    mon = model.monoid(cap)
+    mon = model.monoid()
     subject = f"{m}(a={a},r={r}) in thread {t}"
     env = model.assertion_env(t)
     outline = model.outline(m, t, a, r)
@@ -445,20 +440,18 @@ def instance_obligations(model: LibraryModel,
     return items
 
 
-def check_obligations(model: LibraryModel, jobs: int = 1,
-                      cap: Optional[int] = None) -> ObligationReport:
+def check_obligations(model: LibraryModel, jobs: int = 1) -> ObligationReport:
     """Verify the linearizability obligations over the declared domains:
     per-method outlines, token pinning in the pre/post families, the
     token-swap correspondence, and coverage of the initial states by the
-    composed preconditions.  `cap` bounds the monoid's universe, as in
-    `LibraryModel.monoid`.
+    composed preconditions.
 
     With `jobs` > 1 the per-instance obligations run in that many worker
     processes, one contiguous chunk of instances each; every worker gets a
-    pickled copy of the model (without its monoid or caches), and the
-    report is the same for every `jobs`.
+    pickled copy of the model (without its monoid or caches; the cap
+    travels in `dom`), and the report is the same for every `jobs`.
     """
-    mon = model.monoid(cap)
+    mon = model.monoid()
     methods = model.methods()
     missing = [m for m in methods if m not in model.atable.methods]
     items = [ObligationItem("dom(concrete)=dom(abstract)", "library",
@@ -471,11 +464,11 @@ def check_obligations(model: LibraryModel, jobs: int = 1,
         with ProcessPoolExecutor(-(-len(todo) // chunk)) as pool:
             for per_inst in pool.map(instance_obligations,
                                      itertools.repeat(model), todo,
-                                     itertools.repeat(cap), chunksize=chunk):
+                                     chunksize=chunk):
                 items.extend(per_inst)
     else:
         for inst in todo:
-            items.extend(instance_obligations(model, inst, cap))
+            items.extend(instance_obligations(model, inst))
 
     # (3): across every pair of command instances, post and pre states agree
     # up to the thread's token.

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import string
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Tuple
+from dataclasses import replace
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .command_lang import (
     And,
@@ -61,6 +62,8 @@ from .vassn import (
     TokA,
     TrueA,
 )
+
+DEFAULT_CAP = 200_000  # the state cap of a model that declares none
 
 
 def _fail(path: str, msg: str):
@@ -440,9 +443,16 @@ def parse_outline_node(doc, macros: MacroTable, nthreads: int,
 # Models
 
 
-def parse_model(doc: dict, path: str = "model") -> LibraryModel:
+def parse_model(doc: dict, path: str = "model",
+                cap: Optional[int] = None) -> LibraryModel:
+    """Parse and validate a model document.  The model's `dom.cap` is
+    `cap` when given, else the document's `domains.cap`, else
+    `DEFAULT_CAP`; every enumeration over the model reads it."""
     with _malformed_is_model_error(path):
-        return _parse_model(doc, path)
+        model = _parse_model(doc, path)
+    if cap is not None:
+        model.dom = replace(model.dom, cap=cap)
+    return model
 
 
 def _parse_model(doc: dict, path: str) -> LibraryModel:
@@ -538,7 +548,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         aloc={str(k): tuple(int(x) for x in v)
               for k, v in dd["abstract_locations"].items()},
         apcoms=apcoms,
-        cap=int(dd.get("cap", 200_000)),
+        cap=int(dd.get("cap", DEFAULT_CAP)),
     )
 
     init = doc["initial"]
@@ -668,7 +678,7 @@ def serialize_model(model: LibraryModel) -> dict:
     return doc
 
 
-def load_model(path: str) -> LibraryModel:
+def load_model(path: str, cap: Optional[int] = None) -> LibraryModel:
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -676,7 +686,7 @@ def load_model(path: str) -> LibraryModel:
             raise ModelError(
                 f"{path}: invalid JSON at line {exc.lineno} column "
                 f"{exc.colno}: {exc.msg}")
-    return parse_model(doc, path)
+    return parse_model(doc, path, cap)
 
 
 def load_outlines(path: str, model: LibraryModel) -> None:

@@ -2,16 +2,17 @@
 
 Views are finite sets of world triples; composition pairs worlds whose
 states and tokens are disjoint, dropping undefined pairs.  Reification is
-the identity, disjunction is set union, and the frame strategy quantifies
-over the unit plus all singleton views, which decides the action judgement
-and the repartitioning implication exactly (composition distributes over
-unions of world sets, so any failing frame projects to a failing
-singleton).
+the identity and disjunction is set union.  The action judgement
+quantifies over the unit plus all singleton views, which decides it
+exactly (composition distributes over unions of world sets, so any failing
+frame projects to a failing singleton).  The repartitioning implication is
+inclusion: the unit frame tests p <= q, and composition is monotone, so
+every other frame then holds too.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .command_lang import PrimCommand
 from .state_model import (
@@ -26,7 +27,6 @@ from .views_core import (
     Semantics,
     ViewMonoid,
     check_action_with_frames,
-    repart_implies_with_frames,
 )
 
 DcslView = frozenset  # of World
@@ -49,17 +49,16 @@ def reify_dcsl(p: DcslView) -> frozenset:
     return p
 
 
-def frames_dcsl(dom: Domains, cap: Optional[int] = None) -> Iterator[DcslView]:
+def frames_dcsl(dom: Domains) -> Iterator[DcslView]:
     """The unit plus every singleton view over the declared domains."""
     yield UNIT_DCSL
-    for w in enumerate_worlds(dom, cap):
+    for w in enumerate_worlds(dom):
         yield frozenset({w})
 
 
 class DcslMonoid(ViewMonoid):
-    def __init__(self, dom: Domains, sem: Semantics, cap: Optional[int] = None):
+    def __init__(self, dom: Domains, sem: Semantics):
         super().__init__(dom, sem)
-        self.cap = cap
         self._frames = None
 
     def compose(self, p, q):
@@ -73,22 +72,19 @@ class DcslMonoid(ViewMonoid):
     def empty(self):
         return EMPTY_VIEW
 
-    def disjoin(self, p, q):
-        return p | q
-
     def reify(self, p):
         return reify_dcsl(p)
 
     def frames(self):
         if self._frames is None:
-            self._frames = tuple(frames_dcsl(self.dom, self.cap))
+            self._frames = tuple(frames_dcsl(self.dom))
         return self._frames
 
     def check_action(self, t: int, alpha: PrimCommand, p, q):
         return check_action_with_frames(self, t, alpha, p, q, self.frames())
 
     def repart_implies(self, p, q) -> ImplVerdict:
-        return repart_implies_with_frames(self, p, q, self.frames())
+        return ImplVerdict.HOLDS if p <= q else ImplVerdict.FAILS
 
     eval_vassn = ViewMonoid.fragments  # a view is the set of its fragments
 

@@ -166,11 +166,10 @@ def stabilize(pred: FrozenSet[Pair], rely: Optional[Rel],
 
 class RgsepMonoid(ViewMonoid):
     def __init__(self, dom: Domains, sem: Semantics,
-                 shared_universe: Optional[Iterable[World]] = None,
-                 cap: Optional[int] = None):
+                 shared_universe: Optional[Iterable[World]] = None):
         super().__init__(dom, sem)
         if shared_universe is None:
-            shared_universe = enumerate_worlds(dom, cap)
+            shared_universe = enumerate_worlds(dom)
         self.universe = tuple(sorted(set(shared_universe), key=world_sort_key))
         self._universe_set = frozenset(self.universe)
         self._local_ok: set = set()
@@ -191,16 +190,6 @@ class RgsepMonoid(ViewMonoid):
     @property
     def empty(self) -> RgsepView:
         return BOT
-
-    def disjoin(self, p: RgsepView, q: RgsepView) -> RgsepView:
-        if p.bot:
-            return q
-        if q.bot:
-            return p
-        if p.rely != q.rely or p.guar != q.guar:
-            raise ModelError(
-                "disjunction of RGSep views requires equal rely and guarantee")
-        return RgsepView(p.pred | q.pred, p.rely, p.guar)
 
     def reify(self, p):
         return reify_rgsep(p)

@@ -261,7 +261,8 @@ class Domains:
 
     cloc/aloc map each concrete/abstract location to its per-location value
     domain.  apcoms is the token alphabet.  modulus drives wrapping
-    arithmetic; cap bounds any universe enumeration.
+    arithmetic; cap bounds every enumeration of states, worlds or histories
+    (the effective cap, fixed when the model is loaded).
     """
 
     values: Tuple[int, ...]
@@ -270,10 +271,10 @@ class Domains:
     cloc: Tuple[Tuple[str, Tuple[int, ...]], ...]
     aloc: Tuple[Tuple[str, Tuple[int, ...]], ...]
     apcoms: Tuple[APCom, ...]
-    cap: int = 200_000
+    cap: int
 
     @staticmethod
-    def make(values, modulus, nthreads, cloc, aloc, apcoms, cap=200_000):
+    def make(values, modulus, nthreads, cloc, aloc, apcoms, cap):
         def norm(m):
             return tuple(sorted((k, tuple(v)) for k, v in dict(m).items()))
 
@@ -325,16 +326,16 @@ def count_worlds(dom: Domains) -> int:
     )
 
 
-def enumerate_worlds(dom: Domains, cap: Optional[int] = None) -> Tuple[World, ...]:
+def enumerate_worlds(dom: Domains) -> Tuple[World, ...]:
     """The complete universe of world triples over the declared domains.
 
     Heaps range over all partial maps respecting the per-location domains;
     token maps over all assignments of at most one token per thread.
+    More than `dom.cap` worlds raise `UniverseTooLarge`.
     """
-    cap = dom.cap if cap is None else cap
     size = count_worlds(dom)
-    if size > cap:
-        raise UniverseTooLarge(size, cap)
+    if size > dom.cap:
+        raise UniverseTooLarge(size, dom.cap)
     tok_opts = _token_options(dom)
     tids = list(dom.thread_ids())
     worlds = []

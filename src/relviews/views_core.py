@@ -1,10 +1,10 @@
 """The generic relational-view layer.
 
-A view monoid supplies composition, a unit, disjunction, reification and a
-frame strategy; this module implements what is common to all monoids: the
-denotation of box-free view assertions as world-fragment sets, the
-linearization-point relation on (abstract state, tokens) pairs, the
-frame-quantified action judgement, and the repartitioning implication.
+A view monoid supplies composition, a unit, reification, the action
+judgement and the repartitioning implication; this module implements what
+is common to all monoids: the denotation of box-free view assertions as
+world-fragment sets, the linearization-point relation on (abstract state,
+tokens) pairs, and the action judgement quantified over given frames.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .state_model import (
     TokenMap,
     World,
     compose_worlds,
+    world_sort_key,
 )
 from .vassn import (
     APt,
@@ -143,9 +144,6 @@ class ViewMonoid:
         """The view with empty reification (for unreachable annotations)."""
         raise NotImplementedError
 
-    def disjoin(self, p, q):
-        raise NotImplementedError
-
     def reify(self, p) -> frozenset:
         raise NotImplementedError
 
@@ -240,7 +238,7 @@ def check_action_with_frames(monoid: ViewMonoid, t: int, alpha: PrimCommand,
     deterministic enumeration order."""
     sem = monoid.sem
     for r in frames:
-        pre = sorted(monoid.reify(monoid.compose(p, r)), key=_world_key)
+        pre = sorted(monoid.reify(monoid.compose(p, r)), key=world_sort_key)
         if not pre:
             continue
         post = monoid.reify(monoid.compose(q, r))
@@ -258,20 +256,3 @@ def check_action_with_frames(monoid: ViewMonoid, t: int, alpha: PrimCommand,
                         t, alpha, r, world, sigma2,
                         "no linearization choice reaches the postcondition")
     return True
-
-
-def repart_implies_with_frames(monoid: ViewMonoid, p, q,
-                               frames: Iterable) -> ImplVerdict:
-    """Frame-preserving inclusion of reifications over the given frames."""
-    for r in frames:
-        pre = monoid.reify(monoid.compose(p, r))
-        if not pre:
-            continue
-        post = monoid.reify(monoid.compose(q, r))
-        if not pre <= post:
-            return ImplVerdict.FAILS
-    return ImplVerdict.HOLDS
-
-
-def _world_key(w: World):
-    return (w.conc.items(), w.abst.items(), w.toks.items())

@@ -15,7 +15,9 @@ Proof-side references: `check_safe`, the greatest-fixpoint safety
 judgement over a finite view universe and the command shapes that
 `reachable_commands` finds, which an accepted outline's views
 (`outline_views`) must witness; `powerset_frames`, every DCSL frame, which
-the unit-plus-singleton strategy is validated against; and
+the unit-plus-singleton strategy is validated against;
+`repart_implies_with_frames`, the repartitioning implication quantified
+over given frames, which DCSL's inclusion test is validated against; and
 `token_exclusive`, the one-token-per-thread invariant of DCSL views.
 """
 
@@ -40,6 +42,7 @@ from relviews.state_model import (
     world_leq,
 )
 from relviews.vassn import BoxA, ExistsA, OrA, StarA, TrueA, VAssn, free_lvars
+from relviews.views_core import ImplVerdict
 
 
 def box_holds(mono, body: VAssn, s: World, interp) -> bool:
@@ -279,6 +282,18 @@ def powerset_frames(worlds):
     for n in range(len(ws) + 1):
         for combo in itertools.combinations(ws, n):
             yield frozenset(combo)
+
+
+def repart_implies_with_frames(monoid, p, q, frames) -> ImplVerdict:
+    """Frame-preserving inclusion of reifications over the given frames."""
+    for r in frames:
+        pre = monoid.reify(monoid.compose(p, r))
+        if not pre:
+            continue
+        post = monoid.reify(monoid.compose(q, r))
+        if not pre <= post:
+            return ImplVerdict.FAILS
+    return ImplVerdict.HOLDS
 
 
 def token_exclusive(p) -> bool:

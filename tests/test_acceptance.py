@@ -43,12 +43,8 @@ from relviews.state_model import (
     world_minus,
 )
 from relviews.vassn import CPt
-from relviews.views_core import (
-    check_action_with_frames,
-    lp_star,
-    repart_implies_with_frames,
-)
-from oracles import check_safe, powerset_frames
+from relviews.views_core import check_action_with_frames, lp_star
+from oracles import check_safe, powerset_frames, repart_implies_with_frames
 from util import (
     PRIMS_1LOC,
     micro_dcsl,

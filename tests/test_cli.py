@@ -209,10 +209,10 @@ def test_check_proof_loads_model_once(capsys, monkeypatch, tmp_path, jobs):
     # loads are logged to a file, so a load in a worker process counts too
     log = tmp_path / "loads.log"
 
-    def logged_load(path):
+    def logged_load(path, cap=None):
         with open(log, "a") as fh:
             fh.write(path + "\n")
-        return load_model(path)
+        return load_model(path, cap)
 
     monkeypatch.setattr(cli, "load_model", logged_load)
     code, out, _ = run(capsys, "check-proof", f"{FIX}/atomic-inc/model.json",
@@ -236,6 +236,24 @@ def test_check_proof_honours_cap(capsys, monkeypatch, jobs, via_env, name):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "exceeds cap 5" in err
+
+
+def test_dcsl_implication_needs_no_frames(capsys, tmp_path):
+    # DCSL decides an implication by inclusion, so an outline that fails at
+    # one before any primitive gets its verdict under a cap below the
+    # 81-world frame universe
+    doc = json.load(open(f"{FIX}/dcsl-cell/outline.json"))
+    doc["outlines"]["put"] = {"kind": "conseq", "pre": ["pt", "x", 7],
+                              "post": ["pt", "x", 7],
+                              "inner": doc["outlines"]["put"]}
+    outline = tmp_path / "outline.json"
+    outline.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-proof", f"{FIX}/dcsl-cell/model.json",
+                         str(outline), "--cap", "5", "--format", "machine")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "proof rejected"
+    assert "repartitioning implication fails" in report["detail"]
 
 
 ATOMIC = f"{FIX}/atomic-inc/model.json"
@@ -262,6 +280,27 @@ def test_bad_numeric_input_is_usage_error(capsys, monkeypatch, env, argv):
     out = capsys.readouterr()
     assert exc.value.code == 2 and out.out == ""
     assert "error:" in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("body,bound,growing", [
+    (None, "4", True),
+    # a body that never runs leaves calls only: 5 histories from bound 2 on
+    (["assume", 0], "3", False),
+], ids=["atomic-inc", "blocked-body"])
+def test_check_lin_says_when_the_history_set_still_grows(
+        capsys, tmp_path, body, bound, growing):
+    doc = json.load(open(ATOMIC))
+    if body is not None:
+        doc["methods"]["inc"]["body"] = body
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check-lin", str(model), "--bound", bound,
+                       "--format", "machine")
+    report = json.loads(out)
+    assert code == 0 and report["ok"]
+    assert report["detail"] == (
+        "the concrete history set is still growing at this bound; "
+        "inclusion is proved up to the bound only" if growing else "")
 
 
 def test_single_process_checks_accept_jobs_one(capsys):

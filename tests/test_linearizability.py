@@ -13,6 +13,7 @@ from relviews.errors import (
 )
 from relviews.linearizability import (
     abstract_histories,
+    all_instances,
     check_linearizable,
     check_obligations,
     concrete_histories,
@@ -232,8 +233,8 @@ def test_helping_completes_a_spinning_thread():
     assert done is not None
 
 
-def _with_outline(name):
-    model = load_model(f"{FIX}/{name}/model.json")
+def _with_outline(name, cap=None):
+    model = load_model(f"{FIX}/{name}/model.json", cap)
     load_outlines(f"{FIX}/{name}/outline.json", model)
     return model
 
@@ -263,13 +264,19 @@ def test_pickled_model_carries_no_monoid_or_eval_cache():
 
 
 def test_obligations_honour_the_cap():
-    # 54 shared states in the declared universe
-    with pytest.raises(UniverseTooLarge):
-        check_obligations(_with_outline("flat-combiner"), cap=5)
-    # a --jobs worker builds its monoid from the cap it is handed
-    with pytest.raises(UniverseTooLarge):
-        instance_obligations(_with_outline("flat-combiner"),
-                             ("get", 1, 0, 0), cap=5)
+    # flat-combiner declares a 54-state shared universe; dcsl-cell's frames
+    # range over 81 worlds
+    for name in ("flat-combiner", "dcsl-cell"):
+        model = _with_outline(name, cap=5)
+        assert model.dom.cap == 5
+        with pytest.raises(UniverseTooLarge):
+            check_obligations(model)
+        # a --jobs worker reads the cap from its pickled copy of the model
+        copy = pickle.loads(pickle.dumps(model))
+        with pytest.raises(UniverseTooLarge):
+            instance_obligations(copy, all_instances(copy)[0])
+        with pytest.raises(UniverseTooLarge):
+            check_linearizable(model, 4)
 
 
 @pytest.mark.parametrize("exc", [
@@ -353,7 +360,7 @@ def test_a_non_local_primitive_rejects_the_outline():
 
 def test_a_non_local_primitive_is_a_verdict_not_an_error(capsys,
                                                           monkeypatch):
-    monkeypatch.setattr(cli, "load_model", lambda path: _leaky_atomic_inc())
+    monkeypatch.setattr(cli, "load_model", lambda path, cap: _leaky_atomic_inc())
     monkeypatch.setattr(cli, "load_outlines", lambda path, model: None)
     code = cli.main(["check-proof", "model.json", "outline.json",
                      "--format", "machine"])

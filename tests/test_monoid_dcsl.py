@@ -34,7 +34,8 @@ from relviews.vassn import (
 )
 from relviews.command_lang import Const, Eq, LVar
 from relviews.monoid_rgsep import RgsepMonoid
-from oracles import powerset_frames, token_exclusive
+from oracles import (powerset_frames, repart_implies_with_frames,
+                     token_exclusive)
 from util import micro_dcsl, micro_domains, micro_semantics, sample_view
 
 AP = APCom("op", 0, 0)
@@ -83,9 +84,9 @@ def test_frames_counts():
     empty = micro_domains(cloc={}, aloc={}, values=(0,))
     assert len(list(frames_dcsl(empty))) == 2
     big = micro_domains(cloc={"l": (0, 1)}, aloc={"m": (0, 1)},
-                        values=(0, 1))
+                        values=(0, 1), cap=3)
     with pytest.raises(UniverseTooLarge):
-        list(frames_dcsl(big, cap=3))
+        list(frames_dcsl(big))
 
 
 def test_token_exclusivity_preserved_by_compose():
@@ -193,10 +194,7 @@ def test_powerset_frames_enumeration():
 
 
 def test_frame_reduction_smoke():
-    from relviews.views_core import (
-        check_action_with_frames,
-        repart_implies_with_frames,
-    )
+    from relviews.views_core import check_action_with_frames
     from util import PRIMS_1LOC
 
     mono = micro_dcsl(cloc={"l": (0, 1)}, aloc={"x": (0, 1)}, values=(0, 1))

@@ -56,7 +56,7 @@ from relviews.vassn import (
 from relviews.views_core import ActionCounterexample, ImplVerdict, Semantics
 from relviews.command_lang import AbstractTable
 from oracles import outline_assertions, rgsep_pred, satisfies
-from util import micro_domains, micro_semantics
+from util import disjoin, micro_domains, micro_semantics
 
 AP = APCom("op", 0, 0)
 
@@ -425,13 +425,13 @@ def test_disjoin_requires_matching_protocol():
     s = mono.universe[0]
     v1 = RgsepView(frozenset({(EMPTY_WORLD, s)}), frozenset(), frozenset())
     v2 = RgsepView(frozenset({(w({"x": 0}), s)}), frozenset(), frozenset())
-    got = mono.disjoin(v1, v2)
+    got = disjoin(mono, v1, v2)
     assert got.pred == v1.pred | v2.pred
-    assert mono.disjoin(BOT, v1) == v1
+    assert disjoin(mono, BOT, v1) == v1
     g = frozenset({(s, s)})
     v3 = RgsepView(frozenset(), frozenset(), g)
     with pytest.raises(ModelError):
-        mono.disjoin(v1, v3)
+        disjoin(mono, v1, v3)
 
 
 def test_disjunction_laws_under_equal_protocol():
@@ -445,12 +445,12 @@ def test_disjunction_laws_under_equal_protocol():
              for n in (0, 1, 2)
              for c in itertools.combinations(pairs, n)]
     for p, q in itertools.product(views, views):
-        assert reify_rgsep(mono.disjoin(p, q)) \
+        assert reify_rgsep(disjoin(mono, p, q)) \
             == reify_rgsep(p) | reify_rgsep(q)
     small = views[:12]
     for p, q, r in itertools.product(small, small, small):
-        assert compose_rgsep(mono.disjoin(p, q), r) \
-            == mono.disjoin(compose_rgsep(p, r), compose_rgsep(q, r))
+        assert compose_rgsep(disjoin(mono, p, q), r) \
+            == disjoin(mono, compose_rgsep(p, r), compose_rgsep(q, r))
 
 
 def test_composition_preserves_stability_exhaustive_micro():

@@ -130,9 +130,10 @@ def test_enumerate_worlds_empty_domains():
 
 
 def test_enumerate_worlds_cap():
-    dom = micro_domains(cloc={"l": (0, 1)}, aloc={"m": (0, 1)}, values=(0, 1))
+    dom = micro_domains(cloc={"l": (0, 1)}, aloc={"m": (0, 1)}, values=(0, 1),
+                        cap=8)
     with pytest.raises(UniverseTooLarge):
-        enumerate_worlds(dom, cap=8)
+        enumerate_worlds(dom)
 
 
 def test_world_minus_inverts_leq():

@@ -30,7 +30,7 @@ from relviews.views_core import (
     lp_star,
     lp_step,
 )
-from util import (micro_dcsl, run_consequence, run_distributivity,
+from util import (disjoin, micro_dcsl, run_consequence, run_distributivity,
                   run_locality)
 
 AP = APCom("op", 0, 0)
@@ -165,7 +165,7 @@ def test_repart_reflexive_and_disjoin():
     p = frozenset({World(Heap({"l": 0}), EMPTY_HEAP, EMPTY_TOKENS)})
     q = frozenset({World(Heap({"l": 1}), EMPTY_HEAP, EMPTY_TOKENS)})
     assert mono.repart_implies(p, p) is ImplVerdict.HOLDS
-    assert mono.repart_implies(p, mono.disjoin(p, q)) is ImplVerdict.HOLDS
+    assert mono.repart_implies(p, disjoin(mono, p, q)) is ImplVerdict.HOLDS
     assert mono.repart_implies(p, q) is ImplVerdict.FAILS
 
 
