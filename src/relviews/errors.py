@@ -26,7 +26,10 @@ class UndefinedLocation(RelviewsError):
 
 
 class FaultReachable(RelviewsError):
-    """A transformer produced the fault state; carries the offending context."""
+    """A transformer produced the fault state.  `schedule` is the run that
+    reaches it from the initial configuration, one move each: a call or
+    return event, or (thread, primitive) for a step, the faulting one
+    last."""
 
     def __init__(self, detail, schedule=None):
         super().__init__(detail)

@@ -225,45 +225,102 @@ def history_sort_key(h: History):
     return (len(h), tuple(render_event(ev) for ev in h))
 
 
+class _Library:
+    """One library's moves from a configuration.
+
+    A configuration is a pool of per-thread slots, each idle or a running
+    (method, command, expected return), plus a heap.  A call starts a
+    command in an idle slot, a running command takes silent steps, and a
+    `Skip` command returns.  The two libraries differ only in the command
+    a call starts and in how it steps: a concrete body runs under the
+    small-step semantics, where a fault raises `FaultReachable`; an
+    abstract method is its pending `APCom`, run atomically to `Skip`, and
+    blocks rather than faults.
+    """
+
+    def __init__(self, model: LibraryModel, concrete: bool):
+        self.model = model
+        self.concrete = concrete
+        self.idle = tuple(IDLE for _ in model.dom.thread_ids())
+        self.heap = model.init_conc if concrete else model.init_abst
+        # (method, arg, started slot) per call
+        self.calls = tuple(
+            (m, a, (m, model.body(m, a, v) if concrete else APCom(m, a, v),
+                    v))
+            for m in model.methods() for a in model.method_args[m]
+            for v in model.dom.values)
+        # (command, heap, thread) -> ((primitive, command, heap), ...), a
+        # faulting step kept in its place
+        self._steps: Dict = {}
+
+    def moves(self, pool: tuple, heap: Heap):
+        """Each successor as (move, event, pool, heap), in a fixed order.
+        A call or return's move is its event; a silent step's move is
+        (thread, primitive) and its event None.  A step into the fault
+        state raises `FaultReachable` when the iteration reaches it, its
+        schedule that one move."""
+        for idx, slot in enumerate(pool):
+            t = idx + 1
+            if slot is IDLE:
+                for m, a, started in self.calls:
+                    ev = (t, "call", m, a)
+                    yield ev, ev, _set(pool, idx, started), heap
+                continue
+            m, cmd, v = slot
+            if isinstance(cmd, Skip):
+                ev = (t, "ret", m, v)
+                yield ev, ev, _set(pool, idx, IDLE), heap
+                continue
+            for alpha, cmd2, heap2 in self._step(cmd, heap, t):
+                if heap2 is FAULT:
+                    raise FaultReachable(
+                        f"thread {t} faults executing {alpha!r} in method "
+                        f"{m} at state {heap!r}", [(t, alpha)])
+                yield (t, alpha), None, _set(pool, idx, (m, cmd2, v)), heap2
+
+    def _step(self, cmd, heap: Heap, t: int) -> tuple:
+        key = (cmd, heap, t)
+        hit = self._steps.get(key)
+        if hit is None:
+            model = self.model
+            if self.concrete:
+                hit = tuple(state_step(cmd, heap, t, model.ctable,
+                                       model.dom.modulus))
+            else:
+                hit = tuple((cmd, SKIP, heap2) for heap2 in model.atable.apply(
+                    *cmd, t, heap, model.dom.modulus))
+            self._steps[key] = hit
+        return hit
+
+
+def _set(pool: tuple, idx: int, value) -> tuple:
+    return pool[:idx] + (value,) + pool[idx + 1:]
+
+
 class _HistoryGen:
     """Memoized recursive generator for the inductive history sets.
 
-    One definition serves both libraries.  A configuration is a pool of
-    per-thread slots, each idle or a running (method, command, expected
-    return), plus a heap.  A call starts a command in an idle slot, a
-    running command takes silent steps, and a `Skip` command returns.  The
-    sides differ only in the command a call starts and in how it steps: a
-    concrete body runs under the small-step semantics, where a fault
-    raises `FaultReachable`; an abstract method is its pending `APCom`,
-    run atomically to `Skip`, and blocks rather than faults.
-
-    Every recursion level contributes the empty history, so level n yields
-    the union of all depths up to n; the sets are prefix-closed and
-    monotone in the bound by construction.
+    One definition serves both libraries: a history is the sequence of
+    call and return events of a run of `_Library.moves`.  Every recursion
+    level contributes the empty history, so level n yields the union of
+    all depths up to n; the sets are prefix-closed and monotone in the
+    bound by construction.  `check_linearizable` builds no history set:
+    these sets serve `relviews histories`, and the tests decide inclusion
+    from them as the oracle for `check_linearizable`.
     """
 
     def __init__(self, model: LibraryModel):
-        self.model = model
         self.cap = model.dom.cap
         self.memo: Dict = {}
-        self._idle = tuple(IDLE for _ in model.dom.thread_ids())
-        calls = [(m, a, v) for m in model.methods()
-                 for a in model.method_args[m] for v in model.dom.values]
-        # per side: the step relation and (method, arg, started slot) per
-        # call; plain functions, so that no cycle keeps a used memo alive
-        self._sides = {
-            "c": (_concrete_step,
-                  tuple((m, a, (m, model.body(m, a, v), v))
-                        for m, a, v in calls)),
-            "a": (_abstract_step,
-                  tuple((m, a, (m, APCom(m, a, v), v)) for m, a, v in calls)),
-        }
+        self._libs = {"c": _Library(model, True), "a": _Library(model, False)}
 
     def concrete(self, n: int) -> frozenset:
-        return self._histories("c", n, self._idle, self.model.init_conc)
+        lib = self._libs["c"]
+        return self._histories("c", n, lib.idle, lib.heap)
 
     def abstract(self, n: int) -> frozenset:
-        return self._histories("a", n, self._idle, self.model.init_abst)
+        lib = self._libs["a"]
+        return self._histories("a", n, lib.idle, lib.heap)
 
     def _histories(self, side: str, n: int, pool: tuple, sigma) -> frozenset:
         key = (side, n, pool, sigma)
@@ -276,50 +333,20 @@ class _HistoryGen:
             raise UniverseTooLarge(None, self.cap)
         out = {()}
         if n > 0:
-            steps, calls = self._sides[side]
-            for idx, slot in enumerate(pool):
-                t = idx + 1
-                if slot is IDLE:
-                    for m, a, started in calls:
-                        sub = self._histories(
-                            side, n - 1, _set(pool, idx, started), sigma)
-                        ev = (t, "call", m, a)
-                        out.update((ev,) + h for h in sub)
-                    continue
-                m, cmd, v = slot
-                if isinstance(cmd, Skip):
-                    sub = self._histories(side, n - 1, _set(pool, idx, IDLE),
-                                          sigma)
-                    ev = (t, "ret", m, v)
+            for move, ev, pool2, sigma2 in self._libs[side].moves(pool,
+                                                                  sigma):
+                try:
+                    sub = self._histories(side, n - 1, pool2, sigma2)
+                except FaultReachable as exc:
+                    exc.schedule.insert(0, move)
+                    raise
+                if ev is None:
+                    out.update(sub)
+                else:
                     out.update((ev,) + h for h in sub)
-                    continue
-                for cmd2, sigma2 in steps(self.model, cmd, sigma, t, m):
-                    out.update(self._histories(
-                        side, n - 1, _set(pool, idx, (m, cmd2, v)), sigma2))
         result = frozenset(out)
         self.memo[key] = result
         return result
-
-
-def _concrete_step(model: LibraryModel, cmd: Command, sigma: Heap, t: int,
-                   m: str):
-    for alpha, cmd2, sigma2 in state_step(cmd, sigma, t, model.ctable,
-                                          model.dom.modulus):
-        if sigma2 is FAULT:
-            raise FaultReachable(
-                f"thread {t} faults executing {alpha!r} in method {m} at "
-                f"state {sigma!r}")
-        yield cmd2, sigma2
-
-
-def _abstract_step(model: LibraryModel, ap: APCom, sigma: Heap, t: int,
-                   m: str):
-    return [(SKIP, sigma2) for sigma2 in model.atable.apply(
-        *ap, t, sigma, model.dom.modulus)]
-
-
-def _set(pool: tuple, idx: int, value) -> tuple:
-    return pool[:idx] + (value,) + pool[idx + 1:]
 
 
 def concrete_histories(model: LibraryModel, bound: int) -> frozenset:
@@ -330,12 +357,165 @@ def abstract_histories(model: LibraryModel, bound: int) -> frozenset:
     return _HistoryGen(model).abstract(bound)
 
 
+# ---------------------------------------------------------------------------
+# History inclusion as an on-the-fly product
+
+
+class _Frontiers:
+    """The determinized frontiers of one library, each interned to an int.
+
+    The frontier of a history maps each configuration that some run
+    producing exactly that history reaches, within the budget, to the
+    largest number of moves such a run leaves, and is closed under silent
+    steps.  A configuration with more moves left can do all that it can
+    with fewer, so the largest budget is all a frontier keeps (an
+    antichain; De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  Frontier
+    0 is empty: its history is not one of the library's within the budget.
+    """
+
+    def __init__(self, lib: _Library, cap: int):
+        self.lib = lib
+        self.cap = cap
+        self.ids: Dict[frozenset, int] = {}
+        self.members: List[frozenset] = []  # id -> {(config, budget), ...}
+        self._next: List[Optional[dict]] = []  # id -> {event: id}
+        self._intern({})
+
+    def start(self, budget: int) -> int:
+        lib = self.lib
+        return self._intern(self._close({(lib.idle, lib.heap): budget}))
+
+    def successors(self, fid: int) -> dict:
+        """The frontier after each event the library can do from `fid`,
+        computed once per frontier."""
+        nxt = self._next[fid]
+        if nxt is None:
+            by_event: Dict[Event, dict] = {}
+            for (pool, heap), b in self.members[fid]:
+                if b:
+                    for _move, ev, pool2, heap2 in self.lib.moves(pool, heap):
+                        if ev is not None:
+                            _keep_max(by_event.setdefault(ev, {}),
+                                      (pool2, heap2), b - 1)
+            nxt = self._next[fid] = {
+                ev: self._intern(self._close(budgets))
+                for ev, budgets in by_event.items()}
+        return nxt
+
+    def _close(self, budgets: dict) -> dict:
+        todo = list(budgets.items())
+        while todo:
+            config, b = todo.pop()
+            # an entry whose budget has since been raised is stale
+            if b and budgets[config] == b:
+                for _move, ev, pool2, heap2 in self.lib.moves(*config):
+                    if ev is None and _keep_max(budgets, (pool2, heap2),
+                                                b - 1):
+                        todo.append(((pool2, heap2), b - 1))
+        return budgets
+
+    def _intern(self, budgets: dict) -> int:
+        key = frozenset(budgets.items())
+        fid = self.ids.get(key)
+        if fid is None:
+            if len(self.members) > self.cap:
+                raise UniverseTooLarge(None, self.cap)
+            fid = self.ids[key] = len(self.members)
+            self.members.append(key)
+            self._next.append(None)
+        return fid
+
+
+def _keep_max(budgets: dict, config, b: int) -> bool:
+    """Record budget b for config unless it has one as large already."""
+    if budgets.get(config, -1) >= b:
+        return False
+    budgets[config] = b
+    return True
+
+
+_UNSEEN = object()
+
+
+class _Product:
+    """The concrete library run against the abstract library's frontier.
+
+    A product state is (concrete moves left, concrete pool, concrete heap,
+    abstract frontier id).  Concrete successors are visited in the order
+    `_HistoryGen` visits them, and an empty frontier is explored too, so
+    the first reachable fault is the one `_HistoryGen` meets.  As a
+    `FaultReachable` unwinds, each state prepends the move it took, so the
+    fault's schedule replays from the initial configuration.
+    """
+
+    def __init__(self, model: LibraryModel):
+        self.cap = model.dom.cap
+        self.conc = _Library(model, True)
+        self.spec = _Frontiers(_Library(model, False), self.cap)
+        self.memo: Dict = {}
+
+    def missing(self, k: int, pool: tuple, heap: Heap,
+                fid: int) -> Optional[History]:
+        """The least continuation, under `history_sort_key`, that the
+        concrete library can produce within k moves and the frontier
+        cannot follow; None if there is none.  The key orders by length
+        and then lexicographically, so the least continuation of a state
+        is the least over its moves of the move's event, if any, followed
+        by the least continuation after it."""
+        key = (k, pool, heap, fid)
+        hit = self.memo.get(key, _UNSEEN)
+        if hit is not _UNSEEN:
+            return hit
+        if len(self.memo) > self.cap:
+            raise UniverseTooLarge(None, self.cap)
+        best = () if fid == 0 else None
+        if k > 0:
+            for move, ev, pool2, heap2 in self.conc.moves(pool, heap):
+                fid2 = fid if ev is None else \
+                    self.spec.successors(fid).get(ev, 0)
+                try:
+                    sub = self.missing(k - 1, pool2, heap2, fid2)
+                except FaultReachable as exc:
+                    exc.schedule.insert(0, move)
+                    raise
+                if sub is None or best == ():
+                    continue
+                if ev is not None:
+                    sub = (ev,) + sub
+                if best is None or \
+                        history_sort_key(sub) < history_sort_key(best):
+                    best = sub
+        self.memo[key] = best
+        return best
+
+
+def _still_growing(lib: _Library, bound: int, cap: int) -> bool:
+    """Whether the library has a history at `bound` that it has not at
+    bound - 1: whether some history's cheapest run takes all `bound`
+    moves, that is, some frontier reachable at budget `bound` has no
+    budget left in any configuration."""
+    front = _Frontiers(lib, cap)
+    todo = [front.start(bound)]
+    seen = set(todo)
+    while todo:
+        fid = todo.pop()
+        if not any(b for _config, b in front.members[fid]):
+            return True
+        for nxt in front.successors(fid).values():
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return False
+
+
 @dataclass
 class LinResult:
     ok: bool
     bound: int
     counterexample: Optional[History]
     stats: Dict[str, int]
+    # the concrete history set at `bound` differs from the one at
+    # bound - 1; computed only for a check that passes
     still_growing: bool
 
     def verdict(self) -> str:
@@ -345,21 +525,21 @@ class LinResult:
 
 
 def check_linearizable(model: LibraryModel, bound: int) -> LinResult:
-    """History inclusion up to the bound.  The abstract bound equals the
-    concrete one: an abstract run needs at most one step per completed call,
-    never more than the concrete run it matches."""
-    gen = _HistoryGen(model)
-    conc = gen.concrete(bound)
-    abst = gen.abstract(bound)
-    missing = conc - abst
-    prev = gen.concrete(bound - 1) if bound > 0 else frozenset()
-    stats = {"configurations": len(gen.memo),
-             "concrete_histories": len(conc),
-             "abstract_histories": len(abst)}
-    if missing:
-        ce = min(missing, key=history_sort_key)
-        return LinResult(False, bound, ce, stats, conc != prev)
-    return LinResult(True, bound, None, stats, conc != prev)
+    """History inclusion up to the bound, decided on the fly: the concrete
+    library runs against the abstract library's frontier, and no history
+    set is built.  The abstract bound equals the concrete one: an abstract
+    run needs at most one step per completed call, never more than the
+    concrete run it matches.  The counterexample is the least missing
+    history under `history_sort_key`; `dom.cap` bounds the product states
+    and the frontiers."""
+    prod = _Product(model)
+    conc = prod.conc
+    ce = prod.missing(bound, conc.idle, conc.heap, prod.spec.start(bound))
+    stats = {"configurations": len(prod.memo),
+             "frontiers": len(prod.spec.members)}
+    ok = ce is None
+    return LinResult(ok, bound, ce, stats,
+                     ok and _still_growing(conc, bound, model.dom.cap))
 
 
 # ---------------------------------------------------------------------------

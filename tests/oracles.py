@@ -9,7 +9,8 @@ pass over the whole shared universe.
 Histories, by a plain walk: `history_depths(model, bound, side)` maps every
 history within the bound to its least number of moves.  The memoized
 `_HistoryGen` behind `concrete_histories`/`abstract_histories` computes the
-same sets.
+same sets, and `lin_by_history_sets` decides history inclusion from them,
+which the on-the-fly product of `check_linearizable` is tested against.
 
 Proof-side references: `check_safe`, the greatest-fixpoint safety
 judgement over a finite view universe and the command shapes that
@@ -33,6 +34,7 @@ from relviews.command_lang import (
     step,
 )
 from relviews.errors import FaultReachable, ModelError
+from relviews.linearizability import _HistoryGen, history_sort_key
 from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
 from relviews.state_model import (
     EMPTY_WORLD,
@@ -174,6 +176,20 @@ def history_depths(model, bound: int, side: str) -> dict:
 
     walk(0, tuple(None for _ in model.dom.thread_ids()), heap0, ())
     return depths
+
+
+def lin_by_history_sets(model, bound: int):
+    """History inclusion as `check_linearizable` decided it before the
+    on-the-fly product: build the concrete and abstract history sets at
+    the bound with one `_HistoryGen` (one memo, one cap), then the
+    concrete set at bound - 1.  Returns (least missing history under
+    `history_sort_key` or None, conc(bound) != conc(bound - 1))."""
+    gen = _HistoryGen(model)
+    conc = gen.concrete(bound)
+    missing = conc - gen.abstract(bound)
+    prev = gen.concrete(bound - 1) if bound > 0 else frozenset()
+    ce = min(missing, key=history_sort_key) if missing else None
+    return ce, conc != prev
 
 
 def outline_assertions(node) -> tuple:

@@ -41,7 +41,9 @@ def test_machine_format_agrees_with_text(capsys):
     doc = json.loads(out)
     assert doc["ok"] is False
     assert doc["counterexample"] == "t=1 call inc(1)\nt=1 ret inc(0)"
-    assert doc["stats"]["concrete_histories"] > 0
+    # product states and abstract frontiers
+    assert set(doc["stats"]) == {"configurations", "frontiers"}
+    assert doc["stats"]["configurations"] > doc["stats"]["frontiers"] > 1
 
 
 def test_check_proof_accepts(capsys):

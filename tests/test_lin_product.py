@@ -1,0 +1,159 @@
+"""`check_linearizable`'s on-the-fly product against the history sets.
+
+The oracle, `oracles.lin_by_history_sets`, builds the concrete and
+abstract history sets with `_HistoryGen` and compares them.  Both must
+give the same least counterexample, the same growth flag on a pass, and
+the same error type and message, and for a fault the same schedule.
+Successor order follows frozenset iteration, so which fault comes first
+depends on the hash seed; CI runs this module under a second
+`PYTHONHASHSEED`.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from oracles import lin_by_history_sets
+from relviews.command_lang import Skip, state_step
+from relviews.errors import FaultReachable, RelviewsError
+from relviews.fixtures import fixture_manifest
+from relviews.linearizability import (
+    IDLE,
+    check_linearizable,
+    concrete_histories,
+)
+from relviews.model_io import load_model, parse_model
+from relviews.state_model import FAULT
+from util import tiny_model_docs
+
+FIX = "src/relviews/fixtures"
+GHOSTS = ("ghost-concrete", "ghost-both")
+
+
+def _ghost_doc(abstract_too):
+    """atomic-inc with a ghost cell that the increment writes but that is
+    never initialized, on the concrete side only or on both."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["domains"]["locations"]["ghost"] = [0]
+    doc["primitives"]["inc_atomic"]["updates"].append(["ghost", 0])
+    if abstract_too:
+        doc["domains"]["abstract_locations"]["GHOST"] = [0]
+        doc["abstract"]["inc"]["updates"].append(["GHOST", 0])
+    return doc
+
+
+def _late_fault_doc():
+    """One thread of atomic-inc whose abstract command never returns, and
+    whose body writes an uninitialized cell once the counter is 1: the
+    fault lies past the first missing history, so only an exploration
+    that goes on under an empty frontier finds it (from bound 12 on)."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["domains"]["threads"] = 1
+    doc["domains"]["locations"]["ghost"] = [0]
+    doc["methods"]["inc"]["body"] = [
+        "seq", ["if", ["==", ["read", "k"], 1], ["store", "ghost", 0],
+                ["skip"]],
+        ["prim", "inc_atomic", ["var", "a"], ["var", "r"]]]
+    doc["abstract"]["inc"]["guard"] = ["==", 0, 1]
+    return doc
+
+
+def _model(name, cap=None):
+    if name in GHOSTS:
+        return parse_model(_ghost_doc(name == "ghost-both"), cap=cap)
+    if name == "late-fault":
+        return parse_model(_late_fault_doc(), cap=cap)
+    return load_model(f"{FIX}/{name}/model.json", cap)
+
+
+def _outcome(decide):
+    """(least counterexample, growth flag on a pass), or the error's type,
+    message and, for a fault, schedule."""
+    try:
+        ce, growing = decide()
+    except RelviewsError as exc:
+        return type(exc), str(exc), getattr(exc, "schedule", None)
+    return ce, growing if ce is None else None
+
+
+def _product(model, bound):
+    res = check_linearizable(model, bound)
+    return res.counterexample, res.still_growing
+
+
+def _assert_agrees(model, bound):
+    want = _outcome(lambda: lin_by_history_sets(model, bound))
+    assert _outcome(lambda: _product(model, bound)) == want
+
+
+CASES = [
+    *((f.name, b, None) for f in fixture_manifest() for b in range(11)),
+    *((name, b, None) for name in ("flat-combiner-nolock",
+                                   "flat-combiner-stale",
+                                   "flat-combiner-noaction4",
+                                   "flat-combiner-valueret", "atomic-inc")
+      for b in range(11, 15)),
+    *((name, b, None) for name in GHOSTS for b in range(9)),
+    *(("late-fault", b, None) for b in range(6, 14)),
+    *((name, 8, cap) for name in ("flat-combiner", "atomic-inc")
+      for cap in (5, 100, 1000)),
+]
+
+
+@pytest.mark.parametrize("name,bound,cap", CASES,
+                         ids=lambda v: "-" if v is None else str(v))
+def test_product_equals_the_history_sets(name, bound, cap):
+    _assert_agrees(_model(name, cap), bound)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=tiny_model_docs())
+def test_product_equals_the_history_sets_on_generated_models(doc):
+    model = parse_model(doc)
+    for bound in range(7):
+        _assert_agrees(model, bound)
+
+
+@pytest.mark.parametrize("run", [check_linearizable, concrete_histories])
+def test_fault_schedule_replays_to_the_fault(run):
+    model = _model("ghost-concrete")
+    with pytest.raises(FaultReachable) as info:
+        run(model, 4)
+    schedule = info.value.schedule
+    assert schedule and not isinstance(schedule[-1][1], str)
+    # A call event does not name the expected return, so replay every
+    # configuration the schedule allows.
+    configs = {(tuple(IDLE for _ in model.dom.thread_ids()),
+                model.init_conc)}
+    for i, move in enumerate(schedule):
+        last = i == len(schedule) - 1
+        out = set()
+        for pool, heap in configs:
+            if len(move) == 4:
+                t, kind, m, v = move
+                slot = pool[t - 1]
+                if kind == "call" and slot is IDLE:
+                    out.update((_put(pool, t, (m, model.body(m, v, r), r)),
+                                heap) for r in model.dom.values)
+                elif kind == "ret" and slot is not IDLE and \
+                        isinstance(slot[1], Skip) and slot[2] == v:
+                    out.add((_put(pool, t, IDLE), heap))
+                continue
+            t, alpha = move
+            slot = pool[t - 1]
+            if slot is IDLE:
+                continue
+            m, cmd, r = slot
+            for alpha2, cmd2, heap2 in state_step(
+                    cmd, heap, t, model.ctable, model.dom.modulus):
+                if alpha2 == alpha and (heap2 is FAULT) == last:
+                    out.add((_put(pool, t, (m, cmd2, r)), heap2))
+        assert out, f"move {i} of the schedule cannot be replayed"
+        configs = out
+    assert all(heap is FAULT for _pool, heap in configs)
+
+
+def _put(pool, t, slot):
+    return pool[:t - 1] + (slot,) + pool[t:]

@@ -1,8 +1,11 @@
-"""Shared builders for micro domains, semantics and random view generation."""
+"""Shared builders for micro domains, semantics, random view generation
+and generated library models."""
 
 from __future__ import annotations
 
 import random
+
+from hypothesis import strategies as st
 
 from relviews.command_lang import (
     AbstractTable,
@@ -175,3 +178,76 @@ def run_distributivity(count, seed=13):
             1, alpha, disjoin(mono, p1, p2), disjoin(mono, q1, q2)) is True
         checked += 1
     return checked
+
+
+# ---------------------------------------------------------------------------
+# Generated library models
+
+TINY_VALUES = (0, 1, 2)
+
+
+def _tiny_expr(cells):
+    return st.one_of(
+        st.sampled_from(TINY_VALUES),
+        st.sampled_from([["var", "a"], ["var", "r"]]),
+        st.sampled_from([["read", c] for c in cells]),
+        st.sampled_from([["+", ["read", c], ["var", "a"]] for c in cells]))
+
+
+def _tiny_update(cells):
+    """A guarded update: an optional `cell == e` guard and at most two
+    writes to distinct cells."""
+    guard = st.one_of(st.none(), st.builds(
+        lambda c, e: ["==", ["read", c], e], st.sampled_from(cells),
+        _tiny_expr(cells)))
+    updates = st.lists(st.tuples(st.sampled_from(cells), _tiny_expr(cells))
+                       .map(list), max_size=2, unique_by=lambda u: u[0])
+    return st.fixed_dictionaries({"guard": guard, "updates": updates})
+
+
+@st.composite
+def tiny_model_docs(draw):
+    """A model document with 1-2 threads, 1-2 cells over the values 0..2
+    (modulus 3) and one method `op`.  Its body is one or two steps, each a
+    guarded-update primitive or a CAS whose branches are `skip` or a
+    primitive, optionally followed by an `assume` that ties the expected
+    return to a cell.  The abstract `op` is a guarded update of its own.
+    A cell may be left uninitialized, so that some bodies fault."""
+    cells = ["x", "y"][:draw(st.integers(1, 2))]
+    acells = [c.upper() for c in cells]
+    prims = {f"p{i}": dict(draw(_tiny_update(cells)), params=["a", "r"])
+             for i in range(draw(st.integers(1, 2)))}
+    call = st.sampled_from([["prim", p, ["var", "a"], ["var", "r"]]
+                            for p in prims])
+    branch = st.one_of(st.just(["skip"]), call)
+    cas = st.builds(lambda c, old, new, then, other:
+                    ["cas", c, old, new, then, other],
+                    st.sampled_from(cells), _tiny_expr(cells),
+                    _tiny_expr(cells), branch, branch)
+    body = draw(st.lists(st.one_of(call, cas), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        body.append(["assume", ["==", ["read", draw(st.sampled_from(cells))],
+                                ["var", "r"]]])
+    init = {c: draw(st.sampled_from(TINY_VALUES)) for c in cells}
+    if draw(st.integers(0, 4)) == 0:
+        del init[cells[-1]]
+    return {
+        "name": "tiny",
+        "monoid": "rgsep",
+        "domains": {
+            "values": list(TINY_VALUES),
+            "modulus": len(TINY_VALUES),
+            "threads": draw(st.integers(1, 2)),
+            "locations": {c: list(TINY_VALUES) for c in cells},
+            "abstract_locations": {c: list(TINY_VALUES) for c in acells},
+        },
+        "primitives": prims,
+        "methods": {"op": {
+            "args": draw(st.sampled_from([[1], [0, 1], [2]])),
+            "body": ["seq", *body]}},
+        "abstract": {"op": draw(_tiny_update(acells))},
+        "initial": {
+            "concrete": init,
+            "abstract": {c.upper(): v for c, v in init.items()},
+        },
+    }
