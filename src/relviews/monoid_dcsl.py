@@ -8,19 +8,35 @@ exactly (composition distributes over unions of world sets, so any failing
 frame projects to a failing singleton).  The repartitioning implication is
 inclusion: the unit frame tests p <= q, and composition is monotone, so
 every other frame then holds too.
+
+Of the singleton frames, only those that compose with the pre-view are
+checked.  Composition tests only that domains are disjoint, so whether
+{w} composes with a world depends only on w's shape: its concrete
+locations, abstract locations and token thread ids.  A singleton whose
+shape overlaps the shape of every world of the pre-view composes with it
+to the empty view, which the judgement skips anyway; dropping those
+frames, and keeping the rest in the same order, leaves every verdict and
+counterexample as it was.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Iterator
 
 from .command_lang import PrimCommand
+from .errors import UniverseTooLarge
 from .state_model import (
     EMPTY_WORLD,
     Domains,
+    Heap,
+    TokenMap,
     World,
     compose_worlds,
-    enumerate_worlds,
+    count_worlds,
+    token_options,
+    world_sort_key,
 )
 from .views_core import (
     ImplVerdict,
@@ -49,17 +65,20 @@ def reify_dcsl(p: DcslView) -> frozenset:
     return p
 
 
-def frames_dcsl(dom: Domains) -> Iterator[DcslView]:
-    """The unit plus every singleton view over the declared domains."""
-    yield UNIT_DCSL
-    for w in enumerate_worlds(dom):
-        yield frozenset({w})
-
-
 class DcslMonoid(ViewMonoid):
     def __init__(self, dom: Domains, sem: Semantics):
         super().__init__(dom, sem)
-        self._frames = None
+        # One shape bit per concrete location, abstract location and thread
+        # id that some world can hold: bit i stands for the (component, key,
+        # values) in _parts[i].  So there are no more shapes than worlds.
+        parts = ([(0, loc, vals) for loc, vals in dom.cloc]
+                 + [(1, loc, vals) for loc, vals in dom.aloc]
+                 + [(2, tid, token_options(dom)) for tid in dom.thread_ids()])
+        self._parts = [part for part in parts if part[2]]
+        self._bits = {(part, key): 1 << i
+                      for i, (part, key, _) in enumerate(self._parts)}
+        # shape -> its singleton frames as sorted (world_sort_key, frame)
+        self._groups = {}
 
     def compose(self, p, q):
         return compose_dcsl(p, q)
@@ -75,13 +94,45 @@ class DcslMonoid(ViewMonoid):
     def reify(self, p):
         return reify_dcsl(p)
 
-    def frames(self):
-        if self._frames is None:
-            self._frames = tuple(frames_dcsl(self.dom))
-        return self._frames
+    def _shape(self, w: World) -> int:
+        bits = self._bits
+        shape = 0
+        for part, m in enumerate((w.conc, w.abst, w.toks)):
+            for key, _ in m.items():
+                shape |= bits.get((part, key), 0)
+        return shape
+
+    def _group(self, shape: int):
+        group = self._groups.get(shape)
+        if group is None:
+            chosen = [p for i, p in enumerate(self._parts) if shape >> i & 1]
+            group = []
+            for combo in itertools.product(*(opts for *_, opts in chosen)):
+                maps = ({}, {}, {})
+                for (part, key, _), val in zip(chosen, combo):
+                    maps[part][key] = val
+                w = World(Heap(maps[0]), Heap(maps[1]), TokenMap(maps[2]))
+                group.append((world_sort_key(w), frozenset({w})))
+            group = self._groups[shape] = sorted(group)
+        return group
+
+    def frames(self, p) -> Iterator[DcslView]:
+        """The unit, then each singleton view over the declared domains that
+        composes with p, in `world_sort_key` order.  A universe of more
+        than `dom.cap` worlds raises `UniverseTooLarge`, although only the
+        shapes p can compose with are ever built."""
+        size = count_worlds(self.dom)
+        if size > self.dom.cap:
+            raise UniverseTooLarge(size, self.dom.cap)
+        shapes = {self._shape(w) for w in p}
+        groups = [self._group(shape)
+                  for shape in range(1 << len(self._parts))
+                  if any(shape & s == 0 for s in shapes)]
+        return itertools.chain(
+            (UNIT_DCSL,), (r for _, r in heapq.merge(*groups)))
 
     def check_action(self, t: int, alpha: PrimCommand, p, q):
-        return check_action_with_frames(self, t, alpha, p, q, self.frames())
+        return check_action_with_frames(self, t, alpha, p, q, self.frames(p))
 
     def repart_implies(self, p, q) -> ImplVerdict:
         return ImplVerdict.HOLDS if p <= q else ImplVerdict.FAILS

@@ -309,12 +309,9 @@ def enumerate_heaps(locdoms):
         yield Heap({loc: v for loc, v in combo if v is not None})
 
 
-def _token_options(dom: Domains):
-    opts = [None]
-    for ap in dom.apcoms:
-        opts.append(Token(TODO, ap))
-        opts.append(Token(DONE, ap))
-    return opts
+def token_options(dom: Domains):
+    """Every token one thread may hold, under the declared alphabet."""
+    return [Token(kind, ap) for ap in dom.apcoms for kind in (TODO, DONE)]
 
 
 def count_worlds(dom: Domains) -> int:
@@ -336,7 +333,7 @@ def enumerate_worlds(dom: Domains) -> Tuple[World, ...]:
     size = count_worlds(dom)
     if size > dom.cap:
         raise UniverseTooLarge(size, dom.cap)
-    tok_opts = _token_options(dom)
+    tok_opts = [None, *token_options(dom)]
     tids = list(dom.thread_ids())
     worlds = []
     for conc in enumerate_heaps(dom.cloc):

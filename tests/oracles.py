@@ -16,7 +16,9 @@ Proof-side references: `check_safe`, the greatest-fixpoint safety
 judgement over a finite view universe and the command shapes that
 `reachable_commands` finds, which an accepted outline's views
 (`outline_views`) must witness; `powerset_frames`, every DCSL frame, which
-the unit-plus-singleton strategy is validated against;
+the unit-plus-singleton strategy is validated against; `singleton_frames`,
+the unit plus every singleton view, which `DcslMonoid.frames` prunes to the
+frames a pre-view composes with;
 `repart_implies_with_frames`, the repartitioning implication quantified
 over given frames, which DCSL's inclusion test is validated against; and
 `token_exclusive`, the one-token-per-thread invariant of DCSL views.
@@ -36,11 +38,13 @@ from relviews.command_lang import (
 from relviews.errors import FaultReachable, ModelError
 from relviews.linearizability import _HistoryGen, history_sort_key
 from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
+from relviews.monoid_dcsl import UNIT_DCSL
 from relviews.state_model import (
     EMPTY_WORLD,
     FAULT,
     World,
     compose_worlds,
+    enumerate_worlds,
     world_leq,
 )
 from relviews.vassn import BoxA, ExistsA, OrA, StarA, TrueA, VAssn, free_lvars
@@ -298,6 +302,15 @@ def powerset_frames(worlds):
     for n in range(len(ws) + 1):
         for combo in itertools.combinations(ws, n):
             yield frozenset(combo)
+
+
+def singleton_frames(dom):
+    """The unit plus every singleton view over the declared domains, in
+    `world_sort_key` order; more than `dom.cap` worlds raise
+    `UniverseTooLarge`."""
+    yield UNIT_DCSL
+    for w in enumerate_worlds(dom):
+        yield frozenset({w})
 
 
 def repart_implies_with_frames(monoid, p, q, frames) -> ImplVerdict:

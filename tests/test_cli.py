@@ -228,7 +228,10 @@ def test_check_proof_loads_model_once(capsys, monkeypatch, tmp_path, jobs):
 @pytest.mark.parametrize("name", ["flat-combiner", "dcsl-cell"])
 def test_check_proof_honours_cap(capsys, monkeypatch, jobs, via_env, name):
     # flat-combiner declares a 54-state shared universe; dcsl-cell's frames
-    # range over 81 worlds, enumerated in the workers at --jobs 2
+    # range over 81 worlds, checked in the workers at --jobs 2.  The error
+    # names the whole universe, although the pruned frames never need all
+    # of it.
+    size = {"flat-combiner": 54, "dcsl-cell": 81}[name]
     argv = ["check-proof", f"{FIX}/{name}/model.json",
             f"{FIX}/{name}/outline.json", "--jobs", jobs]
     if via_env:
@@ -237,7 +240,8 @@ def test_check_proof_honours_cap(capsys, monkeypatch, jobs, via_env, name):
         argv += ["--cap", "5"]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "exceeds cap 5" in err
+    assert err == (f"error: universe of size {size} exceeds cap 5; raise "
+                   "--cap / RELVIEWS_CAP or restrict the model domains\n")
 
 
 def test_dcsl_implication_needs_no_frames(capsys, tmp_path):

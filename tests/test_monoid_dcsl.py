@@ -9,7 +9,6 @@ from relviews.monoid_dcsl import (
     UNIT_DCSL,
     DcslMonoid,
     compose_dcsl,
-    frames_dcsl,
     reify_dcsl,
 )
 from relviews.state_model import (
@@ -35,7 +34,7 @@ from relviews.vassn import (
 from relviews.command_lang import Const, Eq, LVar
 from relviews.monoid_rgsep import RgsepMonoid
 from oracles import (powerset_frames, repart_implies_with_frames,
-                     token_exclusive)
+                     singleton_frames, token_exclusive)
 from util import micro_dcsl, micro_domains, micro_semantics, sample_view
 
 AP = APCom("op", 0, 0)
@@ -78,15 +77,21 @@ def test_reify_is_identity():
 
 def test_frames_counts():
     dom = micro_domains(cloc={"l": (0,)}, aloc={"m": (0,)}, values=(0,))
-    frames = list(frames_dcsl(dom))
+    frames = list(singleton_frames(dom))
     assert frames[0] == UNIT_DCSL
     assert len(frames) == 1 + 4
     empty = micro_domains(cloc={}, aloc={}, values=(0,))
-    assert len(list(frames_dcsl(empty))) == 2
+    assert len(list(singleton_frames(empty))) == 2
     big = micro_domains(cloc={"l": (0, 1)}, aloc={"m": (0, 1)},
                         values=(0, 1), cap=3)
     with pytest.raises(UniverseTooLarge):
-        list(frames_dcsl(big))
+        list(singleton_frames(big))
+    # the pruned frames check the cap against the whole universe, even
+    # for a pre-view that composes with no singleton but the empty one
+    with pytest.raises(UniverseTooLarge) as exc:
+        DcslMonoid(big, micro_semantics(big)).frames(
+            frozenset({w({"l": 0}, {"m": 0})}))
+    assert str(exc.value) == str(UniverseTooLarge(9, 3))
 
 
 def test_token_exclusivity_preserved_by_compose():
