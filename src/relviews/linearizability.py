@@ -226,16 +226,20 @@ def history_sort_key(h: History):
 
 
 class _Library:
-    """One library's moves from a configuration.
+    """One library's moves from a configuration, and its configurations
+    interned to ints.
 
     A configuration is a pool of per-thread slots, each idle or a running
     (method, command, expected return), plus a heap.  A call starts a
     command in an idle slot, a running command takes silent steps, and a
     `Skip` command returns.  The two libraries differ only in the command
     a call starts and in how it steps: a concrete body runs under the
-    small-step semantics, where a fault raises `FaultReachable`; an
-    abstract method is its pending `APCom`, run atomically to `Skip`, and
-    blocks rather than faults.
+    small-step semantics, where a step may fault; an abstract method is
+    its pending `APCom`, run atomically to `Skip`, and blocks rather than
+    faults.
+
+    `successors` tabulates each interned configuration's moves once, so
+    the product and the frontier walks of one check never rebuild them.
     """
 
     def __init__(self, model: LibraryModel, concrete: bool):
@@ -252,13 +256,15 @@ class _Library:
         # (command, heap, thread) -> ((primitive, command, heap), ...), a
         # faulting step kept in its place
         self._steps: Dict = {}
+        self.ids: Dict[tuple, int] = {}
+        self.configs: List[tuple] = []  # id -> (pool, heap)
+        self._succ: List[Optional[tuple]] = []  # id -> ((event, id), ...)
 
     def moves(self, pool: tuple, heap: Heap):
         """Each successor as (move, event, pool, heap), in a fixed order.
         A call or return's move is its event; a silent step's move is
         (thread, primitive) and its event None.  A step into the fault
-        state raises `FaultReachable` when the iteration reaches it, its
-        schedule that one move."""
+        state has `FAULT` as its heap."""
         for idx, slot in enumerate(pool):
             t = idx + 1
             if slot is IDLE:
@@ -272,10 +278,6 @@ class _Library:
                 yield ev, ev, _set(pool, idx, IDLE), heap
                 continue
             for alpha, cmd2, heap2 in self._step(cmd, heap, t):
-                if heap2 is FAULT:
-                    raise FaultReachable(
-                        f"thread {t} faults executing {alpha!r} in method "
-                        f"{m} at state {heap!r}", [(t, alpha)])
                 yield (t, alpha), None, _set(pool, idx, (m, cmd2, v)), heap2
 
     def _step(self, cmd, heap: Heap, t: int) -> tuple:
@@ -291,6 +293,56 @@ class _Library:
                     *cmd, t, heap, model.dom.modulus))
             self._steps[key] = hit
         return hit
+
+    def _intern(self, config: tuple) -> int:
+        cid = self.ids.setdefault(config, len(self.configs))
+        if cid == len(self.configs):
+            self.configs.append(config)
+            self._succ.append(None)
+        return cid
+
+    def start(self) -> int:
+        """The initial configuration's id."""
+        return self._intern((self.idle, self.heap))
+
+    def successors(self, cid: int) -> tuple:
+        """Configuration cid's moves as (event or None, successor id), in
+        `moves` order, built on the first call.  A step into the fault
+        state ends the table as `_FAULT_STEP`: whoever reaches it raises
+        `fault(cid)`."""
+        succ = self._succ[cid]
+        if succ is None:
+            out = []
+            for _move, ev, pool2, heap2 in self.moves(*self.configs[cid]):
+                if heap2 is FAULT:
+                    out.append(_FAULT_STEP)
+                    break
+                out.append((ev, self._intern((pool2, heap2))))
+            succ = self._succ[cid] = tuple(out)
+        return succ
+
+    def move(self, cid: int, i: int):
+        """The move behind entry i of cid's table, enumerated again: only
+        a fault's schedule needs it."""
+        return next(itertools.islice(self.moves(*self.configs[cid]), i,
+                                     None))[0]
+
+    def fault(self, cid: int) -> FaultReachable:
+        """The fault that ends cid's table, its schedule that one step."""
+        pool, heap = self.configs[cid]
+        move = self.move(cid, len(self.successors(cid)) - 1)
+        return _fault(pool, heap, move)
+
+
+# a successor-table entry: the configuration's next move faults
+_FAULT_STEP = (None, -1)
+
+
+def _fault(pool: tuple, heap: Heap, move) -> FaultReachable:
+    t, alpha = move
+    return FaultReachable(
+        f"thread {t} faults executing {alpha!r} in method "
+        f"{pool[t - 1][0]} at state {heap!r}", [move])
 
 
 def _set(pool: tuple, idx: int, value) -> tuple:
@@ -335,6 +387,8 @@ class _HistoryGen:
         if n > 0:
             for move, ev, pool2, sigma2 in self._libs[side].moves(pool,
                                                                   sigma):
+                if sigma2 is FAULT:
+                    raise _fault(pool, sigma, move)
                 try:
                     sub = self._histories(side, n - 1, pool2, sigma2)
                 except FaultReachable as exc:
@@ -371,47 +425,52 @@ class _Frontiers:
     with fewer, so the largest budget is all a frontier keeps (an
     antichain; De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  Frontier
     0 is empty: its history is not one of the library's within the budget.
+    Configurations are the library's interned ids.
     """
 
     def __init__(self, lib: _Library, cap: int):
         self.lib = lib
         self.cap = cap
         self.ids: Dict[frozenset, int] = {}
-        self.members: List[frozenset] = []  # id -> {(config, budget), ...}
+        self.members: List[frozenset] = []  # id -> {(config id, budget), ...}
         self._next: List[Optional[dict]] = []  # id -> {event: id}
         self._intern({})
 
     def start(self, budget: int) -> int:
-        lib = self.lib
-        return self._intern(self._close({(lib.idle, lib.heap): budget}))
+        return self._intern(self._close({self.lib.start(): budget}))
 
     def successors(self, fid: int) -> dict:
         """The frontier after each event the library can do from `fid`,
         computed once per frontier."""
         nxt = self._next[fid]
         if nxt is None:
+            lib = self.lib
             by_event: Dict[Event, dict] = {}
-            for (pool, heap), b in self.members[fid]:
+            for cid, b in self.members[fid]:
                 if b:
-                    for _move, ev, pool2, heap2 in self.lib.moves(pool, heap):
+                    for ev, cid2 in lib.successors(cid):
+                        if cid2 < 0:
+                            raise lib.fault(cid)
                         if ev is not None:
-                            _keep_max(by_event.setdefault(ev, {}),
-                                      (pool2, heap2), b - 1)
+                            _keep_max(by_event.setdefault(ev, {}), cid2,
+                                      b - 1)
             nxt = self._next[fid] = {
                 ev: self._intern(self._close(budgets))
                 for ev, budgets in by_event.items()}
         return nxt
 
     def _close(self, budgets: dict) -> dict:
+        lib = self.lib
         todo = list(budgets.items())
         while todo:
-            config, b = todo.pop()
+            cid, b = todo.pop()
             # an entry whose budget has since been raised is stale
-            if b and budgets[config] == b:
-                for _move, ev, pool2, heap2 in self.lib.moves(*config):
-                    if ev is None and _keep_max(budgets, (pool2, heap2),
-                                                b - 1):
-                        todo.append(((pool2, heap2), b - 1))
+            if b and budgets[cid] == b:
+                for ev, cid2 in lib.successors(cid):
+                    if cid2 < 0:
+                        raise lib.fault(cid)
+                    if ev is None and _keep_max(budgets, cid2, b - 1):
+                        todo.append((cid2, b - 1))
         return budgets
 
     def _intern(self, budgets: dict) -> int:
@@ -440,7 +499,7 @@ _UNSEEN = object()
 class _Product:
     """The concrete library run against the abstract library's frontier.
 
-    A product state is (concrete moves left, concrete pool, concrete heap,
+    A product state is (concrete moves left, concrete configuration id,
     abstract frontier id).  Concrete successors are visited in the order
     `_HistoryGen` visits them, and an empty frontier is explored too, so
     the first reachable fault is the one `_HistoryGen` meets.  As a
@@ -454,15 +513,14 @@ class _Product:
         self.spec = _Frontiers(_Library(model, False), self.cap)
         self.memo: Dict = {}
 
-    def missing(self, k: int, pool: tuple, heap: Heap,
-                fid: int) -> Optional[History]:
+    def missing(self, k: int, cid: int, fid: int) -> Optional[History]:
         """The least continuation, under `history_sort_key`, that the
         concrete library can produce within k moves and the frontier
         cannot follow; None if there is none.  The key orders by length
         and then lexicographically, so the least continuation of a state
         is the least over its moves of the move's event, if any, followed
         by the least continuation after it."""
-        key = (k, pool, heap, fid)
+        key = (k, cid, fid)
         hit = self.memo.get(key, _UNSEEN)
         if hit is not _UNSEEN:
             return hit
@@ -470,13 +528,16 @@ class _Product:
             raise UniverseTooLarge(None, self.cap)
         best = () if fid == 0 else None
         if k > 0:
-            for move, ev, pool2, heap2 in self.conc.moves(pool, heap):
+            conc = self.conc
+            for i, (ev, cid2) in enumerate(conc.successors(cid)):
+                if cid2 < 0:
+                    raise conc.fault(cid)
                 fid2 = fid if ev is None else \
                     self.spec.successors(fid).get(ev, 0)
                 try:
-                    sub = self.missing(k - 1, pool2, heap2, fid2)
+                    sub = self.missing(k - 1, cid2, fid2)
                 except FaultReachable as exc:
-                    exc.schedule.insert(0, move)
+                    exc.schedule.insert(0, conc.move(cid, i))
                     raise
                 if sub is None or best == ():
                     continue
@@ -533,13 +594,12 @@ def check_linearizable(model: LibraryModel, bound: int) -> LinResult:
     history under `history_sort_key`; `dom.cap` bounds the product states
     and the frontiers."""
     prod = _Product(model)
-    conc = prod.conc
-    ce = prod.missing(bound, conc.idle, conc.heap, prod.spec.start(bound))
+    ce = prod.missing(bound, prod.conc.start(), prod.spec.start(bound))
     stats = {"configurations": len(prod.memo),
              "frontiers": len(prod.spec.members)}
     ok = ce is None
     return LinResult(ok, bound, ce, stats,
-                     ok and _still_growing(conc, bound, model.dom.cap))
+                     ok and _still_growing(prod.conc, bound, model.dom.cap))
 
 
 # ---------------------------------------------------------------------------

@@ -117,16 +117,18 @@ class DcslMonoid(ViewMonoid):
         return group
 
     def frames(self, p) -> Iterator[DcslView]:
-        """The unit, then each singleton view over the declared domains that
-        composes with p, in `world_sort_key` order.  A universe of more
-        than `dom.cap` worlds raises `UniverseTooLarge`, although only the
-        shapes p can compose with are ever built."""
+        """The unit, then each other singleton view over the declared
+        domains that composes with p, in `world_sort_key` order.  The
+        empty-shape singleton {EMPTY_WORLD} is the unit itself, so it is
+        not checked twice.  A universe of more than `dom.cap` worlds raises
+        `UniverseTooLarge`, although only the shapes p can compose with are
+        ever built."""
         size = count_worlds(self.dom)
         if size > self.dom.cap:
             raise UniverseTooLarge(size, self.dom.cap)
         shapes = {self._shape(w) for w in p}
         groups = [self._group(shape)
-                  for shape in range(1 << len(self._parts))
+                  for shape in range(1, 1 << len(self._parts))
                   if any(shape & s == 0 for s in shapes)]
         return itertools.chain(
             (UNIT_DCSL,), (r for _, r in heapq.merge(*groups)))

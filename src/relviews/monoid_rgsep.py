@@ -174,6 +174,10 @@ class RgsepMonoid(ViewMonoid):
         self._universe_set = frozenset(self.universe)
         self._local_ok: set = set()
         self._unit = None
+        # pred -> its composable pairs, and one object per distinct heap or
+        # token map of their worlds; see `_composed`
+        self._composed_memo: Dict[FrozenSet[Pair], tuple] = {}
+        self._world_parts: dict = {}
 
     # -- monoid operations
 
@@ -193,6 +197,24 @@ class RgsepMonoid(ViewMonoid):
 
     def reify(self, p):
         return reify_rgsep(p)
+
+    def _composed(self, pred: FrozenSet[Pair]) -> tuple:
+        """The (local, shared, world) triples of pred whose local and
+        shared parts compose to a world, in `_pair_key` order; computed
+        once per predicate.  The kept worlds are built from shared heaps
+        and token maps: a few dozen distinct ones make up thousands of
+        worlds, which would otherwise each hold their own copies."""
+        hit = self._composed_memo.get(pred)
+        if hit is None:
+            parts = self._world_parts
+            out = []
+            for l, s in sorted(pred, key=_pair_key):
+                w = compose_worlds(l, s)
+                if w is not None:
+                    out.append((l, s, World(*(parts.setdefault(x, x)
+                                              for x in w))))
+            hit = self._composed_memo[pred] = tuple(out)
+        return hit
 
     # -- assertion satisfaction
 
@@ -350,12 +372,11 @@ class RgsepMonoid(ViewMonoid):
         if p.bot:
             return True
         if q.bot:
-            for l, s in sorted(p.pred, key=_pair_key):
-                world = compose_worlds(l, s)
-                if world is not None:
-                    return ActionCounterexample(
-                        t, alpha, None, world, None,
-                        "postcondition is inconsistent (bottom view)")
+            composed = self._composed(p.pred)
+            if composed:
+                return ActionCounterexample(
+                    t, alpha, None, composed[0][2], None,
+                    "postcondition is inconsistent (bottom view)")
             return True
         if p.rely != q.rely or p.guar != q.guar:
             raise ModelError(
@@ -364,19 +385,10 @@ class RgsepMonoid(ViewMonoid):
         self.check_locality(alpha, t)
         sem = self.sem
         post_by_conc: Dict[Heap, list] = {}
-        if not q.bot:
-            for l2, s2 in sorted(q.pred, key=_pair_key):
-                joined = compose_worlds(l2, s2)
-                if joined is None:
-                    continue
-                sigma2, abs2, toks2 = joined
-                post_by_conc.setdefault(sigma2, []).append(
-                    (s2, abs2, toks2))
+        for _l2, s2, (sigma2, abs2, toks2) in self._composed(q.pred):
+            post_by_conc.setdefault(sigma2, []).append((s2, abs2, toks2))
         guar = p.guar
-        for l, s in sorted(p.pred, key=_pair_key):
-            world = compose_worlds(l, s)
-            if world is None:
-                continue
+        for _l, s, world in self._composed(p.pred):
             sigma, sigma_a, toks = world
             lp_set = None
             for sigma2 in sem.ctable.apply(alpha, t, sigma, sem.modulus):
@@ -440,18 +452,14 @@ class RgsepMonoid(ViewMonoid):
     def reified_token_worlds(self, p: RgsepView):
         if p.bot:
             return
-        for l, s in sorted(p.pred, key=_pair_key):
-            world = compose_worlds(l, s)
-            if world is not None:
-                yield world
+        for _l, _s, world in self._composed(p.pred):
+            yield world
 
     def strip_token_set(self, p: RgsepView, t: int) -> frozenset:
         """Predicate pairs with thread t's token erased (keeping its side),
         for the token-swap correspondence check."""
         out = set()
-        for l, s in p.pred:
-            if compose_worlds(l, s) is None:
-                continue
+        for l, s, _world in self._composed(p.pred):
             side = "local" if t in l.toks else (
                 "shared" if t in s.toks else "none")
             out.add((

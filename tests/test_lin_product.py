@@ -10,6 +10,7 @@ depends on the hash seed; CI runs this module under a second
 """
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +21,7 @@ from relviews.errors import FaultReachable, RelviewsError
 from relviews.fixtures import fixture_manifest
 from relviews.linearizability import (
     IDLE,
+    _Library,
     check_linearizable,
     concrete_histories,
 )
@@ -157,3 +159,73 @@ def test_fault_schedule_replays_to_the_fault(run):
 
 def _put(pool, t, slot):
     return pool[:t - 1] + (slot,) + pool[t:]
+
+
+# (configurations, frontiers) of each fixture at bounds 0..12, pinned:
+# interning configurations and tabulating their moves must leave the
+# product states and frontiers the check explores as they were.
+STATS = {
+    "atomic-inc": [(1, 2), (9, 4), (27, 5), (36, 6), (46, 8), (66, 11),
+                   (83, 14), (95, 16), (117, 21), (142, 26), (156, 28),
+                   (180, 35), (213, 42)],
+    "dcsl-cell": [(1, 2), (5, 4), (9, 4), (13, 4), (15, 4), (17, 6),
+                  (25, 10), (33, 10), (41, 10), (45, 10), (47, 12),
+                  (55, 16), (63, 16)],
+    "dcsl-helping": [(1, 2), (3, 4), (6, 5), (9, 6), (12, 8), (15, 9),
+                     (18, 10), (21, 12), (24, 13), (27, 14), (30, 16),
+                     (33, 17), (36, 18)],
+    "flat-combiner": [(1, 2), (21, 6), (143, 10), (375, 12), (628, 12),
+                      (892, 12), (1186, 12), (1506, 12), (1819, 12),
+                      (2148, 12), (2547, 20), (3001, 26), (3571, 26)],
+    "flat-combiner-noaction4": [(1, 2), (21, 6), (143, 10), (375, 12),
+                                (628, 12), (892, 12), (1186, 12),
+                                (1506, 12), (1819, 12), (2148, 12),
+                                (2547, 20), (3001, 26), (3571, 26)],
+    "flat-combiner-nolock": [(1, 2), (11, 4), (46, 5), (106, 6), (201, 6),
+                             (381, 6), (666, 6), (976, 6), (1396, 6),
+                             (2026, 6), (2853, 6), (3664, 6), (4344, 10)],
+    "flat-combiner-stale": [(1, 2), (6, 3), (11, 3), (16, 3), (26, 3),
+                            (41, 3), (46, 3), (51, 3), (61, 3), (66, 3),
+                            (71, 3), (76, 3), (81, 3)],
+    "flat-combiner-valueret": [(1, 2), (11, 4), (46, 5), (106, 6),
+                               (201, 6), (381, 6), (666, 6), (976, 6),
+                               (1346, 6), (1856, 6), (2391, 6), (2881, 6),
+                               (3516, 6)],
+}
+
+
+def test_pinned_stats_cover_every_fixture():
+    assert sorted(STATS) == sorted(f.name for f in fixture_manifest())
+
+
+@pytest.mark.parametrize("name", sorted(STATS))
+def test_stats_are_pinned(name):
+    model = _model(name)
+    got = [check_linearizable(model, bound).stats
+           for bound in range(len(STATS[name]))]
+    assert [(s["configurations"], s["frontiers"]) for s in got] == \
+        STATS[name]
+
+
+@pytest.mark.parametrize("name", sorted(STATS))
+def test_moves_are_generated_once_per_configuration(name, monkeypatch):
+    """The product and both frontier walks read each configuration's
+    successor table, so one check enumerates a configuration's moves at
+    most once, on either side."""
+    calls = Counter()
+    libs = {}
+    original = _Library.moves
+
+    def counting(self, pool, heap):
+        calls[(id(self), pool, heap)] += 1
+        libs[id(self)] = self
+        return original(self, pool, heap)
+
+    monkeypatch.setattr(_Library, "moves", counting)
+    check_linearizable(_model(name), 12)
+    assert max(calls.values()) == 1
+    # one library per side: a passing check's growth walk reads the
+    # product's concrete table
+    assert sorted(lib.concrete for lib in libs.values()) == [False, True]
+    assert sum(calls.values()) <= sum(len(lib.configs)
+                                      for lib in libs.values())
