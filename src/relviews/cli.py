@@ -103,7 +103,7 @@ def cmd_check_proof(args) -> int:
     t0 = time.perf_counter()
     model = load_model(args.model, args.cap)
     load_outlines(args.outline, model)
-    report = check_obligations(model, jobs=args.jobs)
+    report = check_obligations(model)
     detail = "\n".join(it.line() for it in report.items)
     fail = report.first_failure()
     if fail:
@@ -147,29 +147,27 @@ def build_parser() -> argparse.ArgumentParser:
     # usage error like a bad --cap
     cap_default = os.environ.get("RELVIEWS_CAP") or None
 
-    def common(sp, jobs_help, jobs_choices=None):
+    def common(sp):
         sp.add_argument("--cap", type=_count(0, " (--cap or RELVIEWS_CAP)"),
                         default=cap_default,
                         help="state-count cap, an integer >= 0 (default: "
                              "RELVIEWS_CAP, else the model's own cap)")
-        sp.add_argument("--jobs", type=_count(1), default=1,
-                        choices=jobs_choices, help=jobs_help)
+        sp.add_argument("--jobs", type=_count(1), default=1, choices=(1,),
+                        help="must be 1: every check runs in one process")
         sp.add_argument("--format", choices=("text", "machine"),
                         default="text")
 
-    one_process = "must be 1: this check runs in one process"
     sp = sub.add_parser("check-lin", help="bounded history-inclusion check")
     sp.add_argument("model")
     sp.add_argument("--bound", type=_count(0), required=True)
-    common(sp, one_process, (1,))
+    common(sp)
     sp.set_defaults(fn=cmd_check_lin)
 
     sp = sub.add_parser("check-proof",
                         help="verify proof outlines and obligations")
     sp.add_argument("model")
     sp.add_argument("outline")
-    common(sp, "worker processes for the per-instance obligations, an "
-               "integer >= 1")
+    common(sp)
     sp.set_defaults(fn=cmd_check_proof)
 
     sp = sub.add_parser("histories", help="print a generated history set")
@@ -177,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--side", choices=("concrete", "abstract"),
                     default="concrete")
     sp.add_argument("--bound", type=_count(0), required=True)
-    common(sp, one_process, (1,))
+    common(sp)
     sp.set_defaults(fn=cmd_histories)
     return p
 

@@ -2,12 +2,7 @@
 
 
 class RelviewsError(Exception):
-    """Base class for all toolkit errors.
-
-    A subclass whose constructor takes other arguments than its message
-    defines `__reduce__`, so that an error raised in a `--jobs` worker
-    unpickles in the parent.
-    """
+    """Base class for all toolkit errors."""
 
 
 class ModelError(RelviewsError):
@@ -21,9 +16,6 @@ class UndefinedLocation(RelviewsError):
         super().__init__(f"read of undefined location {loc!r}")
         self.loc = loc
 
-    def __reduce__(self):
-        return type(self), (self.loc,)
-
 
 class FaultReachable(RelviewsError):
     """A transformer produced the fault state.  `schedule` is the run that
@@ -34,9 +26,6 @@ class FaultReachable(RelviewsError):
     def __init__(self, detail, schedule=None):
         super().__init__(detail)
         self.schedule = schedule or []
-
-    def __reduce__(self):
-        return type(self), (*self.args, self.schedule)
 
 
 class UniverseTooLarge(RelviewsError):
@@ -53,9 +42,6 @@ class UniverseTooLarge(RelviewsError):
         self.size = size
         self.cap = cap
 
-    def __reduce__(self):
-        return type(self), (self.size, self.cap)
-
 
 class StabilityViolation(RelviewsError):
     """A view assertion's predicate is not closed under its rely."""
@@ -67,9 +53,6 @@ class StabilityViolation(RelviewsError):
         )
         self.witness = (local, shared, shared2)
 
-    def __reduce__(self):
-        return type(self), self.witness
-
 
 class LocalityViolation(RelviewsError):
     """A primitive's transformer is not local in the separation-logic sense."""
@@ -79,6 +62,3 @@ class LocalityViolation(RelviewsError):
         self.prim = prim
         self.state = state
         self.frame = frame
-
-    def __reduce__(self):
-        return type(self), (self.prim, self.state, self.frame)

@@ -12,7 +12,6 @@ proof outlines plus token pinning and the token-swap correspondence.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -84,14 +83,6 @@ class LibraryModel:
         self._guars = None
         self._relys = None
         self._envs: Dict[int, AssertionEnv] = {}
-
-    def __getstate__(self):
-        """A pickled model (a `--jobs` worker's copy) carries the model
-        data only: the monoid, rely/guarantee and assertion envs, with
-        their caches, are rebuilt where they are first used."""
-        state = dict(self.__dict__)
-        state.update(_monoid=None, _guars=None, _relys=None, _envs={})
-        return state
 
     def semantics(self) -> Semantics:
         return Semantics(self.ctable, self.atable, self.dom.modulus)
@@ -349,66 +340,44 @@ def _set(pool: tuple, idx: int, value) -> tuple:
     return pool[:idx] + (value,) + pool[idx + 1:]
 
 
-class _HistoryGen:
-    """Memoized recursive generator for the inductive history sets.
-
-    One definition serves both libraries: a history is the sequence of
-    call and return events of a run of `_Library.moves`.  Every recursion
-    level contributes the empty history, so level n yields the union of
-    all depths up to n; the sets are prefix-closed and monotone in the
-    bound by construction.  `check_linearizable` builds no history set:
-    these sets serve `relviews histories`, and the tests decide inclusion
-    from them as the oracle for `check_linearizable`.
-    """
-
-    def __init__(self, model: LibraryModel):
-        self.cap = model.dom.cap
-        self.memo: Dict = {}
-        self._libs = {"c": _Library(model, True), "a": _Library(model, False)}
-
-    def concrete(self, n: int) -> frozenset:
-        lib = self._libs["c"]
-        return self._histories("c", n, lib.idle, lib.heap)
-
-    def abstract(self, n: int) -> frozenset:
-        lib = self._libs["a"]
-        return self._histories("a", n, lib.idle, lib.heap)
-
-    def _histories(self, side: str, n: int, pool: tuple, sigma) -> frozenset:
-        key = (side, n, pool, sigma)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if len(self.memo) > self.cap:
-            # how far past the cap the memo has grown depends on the
-            # exploration order, so the message does not say
-            raise UniverseTooLarge(None, self.cap)
-        out = {()}
-        if n > 0:
-            for move, ev, pool2, sigma2 in self._libs[side].moves(pool,
-                                                                  sigma):
-                if sigma2 is FAULT:
-                    raise _fault(pool, sigma, move)
-                try:
-                    sub = self._histories(side, n - 1, pool2, sigma2)
-                except FaultReachable as exc:
-                    exc.schedule.insert(0, move)
-                    raise
-                if ev is None:
-                    out.update(sub)
-                else:
-                    out.update((ev,) + h for h in sub)
-        result = frozenset(out)
-        self.memo[key] = result
-        return result
+def _histories(lib: _Library, n: int, cid: int, memo: dict) -> frozenset:
+    """The histories of configuration cid within n moves: the call and
+    return events of its runs, memoized on (moves left, configuration id).
+    Every level contributes the empty history, so level n holds all depths
+    up to n; the sets are prefix-closed and monotone in the bound.  A fault
+    raises with the schedule that reaches it, as in `_Product.missing`."""
+    key = (n, cid)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    cap = lib.model.dom.cap
+    if len(memo) > cap:
+        # how far past the cap the memo has grown depends on the
+        # exploration order, so the message does not say
+        raise UniverseTooLarge(None, cap)
+    out = {()}
+    if n > 0:
+        for i, (ev, cid2) in enumerate(lib.successors(cid)):
+            if cid2 < 0:
+                raise lib.fault(cid)
+            try:
+                sub = _histories(lib, n - 1, cid2, memo)
+            except FaultReachable as exc:
+                exc.schedule.insert(0, lib.move(cid, i))
+                raise
+            out.update(sub if ev is None else ((ev,) + h for h in sub))
+    result = memo[key] = frozenset(out)
+    return result
 
 
 def concrete_histories(model: LibraryModel, bound: int) -> frozenset:
-    return _HistoryGen(model).concrete(bound)
+    lib = _Library(model, True)
+    return _histories(lib, bound, lib.start(), {})
 
 
 def abstract_histories(model: LibraryModel, bound: int) -> frozenset:
-    return _HistoryGen(model).abstract(bound)
+    lib = _Library(model, False)
+    return _histories(lib, bound, lib.start(), {})
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +470,10 @@ class _Product:
 
     A product state is (concrete moves left, concrete configuration id,
     abstract frontier id).  Concrete successors are visited in the order
-    `_HistoryGen` visits them, and an empty frontier is explored too, so
-    the first reachable fault is the one `_HistoryGen` meets.  As a
-    `FaultReachable` unwinds, each state prepends the move it took, so the
-    fault's schedule replays from the initial configuration.
+    `concrete_histories` visits them, and an empty frontier is explored
+    too, so the first reachable fault is the one `concrete_histories`
+    meets.  As a `FaultReachable` unwinds, each state prepends the move it
+    took, so the fault's schedule replays from the initial configuration.
     """
 
     def __init__(self, model: LibraryModel):
@@ -680,35 +649,19 @@ def instance_obligations(model: LibraryModel,
     return items
 
 
-def check_obligations(model: LibraryModel, jobs: int = 1) -> ObligationReport:
+def check_obligations(model: LibraryModel) -> ObligationReport:
     """Verify the linearizability obligations over the declared domains:
     per-method outlines, token pinning in the pre/post families, the
     token-swap correspondence, and coverage of the initial states by the
-    composed preconditions.
-
-    With `jobs` > 1 the per-instance obligations run in that many worker
-    processes, one contiguous chunk of instances each; every worker gets a
-    pickled copy of the model (without its monoid or caches; the cap
-    travels in `dom`), and the report is the same for every `jobs`.
-    """
+    composed preconditions."""
     mon = model.monoid()
     methods = model.methods()
     missing = [m for m in methods if m not in model.atable.methods]
     items = [ObligationItem("dom(concrete)=dom(abstract)", "library",
                             not missing, f"abstract methods missing: {missing}")]
 
-    todo = all_instances(model)
-    if jobs > 1 and len(todo) > 1:
-        chunk = -(-len(todo) // jobs)
-        # each chunk carries one pickled copy of the model
-        with ProcessPoolExecutor(-(-len(todo) // chunk)) as pool:
-            for per_inst in pool.map(instance_obligations,
-                                     itertools.repeat(model), todo,
-                                     chunksize=chunk):
-                items.extend(per_inst)
-    else:
-        for inst in todo:
-            items.extend(instance_obligations(model, inst))
+    for inst in all_instances(model):
+        items.extend(instance_obligations(model, inst))
 
     # (3): across every pair of command instances, post and pre states agree
     # up to the thread's token.

@@ -7,10 +7,12 @@ assertion.  `RgsepMonoid.eval_vassn_rg` computes the same predicate in one
 pass over the whole shared universe.
 
 Histories, by a plain walk: `history_depths(model, bound, side)` maps every
-history within the bound to its least number of moves.  The memoized
-`_HistoryGen` behind `concrete_histories`/`abstract_histories` computes the
-same sets, and `lin_by_history_sets` decides history inclusion from them,
-which the on-the-fly product of `check_linearizable` is tested against.
+history within the bound to its least number of moves.  `_HistoryGen`
+computes the same sets with a memo over (pool, heap) states; the shipped
+`concrete_histories`/`abstract_histories`, a walk over interned
+configurations, are tested against it.  `lin_by_history_sets` decides
+history inclusion from its sets, which the on-the-fly product of
+`check_linearizable` is tested against.
 
 Proof-side references: `check_safe`, the greatest-fixpoint safety
 judgement over a finite view universe and the command shapes that
@@ -27,6 +29,7 @@ over given frames, which DCSL's inclusion test is validated against; and
 from __future__ import annotations
 
 import itertools
+from typing import Dict
 
 from relviews.command_lang import (
     SKIP,
@@ -35,8 +38,13 @@ from relviews.command_lang import (
     apply_guarded,
     step,
 )
-from relviews.errors import FaultReachable, ModelError
-from relviews.linearizability import _HistoryGen, history_sort_key
+from relviews.errors import FaultReachable, ModelError, UniverseTooLarge
+from relviews.linearizability import (
+    LibraryModel,
+    _fault,
+    _Library,
+    history_sort_key,
+)
 from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
 from relviews.monoid_dcsl import UNIT_DCSL
 from relviews.state_model import (
@@ -180,6 +188,61 @@ def history_depths(model, bound: int, side: str) -> dict:
 
     walk(0, tuple(None for _ in model.dom.thread_ids()), heap0, ())
     return depths
+
+
+class _HistoryGen:
+    """Memoized recursive generator for the inductive history sets.
+
+    One definition serves both libraries: a history is the sequence of
+    call and return events of a run of `_Library.moves`.  Every recursion
+    level contributes the empty history, so level n yields the union of
+    all depths up to n; the sets are prefix-closed and monotone in the
+    bound by construction.  It memoizes on (side, moves left, pool,
+    heap).  The shipped `concrete_histories`/`abstract_histories` are
+    tested against it, and `lin_by_history_sets` decides inclusion from
+    its sets as the oracle for `check_linearizable`.
+    """
+
+    def __init__(self, model: LibraryModel):
+        self.cap = model.dom.cap
+        self.memo: Dict = {}
+        self._libs = {"c": _Library(model, True), "a": _Library(model, False)}
+
+    def concrete(self, n: int) -> frozenset:
+        lib = self._libs["c"]
+        return self._histories("c", n, lib.idle, lib.heap)
+
+    def abstract(self, n: int) -> frozenset:
+        lib = self._libs["a"]
+        return self._histories("a", n, lib.idle, lib.heap)
+
+    def _histories(self, side: str, n: int, pool: tuple, sigma) -> frozenset:
+        key = (side, n, pool, sigma)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        if len(self.memo) > self.cap:
+            # how far past the cap the memo has grown depends on the
+            # exploration order, so the message does not say
+            raise UniverseTooLarge(None, self.cap)
+        out = {()}
+        if n > 0:
+            for move, ev, pool2, sigma2 in self._libs[side].moves(pool,
+                                                                  sigma):
+                if sigma2 is FAULT:
+                    raise _fault(pool, sigma, move)
+                try:
+                    sub = self._histories(side, n - 1, pool2, sigma2)
+                except FaultReachable as exc:
+                    exc.schedule.insert(0, move)
+                    raise
+                if ev is None:
+                    out.update(sub)
+                else:
+                    out.update((ev,) + h for h in sub)
+        result = frozenset(out)
+        self.memo[key] = result
+        return result
 
 
 def lin_by_history_sets(model, bound: int):

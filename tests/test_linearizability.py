@@ -1,19 +1,14 @@
 import json
-import pickle
 
 import pytest
 
 from relviews.errors import (
     FaultReachable,
-    LocalityViolation,
     ModelError,
-    StabilityViolation,
-    UndefinedLocation,
     UniverseTooLarge,
 )
 from relviews.linearizability import (
     abstract_histories,
-    all_instances,
     check_linearizable,
     check_obligations,
     concrete_histories,
@@ -31,7 +26,7 @@ from relviews.model_io import (
 from relviews import cli
 from relviews.command_lang import TransformerTable
 from relviews.fixtures import fixture_manifest
-from relviews.state_model import EMPTY_HEAP, EMPTY_WORLD, FAULT
+from relviews.state_model import FAULT
 from oracles import history_depths
 
 FIX = "src/relviews/fixtures"
@@ -250,19 +245,6 @@ def test_assertion_env_is_one_per_thread():
     assert envs[1].eval(pre, {}) is envs[1].eval(pre, {})
 
 
-def test_pickled_model_carries_no_monoid_or_eval_cache():
-    model = _with_outline("atomic-inc")
-    fresh = pickle.dumps(_with_outline("atomic-inc"))
-    report = check_obligations(model)  # fills the monoid and env caches
-    assert model._envs and model.assertion_env(1)._views
-    # a worker's copy is byte-for-byte the copy of an unused model
-    assert pickle.dumps(model) == fresh
-    copy = pickle.loads(pickle.dumps(model))
-    assert copy._monoid is None and copy._guars is None and not copy._envs
-    assert [it.line() for it in check_obligations(copy).items] \
-        == [it.line() for it in report.items]
-
-
 def test_obligations_honour_the_cap():
     # flat-combiner declares a 54-state shared universe; dcsl-cell's frames
     # range over 81 worlds
@@ -271,25 +253,8 @@ def test_obligations_honour_the_cap():
         assert model.dom.cap == 5
         with pytest.raises(UniverseTooLarge):
             check_obligations(model)
-        # a --jobs worker reads the cap from its pickled copy of the model
-        copy = pickle.loads(pickle.dumps(model))
-        with pytest.raises(UniverseTooLarge):
-            instance_obligations(copy, all_instances(copy)[0])
         with pytest.raises(UniverseTooLarge):
             check_linearizable(model, 4)
-
-
-@pytest.mark.parametrize("exc", [
-    UniverseTooLarge(81, 5),
-    UndefinedLocation("x"),
-    StabilityViolation(EMPTY_WORLD, EMPTY_WORLD, EMPTY_WORLD),
-    LocalityViolation("store", EMPTY_HEAP, EMPTY_HEAP),
-    FaultReachable("thread 1 faults", ["step"]),
-])
-def test_errors_survive_the_trip_from_a_worker(exc):
-    back = pickle.loads(pickle.dumps(exc))
-    assert type(back) is type(exc) and str(back) == str(exc)
-    assert vars(back) == vars(exc)
 
 
 # Both history sets against the unmemoized walk in tests/oracles.py, at

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from relviews.cli import main
 from relviews.errors import ModelError
@@ -16,6 +17,7 @@ from relviews.model_io import (
     serialize_model,
     MacroTable,
 )
+from util import tiny_model_docs
 
 FIX = "src/relviews/fixtures"
 
@@ -27,6 +29,15 @@ def test_round_trip_all_fixtures():
         model2 = parse_model(json.loads(json.dumps(doc1)))
         doc2 = serialize_model(model2)
         assert doc1 == doc2, fx.name
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=tiny_model_docs())
+def test_round_trip_generated_models(doc):
+    doc1 = serialize_model(parse_model(doc))
+    doc2 = serialize_model(parse_model(json.loads(json.dumps(doc1))))
+    assert doc1 == doc2
 
 
 def test_while_loads_as_its_encoding():

@@ -16,7 +16,7 @@ from dataclasses import fields, is_dataclass
 
 from relviews.command_lang import step
 from relviews.fixtures import fixture_manifest
-from relviews.linearizability import all_instances, check_obligations
+from relviews.linearizability import all_instances
 from relviews.model_io import load_model, load_outlines
 
 from oracles import reachable_commands
@@ -116,12 +116,8 @@ def test_equal_trees_built_apart_hash_alike():
 
 
 def _run(seed, *args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, TESTS, os.environ.get("PYTHONPATH")])))
-    if seed is None:
-        env.pop("PYTHONHASHSEED", None)
-    else:
-        env["PYTHONHASHSEED"] = seed
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, test_tree_hash; test_tree_hash._main(*sys.argv[1:])",
@@ -132,7 +128,7 @@ def _run(seed, *args):
 
 
 def _main(cmd, path=None):
-    """Subprocess side of the tests below."""
+    """Subprocess side of the test below."""
     if cmd == "dump":
         trees = {}
         for fx in fixture_manifest():
@@ -151,21 +147,6 @@ def _main(cmd, path=None):
             for a, b in zip(back, fresh):
                 assert hash(a) == hash(b), (fx.name, a)
         print(len(trees))
-    elif cmd == "jobs":
-        import multiprocessing
-
-        multiprocessing.set_start_method("forkserver")
-        for fx in fixture_manifest():
-            if not fx.outline_path:
-                continue
-            one = check_obligations(_load(fx))
-            model = _load(fx)
-            for node in _nodes(_trees(model)):
-                hash(node)
-            two = check_obligations(model, jobs=2)
-            assert [it.line() for it in two.items] \
-                == [it.line() for it in one.items], fx.name
-            print(fx.name)
 
 
 def test_unpickled_trees_rehash_under_their_own_seed(tmp_path):
@@ -173,9 +154,3 @@ def test_unpickled_trees_rehash_under_their_own_seed(tmp_path):
     _run("1", "dump", blob)
     assert _run("2", "check", blob).strip() == str(len(fixture_manifest()))
 
-
-def test_jobs_two_matches_jobs_one_under_forkserver():
-    """Without a fixed seed, the forkserver's workers hash strings
-    differently from the parent that pickled the hashed model."""
-    done = _run(None, "jobs").split()
-    assert done == [fx.name for fx in fixture_manifest() if fx.outline_path]
