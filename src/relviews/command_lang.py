@@ -8,6 +8,7 @@ transformer.  Conditionals and loops are encodings on top of assume.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Dict, Optional, Tuple, Union
@@ -117,6 +118,12 @@ class Or:
 
 
 Expr = Union[Const, LVar, Read, Tid, Plus, Eq, Lt, Not, And, Or]
+
+
+def loc_placeholders(loc: str) -> frozenset:
+    """The names of the `{name}` placeholders in a location."""
+    return frozenset(f for _, f, _, _ in string.Formatter().parse(loc)
+                     if f is not None)
 
 
 def resolve_loc(loc: str, t: int) -> str:

@@ -44,7 +44,6 @@ from .state_model import (
     World,
     world_in_domains,
 )
-from .subst import subst_outline, subst_vassn
 from .vassn import VAssn
 from .views_core import Semantics, ViewMonoid
 
@@ -139,9 +138,7 @@ class LibraryModel:
         denote = {}
         for name, (pre, post) in self.actions.items():
             for t in self.dom.thread_ids():
-                pre_t = subst_vassn(pre, {"t": t})
-                post_t = subst_vassn(post, {"t": t})
-                denote[(name, t)] = mon.denote_action(pre_t, post_t)
+                denote[(name, t)] = mon.denote_action(pre, post, {"t": t})
         guars = {}
         for t in self.dom.thread_ids():
             g = frozenset()
@@ -175,25 +172,27 @@ class LibraryModel:
             self._envs[t] = env
         return env
 
-    def pre_assertion(self, m: str, t: int, a: int, r: int) -> VAssn:
+    def pre_assertion(self, m: str) -> VAssn:
+        """Method m's precondition family, over the instance's t, a, r."""
         if m not in self.pre_templates:
             raise ModelError(f"method {m!r} declares no precondition family")
-        return subst_vassn(self.pre_templates[m], {"t": t, "a": a, "r": r})
+        return self.pre_templates[m]
 
-    def post_assertion(self, m: str, t: int, a: int, r: int) -> VAssn:
+    def post_assertion(self, m: str) -> VAssn:
+        """Method m's postcondition family, over the instance's t, a, r."""
         if m not in self.post_templates:
             raise ModelError(f"method {m!r} declares no postcondition family")
-        return subst_vassn(self.post_templates[m], {"t": t, "a": a, "r": r})
+        return self.post_templates[m]
 
     def outline(self, m: str, t: int, a: int, r: int) -> ProofOutline:
         if m not in self.outline_templates:
             raise ModelError(f"method {m!r} has no proof outline")
-        body = subst_outline(self.outline_templates[m], {"t": t, "a": a, "r": r})
         return ProofOutline(
             thread=t,
-            pre=self.pre_assertion(m, t, a, r),
-            body=body,
-            post=self.post_assertion(m, t, a, r),
+            pre=self.pre_assertion(m),
+            body=self.outline_templates[m],
+            post=self.post_assertion(m),
+            binding=(("a", a), ("r", r), ("t", t)),
         )
 
 
@@ -629,8 +628,8 @@ def instance_obligations(model: LibraryModel,
                             str(fail) if fail else "")]
     ap = APCom(m, a, r)
     try:
-        pre = env.eval(outline.pre, {})
-        post = env.eval(outline.post, {})
+        pre = env.eval(outline.pre, dict(outline.binding))
+        post = env.eval(outline.post, dict(outline.binding))
     except RelviewsError as exc:
         items.append(ObligationItem(
             "(2) todo pinned", subject, False,
@@ -672,8 +671,9 @@ def check_obligations(model: LibraryModel) -> ObligationReport:
         try:
             stripped = {}
             for m, a, r in insts:
-                p = env.eval(model.pre_assertion(m, t, a, r), {})
-                q = env.eval(model.post_assertion(m, t, a, r), {})
+                b = {"t": t, "a": a, "r": r}
+                p = env.eval(model.pre_assertion(m), b)
+                q = env.eval(model.post_assertion(m), b)
                 stripped[("P", m, a, r)] = mon.strip_token_set(p, t)
                 stripped[("Q", m, a, r)] = mon.strip_token_set(q, t)
             base = stripped[("P", *insts[0])]
@@ -705,7 +705,7 @@ def _initial_coverage(model: LibraryModel, insts) -> ObligationItem:
         view = None
         for t, (m, a, r) in zip(tids, combo):
             env = model.assertion_env(t)
-            p = env.eval(model.pre_assertion(m, t, a, r), {})
+            p = env.eval(model.pre_assertion(m), {"t": t, "a": a, "r": r})
             view = p if view is None else mon.compose(view, p)
         toks = TokenMap({t: Token(TODO, APCom(*inst))
                          for t, inst in zip(tids, combo)})

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .command_lang import PrimCommand
 from .errors import LocalityViolation, ModelError, StabilityViolation
 from .monoid_rgsep import RgsepMonoid
+from .subst import subst_prim
 from .vassn import VAssn, free_lvars
-from .views_core import ActionCounterexample, ViewMonoid
+from .views_core import ActionCounterexample, ViewMonoid, memo_key
 
 _UNSEEN = object()
 
@@ -31,13 +32,12 @@ class AssertionEnv:
         self.rely = rely
         self.guar = guar
         self._views: Dict = {}
-        self._lvars: Dict[VAssn, frozenset] = {}
 
     def eval(self, rho: VAssn, interp: Dict[str, int]):
-        """The view an assertion denotes under an interpretation; memoized.
-        An error (an unstable predicate, say) is not cached: the next
-        evaluation raises it again."""
-        key = (rho, tuple(sorted(interp.items())))
+        """The view an assertion denotes under an interpretation; memoized
+        on `memo_key`.  An error (an unstable predicate, say) is not
+        cached: the next evaluation raises it again."""
+        key = memo_key(rho, interp)
         view = self._views.get(key, _UNSEEN)
         if view is _UNSEEN:
             if isinstance(self.monoid, RgsepMonoid):
@@ -47,13 +47,6 @@ class AssertionEnv:
                 view = self.monoid.eval_vassn(rho, interp)
             self._views[key] = view
         return view
-
-    def lvars(self, rho: VAssn) -> frozenset:
-        """The logical variables free in an assertion; memoized."""
-        names = self._lvars.get(rho)
-        if names is None:
-            names = self._lvars[rho] = free_lvars(rho)
-        return names
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +97,15 @@ OutlineNode = Union[OPrim, OSkip, OSeq, OChoice, OIter, OConseq]
 
 @dataclass(frozen=True)
 class ProofOutline:
+    """An outline of one command instance: the method's templates and the
+    instance's (name, value) bindings, under which its assertions are
+    evaluated and its primitives instantiated."""
+
     thread: int
     pre: VAssn
     body: OutlineNode
     post: VAssn
+    binding: Tuple[Tuple[str, int], ...]
 
 
 @dataclass
@@ -124,27 +122,20 @@ class FailureReport:
         return f"{self.rule} fails at {where} (interp {self.interp}): {self.detail}{ce}"
 
 
-def _interps(names: Iterable[str], values) -> Iterable[Dict[str, int]]:
-    names = sorted(names)
-    if not names:
-        yield {}
-        return
-    for combo in itertools.product(values, repeat=len(names)):
-        yield dict(zip(names, combo))
-
-
 class ProofChecker:
     """Syntax-directed checker for annotated outlines.
 
     Primitive nodes discharge the action judgement for every interpretation
-    of the logical variables free in their pre/post; skip and consequence
-    sites discharge repartitioning implications; the remaining rules are
-    structural.
+    of the logical variables free in their pre/post and not bound by the
+    instance; skip and consequence sites discharge repartitioning
+    implications; the remaining rules are structural.  A failure reports
+    the enumerated interpretation only.
     """
 
-    def __init__(self, env: AssertionEnv):
+    def __init__(self, env: AssertionEnv, binding: Dict[str, int]):
         self.env = env
         self.monoid = env.monoid
+        self.binding = binding
 
     def check(self, outline: ProofOutline) -> Optional[FailureReport]:
         return self._node(outline.body, outline.pre, outline.post,
@@ -190,13 +181,23 @@ class ProofChecker:
             )
         raise ModelError(f"unknown outline node {node!r}")
 
+    def _interps(self, pre, post):
+        """Each interpretation of the variables free in pre or post that
+        the instance does not bind, with the instance's bindings added."""
+        names = sorted((free_lvars(pre) | free_lvars(post))
+                       - self.binding.keys())
+        for combo in itertools.product(self.monoid.dom.values,
+                                       repeat=len(names)):
+            interp = dict(zip(names, combo))
+            yield interp, {**interp, **self.binding}
+
     def _prim(self, node, pre, post, t, path):
-        names = self.env.lvars(pre) | self.env.lvars(post)
-        for interp in _interps(names, self.monoid.dom.values):
+        alpha = subst_prim(node.prim, self.binding)
+        for interp, full in self._interps(pre, post):
             try:
-                p = self.env.eval(pre, interp)
-                q = self.env.eval(post, interp)
-                verdict = self.monoid.check_action(t, node.prim, p, q)
+                p = self.env.eval(pre, full)
+                q = self.env.eval(post, full)
+                verdict = self.monoid.check_action(t, alpha, p, q)
             except StabilityViolation as exc:
                 return FailureReport(path, "Prim", interp,
                                      f"unstable assertion: {exc}")
@@ -205,16 +206,15 @@ class ProofChecker:
             if verdict is not True:
                 return FailureReport(
                     path, "Prim", interp,
-                    f"action judgement fails for {node.prim!r}",
+                    f"action judgement fails for {alpha!r}",
                     counterexample=verdict)
         return None
 
     def _implies(self, pre, post, t, path, rule):
-        names = self.env.lvars(pre) | self.env.lvars(post)
-        for interp in _interps(names, self.monoid.dom.values):
+        for interp, full in self._interps(pre, post):
             try:
-                p = self.env.eval(pre, interp)
-                q = self.env.eval(post, interp)
+                p = self.env.eval(pre, full)
+                q = self.env.eval(post, full)
             except StabilityViolation as exc:
                 return FailureReport(path, rule, interp,
                                      f"unstable assertion: {exc}")
@@ -228,4 +228,4 @@ class ProofChecker:
 
 def check_proof(outline: ProofOutline,
                 env: AssertionEnv) -> Optional[FailureReport]:
-    return ProofChecker(env).check(outline)
+    return ProofChecker(env, dict(outline.binding)).check(outline)

@@ -13,7 +13,6 @@ flow desugared); loading the output reproduces the model exactly.
 from __future__ import annotations
 
 import json
-import string
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -44,6 +43,7 @@ from .command_lang import (
     desugar_if,
     desugar_while,
     expr_locs,
+    loc_placeholders,
     validate_command,
 )
 from .errors import ModelError
@@ -86,8 +86,7 @@ def _check_placeholders(locs: Iterable[str], allowed: frozenset, path: str):
     """Locations left unresolved by instantiation are resolved at run time
     with the executing thread alone, so no other placeholder may remain."""
     for loc in locs:
-        names = {f for _, f, _, _ in string.Formatter().parse(loc)} - {None}
-        if not names <= allowed:
+        if not loc_placeholders(loc) <= allowed:
             _fail(path, f"location {loc!r} uses a placeholder other than "
                         + ", ".join(f"{{{n}}}" for n in sorted(allowed)))
 

@@ -288,15 +288,17 @@ class RgsepMonoid(ViewMonoid):
 
     # -- action denotations
 
-    def denote_action(self, pre: VAssn, post: VAssn) -> Rel:
+    def denote_action(self, pre: VAssn, post: VAssn,
+                      binding: Dict[str, int]) -> Rel:
         """All shared-state transitions rewriting a pre fragment into a post
         fragment while preserving the remainder, restricted to the shared
-        universe."""
-        names = sorted(free_lvars(pre) | free_lvars(post))
+        universe; the variables that `binding` leaves free range over the
+        values and thread ids."""
+        names = sorted((free_lvars(pre) | free_lvars(post)) - binding.keys())
         domain = sorted(set(self.dom.values) | set(self.dom.thread_ids()))
         pairs = set()
         for combo in itertools.product(domain, repeat=len(names)):
-            interp = dict(zip(names, combo))
+            interp = {**binding, **dict(zip(names, combo))}
             pre_frags = self.fragments(pre, interp)
             if not pre_frags:
                 continue

@@ -59,9 +59,6 @@ class Heap:
     def __len__(self) -> int:
         return len(self._d)
 
-    def dom(self) -> frozenset:
-        return frozenset(self._d)
-
     def items(self) -> Tuple[Tuple[str, int], ...]:
         return self._key
 
@@ -143,9 +140,6 @@ class TokenMap:
 
     def __len__(self) -> int:
         return len(self._d)
-
-    def dom(self) -> frozenset:
-        return frozenset(self._d)
 
     def items(self) -> Tuple[Tuple[int, Token], ...]:
         return self._key

@@ -16,9 +16,10 @@ skip and consequence sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple, Union
 
-from .command_lang import Expr, cached_hash
+from .command_lang import Expr, cached_hash, loc_placeholders
 from .errors import ModelError
 
 
@@ -114,11 +115,14 @@ def free_lvars_expr(e) -> frozenset:
     return frozenset()
 
 
+@lru_cache(maxsize=None)
 def free_lvars(a: VAssn) -> frozenset:
+    """The logical variables free in an assertion, a location's `{name}`
+    placeholders included; memoized, so each tree is walked once."""
     if isinstance(a, (EmpA, TrueA)):
         return frozenset()
     if isinstance(a, (CPt, APt)):
-        return free_lvars_expr(a.value)
+        return free_lvars_expr(a.value) | loc_placeholders(a.loc)
     if isinstance(a, TokA):
         return (free_lvars_expr(a.tid) | free_lvars_expr(a.arg)
                 | free_lvars_expr(a.ret))

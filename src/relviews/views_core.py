@@ -47,6 +47,7 @@ from .vassn import (
     TokA,
     TrueA,
     VAssn,
+    free_lvars,
 )
 
 
@@ -116,6 +117,15 @@ class ImplVerdict(Enum):
 _EMP = frozenset({EMPTY_WORLD})
 
 
+def memo_key(rho: VAssn, interp: Dict[str, int]) -> tuple:
+    """The key of an evaluation memo: the assertion and the interpretation's
+    entries for its free logical variables, the only ones an evaluation
+    reads.  A name it does not mention, such as an instance's `a` in a
+    thread's invariant, does not split its entries."""
+    names = free_lvars(rho)
+    return (rho, tuple(sorted(kv for kv in interp.items() if kv[0] in names)))
+
+
 class ViewMonoid:
     """Interface a monoid instantiation must supply.
 
@@ -167,7 +177,7 @@ class ViewMonoid:
         an interpretation of its logical variables; memoized.  Cells outside
         the declared domains and tokens outside the alphabet denote
         nothing."""
-        key = (rho, tuple(sorted(interp.items())))
+        key = memo_key(rho, interp)
         out = self._frag_cache.get(key)
         if out is not None:
             return out

@@ -24,16 +24,24 @@ frames a pre-view composes with;
 `repart_implies_with_frames`, the repartitioning implication quantified
 over given frames, which DCSL's inclusion test is validated against; and
 `token_exclusive`, the one-token-per-thread invariant of DCSL views.
+
+Instances by substitution: `subst_vassn`/`subst_outline` build each
+instance's assertions and outline as new trees with its t, a and r
+substituted in, and `substituted_outline` applies them to an outline.  The
+checker binds those variables in the interpretation instead, and is tested
+against checking the substituted outline with no bindings.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Dict
 
 from relviews.command_lang import (
     SKIP,
     Command,
+    PrimCommand,
     Skip,
     apply_guarded,
     step,
@@ -55,7 +63,21 @@ from relviews.state_model import (
     enumerate_worlds,
     world_leq,
 )
-from relviews.vassn import BoxA, ExistsA, OrA, StarA, TrueA, VAssn, free_lvars
+from relviews.subst import Binding, subst_expr, subst_loc
+from relviews.vassn import (
+    APt,
+    BoxA,
+    CPt,
+    EmpA,
+    ExistsA,
+    OrA,
+    PureA,
+    StarA,
+    TokA,
+    TrueA,
+    VAssn,
+    free_lvars,
+)
 from relviews.views_core import ImplVerdict
 
 
@@ -279,18 +301,76 @@ def outline_assertions(node) -> tuple:
 
 
 def outline_views(outline, env) -> list:
-    """The views an accepted outline annotates, deduplicated; this is the
-    witness universe for the safety judgement."""
+    """The views an accepted outline annotates under its instance's
+    bindings, deduplicated; this is the witness universe for the safety
+    judgement."""
+    binding = dict(outline.binding)
     views = []
     for rho in ((outline.pre, outline.post)
                 + outline_assertions(outline.body)):
-        names = sorted(free_lvars(rho))
+        names = sorted(free_lvars(rho) - binding.keys())
         for combo in itertools.product(env.monoid.dom.values,
                                        repeat=len(names)):
-            v = env.eval(rho, dict(zip(names, combo)))
+            v = env.eval(rho, {**dict(zip(names, combo)), **binding})
             if v not in views:
                 views.append(v)
     return views
+
+
+def subst_vassn(a: VAssn, b: Binding) -> VAssn:
+    if isinstance(a, (EmpA, TrueA)):
+        return a
+    if isinstance(a, CPt):
+        return CPt(subst_loc(a.loc, b), subst_expr(a.value, b))
+    if isinstance(a, APt):
+        return APt(subst_loc(a.loc, b), subst_expr(a.value, b))
+    if isinstance(a, TokA):
+        return TokA(a.kind, subst_expr(a.tid, b), a.method,
+                    subst_expr(a.arg, b), subst_expr(a.ret, b))
+    if isinstance(a, PureA):
+        return PureA(subst_expr(a.cond, b))
+    if isinstance(a, StarA):
+        return StarA(tuple(subst_vassn(p, b) for p in a.parts))
+    if isinstance(a, OrA):
+        return OrA(tuple(subst_vassn(p, b) for p in a.parts))
+    if isinstance(a, ExistsA):
+        inner = {k: v for k, v in b.items() if k != a.var}
+        return ExistsA(a.var, subst_vassn(a.body, inner))
+    if isinstance(a, BoxA):
+        return BoxA(subst_vassn(a.body, b))
+    raise ModelError(f"unknown assertion node {a!r}")
+
+
+def subst_outline(node, b: Binding):
+    if isinstance(node, OPrim):
+        return OPrim(PrimCommand(
+            node.prim.name,
+            tuple(subst_expr(a, b) for a in node.prim.args)))
+    if isinstance(node, OSkip):
+        return node
+    if isinstance(node, OSeq):
+        return OSeq(tuple(subst_outline(c, b) for c in node.children),
+                    tuple(subst_vassn(m, b) for m in node.mids))
+    if isinstance(node, OChoice):
+        return OChoice(subst_outline(node.left, b), subst_outline(node.right, b))
+    if isinstance(node, OIter):
+        return OIter(subst_vassn(node.invariant, b),
+                     subst_outline(node.body, b))
+    if isinstance(node, OConseq):
+        return OConseq(subst_vassn(node.pre, b),
+                       subst_vassn(node.post, b),
+                       subst_outline(node.inner, b))
+    raise ModelError(f"unknown outline node {node!r}")
+
+
+def substituted_outline(outline):
+    """An instance's outline as it was checked before instances were bound
+    in the interpretation: the pre, post and body with the bindings
+    substituted in, and no bindings left."""
+    b = dict(outline.binding)
+    return replace(outline, pre=subst_vassn(outline.pre, b),
+                   body=subst_outline(outline.body, b),
+                   post=subst_vassn(outline.post, b), binding=())
 
 
 def reachable_commands(c: Command) -> frozenset:

@@ -264,7 +264,8 @@ def test_criterion_4_prop1_bridge():
     t0 = time.time()
     mono = _rgsep_micro()
     worlds = enumerate_worlds(mono.dom)
-    g_cell = mono.denote_action(CPt("l", Const(0)), CPt("l", Const(1)))
+    g_cell = mono.denote_action(CPt("l", Const(0)), CPt("l", Const(1)),
+                                {})
     guars = [frozenset(), g_cell]
     alphas = [PrimCommand("id"),
               PrimCommand("store", (Read("l"), Const(1))),

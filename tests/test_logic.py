@@ -1,5 +1,8 @@
 import itertools
+import json
 import random
+
+import pytest
 
 from relviews.command_lang import (
     Const,
@@ -23,16 +26,24 @@ from relviews.logic import (
     ProofOutline,
     check_proof,
 )
-from relviews.model_io import load_model, load_outlines
+from relviews.errors import ModelError
+from relviews.fixtures import fixture_manifest
+from relviews.linearizability import (
+    LibraryModel,
+    all_instances,
+    check_obligations,
+    instance_obligations,
+)
+from relviews.model_io import load_model, load_outlines, parse_model
 from relviews.state_model import (
     Heap,
     TokenMap,
     World,
     enumerate_worlds,
 )
-from relviews.vassn import APt, CPt, ExistsA, OrA, StarA
+from relviews.vassn import APt, CPt, ExistsA, OrA, StarA, free_lvars
 from relviews.command_lang import LVar
-from oracles import check_safe, outline_views
+from oracles import check_safe, outline_views, substituted_outline
 from util import micro_dcsl
 
 FIX = "src/relviews/fixtures"
@@ -65,23 +76,23 @@ def test_eval_exists_is_finite_disjunction():
     assert got == frozenset({w({"l": 0}), w({"l": 1})})
 
 
-def test_free_lvars_memoized_per_env():
-    env = AssertionEnv(_mono())
+def test_free_lvars_memoized():
     rho = ExistsA("X", StarA((CPt("l", LVar("X")), APt("x", LVar("Y")))))
-    assert env.lvars(rho) == frozenset({"Y"})
-    assert env.lvars(rho) is env.lvars(rho)
+    assert free_lvars(rho) == frozenset({"Y"})
     # an equal tree built apart shares the entry
-    assert env.lvars(ExistsA("X", StarA((CPt("l", LVar("X")),
-                                         APt("x", LVar("Y")))))) \
-        is env.lvars(rho)
-    assert AssertionEnv(_mono()).lvars(rho) is not env.lvars(rho)
+    assert free_lvars(ExistsA("X", StarA((CPt("l", LVar("X")),
+                                          APt("x", LVar("Y")))))) \
+        is free_lvars(rho)
+    # a location placeholder is a free occurrence, bound by an exists
+    assert free_lvars(ExistsA("v", CPt("x[{v}]", LVar("Y")))) \
+        == frozenset({"Y"})
 
 
 def test_check_proof_prim_id_accepted():
     mono = _mono()
     env = AssertionEnv(mono)
     p = CPt("l", Const(0))
-    outline = ProofOutline(1, p, OPrim(PrimCommand("id")), p)
+    outline = ProofOutline(1, p, OPrim(PrimCommand("id")), p, ())
     assert check_proof(outline, env) is None
 
 
@@ -90,7 +101,7 @@ def test_check_proof_rejects_wrong_post():
     env = AssertionEnv(mono)
     p = CPt("l", Const(0))
     q = CPt("l", Const(1))
-    outline = ProofOutline(1, p, OPrim(PrimCommand("id")), q)
+    outline = ProofOutline(1, p, OPrim(PrimCommand("id")), q, ())
     fail = check_proof(outline, env)
     assert fail is not None
     assert fail.rule == "Prim"
@@ -106,14 +117,14 @@ def test_check_proof_structural_rules():
          OPrim(PrimCommand("store", (Read("l"), Const(0))))),
         (p1,),
     )
-    assert check_proof(ProofOutline(1, p0, node, p0), env) is None
+    assert check_proof(ProofOutline(1, p0, node, p0, ()), env) is None
     both = OrA((p0, p1))
     ch = OChoice(OPrim(PrimCommand("store", (Read("l"), Const(0)))),
                  OPrim(PrimCommand("store", (Read("l"), Const(0)))))
-    assert check_proof(ProofOutline(1, both, ch, p0), env) is None
+    assert check_proof(ProofOutline(1, both, ch, p0, ()), env) is None
     it = OIter(both, OPrim(PrimCommand("id")))
-    assert check_proof(ProofOutline(1, p0, it, both), env) is None
-    skip_bad = check_proof(ProofOutline(1, p0, OSkip(), p1), env)
+    assert check_proof(ProofOutline(1, p0, it, both, ()), env) is None
+    skip_bad = check_proof(ProofOutline(1, p0, OSkip(), p1, ()), env)
     assert skip_bad is not None and skip_bad.rule == "Skip"
 
 
@@ -156,8 +167,8 @@ def test_lemma1_bridge_shipped_dcsl_outline():
         outline = model.outline(m, 1, a, r)
         assert check_proof(outline, env) is None
         universe = outline_views(outline, env)
-        p = env.eval(outline.pre, {})
-        q = env.eval(outline.post, {})
+        p = env.eval(outline.pre, dict(outline.binding))
+        q = env.eval(outline.post, dict(outline.binding))
         body = model.body(m, a, r)
         assert check_safe(1, p, body, q, universe, model.monoid())
 
@@ -169,8 +180,8 @@ def test_lemma1_bridge_rgsep_outline():
     outline = model.outline("inc", 2, 1, 2)
     assert check_proof(outline, env) is None
     universe = outline_views(outline, env)
-    p = env.eval(outline.pre, {})
-    q = env.eval(outline.post, {})
+    p = env.eval(outline.pre, dict(outline.binding))
+    q = env.eval(outline.post, dict(outline.binding))
     assert check_safe(2, p, model.body("inc", 1, 2), q, universe,
                       model.monoid())
 
@@ -193,3 +204,83 @@ def test_safety_seq_closure_smoke():
             assert check_safe(1, p, Seq(c1, c2), q, views, mono, caches)
             hits += 1
     assert hits >= 5
+
+
+def _with_outline(fx):
+    model = load_model(fx.model_path)
+    load_outlines(fx.outline_path, model)
+    return model
+
+
+@pytest.mark.parametrize(
+    "fx", [fx for fx in fixture_manifest() if fx.outline_path],
+    ids=lambda fx: fx.name)
+def test_bound_outlines_match_the_substituted_oracle(fx):
+    """Checking a method's templates under an instance's bindings reports
+    what checking the instance's substituted outline with no bindings
+    reports, and the instance's obligations read the same."""
+    bound = _with_outline(fx)
+    oracle = _with_outline(fx)
+    oracle.outline = lambda *inst: substituted_outline(
+        LibraryModel.outline(oracle, *inst))
+    changed = 0
+    for inst in all_instances(bound):
+        t = inst[1]
+        outline = bound.outline(*inst)
+        subst = oracle.outline(*inst)
+        assert subst.binding == ()
+        changed += subst.pre != outline.pre
+        got = check_proof(outline, bound.assertion_env(t))
+        want = check_proof(subst, oracle.assertion_env(t))
+        assert str(got) == str(want), inst
+        assert [it.line() for it in instance_obligations(bound, inst)] \
+            == [it.line() for it in instance_obligations(oracle, inst)], inst
+    assert changed, fx.name
+
+
+def test_unbound_placeholder_in_an_outline_is_quantified():
+    # `{k}` in a location ranges over the values, as `k` in a value does
+    mono = micro_dcsl(cloc={"c0": (0, 1), "c1": (0, 1)})
+    env = AssertionEnv(mono)
+    pre = CPt("c0", Const(0))
+    for post in (CPt("c{k}", Const(0)), CPt("c0", LVar("k"))):
+        fail = check_proof(
+            ProofOutline(1, pre, OPrim(PrimCommand("id")), post, ()), env)
+        assert fail.rule == "Prim" and fail.interp == {"k": 1}
+    assert check_proof(ProofOutline(
+        1, pre, OPrim(PrimCommand("id")),
+        OrA((CPt("c{k}", Const(0)), CPt("c0", Const(0)))), ()), env) is None
+
+
+_UNBOUND_K = "location 'c{k}' references unbound logical variable 'k'"
+
+
+def _fixture_doc(name):
+    with open(f"{FIX}/{name}/model.json") as fh:
+        return json.load(fh)
+
+
+def test_unbound_placeholder_in_a_family_is_a_model_error():
+    # the outline check quantifies `k`, and accepts: `c{k}` is no
+    # declared cell, so the disjunction is `emp`; the obligations evaluate
+    # the family under the instance's bindings alone, where `k` is unbound
+    doc = _fixture_doc("dcsl-cell")
+    family = doc["assertions"]["put"]
+    family["pre"] = ["star", family["pre"], ["or", ["emp"], ["pt", "c{k}", 0]]]
+    model = parse_model(doc)
+    load_outlines(f"{FIX}/dcsl-cell/outline.json", model)
+    with pytest.raises(ModelError, match=_UNBOUND_K):
+        model.assertion_env(1).eval(model.pre_assertion("put"),
+                                    {"t": 1, "a": 0, "r": 0})
+    report = check_obligations(model)
+    lines = [it.line() for it in report.items if not it.ok]
+    assert lines and all(_UNBOUND_K in line for line in lines)
+    assert all(it.ok for it in report.items if it.obligation == "(1) outline")
+
+
+def test_unbound_placeholder_in_the_shared_universe_is_a_model_error():
+    doc = _fixture_doc("atomic-inc")
+    doc["shared_universe"] = ["star", doc["shared_universe"],
+                              ["or", ["emp"], ["pt", "c{k}", 0]]]
+    with pytest.raises(ModelError, match=_UNBOUND_K):
+        parse_model(doc).monoid()

@@ -30,6 +30,7 @@ from relviews.vassn import (
     PureA,
     StarA,
     TokA,
+    free_lvars,
 )
 from relviews.command_lang import Const, Eq, LVar
 from relviews.monoid_rgsep import RgsepMonoid
@@ -186,6 +187,27 @@ def test_eval_box_rejected():
 def test_eval_out_of_domain_cell_denotes_nothing():
     for mono in _monoids():
         assert mono.fragments(CPt("l", Const(7)), {}) == EMPTY_VIEW
+
+
+def test_eval_memo_ignores_variables_the_assertion_does_not_read():
+    mono = _monoids()[0]
+    before = len(mono._frag_cache)
+    rho = CPt("l", Const(0))
+    assert mono.fragments(rho, {"a": 0}) is mono.fragments(rho, {"a": 1})
+    assert len(mono._frag_cache) == before + 1
+
+
+def test_eval_memo_keys_location_placeholders():
+    dom = micro_domains(cloc={"c1": (1,), "c2": (1,)}, values=(1,))
+    mono = DcslMonoid(dom, micro_semantics(dom))
+    rho = CPt("c{t}", Const(1))
+    assert mono.fragments(rho, {"t": 1}) == frozenset({w({"c1": 1})})
+    assert mono.fragments(rho, {"t": 2}) == frozenset({w({"c2": 1})})
+
+
+def test_free_lvars_counts_location_placeholders():
+    assert free_lvars(ExistsA("v", CPt("x[{t}]", LVar("v")))) \
+        == frozenset({"t"})
 
 
 # ---------------------------------------------------------------------------

@@ -157,13 +157,13 @@ def test_eval_matches_oracle_on_fixture_assertions(name):
     assns = set()
     for inst in all_instances(model):
         outline = model.outline(*inst)
-        assns.update((outline.pre, outline.post)
-                     + outline_assertions(outline.body))
+        assns.update((rho, outline.binding) for rho in (
+            (outline.pre, outline.post) + outline_assertions(outline.body)))
     assert assns
-    for rho in sorted(assns, key=repr):
-        names = sorted(free_lvars(rho))
+    for rho, binding in sorted(assns, key=repr):
+        names = sorted(free_lvars(rho) - dict(binding).keys())
         for combo in itertools.product(mono.dom.values, repeat=len(names)):
-            interp = dict(zip(names, combo))
+            interp = {**dict(zip(names, combo)), **dict(binding)}
             assert _eval_or_error(mono, rho, interp) \
                 == _oracle_or_error(mono, rho, interp), (rho, interp)
 
@@ -349,17 +349,30 @@ def test_unstable_assertion_not_memoized():
 
 def test_denote_action_contains_identity_and_preserves_remainder():
     mono = _mono(cloc={"x": (0, 1), "y": (0, 1)})
-    ident = mono.denote_action(CPt("x", Const(0)), CPt("x", Const(0)))
+    ident = mono.denote_action(CPt("x", Const(0)), CPt("x", Const(0)), {})
     for s in mono.universe:
         if s.conc.get("x") == 0:
             assert (s, s) in ident
-    rel = mono.denote_action(CPt("x", Const(0)), CPt("x", Const(1)))
+    rel = mono.denote_action(CPt("x", Const(0)), CPt("x", Const(1)), {})
     assert rel
     for s, s2 in rel:
         assert s.conc.get("x") == 0 and s2.conc.get("x") == 1
         # cells outside the rewritten fragment are untouched
         assert s.conc.get("y") == s2.conc.get("y")
         assert s.toks == s2.toks
+
+
+def test_denote_action_quantifies_unbound_placeholders():
+    # an unbound `{k}` ranges over the values and thread ids, as `k` in a
+    # value does; a bound one names the bound cell
+    mono = _mono(cloc={"x0": (0, 1), "x1": (0, 1)})
+
+    def incr(loc, binding):
+        return mono.denote_action(CPt(loc, Const(0)), CPt(loc, Const(1)),
+                                  binding)
+
+    assert incr("x{k}", {}) == incr("x0", {}) | incr("x1", {})
+    assert incr("x{t}", {"t": 1}) == incr("x1", {}) != incr("x0", {})
 
 
 def test_check_action_id_reflexive():
@@ -377,7 +390,7 @@ def test_check_action_shared_change_outside_guarantee():
     got = mono.check_action(1, alpha, pre, post)
     assert isinstance(got, ActionCounterexample)
     # granting the transition in the guarantee fixes it
-    g = mono.denote_action(CPt("x", Const(0)), CPt("x", Const(1)))
+    g = mono.denote_action(CPt("x", Const(0)), CPt("x", Const(1)), {})
     pre2 = mono.eval_vassn_rg(BoxA(StarA((TrueA(), CPt("x", Const(0))))),
                               frozenset(), g, {})
     post2 = mono.eval_vassn_rg(BoxA(TrueA()), frozenset(), g, {})

@@ -36,7 +36,7 @@ def _trees(model):
     """Every command and assertion tree a check of the model touches: the
     bodies and the commands `step` reaches from them (with the fired
     primitives), the parsed templates, actions and shared universe, and
-    each instance's substituted outline with its pre and post."""
+    each instance's outline: the method's templates and its bindings."""
     out = [model.bodies, model.body_templates, model.pre_templates,
            model.post_templates, model.outline_templates, model.actions,
            model.shared_universe_assn]
