@@ -701,6 +701,8 @@ def load_outlines(path: str, model: LibraryModel) -> None:
 
 
 def attach_outlines(doc: dict, model: LibraryModel, path: str = "outline") -> None:
+    if not isinstance(doc, dict):
+        _fail(path, "outline document must be an object")
     with _malformed_is_model_error(path):
         macros = MacroTable({**model.macros_raw, **doc.get("macros", {})})
         outlines = doc.get("outlines")

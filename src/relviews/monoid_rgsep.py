@@ -42,6 +42,7 @@ from .views_core import (
     ViewMonoid,
     check_action_with_frames,
     lp_star,
+    memo_key,
 )
 
 Pair = Tuple[World, World]  # (local, shared)
@@ -115,7 +116,11 @@ def reify_rgsep(v: RgsepView) -> frozenset:
 
 def stable(pred: FrozenSet[Pair], rely: Optional[Rel],
            universe: Iterable[World]) -> Optional[Tuple[World, World, World]]:
-    """None when stable; otherwise a witness (local, shared, shared')."""
+    """None when stable; otherwise a witness (local, shared, shared').
+    `RgsepMonoid.eval_vassn_rg` checks stability on its columns and calls
+    this only to produce the witness of a failing check, or where the
+    column check does not apply (the full rely, or a rely that leaves the
+    universe), so that every witness is the one found here."""
     locals_by_shared: Dict[World, set] = {}
     for l, s in pred:
         locals_by_shared.setdefault(s, set()).add(l)
@@ -171,13 +176,16 @@ class RgsepMonoid(ViewMonoid):
         if shared_universe is None:
             shared_universe = enumerate_worlds(dom)
         self.universe = tuple(sorted(set(shared_universe), key=world_sort_key))
-        self._universe_set = frozenset(self.universe)
+        self._index = {s: i for i, s in enumerate(self.universe)}
         self._local_ok: set = set()
         self._unit = None
         # pred -> its composable pairs, and one object per distinct heap or
         # token map of their worlds; see `_composed`
         self._composed_memo: Dict[FrozenSet[Pair], tuple] = {}
         self._world_parts: dict = {}
+        # see `_local_columns` and `_rely_edges`
+        self._columns_memo: Dict[tuple, Dict[int, frozenset]] = {}
+        self._edges_memo: Dict[Rel, Optional[tuple]] = {}
 
     # -- monoid operations
 
@@ -227,10 +235,27 @@ class RgsepMonoid(ViewMonoid):
         cols = self._local_columns(rho, interp, range(len(universe)))
         pred = frozenset((l, universe[i]) for i, ls in cols.items()
                          for l in ls)
-        witness = stable(pred, rely, universe)
-        if witness is not None:
-            raise StabilityViolation(*witness)
+        edges = None if rely is None else self._rely_edges(rely)
+        if edges is None or not all(cols[i] <= cols[j] for i, j in edges):
+            witness = stable(pred, rely, universe)
+            if witness is not None:
+                raise StabilityViolation(*witness)
         return RgsepView(pred, rely, guar)
+
+    def _rely_edges(self, rely: Rel) -> Optional[tuple]:
+        """The rely's transitions between distinct shared states as (i, j)
+        pairs of universe indices, built once per rely; None when a
+        transition leaves the universe.  A predicate is stable exactly
+        when each edge's source column is contained in its target
+        column."""
+        if rely not in self._edges_memo:
+            index = self._index
+            edges = None
+            if all(s in index and s2 in index for s, s2 in rely):
+                edges = tuple((index[s], index[s2]) for s, s2 in rely
+                              if s != s2)
+            self._edges_memo[rely] = edges
+        return self._edges_memo[rely]
 
     def _local_columns(self, rho: VAssn, interp,
                        live) -> Dict[int, frozenset]:
@@ -240,7 +265,19 @@ class RgsepMonoid(ViewMonoid):
         reading looks at it (a star gives up on a state once its prefix
         denotes nothing there), so a model error is raised exactly when
         that reading raises one; of several faulty parts, the one reported
-        may differ."""
+        may differ.  Memoized on `memo_key` and the live indices: parts
+        that do not mention an instance's variables are evaluated once for
+        all its instances.  An error is not cached, and a returned dict is
+        shared, so callers never mutate it."""
+        key = (memo_key(rho, interp), tuple(live))
+        cols = self._columns_memo.get(key)
+        if cols is None:
+            cols = self._columns_memo[key] = self._eval_columns(rho, interp,
+                                                                live)
+        return cols
+
+    def _eval_columns(self, rho: VAssn, interp,
+                      live) -> Dict[int, frozenset]:
         if not live:
             return {}
         if isinstance(rho, BoxA):
@@ -312,7 +349,7 @@ class RgsepMonoid(ViewMonoid):
                     rem = world_minus(s, f)
                     for f2 in post_frags:
                         s2 = compose_worlds(f2, rem)
-                        if s2 is not None and s2 in self._universe_set:
+                        if s2 is not None and s2 in self._index:
                             pairs.add((s, s2))
         return frozenset(pairs)
 

@@ -178,6 +178,28 @@ def test_malformed_outline_exit_two(capsys, tmp_path, mutate):
     assert err.startswith("error:") and str(bad) in err
 
 
+@pytest.mark.parametrize("doc", [[], "x"])
+def test_outline_document_must_be_an_object(capsys, tmp_path, doc):
+    bad = tmp_path / "outline.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-proof",
+                         f"{FIX}/atomic-inc/model.json", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: outline document must be an object\n"
+
+
+@pytest.mark.parametrize("argv", [["check-lin", "--bound", "1000"],
+                                  ["histories", "--bound", "2000"]])
+def test_bound_past_the_recursion_limit_is_a_limit_error(capsys, argv):
+    # exit 1 always comes with a verdict; a walk too deep for the
+    # interpreter's stack is a limit error that names the bound
+    code, out, err = run(capsys, argv[0], f"{FIX}/atomic-inc/model.json",
+                         *argv[1:], "--format", "machine")
+    assert code == 2 and out == ""
+    assert err == (f"error: recursion limit exceeded at bound {argv[2]}; "
+                   "lower --bound\n")
+
+
 @pytest.mark.parametrize("argv", [["check-lin", "--bound", "4"],
                                   ["histories", "--bound", "4"]])
 def test_fault_reported_as_verdict(capsys, tmp_path, argv):

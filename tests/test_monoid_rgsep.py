@@ -309,6 +309,82 @@ def test_generated_assertions_include_errors_and_boxes():
     assert seen == {"error", "nonempty", "empty"}
 
 
+@st.composite
+def _sequence_case(draw):
+    """A `_case` monoid with a run of assertions that overlap (later ones
+    may combine earlier ones) and a rely: the full relation, pairs over
+    the universe, or pairs that may leave it."""
+    mono, rho = draw(_case())
+    locs = tuple(sorted(dict(mono.dom.cloc)))
+    rhos = [rho]
+    for _ in range(draw(st.integers(1, 3))):
+        earlier = st.lists(st.sampled_from(tuple(rhos)), min_size=2,
+                           max_size=2)
+        rhos.append(draw(st.one_of(
+            _ASSERTIONS[locs],
+            earlier.map(lambda ps: StarA(tuple(ps))),
+            earlier.map(lambda ps: OrA(tuple(ps))),
+        )))
+
+    def pairs(worlds):
+        return st.frozensets(st.tuples(st.sampled_from(worlds),
+                                       st.sampled_from(worlds)), max_size=6)
+
+    rely = draw(st.one_of(st.none(), pairs(mono.universe),
+                          pairs(enumerate_worlds(mono.dom))))
+    return mono, rhos, rely
+
+
+def _oracle_outcome(mono, rho, rely):
+    """The model error, the stability witness or the predicate that the
+    state-by-state reading and `stable` give."""
+    pred = _oracle_or_error(mono, rho, {})
+    if isinstance(pred, tuple):
+        return pred
+    witness = stable(pred, rely, mono.universe)
+    return pred if witness is None else ("unstable", witness)
+
+
+def _outcome(mono, rho, rely):
+    try:
+        return mono.eval_vassn_rg(rho, rely, frozenset(), {}).pred
+    except StabilityViolation as exc:
+        return ("unstable", exc.witness)
+    except ModelError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sequence_case())
+def test_memoized_eval_and_column_stability_match_oracle(case):
+    # one monoid for the whole run, so later evaluations hit the column
+    # and rely-edge memos that earlier ones filled
+    mono, rhos, rely = case
+    for rho in rhos:
+        assert _outcome(mono, rho, rely) == _oracle_outcome(mono, rho, rely)
+
+
+def test_generated_sequences_include_stable_and_unstable():
+    # each kind of rely meets both stable and unstable assertions
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_sequence_case())
+    def collect(case):
+        mono, rhos, rely = case
+        kind = ("full" if rely is None else
+                "inside" if {s for pair in rely for s in pair}
+                <= set(mono.universe) else "outside")
+        for rho in rhos:
+            got = _oracle_outcome(mono, rho, rely)
+            seen.add((kind, got[0] if isinstance(got, tuple) else "stable"))
+
+    collect()
+    assert {(kind, outcome) for kind in ("full", "inside", "outside")
+            for outcome in ("stable", "unstable")} <= seen
+    assert any(outcome == "error" for _kind, outcome in seen)
+
+
 def test_token_literal_pins_local_tokens():
     mono = _mono()
     rho = TokA(TODO, Const(1), "op", Const(0), Const(0))
