@@ -52,6 +52,12 @@ EMPTY_VIEW: DcslView = frozenset()
 
 
 def compose_dcsl(p: DcslView, q: DcslView) -> DcslView:
+    """Pairwise composition of worlds, dropping undefined pairs; the unit
+    returns the other view itself."""
+    if p == UNIT_DCSL:
+        return frozenset(q)
+    if q == UNIT_DCSL:
+        return frozenset(p)
     out = set()
     for w1 in p:
         for w2 in q:
@@ -142,7 +148,7 @@ class DcslMonoid(ViewMonoid):
     eval_vassn = ViewMonoid.fragments  # a view is the set of its fragments
 
     def reified_token_worlds(self, p):
-        return sorted(p, key=repr)
+        return p
 
     def strip_token_set(self, p, t: int) -> frozenset:
         """The worlds with thread t's token erased (token-swap check)."""

@@ -41,7 +41,6 @@ from .views_core import (
     Semantics,
     ViewMonoid,
     check_action_with_frames,
-    lp_star,
     memo_key,
 )
 
@@ -435,7 +434,7 @@ class RgsepMonoid(ViewMonoid):
                     return ActionCounterexample(
                         t, alpha, None, world, FAULT, "fault reachable")
                 if lp_set is None:
-                    lp_set = lp_star(sigma_a, toks, sem)
+                    lp_set = self.lp_star(sigma_a, toks)
                 ok = False
                 for s2, abs2, toks2 in post_by_conc.get(sigma2, ()):
                     if (abs2, toks2) not in lp_set:

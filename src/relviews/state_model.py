@@ -36,62 +36,80 @@ class _Fault:
 FAULT = _Fault()
 
 
-class Heap:
-    """Immutable finite partial map from locations to values."""
+class _FrozenMap:
+    """Immutable finite partial map, compared and hashed by its items in
+    sorted order; equal only to a map of the same class."""
 
     __slots__ = ("_d", "_key", "_hash")
+    _brackets = "{}"
 
-    def __init__(self, items: Union[dict, Iterable[Tuple[str, int]]] = ()):
+    def __init__(self, items=()):
         d = dict(items)
         self._d = d
         self._key = tuple(sorted(d.items()))
         self._hash = hash(self._key)
 
-    def get(self, loc: str) -> Optional[int]:
-        return self._d.get(loc)
+    @classmethod
+    def _of(cls, d: dict, key: tuple):
+        """The map of a dict no one else holds, given its items already
+        sorted; neither is copied."""
+        m = cls.__new__(cls)
+        m._d = d
+        m._key = key
+        m._hash = hash(key)
+        return m
 
-    def __contains__(self, loc: str) -> bool:
-        return loc in self._d
+    def get(self, k):
+        return self._d.get(k)
 
-    def __getitem__(self, loc: str) -> int:
-        return self._d[loc]
+    def __contains__(self, k) -> bool:
+        return k in self._d
+
+    def __getitem__(self, k):
+        return self._d[k]
 
     def __len__(self) -> int:
         return len(self._d)
 
-    def items(self) -> Tuple[Tuple[str, int], ...]:
+    def items(self) -> tuple:
         return self._key
 
-    def set(self, loc: str, val: int) -> "Heap":
+    def set(self, k, v):
         d = dict(self._d)
-        d[loc] = val
-        return Heap(d)
+        d[k] = v
+        return self._of(d, tuple(sorted(d.items())))
 
-    def set_many(self, pairs: Iterable[Tuple[str, int]]) -> "Heap":
-        d = dict(self._d)
-        for loc, val in pairs:
-            d[loc] = val
-        return Heap(d)
-
-    def remove(self, locs: Iterable[str]) -> "Heap":
-        drop = set(locs)
-        return Heap({k: v for k, v in self._d.items() if k not in drop})
-
-    def subheap_of(self, other: "Heap") -> bool:
-        return all(other.get(k) == v for k, v in self._key)
+    def _without(self, drop):
+        return self._of({k: v for k, v in self._d.items() if k not in drop},
+                        tuple(kv for kv in self._key if kv[0] not in drop))
 
     def __eq__(self, other):
-        return isinstance(other, Heap) and self._key == other._key
+        return type(other) is type(self) and self._key == other._key
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        inner = ", ".join(f"{k}:{v}" for k, v in self._key)
-        return "[" + inner + "]"
+        inner = ", ".join(f"{k}:{v!r}" for k, v in self._key)
+        return self._brackets[0] + inner + self._brackets[1]
 
     def __reduce__(self):
-        return (Heap, (self._key,))
+        return (type(self), (self._key,))
+
+
+class Heap(_FrozenMap):
+    """Immutable finite partial map from locations to values."""
+
+    __slots__ = ()
+    _brackets = "[]"
+
+    def set_many(self, pairs: Iterable[Tuple[str, int]]) -> "Heap":
+        d = dict(self._d)
+        d.update(pairs)
+        return self._of(d, tuple(sorted(d.items())))
+
+    def subheap_of(self, other: "Heap") -> bool:
+        return all(other.get(k) == v for k, v in self._key)
 
 
 EMPTY_HEAP = Heap()
@@ -121,54 +139,16 @@ class Token(NamedTuple):
         return f"{self.kind}({self.apcom!r})"
 
 
-class TokenMap:
+class TokenMap(_FrozenMap):
     """Immutable finite partial map from thread ids to tokens."""
 
-    __slots__ = ("_d", "_key", "_hash")
-
-    def __init__(self, items: Union[dict, Iterable[Tuple[int, Token]]] = ()):
-        d = dict(items)
-        self._d = d
-        self._key = tuple(sorted(d.items()))
-        self._hash = hash(self._key)
-
-    def get(self, tid: int) -> Optional[Token]:
-        return self._d.get(tid)
-
-    def __contains__(self, tid: int) -> bool:
-        return tid in self._d
-
-    def __len__(self) -> int:
-        return len(self._d)
-
-    def items(self) -> Tuple[Tuple[int, Token], ...]:
-        return self._key
-
-    def set(self, tid: int, tok: Token) -> "TokenMap":
-        d = dict(self._d)
-        d[tid] = tok
-        return TokenMap(d)
+    __slots__ = ()
 
     def remove(self, tid: int) -> "TokenMap":
-        d = dict(self._d)
-        d.pop(tid, None)
-        return TokenMap(d)
+        return self._without((tid,))
 
     def todos(self) -> Tuple[Tuple[int, APCom], ...]:
         return tuple((t, tok.apcom) for t, tok in self._key if tok.kind == TODO)
-
-    def __eq__(self, other):
-        return isinstance(other, TokenMap) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        inner = ", ".join(f"{t}:{tok!r}" for t, tok in self._key)
-        return "{" + inner + "}"
-
-    def __reduce__(self):
-        return (TokenMap, (self._key,))
 
 
 EMPTY_TOKENS = TokenMap()
@@ -188,6 +168,18 @@ class World(NamedTuple):
 EMPTY_WORLD = World(EMPTY_HEAP, EMPTY_HEAP, EMPTY_TOKENS)
 
 
+def compose_maps(m1, m2):
+    """Disjoint union of two heaps or of two token maps; None when a key is
+    shared.  An empty side returns the other map itself."""
+    if not m1._key:
+        return m2
+    if not m2._key:
+        return m1
+    if not m1._d.keys().isdisjoint(m2._d):
+        return None
+    return m1._of({**m1._d, **m2._d}, tuple(sorted(m1._key + m2._key)))
+
+
 def compose_states(s1: HeapState, s2: HeapState) -> Optional[HeapState]:
     """Partial composition of states; None marks the undefined case.
 
@@ -196,25 +188,7 @@ def compose_states(s1: HeapState, s2: HeapState) -> Optional[HeapState]:
     """
     if s1 is FAULT or s2 is FAULT:
         return FAULT
-    if len(s1) < len(s2):
-        s1, s2 = s2, s1
-    for loc, _ in s2.items():
-        if loc in s1:
-            return None
-    return s1.set_many(s2.items())
-
-
-def compose_tokens(d1: TokenMap, d2: TokenMap) -> Optional[TokenMap]:
-    """Disjoint union of token maps; None when a thread id is shared."""
-    if len(d1) < len(d2):
-        d1, d2 = d2, d1
-    for tid, _ in d2.items():
-        if tid in d1:
-            return None
-    out = dict(d1.items())
-    for tid, tok in d2.items():
-        out[tid] = tok
-    return TokenMap(out)
+    return compose_maps(s1, s2)
 
 
 def compose_worlds(w1: World, w2: World) -> Optional[World]:
@@ -225,7 +199,7 @@ def compose_worlds(w1: World, w2: World) -> Optional[World]:
     a = compose_states(w1.abst, w2.abst)
     if a is None:
         return None
-    t = compose_tokens(w1.toks, w2.toks)
+    t = compose_maps(w1.toks, w2.toks)
     if t is None:
         return None
     return World(c, a, t)
@@ -242,11 +216,8 @@ def world_leq(w: World, big: World) -> bool:
 
 def world_minus(big: World, w: World) -> World:
     """Remove a sub-world; caller guarantees world_leq(w, big)."""
-    return World(
-        big.conc.remove(loc for loc, _ in w.conc.items()),
-        big.abst.remove(loc for loc, _ in w.abst.items()),
-        TokenMap({t: tok for t, tok in big.toks.items() if t not in w.toks}),
-    )
+    return World(big.conc._without(w.conc._d), big.abst._without(w.abst._d),
+                 big.toks._without(w.toks._d))
 
 
 @dataclass(frozen=True)

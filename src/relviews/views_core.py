@@ -139,6 +139,7 @@ class ViewMonoid:
         self.dom = dom
         self.sem = sem
         self._frag_cache: Dict = {}
+        self._lp_cache: Dict = {}
         self._locdoms = {CPt: dict(dom.cloc), APt: dict(dom.aloc)}
         self._apcoms = frozenset(dom.apcoms)
 
@@ -171,6 +172,14 @@ class ViewMonoid:
 
     def eval_vassn(self, rho, interp):
         raise NotImplementedError
+
+    def lp_star(self, sigma_a: Heap, toks: TokenMap) -> frozenset:
+        """`lp_star` under this monoid's semantics; memoized."""
+        key = (sigma_a, toks)
+        out = self._lp_cache.get(key)
+        if out is None:
+            out = self._lp_cache[key] = lp_star(sigma_a, toks, self.sem)
+        return out
 
     def fragments(self, rho: VAssn, interp: Dict[str, int]) -> frozenset:
         """All world fragments exactly satisfying a box-free assertion under
@@ -254,14 +263,15 @@ def check_action_with_frames(monoid: ViewMonoid, t: int, alpha: PrimCommand,
         post = monoid.reify(monoid.compose(q, r))
         for world in pre:
             sigma, sigma_a, toks = world
+            lp_set = None
             for sigma2 in sem.ctable.apply(alpha, t, sigma, sem.modulus):
                 if sigma2 is FAULT:
                     return ActionCounterexample(
                         t, alpha, r, world, FAULT, "fault reachable")
-                if not any(
-                    World(sigma2, s2, d2) in post
-                    for s2, d2 in lp_star(sigma_a, toks, sem)
-                ):
+                if lp_set is None:
+                    lp_set = monoid.lp_star(sigma_a, toks)
+                if not any(World(sigma2, s2, d2) in post
+                           for s2, d2 in lp_set):
                     return ActionCounterexample(
                         t, alpha, r, world, sigma2,
                         "no linearization choice reaches the postcondition")

@@ -25,6 +25,12 @@ frames a pre-view composes with;
 over given frames, which DCSL's inclusion test is validated against; and
 `token_exclusive`, the one-token-per-thread invariant of DCSL views.
 
+World composition, item by item: `compose_states_copying` and
+`compose_tokens_copying` check a key at a time and build the union through
+a fresh, re-sorted map.  The shipped `compose_maps` kernel, with its
+empty-side identity and its union without re-sorting, is tested against
+them.
+
 Instances by substitution: `subst_vassn`/`subst_outline` build each
 instance's assertions and outline as new trees with its t, a and r
 substituted in, and `substituted_outline` applies them to an outline.  The
@@ -58,6 +64,7 @@ from relviews.monoid_dcsl import UNIT_DCSL
 from relviews.state_model import (
     EMPTY_WORLD,
     FAULT,
+    TokenMap,
     World,
     compose_worlds,
     enumerate_worlds,
@@ -79,6 +86,35 @@ from relviews.vassn import (
     free_lvars,
 )
 from relviews.views_core import ImplVerdict
+
+
+def compose_states_copying(s1, s2):
+    """Partial composition of states; None marks the undefined case.
+
+    Fault is absorbing; otherwise the union of the two maps when their
+    domains are disjoint.
+    """
+    if s1 is FAULT or s2 is FAULT:
+        return FAULT
+    if len(s1) < len(s2):
+        s1, s2 = s2, s1
+    for loc, _ in s2.items():
+        if loc in s1:
+            return None
+    return s1.set_many(s2.items())
+
+
+def compose_tokens_copying(d1: TokenMap, d2: TokenMap):
+    """Disjoint union of token maps; None when a thread id is shared."""
+    if len(d1) < len(d2):
+        d1, d2 = d2, d1
+    for tid, _ in d2.items():
+        if tid in d1:
+            return None
+    out = dict(d1.items())
+    for tid, tok in d2.items():
+        out[tid] = tok
+    return TokenMap(out)
 
 
 def box_holds(mono, body: VAssn, s: World, interp) -> bool:

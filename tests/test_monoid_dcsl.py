@@ -18,6 +18,7 @@ from relviews.state_model import (
     Token,
     TokenMap,
     World,
+    compose_worlds,
     enumerate_worlds,
 )
 from relviews.vassn import (
@@ -49,6 +50,22 @@ def test_compose_unit():
     p = frozenset({w({"l1": 1}), w({"l2": 0})})
     assert compose_dcsl(p, UNIT_DCSL) == p
     assert compose_dcsl(UNIT_DCSL, p) == p
+
+
+def test_compose_with_unit_equals_pairwise_composition():
+    dom = micro_domains(cloc={"l": (0, 1)}, aloc={"x": (0,)}, nthreads=2,
+                        apcoms=(AP,))
+    ws = enumerate_worlds(dom)
+    rng = random.Random(5)
+    views = [EMPTY_VIEW, UNIT_DCSL, frozenset(set(UNIT_DCSL))]
+    views += [sample_view(rng, ws, max_size=6) for _ in range(200)]
+    for p in views:
+        pairwise = frozenset(w for w1 in p for w2 in UNIT_DCSL
+                             for w in (compose_worlds(w1, w2),)
+                             if w is not None)
+        assert compose_dcsl(p, UNIT_DCSL) == pairwise == p
+        assert compose_dcsl(UNIT_DCSL, p) == pairwise
+        assert type(compose_dcsl(UNIT_DCSL, set(p))) is frozenset
 
 
 def test_compose_overlap_drops_to_empty():

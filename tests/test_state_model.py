@@ -14,8 +14,8 @@ from relviews.state_model import (
     Token,
     TokenMap,
     World,
+    compose_maps,
     compose_states,
-    compose_tokens,
     compose_worlds,
     count_worlds,
     enumerate_worlds,
@@ -23,6 +23,7 @@ from relviews.state_model import (
     world_leq,
     world_minus,
 )
+from oracles import compose_states_copying, compose_tokens_copying
 from util import micro_domains
 
 AP = APCom("op", 0, 0)
@@ -48,10 +49,10 @@ def test_overlap_is_undefined():
 def test_token_compose():
     td = TokenMap({1: Token(TODO, AP)})
     dn = TokenMap({2: Token(DONE, AP)})
-    assert compose_tokens(EMPTY_TOKENS, td) == td
-    both = compose_tokens(td, dn)
+    assert compose_maps(EMPTY_TOKENS, td) == td
+    both = compose_maps(td, dn)
     assert both.get(1) == Token(TODO, AP) and both.get(2) == Token(DONE, AP)
-    assert compose_tokens(td, TokenMap({1: Token(DONE, AP)})) is None
+    assert compose_maps(td, TokenMap({1: Token(DONE, AP)})) is None
 
 
 heaps = st.builds(
@@ -100,7 +101,7 @@ toks = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(toks, toks)
 def test_token_compose_commutative(d1, d2):
-    assert compose_tokens(d1, d2) == compose_tokens(d2, d1)
+    assert compose_maps(d1, d2) == compose_maps(d2, d1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -109,7 +110,7 @@ def test_token_compose_associative(d1, d2, d3):
     def comp(a, b):
         if a is None or b is None:
             return None
-        return compose_tokens(a, b)
+        return compose_maps(a, b)
 
     assert comp(comp(d1, d2), d3) == comp(d1, comp(d2, d3))
 
@@ -157,3 +158,78 @@ def test_world_in_domains():
                                       EMPTY_TOKENS), dom)
     bad_tid = World(EMPTY_HEAP, EMPTY_HEAP, TokenMap({9: Token(TODO, AP)}))
     assert not world_in_domains(bad_tid, dom)
+
+
+def _rebuilt(m):
+    """The same map built by the public constructor."""
+    return type(m)(dict(m.items()))
+
+
+def _same_map(got, want):
+    """Equal, hash-equal and with identical items, or both None or FAULT."""
+    if want is None or want is FAULT:
+        return got is want
+    return (type(got) is type(want) and got == want
+            and hash(got) == hash(want) and got.items() == want.items())
+
+
+def test_kernel_matches_copying_composition_on_every_pair():
+    # two locations on each heap side, so non-empty disjoint unions occur
+    dom = micro_domains(cloc={"l": (0, 1), "m": (0,)},
+                        aloc={"A": (0,), "B": (0,)}, nthreads=2,
+                        apcoms=(AP,), values=(0, 1))
+    ws = enumerate_worlds(dom)
+    states = [FAULT, EMPTY_HEAP,
+              *{h for w in ws for h in (w.conc, w.abst)}]
+    tokens = [EMPTY_TOKENS, *{w.toks for w in ws}]
+    unions = 0
+    for s1 in states:
+        for s2 in states:
+            want = compose_states_copying(s1, s2)
+            assert _same_map(compose_states(s1, s2), want), (s1, s2)
+            unions += want not in (None, FAULT) and bool(s1) and bool(s2)
+    for d1 in tokens:
+        for d2 in tokens:
+            want = compose_tokens_copying(d1, d2)
+            assert _same_map(compose_maps(d1, d2), want), (d1, d2)
+            unions += want is not None and bool(d1) and bool(d2)
+    assert unions
+    for w1 in ws:
+        for w2 in ws:
+            parts = (compose_states_copying(w1.conc, w2.conc),
+                     compose_states_copying(w1.abst, w2.abst),
+                     compose_tokens_copying(w1.toks, w2.toks))
+            got = compose_worlds(w1, w2)
+            if None in parts:
+                assert got is None
+            else:
+                assert got == World(*parts) and hash(got) == hash(World(*parts))
+                assert all(_same_map(g, p) for g, p in zip(got, parts))
+
+
+def test_internal_maps_equal_constructed_ones():
+    dom = micro_domains(cloc={"l": (0, 1), "m": (0,)}, aloc={"A": (0,)},
+                        nthreads=2, apcoms=(AP,), values=(0, 1))
+    ws = enumerate_worlds(dom)
+    built = []
+    for w1 in ws:
+        built.append(w1.conc.set("n", 1))
+        built.append(w1.conc.set_many((("m", 0), ("k", 1))))
+        built.append(w1.toks.set(2, Token(DONE, AP)))
+        built.append(w1.toks.remove(1))
+        for w2 in ws:
+            w = compose_worlds(w1, w2)
+            if w is not None:
+                built.extend(w)
+            if world_leq(w2, w1):
+                built.extend(world_minus(w1, w2))
+    for m in built:
+        assert _same_map(m, _rebuilt(m)), m
+        assert repr(m) == repr(_rebuilt(m))
+
+
+def test_heaps_and_token_maps_never_equal():
+    assert EMPTY_HEAP != EMPTY_TOKENS
+    assert EMPTY_HEAP == Heap() and EMPTY_TOKENS == TokenMap()
+    assert Heap({1: 0}) != TokenMap({1: 0})
+    assert len({EMPTY_HEAP, EMPTY_TOKENS}) == 2

@@ -11,7 +11,7 @@ from relviews.command_lang import (
     Read,
     TransformerTable,
 )
-from relviews.monoid_dcsl import UNIT_DCSL
+from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
 from relviews.state_model import (
     APCom,
     DONE,
@@ -22,6 +22,7 @@ from relviews.state_model import (
     Token,
     TokenMap,
     World,
+    enumerate_worlds,
 )
 from relviews.views_core import (
     ActionCounterexample,
@@ -30,8 +31,8 @@ from relviews.views_core import (
     lp_star,
     lp_step,
 )
-from util import (disjoin, micro_dcsl, run_consequence, run_distributivity,
-                  run_locality)
+from util import (disjoin, micro_dcsl, micro_domains, run_consequence,
+                  run_distributivity, run_locality)
 
 AP = APCom("op", 0, 0)
 
@@ -124,6 +125,25 @@ def test_lp_star_monotone_in_tokens():
             embedded = dict(d.items())
             embedded[free[0]] = extra[free[0]]
             assert (s, TokenMap(embedded)) in bigger
+
+
+def test_monoid_lp_star_memo_matches_lp_star():
+    sem = _counter_sem()
+    aps = [APCom("inc", a, r) for a in (1, 2) for r in range(4)]
+    dom = micro_domains(cloc={}, aloc={"K": (0, 1, 2, 3)}, nthreads=2,
+                        apcoms=aps, values=(0, 1, 2, 3))
+    mono = DcslMonoid(dom, sem)
+    pairs = sorted({(w.abst, w.toks) for w in enumerate_worlds(dom)},
+                   key=repr)
+    assert len(pairs) == 5 * 17 ** 2
+    moved = 0
+    for sigma_a, toks in pairs:
+        want = lp_star(sigma_a, toks, sem)
+        first = mono.lp_star(sigma_a, toks)
+        assert first == want
+        assert mono.lp_star(sigma_a, toks) is first
+        moved += len(want) > 1
+    assert moved  # some token fires, so the closure is not just the start
 
 
 # ---------------------------------------------------------------------------
