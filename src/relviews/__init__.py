@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
     FaultReachable,
-    LocalityViolation,
     ModelError,
     RelviewsError,
     StabilityViolation,

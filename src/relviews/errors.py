@@ -53,12 +53,3 @@ class StabilityViolation(RelviewsError):
         )
         self.witness = (local, shared, shared2)
 
-
-class LocalityViolation(RelviewsError):
-    """A primitive's transformer is not local in the separation-logic sense."""
-
-    def __init__(self, prim, state, frame):
-        super().__init__(f"primitive {prim} is not local at {state} with frame {frame}")
-        self.prim = prim
-        self.state = state
-        self.frame = frame

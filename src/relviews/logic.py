@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from .command_lang import PrimCommand
-from .errors import LocalityViolation, ModelError, StabilityViolation
+from .errors import ModelError, StabilityViolation
 from .monoid_rgsep import RgsepMonoid
 from .subst import subst_prim
 from .vassn import VAssn, free_lvars
@@ -201,8 +201,6 @@ class ProofChecker:
             except StabilityViolation as exc:
                 return FailureReport(path, "Prim", interp,
                                      f"unstable assertion: {exc}")
-            except LocalityViolation as exc:
-                return FailureReport(path, "Prim", interp, str(exc))
             if verdict is not True:
                 return FailureReport(
                     path, "Prim", interp,

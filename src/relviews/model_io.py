@@ -34,6 +34,7 @@ from .command_lang import (
     Prim,
     PrimCommand,
     Read,
+    SKIP,
     Seq,
     Skip,
     Tid,
@@ -44,6 +45,7 @@ from .command_lang import (
     desugar_while,
     expr_locs,
     loc_placeholders,
+    seq,
     validate_command,
 )
 from .errors import ModelError
@@ -197,14 +199,8 @@ def parse_command(doc, path: str = "cmd") -> Command:
         return Prim(PrimCommand(
             "load", (Read(str(args[0])), Read(str(args[1])))))
     if tag == "seq":
-        if not args:
-            return Skip()
-        parts = [parse_command(a, f"{path}/seq[{i}]")
-                 for i, a in enumerate(args)]
-        out = parts[-1]
-        for c in reversed(parts[:-1]):
-            out = Seq(c, out)
-        return out
+        return seq(*(parse_command(a, f"{path}/seq[{i}]")
+                     for i, a in enumerate(args)))
     if tag == "choice" and len(args) == 2:
         return Choice(parse_command(args[0], f"{path}/left"),
                       parse_command(args[1], f"{path}/right"))
@@ -454,6 +450,18 @@ def parse_model(doc: dict, path: str = "model",
     return model
 
 
+def _parse_update(spec: dict, params, path: str) -> GuardedUpdate:
+    """A guarded update with the given parameters; its locations may only
+    use the `{t}` placeholder."""
+    guard = (parse_expr(spec["guard"], path)
+             if spec.get("guard") is not None else None)
+    updates = tuple((str(loc), parse_expr(e, path))
+                    for loc, e in spec.get("updates", []))
+    out = GuardedUpdate(params=tuple(params), guard=guard, updates=updates)
+    _check_placeholders(_update_locs(out), _THREAD_ONLY, path)
+    return out
+
+
 def _parse_model(doc: dict, path: str) -> LibraryModel:
     if not isinstance(doc, dict):
         _fail(path, "model document must be an object")
@@ -475,31 +483,14 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
     if not values:
         _fail(path, "values must be nonempty")
 
-    prims = {}
-    for pname, spec in doc.get("primitives", {}).items():
-        guard = (parse_expr(spec["guard"], f"{path}/primitives/{pname}")
-                 if spec.get("guard") is not None else None)
-        updates = tuple(
-            (str(loc), parse_expr(e, f"{path}/primitives/{pname}"))
-            for loc, e in spec.get("updates", []))
-        prims[pname] = GuardedUpdate(
-            params=tuple(spec.get("params", [])), guard=guard,
-            updates=updates)
-        _check_placeholders(_update_locs(prims[pname]), _THREAD_ONLY,
-                            f"{path}/primitives/{pname}")
+    prims = {
+        pname: _parse_update(spec, spec.get("params", []),
+                             f"{path}/primitives/{pname}")
+        for pname, spec in doc.get("primitives", {}).items()}
     ctable = TransformerTable(prims)
-
-    amethods = {}
-    for mname, spec in doc["abstract"].items():
-        guard = (parse_expr(spec["guard"], f"{path}/abstract/{mname}")
-                 if spec.get("guard") is not None else None)
-        updates = tuple(
-            (str(loc), parse_expr(e, f"{path}/abstract/{mname}"))
-            for loc, e in spec.get("updates", []))
-        amethods[mname] = GuardedUpdate(params=("a", "r"), guard=guard,
-                                        updates=updates)
-        _check_placeholders(_update_locs(amethods[mname]), _THREAD_ONLY,
-                            f"{path}/abstract/{mname}")
+    amethods = {
+        mname: _parse_update(spec, ("a", "r"), f"{path}/abstract/{mname}")
+        for mname, spec in doc["abstract"].items()}
     atable = AbstractTable(amethods)
 
     method_args = {}
@@ -677,27 +668,38 @@ def serialize_model(model: LibraryModel) -> dict:
     return doc
 
 
-def load_model(path: str, cap: Optional[int] = None) -> LibraryModel:
+def _load_json(path: str):
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError(
                 f"{path}: invalid JSON at line {exc.lineno} column "
                 f"{exc.colno}: {exc.msg}")
-    return parse_model(doc, path, cap)
+
+
+def load_model(path: str, cap: Optional[int] = None) -> LibraryModel:
+    return parse_model(_load_json(path), path, cap)
 
 
 def load_outlines(path: str, model: LibraryModel) -> None:
     """Attach an outline document to a model (mutates the model)."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(
-                f"{path}: invalid JSON at line {exc.lineno} column "
-                f"{exc.colno}: {exc.msg}")
-    attach_outlines(doc, model, path)
+    attach_outlines(_load_json(path), model, path)
+
+
+def _erase(node) -> Command:
+    """The command an outline node annotates."""
+    if isinstance(node, OPrim):
+        return Prim(node.prim)
+    if isinstance(node, OSkip):
+        return SKIP
+    if isinstance(node, OSeq):
+        return seq(*map(_erase, node.children))
+    if isinstance(node, OChoice):
+        return Choice(_erase(node.left), _erase(node.right))
+    if isinstance(node, OIter):
+        return Iter(_erase(node.body))
+    return _erase(node.inner)  # a consequence node
 
 
 def attach_outlines(doc: dict, model: LibraryModel, path: str = "outline") -> None:
@@ -714,6 +716,9 @@ def attach_outlines(doc: dict, model: LibraryModel, path: str = "outline") -> No
                 _fail(path, f"outline for unknown method {mname!r}")
             templates[mname] = parse_outline_node(
                 node, macros, model.dom.nthreads, f"{path}/{mname}")
+            if _erase(templates[mname]) != model.body_templates[mname]:
+                _fail(f"{path}/{mname}",
+                      "outline does not annotate the method body")
     missing = [m for m in model.method_args if m not in templates]
     if missing:
         _fail(path, f"outlines missing for methods: {missing}")

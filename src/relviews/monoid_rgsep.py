@@ -19,16 +19,14 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .command_lang import PrimCommand
-from .errors import LocalityViolation, ModelError, StabilityViolation
+from .errors import ModelError, StabilityViolation
 from .state_model import (
     EMPTY_WORLD,
     FAULT,
     Domains,
     Heap,
     World,
-    compose_states,
     compose_worlds,
-    enumerate_heaps,
     enumerate_worlds,
     world_leq,
     world_minus,
@@ -113,36 +111,6 @@ def reify_rgsep(v: RgsepView) -> frozenset:
     return frozenset(out)
 
 
-def stable(pred: FrozenSet[Pair], rely: Optional[Rel],
-           universe: Iterable[World]) -> Optional[Tuple[World, World, World]]:
-    """None when stable; otherwise a witness (local, shared, shared').
-    `RgsepMonoid.eval_vassn_rg` checks stability on its columns and calls
-    this only to produce the witness of a failing check, or where the
-    column check does not apply (the full rely, or a rely that leaves the
-    universe), so that every witness is the one found here."""
-    locals_by_shared: Dict[World, set] = {}
-    for l, s in pred:
-        locals_by_shared.setdefault(s, set()).add(l)
-    if rely is None:
-        shareds = list(universe)
-        for s, ls in locals_by_shared.items():
-            for s2 in shareds:
-                for l in ls:
-                    if l not in locals_by_shared.get(s2, ()):
-                        return (l, s, s2)
-        return None
-    succ: Dict[World, set] = {}
-    for s, s2 in rely:
-        succ.setdefault(s, set()).add(s2)
-    for s, ls in locals_by_shared.items():
-        for s2 in succ.get(s, ()):
-            covered = locals_by_shared.get(s2, ())
-            for l in ls:
-                if l not in covered:
-                    return (l, s, s2)
-    return None
-
-
 def stabilize(pred: FrozenSet[Pair], rely: Optional[Rel],
               universe: Iterable[World]) -> FrozenSet[Pair]:
     """Rely-closure of a predicate; a diagnostic aid, never applied
@@ -176,7 +144,6 @@ class RgsepMonoid(ViewMonoid):
             shared_universe = enumerate_worlds(dom)
         self.universe = tuple(sorted(set(shared_universe), key=world_sort_key))
         self._index = {s: i for i, s in enumerate(self.universe)}
-        self._local_ok: set = set()
         self._unit = None
         # pred -> its composable pairs, and one object per distinct heap or
         # token map of their worlds; see `_composed`
@@ -184,7 +151,7 @@ class RgsepMonoid(ViewMonoid):
         self._world_parts: dict = {}
         # see `_local_columns` and `_rely_edges`
         self._columns_memo: Dict[tuple, Dict[int, frozenset]] = {}
-        self._edges_memo: Dict[Rel, Optional[tuple]] = {}
+        self._edges_memo: Dict[Rel, tuple] = {}
 
     # -- monoid operations
 
@@ -229,32 +196,41 @@ class RgsepMonoid(ViewMonoid):
                       interp: Dict[str, int]) -> RgsepView:
         """Materialize an assertion as a view in one pass over the shared
         universe; rejects unstable predicates rather than silently
-        stabilizing them."""
+        stabilizing them.  The witness is the first rely edge whose source
+        column is not contained in its target column, with the least
+        uncovered local fragment under `world_sort_key`."""
         universe = self.universe
         cols = self._local_columns(rho, interp, range(len(universe)))
+        for i, j, s2 in self._rely_edges(rely):
+            target = _NONE if j is None else cols[j]
+            if not cols[i] <= target:
+                raise StabilityViolation(
+                    min(cols[i] - target, key=world_sort_key), universe[i],
+                    s2)
         pred = frozenset((l, universe[i]) for i, ls in cols.items()
                          for l in ls)
-        edges = None if rely is None else self._rely_edges(rely)
-        if edges is None or not all(cols[i] <= cols[j] for i, j in edges):
-            witness = stable(pred, rely, universe)
-            if witness is not None:
-                raise StabilityViolation(*witness)
         return RgsepView(pred, rely, guar)
 
-    def _rely_edges(self, rely: Rel) -> Optional[tuple]:
-        """The rely's transitions between distinct shared states as (i, j)
-        pairs of universe indices, built once per rely; None when a
-        transition leaves the universe.  A predicate is stable exactly
-        when each edge's source column is contained in its target
-        column."""
-        if rely not in self._edges_memo:
+    def _rely_edges(self, rely: Optional[Rel]) -> Iterable[tuple]:
+        """The rely's transitions from a universe state to another state as
+        (i, j, s2): the source's universe index, the target's (None for a
+        target outside the universe, whose column is empty) and the
+        target, ordered by source and then target under `world_sort_key`.
+        The full rely (None) relates every pair of states; the edges of
+        any other rely are built once.  A predicate is stable exactly when
+        each edge's source column is contained in its target column."""
+        universe = self.universe
+        if rely is None:
+            return ((i, j, s2) for i in range(len(universe))
+                    for j, s2 in enumerate(universe) if i != j)
+        edges = self._edges_memo.get(rely)
+        if edges is None:
             index = self._index
-            edges = None
-            if all(s in index and s2 in index for s, s2 in rely):
-                edges = tuple((index[s], index[s2]) for s, s2 in rely
-                              if s != s2)
-            self._edges_memo[rely] = edges
-        return self._edges_memo[rely]
+            edges = self._edges_memo[rely] = tuple(sorted(
+                ((index[s], index.get(s2), s2) for s, s2 in rely
+                 if s in index and s != s2),
+                key=lambda e: (e[0], world_sort_key(e[2]))))
+        return edges
 
     def _local_columns(self, rho: VAssn, interp,
                        live) -> Dict[int, frozenset]:
@@ -354,59 +330,14 @@ class RgsepMonoid(ViewMonoid):
 
     # -- the frame-free action check (sufficient condition)
 
-    def check_locality(self, alpha: PrimCommand, t: int) -> None:
-        """Transformer locality, checked exhaustively over the primitive's
-        footprint locations extended by one fresh location (with value
-        domains as declared); cached per primitive."""
-        from .command_lang import resolve_loc
-
-        key = (alpha, t)
-        if key in self._local_ok:
-            return
-        footprint = set()
-        for e in alpha.args:
-            footprint |= _prim_locs(e)
-        spec = self.sem.ctable.custom.get(alpha.name)
-        if spec is not None:
-            if spec.guard is not None:
-                footprint |= _prim_locs(spec.guard)
-            for loc, e in spec.updates:
-                footprint.add(loc)
-                footprint |= _prim_locs(e)
-        footprint = {resolve_loc(loc, t) for loc in footprint}
-        cloc = dict(self.dom.cloc)
-        locdoms = [(loc, cloc.get(loc, self.dom.values[:2]))
-                   for loc in sorted(footprint)]
-        extra = next((l for l in sorted(cloc) if l not in footprint), None)
-        frame_doms = [(extra, cloc[extra])] if extra is not None else []
-        for sigma in enumerate_heaps(locdoms):
-            res = self.sem.ctable.apply(alpha, t, sigma, self.sem.modulus)
-            if FAULT in res:
-                continue
-            for frame in enumerate_heaps(frame_doms):
-                if not frame.items():
-                    continue
-                combined = compose_states(sigma, frame)
-                if combined is None:
-                    continue
-                got = set(self.sem.ctable.apply(alpha, t, combined,
-                                                self.sem.modulus))
-                want = set()
-                for s2 in res:
-                    joined = compose_states(s2, frame)
-                    if joined is None:
-                        raise LocalityViolation(alpha.name, sigma, frame)
-                    want.add(joined)
-                if got != want:
-                    raise LocalityViolation(alpha.name, sigma, frame)
-        self._local_ok.add(key)
-
     def check_action(self, t: int, alpha: PrimCommand, p: RgsepView,
                      q: RgsepView):
         """Sufficient frame-free condition for the action judgement: every
         primitive step from a predicate pair resplits into a post pair whose
         shared change is in the guarantee (or is no change at all) and whose
-        abstract side is reachable by linearization steps."""
+        abstract side is reachable by linearization steps.  Sufficient
+        because every primitive is local by construction: it reads and
+        writes only the locations its arguments, guard and updates name."""
         if p.bot:
             return True
         if q.bot:
@@ -420,7 +351,6 @@ class RgsepMonoid(ViewMonoid):
             raise ModelError(
                 "action checks require pre and post views sharing rely and "
                 "guarantee")
-        self.check_locality(alpha, t)
         sem = self.sem
         post_by_conc: Dict[Heap, list] = {}
         for _l2, s2, (sigma2, abs2, toks2) in self._composed(q.pred):
@@ -538,12 +468,6 @@ def _branches(rho: VAssn, interp, values):
     if isinstance(rho, OrA):
         return [(part, interp) for part in rho.parts]
     return [(rho.body, {**interp, rho.var: n}) for n in values]
-
-
-def _prim_locs(e) -> set:
-    from .command_lang import expr_locs
-
-    return set(expr_locs(e))
 
 
 def _pair_key(pair: Pair):

@@ -31,6 +31,13 @@ a fresh, re-sorted map.  The shipped `compose_maps` kernel, with its
 empty-side identity and its union without re-sorting, is tested against
 them.
 
+RGSep side conditions, by brute force: `stable(pred, rely, universe)` is
+the least witness (local, shared, shared') of a predicate not closed under
+a rely, which `eval_vassn_rg`'s column check must report;
+`locality_witness` runs a primitive's transformer on every state of its
+footprint with and without a one-location frame, checking the locality
+that the transformer language guarantees by construction.
+
 Instances by substitution: `subst_vassn`/`subst_outline` build each
 instance's assertions and outline as new trees with its t, a and r
 substituted in, and `substituted_outline` applies them to an outline.  The
@@ -50,6 +57,8 @@ from relviews.command_lang import (
     PrimCommand,
     Skip,
     apply_guarded,
+    expr_locs,
+    resolve_loc,
     step,
 )
 from relviews.errors import FaultReachable, ModelError, UniverseTooLarge
@@ -64,11 +73,15 @@ from relviews.monoid_dcsl import UNIT_DCSL
 from relviews.state_model import (
     EMPTY_WORLD,
     FAULT,
+    Heap,
     TokenMap,
     World,
+    compose_states,
     compose_worlds,
+    enumerate_heaps,
     enumerate_worlds,
     world_leq,
+    world_sort_key,
 )
 from relviews.subst import Binding, subst_expr, subst_loc
 from relviews.vassn import (
@@ -115,6 +128,57 @@ def compose_tokens_copying(d1: TokenMap, d2: TokenMap):
     for tid, tok in d2.items():
         out[tid] = tok
     return TokenMap(out)
+
+
+def stable(pred, rely, universe):
+    """None when the predicate is closed under the rely (None for the full
+    relation over the universe); otherwise the least witness (local,
+    shared, shared') ordered by shared, then shared', then local under
+    `world_sort_key`."""
+    if rely is None:
+        rely = [(s, s2) for s in universe for s2 in universe]
+    locals_by_shared: Dict = {}
+    for l, s in pred:
+        locals_by_shared.setdefault(s, set()).add(l)
+    found = [(l, s, s2) for s, s2 in rely
+             for l in locals_by_shared.get(s, ())
+             if l not in locals_by_shared.get(s2, ())]
+    return min(found, default=None, key=lambda w: (
+        world_sort_key(w[1]), world_sort_key(w[2]), world_sort_key(w[0])))
+
+
+def locality_witness(ctable, dom, alpha: PrimCommand, t: int):
+    """None when thread t's run of the primitive is local; otherwise the
+    first (state, frame) where it is not.  The states are every heap over
+    the locations that its arguments, guard and updates name (`{t}`
+    resolved); the frames, every value of the first declared location
+    outside them.  A non-faulting run on a framed state must give exactly
+    the framed results."""
+    exprs = list(alpha.args)
+    footprint = set()
+    spec = ctable.custom.get(alpha.name)
+    if spec is not None:
+        exprs += [e for _, e in spec.updates]
+        exprs += [spec.guard] if spec.guard is not None else []
+        footprint |= {loc for loc, _ in spec.updates}
+    footprint |= {loc for e in exprs for loc in expr_locs(e)}
+    footprint = {resolve_loc(loc, t) for loc in footprint}
+    cloc = dict(dom.cloc)
+    extra = next((l for l in sorted(cloc) if l not in footprint), None)
+    if extra is None:
+        return None
+    for sigma in enumerate_heaps([(loc, cloc.get(loc, dom.values[:2]))
+                                  for loc in sorted(footprint)]):
+        res = ctable.apply(alpha, t, sigma, dom.modulus)
+        if FAULT in res:
+            continue
+        for frame in (Heap({extra: v}) for v in cloc[extra]):
+            want = {compose_states(s2, frame) for s2 in res}
+            got = set(ctable.apply(alpha, t, compose_states(sigma, frame),
+                                   dom.modulus))
+            if None in want or got != want:
+                return sigma, frame
+    return None
 
 
 def box_holds(mono, body: VAssn, s: World, interp) -> bool:

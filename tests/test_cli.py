@@ -178,6 +178,25 @@ def test_malformed_outline_exit_two(capsys, tmp_path, mutate):
     assert err.startswith("error:") and str(bad) in err
 
 
+def test_an_outline_must_annotate_its_method_body(capsys, tmp_path):
+    # `get` no longer ties its return to the cell: the unchanged outline
+    # still proves the old body, and the changed body is not linearizable
+    doc = json.load(open(f"{FIX}/flat-combiner/model.json"))
+    text = json.dumps(doc).replace(
+        '["assume", ["==", ["read", "k"], ["var", "r"]]]', '["assume", 1]')
+    assert text != json.dumps(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(text)
+    outline = f"{FIX}/flat-combiner/outline.json"
+    code, out, err = run(capsys, "check-proof", str(bad), outline)
+    assert code == 2 and out == ""
+    assert err == (f"error: {outline}/get: outline does not annotate the "
+                   "method body\n")
+    code, out, _ = run(capsys, "check-lin", str(bad), "--bound", "12")
+    assert code == 1
+    assert "t=1 call get(0)\n  t=1 ret get(1)" in out
+
+
 @pytest.mark.parametrize("doc", [[], "x"])
 def test_outline_document_must_be_an_object(capsys, tmp_path, doc):
     bad = tmp_path / "outline.json"
@@ -359,3 +378,30 @@ def test_cap_error_text_independent_of_hash_seed():
         errs.add(proc.stderr)
     assert len(errs) == 1
     assert "exceeds cap 3000" in errs.pop()
+
+
+def test_unstable_witness_independent_of_hash_seed(tmp_path):
+    """The first failure of an unstable precondition names the least
+    rely edge that leaves the predicate, whatever the hash seed."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["assertions"]["inc"]["pre"][1] = ["box", [
+        "exists", "V", ["star", ["macro", "kinv", ["var", "V"]],
+                        ["pure", ["<", ["var", "V"], 2]]]]]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    src = os.path.abspath("src")
+    firsts = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "relviews.cli", "check-proof", str(bad),
+             f"{FIX}/atomic-inc/outline.json"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        firsts.add(next(line for line in proc.stdout.splitlines()
+                        if line.startswith("[FAIL]")))
+    assert len(firsts) == 1
+    assert "rely moves shared state ([k:0], [K:0], {}) to ([k:2], [K:2], " \
+        "{})" in firsts.pop()

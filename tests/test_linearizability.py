@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from relviews.errors import (
     FaultReachable,
@@ -23,11 +24,16 @@ from relviews.model_io import (
     load_outlines,
     parse_model,
 )
-from relviews import cli
-from relviews.command_lang import TransformerTable
+from relviews.command_lang import (
+    Const,
+    PrimCommand,
+    TransformerTable,
+    command_prims,
+)
 from relviews.fixtures import fixture_manifest
-from relviews.state_model import FAULT
-from oracles import history_depths
+from relviews.state_model import FAULT, Heap
+from oracles import history_depths, locality_witness
+from util import tiny_model_docs
 
 FIX = "src/relviews/fixtures"
 
@@ -303,34 +309,41 @@ class _LeakyTable(TransformerTable):
         return tuple(s if s is FAULT else s.set("spare", 0) for s in out)
 
 
-def _leaky_atomic_inc():
+def test_the_locality_oracle_catches_a_table_that_reads_its_frame():
+    # JSON guarded updates are local by construction; only a table built
+    # through the API can break locality
     doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
     doc["domains"]["locations"]["spare"] = [0, 1]
     model = parse_model(doc)
-    load_outlines(f"{FIX}/atomic-inc/outline.json", model)
     model.ctable = _LeakyTable(model.ctable.custom)
-    return model
-
-
-def test_a_non_local_primitive_rejects_the_outline():
-    # JSON guarded updates are local by construction; only a table built
-    # through the API can break locality
-    report = check_obligations(_leaky_atomic_inc())
-    fail = report.first_failure()
-    assert fail.obligation == "(1) outline"
     # inc_atomic(1, 0) is enabled only at k = 3
-    assert "primitive inc_atomic is not local at [k:3] with frame " \
-        "[spare:1]" in fail.detail
+    alpha = PrimCommand("inc_atomic", (Const(1), Const(0)))
+    assert locality_witness(model.ctable, model.dom, alpha, 1) == \
+        (Heap({"k": 3}), Heap({"spare": 1}))
 
 
-def test_a_non_local_primitive_is_a_verdict_not_an_error(capsys,
-                                                          monkeypatch):
-    monkeypatch.setattr(cli, "load_model", lambda path, cap: _leaky_atomic_inc())
-    monkeypatch.setattr(cli, "load_outlines", lambda path, model: None)
-    code = cli.main(["check-proof", "model.json", "outline.json",
-                     "--format", "machine"])
-    out, err = capsys.readouterr()
-    assert code == 1 and err == ""
-    doc = json.loads(out)
-    assert doc["verdict"] == "proof rejected" and not doc["ok"]
-    assert "inc_atomic is not local" in doc["detail"]
+def _thread_prims(model):
+    """Every (primitive, thread) pair a check of the model can run."""
+    prims = {p for body in model.bodies.values() for p in command_prims(body)}
+    return [(p, t) for p in sorted(prims, key=repr)
+            for t in model.dom.thread_ids()]
+
+
+@pytest.mark.parametrize("fx", fixture_manifest(), ids=lambda f: f.name)
+def test_every_fixture_primitive_is_local(fx):
+    # a primitive reads and writes only the locations named in its
+    # arguments, guard and updates
+    model = load_model(fx.model_path)
+    pairs = _thread_prims(model)
+    assert pairs
+    for alpha, t in pairs:
+        assert locality_witness(model.ctable, model.dom, alpha, t) is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(doc=tiny_model_docs())
+def test_every_generated_primitive_is_local(doc):
+    doc["domains"]["locations"]["spare"] = [0, 1]
+    model = parse_model(doc)
+    for alpha, t in _thread_prims(model):
+        assert locality_witness(model.ctable, model.dom, alpha, t) is None

@@ -13,11 +13,7 @@ from relviews.command_lang import (
     Read,
     TransformerTable,
 )
-from relviews.errors import (
-    LocalityViolation,
-    ModelError,
-    StabilityViolation,
-)
+from relviews.errors import ModelError, StabilityViolation
 from relviews.monoid_rgsep import (
     BOT,
     RgsepMonoid,
@@ -25,7 +21,6 @@ from relviews.monoid_rgsep import (
     compose_rgsep,
     reify_rgsep,
     stabilize,
-    stable,
 )
 from relviews.state_model import (
     APCom,
@@ -53,9 +48,14 @@ from relviews.vassn import (
     TrueA,
     free_lvars,
 )
-from relviews.views_core import ActionCounterexample, ImplVerdict, Semantics
-from relviews.command_lang import AbstractTable
-from oracles import outline_assertions, rgsep_pred, satisfies
+from relviews.views_core import ActionCounterexample, ImplVerdict
+from oracles import (
+    locality_witness,
+    outline_assertions,
+    rgsep_pred,
+    satisfies,
+    stable,
+)
 from util import disjoin, micro_domains, micro_semantics
 
 AP = APCom("op", 0, 0)
@@ -336,8 +336,8 @@ def _sequence_case(draw):
 
 
 def _oracle_outcome(mono, rho, rely):
-    """The model error, the stability witness or the predicate that the
-    state-by-state reading and `stable` give."""
+    """The model error, the least stability witness or the predicate that
+    the state-by-state reading and `stable` give."""
     pred = _oracle_or_error(mono, rho, {})
     if isinstance(pred, tuple):
         return pred
@@ -501,12 +501,12 @@ class _NonLocalTable(TransformerTable):
 
 
 def test_locality_violation_detected():
+    # `weird` names no location, so its footprint is empty and it is
+    # framed with the first declared location
     dom = micro_domains(cloc={"x": (0, 1), "y": (0, 1)}, aloc={},
                         values=(0, 1))
-    sem = Semantics(_NonLocalTable(), AbstractTable({}), 2)
-    mono = RgsepMonoid(dom, sem)
-    with pytest.raises(LocalityViolation):
-        mono.check_locality(PrimCommand("weird"), 1)
+    got = locality_witness(_NonLocalTable(), dom, PrimCommand("weird"), 1)
+    assert got == (Heap({}), Heap({"x": 0}))
 
 
 def test_disjoin_requires_matching_protocol():
