@@ -93,10 +93,6 @@ class DcslMonoid(ViewMonoid):
     def unit(self):
         return UNIT_DCSL
 
-    @property
-    def empty(self):
-        return EMPTY_VIEW
-
     def reify(self, p):
         return reify_dcsl(p)
 

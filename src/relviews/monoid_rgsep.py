@@ -1,10 +1,11 @@
 """The rely/guarantee-with-separation view monoid.
 
-A view is either the inconsistent bottom or a triple of a predicate (pairs
-of local and shared world fragments), a rely and a guarantee (relations on
-shared fragments).  Predicates must be stable under the rely.  Composition
-demands that each side's guarantee is covered by the other's rely and
-otherwise merges local parts over a common shared part.
+A view is either the inconsistent bottom or a triple of a predicate, a
+rely and a guarantee (relations on shared fragments).  The predicate is held
+as columns: for each state of the shared universe, the set of local world
+fragments paired with it.  Predicates must be stable under the rely.
+Composition demands that each side's guarantee is covered by the other's
+rely and otherwise merges local parts column by column.
 
 Everything is materialized extensionally over a finite universe of shared
 states: by default all world triples over the declared domains, optionally
@@ -42,15 +43,17 @@ from .views_core import (
     memo_key,
 )
 
-Pair = Tuple[World, World]  # (local, shared)
 Rel = FrozenSet[Tuple[World, World]]
+Columns = Tuple[FrozenSet[World], ...]
 
 
 @dataclass(frozen=True)
 class RgsepView:
-    """Bot, or (pred, rely, guar).  rely=None encodes the full relation."""
+    """Bot, or (cols, rely, guar): cols[i] holds the local fragments paired
+    with the i-th state of the monoid's sorted shared universe.  rely=None
+    encodes the full relation."""
 
-    pred: FrozenSet[Pair]
+    cols: Columns
     rely: Optional[Rel]
     guar: Rel
     bot: bool = False
@@ -60,12 +63,12 @@ class RgsepView:
             return "BOT"
         rely = "full" if self.rely is None else f"{len(self.rely)} pairs"
         return (
-            f"RgsepView(|pred|={len(self.pred)}, rely={rely}, "
+            f"RgsepView(|pred|={sum(map(len, self.cols))}, rely={rely}, "
             f"|guar|={len(self.guar)})"
         )
 
 
-BOT = RgsepView(frozenset(), frozenset(), frozenset(), bot=True)
+BOT = RgsepView((), frozenset(), frozenset(), bot=True)
 
 
 def _rely_contains(rely: Optional[Rel], pairs: Rel) -> bool:
@@ -82,54 +85,13 @@ def _rely_meet(r1: Optional[Rel], r2: Optional[Rel]) -> Optional[Rel]:
 
 def compose_rgsep(v1: RgsepView, v2: RgsepView) -> RgsepView:
     """Bot if either side is bot or a guarantee escapes the other's rely;
-    otherwise local parts merge over the common shared part."""
+    otherwise local parts merge column by column."""
     if v1.bot or v2.bot:
         return BOT
     if not _rely_contains(v2.rely, v1.guar) or not _rely_contains(v1.rely, v2.guar):
         return BOT
-    by_shared: Dict[World, list] = {}
-    for l, s in v2.pred:
-        by_shared.setdefault(s, []).append(l)
-    pred = set()
-    for l1, s in v1.pred:
-        for l2 in by_shared.get(s, ()):
-            l = compose_worlds(l1, l2)
-            if l is not None:
-                pred.add((l, s))
-    return RgsepView(frozenset(pred), _rely_meet(v1.rely, v2.rely),
-                     v1.guar | v2.guar)
-
-
-def reify_rgsep(v: RgsepView) -> frozenset:
-    if v.bot:
-        return frozenset()
-    out = set()
-    for l, s in v.pred:
-        w = compose_worlds(l, s)
-        if w is not None:
-            out.add(w)
-    return frozenset(out)
-
-
-def stabilize(pred: FrozenSet[Pair], rely: Optional[Rel],
-              universe: Iterable[World]) -> FrozenSet[Pair]:
-    """Rely-closure of a predicate; a diagnostic aid, never applied
-    silently."""
-    if rely is None:
-        shareds = tuple(universe)
-        return frozenset((l, s2) for (l, _s) in pred for s2 in shareds)
-    succ: Dict[World, set] = {}
-    for s, s2 in rely:
-        succ.setdefault(s, set()).add(s2)
-    out = set(pred)
-    frontier = list(pred)
-    while frontier:
-        l, s = frontier.pop()
-        for s2 in succ.get(s, ()):
-            if (l, s2) not in out:
-                out.add((l, s2))
-                frontier.append((l, s2))
-    return frozenset(out)
+    return RgsepView(_columnwise(_compose_sets, zip(v1.cols, v2.cols)),
+                     _rely_meet(v1.rely, v2.rely), v1.guar | v2.guar)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +107,9 @@ class RgsepMonoid(ViewMonoid):
         self.universe = tuple(sorted(set(shared_universe), key=world_sort_key))
         self._index = {s: i for i, s in enumerate(self.universe)}
         self._unit = None
-        # pred -> its composable pairs, and one object per distinct heap or
-        # token map of their worlds; see `_composed`
-        self._composed_memo: Dict[FrozenSet[Pair], tuple] = {}
+        # columns -> their composable pairs, and one object per distinct
+        # heap or token map of their worlds; see `_composed`
+        self._composed_memo: Dict[Columns, tuple] = {}
         self._world_parts: dict = {}
         # see `_local_columns` and `_rely_edges`
         self._columns_memo: Dict[tuple, Dict[int, frozenset]] = {}
@@ -161,33 +123,43 @@ class RgsepMonoid(ViewMonoid):
     @property
     def unit(self) -> RgsepView:
         if self._unit is None:
-            pred = frozenset((EMPTY_WORLD, s) for s in self.universe)
-            self._unit = RgsepView(pred, None, frozenset())
+            self._unit = RgsepView((_EMP,) * len(self.universe), None,
+                                   frozenset())
         return self._unit
 
-    @property
-    def empty(self) -> RgsepView:
-        return BOT
-
     def reify(self, p):
-        return reify_rgsep(p)
+        """The worlds of the predicate's pairs, not memoized: the initial
+        coverage check reifies many composed views once each."""
+        return frozenset(w for ls, s in zip(p.cols, self.universe)
+                         for l in ls for w in (compose_worlds(l, s),)
+                         if w is not None)
 
-    def _composed(self, pred: FrozenSet[Pair]) -> tuple:
-        """The (local, shared, world) triples of pred whose local and
-        shared parts compose to a world, in `_pair_key` order; computed
-        once per predicate.  The kept worlds are built from shared heaps
-        and token maps: a few dozen distinct ones make up thousands of
-        worlds, which would otherwise each hold their own copies."""
-        hit = self._composed_memo.get(pred)
+    def _composed(self, cols: Columns) -> tuple:
+        """The (local, shared, world) triples of the columns whose local
+        and shared parts compose to a world, ordered by local and then
+        shared under `world_sort_key`: the distinct locals are sorted once
+        and each one's shared states follow in universe order, which is
+        that order.  Computed once per predicate.  The kept worlds are
+        built from shared heaps and token maps: a few dozen distinct ones
+        make up thousands of worlds, which would otherwise each hold their
+        own copies."""
+        hit = self._composed_memo.get(cols)
         if hit is None:
+            at: Dict[World, list] = {}
+            for i, ls in enumerate(cols):
+                for l in ls:
+                    at.setdefault(l, []).append(i)
+            universe = self.universe
             parts = self._world_parts
             out = []
-            for l, s in sorted(pred, key=_pair_key):
-                w = compose_worlds(l, s)
-                if w is not None:
-                    out.append((l, s, World(*(parts.setdefault(x, x)
-                                              for x in w))))
-            hit = self._composed_memo[pred] = tuple(out)
+            for l in sorted(at, key=world_sort_key):
+                for i in at[l]:
+                    s = universe[i]
+                    w = compose_worlds(l, s)
+                    if w is not None:
+                        out.append((l, s, World(*(parts.setdefault(x, x)
+                                                  for x in w))))
+            hit = self._composed_memo[cols] = tuple(out)
         return hit
 
     # -- assertion satisfaction
@@ -207,9 +179,8 @@ class RgsepMonoid(ViewMonoid):
                 raise StabilityViolation(
                     min(cols[i] - target, key=world_sort_key), universe[i],
                     s2)
-        pred = frozenset((l, universe[i]) for i, ls in cols.items()
-                         for l in ls)
-        return RgsepView(pred, rely, guar)
+        return RgsepView(tuple(cols[i] for i in range(len(universe))), rely,
+                         guar)
 
     def _rely_edges(self, rely: Optional[Rel]) -> Iterable[tuple]:
         """The rely's transitions from a universe state to another state as
@@ -262,14 +233,16 @@ class RgsepMonoid(ViewMonoid):
             cur = dict.fromkeys(live, _EMP)
             for part in rho.parts:
                 live = [i for i in live if cur[i]]
-                cur.update(_columnwise(_compose_sets, cur, self._local_columns(
-                    part, interp, live)))
+                cols = self._local_columns(part, interp, live)
+                cur.update(zip(cols, _columnwise(_compose_sets, (
+                    (cur[i], c) for i, c in cols.items()))))
             return cur
         if isinstance(rho, (OrA, ExistsA)):
             cur = dict.fromkeys(live, _NONE)
             for part, sub in _branches(rho, interp, self.dom.values):
-                cur = _columnwise(frozenset.union, cur, self._local_columns(
-                    part, sub, live))
+                cols = self._local_columns(part, sub, live)
+                cur.update(zip(cols, _columnwise(frozenset.union, (
+                    (cur[i], c) for i, c in cols.items()))))
             return cur
         if isinstance(rho, TrueA):
             raise ModelError("`true` is only supported inside boxes")
@@ -341,7 +314,7 @@ class RgsepMonoid(ViewMonoid):
         if p.bot:
             return True
         if q.bot:
-            composed = self._composed(p.pred)
+            composed = self._composed(p.cols)
             if composed:
                 return ActionCounterexample(
                     t, alpha, None, composed[0][2], None,
@@ -353,10 +326,10 @@ class RgsepMonoid(ViewMonoid):
                 "guarantee")
         sem = self.sem
         post_by_conc: Dict[Heap, list] = {}
-        for _l2, s2, (sigma2, abs2, toks2) in self._composed(q.pred):
+        for _l2, s2, (sigma2, abs2, toks2) in self._composed(q.cols):
             post_by_conc.setdefault(sigma2, []).append((s2, abs2, toks2))
         guar = p.guar
-        for _l, s, world in self._composed(p.pred):
+        for _l, s, world in self._composed(p.cols):
             sigma, sigma_a, toks = world
             lp_set = None
             for sigma2 in sem.ctable.apply(alpha, t, sigma, sem.modulus):
@@ -380,31 +353,48 @@ class RgsepMonoid(ViewMonoid):
         return True
 
     def repart_implies(self, p: RgsepView, q: RgsepView) -> ImplVerdict:
-        """Sufficient condition only: pred containment with a narrower rely
-        and a wider guarantee.  Incompleteness is reported as
+        """Sufficient condition only: column containment with a narrower
+        rely and a wider guarantee.  Incompleteness is reported as
         `not established`, never as failure."""
         if p.bot:
             return ImplVerdict.HOLDS
         if q.bot:
             return ImplVerdict.NOT_ESTABLISHED
         rely_ok = q.rely is None or (p.rely is not None and p.rely <= q.rely)
-        if p.pred <= q.pred and rely_ok and q.guar <= p.guar:
+        if (rely_ok and q.guar <= p.guar
+                and all(map(frozenset.__le__, p.cols, q.cols))):
             return ImplVerdict.HOLDS
         return ImplVerdict.NOT_ESTABLISHED
 
     # -- the fully-quantified oracle (small universes only)
 
     def def2_frames(self, guar: Rel) -> Iterator[RgsepView]:
-        """Unit plus all rely-stabilized singleton frames.  Complete for the
-        frame quantification in the action judgement: predicates distribute
-        over unions of pairs, so a failing frame projects onto a failing
-        stabilized singleton."""
+        """Unit plus every singleton frame {(l, s)} closed under the
+        guarantee as its rely, for each local l and then each universe
+        state s.  Complete for the frame quantification in the action
+        judgement: predicates distribute over unions of pairs, so a failing
+        frame projects onto a failing closed singleton.  States outside the
+        universe are left out of the closure: no column pairs with them."""
         yield self.unit
-        locals_pool = enumerate_worlds(self.dom)
-        for l in locals_pool:
-            for s in self.universe:
-                pred = stabilize(frozenset({(l, s)}), guar, self.universe)
-                yield RgsepView(pred, guar, frozenset())
+        succ: Dict[int, list] = {}
+        for i, j, _s2 in self._rely_edges(guar):
+            if j is not None:
+                succ.setdefault(i, []).append(j)
+        closures = []
+        for k in range(len(self.universe)):
+            seen, frontier = {k}, [k]
+            while frontier:
+                for j in succ.get(frontier.pop(), ()):
+                    if j not in seen:
+                        seen.add(j)
+                        frontier.append(j)
+            closures.append(seen)
+        for l in enumerate_worlds(self.dom):
+            col = frozenset({l})
+            for seen in closures:
+                yield RgsepView(tuple(col if j in seen else _NONE
+                                      for j in range(len(closures))),
+                                guar, frozenset())
 
     def check_action_def2(self, t: int, alpha: PrimCommand, p: RgsepView,
                           q: RgsepView):
@@ -420,14 +410,14 @@ class RgsepMonoid(ViewMonoid):
     def reified_token_worlds(self, p: RgsepView):
         if p.bot:
             return
-        for _l, _s, world in self._composed(p.pred):
+        for _l, _s, world in self._composed(p.cols):
             yield world
 
     def strip_token_set(self, p: RgsepView, t: int) -> frozenset:
         """Predicate pairs with thread t's token erased (keeping its side),
         for the token-swap correspondence check."""
         out = set()
-        for l, s, _world in self._composed(p.pred):
+        for l, s, _world in self._composed(p.cols):
             side = "local" if t in l.toks else (
                 "shared" if t in s.toks else "none")
             out.add((
@@ -447,19 +437,17 @@ def _compose_sets(left: frozenset, right: frozenset) -> frozenset:
                      for w in (compose_worlds(l1, l2),) if w is not None)
 
 
-def _columnwise(op, left: Dict[int, frozenset],
-                right: Dict[int, frozenset]) -> Dict[int, frozenset]:
-    """op applied at each index of `right`, once per distinct pair of
-    sets: most shared states see the same pair."""
+def _columnwise(op, pairs: Iterable[tuple]) -> Columns:
+    """op applied to each (left, right) pair of columns, once per distinct
+    pair of sets: most shared states see the same pair."""
     done: Dict = {}
-    out = {}
-    for i, r in right.items():
-        key = (left[i], r)
+    out = []
+    for key in pairs:
         got = done.get(key)
         if got is None:
             got = done[key] = op(*key)
-        out[i] = got
-    return out
+        out.append(got)
+    return tuple(out)
 
 
 def _branches(rho: VAssn, interp, values):
@@ -468,8 +456,3 @@ def _branches(rho: VAssn, interp, values):
     if isinstance(rho, OrA):
         return [(part, interp) for part in rho.parts]
     return [(rho.body, {**interp, rho.var: n}) for n in values]
-
-
-def _pair_key(pair: Pair):
-    l, s = pair
-    return (world_sort_key(l), world_sort_key(s))

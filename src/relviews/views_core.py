@@ -150,11 +150,6 @@ class ViewMonoid:
     def unit(self):
         raise NotImplementedError
 
-    @property
-    def empty(self):
-        """The view with empty reification (for unreachable annotations)."""
-        raise NotImplementedError
-
     def reify(self, p) -> frozenset:
         raise NotImplementedError
 

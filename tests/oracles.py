@@ -34,6 +34,8 @@ them.
 RGSep side conditions, by brute force: `stable(pred, rely, universe)` is
 the least witness (local, shared, shared') of a predicate not closed under
 a rely, which `eval_vassn_rg`'s column check must report;
+`stabilize(pred, rely, universe)` is a predicate's rely-closure over
+pairs, which the singleton frames of `RgsepMonoid.def2_frames` must equal;
 `locality_witness` runs a primitive's transformer on every state of its
 footprint with and without a one-location frame, checking the locality
 that the transformer language guarantees by construction.
@@ -69,7 +71,8 @@ from relviews.linearizability import (
     history_sort_key,
 )
 from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
-from relviews.monoid_dcsl import UNIT_DCSL
+from relviews.monoid_dcsl import EMPTY_VIEW, UNIT_DCSL, DcslMonoid
+from relviews.monoid_rgsep import BOT, RgsepMonoid
 from relviews.state_model import (
     EMPTY_WORLD,
     FAULT,
@@ -145,6 +148,26 @@ def stable(pred, rely, universe):
              if l not in locals_by_shared.get(s2, ())]
     return min(found, default=None, key=lambda w: (
         world_sort_key(w[1]), world_sort_key(w[2]), world_sort_key(w[0])))
+
+
+def stabilize(pred, rely, universe) -> frozenset:
+    """The rely-closure of a set of (local, shared) pairs (None for the
+    full relation over the universe)."""
+    if rely is None:
+        shareds = tuple(universe)
+        return frozenset((l, s2) for (l, _s) in pred for s2 in shareds)
+    succ: Dict = {}
+    for s, s2 in rely:
+        succ.setdefault(s, set()).add(s2)
+    out = set(pred)
+    frontier = list(pred)
+    while frontier:
+        l, s = frontier.pop()
+        for s2 in succ.get(s, ()):
+            if (l, s2) not in out:
+                out.add((l, s2))
+                frontier.append((l, s2))
+    return frozenset(out)
 
 
 def locality_witness(ctable, dom, alpha: PrimCommand, t: int):
@@ -486,6 +509,10 @@ def reachable_commands(c: Command) -> frozenset:
     return frozenset(seen)
 
 
+# each monoid's view with empty reification, for unreachable annotations
+EMPTY_VIEWS = {DcslMonoid: EMPTY_VIEW, RgsepMonoid: BOT}
+
+
 def check_safe(t: int, p, cmd, q, universe, monoid, _caches=None) -> bool:
     """Greatest-fixpoint safety: does (p, cmd, q) survive iterated removal
     over the given view universe?
@@ -495,7 +522,7 @@ def check_safe(t: int, p, cmd, q, universe, monoid, _caches=None) -> bool:
     if missing.
     """
     views = list(universe)
-    for extra in (p, q, monoid.empty):
+    for extra in (p, q, EMPTY_VIEWS[type(monoid)]):
         if extra not in views:
             views.append(extra)
     cmds = sorted(reachable_commands(cmd), key=repr)

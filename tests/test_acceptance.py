@@ -32,7 +32,7 @@ from relviews.linearizability import (
 )
 from relviews.model_io import load_model, load_outlines
 from relviews.monoid_dcsl import UNIT_DCSL, compose_dcsl, reify_dcsl
-from relviews.monoid_rgsep import RgsepMonoid, RgsepView, stabilize
+from relviews.monoid_rgsep import RgsepMonoid
 from relviews.state_model import (
     APCom,
     EMPTY_WORLD,
@@ -44,12 +44,18 @@ from relviews.state_model import (
 )
 from relviews.vassn import CPt
 from relviews.views_core import check_action_with_frames, lp_star
-from oracles import check_safe, powerset_frames, repart_implies_with_frames
+from oracles import (
+    check_safe,
+    powerset_frames,
+    repart_implies_with_frames,
+    stabilize,
+)
 from util import (
     PRIMS_1LOC,
     micro_dcsl,
     micro_domains,
     micro_semantics,
+    rgsep_view,
     run_consequence,
     run_distributivity,
     run_locality,
@@ -277,13 +283,13 @@ def test_criterion_4_prop1_bridge():
         pairs = [(l, s) for l in worlds for s in mono.universe]
         for l, s in pairs:
             pred = stabilize(frozenset({(l, s)}), frozenset(), mono.universe)
-            p = RgsepView(pred, frozenset(), guar)
+            p = rgsep_view(mono, pred, frozenset(), guar)
             for alpha in alphas:
                 cases += 1
                 post = _post_pred(mono, 1, alpha, pred, guar)
                 if post is None:
                     continue
-                q = RgsepView(post, frozenset(), guar)
+                q = rgsep_view(mono, post, frozenset(), guar)
                 if mono.check_action(1, alpha, p, q) is True:
                     assert mono.check_action_def2(1, alpha, p, q) is True, (
                         f"Prop 1 accepted but the fully-quantified "

@@ -14,14 +14,7 @@ from relviews.command_lang import (
     TransformerTable,
 )
 from relviews.errors import ModelError, StabilityViolation
-from relviews.monoid_rgsep import (
-    BOT,
-    RgsepMonoid,
-    RgsepView,
-    compose_rgsep,
-    reify_rgsep,
-    stabilize,
-)
+from relviews.monoid_rgsep import BOT, RgsepMonoid, compose_rgsep
 from relviews.state_model import (
     APCom,
     EMPTY_WORLD,
@@ -32,10 +25,14 @@ from relviews.state_model import (
     World,
 )
 from relviews.fixtures import fixture_path
-from relviews.linearizability import all_instances
+from relviews.linearizability import all_instances, check_obligations
 from relviews.logic import AssertionEnv
 from relviews.model_io import load_model, load_outlines
-from relviews.state_model import enumerate_worlds
+from relviews.state_model import (
+    compose_worlds,
+    enumerate_worlds,
+    world_sort_key,
+)
 from relviews.vassn import (
     BoxA,
     CPt,
@@ -54,9 +51,16 @@ from oracles import (
     outline_assertions,
     rgsep_pred,
     satisfies,
+    stabilize,
     stable,
 )
-from util import disjoin, micro_domains, micro_semantics
+from util import (
+    disjoin,
+    micro_domains,
+    micro_semantics,
+    rgsep_view,
+    view_pairs,
+)
 
 AP = APCom("op", 0, 0)
 
@@ -74,20 +78,21 @@ def _mono(cloc=None, aloc=None, values=(0, 1), apcoms=(AP,), nthreads=1):
 def test_compose_unit_identity():
     mono = _mono()
     pred = frozenset({(w({"x": 0}), s) for s in mono.universe})
-    v = RgsepView(pred, frozenset(), frozenset())
+    v = rgsep_view(mono, pred, frozenset(), frozenset())
     assert compose_rgsep(v, mono.unit) == v
     assert compose_rgsep(mono.unit, v) == v
 
 
 def test_compose_guarantee_escape_is_bot():
+    mono = _mono()
     s0, s1 = w({"x": 0}), w({"x": 1})
     g = frozenset({(s0, s1)})
-    v1 = RgsepView(frozenset({(EMPTY_WORLD, s0)}), frozenset(), g)
-    v2 = RgsepView(frozenset({(EMPTY_WORLD, s0)}), frozenset(), frozenset())
+    v1 = rgsep_view(mono, {(EMPTY_WORLD, s0)}, frozenset(), g)
+    v2 = rgsep_view(mono, {(EMPTY_WORLD, s0)}, frozenset(), frozenset())
     assert compose_rgsep(v1, v2) is BOT
     # tolerated once the other side's rely covers it
-    v2r = RgsepView(frozenset({(EMPTY_WORLD, s0), (EMPTY_WORLD, s1)}), g,
-                    frozenset())
+    v2r = rgsep_view(mono, {(EMPTY_WORLD, s0), (EMPTY_WORLD, s1)}, g,
+                     frozenset())
     got = compose_rgsep(v1, v2r)
     assert not got.bot
     assert got.guar == g
@@ -97,19 +102,20 @@ def test_compose_guarantee_escape_is_bot():
 def test_compose_merges_disjoint_locals_over_common_shared():
     mono = _mono(cloc={"x": (0,), "y": (0,)})
     s = w()
-    v1 = RgsepView(frozenset({(w({"x": 0}), s)}), frozenset(), frozenset())
-    v2 = RgsepView(frozenset({(w({"y": 0}), s)}), frozenset(), frozenset())
+    v1 = rgsep_view(mono, {(w({"x": 0}), s)}, frozenset(), frozenset())
+    v2 = rgsep_view(mono, {(w({"y": 0}), s)}, frozenset(), frozenset())
     got = compose_rgsep(v1, v2)
-    assert got.pred == frozenset({(w({"x": 0, "y": 0}), s)})
+    assert view_pairs(mono, got) == frozenset({(w({"x": 0, "y": 0}), s)})
 
 
 def test_reify():
-    assert reify_rgsep(BOT) == frozenset()
+    mono = _mono()
+    assert mono.reify(BOT) == frozenset()
     s = w({"x": 1})
-    v = RgsepView(frozenset({(EMPTY_WORLD, s)}), frozenset(), frozenset())
-    assert reify_rgsep(v) == frozenset({s})
-    clash = RgsepView(frozenset({(w({"x": 0}), s)}), frozenset(), frozenset())
-    assert reify_rgsep(clash) == frozenset()
+    v = rgsep_view(mono, {(EMPTY_WORLD, s)}, frozenset(), frozenset())
+    assert mono.reify(v) == frozenset({s})
+    clash = rgsep_view(mono, {(w({"x": 0}), s)}, frozenset(), frozenset())
+    assert mono.reify(clash) == frozenset()
 
 
 def test_satisfaction_clauses():
@@ -129,14 +135,15 @@ def test_satisfaction_clauses():
     for rho in (CPt("x", Const(3)), BoxA(TrueA()), rho,
                 BoxA(StarA((TrueA(), CPt("y", Const(0)))))):
         got = mono.eval_vassn_rg(rho, frozenset(), frozenset(), {})
-        assert got.pred == rgsep_pred(mono, rho, {})
+        assert view_pairs(mono, got) == rgsep_pred(mono, rho, {})
 
 
 def _eval_or_error(mono, rho, interp):
     """The predicate eval_vassn_rg computes under an empty rely (so every
     predicate is stable), or the model error it raises."""
     try:
-        return mono.eval_vassn_rg(rho, frozenset(), frozenset(), interp).pred
+        return view_pairs(mono, mono.eval_vassn_rg(rho, frozenset(),
+                                                   frozenset(), interp))
     except ModelError as exc:
         return ("error", str(exc))
 
@@ -166,6 +173,62 @@ def test_eval_matches_oracle_on_fixture_assertions(name):
             interp = {**dict(zip(names, combo)), **dict(binding)}
             assert _eval_or_error(mono, rho, interp) \
                 == _oracle_or_error(mono, rho, interp), (rho, interp)
+
+
+@pytest.mark.parametrize("name", ["atomic-inc", "flat-combiner",
+                                  "flat-combiner-noaction4"])
+def test_composed_order_is_the_sorted_oracle_pairs(name, monkeypatch):
+    # the action check reports the first composed world that fails, so
+    # this order picks the counterexample
+    evaluated = {}
+    original = RgsepMonoid.eval_vassn_rg
+
+    def record(self, rho, rely, guar, interp):
+        view = original(self, rho, rely, guar, interp)
+        evaluated[(self, rho, tuple(sorted(interp.items())))] = view
+        return view
+
+    monkeypatch.setattr(RgsepMonoid, "eval_vassn_rg", record)
+    model = load_model(fixture_path(name, "model.json"))
+    load_outlines(fixture_path(name, "outline.json"), model)
+    check_obligations(model)
+    assert evaluated
+    for (mono, rho, interp), view in evaluated.items():
+        pairs = sorted(rgsep_pred(mono, rho, dict(interp)), key=lambda p: (
+            world_sort_key(p[0]), world_sort_key(p[1])))
+        want = [(l, s, w) for l, s in pairs
+                for w in (compose_worlds(l, s),) if w is not None]
+        assert list(mono._composed(view.cols)) == want, (rho, interp)
+
+
+def _closed_singletons(mono, guar):
+    """The unit and every singleton {(l, s)} closed by the oracle under the
+    guarantee, inside the universe."""
+    inside = set(mono.universe)
+    frames = [mono.unit]
+    for l in enumerate_worlds(mono.dom):
+        for s in mono.universe:
+            pairs = {pair for pair in stabilize({(l, s)}, guar, mono.universe)
+                     if pair[1] in inside}
+            frames.append(rgsep_view(mono, pairs, guar, frozenset()))
+    return frames
+
+
+def test_def2_frames_match_the_stabilize_oracle():
+    model = load_model(fixture_path("atomic-inc", "model.json"))
+    mono = model.monoid()
+    for t in mono.dom.thread_ids():
+        guar = model.guarantee(t)
+        assert list(mono.def2_frames(guar)) == _closed_singletons(mono, guar)
+    # a chain that leaves the universe: closure is transitive, and the
+    # state outside is dropped
+    s0, s1, s2 = w({"x": 0}), w({"x": 1}), w({"x": 2})
+    dom = micro_domains(cloc={"x": (0, 1, 2)}, values=(0, 1, 2))
+    mono = RgsepMonoid(dom, micro_semantics(dom), (s0, s1, s2))
+    guar = frozenset({(s0, s1), (s1, s2), (s2, w())})
+    got = list(mono.def2_frames(guar))
+    assert got == _closed_singletons(mono, guar)
+    assert (frozenset({EMPTY_WORLD}),) * 3 in [v.cols for v in got[1:]]
 
 
 _FALSE = PureA(Eq(Const(0), Const(1)))
@@ -347,7 +410,8 @@ def _oracle_outcome(mono, rho, rely):
 
 def _outcome(mono, rho, rely):
     try:
-        return mono.eval_vassn_rg(rho, rely, frozenset(), {}).pred
+        return view_pairs(mono, mono.eval_vassn_rg(rho, rely, frozenset(),
+                                                   {}))
     except StabilityViolation as exc:
         return ("unstable", exc.witness)
     except ModelError as exc:
@@ -389,7 +453,7 @@ def test_token_literal_pins_local_tokens():
     mono = _mono()
     rho = TokA(TODO, Const(1), "op", Const(0), Const(0))
     view = mono.eval_vassn_rg(rho, None, frozenset(), {})
-    for l, _s in view.pred:
+    for l, _s in view_pairs(mono, view):
         assert l.toks.get(1) == Token(TODO, AP)
         assert not l.conc.items() and not l.abst.items()
 
@@ -397,8 +461,8 @@ def test_token_literal_pins_local_tokens():
 def test_boxed_true_leaves_shared_unconstrained():
     mono = _mono()
     view = mono.eval_vassn_rg(BoxA(TrueA()), None, frozenset(), {})
-    assert {s for _l, s in view.pred} == set(mono.universe)
-    assert {l for l, _s in view.pred} == {EMPTY_WORLD}
+    assert {s for _l, s in view_pairs(mono, view)} == set(mono.universe)
+    assert {l for l, _s in view_pairs(mono, view)} == {EMPTY_WORLD}
 
 
 def test_unstable_assertion_rejected():
@@ -512,13 +576,14 @@ def test_locality_violation_detected():
 def test_disjoin_requires_matching_protocol():
     mono = _mono()
     s = mono.universe[0]
-    v1 = RgsepView(frozenset({(EMPTY_WORLD, s)}), frozenset(), frozenset())
-    v2 = RgsepView(frozenset({(w({"x": 0}), s)}), frozenset(), frozenset())
+    v1 = rgsep_view(mono, {(EMPTY_WORLD, s)}, frozenset(), frozenset())
+    v2 = rgsep_view(mono, {(w({"x": 0}), s)}, frozenset(), frozenset())
     got = disjoin(mono, v1, v2)
-    assert got.pred == v1.pred | v2.pred
+    assert view_pairs(mono, got) \
+        == view_pairs(mono, v1) | view_pairs(mono, v2)
     assert disjoin(mono, BOT, v1) == v1
     g = frozenset({(s, s)})
-    v3 = RgsepView(frozenset(), frozenset(), g)
+    v3 = rgsep_view(mono, (), frozenset(), g)
     with pytest.raises(ModelError):
         disjoin(mono, v1, v3)
 
@@ -530,12 +595,12 @@ def test_disjunction_laws_under_equal_protocol():
     shareds = mono.universe[:3]
     locals_ = (EMPTY_WORLD, w({"x": 0}), w({"x": 1}))
     pairs = [(l, s) for l in locals_ for s in shareds]
-    views = [RgsepView(frozenset(c), frozenset(), frozenset())
+    views = [rgsep_view(mono, c, frozenset(), frozenset())
              for n in (0, 1, 2)
              for c in itertools.combinations(pairs, n)]
     for p, q in itertools.product(views, views):
-        assert reify_rgsep(disjoin(mono, p, q)) \
-            == reify_rgsep(p) | reify_rgsep(q)
+        assert mono.reify(disjoin(mono, p, q)) \
+            == mono.reify(p) | mono.reify(q)
     small = views[:12]
     for p, q, r in itertools.product(small, small, small):
         assert compose_rgsep(disjoin(mono, p, q), r) \
@@ -552,20 +617,20 @@ def test_composition_preserves_stability_exhaustive_micro():
         for combo in itertools.combinations(pairs, n):
             for rely in rels:
                 pred = stabilize(frozenset(combo), rely, shareds)
-                views.append(RgsepView(pred, rely, frozenset()))
+                views.append(rgsep_view(mono, pred, rely, frozenset()))
     for v1, v2 in itertools.product(views, views):
         got = compose_rgsep(v1, v2)
         if got.bot:
             continue
-        assert stable(got.pred, got.rely, shareds) is None
+        assert stable(view_pairs(mono, got), got.rely, shareds) is None
 
 
 def test_repart_sufficient_condition():
     mono = _mono()
     s = mono.universe[0]
-    small = RgsepView(frozenset({(EMPTY_WORLD, s)}), frozenset(), frozenset())
-    big = RgsepView(frozenset({(EMPTY_WORLD, x) for x in mono.universe}),
-                    frozenset(), frozenset())
+    small = rgsep_view(mono, {(EMPTY_WORLD, s)}, frozenset(), frozenset())
+    big = rgsep_view(mono, {(EMPTY_WORLD, x) for x in mono.universe},
+                     frozenset(), frozenset())
     assert mono.repart_implies(small, big) is ImplVerdict.HOLDS
     assert mono.repart_implies(big, small) is ImplVerdict.NOT_ESTABLISHED
     assert mono.repart_implies(BOT, small) is ImplVerdict.HOLDS

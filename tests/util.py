@@ -55,8 +55,8 @@ def micro_dcsl(cloc=None, aloc=None, nthreads=1, apcoms=(), values=(0, 1),
 
 
 def disjoin(mono, p, q):
-    """View disjunction: set union for DCSL; for RGSep the union of the
-    predicates, defined only under one rely and guarantee."""
+    """View disjunction: set union for DCSL; for RGSep the column-by-column
+    union of the predicates, defined only under one rely and guarantee."""
     if isinstance(mono, DcslMonoid):
         return p | q
     if p.bot:
@@ -66,7 +66,24 @@ def disjoin(mono, p, q):
     if p.rely != q.rely or p.guar != q.guar:
         raise ModelError(
             "disjunction of RGSep views requires equal rely and guarantee")
-    return RgsepView(p.pred | q.pred, p.rely, p.guar)
+    return RgsepView(tuple(map(frozenset.union, p.cols, q.cols)), p.rely,
+                     p.guar)
+
+
+def rgsep_view(mono, pairs, rely, guar) -> RgsepView:
+    """The RGSep view of the monoid whose predicate is the given (local,
+    shared) pairs; every shared part must be in the monoid's universe."""
+    index = {s: i for i, s in enumerate(mono.universe)}
+    cols = [set() for _ in mono.universe]
+    for l, s in pairs:
+        cols[index[s]].add(l)
+    return RgsepView(tuple(map(frozenset, cols)), rely, guar)
+
+
+def view_pairs(mono, view) -> frozenset:
+    """The (local, shared) pairs of an RGSep view's predicate."""
+    return frozenset((l, s) for s, ls in zip(mono.universe, view.cols)
+                     for l in ls)
 
 
 def sample_view(rng: random.Random, worlds, max_size=3):
