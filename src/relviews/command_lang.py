@@ -8,8 +8,9 @@ transformer.  Conditionals and loops are encodings on top of assume.
 
 from __future__ import annotations
 
+import inspect
 import string
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Tuple, Union
 
@@ -19,32 +20,65 @@ from .state_model import FAULT, Heap, HeapState
 # ---------------------------------------------------------------------------
 # Immutable tree nodes
 
+# Every tree node built in this process, keyed by (class, field tuple).
+_NODES: dict = {}
 
-def cached_hash(cls):
-    """Class decorator for a frozen dataclass tree node: compute the
-    generated hash, the hash of the field tuple, once per node and keep it,
-    so memo and set lookups stop rehashing whole trees.
 
+def tree_node(cls):
+    """Class decorator for an immutable tree node, hash-consed: the fields
+    are the class's annotated names, and constructing a node returns the
+    one node of that class with equal fields, so equal trees are one object
+    and equality is identity.  Like the `step` and `free_lvars` caches,
+    `_NODES` keeps every distinct node for the life of the process.
+
+    The hash is that of the field tuple, computed once when the node is
+    created, so set and dict order is what a frozen dataclass would give.
     A hash of a tree that holds strings is valid only in the process that
-    computed it, so the cache never crosses a process boundary: as with
-    `state_model.Heap`, `__reduce__` rebuilds the node from its fields and
-    the unpickling process hashes it afresh.
+    computed it: as with `state_model.Heap`, `__reduce__` rebuilds the node
+    through the constructor, so an unpickled or copied node is the
+    canonical node of its process, hashed afresh.
     """
-    names = tuple(f.name for f in fields(cls))
+    # not `vars(cls)["__annotations__"]`, which lazily evaluated
+    # annotations (PEP 649, Python 3.14) leave out of the class dict
+    names = tuple(inspect.get_annotations(cls))
+    signature = inspect.Signature([
+        inspect.Parameter(n, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                          default=vars(cls).get(n, inspect.Parameter.empty))
+        for n in names])
+
+    def __new__(klass, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        key = (klass, args)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(klass)
+            node.__dict__.update(zip(names, args), _hash=hash(args))
+            node = _NODES.setdefault(key, node)
+        return node
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple([getattr(self, n) for n in names]))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return self._hash
 
     def __reduce__(self):
-        return (cls, tuple([getattr(self, n) for n in names]))
+        return (type(self), tuple([getattr(self, n) for n in names]))
 
+    def __repr__(self):
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{type(self).__qualname__}({inner})"
+
+    def frozen(self, name, *value):
+        raise AttributeError(f"cannot assign or delete field {name!r}")
+
+    cls._fields = names
+    cls.__new__ = staticmethod(__new__)
     cls.__hash__ = __hash__
     cls.__reduce__ = __reduce__
+    cls.__setattr__ = cls.__delattr__ = frozen
+    if "__repr__" not in vars(cls):
+        cls.__repr__ = __repr__
     return cls
 
 
@@ -52,66 +86,56 @@ def cached_hash(cls):
 # Expressions
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class Const:
     value: int
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class LVar:
     name: str
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class Read:
     loc: str
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class Tid:
     pass
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class Plus:
     a: "Expr"
     b: "Expr"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class Eq:
     a: "Expr"
     b: "Expr"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class Lt:
     a: "Expr"
     b: "Expr"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class Not:
     a: "Expr"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class And:
     a: "Expr"
     b: "Expr"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class Or:
     a: "Expr"
     b: "Expr"
@@ -185,8 +209,7 @@ def expr_locs(e: Expr) -> frozenset:
 # Commands
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class PrimCommand:
     name: str
     args: Tuple[Expr, ...] = ()
@@ -197,34 +220,29 @@ class PrimCommand:
         return f"{self.name}({', '.join(map(repr, self.args))})"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class Prim:
     prim: PrimCommand
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class Seq:
     first: "Command"
     second: "Command"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class Choice:
     left: "Command"
     right: "Command"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class Iter:
     body: "Command"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class Skip:
     pass
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-from .command_lang import PrimCommand
+from .command_lang import PrimCommand, tree_node
 from .errors import ModelError, StabilityViolation
 from .monoid_rgsep import RgsepMonoid
 from .subst import subst_prim
@@ -53,17 +53,17 @@ class AssertionEnv:
 # Proof outlines
 
 
-@dataclass(frozen=True)
+@tree_node
 class OPrim:
     prim: PrimCommand
 
 
-@dataclass(frozen=True)
+@tree_node
 class OSkip:
     pass
 
 
-@dataclass(frozen=True)
+@tree_node
 class OSeq:
     """Children interleaved with the intermediate assertions between them."""
 
@@ -71,19 +71,19 @@ class OSeq:
     mids: Tuple[VAssn, ...]
 
 
-@dataclass(frozen=True)
+@tree_node
 class OChoice:
     left: "OutlineNode"
     right: "OutlineNode"
 
 
-@dataclass(frozen=True)
+@tree_node
 class OIter:
     invariant: VAssn
     body: "OutlineNode"
 
 
-@dataclass(frozen=True)
+@tree_node
 class OConseq:
     """Explicit consequence: strengthen the pre, weaken the post."""
 

@@ -48,7 +48,6 @@ from .views_core import (
 DcslView = frozenset  # of World
 
 UNIT_DCSL: DcslView = frozenset({EMPTY_WORLD})
-EMPTY_VIEW: DcslView = frozenset()
 
 
 def compose_dcsl(p: DcslView, q: DcslView) -> DcslView:

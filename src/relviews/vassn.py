@@ -15,22 +15,19 @@ skip and consequence sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple, Union
 
-from .command_lang import Expr, cached_hash, loc_placeholders
+from .command_lang import Expr, loc_placeholders, tree_node
 from .errors import ModelError
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class EmpA:
     pass
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class CPt:
     """Concrete singleton cell: loc |-> value."""
 
@@ -38,8 +35,7 @@ class CPt:
     value: Expr
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class APt:
     """Abstract singleton cell: loc ~> value."""
 
@@ -47,8 +43,7 @@ class APt:
     value: Expr
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class TokA:
     """Token literal [kind(method(arg, ret))]_tid."""
 
@@ -59,41 +54,35 @@ class TokA:
     ret: Expr
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class PureA:
     """Pure fact over values; holds of the empty fragment only."""
 
     cond: Expr
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class StarA:
     parts: Tuple["VAssn", ...]
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class OrA:
     parts: Tuple["VAssn", ...]
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class ExistsA:
     var: str
     body: "VAssn"
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class TrueA:
     """Soaks up an arbitrary remainder; RGSep boxes only."""
 
 
-@cached_hash
-@dataclass(frozen=True)
+@tree_node
 class BoxA:
     """Shared-state assertion; must not be nested."""
 

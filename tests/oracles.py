@@ -71,7 +71,7 @@ from relviews.linearizability import (
     history_sort_key,
 )
 from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
-from relviews.monoid_dcsl import EMPTY_VIEW, UNIT_DCSL, DcslMonoid
+from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
 from relviews.monoid_rgsep import BOT, RgsepMonoid
 from relviews.state_model import (
     EMPTY_WORLD,
@@ -508,6 +508,9 @@ def reachable_commands(c: Command) -> frozenset:
                 frontier.append(nxt)
     return frozenset(seen)
 
+
+# the DCSL view of no worlds
+EMPTY_VIEW = frozenset()
 
 # each monoid's view with empty reification, for unreachable annotations
 EMPTY_VIEWS = {DcslMonoid: EMPTY_VIEW, RgsepMonoid: BOT}

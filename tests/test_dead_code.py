@@ -1,5 +1,5 @@
-"""Every module-level function and class of the package is used by the
-package itself.
+"""Every module-level function, class and UPPER_CASE constant of the
+package is used by the package itself.
 
 A name counts as used when it is read (as a name that no local binding
 shadows, or as an attribute) or imported in `src/` outside the body of its
@@ -10,6 +10,7 @@ API, listed in `EXEMPT` with the reason for each.
 
 import ast
 import os
+import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "relviews")
@@ -20,6 +21,9 @@ EXEMPT = {
     ("model_io.py", "serialize_model"): "public API: inverse of load_model",
     ("state_model.py", "world_json"): "public API: a world as JSON data",
 }
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def _python_files():
@@ -60,6 +64,23 @@ def _references(node, shadowed=frozenset()):
         yield from _references(child, shadowed)
 
 
+def _definitions(tree):
+    """(name, node) of each module-level function, class and UPPER_CASE
+    constant (a name, maybe `_`-prefixed, bound by a plain or annotated
+    assignment)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if (isinstance(target, ast.Name)
+                        and CONSTANT.fullmatch(target.id)):
+                    yield target.id, node
+
+
 def unreferenced_definitions(exempt=EXEMPT):
     """(file, name, line) of every package-level definition that `src/`
     never references, apart from the exempt ones."""
@@ -75,18 +96,15 @@ def unreferenced_definitions(exempt=EXEMPT):
     for path, tree in trees.items():
         if os.path.dirname(path) != PACKAGE:
             continue
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            if (os.path.basename(path), node.name) in exempt:
+        for name, node in _definitions(tree):
+            if (os.path.basename(path), name) in exempt:
                 continue
             outside = [
-                (p, line) for p, line in uses.get(node.name, ())
+                (p, line) for p, line in uses.get(name, ())
                 if not (p == path and node.lineno <= line <= node.end_lineno)
             ]
             if not outside:
-                dead.append((os.path.basename(path), node.name, node.lineno))
+                dead.append((os.path.basename(path), name, node.lineno))
     return dead
 
 

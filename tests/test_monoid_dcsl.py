@@ -5,7 +5,6 @@ import pytest
 
 from relviews.errors import ModelError, UniverseTooLarge
 from relviews.monoid_dcsl import (
-    EMPTY_VIEW,
     UNIT_DCSL,
     DcslMonoid,
     compose_dcsl,
@@ -35,8 +34,9 @@ from relviews.vassn import (
 )
 from relviews.command_lang import Const, Eq, LVar
 from relviews.monoid_rgsep import RgsepMonoid
-from oracles import (powerset_frames, repart_implies_with_frames,
-                     singleton_frames, token_exclusive)
+from oracles import (EMPTY_VIEW, powerset_frames,
+                     repart_implies_with_frames, singleton_frames,
+                     token_exclusive)
 from util import micro_dcsl, micro_domains, micro_semantics, sample_view
 
 AP = APCom("op", 0, 0)

@@ -1,23 +1,39 @@
-"""Command and assertion tree nodes cache their hash.
+"""Command, assertion and outline tree nodes are hash-consed.
 
-The cached value must equal the hash a frozen dataclass generates (the
-hash of its field tuple), so set and dict iteration order, and with it
-every report, stay as they were.  A cached hash of a tree holding strings
-is valid only under the hash seed that computed it, so it must never cross
-a process boundary: these tests unpickle hashed trees in a process with a
-different `PYTHONHASHSEED`.
+Constructing a node returns the one node of its class with equal fields,
+kept in the process-wide table `command_lang._NODES`, so equal trees are
+one object.  Its hash, computed once, must equal the hash a frozen
+dataclass generates (the hash of its field tuple), so set and dict
+iteration order, and with it every report, stay as they were.  A hash of a
+tree holding strings is valid only under the hash seed that computed it,
+so it must never cross a process boundary: these tests unpickle hashed
+trees in a process with a different `PYTHONHASHSEED`.
 """
 
+import copy
 import os
 import pickle
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass
 
-from relviews.command_lang import step
+import pytest
+
+from relviews.command_lang import (
+    _NODES,
+    Const,
+    LVar,
+    Plus,
+    PrimCommand,
+    Read,
+    Tid,
+    step,
+)
 from relviews.fixtures import fixture_manifest
 from relviews.linearizability import all_instances
-from relviews.model_io import load_model, load_outlines
+from relviews.logic import OConseq, OPrim
+from relviews.model_io import _erase, load_model, load_outlines
+from relviews.subst import subst_prim
+from relviews.vassn import TokA, TrueA
 
 from oracles import reachable_commands
 
@@ -45,18 +61,27 @@ def _trees(model):
             out.append(c)
             out.extend(sorted(step(c), key=repr))
     if model.outline_templates:
-        out.extend(model.outline(m, t, a, r)
-                   for m, t, a, r in all_instances(model))
+        for m, t, a, r in all_instances(model):
+            o = model.outline(m, t, a, r)
+            out.append((o.thread, o.pre, o.body, o.post, o.binding))
     return out
 
 
+def _is_node(x):
+    return not isinstance(x, tuple) and hasattr(type(x), "_fields")
+
+
+def _fields(node):
+    return tuple(getattr(node, n) for n in type(node)._fields)
+
+
 def _nodes(x):
-    """The dataclass nodes under x, parents before children.  Callers keep
-    sets out of x: their order follows the hash seed."""
-    if is_dataclass(x):
+    """The tree nodes under x, parents before children.  Callers keep sets
+    out of x: their order follows the hash seed."""
+    if _is_node(x):
         yield x
-        for f in fields(x):
-            yield from _nodes(getattr(x, f.name))
+        for v in _fields(x):
+            yield from _nodes(v)
     elif isinstance(x, (tuple, list)):
         for e in x:
             yield from _nodes(e)
@@ -64,6 +89,11 @@ def _nodes(x):
         for k, v in x.items():
             yield from _nodes(k)
             yield from _nodes(v)
+
+
+def _canonical(x):
+    """Every node under x is the table's node for its class and fields."""
+    return all(_NODES.get((type(n), _fields(n))) is n for n in _nodes(x))
 
 
 class _Hashed:
@@ -81,8 +111,8 @@ def _field_tuple_hash(x, memo):
     node's own `__hash__`; `memo` maps id(node) to its result."""
     if id(x) in memo:
         return memo[id(x)]
-    if is_dataclass(x):
-        parts = [getattr(x, f.name) for f in fields(x)]
+    if _is_node(x):
+        parts = _fields(x)
     elif isinstance(x, tuple):
         parts = x
     else:
@@ -92,27 +122,82 @@ def _field_tuple_hash(x, memo):
     return h
 
 
+def test_fields_are_the_annotated_names_in_order():
+    assert PrimCommand._fields == ("name", "args")
+    assert TokA._fields == ("kind", "tid", "method", "arg", "ret")
+    assert OConseq._fields == ("pre", "post", "inner")
+    assert Tid._fields == () and TrueA._fields == ()
+    # a default, keywords and positions name the same node
+    assert (PrimCommand("id") is PrimCommand("id", ())
+            is PrimCommand(args=(), name="id"))
+    with pytest.raises(TypeError):
+        Plus(Const(1))
+    with pytest.raises(TypeError):
+        Read("l", loc="m")
+
+
 def test_cached_hash_is_the_field_tuple_hash():
     for fx in fixture_manifest():
         nodes = list(_nodes(_trees(_load(fx))))
         assert nodes, fx.name
         memo = {}
         for node in nodes:
-            # first call computes and caches, second reads the cache
-            assert hash(node) == _field_tuple_hash(node, memo), (fx.name, node)
             assert hash(node) == _field_tuple_hash(node, memo), (fx.name, node)
 
 
 def test_equal_trees_built_apart_hash_alike():
+    """Two loads of a fixture give the same objects: its bodies, templates,
+    actions, shared universe and instance outlines, and every node under
+    them."""
     for fx in fixture_manifest():
         one = list(_nodes(_trees(_load(fx))))
         other = list(_nodes(_trees(_load(fx))))
-        assert len(one) == len(other)
-        # hash one copy root first, the other leaves first
-        hashes = [hash(n) for n in one]
-        hashes_other = [hash(n) for n in reversed(other)][::-1]
-        assert hashes == hashes_other, fx.name
-        assert one == other, fx.name
+        assert len(one) == len(other), fx.name
+        assert all(a is b for a, b in zip(one, other)), fx.name
+
+
+def test_second_load_adds_no_node():
+    for fx in fixture_manifest():
+        _trees(_load(fx))
+        size = len(_NODES)
+        again = _trees(_load(fx))
+        assert len(_NODES) == size, fx.name
+        assert _canonical(again), fx.name
+
+
+def test_rebuilt_nodes_are_canonical():
+    for fx in fixture_manifest():
+        model = _load(fx)
+        trees = _trees(model)
+        nodes = list(_nodes(trees))
+        for body in model.bodies.values():
+            for c in reachable_commands(body):
+                assert _canonical(sorted(step(c), key=repr)), fx.name
+        for m, node in model.outline_templates.items():
+            assert _erase(node) is model.body_templates[m], (fx.name, m)
+        for inst in all_instances(model) if model.outline_templates else ():
+            outline = model.outline(*inst)
+            binding = dict(outline.binding)
+            prims = [n.prim for n in _nodes(outline.body)
+                     if isinstance(n, OPrim)]
+            assert _canonical([subst_prim(p, binding) for p in prims])
+        assert all(copy.copy(n) is n for n in nodes), fx.name
+        for rebuilt in (copy.deepcopy(trees),
+                        pickle.loads(pickle.dumps(trees))):
+            back = list(_nodes(rebuilt))
+            assert len(back) == len(nodes), fx.name
+            assert all(a is b for a, b in zip(back, nodes)), fx.name
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    node = Plus(LVar("x"), Const(1))
+    with pytest.raises(AttributeError):
+        node.a = Const(2)
+    with pytest.raises(AttributeError):
+        node._hash = 0
+    with pytest.raises(AttributeError):
+        del node.b
+    assert node is Plus(LVar("x"), Const(1)) and node.a is LVar("x")
 
 
 def _run(seed, *args):
@@ -143,9 +228,11 @@ def _main(cmd, path=None):
         for fx in fixture_manifest():
             back = list(_nodes(trees[fx.name]))
             fresh = list(_nodes(_trees(_load(fx))))
-            assert back == fresh, fx.name
+            assert len(back) == len(fresh), fx.name
+            memo = {}
             for a, b in zip(back, fresh):
-                assert hash(a) == hash(b), (fx.name, a)
+                assert a is b, (fx.name, a)
+                assert hash(a) == _field_tuple_hash(a, memo), (fx.name, a)
         print(len(trees))
 
 
@@ -153,4 +240,3 @@ def test_unpickled_trees_rehash_under_their_own_seed(tmp_path):
     blob = str(tmp_path / "trees.pickle")
     _run("1", "dump", blob)
     assert _run("2", "check", blob).strip() == str(len(fixture_manifest()))
-
