@@ -193,7 +193,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:
-        # the history walks recurse once per move of the bound
+        # `histories` recurses once per move of the bound
         bound = getattr(args, "bound", None)
         hint = "" if bound is None else f" at bound {bound}; lower --bound"
         print(f"error: recursion limit exceeded{hint}", file=sys.stderr)

@@ -216,8 +216,7 @@ def history_sort_key(h: History):
 
 
 class _Library:
-    """One library's moves from a configuration, and its configurations
-    interned to ints.
+    """One library's moves, over configurations interned to ints.
 
     A configuration is a pool of per-thread slots, each idle or a running
     (method, command, expected return), plus a heap.  A call starts a
@@ -228,104 +227,132 @@ class _Library:
     its pending `APCom`, run atomically to `Skip`, and blocks rather than
     faults.
 
-    `successors` tabulates each interned configuration's moves once, so
-    the product and the frontier walks of one check never rebuild them.
+    Slots and heaps are interned to small ints, `IDLE` as slot 0, and a
+    configuration's key is the flat tuple (heap id, slot id of thread 1,
+    ..., slot id of thread N), so hashing a key hashes ints only.  Each
+    thread's local moves are tabulated once per (thread, slot id, heap id)
+    as (move, event or None, slot id', heap id') entries; a configuration's
+    successor table splices one entry's slot id' and heap id' into its key,
+    and is built once, so the product and the frontier walks of one check
+    share it.  A call or return's move is its event; a silent step's move
+    is (thread, primitive) and its event None.
     """
 
     def __init__(self, model: LibraryModel, concrete: bool):
         self.model = model
         self.concrete = concrete
-        self.idle = tuple(IDLE for _ in model.dom.thread_ids())
-        self.heap = model.init_conc if concrete else model.init_abst
-        # (method, arg, started slot) per call
+        self.slots: List = [IDLE]  # slot id -> slot
+        self._slot_ids: Dict = {IDLE: 0}
+        self.heaps: List[Heap] = []  # heap id -> heap
+        self._heap_ids: Dict[Heap, int] = {}
+        # (method, arg, started slot id) per call
         self.calls = tuple(
-            (m, a, (m, model.body(m, a, v) if concrete else APCom(m, a, v),
-                    v))
+            (m, a, _index(self._slot_ids, self.slots, (
+                m, model.body(m, a, v) if concrete else APCom(m, a, v), v)))
             for m in model.methods() for a in model.method_args[m]
             for v in model.dom.values)
-        # (command, heap, thread) -> ((primitive, command, heap), ...), a
-        # faulting step kept in its place
-        self._steps: Dict = {}
-        self.ids: Dict[tuple, int] = {}
-        self.configs: List[tuple] = []  # id -> (pool, heap)
-        self._succ: List[Optional[tuple]] = []  # id -> ((event, id), ...)
-
-    def moves(self, pool: tuple, heap: Heap):
-        """Each successor as (move, event, pool, heap), in a fixed order.
-        A call or return's move is its event; a silent step's move is
-        (thread, primitive) and its event None.  A step into the fault
-        state has `FAULT` as its heap."""
-        for idx, slot in enumerate(pool):
-            t = idx + 1
-            if slot is IDLE:
-                for m, a, started in self.calls:
-                    ev = (t, "call", m, a)
-                    yield ev, ev, _set(pool, idx, started), heap
-                continue
-            m, cmd, v = slot
-            if isinstance(cmd, Skip):
-                ev = (t, "ret", m, v)
-                yield ev, ev, _set(pool, idx, IDLE), heap
-                continue
-            for alpha, cmd2, heap2 in self._step(cmd, heap, t):
-                yield (t, alpha), None, _set(pool, idx, (m, cmd2, v)), heap2
-
-    def _step(self, cmd, heap: Heap, t: int) -> tuple:
-        key = (cmd, heap, t)
-        hit = self._steps.get(key)
-        if hit is None:
-            model = self.model
-            if self.concrete:
-                hit = tuple(state_step(cmd, heap, t, model.ctable,
-                                       model.dom.modulus))
-            else:
-                hit = tuple((cmd, SKIP, heap2) for heap2 in model.atable.apply(
-                    *cmd, t, heap, model.dom.modulus))
-            self._steps[key] = hit
-        return hit
-
-    def _intern(self, config: tuple) -> int:
-        cid = self.ids.setdefault(config, len(self.configs))
-        if cid == len(self.configs):
-            self.configs.append(config)
-            self._succ.append(None)
-        return cid
+        # (thread, slot id, heap id) -> ((move, event, slot id, heap id), ...)
+        self._locals: Dict[Tuple[int, int, int], tuple] = {}
+        self.ids: Dict[Tuple[int, ...], int] = {}
+        self.configs: List[Tuple[int, ...]] = []  # id -> key
+        self._succ: Dict[int, tuple] = {}  # id -> ((event, id), ...)
+        heap = model.init_conc if concrete else model.init_abst
+        self._start = _index(
+            self.ids, self.configs,
+            (_index(self._heap_ids, self.heaps, heap),)
+            + (0,) * len(model.dom.thread_ids()))
 
     def start(self) -> int:
         """The initial configuration's id."""
-        return self._intern((self.idle, self.heap))
+        return self._start
+
+    def _local(self, t: int, sid: int, hid: int) -> tuple:
+        """Thread t's moves from slot sid at heap hid, as (move, event or
+        None, slot id', heap id') entries, built on the first call: calls
+        in `calls` order, a return, or silent steps in `state_step` order.
+        A step into the fault state ends the table as (move, None, -1,
+        -1)."""
+        key = (t, sid, hid)
+        table = self._locals.get(key)
+        if table is not None:
+            return table
+        slot = self.slots[sid]
+        if slot is IDLE:
+            table = tuple(((t, "call", m, a),) * 2 + (started, hid)
+                          for m, a, started in self.calls)
+        elif isinstance(slot[1], Skip):
+            ev = (t, "ret", slot[0], slot[2])
+            table = ((ev, ev, 0, hid),)
+        else:
+            m, cmd, v = slot
+            model = self.model
+            heap = self.heaps[hid]
+            if self.concrete:
+                steps = state_step(cmd, heap, t, model.ctable,
+                                   model.dom.modulus)
+            else:
+                steps = ((cmd, SKIP, heap2) for heap2 in model.atable.apply(
+                    *cmd, t, heap, model.dom.modulus))
+            out = []
+            for alpha, cmd2, heap2 in steps:
+                if heap2 is FAULT:
+                    out.append(((t, alpha), None, -1, -1))
+                    break
+                out.append(((t, alpha), None,
+                            _index(self._slot_ids, self.slots, (m, cmd2, v)),
+                            _index(self._heap_ids, self.heaps, heap2)))
+            table = tuple(out)
+        self._locals[key] = table
+        return table
 
     def successors(self, cid: int) -> tuple:
-        """Configuration cid's moves as (event or None, successor id), in
-        `moves` order, built on the first call.  A step into the fault
-        state ends the table as `_FAULT_STEP`: whoever reaches it raises
-        `fault(cid)`."""
-        succ = self._succ[cid]
+        """Configuration cid's moves as (event or None, successor id): its
+        threads' local tables in thread order, built on the first call.  A
+        step into the fault state ends the table as `_FAULT_STEP`: whoever
+        reaches it raises `fault(cid)`."""
+        succ = self._succ.get(cid)
         if succ is None:
+            key = self.configs[cid]
+            hid = key[0]
             out = []
-            for _move, ev, pool2, heap2 in self.moves(*self.configs[cid]):
-                if heap2 is FAULT:
-                    out.append(_FAULT_STEP)
+            for t in range(1, len(key)):
+                head, tail = key[1:t], key[t + 1:]
+                for _move, ev, sid2, hid2 in self._local(t, key[t], hid):
+                    out.append(_FAULT_STEP if sid2 < 0 else (ev, _index(
+                        self.ids, self.configs,
+                        (hid2,) + head + (sid2,) + tail)))
+                # a fault marker ends its local table and this one
+                if out and out[-1] is _FAULT_STEP:
                     break
-                out.append((ev, self._intern((pool2, heap2))))
             succ = self._succ[cid] = tuple(out)
         return succ
 
     def move(self, cid: int, i: int):
-        """The move behind entry i of cid's table, enumerated again: only
-        a fault's schedule needs it."""
-        return next(itertools.islice(self.moves(*self.configs[cid]), i,
-                                     None))[0]
+        """The move behind entry i of cid's successor table."""
+        key = self.configs[cid]
+        entries = itertools.chain.from_iterable(
+            self._local(t, key[t], key[0]) for t in range(1, len(key)))
+        return next(itertools.islice(entries, i, None))[0]
 
     def fault(self, cid: int) -> FaultReachable:
         """The fault that ends cid's table, its schedule that one step."""
-        pool, heap = self.configs[cid]
+        key = self.configs[cid]
+        pool = tuple(self.slots[sid] for sid in key[1:])
         move = self.move(cid, len(self.successors(cid)) - 1)
-        return _fault(pool, heap, move)
+        return _fault(pool, self.heaps[key[0]], move)
 
 
 # a successor-table entry: the configuration's next move faults
 _FAULT_STEP = (None, -1)
+
+
+def _index(ids: dict, items: list, item) -> int:
+    """item's index in items, appended on first sight."""
+    i = ids.get(item)
+    if i is None:
+        i = ids[item] = len(items)
+        items.append(item)
+    return i
 
 
 def _fault(pool: tuple, heap: Heap, move) -> FaultReachable:
@@ -333,10 +360,6 @@ def _fault(pool: tuple, heap: Heap, move) -> FaultReachable:
     return FaultReachable(
         f"thread {t} faults executing {alpha!r} in method "
         f"{pool[t - 1][0]} at state {heap!r}", [move])
-
-
-def _set(pool: tuple, idx: int, value) -> tuple:
-    return pool[:idx] + (value,) + pool[idx + 1:]
 
 
 def _histories(lib: _Library, n: int, cid: int, memo: dict) -> frozenset:
@@ -483,39 +506,61 @@ class _Product:
 
     def missing(self, k: int, cid: int, fid: int) -> Optional[History]:
         """The least continuation, under `history_sort_key`, that the
-        concrete library can produce within k moves and the frontier
-        cannot follow; None if there is none.  The key orders by length
-        and then lexicographically, so the least continuation of a state
-        is the least over its moves of the move's event, if any, followed
-        by the least continuation after it."""
-        key = (k, cid, fid)
-        hit = self.memo.get(key, _UNSEEN)
-        if hit is not _UNSEEN:
-            return hit
-        if len(self.memo) > self.cap:
-            raise UniverseTooLarge(None, self.cap)
-        best = () if fid == 0 else None
-        if k > 0:
-            conc = self.conc
-            for i, (ev, cid2) in enumerate(conc.successors(cid)):
-                if cid2 < 0:
-                    raise conc.fault(cid)
-                fid2 = fid if ev is None else \
-                    self.spec.successors(fid).get(ev, 0)
-                try:
-                    sub = self.missing(k - 1, cid2, fid2)
-                except FaultReachable as exc:
-                    exc.schedule.insert(0, conc.move(cid, i))
-                    raise
-                if sub is None or best == ():
-                    continue
-                if ev is not None:
-                    sub = (ev,) + sub
-                if best is None or \
-                        history_sort_key(sub) < history_sort_key(best):
-                    best = sub
-        self.memo[key] = best
-        return best
+        concrete library can produce within k moves from (k, cid, fid) and
+        the frontier cannot follow; None if there is none.  The key orders
+        by length and then lexicographically, so the least continuation of
+        a state is the least over its moves of the move's event, if any,
+        followed by the least continuation after it.
+
+        The walk is depth first on an explicit stack, so the bound is not
+        limited by the interpreter's recursion limit.  A frame is [state,
+        successor table, entries taken, least continuation so far]."""
+        memo, cap = self.memo, self.cap
+        conc, spec = self.conc, self.spec
+        stack: List[list] = []
+        state = (k, cid, fid)
+        try:
+            while True:
+                sub = memo.get(state, _UNSEEN)
+                if sub is _UNSEEN:
+                    if len(memo) > cap:
+                        raise UniverseTooLarge(None, cap)
+                    k, cid, fid = state
+                    stack.append([state,
+                                  conc.successors(cid) if k > 0 else (), 0,
+                                  () if fid == 0 else None])
+                # fold finished states into their parents until one has a
+                # move left to take
+                while stack:
+                    frame = stack[-1]
+                    (k, cid, fid), table, i, best = frame
+                    if sub is not _UNSEEN:
+                        if sub is not None and best != ():
+                            ev = table[i - 1][0]
+                            if ev is not None:
+                                sub = (ev,) + sub
+                            if best is None or history_sort_key(sub) < \
+                                    history_sort_key(best):
+                                best = frame[3] = sub
+                        sub = _UNSEEN
+                    if i < len(table):
+                        ev, cid2 = table[i]
+                        frame[2] = i + 1
+                        if cid2 < 0:
+                            raise conc.fault(cid)
+                        state = (k - 1, cid2, fid if ev is None else
+                                 spec.successors(fid).get(ev, 0))
+                        break
+                    memo[frame[0]] = sub = best
+                    stack.pop()
+                else:
+                    return sub
+        except FaultReachable as exc:
+            # each state above the faulting one took the move of the last
+            # entry it read
+            exc.schedule[:0] = [conc.move(f[0][1], f[2] - 1)
+                                for f in stack[:-1]]
+            raise
 
 
 def _still_growing(lib: _Library, bound: int, cap: int) -> bool:

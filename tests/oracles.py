@@ -61,13 +61,14 @@ from relviews.command_lang import (
     apply_guarded,
     expr_locs,
     resolve_loc,
+    state_step,
     step,
 )
 from relviews.errors import FaultReachable, ModelError, UniverseTooLarge
 from relviews.linearizability import (
+    IDLE,
     LibraryModel,
     _fault,
-    _Library,
     history_sort_key,
 )
 from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
@@ -76,6 +77,7 @@ from relviews.monoid_rgsep import BOT, RgsepMonoid
 from relviews.state_model import (
     EMPTY_WORLD,
     FAULT,
+    APCom,
     Heap,
     TokenMap,
     World,
@@ -339,30 +341,80 @@ class _HistoryGen:
     """Memoized recursive generator for the inductive history sets.
 
     One definition serves both libraries: a history is the sequence of
-    call and return events of a run of `_Library.moves`.  Every recursion
-    level contributes the empty history, so level n yields the union of
-    all depths up to n; the sets are prefix-closed and monotone in the
-    bound by construction.  It memoizes on (side, moves left, pool,
-    heap).  The shipped `concrete_histories`/`abstract_histories` are
-    tested against it, and `lin_by_history_sets` decides inclusion from
-    its sets as the oracle for `check_linearizable`.
+    call and return events of a run of `moves`.  Every recursion level
+    contributes the empty history, so level n yields the union of all
+    depths up to n; the sets are prefix-closed and monotone in the bound
+    by construction.  It memoizes on (side, moves left, pool, heap).  The
+    shipped `concrete_histories`/`abstract_histories` are tested against
+    it, and `lin_by_history_sets` decides inclusion from its sets as the
+    oracle for `check_linearizable`.
     """
 
     def __init__(self, model: LibraryModel):
+        self.model = model
         self.cap = model.dom.cap
         self.memo: Dict = {}
-        self._libs = {"c": _Library(model, True), "a": _Library(model, False)}
+        self._steps: Dict = {}
 
     def concrete(self, n: int) -> frozenset:
-        lib = self._libs["c"]
-        return self._histories("c", n, lib.idle, lib.heap)
+        return self._histories(True, n, self._idle(), self.model.init_conc)
 
     def abstract(self, n: int) -> frozenset:
-        lib = self._libs["a"]
-        return self._histories("a", n, lib.idle, lib.heap)
+        return self._histories(False, n, self._idle(), self.model.init_abst)
 
-    def _histories(self, side: str, n: int, pool: tuple, sigma) -> frozenset:
-        key = (side, n, pool, sigma)
+    def _idle(self) -> tuple:
+        return tuple(IDLE for _ in self.model.dom.thread_ids())
+
+    def moves(self, concrete: bool, pool: tuple, heap: Heap):
+        """Each successor of the configuration (pool, heap) as (move,
+        event, pool, heap), in the order of the shipped successor tables:
+        threads in pool order; an idle thread's calls by method, argument
+        and expected return, a finished command's return, a running
+        command's steps in `state_step` order.  A call or return's move is
+        its event; a silent step's move is (thread, primitive) and its
+        event None.  A step into the fault state has `FAULT` as its heap.
+        A slot is idle or a running (method, command, expected return)."""
+        model = self.model
+        for idx, slot in enumerate(pool):
+            t = idx + 1
+
+            def put(new_slot):
+                return pool[:idx] + (new_slot,) + pool[idx + 1:]
+
+            if slot is IDLE:
+                for m in model.methods():
+                    for a in model.method_args[m]:
+                        ev = (t, "call", m, a)
+                        for v in model.dom.values:
+                            run = model.body(m, a, v) if concrete \
+                                else APCom(m, a, v)
+                            yield ev, ev, put((m, run, v)), heap
+                continue
+            m, cmd, v = slot
+            if isinstance(cmd, Skip):
+                ev = (t, "ret", m, v)
+                yield ev, ev, put(IDLE), heap
+                continue
+            for alpha, cmd2, heap2 in self._step(concrete, cmd, heap, t):
+                yield (t, alpha), None, put((m, cmd2, v)), heap2
+
+    def _step(self, concrete: bool, cmd, heap: Heap, t: int) -> tuple:
+        key = (cmd, heap, t)
+        hit = self._steps.get(key)
+        if hit is None:
+            model = self.model
+            if concrete:
+                hit = tuple(state_step(cmd, heap, t, model.ctable,
+                                       model.dom.modulus))
+            else:
+                hit = tuple((cmd, SKIP, heap2) for heap2 in model.atable.apply(
+                    *cmd, t, heap, model.dom.modulus))
+            self._steps[key] = hit
+        return hit
+
+    def _histories(self, concrete: bool, n: int, pool: tuple,
+                   sigma) -> frozenset:
+        key = (concrete, n, pool, sigma)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -372,12 +424,11 @@ class _HistoryGen:
             raise UniverseTooLarge(None, self.cap)
         out = {()}
         if n > 0:
-            for move, ev, pool2, sigma2 in self._libs[side].moves(pool,
-                                                                  sigma):
+            for move, ev, pool2, sigma2 in self.moves(concrete, pool, sigma):
                 if sigma2 is FAULT:
                     raise _fault(pool, sigma, move)
                 try:
-                    sub = self._histories(side, n - 1, pool2, sigma2)
+                    sub = self._histories(concrete, n - 1, pool2, sigma2)
                 except FaultReachable as exc:
                     exc.schedule.insert(0, move)
                     raise

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from oracles import _HistoryGen, lin_by_history_sets
-from relviews.command_lang import Skip, state_step
+from relviews import linearizability
+from relviews.command_lang import AbstractTable, Skip, state_step
 from relviews.errors import FaultReachable, RelviewsError
 from relviews.fixtures import fixture_manifest
 from relviews.linearizability import (
@@ -29,7 +30,7 @@ from relviews.linearizability import (
     concrete_histories,
 )
 from relviews.model_io import load_model, parse_model
-from relviews.state_model import FAULT
+from relviews.state_model import FAULT, APCom
 from util import tiny_model_docs
 
 FIX = "src/relviews/fixtures"
@@ -253,23 +254,39 @@ def test_stats_are_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(STATS))
 def test_moves_are_generated_once_per_configuration(name, monkeypatch):
-    """The product and both frontier walks read each configuration's
-    successor table, so one check enumerates a configuration's moves at
-    most once, on either side."""
-    calls = Counter()
+    """Each library tabulates a thread's local moves once per (slot, heap,
+    thread), so one check runs `state_step` (concrete side) or the
+    abstract table (abstract side) at most once per distinct (command,
+    heap, thread); and it builds each configuration's successor table
+    once, so every request for it returns the same table."""
+    steps = Counter()
+
+    def counting_step(cmd, heap, t, table, modulus):
+        steps[("concrete", cmd, heap, t)] += 1
+        return state_step(cmd, heap, t, table, modulus)
+
+    original_apply = AbstractTable.apply
+
+    def counting_apply(self, method, arg, ret, t, heap, modulus):
+        steps[("abstract", APCom(method, arg, ret), heap, t)] += 1
+        return original_apply(self, method, arg, ret, t, heap, modulus)
+
+    tables = {}
     libs = {}
-    original = _Library.moves
+    original_successors = _Library.successors
 
-    def counting(self, pool, heap):
-        calls[(id(self), pool, heap)] += 1
+    def recording(self, cid):
+        succ = original_successors(self, cid)
         libs[id(self)] = self
-        return original(self, pool, heap)
+        assert tables.setdefault((id(self), cid), succ) is succ
+        return succ
 
-    monkeypatch.setattr(_Library, "moves", counting)
+    monkeypatch.setattr(linearizability, "state_step", counting_step)
+    monkeypatch.setattr(AbstractTable, "apply", counting_apply)
+    monkeypatch.setattr(_Library, "successors", recording)
     check_linearizable(_model(name), 12)
-    assert max(calls.values()) == 1
+    assert max(steps.values()) == 1
+    assert {side for side, *_ in steps} == {"concrete", "abstract"}
     # one library per side: a passing check's growth walk reads the
-    # product's concrete table
+    # product's concrete tables
     assert sorted(lib.concrete for lib in libs.values()) == [False, True]
-    assert sum(calls.values()) <= sum(len(lib.configs)
-                                      for lib in libs.values())
