@@ -42,7 +42,6 @@ from .state_model import (
     Token,
     TokenMap,
     World,
-    world_in_domains,
 )
 from .vassn import VAssn
 from .views_core import Semantics, ViewMonoid
@@ -79,8 +78,6 @@ class LibraryModel:
 
     def __post_init__(self):
         self._monoid = None
-        self._guars = None
-        self._relys = None
         self._envs: Dict[int, AssertionEnv] = {}
 
     def semantics(self) -> Semantics:
@@ -105,71 +102,25 @@ class LibraryModel:
             elif self.monoid_kind == "rgsep":
                 universe = None
                 if self.shared_universe_assn is not None:
-                    frags = ViewMonoid(self.dom, sem).fragments(
+                    universe = ViewMonoid(self.dom, sem).fragments(
                         self.shared_universe_assn, {})
-                    universe = frozenset(
-                        w for w in frags if world_in_domains(w, self.dom))
                     if not universe:
                         raise ModelError("declared shared universe is empty")
                     if len(universe) > self.dom.cap:
                         raise UniverseTooLarge(len(universe), self.dom.cap)
-                self._monoid = RgsepMonoid(self.dom, sem,
-                                           shared_universe=universe)
+                self._monoid = RgsepMonoid(
+                    self.dom, sem, universe, self.actions,
+                    self.guarantee_names, self.rely_extra_names)
             else:
                 raise ModelError(f"unknown monoid {self.monoid_kind!r}")
         return self._monoid
-
-    # -- per-thread rely/guarantee materialization (RGSep only)
-
-    def guarantee(self, t: int):
-        self._materialize_rg()
-        return self._guars[t]
-
-    def rely(self, t: int):
-        self._materialize_rg()
-        return self._relys[t]
-
-    def _materialize_rg(self):
-        if self._guars is not None:
-            return
-        if self.monoid_kind != "rgsep":
-            raise ModelError("rely/guarantee only exist for RGSep models")
-        mon = self.monoid()
-        denote = {}
-        for name, (pre, post) in self.actions.items():
-            for t in self.dom.thread_ids():
-                denote[(name, t)] = mon.denote_action(pre, post, {"t": t})
-        guars = {}
-        for t in self.dom.thread_ids():
-            g = frozenset()
-            for name in self.guarantee_names:
-                g |= denote[(name, t)]
-            guars[t] = g
-        relys = {}
-        for t in self.dom.thread_ids():
-            r = frozenset()
-            for t2 in self.dom.thread_ids():
-                if t2 == t:
-                    continue
-                r |= guars[t2]
-                for name in self.rely_extra_names:
-                    r |= denote[(name, t2)]
-            relys[t] = r
-        self._guars = guars
-        self._relys = relys
 
     def assertion_env(self, t: int) -> AssertionEnv:
         """Thread t's env, one per thread, so its eval memo is shared by
         every check of the model."""
         env = self._envs.get(t)
         if env is None:
-            mon = self.monoid()
-            if self.monoid_kind == "rgsep":
-                env = AssertionEnv(mon, rely=self.rely(t),
-                                   guar=self.guarantee(t))
-            else:
-                env = AssertionEnv(mon)
-            self._envs[t] = env
+            env = self._envs[t] = AssertionEnv(self.monoid(), t)
         return env
 
     def pre_assertion(self, m: str) -> VAssn:

@@ -15,7 +15,6 @@ from typing import Dict, Optional, Tuple, Union
 
 from .command_lang import PrimCommand, tree_node
 from .errors import ModelError, StabilityViolation
-from .monoid_rgsep import RgsepMonoid
 from .subst import subst_prim
 from .vassn import VAssn, free_lvars
 from .views_core import ActionCounterexample, ViewMonoid, memo_key
@@ -24,13 +23,12 @@ _UNSEEN = object()
 
 
 class AssertionEnv:
-    """Binds a monoid (and, for RGSep, a fixed rely/guarantee) so that
-    view assertions evaluate to views."""
+    """Binds a monoid to thread t's context, so that view assertions
+    evaluate to views."""
 
-    def __init__(self, monoid: ViewMonoid, rely=None, guar=None):
+    def __init__(self, monoid: ViewMonoid, t: int):
         self.monoid = monoid
-        self.rely = rely
-        self.guar = guar
+        self.t = t
         self._views: Dict = {}
 
     def eval(self, rho: VAssn, interp: Dict[str, int]):
@@ -40,12 +38,8 @@ class AssertionEnv:
         key = memo_key(rho, interp)
         view = self._views.get(key, _UNSEEN)
         if view is _UNSEEN:
-            if isinstance(self.monoid, RgsepMonoid):
-                view = self.monoid.eval_vassn_rg(rho, self.rely, self.guar,
-                                                 interp)
-            else:
-                view = self.monoid.eval_vassn(rho, interp)
-            self._views[key] = view
+            view = self._views[key] = self.monoid.eval_vassn(rho, interp,
+                                                             self.t)
         return view
 
 

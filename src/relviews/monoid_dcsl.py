@@ -140,7 +140,8 @@ class DcslMonoid(ViewMonoid):
     def repart_implies(self, p, q) -> ImplVerdict:
         return ImplVerdict.HOLDS if p <= q else ImplVerdict.FAILS
 
-    eval_vassn = ViewMonoid.fragments  # a view is the set of its fragments
+    def eval_vassn(self, rho, interp, t: int):
+        return self.fragments(rho, interp)  # the same view in every thread
 
     def reified_token_worlds(self, p):
         return p

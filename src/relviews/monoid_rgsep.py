@@ -10,7 +10,9 @@ rely and otherwise merges local parts column by column.
 Everything is materialized extensionally over a finite universe of shared
 states: by default all world triples over the declared domains, optionally
 restricted by a model-declared shared-universe assertion to keep larger
-models enumerable.
+models enumerable.  The monoid also holds each thread's rely and guarantee,
+built once from the model's actions, and evaluates a thread's assertions
+under them.
 """
 
 from __future__ import annotations
@@ -100,7 +102,10 @@ def compose_rgsep(v1: RgsepView, v2: RgsepView) -> RgsepView:
 
 class RgsepMonoid(ViewMonoid):
     def __init__(self, dom: Domains, sem: Semantics,
-                 shared_universe: Optional[Iterable[World]] = None):
+                 shared_universe: Optional[Iterable[World]] = None,
+                 actions: Optional[Dict[str, Tuple[VAssn, VAssn]]] = None,
+                 guarantee_names: Tuple[str, ...] = (),
+                 rely_extra_names: Tuple[str, ...] = ()):
         super().__init__(dom, sem)
         if shared_universe is None:
             shared_universe = enumerate_worlds(dom)
@@ -114,6 +119,27 @@ class RgsepMonoid(ViewMonoid):
         # see `_local_columns` and `_rely_edges`
         self._columns_memo: Dict[tuple, Dict[int, frozenset]] = {}
         self._edges_memo: Dict[Rel, tuple] = {}
+        # each thread's guarantee, and its rely: every other thread's
+        # guarantee and rely-extra actions; each action denoted once per
+        # thread
+        tids = dom.thread_ids()
+        denote = {(name, t): self.denote_action(pre, post, {"t": t})
+                  for name, (pre, post) in (actions or {}).items()
+                  for t in tids}
+        self._guars = {t: frozenset().union(
+            *(denote[name, t] for name in guarantee_names)) for t in tids}
+        interference = {t: self._guars[t].union(
+            *(denote[name, t] for name in rely_extra_names)) for t in tids}
+        self._relys = {t: frozenset().union(
+            *(interference[t2] for t2 in tids if t2 != t)) for t in tids}
+
+    # -- per-thread rely and guarantee
+
+    def guarantee(self, t: int) -> Rel:
+        return self._guars[t]
+
+    def rely(self, t: int) -> Rel:
+        return self._relys[t]
 
     # -- monoid operations
 
@@ -163,6 +189,11 @@ class RgsepMonoid(ViewMonoid):
         return hit
 
     # -- assertion satisfaction
+
+    def eval_vassn(self, rho: VAssn, interp: Dict[str, int],
+                   t: int) -> RgsepView:
+        return self.eval_vassn_rg(rho, self.rely(t), self.guarantee(t),
+                                  interp)
 
     def eval_vassn_rg(self, rho: VAssn, rely: Optional[Rel], guar: Rel,
                       interp: Dict[str, int]) -> RgsepView:

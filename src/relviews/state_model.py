@@ -333,21 +333,3 @@ def tokens_json(d: TokenMap) -> dict:
 def world_json(w: World) -> dict:
     return {"concrete": heap_json(w.conc), "abstract": heap_json(w.abst),
             "tokens": tokens_json(w.toks)}
-
-
-def world_in_domains(w: World, dom: Domains) -> bool:
-    """Component-wise respect of the declared location/value domains and the
-    token alphabet."""
-    cloc = dict(dom.cloc)
-    for loc, v in w.conc.items():
-        if loc not in cloc or v not in cloc[loc]:
-            return False
-    aloc = dict(dom.aloc)
-    for loc, v in w.abst.items():
-        if loc not in aloc or v not in aloc[loc]:
-            return False
-    apcoms = set(dom.apcoms)
-    for tid, tok in w.toks.items():
-        if tid not in dom.thread_ids() or tok.apcom not in apcoms:
-            return False
-    return True

@@ -8,9 +8,9 @@ concrete or abstract cells, token literals, pure facts, separating
 conjunction, disjunction and finite existentials.  Boxed assertions
 (shared-state fragments) and `true` are meaningful only for the RGSep
 monoid and are rejected by the box-free denotation `ViewMonoid.fragments`,
-which is DCSL's whole evaluator.  Repartitioning implication is not an
-assertion form: it is the side condition the outline checker discharges at
-skip and consequence sites.
+which DCSL's `eval_vassn` returns in every thread.  Repartitioning
+implication is not an assertion form: it is the side condition the outline
+checker discharges at skip and consequence sites.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """The generic relational-view layer.
 
-A view monoid supplies composition, a unit, reification, the action
+A view monoid supplies composition, a unit, reification, the view of an
+assertion in thread t's context (`eval_vassn(rho, interp, t)`), the action
 judgement and the repartitioning implication; this module implements what
 is common to all monoids: the denotation of box-free view assertions as
 world-fragment sets, the linearization-point relation on (abstract state,
@@ -165,7 +166,8 @@ class ViewMonoid:
     def repart_implies(self, p, q) -> ImplVerdict:
         raise NotImplementedError
 
-    def eval_vassn(self, rho, interp):
+    def eval_vassn(self, rho: VAssn, interp: Dict[str, int], t: int):
+        """The view an assertion denotes in thread t's context."""
         raise NotImplementedError
 
     def lp_star(self, sigma_a: Heap, toks: TokenMap) -> frozenset:

@@ -178,6 +178,21 @@ def test_malformed_outline_exit_two(capsys, tmp_path, mutate):
     assert err.startswith("error:") and str(bad) in err
 
 
+def test_an_action_that_cannot_be_denoted_is_a_model_error(capsys,
+                                                            tmp_path):
+    # the rely and guarantee are built from the actions before any
+    # obligation is checked, so the error leaves no report behind
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["actions"]["incr"]["post"] = ["pt", "k", ["read", "k"]]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-proof", str(bad),
+                         f"{FIX}/atomic-inc/outline.json")
+    assert (code, out) == (2, "")
+    assert err == ("error: view assertion values may not read the heap "
+                   "(location 'k')\n")
+
+
 def test_an_outline_must_annotate_its_method_body(capsys, tmp_path):
     # `get` no longer ties its return to the cell: the unchanged outline
     # still proves the old body, and the changed body is not linearizable

@@ -59,7 +59,7 @@ def _mono():
 
 def test_eval_assertion_leaf_star_or():
     mono = _mono()
-    env = AssertionEnv(mono)
+    env = AssertionEnv(mono, 1)
     leaf = CPt("l", Const(0))
     assert env.eval(leaf, {}) == frozenset({w({"l": 0})})
     star = StarA((leaf, APt("x", Const(1))))
@@ -71,7 +71,7 @@ def test_eval_assertion_leaf_star_or():
 
 def test_eval_exists_is_finite_disjunction():
     mono = _mono()
-    env = AssertionEnv(mono)
+    env = AssertionEnv(mono, 1)
     got = env.eval(ExistsA("X", CPt("l", LVar("X"))), {})
     assert got == frozenset({w({"l": 0}), w({"l": 1})})
 
@@ -90,7 +90,7 @@ def test_free_lvars_memoized():
 
 def test_check_proof_prim_id_accepted():
     mono = _mono()
-    env = AssertionEnv(mono)
+    env = AssertionEnv(mono, 1)
     p = CPt("l", Const(0))
     outline = ProofOutline(1, p, OPrim(PrimCommand("id")), p, ())
     assert check_proof(outline, env) is None
@@ -98,7 +98,7 @@ def test_check_proof_prim_id_accepted():
 
 def test_check_proof_rejects_wrong_post():
     mono = _mono()
-    env = AssertionEnv(mono)
+    env = AssertionEnv(mono, 1)
     p = CPt("l", Const(0))
     q = CPt("l", Const(1))
     outline = ProofOutline(1, p, OPrim(PrimCommand("id")), q, ())
@@ -109,7 +109,7 @@ def test_check_proof_rejects_wrong_post():
 
 def test_check_proof_structural_rules():
     mono = _mono()
-    env = AssertionEnv(mono)
+    env = AssertionEnv(mono, 1)
     p0 = CPt("l", Const(0))
     p1 = CPt("l", Const(1))
     node = OSeq(
@@ -241,7 +241,7 @@ def test_bound_outlines_match_the_substituted_oracle(fx):
 def test_unbound_placeholder_in_an_outline_is_quantified():
     # `{k}` in a location ranges over the values, as `k` in a value does
     mono = micro_dcsl(cloc={"c0": (0, 1), "c1": (0, 1)})
-    env = AssertionEnv(mono)
+    env = AssertionEnv(mono, 1)
     pre = CPt("c0", Const(0))
     for post in (CPt("c{k}", Const(0)), CPt("c0", LVar("k"))):
         fail = check_proof(

@@ -202,8 +202,14 @@ def test_eval_box_rejected():
 
 
 def test_eval_out_of_domain_cell_denotes_nothing():
+    # an out-of-domain value, an undeclared location, a token of an
+    # undeclared thread and a token outside the alphabet
+    outside = (CPt("l", Const(7)), CPt("z", Const(0)),
+               TokA(TODO, Const(9), "op", Const(0), Const(0)),
+               TokA(TODO, Const(1), "op", Const(1), Const(0)))
     for mono in _monoids():
-        assert mono.fragments(CPt("l", Const(7)), {}) == EMPTY_VIEW
+        for rho in outside:
+            assert mono.fragments(rho, {}) == EMPTY_VIEW, (mono, rho)
 
 
 def test_eval_memo_ignores_variables_the_assertion_does_not_read():

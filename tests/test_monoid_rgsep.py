@@ -214,11 +214,29 @@ def _closed_singletons(mono, guar):
     return frames
 
 
+def test_rely_and_guarantee_are_built_per_thread_from_the_actions():
+    model = load_model(fixture_path("flat-combiner", "model.json"))
+    mono = model.monoid()
+
+    def denote(name, t):
+        return mono.denote_action(*model.actions[name], {"t": t})
+
+    for t in mono.dom.thread_ids():
+        assert mono.guarantee(t) == frozenset().union(
+            *(denote(name, t) for name in model.guarantee_names))
+    assert model.rely_extra_names == ("refresh",)
+    for t, other in ((1, 2), (2, 1)):
+        assert mono.rely(t) == mono.guarantee(other) | denote("refresh",
+                                                              other)
+    # the rely-extra action adds transitions no guarantee makes
+    assert len(mono.rely(1) - mono.guarantee(2)) == 18
+
+
 def test_def2_frames_match_the_stabilize_oracle():
     model = load_model(fixture_path("atomic-inc", "model.json"))
     mono = model.monoid()
     for t in mono.dom.thread_ids():
-        guar = model.guarantee(t)
+        guar = mono.guarantee(t)
         assert list(mono.def2_frames(guar)) == _closed_singletons(mono, guar)
     # a chain that leaves the universe: closure is transitive, and the
     # state outside is dropped
@@ -478,9 +496,13 @@ def test_unstable_assertion_rejected():
 
 
 def test_unstable_assertion_not_memoized():
-    mono = _mono()
-    s0, s1 = w({"x": 0}), w({"x": 1})
-    env = AssertionEnv(mono, rely=frozenset({(s0, s1)}), guar=frozenset())
+    # thread 1 relies on thread 2's guarantee, which sets x from 0 to 1
+    dom = micro_domains(cloc={"x": (0, 1)}, nthreads=2, apcoms=(AP,))
+    mono = RgsepMonoid(dom, micro_semantics(dom), actions={
+        "set": (CPt("x", Const(0)), CPt("x", Const(1)))},
+        guarantee_names=("set",))
+    assert (w({"x": 0}), w({"x": 1})) in mono.rely(1)
+    env = AssertionEnv(mono, 1)
     assn = BoxA(CPt("x", Const(0)))
     for _ in range(2):
         with pytest.raises(StabilityViolation):

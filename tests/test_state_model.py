@@ -19,7 +19,6 @@ from relviews.state_model import (
     compose_worlds,
     count_worlds,
     enumerate_worlds,
-    world_in_domains,
     world_leq,
     world_minus,
 )
@@ -146,18 +145,6 @@ def test_world_minus_inverts_leq():
             if world_leq(small, big):
                 rest = world_minus(big, small)
                 assert compose_worlds(small, rest) == big
-
-
-def test_world_in_domains():
-    dom = micro_domains(cloc={"l": (0,)}, aloc={}, apcoms=(AP,), values=(0,))
-    ok = World(Heap({"l": 0}), EMPTY_HEAP, TokenMap({1: Token(TODO, AP)}))
-    assert world_in_domains(ok, dom)
-    assert not world_in_domains(World(Heap({"l": 1}), EMPTY_HEAP,
-                                      EMPTY_TOKENS), dom)
-    assert not world_in_domains(World(Heap({"z": 0}), EMPTY_HEAP,
-                                      EMPTY_TOKENS), dom)
-    bad_tid = World(EMPTY_HEAP, EMPTY_HEAP, TokenMap({9: Token(TODO, AP)}))
-    assert not world_in_domains(bad_tid, dom)
 
 
 def _rebuilt(m):
