@@ -1,11 +1,12 @@
 """The rely/guarantee-with-separation view monoid.
 
 A view is either the inconsistent bottom or a triple of a predicate, a
-rely and a guarantee (relations on shared fragments).  The predicate is held
-as columns: for each state of the shared universe, the set of local world
-fragments paired with it.  Predicates must be stable under the rely.
-Composition demands that each side's guarantee is covered by the other's
-rely and otherwise merges local parts column by column.
+rely and a guarantee (relations on shared fragments).  The predicate pairs
+each shared state with a set of local world fragments; it is held as
+column classes, each distinct set with the bitmask of its shared states.
+Predicates must be stable under the rely.  Composition demands that each
+side's guarantee is covered by the other's rely and otherwise merges local
+parts class by class.
 
 Everything is materialized extensionally over a finite universe of shared
 states: by default all world triples over the declared domains, optionally
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import itemgetter, or_
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .command_lang import PrimCommand
@@ -31,7 +34,6 @@ from .state_model import (
     World,
     compose_worlds,
     enumerate_worlds,
-    world_leq,
     world_minus,
     world_sort_key,
 )
@@ -46,16 +48,18 @@ from .views_core import (
 )
 
 Rel = FrozenSet[Tuple[World, World]]
-Columns = Tuple[FrozenSet[World], ...]
+Classes = Tuple[Tuple[FrozenSet[World], int], ...]
 
 
 @dataclass(frozen=True)
 class RgsepView:
-    """Bot, or (cols, rely, guar): cols[i] holds the local fragments paired
-    with the i-th state of the monoid's sorted shared universe.  rely=None
-    encodes the full relation."""
+    """Bot, or (classes, rely, guar).  A class is a non-empty set of local
+    fragments and the int mask of the states of the monoid's sorted shared
+    universe paired with it (bit i for the i-th).  Masks are disjoint, sets
+    distinct and classes sorted by mask, so equal predicates are equal
+    tuples.  rely=None encodes the full relation."""
 
-    cols: Columns
+    classes: Classes
     rely: Optional[Rel]
     guar: Rel
     bot: bool = False
@@ -64,36 +68,26 @@ class RgsepView:
         if self.bot:
             return "BOT"
         rely = "full" if self.rely is None else f"{len(self.rely)} pairs"
+        size = sum(len(ls) * m.bit_count() for ls, m in self.classes)
         return (
-            f"RgsepView(|pred|={sum(map(len, self.cols))}, rely={rely}, "
-            f"|guar|={len(self.guar)})"
+            f"RgsepView(|pred|={size}, rely={rely}, |guar|={len(self.guar)})"
         )
 
 
 BOT = RgsepView((), frozenset(), frozenset(), bot=True)
 
 
-def _rely_contains(rely: Optional[Rel], pairs: Rel) -> bool:
-    return rely is None or pairs <= rely
-
-
-def _rely_meet(r1: Optional[Rel], r2: Optional[Rel]) -> Optional[Rel]:
-    if r1 is None:
-        return r2
-    if r2 is None:
-        return r1
-    return r1 & r2
-
-
 def compose_rgsep(v1: RgsepView, v2: RgsepView) -> RgsepView:
     """Bot if either side is bot or a guarantee escapes the other's rely;
-    otherwise local parts merge column by column."""
+    otherwise local parts merge class by class."""
     if v1.bot or v2.bot:
         return BOT
-    if not _rely_contains(v2.rely, v1.guar) or not _rely_contains(v1.rely, v2.guar):
+    r1, r2 = v1.rely, v2.rely
+    if not (r2 is None or v1.guar <= r2) or not (r1 is None or v2.guar <= r1):
         return BOT
-    return RgsepView(_columnwise(_compose_sets, zip(v1.cols, v2.cols)),
-                     _rely_meet(v1.rely, v2.rely), v1.guar | v2.guar)
+    rely = r2 if r1 is None else r1 if r2 is None else r1 & r2
+    return RgsepView(_meet(_compose_sets, v1.classes, v2.classes), rely,
+                     v1.guar | v2.guar)
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +105,24 @@ class RgsepMonoid(ViewMonoid):
             shared_universe = enumerate_worlds(dom)
         self.universe = tuple(sorted(set(shared_universe), key=world_sort_key))
         self._index = {s: i for i, s in enumerate(self.universe)}
-        self._unit = None
-        # columns -> their composable pairs, and one object per distinct
+        self._full = (1 << len(self.universe)) - 1
+        # per component of a world (concrete heap, abstract heap, tokens),
+        # each (key, value) item -> the mask of the states that hold it
+        self._cells: Tuple[dict, dict, dict] = ({}, {}, {})
+        for i, s in enumerate(self.universe):
+            for cells, part in zip(self._cells, s):
+                for kv in part.items():
+                    cells[kv] = cells.get(kv, 0) | 1 << i
+        # classes -> their composable pairs, and one object per distinct
         # heap or token map of their worlds; see `_composed`
-        self._composed_memo: Dict[Columns, tuple] = {}
+        self._composed_memo: Dict[Classes, tuple] = {}
         self._world_parts: dict = {}
-        # see `_local_columns` and `_rely_edges`
-        self._columns_memo: Dict[tuple, Dict[int, frozenset]] = {}
-        self._edges_memo: Dict[Rel, tuple] = {}
+        # see `_local_classes`, `_box_states`, `_successors` and
+        # `strip_token_set`
+        self._classes_memo: Dict[tuple, Classes] = {}
+        self._box_memo: Dict[tuple, int] = {}
+        self._succ_memo: Dict[Optional[Rel], tuple] = {}
+        self._stripped: Dict[int, dict] = {}
         # each thread's guarantee, and its rely: every other thread's
         # guarantee and rely-extra actions; each action denoted once per
         # thread
@@ -148,20 +152,20 @@ class RgsepMonoid(ViewMonoid):
 
     @property
     def unit(self) -> RgsepView:
-        if self._unit is None:
-            self._unit = RgsepView((_EMP,) * len(self.universe), None,
-                                   frozenset())
-        return self._unit
+        return RgsepView(((_EMP, self._full),) if self._full else (), None,
+                         frozenset())
 
     def reify(self, p):
         """The worlds of the predicate's pairs, not memoized: the initial
         coverage check reifies many composed views once each."""
-        return frozenset(w for ls, s in zip(p.cols, self.universe)
-                         for l in ls for w in (compose_worlds(l, s),)
+        universe = self.universe
+        return frozenset(w for ls, m in p.classes for i in _bits(m)
+                         for l in ls
+                         for w in (compose_worlds(l, universe[i]),)
                          if w is not None)
 
-    def _composed(self, cols: Columns) -> tuple:
-        """The (local, shared, world) triples of the columns whose local
+    def _composed(self, classes: Classes) -> tuple:
+        """The (local, shared, world) triples of the predicate whose local
         and shared parts compose to a world, ordered by local and then
         shared under `world_sort_key`: the distinct locals are sorted once
         and each one's shared states follow in universe order, which is
@@ -169,23 +173,26 @@ class RgsepMonoid(ViewMonoid):
         built from shared heaps and token maps: a few dozen distinct ones
         make up thousands of worlds, which would otherwise each hold their
         own copies."""
-        hit = self._composed_memo.get(cols)
+        hit = self._composed_memo.get(classes)
         if hit is None:
-            at: Dict[World, list] = {}
-            for i, ls in enumerate(cols):
+            at: Dict[World, int] = {}
+            for ls, m in classes:
                 for l in ls:
-                    at.setdefault(l, []).append(i)
+                    at[l] = at.get(l, 0) | m
             universe = self.universe
             parts = self._world_parts
             out = []
             for l in sorted(at, key=world_sort_key):
-                for i in at[l]:
-                    s = universe[i]
+                m = at[l]
+                while m:
+                    low = m & -m
+                    m ^= low
+                    s = universe[low.bit_length() - 1]
                     w = compose_worlds(l, s)
                     if w is not None:
                         out.append((l, s, World(*(parts.setdefault(x, x)
                                                   for x in w))))
-            hit = self._composed_memo[cols] = tuple(out)
+            hit = self._composed_memo[classes] = tuple(out)
         return hit
 
     # -- assertion satisfaction
@@ -199,108 +206,129 @@ class RgsepMonoid(ViewMonoid):
                       interp: Dict[str, int]) -> RgsepView:
         """Materialize an assertion as a view in one pass over the shared
         universe; rejects unstable predicates rather than silently
-        stabilizing them.  The witness is the first rely edge whose source
-        column is not contained in its target column, with the least
-        uncovered local fragment under `world_sort_key`."""
+        stabilizing them."""
+        classes = self._local_classes(rho, interp, self._full)
+        self._check_stable(classes, rely)
+        return RgsepView(classes, rely, guar)
+
+    def _check_stable(self, classes: Classes, rely: Optional[Rel]) -> None:
+        """A class is stable when the rely leads from its states only into
+        classes whose sets contain its own.  Only when one is not are the
+        rely's pairs searched for the witness: the least (shared, shared')
+        under `world_sort_key` whose source column is not contained in its
+        target column, with the least local fragment that is missing."""
+        per, by_mask = self._successors(rely)
+        for ls, m in classes:
+            cover = sum(m2 for ls2, m2 in classes if ls is ls2 or ls <= ls2)
+            succ = by_mask.get(m)
+            if succ is None:
+                succ = by_mask[m] = reduce(or_, map(per.__getitem__, _bits(m)))
+            if succ & ~cover:
+                break
+        else:
+            return
         universe = self.universe
-        cols = self._local_columns(rho, interp, range(len(universe)))
-        for i, j, s2 in self._rely_edges(rely):
-            target = _NONE if j is None else cols[j]
-            if not cols[i] <= target:
-                raise StabilityViolation(
-                    min(cols[i] - target, key=world_sort_key), universe[i],
-                    s2)
-        return RgsepView(tuple(cols[i] for i in range(len(universe))), rely,
-                         guar)
+        cols = {universe[i]: ls for ls, m in classes for i in _bits(m)}
+        s, s2 = min(((s, s2) for s, s2 in (
+            itertools.product(universe, universe) if rely is None else rely)
+            if not cols.get(s, _NONE) <= cols.get(s2, _NONE)),
+            key=lambda e: (world_sort_key(e[0]), world_sort_key(e[1])))
+        raise StabilityViolation(
+            min(cols[s] - cols.get(s2, _NONE), key=world_sort_key), s, s2)
 
-    def _rely_edges(self, rely: Optional[Rel]) -> Iterable[tuple]:
-        """The rely's transitions from a universe state to another state as
-        (i, j, s2): the source's universe index, the target's (None for a
-        target outside the universe, whose column is empty) and the
-        target, ordered by source and then target under `world_sort_key`.
-        The full rely (None) relates every pair of states; the edges of
-        any other rely are built once.  A predicate is stable exactly when
-        each edge's source column is contained in its target column."""
-        universe = self.universe
-        if rely is None:
-            return ((i, j, s2) for i in range(len(universe))
-                    for j, s2 in enumerate(universe) if i != j)
-        edges = self._edges_memo.get(rely)
-        if edges is None:
-            index = self._index
-            edges = self._edges_memo[rely] = tuple(sorted(
-                ((index[s], index.get(s2), s2) for s, s2 in rely
-                 if s in index and s != s2),
-                key=lambda e: (e[0], world_sort_key(e[2]))))
-        return edges
+    def _successors(self, rely: Optional[Rel]) -> tuple:
+        """Per universe index, the mask of the states the rely leads to (bit
+        len(universe) for any outside it; the full rely leads everywhere),
+        and a memo of their unions per mask; built once per rely."""
+        hit = self._succ_memo.get(rely)
+        if hit is None:
+            index, outside = self._index, len(self.universe)
+            per = [self._full if rely is None else 0] * outside
+            for s, s2 in rely or ():
+                if s in index:
+                    per[index[s]] |= 1 << index.get(s2, outside)
+            hit = self._succ_memo[rely] = (per, {})
+        return hit
 
-    def _local_columns(self, rho: VAssn, interp,
-                       live) -> Dict[int, frozenset]:
-        """For each live index i into the universe, the local fragments l
-        such that (l, universe[i]) satisfies the assertion.  A part is
-        evaluated at exactly the shared states where a state-by-state
-        reading looks at it (a star gives up on a state once its prefix
-        denotes nothing there), so a model error is raised exactly when
-        that reading raises one; of several faulty parts, the one reported
-        may differ.  Memoized on `memo_key` and the live indices: parts
-        that do not mention an instance's variables are evaluated once for
-        all its instances.  An error is not cached, and a returned dict is
-        shared, so callers never mutate it."""
-        key = (memo_key(rho, interp), tuple(live))
-        cols = self._columns_memo.get(key)
-        if cols is None:
-            cols = self._columns_memo[key] = self._eval_columns(rho, interp,
-                                                                live)
-        return cols
+    def _local_classes(self, rho: VAssn, interp, live: int) -> Classes:
+        """The classes of the local fragments l such that (l, universe[i])
+        satisfies the assertion, for the universe indices i in the live
+        mask.  A part is evaluated at exactly the shared states where a
+        state-by-state reading looks at it (a star gives up on a state
+        once its prefix denotes nothing there), so a model error is raised
+        exactly when that reading raises one; of several faulty parts, the
+        one reported may differ.  Memoized on `memo_key` and the live
+        mask: parts that do not mention an instance's variables are
+        evaluated once for all its instances.  An error is not cached."""
+        key = (memo_key(rho, interp), live)
+        classes = self._classes_memo.get(key)
+        if classes is None:
+            classes = self._classes_memo[key] = self._eval_classes(
+                rho, interp, live)
+        return classes
 
-    def _eval_columns(self, rho: VAssn, interp,
-                      live) -> Dict[int, frozenset]:
+    def _eval_classes(self, rho: VAssn, interp, live: int) -> Classes:
         if not live:
-            return {}
+            return ()
         if isinstance(rho, BoxA):
             held = self._box_states(rho.body, interp, live)
-            return {i: _EMP if i in held else _NONE for i in live}
+            return ((_EMP, held),) if held else ()
         if isinstance(rho, StarA):
-            cur = dict.fromkeys(live, _EMP)
+            cur = ((_EMP, live),)
             for part in rho.parts:
-                live = [i for i in live if cur[i]]
-                cols = self._local_columns(part, interp, live)
-                cur.update(zip(cols, _columnwise(_compose_sets, (
-                    (cur[i], c) for i, c in cols.items()))))
+                cur = _meet(_compose_sets, cur, self._local_classes(
+                    part, interp, _cover(cur)))
+                if not cur:
+                    break
             return cur
         if isinstance(rho, (OrA, ExistsA)):
-            cur = dict.fromkeys(live, _NONE)
+            cur = ()
             for part, sub in _branches(rho, interp, self.dom.values):
-                cols = self._local_columns(part, sub, live)
-                cur.update(zip(cols, _columnwise(frozenset.union, (
-                    (cur[i], c) for i, c in cols.items()))))
+                got = self._local_classes(part, sub, live)
+                cur = _meet(frozenset.union,
+                            cur + ((_NONE, live & ~_cover(cur)),),
+                            got + ((_NONE, live & ~_cover(got)),))
             return cur
         if isinstance(rho, TrueA):
             raise ModelError("`true` is only supported inside boxes")
-        return dict.fromkeys(live, self.fragments(rho, interp))
+        frags = self.fragments(rho, interp)
+        return ((frags, live),) if frags else ()
 
-    def _box_states(self, body: VAssn, interp, live) -> set:
-        """The live universe indices whose shared state satisfies the box
-        interior; a disjunct or witness is tried only where the earlier
-        ones failed.  `true` conjuncts absorb an arbitrary remainder (the
-        upward closure of the rest); without one the match is exact."""
+    def _box_states(self, body: VAssn, interp, live: int) -> int:
+        """The mask of the live universe indices whose shared state
+        satisfies the box interior; a disjunct or witness is tried only
+        where the earlier ones failed.  `true` conjuncts absorb an
+        arbitrary remainder (the upward closure of the rest); without one
+        the match is exact."""
         if not live:
-            return set()
+            return 0
         if isinstance(body, (OrA, ExistsA)):
-            held = set()
+            held = 0
             for part, sub in _branches(body, interp, self.dom.values):
-                held |= self._box_states(
-                    part, sub, [i for i in live if i not in held])
+                held |= self._box_states(part, sub, live & ~held)
             return held
         parts = body.parts if isinstance(body, StarA) else (body,)
         rest = [p for p in parts if not isinstance(p, TrueA)]
         core = StarA(tuple(rest)) if len(rest) != 1 else rest[0]
         frags = self.fragments(core, interp) if rest else _EMP
-        universe = self.universe
-        if len(rest) == len(parts):
-            return {i for i in live if universe[i] in frags}
-        return {i for i in live
-                if any(world_leq(f, universe[i]) for f in frags)}
+        key = (frags, len(rest) == len(parts))
+        mask = self._box_memo.get(key)
+        if mask is None:
+            # the states that are one of the fragments, or hold one
+            index = self._index
+            mask = self._box_memo[key] = sum(
+                1 << index[f] for f in frags if f in index) if key[1] else \
+                reduce(or_, map(self._holding, frags), 0)
+        return live & mask
+
+    def _holding(self, f: World) -> int:
+        """The mask of the universe states s with f a sub-world of s: those
+        that hold every cell and token of f."""
+        mask = self._full
+        for cells, part in zip(self._cells, f):
+            for kv in part.items():
+                mask &= cells.get(kv, 0)
+        return mask
 
     # -- action denotations
 
@@ -309,7 +337,8 @@ class RgsepMonoid(ViewMonoid):
         """All shared-state transitions rewriting a pre fragment into a post
         fragment while preserving the remainder, restricted to the shared
         universe; the variables that `binding` leaves free range over the
-        values and thread ids."""
+        values and thread ids.  A pre fragment meets only the universe
+        states that hold all its cells and tokens."""
         names = sorted((free_lvars(pre) | free_lvars(post)) - binding.keys())
         domain = sorted(set(self.dom.values) | set(self.dom.thread_ids()))
         pairs = set()
@@ -321,10 +350,9 @@ class RgsepMonoid(ViewMonoid):
             post_frags = self.fragments(post, interp)
             if not post_frags:
                 continue
-            for s in self.universe:
-                for f in pre_frags:
-                    if not world_leq(f, s):
-                        continue
+            for f in pre_frags:
+                for i in _bits(self._holding(f)):
+                    s = self.universe[i]
                     rem = world_minus(s, f)
                     for f2 in post_frags:
                         s2 = compose_worlds(f2, rem)
@@ -345,7 +373,7 @@ class RgsepMonoid(ViewMonoid):
         if p.bot:
             return True
         if q.bot:
-            composed = self._composed(p.cols)
+            composed = self._composed(p.classes)
             if composed:
                 return ActionCounterexample(
                     t, alpha, None, composed[0][2], None,
@@ -357,10 +385,10 @@ class RgsepMonoid(ViewMonoid):
                 "guarantee")
         sem = self.sem
         post_by_conc: Dict[Heap, list] = {}
-        for _l2, s2, (sigma2, abs2, toks2) in self._composed(q.cols):
+        for _l2, s2, (sigma2, abs2, toks2) in self._composed(q.classes):
             post_by_conc.setdefault(sigma2, []).append((s2, abs2, toks2))
         guar = p.guar
-        for _l, s, world in self._composed(p.cols):
+        for _l, s, world in self._composed(p.classes):
             sigma, sigma_a, toks = world
             lp_set = None
             for sigma2 in sem.ctable.apply(alpha, t, sigma, sem.modulus):
@@ -384,16 +412,19 @@ class RgsepMonoid(ViewMonoid):
         return True
 
     def repart_implies(self, p: RgsepView, q: RgsepView) -> ImplVerdict:
-        """Sufficient condition only: column containment with a narrower
-        rely and a wider guarantee.  Incompleteness is reported as
-        `not established`, never as failure."""
+        """Sufficient condition only: containment state by state, checked
+        once per pair of classes that share states, with a narrower rely
+        and a wider guarantee.  Incompleteness is reported as `not
+        established`, never as failure."""
         if p.bot:
             return ImplVerdict.HOLDS
         if q.bot:
             return ImplVerdict.NOT_ESTABLISHED
         rely_ok = q.rely is None or (p.rely is not None and p.rely <= q.rely)
         if (rely_ok and q.guar <= p.guar
-                and all(map(frozenset.__le__, p.cols, q.cols))):
+                and not _cover(p.classes) & ~_cover(q.classes)
+                and all(ls <= rs for ls, m in p.classes
+                        for rs, m2 in q.classes if m & m2)):
             return ImplVerdict.HOLDS
         return ImplVerdict.NOT_ESTABLISHED
 
@@ -407,60 +438,66 @@ class RgsepMonoid(ViewMonoid):
         frame projects onto a failing closed singleton.  States outside the
         universe are left out of the closure: no column pairs with them."""
         yield self.unit
-        succ: Dict[int, list] = {}
-        for i, j, _s2 in self._rely_edges(guar):
-            if j is not None:
-                succ.setdefault(i, []).append(j)
+        per, _by_mask = self._successors(guar)
         closures = []
         for k in range(len(self.universe)):
-            seen, frontier = {k}, [k]
-            while frontier:
-                for j in succ.get(frontier.pop(), ()):
-                    if j not in seen:
-                        seen.add(j)
-                        frontier.append(j)
+            seen, new = 0, 1 << k
+            while new:
+                seen |= new
+                new = reduce(or_, map(per.__getitem__, _bits(new))) \
+                    & self._full & ~seen
             closures.append(seen)
         for l in enumerate_worlds(self.dom):
             col = frozenset({l})
             for seen in closures:
-                yield RgsepView(tuple(col if j in seen else _NONE
-                                      for j in range(len(closures))),
-                                guar, frozenset())
+                yield RgsepView(((col, seen),), guar, frozenset())
 
     def check_action_def2(self, t: int, alpha: PrimCommand, p: RgsepView,
                           q: RgsepView):
         """The action judgement with full frame quantification; the oracle
         used to validate the frame-free sufficient condition."""
-        if p.bot:
-            return True
         return check_action_with_frames(self, t, alpha, p, q,
                                         self.def2_frames(p.guar))
 
     # -- obligation helpers
 
     def reified_token_worlds(self, p: RgsepView):
-        if p.bot:
-            return
-        for _l, _s, world in self._composed(p.cols):
+        for _l, _s, world in self._composed(p.classes):
             yield world
 
     def strip_token_set(self, p: RgsepView, t: int) -> frozenset:
         """Predicate pairs with thread t's token erased (keeping its side),
-        for the token-swap correspondence check."""
+        for the token-swap correspondence check.  Each distinct local and
+        shared world is stripped once per thread."""
+        stripped = self._stripped.setdefault(t, {})
         out = set()
-        for l, s, _world in self._composed(p.cols):
-            side = "local" if t in l.toks else (
-                "shared" if t in s.toks else "none")
-            out.add((
-                World(l.conc, l.abst, l.toks.remove(t)),
-                World(s.conc, s.abst, s.toks.remove(t)),
-                side,
-            ))
+        for l, s, _world in self._composed(p.classes):
+            for w in (l, s):
+                if w not in stripped:
+                    stripped[w] = (World(w.conc, w.abst, w.toks.remove(t)),
+                                   t in w.toks)
+            (l2, in_l), (s2, in_s) = stripped[l], stripped[s]
+            out.add((l2, s2,
+                     "local" if in_l else "shared" if in_s else "none"))
         return frozenset(out)
 
 
 _EMP = frozenset({EMPTY_WORLD})
 _NONE = frozenset()
+_MASK = itemgetter(1)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _cover(classes: Classes) -> int:
+    """The union of the masks, which are disjoint."""
+    return sum(m for _ls, m in classes)
 
 
 def _compose_sets(left: frozenset, right: frozenset) -> frozenset:
@@ -468,17 +505,18 @@ def _compose_sets(left: frozenset, right: frozenset) -> frozenset:
                      for w in (compose_worlds(l1, l2),) if w is not None)
 
 
-def _columnwise(op, pairs: Iterable[tuple]) -> Columns:
-    """op applied to each (left, right) pair of columns, once per distinct
-    pair of sets: most shared states see the same pair."""
-    done: Dict = {}
-    out = []
-    for key in pairs:
-        got = done.get(key)
-        if got is None:
-            got = done[key] = op(*key)
-        out.append(got)
-    return tuple(out)
+def _meet(op, left: Classes, right: Classes) -> Classes:
+    """op on the sets of each pair of classes that share states, once per
+    distinct pair of non-empty columns, regrouped into canonical classes."""
+    groups: Dict[frozenset, int] = {}
+    for ls, m1 in left:
+        for rs, m2 in right:
+            m = m1 & m2
+            if m:
+                got = op(ls, rs)
+                if got:
+                    groups[got] = groups.get(got, 0) | m
+    return tuple(sorted(groups.items(), key=_MASK))
 
 
 def _branches(rho: VAssn, interp, values):

@@ -108,9 +108,6 @@ class Heap(_FrozenMap):
         d.update(pairs)
         return self._of(d, tuple(sorted(d.items())))
 
-    def subheap_of(self, other: "Heap") -> bool:
-        return all(other.get(k) == v for k, v in self._key)
-
 
 EMPTY_HEAP = Heap()
 
@@ -205,17 +202,8 @@ def compose_worlds(w1: World, w2: World) -> Optional[World]:
     return World(c, a, t)
 
 
-def world_leq(w: World, big: World) -> bool:
-    """Is w a sub-world of big (pointwise sub-map)?"""
-    if not w.conc.subheap_of(big.conc):
-        return False
-    if not w.abst.subheap_of(big.abst):
-        return False
-    return all(big.toks.get(t) == tok for t, tok in w.toks.items())
-
-
 def world_minus(big: World, w: World) -> World:
-    """Remove a sub-world; caller guarantees world_leq(w, big)."""
+    """Remove a sub-world; the caller guarantees that w is one of big."""
     return World(big.conc._without(w.conc._d), big.abst._without(w.abst._d),
                  big.toks._without(w.toks._d))
 

@@ -33,9 +33,15 @@ them.
 
 RGSep side conditions, by brute force: `stable(pred, rely, universe)` is
 the least witness (local, shared, shared') of a predicate not closed under
-a rely, which `eval_vassn_rg`'s column check must report;
+a rely, which `eval_vassn_rg`'s class check must report;
 `stabilize(pred, rely, universe)` is a predicate's rely-closure over
 pairs, which the singleton frames of `RgsepMonoid.def2_frames` must equal;
+`denote_action_all_states` denotes an action by meeting each pre fragment
+with every universe state, where `denote_action` meets only the states
+that hold its cells; `compose_columns`, `columns_contained` and
+`composed_pairs` compose, compare and list predicates one shared state at
+a time, against which the column classes of RGSep views are tested;
+`world_leq` is the sub-world order;
 `locality_witness` runs a primitive's transformer on every state of its
 footprint with and without a one-location frame, checking the locality
 that the transformer language guarantees by construction.
@@ -85,7 +91,7 @@ from relviews.state_model import (
     compose_worlds,
     enumerate_heaps,
     enumerate_worlds,
-    world_leq,
+    world_minus,
     world_sort_key,
 )
 from relviews.subst import Binding, subst_expr, subst_loc
@@ -170,6 +176,62 @@ def stabilize(pred, rely, universe) -> frozenset:
                 out.add((l, s2))
                 frontier.append((l, s2))
     return frozenset(out)
+
+
+def world_leq(w: World, big: World) -> bool:
+    """Is w a sub-world of big (pointwise sub-map)?"""
+    return (all(big.conc.get(k) == v for k, v in w.conc.items())
+            and all(big.abst.get(k) == v for k, v in w.abst.items())
+            and all(big.toks.get(t) == tok for t, tok in w.toks.items()))
+
+
+def denote_action_all_states(mono, pre: VAssn, post: VAssn,
+                             binding) -> frozenset:
+    """`RgsepMonoid.denote_action`, testing every pre fragment against
+    every universe state."""
+    names = sorted((free_lvars(pre) | free_lvars(post)) - binding.keys())
+    domain = sorted(set(mono.dom.values) | set(mono.dom.thread_ids()))
+    inside = set(mono.universe)
+    pairs = set()
+    for combo in itertools.product(domain, repeat=len(names)):
+        interp = {**binding, **dict(zip(names, combo))}
+        pre_frags = mono.fragments(pre, interp)
+        if not pre_frags:
+            continue
+        post_frags = mono.fragments(post, interp)
+        if not post_frags:
+            continue
+        for s in mono.universe:
+            for f in pre_frags:
+                if not world_leq(f, s):
+                    continue
+                rem = world_minus(s, f)
+                for f2 in post_frags:
+                    s2 = compose_worlds(f2, rem)
+                    if s2 is not None and s2 in inside:
+                        pairs.add((s, s2))
+    return frozenset(pairs)
+
+
+def compose_columns(cols1, cols2) -> list:
+    """Two predicates composed one shared state at a time: each local
+    fragment of one side with each of the other's."""
+    return [frozenset(w for l1 in ls1 for l2 in ls2
+                      for w in (compose_worlds(l1, l2),) if w is not None)
+            for ls1, ls2 in zip(cols1, cols2)]
+
+
+def columns_contained(cols1, cols2) -> bool:
+    return all(ls1 <= ls2 for ls1, ls2 in zip(cols1, cols2))
+
+
+def composed_pairs(universe, cols) -> list:
+    """The (local, shared, world) triples of a predicate whose parts
+    compose, sorted by local and then shared under `world_sort_key`."""
+    pairs = sorted(((l, s) for s, ls in zip(universe, cols) for l in ls),
+                   key=lambda p: (world_sort_key(p[0]), world_sort_key(p[1])))
+    return [(l, s, w) for l, s in pairs
+            for w in (compose_worlds(l, s),) if w is not None]
 
 
 def locality_witness(ctable, dom, alpha: PrimCommand, t: int):

@@ -39,7 +39,6 @@ from relviews.state_model import (
     World,
     compose_worlds,
     enumerate_worlds,
-    world_leq,
     world_minus,
 )
 from relviews.vassn import CPt
@@ -49,6 +48,7 @@ from oracles import (
     powerset_frames,
     repart_implies_with_frames,
     stabilize,
+    world_leq,
 )
 from util import (
     PRIMS_1LOC,

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from relviews.command_lang import (
     TransformerTable,
 )
 from relviews.errors import ModelError, StabilityViolation
-from relviews.monoid_rgsep import BOT, RgsepMonoid, compose_rgsep
+from relviews.monoid_rgsep import BOT, RgsepMonoid, RgsepView, compose_rgsep
 from relviews.state_model import (
     APCom,
     EMPTY_WORLD,
@@ -47,6 +49,10 @@ from relviews.vassn import (
 )
 from relviews.views_core import ActionCounterexample, ImplVerdict
 from oracles import (
+    columns_contained,
+    compose_columns,
+    composed_pairs,
+    denote_action_all_states,
     locality_witness,
     outline_assertions,
     rgsep_pred,
@@ -55,10 +61,12 @@ from oracles import (
     stable,
 )
 from util import (
+    classes_of_columns,
     disjoin,
     micro_domains,
     micro_semantics,
     rgsep_view,
+    view_columns,
     view_pairs,
 )
 
@@ -198,7 +206,7 @@ def test_composed_order_is_the_sorted_oracle_pairs(name, monkeypatch):
             world_sort_key(p[0]), world_sort_key(p[1])))
         want = [(l, s, w) for l, s in pairs
                 for w in (compose_worlds(l, s),) if w is not None]
-        assert list(mono._composed(view.cols)) == want, (rho, interp)
+        assert list(mono._composed(view.classes)) == want, (rho, interp)
 
 
 def _closed_singletons(mono, guar):
@@ -246,7 +254,8 @@ def test_def2_frames_match_the_stabilize_oracle():
     guar = frozenset({(s0, s1), (s1, s2), (s2, w())})
     got = list(mono.def2_frames(guar))
     assert got == _closed_singletons(mono, guar)
-    assert (frozenset({EMPTY_WORLD}),) * 3 in [v.cols for v in got[1:]]
+    assert ((frozenset({EMPTY_WORLD}), 0b111),) in [v.classes
+                                                    for v in got[1:]]
 
 
 _FALSE = PureA(Eq(Const(0), Const(1)))
@@ -656,3 +665,154 @@ def test_repart_sufficient_condition():
     assert mono.repart_implies(small, big) is ImplVerdict.HOLDS
     assert mono.repart_implies(big, small) is ImplVerdict.NOT_ESTABLISHED
     assert mono.repart_implies(BOT, small) is ImplVerdict.HOLDS
+
+
+# ---------------------------------------------------------------------------
+# Action denotations against the all-states oracle
+
+
+def _denote_or_error(denote, mono, pre, post, binding):
+    try:
+        return denote(mono, pre, post, binding)
+    except ModelError as exc:
+        return ("error", str(exc))
+
+
+@pytest.mark.parametrize("name", ["atomic-inc", "flat-combiner",
+                                  "flat-combiner-noaction4"])
+def test_denote_action_matches_the_all_states_oracle_on_fixtures(name):
+    model = load_model(fixture_path(name, "model.json"))
+    mono = model.monoid()
+    assert model.actions
+    for pre, post in model.actions.values():
+        for t in mono.dom.thread_ids():
+            assert mono.denote_action(pre, post, {"t": t}) \
+                == denote_action_all_states(mono, pre, post, {"t": t})
+
+
+@st.composite
+def _action_case(draw):
+    """A `_case` monoid and an action whose pre and post are box-free
+    assertions, which may leave `u` free."""
+    mono, _rho = draw(_case())
+    locs = tuple(sorted(dict(mono.dom.cloc)))
+    pre, post = draw(_box_free(locs, ("u",), 1)), draw(_box_free(locs, ("u",),
+                                                                 1))
+    return mono, pre, post
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_action_case())
+def test_denote_action_matches_the_all_states_oracle_on_generated_actions(
+        case):
+    mono, pre, post = case
+    assert _denote_or_error(RgsepMonoid.denote_action, mono, pre, post, {}) \
+        == _denote_or_error(denote_action_all_states, mono, pre, post, {})
+
+
+def test_generated_actions_include_empty_and_nonempty_relations():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_action_case())
+    def collect(case):
+        mono, pre, post = case
+        got = denote_action_all_states(mono, pre, post, {})
+        seen.add(bool(got))
+        seen.add("moves" if any(s != s2 for s, s2 in got) else "stays")
+
+    collect()
+    assert seen == {True, False, "moves", "stays"}
+
+
+# ---------------------------------------------------------------------------
+# Column classes against per-state columns
+
+
+@st.composite
+def _views_case(draw):
+    """A `_case` monoid, two predicates over it and a rely (the full
+    relation, or pairs that may leave the universe)."""
+    mono, _rho = draw(_case())
+    worlds = enumerate_worlds(mono.dom)
+    pairs = st.frozensets(st.tuples(st.sampled_from(worlds),
+                                    st.sampled_from(mono.universe)),
+                          max_size=8)
+    rely = draw(st.one_of(st.none(), st.frozensets(
+        st.tuples(st.sampled_from(worlds), st.sampled_from(worlds)),
+        max_size=6)))
+    return mono, draw(pairs), draw(pairs), rely
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_views_case())
+def test_classwise_operations_match_per_state_columns(case):
+    mono, pairs1, pairs2, _rely = case
+    v1 = rgsep_view(mono, pairs1, frozenset(), frozenset())
+    v2 = rgsep_view(mono, pairs2, frozenset(), frozenset())
+    cols1, cols2 = view_columns(mono, v1), view_columns(mono, v2)
+    got = compose_rgsep(v1, v2)
+    want = RgsepView(classes_of_columns(compose_columns(cols1, cols2)),
+                     frozenset(), frozenset())
+    assert got == want and hash(got) == hash(want)
+    assert mono.reify(v1) == frozenset(
+        w for _l, _s, w in composed_pairs(mono.universe, cols1))
+    assert list(mono._composed(v1.classes)) \
+        == composed_pairs(mono.universe, cols1)
+    for p, q, cp, cq in ((v1, v2, cols1, cols2), (v2, v1, cols2, cols1),
+                         (v1, got, cols1, view_columns(mono, got))):
+        want = (ImplVerdict.HOLDS if columns_contained(cp, cq)
+                else ImplVerdict.NOT_ESTABLISHED)
+        assert mono.repart_implies(p, q) is want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_views_case())
+def test_class_stability_witness_matches_the_oracle(case):
+    mono, pairs, _pairs2, rely = case
+    view = rgsep_view(mono, pairs, rely, frozenset())
+    try:
+        mono._check_stable(view.classes, rely)
+        got = None
+    except StabilityViolation as exc:
+        got = exc.witness
+    assert got == stable(pairs, rely, mono.universe)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_views_case())
+def test_one_predicate_built_in_two_orders_is_one_view(case):
+    mono, pairs, _pairs2, rely = case
+    forward = sorted(pairs, key=lambda p: (world_sort_key(p[0]),
+                                           world_sort_key(p[1])))
+    v1 = rgsep_view(mono, forward, rely, frozenset())
+    v2 = rgsep_view(mono, reversed(forward), rely, frozenset())
+    assert v1 == v2 and hash(v1) == hash(v2)
+    # the classes are canonical: disjoint masks, distinct non-empty sets,
+    # sorted by mask
+    masks = [m for _ls, m in v1.classes]
+    assert masks == sorted(masks) and all(masks)
+    assert sum(masks) == functools.reduce(operator.or_, masks, 0)
+    assert len({ls for ls, _m in v1.classes}) == len(masks)
+    assert all(ls for ls, _m in v1.classes)
+
+
+def test_generated_views_reach_every_outcome():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_views_case())
+    def collect(case):
+        mono, pairs1, pairs2, rely = case
+        v1 = rgsep_view(mono, pairs1, frozenset(), frozenset())
+        v2 = rgsep_view(mono, pairs2, frozenset(), frozenset())
+        seen.add("unstable" if stable(pairs1, rely, mono.universe)
+                 else "stable")
+        seen.add(mono.repart_implies(v1, v2))
+        seen.add("classes" if len(v1.classes) > 1 else "class")
+        seen.add("composes" if compose_rgsep(v1, v2).classes else "empty")
+
+    collect()
+    assert seen == {"stable", "unstable", ImplVerdict.HOLDS,
+                    ImplVerdict.NOT_ESTABLISHED, "classes", "class",
+                    "composes", "empty"}

@@ -19,10 +19,13 @@ from relviews.state_model import (
     compose_worlds,
     count_worlds,
     enumerate_worlds,
-    world_leq,
     world_minus,
 )
-from oracles import compose_states_copying, compose_tokens_copying
+from oracles import (
+    compose_states_copying,
+    compose_tokens_copying,
+    world_leq,
+)
 from util import micro_domains
 
 AP = APCom("op", 0, 0)

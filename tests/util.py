@@ -55,7 +55,7 @@ def micro_dcsl(cloc=None, aloc=None, nthreads=1, apcoms=(), values=(0, 1),
 
 
 def disjoin(mono, p, q):
-    """View disjunction: set union for DCSL; for RGSep the column-by-column
+    """View disjunction: set union for DCSL; for RGSep the state-by-state
     union of the predicates, defined only under one rely and guarantee."""
     if isinstance(mono, DcslMonoid):
         return p | q
@@ -66,8 +66,28 @@ def disjoin(mono, p, q):
     if p.rely != q.rely or p.guar != q.guar:
         raise ModelError(
             "disjunction of RGSep views requires equal rely and guarantee")
-    return RgsepView(tuple(map(frozenset.union, p.cols, q.cols)), p.rely,
-                     p.guar)
+    return rgsep_view(mono, view_pairs(mono, p) | view_pairs(mono, q),
+                      p.rely, p.guar)
+
+
+def view_columns(mono, view) -> list:
+    """The local set of each universe state, in universe order."""
+    cols = [frozenset()] * len(mono.universe)
+    for ls, mask in view.classes:
+        for i in range(len(cols)):
+            if mask >> i & 1:
+                cols[i] = ls
+    return cols
+
+
+def classes_of_columns(cols) -> tuple:
+    """The canonical column classes of per-state local sets: each distinct
+    non-empty set with the mask of its indices, sorted by mask."""
+    masks = {}
+    for i, ls in enumerate(cols):
+        if ls:
+            masks[ls] = masks.get(ls, 0) | 1 << i
+    return tuple(sorted(masks.items(), key=lambda c: c[1]))
 
 
 def rgsep_view(mono, pairs, rely, guar) -> RgsepView:
@@ -77,12 +97,13 @@ def rgsep_view(mono, pairs, rely, guar) -> RgsepView:
     cols = [set() for _ in mono.universe]
     for l, s in pairs:
         cols[index[s]].add(l)
-    return RgsepView(tuple(map(frozenset, cols)), rely, guar)
+    return RgsepView(classes_of_columns(map(frozenset, cols)), rely, guar)
 
 
 def view_pairs(mono, view) -> frozenset:
     """The (local, shared) pairs of an RGSep view's predicate."""
-    return frozenset((l, s) for s, ls in zip(mono.universe, view.cols)
+    return frozenset((l, s) for s, ls in zip(mono.universe,
+                                             view_columns(mono, view))
                      for l in ls)
 
 
