@@ -407,10 +407,6 @@ def assume(e: Expr) -> Command:
     return Prim(PrimCommand(ASSUME, (e,)))
 
 
-def store(loc: str, e: Expr) -> Command:
-    return Prim(PrimCommand(STORE, (Read(loc), e)))
-
-
 def cas(loc: str, old: Expr, new: Expr, then: Command, other: Command) -> Command:
     """CAS split into a success/failure pair of atomic primitives."""
     succ = Prim(PrimCommand(CAS_SUCC, (Read(loc), old, new)))

@@ -2,42 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
 
 FIXTURE_ROOT = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    model_path: str
-    outline_path: Optional[str]
-    expected: Dict
-
-
 def fixture_path(name: str, filename: str) -> str:
     return os.path.join(FIXTURE_ROOT, name, filename)
-
-
-def fixture_manifest() -> Tuple[Fixture, ...]:
-    """Static table of shipped fixtures, consumed by the end-to-end tests."""
-    out = []
-    for name in sorted(os.listdir(FIXTURE_ROOT)):
-        base = os.path.join(FIXTURE_ROOT, name)
-        if not os.path.isdir(base):
-            continue
-        model = os.path.join(base, "model.json")
-        outline = os.path.join(base, "outline.json")
-        expected = os.path.join(base, "expected.json")
-        with open(expected) as fh:
-            exp = json.load(fh)
-        out.append(Fixture(
-            name=name,
-            model_path=model,
-            outline_path=outline if os.path.exists(outline) else None,
-            expected=exp,
-        ))
-    return tuple(out)

@@ -1,13 +1,10 @@
-"""Loading, validating and serializing model and outline files.
+"""Loading and validating model and outline files.
 
 One JSON document describes a model: domains, primitive transformers,
 concrete method bodies, abstract atomic commands, initial states, the
 monoid selection, and (for proofs) predicate macros, rely/guarantee
 actions and per-method assertion families.  Outlines live in a second
 document mirroring the command tree with assertion slots.
-
-Serialization emits the parsed form (macros expanded, structured control
-flow desugared); loading the output reproduces the model exactly.
 """
 
 from __future__ import annotations
@@ -35,11 +32,11 @@ from .command_lang import (
     PrimCommand,
     Read,
     SKIP,
-    Seq,
     Skip,
     Tid,
     AbstractTable,
     TransformerTable,
+    cas,
     command_prims,
     desugar_if,
     desugar_while,
@@ -52,6 +49,7 @@ from .errors import ModelError
 from .linearizability import LibraryModel
 from .logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
 from .state_model import APCom, Domains, Heap
+from .subst import subst_command
 from .vassn import (
     APt,
     BoxA,
@@ -149,30 +147,6 @@ def parse_expr(doc, path: str = "expr") -> Expr:
     _fail(path, f"unknown expression form {doc!r}")
 
 
-def dump_expr(e: Expr):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, LVar):
-        return ["var", e.name]
-    if isinstance(e, Read):
-        return ["read", e.loc]
-    if isinstance(e, Tid):
-        return ["tid"]
-    if isinstance(e, Plus):
-        return ["+", dump_expr(e.a), dump_expr(e.b)]
-    if isinstance(e, Eq):
-        return ["==", dump_expr(e.a), dump_expr(e.b)]
-    if isinstance(e, Lt):
-        return ["<", dump_expr(e.a), dump_expr(e.b)]
-    if isinstance(e, Not):
-        return ["not", dump_expr(e.a)]
-    if isinstance(e, And):
-        return ["and", dump_expr(e.a), dump_expr(e.b)]
-    if isinstance(e, Or):
-        return ["or", dump_expr(e.a), dump_expr(e.b)]
-    raise ModelError(f"cannot serialize expression {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -207,8 +181,6 @@ def parse_command(doc, path: str = "cmd") -> Command:
     if tag == "iter" and len(args) == 1:
         return Iter(parse_command(args[0], f"{path}/iter"))
     if tag == "cas" and len(args) == 5:
-        from .command_lang import cas
-
         return cas(str(args[0]), parse_expr(args[1], path),
                    parse_expr(args[2], path),
                    parse_command(args[3], f"{path}/then"),
@@ -221,20 +193,6 @@ def parse_command(doc, path: str = "cmd") -> Command:
         return desugar_while(parse_expr(args[0], path),
                              parse_command(args[1], f"{path}/do"))
     _fail(path, f"unknown command form {doc!r}")
-
-
-def dump_command(c: Command):
-    if isinstance(c, Skip):
-        return ["skip"]
-    if isinstance(c, Prim):
-        return ["prim", c.prim.name, *[dump_expr(a) for a in c.prim.args]]
-    if isinstance(c, Seq):
-        return ["seq", dump_command(c.first), dump_command(c.second)]
-    if isinstance(c, Choice):
-        return ["choice", dump_command(c.left), dump_command(c.right)]
-    if isinstance(c, Iter):
-        return ["iter", dump_command(c.body)]
-    raise ModelError(f"cannot serialize command {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,31 +291,6 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
                                      f"{path}/sep[{j}]", stack))
         return StarA(tuple(parts))
     _fail(path, f"unknown view assertion form {doc!r}")
-
-
-def dump_vassn(a):
-    if isinstance(a, EmpA):
-        return ["emp"]
-    if isinstance(a, TrueA):
-        return ["true"]
-    if isinstance(a, CPt):
-        return ["pt", a.loc, dump_expr(a.value)]
-    if isinstance(a, APt):
-        return ["apt", a.loc, dump_expr(a.value)]
-    if isinstance(a, TokA):
-        return [a.kind, dump_expr(a.tid), a.method, dump_expr(a.arg),
-                dump_expr(a.ret)]
-    if isinstance(a, PureA):
-        return ["pure", dump_expr(a.cond)]
-    if isinstance(a, StarA):
-        return ["star", *[dump_vassn(p) for p in a.parts]]
-    if isinstance(a, OrA):
-        return ["or", *[dump_vassn(p) for p in a.parts]]
-    if isinstance(a, ExistsA):
-        return ["exists", a.var, dump_vassn(a.body)]
-    if isinstance(a, BoxA):
-        return ["box", dump_vassn(a.body)]
-    raise ModelError(f"cannot serialize assertion {a!r}")
 
 
 def _validate_vassn(a, path: str, inside_box: bool = False):
@@ -482,6 +415,13 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
     values = tuple(int(v) for v in dd["values"])
     if not values:
         _fail(path, "values must be nonempty")
+    nthreads, modulus = int(dd["threads"]), int(dd["modulus"])
+    cap = int(dd.get("cap", DEFAULT_CAP))
+    for key, value, least in (("threads", nthreads, 1),
+                              ("modulus", modulus, 1), ("cap", cap, 0)):
+        if value < least:
+            _fail(path, f"domains.{key} must be an integer >= {least}, "
+                        f"got {value}")
 
     prims = {
         pname: _parse_update(spec, spec.get("params", []),
@@ -504,8 +444,6 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         method_args[mname] = args
         template = parse_command(spec["body"], f"{path}/methods/{mname}")
         body_templates[mname] = template
-        from .subst import subst_command
-
         for a in args:
             for r in values:
                 body = subst_command(template, {"a": a, "r": r})
@@ -531,14 +469,14 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
     )
     dom = Domains.make(
         values=values,
-        modulus=int(dd["modulus"]),
-        nthreads=int(dd["threads"]),
+        modulus=modulus,
+        nthreads=nthreads,
         cloc={str(k): tuple(int(x) for x in v)
               for k, v in dd["locations"].items()},
         aloc={str(k): tuple(int(x) for x in v)
               for k, v in dd["abstract_locations"].items()},
         apcoms=apcoms,
-        cap=int(dd.get("cap", DEFAULT_CAP)),
+        cap=cap,
     )
 
     init = doc["initial"]
@@ -558,7 +496,6 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
                         f"location {loc!r}")
 
     macros = MacroTable(doc.get("macros", {}))
-    nthreads = dom.nthreads
 
     shared_universe = None
     if doc.get("shared_universe") is not None:
@@ -606,66 +543,6 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         shared_universe_assn=shared_universe,
         macros_raw=dict(doc.get("macros", {})),
     )
-
-
-def serialize_model(model: LibraryModel) -> dict:
-    """Emit the parsed (macro-expanded, desugared) document."""
-    doc = {
-        "name": model.name,
-        "monoid": model.monoid_kind,
-        "domains": {
-            "values": list(model.dom.values),
-            "modulus": model.dom.modulus,
-            "threads": model.dom.nthreads,
-            "locations": {k: list(v) for k, v in model.dom.cloc},
-            "abstract_locations": {k: list(v) for k, v in model.dom.aloc},
-            "cap": model.dom.cap,
-        },
-        "primitives": {
-            name: {
-                "params": list(spec.params),
-                "guard": dump_expr(spec.guard) if spec.guard is not None
-                         else None,
-                "updates": [[loc, dump_expr(e)] for loc, e in spec.updates],
-            }
-            for name, spec in sorted(model.ctable.custom.items())
-        },
-        "abstract": {
-            name: {
-                "guard": dump_expr(spec.guard) if spec.guard is not None
-                         else None,
-                "updates": [[loc, dump_expr(e)] for loc, e in spec.updates],
-            }
-            for name, spec in sorted(model.atable.methods.items())
-        },
-        "methods": {
-            m: {"args": list(model.method_args[m]),
-                "body": dump_command(model.body_templates[m])}
-            for m in model.methods()
-        },
-        "initial": {
-            "concrete": {k: v for k, v in model.init_conc.items()},
-            "abstract": {k: v for k, v in model.init_abst.items()},
-        },
-    }
-    if model.macros_raw:
-        doc["macros"] = model.macros_raw
-    if model.shared_universe_assn is not None:
-        doc["shared_universe"] = dump_vassn(model.shared_universe_assn)
-    if model.actions:
-        doc["actions"] = {
-            name: {"pre": dump_vassn(pre), "post": dump_vassn(post)}
-            for name, (pre, post) in sorted(model.actions.items())
-        }
-        doc["guarantee"] = list(model.guarantee_names)
-        doc["rely_extra"] = list(model.rely_extra_names)
-    if model.pre_templates:
-        doc["assertions"] = {
-            m: {"pre": dump_vassn(model.pre_templates[m]),
-                "post": dump_vassn(model.post_templates[m])}
-            for m in sorted(model.pre_templates)
-        }
-    return doc
 
 
 def _load_json(path: str):

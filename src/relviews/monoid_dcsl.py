@@ -88,10 +88,6 @@ class DcslMonoid(ViewMonoid):
     def compose(self, p, q):
         return compose_dcsl(p, q)
 
-    @property
-    def unit(self):
-        return UNIT_DCSL
-
     def reify(self, p):
         return reify_dcsl(p)
 

@@ -43,7 +43,7 @@ from .views_core import (
     ImplVerdict,
     Semantics,
     ViewMonoid,
-    check_action_with_frames,
+    check_action_with_frames,  # not called here; perfbench/tracer.py wraps it
     memo_key,
 )
 
@@ -149,11 +149,6 @@ class RgsepMonoid(ViewMonoid):
 
     def compose(self, p, q):
         return compose_rgsep(p, q)
-
-    @property
-    def unit(self) -> RgsepView:
-        return RgsepView(((_EMP, self._full),) if self._full else (), None,
-                         frozenset())
 
     def reify(self, p):
         """The worlds of the predicate's pairs, not memoized: the initial
@@ -427,37 +422,6 @@ class RgsepMonoid(ViewMonoid):
                         for rs, m2 in q.classes if m & m2)):
             return ImplVerdict.HOLDS
         return ImplVerdict.NOT_ESTABLISHED
-
-    # -- the fully-quantified oracle (small universes only)
-
-    def def2_frames(self, guar: Rel) -> Iterator[RgsepView]:
-        """Unit plus every singleton frame {(l, s)} closed under the
-        guarantee as its rely, for each local l and then each universe
-        state s.  Complete for the frame quantification in the action
-        judgement: predicates distribute over unions of pairs, so a failing
-        frame projects onto a failing closed singleton.  States outside the
-        universe are left out of the closure: no column pairs with them."""
-        yield self.unit
-        per, _by_mask = self._successors(guar)
-        closures = []
-        for k in range(len(self.universe)):
-            seen, new = 0, 1 << k
-            while new:
-                seen |= new
-                new = reduce(or_, map(per.__getitem__, _bits(new))) \
-                    & self._full & ~seen
-            closures.append(seen)
-        for l in enumerate_worlds(self.dom):
-            col = frozenset({l})
-            for seen in closures:
-                yield RgsepView(((col, seen),), guar, frozenset())
-
-    def check_action_def2(self, t: int, alpha: PrimCommand, p: RgsepView,
-                          q: RgsepView):
-        """The action judgement with full frame quantification; the oracle
-        used to validate the frame-free sufficient condition."""
-        return check_action_with_frames(self, t, alpha, p, q,
-                                        self.def2_frames(p.guar))
 
     # -- obligation helpers
 

@@ -302,22 +302,3 @@ def enumerate_worlds(dom: Domains) -> Tuple[World, ...]:
 
 def world_sort_key(w: World):
     return (w.conc.items(), w.abst.items(), w.toks.items())
-
-
-def heap_json(h: Heap) -> dict:
-    """Heaps serialize as objects mapping locations to values."""
-    return {loc: v for loc, v in h.items()}
-
-
-def tokens_json(d: TokenMap) -> dict:
-    """Token maps serialize per thread with the command spelled out."""
-    return {
-        str(tid): {"kind": tok.kind, "method": tok.apcom.method,
-                   "arg": tok.apcom.arg, "ret": tok.apcom.ret}
-        for tid, tok in d.items()
-    }
-
-
-def world_json(w: World) -> dict:
-    return {"concrete": heap_json(w.conc), "abstract": heap_json(w.abst),
-            "tokens": tokens_json(w.toks)}

@@ -18,7 +18,18 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Tuple, Union
 
-from .command_lang import Expr, loc_placeholders, tree_node
+from .command_lang import (
+    And,
+    Eq,
+    Expr,
+    LVar,
+    Lt,
+    Not,
+    Or,
+    Plus,
+    loc_placeholders,
+    tree_node,
+)
 from .errors import ModelError
 
 
@@ -93,8 +104,6 @@ VAssn = Union[EmpA, CPt, APt, TokA, PureA, StarA, OrA, ExistsA, TrueA, BoxA]
 
 
 def free_lvars_expr(e) -> frozenset:
-    from .command_lang import LVar, Plus, Eq, Lt, Not, And, Or
-
     if isinstance(e, LVar):
         return frozenset([e.name])
     if isinstance(e, (Plus, Eq, Lt, And, Or)):

@@ -1,6 +1,6 @@
 """The generic relational-view layer.
 
-A view monoid supplies composition, a unit, reification, the view of an
+A view monoid supplies composition, reification, the view of an
 assertion in thread t's context (`eval_vassn(rho, interp, t)`), the action
 judgement and the repartitioning implication; this module implements what
 is common to all monoids: the denotation of box-free view assertions as
@@ -145,10 +145,6 @@ class ViewMonoid:
         self._apcoms = frozenset(dom.apcoms)
 
     def compose(self, p, q):
-        raise NotImplementedError
-
-    @property
-    def unit(self):
         raise NotImplementedError
 
     def reify(self, p) -> frozenset:

@@ -35,7 +35,10 @@ RGSep side conditions, by brute force: `stable(pred, rely, universe)` is
 the least witness (local, shared, shared') of a predicate not closed under
 a rely, which `eval_vassn_rg`'s class check must report;
 `stabilize(pred, rely, universe)` is a predicate's rely-closure over
-pairs, which the singleton frames of `RgsepMonoid.def2_frames` must equal;
+pairs; `closed_singletons(mono, guar)`, the unit plus every singleton
+frame closed under a guarantee, is the frame set of the fully-quantified
+action judgement, which `RgsepMonoid.check_action`'s frame-free condition
+is validated against;
 `denote_action_all_states` denotes an action by meeting each pre fragment
 with every universe state, where `denote_action` meets only the states
 that hold its cells; `compose_columns`, `columns_contained` and
@@ -111,6 +114,8 @@ from relviews.vassn import (
 )
 from relviews.views_core import ImplVerdict
 
+from util import rgsep_unit, rgsep_view
+
 
 def compose_states_copying(s1, s2):
     """Partial composition of states; None marks the undefined case.
@@ -176,6 +181,23 @@ def stabilize(pred, rely, universe) -> frozenset:
                 out.add((l, s2))
                 frontier.append((l, s2))
     return frozenset(out)
+
+
+def closed_singletons(mono, guar) -> list:
+    """The unit and every singleton RGSep frame {(l, s)} closed under the
+    guarantee as its rely, for each local l and then each universe state s;
+    states outside the universe are dropped from the closure.  Complete for
+    the frame quantification of the action judgement: predicates distribute
+    over unions of pairs, so a failing frame projects onto a failing closed
+    singleton."""
+    inside = set(mono.universe)
+    frames = [rgsep_unit(mono)]
+    for l in enumerate_worlds(mono.dom):
+        for s in mono.universe:
+            pairs = {pair for pair in stabilize({(l, s)}, guar, mono.universe)
+                     if pair[1] in inside}
+            frames.append(rgsep_view(mono, pairs, guar, frozenset()))
+    return frames
 
 
 def world_leq(w: World, big: World) -> bool:

@@ -19,10 +19,7 @@ from relviews.command_lang import (
     Read,
     SKIP,
     Seq,
-    assume,
-    store,
 )
-from relviews.fixtures import fixture_manifest
 from relviews.linearizability import (
     ObligationReport,
     check_linearizable,
@@ -45,6 +42,7 @@ from relviews.vassn import CPt
 from relviews.views_core import check_action_with_frames, lp_star
 from oracles import (
     check_safe,
+    closed_singletons,
     powerset_frames,
     repart_implies_with_frames,
     stabilize,
@@ -52,6 +50,7 @@ from oracles import (
 )
 from util import (
     PRIMS_1LOC,
+    fixture_manifest,
     micro_dcsl,
     micro_domains,
     micro_semantics,
@@ -279,6 +278,7 @@ def test_criterion_4_prop1_bridge():
     confirmed = 0
     cases = 0
     for guar in guars:
+        frames = closed_singletons(mono, guar)
         # every stabilized singleton view over the micro domain
         pairs = [(l, s) for l in worlds for s in mono.universe]
         for l, s in pairs:
@@ -291,7 +291,8 @@ def test_criterion_4_prop1_bridge():
                     continue
                 q = rgsep_view(mono, post, frozenset(), guar)
                 if mono.check_action(1, alpha, p, q) is True:
-                    assert mono.check_action_def2(1, alpha, p, q) is True, (
+                    assert check_action_with_frames(
+                            mono, 1, alpha, p, q, frames) is True, (
                         f"Prop 1 accepted but the fully-quantified "
                         f"judgement fails: {alpha} {p} {q}")
                     confirmed += 1

@@ -158,6 +158,25 @@ def test_malformed_model_exit_two(capsys, tmp_path, mutate):
     assert err.startswith("error:") and str(bad) in err
 
 
+@pytest.mark.parametrize("key,value", [("threads", 0), ("modulus", 0),
+                                       ("cap", -1)])
+@pytest.mark.parametrize("argv", [
+    ["check-lin", "{model}", "--bound", "2"],
+    ["check-proof", "{model}", f"{FIX}/atomic-inc/outline.json"],
+    ["histories", "{model}", "--side", "concrete", "--bound", "2"],
+], ids=lambda argv: argv[0])
+def test_degenerate_domain_is_a_model_error(capsys, tmp_path, key, value,
+                                            argv):
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["domains"][key] = value
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, *(a.format(model=bad) for a in argv))
+    assert code == 2
+    assert err.startswith("error:") and f"domains.{key}" in err
+    assert "Traceback" not in err
+
+
 def _break_choice(doc):
     del _first_choice(doc)["left"]
 

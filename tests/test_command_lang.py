@@ -25,13 +25,13 @@ from relviews.command_lang import (
     eval_expr,
     state_step,
     step,
-    store,
     validate_command,
 )
 from relviews.errors import ModelError, UndefinedLocation
 from relviews.state_model import FAULT, Heap
 
 from oracles import reachable_commands
+from util import store
 
 TBL = TransformerTable()
 

@@ -1,11 +1,13 @@
 """Every module-level function, class and UPPER_CASE constant of the
-package is used by the package itself.
+package, and every method of its module-level classes, is used by the
+package itself.
 
 A name counts as used when it is read (as a name that no local binding
 shadows, or as an attribute) or imported in `src/` outside the body of its
 own definition.  A reference from `tests/` or `perfbench/` does not count:
-code that only tests use belongs in `tests/`.  The exceptions are public
-API, listed in `EXEMPT` with the reason for each.
+code that only tests use belongs in `tests/`.  Dunder methods, which Python
+calls itself, are exempt; so are the names in `EXEMPT`, each with its
+reason.
 """
 
 import ast
@@ -15,15 +17,13 @@ import re
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "relviews")
 EXEMPT = {
-    ("command_lang.py", "store"): "command builder, next to assume and cas",
-    ("fixtures.py", "fixture_path"): "public API: locates a shipped fixture",
-    ("fixtures.py", "fixture_manifest"): "public API: lists the fixtures",
-    ("model_io.py", "serialize_model"): "public API: inverse of load_model",
-    ("state_model.py", "world_json"): "public API: a world as JSON data",
+    ("fixtures.py", "fixture_path"):
+        "CI locates fixtures in the installed package",
 }
 
 
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+DUNDER = re.compile(r"__\w+__")
 
 
 def _python_files():
@@ -65,20 +65,26 @@ def _references(node, shadowed=frozenset()):
 
 
 def _definitions(tree):
-    """(name, node) of each module-level function, class and UPPER_CASE
-    constant (a name, maybe `_`-prefixed, bound by a plain or annotated
-    assignment)."""
+    """(label, name, node) of each module-level function, class and
+    UPPER_CASE constant (a name, maybe `_`-prefixed, bound by a plain or
+    annotated assignment), and of each non-dunder method of a module-level
+    class, labelled `Class.method`."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not DUNDER.fullmatch(item.name)):
+                    yield f"{node.name}.{item.name}", item.name, item
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
             for target in targets:
                 if (isinstance(target, ast.Name)
                         and CONSTANT.fullmatch(target.id)):
-                    yield target.id, node
+                    yield target.id, target.id, node
 
 
 def unreferenced_definitions(exempt=EXEMPT):
@@ -96,15 +102,15 @@ def unreferenced_definitions(exempt=EXEMPT):
     for path, tree in trees.items():
         if os.path.dirname(path) != PACKAGE:
             continue
-        for name, node in _definitions(tree):
-            if (os.path.basename(path), name) in exempt:
+        for label, name, node in _definitions(tree):
+            if (os.path.basename(path), label) in exempt:
                 continue
             outside = [
                 (p, line) for p, line in uses.get(name, ())
                 if not (p == path and node.lineno <= line <= node.end_lineno)
             ]
             if not outside:
-                dead.append((os.path.basename(path), name, node.lineno))
+                dead.append((os.path.basename(path), label, node.lineno))
     return dead
 
 

@@ -5,18 +5,7 @@ import json
 import pytest
 
 from relviews.cli import main as cli_main
-from relviews.fixtures import fixture_manifest
-from relviews.state_model import (
-    APCom,
-    Heap,
-    TODO,
-    Token,
-    TokenMap,
-    World,
-    heap_json,
-    tokens_json,
-    world_json,
-)
+from util import fixture_manifest
 
 MANIFEST = fixture_manifest()
 
@@ -52,12 +41,3 @@ def test_fixture_against_expected(fx, capsys):
         if "failure_contains" in spec:
             assert spec["failure_contains"] in out["detail"]
 
-
-def test_state_serialization_shapes():
-    h = Heap({"k": 3, "L": 0})
-    assert heap_json(h) == {"k": 3, "L": 0}
-    d = TokenMap({1: Token(TODO, APCom("inc", 1, 0))})
-    assert tokens_json(d) == {
-        "1": {"kind": "todo", "method": "inc", "arg": 1, "ret": 0}}
-    w = World(h, Heap({"K": 3}), d)
-    assert world_json(w)["abstract"] == {"K": 3}

@@ -21,7 +21,6 @@ from oracles import _HistoryGen, lin_by_history_sets
 from relviews import linearizability
 from relviews.command_lang import AbstractTable, Skip, state_step
 from relviews.errors import FaultReachable, RelviewsError
-from relviews.fixtures import fixture_manifest
 from relviews.linearizability import (
     IDLE,
     _Library,
@@ -31,7 +30,7 @@ from relviews.linearizability import (
 )
 from relviews.model_io import load_model, parse_model
 from relviews.state_model import FAULT, APCom
-from util import tiny_model_docs
+from util import fixture_manifest, tiny_model_docs
 
 FIX = "src/relviews/fixtures"
 GHOSTS = ("ghost-concrete", "ghost-both")

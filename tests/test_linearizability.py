@@ -30,10 +30,9 @@ from relviews.command_lang import (
     TransformerTable,
     command_prims,
 )
-from relviews.fixtures import fixture_manifest
 from relviews.state_model import FAULT, Heap
 from oracles import history_depths, locality_witness
-from util import tiny_model_docs
+from util import fixture_manifest, tiny_model_docs
 
 FIX = "src/relviews/fixtures"
 

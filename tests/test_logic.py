@@ -14,7 +14,6 @@ from relviews.command_lang import (
     Seq,
     assume,
     desugar_while,
-    store,
 )
 from relviews.logic import (
     AssertionEnv,
@@ -27,7 +26,6 @@ from relviews.logic import (
     check_proof,
 )
 from relviews.errors import ModelError
-from relviews.fixtures import fixture_manifest
 from relviews.linearizability import (
     LibraryModel,
     all_instances,
@@ -44,7 +42,7 @@ from relviews.state_model import (
 from relviews.vassn import APt, CPt, ExistsA, OrA, StarA, free_lvars
 from relviews.command_lang import LVar
 from oracles import check_safe, outline_views, substituted_outline
-from util import micro_dcsl
+from util import fixture_manifest, micro_dcsl, store
 
 FIX = "src/relviews/fixtures"
 

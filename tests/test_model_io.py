@@ -1,57 +1,42 @@
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
 
 from relviews.cli import main
+from relviews.command_lang import (
+    SKIP,
+    Choice,
+    Const,
+    Read,
+    cas,
+    command_prims,
+    desugar_if,
+    desugar_while,
+    expr_locs,
+)
 from relviews.errors import ModelError
-from relviews.fixtures import fixture_manifest
 from relviews.model_io import (
     attach_outlines,
-    dump_command,
     load_model,
     parse_command,
     parse_expr,
     parse_model,
     parse_vassn,
-    serialize_model,
     MacroTable,
 )
-from util import tiny_model_docs
+from util import store
 
 FIX = "src/relviews/fixtures"
 
 
-def test_round_trip_all_fixtures():
-    for fx in fixture_manifest():
-        model = load_model(fx.model_path)
-        doc1 = serialize_model(model)
-        model2 = parse_model(json.loads(json.dumps(doc1)))
-        doc2 = serialize_model(model2)
-        assert doc1 == doc2, fx.name
-
-
-@settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(doc=tiny_model_docs())
-def test_round_trip_generated_models(doc):
-    doc1 = serialize_model(parse_model(doc))
-    doc2 = serialize_model(parse_model(json.loads(json.dumps(doc1))))
-    assert doc1 == doc2
-
-
 def test_while_loads_as_its_encoding():
     cmd = parse_command(["while", ["read", "l"], ["store", "l", 0]])
-    dumped = dump_command(cmd)
-    assert "while" not in json.dumps(dumped)
-    assert parse_command(dumped) == cmd
+    assert cmd is desugar_while(Read("l"), store("l", Const(0)))
 
 
 def test_if_loads_as_its_encoding():
     cmd = parse_command(["if", ["read", "l"], ["store", "l", 0], ["skip"]])
-    dumped = dump_command(cmd)
-    assert "choice" in json.dumps(dumped)
-    assert parse_command(dumped) == cmd
+    assert cmd is desugar_if(Read("l"), store("l", Const(0)), SKIP)
 
 
 def test_bad_json_reports_line_and_column():
@@ -138,16 +123,17 @@ def test_seq_outline_alternation_enforced():
 def test_inc_body_uses_expected_locations():
     model = load_model(f"{FIX}/flat-combiner/model.json")
     body = model.body("inc", 1, 0)
-    names = json.dumps(dump_command(body))
-    assert "res[{t}]" in names and "publish" in names
+    prims = command_prims(body)
+    assert "publish" in {p.name for p in prims}
+    assert "res[{t}]" in {loc for p in prims for e in p.args
+                          for loc in expr_locs(e)}
 
 
 def test_cas_loads_as_success_failure_choice():
     cmd = parse_command(["cas", "L", 0, 1, ["skip"], ["skip"]])
-    dumped = json.dumps(dump_command(cmd))
-    assert "cas_succ" in dumped and "cas_fail" in dumped
-    assert "choice" in dumped
-    assert parse_command(dump_command(cmd)) == cmd
+    assert cmd is cas("L", Const(0), Const(1), SKIP, SKIP)
+    assert isinstance(cmd, Choice)
+    assert {p.name for p in command_prims(cmd)} == {"cas_succ", "cas_fail"}
 
 
 # A repartitioning implication is the side condition of a conseq node, not

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import operator
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +64,7 @@ from util import (
     disjoin,
     micro_domains,
     micro_semantics,
+    rgsep_unit,
     rgsep_view,
     view_columns,
     view_pairs,
@@ -87,8 +87,9 @@ def test_compose_unit_identity():
     mono = _mono()
     pred = frozenset({(w({"x": 0}), s) for s in mono.universe})
     v = rgsep_view(mono, pred, frozenset(), frozenset())
-    assert compose_rgsep(v, mono.unit) == v
-    assert compose_rgsep(mono.unit, v) == v
+    unit = rgsep_unit(mono)
+    assert compose_rgsep(v, unit) == v
+    assert compose_rgsep(unit, v) == v
 
 
 def test_compose_guarantee_escape_is_bot():
@@ -209,19 +210,6 @@ def test_composed_order_is_the_sorted_oracle_pairs(name, monkeypatch):
         assert list(mono._composed(view.classes)) == want, (rho, interp)
 
 
-def _closed_singletons(mono, guar):
-    """The unit and every singleton {(l, s)} closed by the oracle under the
-    guarantee, inside the universe."""
-    inside = set(mono.universe)
-    frames = [mono.unit]
-    for l in enumerate_worlds(mono.dom):
-        for s in mono.universe:
-            pairs = {pair for pair in stabilize({(l, s)}, guar, mono.universe)
-                     if pair[1] in inside}
-            frames.append(rgsep_view(mono, pairs, guar, frozenset()))
-    return frames
-
-
 def test_rely_and_guarantee_are_built_per_thread_from_the_actions():
     model = load_model(fixture_path("flat-combiner", "model.json"))
     mono = model.monoid()
@@ -238,24 +226,6 @@ def test_rely_and_guarantee_are_built_per_thread_from_the_actions():
                                                               other)
     # the rely-extra action adds transitions no guarantee makes
     assert len(mono.rely(1) - mono.guarantee(2)) == 18
-
-
-def test_def2_frames_match_the_stabilize_oracle():
-    model = load_model(fixture_path("atomic-inc", "model.json"))
-    mono = model.monoid()
-    for t in mono.dom.thread_ids():
-        guar = mono.guarantee(t)
-        assert list(mono.def2_frames(guar)) == _closed_singletons(mono, guar)
-    # a chain that leaves the universe: closure is transitive, and the
-    # state outside is dropped
-    s0, s1, s2 = w({"x": 0}), w({"x": 1}), w({"x": 2})
-    dom = micro_domains(cloc={"x": (0, 1, 2)}, values=(0, 1, 2))
-    mono = RgsepMonoid(dom, micro_semantics(dom), (s0, s1, s2))
-    guar = frozenset({(s0, s1), (s1, s2), (s2, w())})
-    got = list(mono.def2_frames(guar))
-    assert got == _closed_singletons(mono, guar)
-    assert ((frozenset({EMPTY_WORLD}), 0b111),) in [v.classes
-                                                    for v in got[1:]]
 
 
 _FALSE = PureA(Eq(Const(0), Const(1)))

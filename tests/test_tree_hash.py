@@ -28,7 +28,6 @@ from relviews.command_lang import (
     Tid,
     step,
 )
-from relviews.fixtures import fixture_manifest
 from relviews.linearizability import all_instances
 from relviews.logic import OConseq, OPrim
 from relviews.model_io import _erase, load_model, load_outlines
@@ -36,6 +35,7 @@ from relviews.subst import subst_prim
 from relviews.vassn import TokA, TrueA
 
 from oracles import reachable_commands
+from util import fixture_manifest
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")

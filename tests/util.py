@@ -1,15 +1,23 @@
-"""Shared builders for micro domains, semantics, random view generation
-and generated library models."""
+"""Shared builders for the shipped fixture table, commands, micro domains,
+semantics, random view generation and generated library models."""
 
 from __future__ import annotations
 
+import json
+import os
 import random
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from hypothesis import strategies as st
 
 from relviews.command_lang import (
+    STORE,
     AbstractTable,
+    Command,
+    Expr,
     GuardedUpdate,
+    Prim,
     PrimCommand,
     Read,
     Const,
@@ -17,11 +25,43 @@ from relviews.command_lang import (
     TransformerTable,
 )
 from relviews.errors import ModelError
+from relviews.fixtures import FIXTURE_ROOT
 from relviews.model_io import DEFAULT_CAP
 from relviews.monoid_dcsl import DcslMonoid
 from relviews.monoid_rgsep import RgsepView
-from relviews.state_model import APCom, Domains, enumerate_worlds
+from relviews.state_model import EMPTY_WORLD, APCom, Domains, enumerate_worlds
 from relviews.views_core import Semantics
+
+
+@dataclass(frozen=True)
+class Fixture:
+    name: str
+    model_path: str
+    outline_path: Optional[str]
+    expected: Dict
+
+
+def fixture_manifest() -> Tuple[Fixture, ...]:
+    """The shipped fixtures, each with its expected verdicts."""
+    out = []
+    for name in sorted(os.listdir(FIXTURE_ROOT)):
+        base = os.path.join(FIXTURE_ROOT, name)
+        if not os.path.isdir(base):
+            continue
+        outline = os.path.join(base, "outline.json")
+        with open(os.path.join(base, "expected.json")) as fh:
+            expected = json.load(fh)
+        out.append(Fixture(
+            name=name,
+            model_path=os.path.join(base, "model.json"),
+            outline_path=outline if os.path.exists(outline) else None,
+            expected=expected,
+        ))
+    return tuple(out)
+
+
+def store(loc: str, e: Expr) -> Command:
+    return Prim(PrimCommand(STORE, (Read(loc), e)))
 
 
 def micro_domains(cloc=None, aloc=None, nthreads=1, apcoms=(), values=(0, 1),
@@ -98,6 +138,13 @@ def rgsep_view(mono, pairs, rely, guar) -> RgsepView:
     for l, s in pairs:
         cols[index[s]].add(l)
     return RgsepView(classes_of_columns(map(frozenset, cols)), rely, guar)
+
+
+def rgsep_unit(mono) -> RgsepView:
+    """The unit of an RGSep monoid: the empty local fragment at every
+    shared state, under the full rely and the empty guarantee."""
+    return rgsep_view(mono, {(EMPTY_WORLD, s) for s in mono.universe}, None,
+                      frozenset())
 
 
 def view_pairs(mono, view) -> frozenset:
