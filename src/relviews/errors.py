@@ -31,12 +31,13 @@ class FaultReachable(RelviewsError):
 class UniverseTooLarge(RelviewsError):
     """An enumeration would exceed the configured state cap."""
 
-    def __init__(self, size, cap):
-        """`size` is None where only "more than cap" is known."""
-        what = f"of size {size}" if size is not None else \
-            f"of more than {cap} states"
+    def __init__(self, size, cap, what="universe", unit="states"):
+        """`size` is None where only "more than cap" is known.  `what`
+        names the enumeration and `unit` the items it counted."""
+        amount = f"of size {size}" if size is not None else \
+            f"of more than {cap} {unit}"
         super().__init__(
-            f"universe {what} exceeds cap {cap}; "
+            f"{what} {amount} exceeds cap {cap}; "
             f"raise --cap / RELVIEWS_CAP or restrict the model domains"
         )
         self.size = size

@@ -327,7 +327,7 @@ def _histories(lib: _Library, n: int, cid: int, memo: dict) -> frozenset:
     if len(memo) > cap:
         # how far past the cap the memo has grown depends on the
         # exploration order, so the message does not say
-        raise UniverseTooLarge(None, cap)
+        raise UniverseTooLarge(None, cap, "history memo", "entries")
     out = {()}
     if n > 0:
         for i, (ev, cid2) in enumerate(lib.successors(cid)):
@@ -420,7 +420,8 @@ class _Frontiers:
         fid = self.ids.get(key)
         if fid is None:
             if len(self.members) > self.cap:
-                raise UniverseTooLarge(None, self.cap)
+                raise UniverseTooLarge(None, self.cap, "frontier table",
+                                       "frontiers")
             fid = self.ids[key] = len(self.members)
             self.members.append(key)
             self._next.append(None)
@@ -475,7 +476,7 @@ class _Product:
                 sub = memo.get(state, _UNSEEN)
                 if sub is _UNSEEN:
                     if len(memo) > cap:
-                        raise UniverseTooLarge(None, cap)
+                        raise UniverseTooLarge(None, cap, "product")
                     k, cid, fid = state
                     stack.append([state,
                                   conc.successors(cid) if k > 0 else (), 0,

@@ -9,14 +9,33 @@ frame projects to a failing singleton).  The repartitioning implication is
 inclusion: the unit frame tests p <= q, and composition is monotone, so
 every other frame then holds too.
 
-Of the singleton frames, only those that compose with the pre-view are
-checked.  Composition tests only that domains are disjoint, so whether
-{w} composes with a world depends only on w's shape: its concrete
-locations, abstract locations and token thread ids.  A singleton whose
-shape overlaps the shape of every world of the pre-view composes with it
-to the empty view, which the judgement skips anyway; dropping those
-frames, and keeping the rest in the same order, leaves every verdict and
-counterexample as it was.
+Of the singleton frames, only the unit and those whose world holds
+concrete cells alone (no abstract cell, no token) are checked, because
+linearization steps are local.  Write a frame as f = f_c + f_at, where f_c
+holds f's concrete cells and f_at its abstract cells and tokens.
+
+- The primitive reads only the concrete heap, so the pre-worlds under f
+  step exactly as they do under f_c.
+- `AbstractTable.apply` runs guarded updates, which block when a cell they
+  read or write is missing and write only cells that are present, and
+  `lp_step` fires each todo on its own thread's command without reading
+  any other token.  So every linearization run under f_c is also a run
+  under f that leaves f_at untouched, and its post-world composes with
+  f_at.
+- So if f fails, f_c fails too.  f_c composes with the pre-view whenever f
+  does, and it sorts before f under `world_sort_key`; when f has no
+  concrete cell, f_c is the unit.
+
+So the first failing frame is always the unit or a frame of concrete cells
+alone, and the reported (frame, world, result) is the one the unit plus
+every singleton would give.
+
+Of those frames, only the ones that compose with the pre-view are checked.
+Whether {w} composes with a world depends only on w's shape, its set of
+concrete locations.  A singleton whose shape overlaps the shape of every
+world of the pre-view composes with it to the empty view, which the
+judgement skips anyway; dropping those frames, and keeping the rest in the
+same order, leaves every verdict and counterexample as it was.
 """
 
 from __future__ import annotations
@@ -28,14 +47,14 @@ from typing import Iterator
 from .command_lang import PrimCommand
 from .errors import UniverseTooLarge
 from .state_model import (
+    EMPTY_HEAP,
+    EMPTY_TOKENS,
     EMPTY_WORLD,
     Domains,
     Heap,
-    TokenMap,
     World,
     compose_worlds,
     count_worlds,
-    token_options,
     world_sort_key,
 )
 from .views_core import (
@@ -73,15 +92,10 @@ def reify_dcsl(p: DcslView) -> frozenset:
 class DcslMonoid(ViewMonoid):
     def __init__(self, dom: Domains, sem: Semantics):
         super().__init__(dom, sem)
-        # One shape bit per concrete location, abstract location and thread
-        # id that some world can hold: bit i stands for the (component, key,
-        # values) in _parts[i].  So there are no more shapes than worlds.
-        parts = ([(0, loc, vals) for loc, vals in dom.cloc]
-                 + [(1, loc, vals) for loc, vals in dom.aloc]
-                 + [(2, tid, token_options(dom)) for tid in dom.thread_ids()])
-        self._parts = [part for part in parts if part[2]]
-        self._bits = {(part, key): 1 << i
-                      for i, (part, key, _) in enumerate(self._parts)}
+        # One shape bit per concrete location that some world can hold: bit
+        # i stands for the (location, values) in _parts[i].
+        self._parts = [(loc, vals) for loc, vals in dom.cloc if vals]
+        self._bits = {loc: 1 << i for i, (loc, _) in enumerate(self._parts)}
         # shape -> its singleton frames as sorted (world_sort_key, frame)
         self._groups = {}
 
@@ -94,32 +108,28 @@ class DcslMonoid(ViewMonoid):
     def _shape(self, w: World) -> int:
         bits = self._bits
         shape = 0
-        for part, m in enumerate((w.conc, w.abst, w.toks)):
-            for key, _ in m.items():
-                shape |= bits.get((part, key), 0)
+        for loc, _ in w.conc.items():
+            shape |= bits.get(loc, 0)
         return shape
 
     def _group(self, shape: int):
         group = self._groups.get(shape)
         if group is None:
             chosen = [p for i, p in enumerate(self._parts) if shape >> i & 1]
-            group = []
-            for combo in itertools.product(*(opts for *_, opts in chosen)):
-                maps = ({}, {}, {})
-                for (part, key, _), val in zip(chosen, combo):
-                    maps[part][key] = val
-                w = World(Heap(maps[0]), Heap(maps[1]), TokenMap(maps[2]))
-                group.append((world_sort_key(w), frozenset({w})))
-            group = self._groups[shape] = sorted(group)
+            locs = [loc for loc, _ in chosen]
+            worlds = (World(Heap(zip(locs, combo)), EMPTY_HEAP, EMPTY_TOKENS)
+                      for combo in itertools.product(*(v for _, v in chosen)))
+            group = self._groups[shape] = sorted(
+                (world_sort_key(w), frozenset({w})) for w in worlds)
         return group
 
     def frames(self, p) -> Iterator[DcslView]:
-        """The unit, then each other singleton view over the declared
-        domains that composes with p, in `world_sort_key` order.  The
-        empty-shape singleton {EMPTY_WORLD} is the unit itself, so it is
-        not checked twice.  A universe of more than `dom.cap` worlds raises
-        `UniverseTooLarge`, although only the shapes p can compose with are
-        ever built."""
+        """The unit, then each singleton view over the declared domains
+        whose world holds concrete cells alone and composes with p, in
+        `world_sort_key` order.  The empty-shape singleton {EMPTY_WORLD} is
+        the unit itself, so it is not checked twice.  A universe of more
+        than `dom.cap` worlds raises `UniverseTooLarge`, although only the
+        concrete shapes p can compose with are ever built."""
         size = count_worlds(self.dom)
         if size > self.dom.cap:
             raise UniverseTooLarge(size, self.dom.cap)

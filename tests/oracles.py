@@ -505,7 +505,7 @@ class _HistoryGen:
         if len(self.memo) > self.cap:
             # how far past the cap the memo has grown depends on the
             # exploration order, so the message does not say
-            raise UniverseTooLarge(None, self.cap)
+            raise UniverseTooLarge(None, self.cap, "history memo", "entries")
         out = {()}
         if n > 0:
             for move, ev, pool2, sigma2 in self.moves(concrete, pool, sigma):

@@ -426,6 +426,23 @@ def test_cap_error_text_independent_of_hash_seed():
     assert "exceeds cap 3000" in errs.pop()
 
 
+@pytest.mark.parametrize("argv,what", [
+    (["check-lin", f"{FIX}/flat-combiner/model.json", "--bound", "12",
+      "--cap", "3000"], "product of more than 3000 states exceeds cap 3000"),
+    # cap 0 trips on the abstract start frontier, before any product state
+    (["check-lin", f"{FIX}/atomic-inc/model.json", "--bound", "6",
+      "--cap", "0"], "frontier table of more than 0 frontiers exceeds cap 0"),
+    (["histories", f"{FIX}/atomic-inc/model.json", "--side", "concrete",
+      "--bound", "6", "--cap", "5"],
+     "history memo of more than 5 entries exceeds cap 5"),
+], ids=["product", "frontiers", "history memo"])
+def test_history_cap_errors_name_what_they_counted(capsys, argv, what):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: {what}; raise --cap / RELVIEWS_CAP or restrict "
+                   "the model domains\n")
+
+
 def test_unstable_witness_independent_of_hash_seed(tmp_path):
     """The first failure of an unstable precondition names the least
     rely edge that leaves the predicate, whatever the hash seed."""

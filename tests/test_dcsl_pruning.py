@@ -1,9 +1,10 @@
-"""DCSL shape pruning against the singleton-frame oracle.
+"""DCSL frame pruning against the singleton-frame oracle.
 
-`DcslMonoid.check_action` checks only the singleton frames that compose
-with the pre-view.  It must return exactly what the judgement returns over
-the unit plus every singleton (`oracles.singleton_frames`): `True`, or the
-same counterexample, frame and world included.
+`DcslMonoid.check_action` checks the unit and then only the singleton
+frames that hold concrete cells alone and compose with the pre-view.  It
+must return exactly what the judgement returns over the unit plus every
+singleton (`oracles.singleton_frames`): `True`, or the same
+counterexample, frame and world included.
 """
 
 import copy
@@ -16,9 +17,11 @@ import pytest
 from relviews.cli import main
 from relviews.command_lang import (
     AbstractTable,
+    Eq,
     GuardedUpdate,
     LVar,
     PrimCommand,
+    Read,
     TransformerTable,
 )
 from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
@@ -79,6 +82,11 @@ def _agree(mono, t, alpha, p, q):
     return got
 
 
+def _concrete_only(frame):
+    (w,) = frame
+    return not w.abst and not w.toks
+
+
 def _kind(result):
     if result is True:
         return "holds"
@@ -99,10 +107,11 @@ def test_pruned_frames_agree_with_oracle_on_sampled_triples(name):
         t = rng.choice(mono.dom.thread_ids())
         alpha = rng.choice(prims)
         p = sample_view(rng, worlds, 4)
-        # exactly the singletons other than the unit that compose with p,
-        # in the oracle's order
+        # exactly the singletons other than the unit that hold concrete
+        # cells alone and compose with p, in the oracle's order
         assert list(mono.frames(p)) == [unit] + [
-            r for r in singletons if r != unit and mono.compose(p, r)]
+            r for r in singletons
+            if r != unit and _concrete_only(r) and mono.compose(p, r)]
         post = strongest_post(mono, t, alpha, p)
         q = rng.choice([
             sample_view(rng, worlds, 4),
@@ -111,6 +120,48 @@ def test_pruned_frames_agree_with_oracle_on_sampled_triples(name):
         ])
         result = _agree(mono, t, alpha, p, q)
         assert result is True or isinstance(result, ActionCounterexample)
+        kinds[_kind(result)] += 1
+    assert set(kinds) == {"holds", "fault", "unit frame", "other frame"}, \
+        kinds
+
+
+RD = APCom("rd", 0, 0)
+
+
+def test_abstract_and_token_frames_never_fail_first():
+    """Two threads, concrete cells l and m under the non-local census, and
+    abstract cells x and y.  `rd`'s guard reads y, so a frame that adds y
+    alone, or adds the other thread's token, lets more linearization runs
+    through; such a frame never fails before the unit or a concrete-only
+    frame does."""
+    dom = micro_domains(cloc={"l": (0, 1), "m": (0,)},
+                        aloc={"x": (0,), "y": (0, 1)}, nthreads=2,
+                        apcoms=(OP00, RD), values=(0, 1))
+    atable = AbstractTable({
+        "op": GuardedUpdate(updates=(("x", LVar("a")),)),
+        "rd": GuardedUpdate(guard=Eq(Read("y"), LVar("a"))),
+    })
+    mono = DcslMonoid(dom, Semantics(_CensusTable(), atable, 2))
+    worlds = enumerate_worlds(dom)
+    rng = random.Random(31)
+    prims = PRIMS_1LOC + (CENSUS,)
+    kinds = Counter()
+    for _ in range(1500):
+        t = rng.choice(dom.thread_ids())
+        alpha = rng.choice(prims)
+        p = sample_view(rng, worlds, 3)
+        post = strongest_post(mono, t, alpha, p) or frozenset()
+        q = rng.choice([
+            sample_view(rng, worlds, 3),
+            post,
+            post | sample_view(rng, worlds, 2),
+            # only the runs that fire every todo: a frame that blocked a
+            # command the unit lets run would fail here
+            frozenset(w for w in post if not w.toks.todos()),
+        ])
+        result = _agree(mono, t, alpha, p, q)
+        if result is not True:
+            assert result.frame == UNIT_DCSL or _concrete_only(result.frame)
         kinds[_kind(result)] += 1
     assert set(kinds) == {"holds", "fault", "unit frame", "other frame"}, \
         kinds

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from oracles import _HistoryGen, lin_by_history_sets
 from relviews import linearizability
 from relviews.command_lang import AbstractTable, Skip, state_step
-from relviews.errors import FaultReachable, RelviewsError
+from relviews.errors import FaultReachable, RelviewsError, UniverseTooLarge
 from relviews.linearizability import (
     IDLE,
     _Library,
@@ -74,9 +74,13 @@ def _model(name, cap=None):
 
 def _outcome(decide):
     """(least counterexample, growth flag on a pass), or the error's type,
-    message and, for a fault, schedule."""
+    message and, for a fault, schedule.  A cap error gives its size and
+    cap instead of its message, which names what was counted: product
+    states here, history memo entries in the oracle."""
     try:
         ce, growing = decide()
+    except UniverseTooLarge as exc:
+        return type(exc), exc.size, exc.cap
     except RelviewsError as exc:
         return type(exc), str(exc), getattr(exc, "schedule", None)
     return ce, growing if ce is None else None
