@@ -370,9 +370,9 @@ class _Frontiers:
     Configurations are the library's interned ids.
     """
 
-    def __init__(self, lib: _Library, cap: int):
+    def __init__(self, lib: _Library):
         self.lib = lib
-        self.cap = cap
+        self.cap = lib.model.dom.cap
         self.ids: Dict[frozenset, int] = {}
         self.members: List[frozenset] = []  # id -> {(config id, budget), ...}
         self._next: List[Optional[dict]] = []  # id -> {event: id}
@@ -453,7 +453,7 @@ class _Product:
     def __init__(self, model: LibraryModel):
         self.cap = model.dom.cap
         self.conc = _Library(model, True)
-        self.spec = _Frontiers(_Library(model, False), self.cap)
+        self.spec = _Frontiers(_Library(model, False))
         self.memo: Dict = {}
 
     def missing(self, k: int, cid: int, fid: int) -> Optional[History]:
@@ -515,12 +515,12 @@ class _Product:
             raise
 
 
-def _still_growing(lib: _Library, bound: int, cap: int) -> bool:
+def _still_growing(lib: _Library, bound: int) -> bool:
     """Whether the library has a history at `bound` that it has not at
     bound - 1: whether some history's cheapest run takes all `bound`
     moves, that is, some frontier reachable at budget `bound` has no
     budget left in any configuration."""
-    front = _Frontiers(lib, cap)
+    front = _Frontiers(lib)
     todo = [front.start(bound)]
     seen = set(todo)
     while todo:
@@ -564,7 +564,7 @@ def check_linearizable(model: LibraryModel, bound: int) -> LinResult:
              "frontiers": len(prod.spec.members)}
     ok = ce is None
     return LinResult(ok, bound, ce, stats,
-                     ok and _still_growing(prod.conc, bound, model.dom.cap))
+                     ok and _still_growing(prod.conc, bound))
 
 
 # ---------------------------------------------------------------------------

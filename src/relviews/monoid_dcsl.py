@@ -2,67 +2,45 @@
 
 Views are finite sets of world triples; composition pairs worlds whose
 states and tokens are disjoint, dropping undefined pairs.  Reification is
-the identity and disjunction is set union.  The action judgement
-quantifies over the unit plus all singleton views, which decides it
-exactly (composition distributes over unions of world sets, so any failing
-frame projects to a failing singleton).  The repartitioning implication is
-inclusion: the unit frame tests p <= q, and composition is monotone, so
+the identity and disjunction is set union.  The repartitioning implication
+is inclusion: the unit frame tests p <= q, and composition is monotone, so
 every other frame then holds too.
 
-Of the singleton frames, only the unit and those whose world holds
-concrete cells alone (no abstract cell, no token) are checked, because
-linearization steps are local.  Write a frame as f = f_c + f_at, where f_c
-holds f's concrete cells and f_at its abstract cells and tokens.
+The action judgement quantifies over every frame.  Because primitives are
+local (the frame property in `views_core`), checking the unit frame alone
+decides it exactly:
 
-- The primitive reads only the concrete heap, so the pre-worlds under f
-  step exactly as they do under f_c.
-- `AbstractTable.apply` runs guarded updates, which block when a cell they
-  read or write is missing and write only cells that are present, and
-  `lp_step` fires each todo on its own thread's command without reading
-  any other token.  So every linearization run under f_c is also a run
-  under f that leaves f_at untouched, and its post-world composes with
-  f_at.
-- So if f fails, f_c fails too.  f_c composes with the pre-view whenever f
-  does, and it sorts before f under `world_sort_key`; when f has no
-  concrete cell, f_c is the unit.
+- The unit plus every singleton decides it: composition distributes over
+  unions of world sets, so any failing frame projects to a failing
+  singleton.
+- Write a singleton frame as f = f_c + f_at, where f_c holds f's concrete
+  cells and f_at its abstract cells and tokens.  The primitive reads only
+  the concrete heap, so the pre-worlds under f step exactly as they do
+  under f_c.  `AbstractTable.apply` runs guarded updates, which block when
+  a cell they read or write is missing and write only cells that are
+  present, and `lp_step` fires each todo on its own thread's command
+  without reading any other token.  So every linearization run under f_c
+  is also a run under f that leaves f_at untouched, and its post-world
+  composes with f_at: if f fails, f_c fails too.
+- Take f_c = (sigma_f, {}, {}), composable with a pre-world
+  w = (sigma, a, d), and suppose the unit passes.  Then the primitive does
+  not fault on sigma, so by locality it runs on sigma + sigma_f to exactly
+  {sigma2 + sigma_f : sigma2 a result on sigma}.  `lp_star` is unchanged,
+  since f_c holds no abstract cell and no token.  The unit's matching
+  post-world (sigma2, a2, d2) in q composes with f_c, because sigma2 has
+  the locations of sigma, which are disjoint from sigma_f.  So f_c passes.
 
-So the first failing frame is always the unit or a frame of concrete cells
-alone, and the reported (frame, world, result) is the one the unit plus
-every singleton would give.
-
-Of those frames, only the ones that compose with the pre-view are checked.
-Whether {w} composes with a world depends only on w's shape, its set of
-concrete locations.  A singleton whose shape overlaps the shape of every
-world of the pre-view composes with it to the empty view, which the
-judgement skips anyway; dropping those frames, and keeping the rest in the
-same order, leaves every verdict and counterexample as it was.
+So when the unit passes, every frame does; when it fails, its
+counterexample is the one the unit plus every singleton gives, since the
+unit comes first.  `RgsepMonoid.check_action` rests on the same property.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Iterator
-
 from .command_lang import PrimCommand
 from .errors import UniverseTooLarge
-from .state_model import (
-    EMPTY_HEAP,
-    EMPTY_TOKENS,
-    EMPTY_WORLD,
-    Domains,
-    Heap,
-    World,
-    compose_worlds,
-    count_worlds,
-    world_sort_key,
-)
-from .views_core import (
-    ImplVerdict,
-    Semantics,
-    ViewMonoid,
-    check_action_with_frames,
-)
+from .state_model import EMPTY_WORLD, World, compose_worlds, count_worlds
+from .views_core import ImplVerdict, ViewMonoid, check_action_with_frames
 
 DcslView = frozenset  # of World
 
@@ -90,58 +68,24 @@ def reify_dcsl(p: DcslView) -> frozenset:
 
 
 class DcslMonoid(ViewMonoid):
-    def __init__(self, dom: Domains, sem: Semantics):
-        super().__init__(dom, sem)
-        # One shape bit per concrete location that some world can hold: bit
-        # i stands for the (location, values) in _parts[i].
-        self._parts = [(loc, vals) for loc, vals in dom.cloc if vals]
-        self._bits = {loc: 1 << i for i, (loc, _) in enumerate(self._parts)}
-        # shape -> its singleton frames as sorted (world_sort_key, frame)
-        self._groups = {}
-
     def compose(self, p, q):
         return compose_dcsl(p, q)
 
     def reify(self, p):
         return reify_dcsl(p)
 
-    def _shape(self, w: World) -> int:
-        bits = self._bits
-        shape = 0
-        for loc, _ in w.conc.items():
-            shape |= bits.get(loc, 0)
-        return shape
-
-    def _group(self, shape: int):
-        group = self._groups.get(shape)
-        if group is None:
-            chosen = [p for i, p in enumerate(self._parts) if shape >> i & 1]
-            locs = [loc for loc, _ in chosen]
-            worlds = (World(Heap(zip(locs, combo)), EMPTY_HEAP, EMPTY_TOKENS)
-                      for combo in itertools.product(*(v for _, v in chosen)))
-            group = self._groups[shape] = sorted(
-                (world_sort_key(w), frozenset({w})) for w in worlds)
-        return group
-
-    def frames(self, p) -> Iterator[DcslView]:
-        """The unit, then each singleton view over the declared domains
-        whose world holds concrete cells alone and composes with p, in
-        `world_sort_key` order.  The empty-shape singleton {EMPTY_WORLD} is
-        the unit itself, so it is not checked twice.  A universe of more
-        than `dom.cap` worlds raises `UniverseTooLarge`, although only the
-        concrete shapes p can compose with are ever built."""
+    def frames(self) -> tuple:
+        """The frames the action judgement checks: the unit alone, which
+        decides it by locality (see the module docstring).  A universe of
+        more than `dom.cap` worlds raises `UniverseTooLarge`, although none
+        of its worlds is built."""
         size = count_worlds(self.dom)
         if size > self.dom.cap:
             raise UniverseTooLarge(size, self.dom.cap)
-        shapes = {self._shape(w) for w in p}
-        groups = [self._group(shape)
-                  for shape in range(1, 1 << len(self._parts))
-                  if any(shape & s == 0 for s in shapes)]
-        return itertools.chain(
-            (UNIT_DCSL,), (r for _, r in heapq.merge(*groups)))
+        return (UNIT_DCSL,)
 
     def check_action(self, t: int, alpha: PrimCommand, p, q):
-        return check_action_with_frames(self, t, alpha, p, q, self.frames(p))
+        return check_action_with_frames(self, t, alpha, p, q, self.frames())
 
     def repart_implies(self, p, q) -> ImplVerdict:
         return ImplVerdict.HOLDS if p <= q else ImplVerdict.FAILS

@@ -363,8 +363,8 @@ class RgsepMonoid(ViewMonoid):
         primitive step from a predicate pair resplits into a post pair whose
         shared change is in the guarantee (or is no change at all) and whose
         abstract side is reachable by linearization steps.  Sufficient
-        because every primitive is local by construction: it reads and
-        writes only the locations its arguments, guard and updates name."""
+        because every primitive is local: the frame property in
+        `views_core`."""
         if p.bot:
             return True
         if q.bot:

@@ -6,6 +6,16 @@ judgement and the repartitioning implication; this module implements what
 is common to all monoids: the denotation of box-free view assertions as
 world-fragment sets, the linearization-point relation on (abstract state,
 tokens) pairs, and the action judgement quantified over given frames.
+
+Both monoids rest on the frame property of local actions (Calcagno,
+O'Hearn and Yang, LICS 2007).  Every builtin primitive and every guarded
+update a model declares reads and writes only the cells it names: it faults
+when one of them is missing and writes only cells that are present.  So a
+primitive that does not fault on a state sigma runs on sigma + sigma_f, for
+any disjoint frame sigma_f, to exactly {sigma2 + sigma_f : sigma2 a result
+on sigma}.  Only a `TransformerTable` subclass built in Python can break
+this; `locality_witness` in the tests checks it on every fixture and
+generated primitive.
 """
 
 from __future__ import annotations

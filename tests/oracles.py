@@ -19,8 +19,8 @@ judgement over a finite view universe and the command shapes that
 `reachable_commands` finds, which an accepted outline's views
 (`outline_views`) must witness; `powerset_frames`, every DCSL frame, which
 the unit-plus-singleton strategy is validated against; `singleton_frames`,
-the unit plus every singleton view, which `DcslMonoid.frames` prunes to the
-frames a pre-view composes with;
+the unit plus every singleton view, against which DCSL's unit-frame
+action judgement is validated;
 `repart_implies_with_frames`, the repartitioning implication quantified
 over given frames, which DCSL's inclusion test is validated against; and
 `token_exclusive`, the one-token-per-thread invariant of DCSL views.

@@ -301,7 +301,7 @@ def test_check_proof_loads_model_once(capsys, monkeypatch, jobs):
 def test_check_proof_honours_cap(capsys, monkeypatch, jobs, via_env, name):
     # flat-combiner declares a 54-state shared universe; dcsl-cell's frames
     # range over 81 worlds.  The error names the whole universe, although
-    # the pruned frames never need all of it.
+    # the action judgement checks the unit frame alone.
     size = {"flat-combiner": 54, "dcsl-cell": 81}[name]
     argv = ["check-proof", f"{FIX}/{name}/model.json",
             f"{FIX}/{name}/outline.json", "--jobs", jobs]

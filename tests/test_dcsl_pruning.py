@@ -1,10 +1,12 @@
-"""DCSL frame pruning against the singleton-frame oracle.
+"""DCSL's unit-frame action judgement against the singleton-frame oracle.
 
-`DcslMonoid.check_action` checks the unit and then only the singleton
-frames that hold concrete cells alone and compose with the pre-view.  It
-must return exactly what the judgement returns over the unit plus every
-singleton (`oracles.singleton_frames`): `True`, or the same
-counterexample, frame and world included.
+`DcslMonoid.check_action` checks the unit frame alone, which decides the
+judgement because primitives are local.  It must return exactly what the
+judgement returns over the unit plus every singleton
+(`oracles.singleton_frames`): `True`, or the same counterexample, frame and
+world included.  Every sampled primitive is checked local with
+`oracles.locality_witness` first, since a non-local table voids the
+argument.
 """
 
 import copy
@@ -17,6 +19,7 @@ import pytest
 from relviews.cli import main
 from relviews.command_lang import (
     AbstractTable,
+    Const,
     Eq,
     GuardedUpdate,
     LVar,
@@ -31,28 +34,19 @@ from relviews.views_core import (
     Semantics,
     check_action_with_frames,
 )
-from oracles import singleton_frames
+from oracles import locality_witness, singleton_frames
 from util import PRIMS_1LOC, micro_domains, sample_view, strongest_post
 
 FIX = "src/relviews/fixtures"
 
-CENSUS = PrimCommand("census")
-
-
-class _CensusTable(TransformerTable):
-    """The builtins plus `census`, which stores the number of concrete
-    cells into l.  It is not local: a frame changes what it writes, so
-    counterexamples at frames other than the unit occur."""
-
-    def arity(self, name):
-        return 0 if name == "census" else super().arity(name)
-
-    def apply(self, alpha, t, sigma, modulus):
-        if alpha.name != "census":
-            return super().apply(alpha, t, sigma, modulus)
-        if "l" not in sigma:
-            return (FAULT,)
-        return (sigma.set("l", len(sigma) % modulus),)
+# local multi-cell guarded updates: a swap of l and m, and a copy of m
+# into l guarded by m = 0
+CTABLE = TransformerTable({
+    "swap": GuardedUpdate(updates=(("l", Read("m")), ("m", Read("l")))),
+    "copy": GuardedUpdate(guard=Eq(Read("m"), Const(0)),
+                          updates=(("l", Read("m")),)),
+})
+PRIMS = PRIMS_1LOC + (PrimCommand("swap"), PrimCommand("copy"))
 
 
 def _monoid(cloc, aloc, nthreads, apcoms):
@@ -60,31 +54,38 @@ def _monoid(cloc, aloc, nthreads, apcoms):
                         apcoms=apcoms, values=(0, 1))
     # the abstract op writes its argument to every abstract cell
     op = GuardedUpdate(updates=tuple((loc, LVar("a")) for loc in aloc))
-    return DcslMonoid(dom, Semantics(_CensusTable(),
-                                     AbstractTable({"op": op}), 2))
+    return DcslMonoid(dom, Semantics(CTABLE, AbstractTable({"op": op}), 2))
 
 
 OP00, OP11 = APCom("op", 0, 0), APCom("op", 1, 1)
-# two concrete cells each, so that a frame can change what census writes
+# a spare concrete cell n, so that the locality witness has a frame cell
+# outside the footprint of swap and copy too
 UNIVERSES = {
-    "1 thread": ({"l": (0, 1), "m": (0,)}, {"x": (0, 1)}, 1, (OP00, OP11)),
-    "2 threads": ({"l": (0, 1), "m": (0,)}, {"x": (0,)}, 2, (OP00,)),
-    "2 threads, tokens only": ({"l": (0, 1), "m": (0, 1)}, {}, 2,
+    "1 thread": ({"l": (0, 1), "m": (0, 1), "n": (0,)}, {"x": (0, 1)}, 1,
+                 (OP00, OP11)),
+    "2 threads": ({"l": (0, 1), "m": (0,), "n": (0,)}, {"x": (0,)}, 2,
+                  (OP00,)),
+    "2 threads, tokens only": ({"l": (0, 1), "m": (0, 1), "n": (0,)}, {}, 2,
                                (OP00, OP11)),
 }
 
 
-def _agree(mono, t, alpha, p, q):
+def _sample_prim(rng, mono, local):
+    """A thread and a primitive, checked local on the first draw."""
+    t = rng.choice(mono.dom.thread_ids())
+    alpha = rng.choice(PRIMS)
+    if (t, alpha) not in local:
+        assert locality_witness(mono.sem.ctable, mono.dom, alpha, t) is None
+        local.add((t, alpha))
+    return t, alpha
+
+
+def _agree(mono, frames, t, alpha, p, q):
     got = mono.check_action(t, alpha, p, q)
-    want = check_action_with_frames(mono, t, alpha, p, q,
-                                    singleton_frames(mono.dom))
+    want = check_action_with_frames(mono, t, alpha, p, q, frames)
     assert got == want, (t, alpha, p, q)
+    assert got is True or isinstance(got, ActionCounterexample)
     return got
-
-
-def _concrete_only(frame):
-    (w,) = frame
-    return not w.abst and not w.toks
 
 
 def _kind(result):
@@ -99,56 +100,48 @@ def _kind(result):
 def test_pruned_frames_agree_with_oracle_on_sampled_triples(name):
     mono = _monoid(*UNIVERSES[name])
     worlds = enumerate_worlds(mono.dom)
-    unit, *singletons = singleton_frames(mono.dom)
+    frames = tuple(singleton_frames(mono.dom))
     rng = random.Random(23)
-    prims = PRIMS_1LOC + (CENSUS,)
+    local = set()
     kinds = Counter()
-    for _ in range(400):
-        t = rng.choice(mono.dom.thread_ids())
-        alpha = rng.choice(prims)
+    for _ in range(600):
+        t, alpha = _sample_prim(rng, mono, local)
         p = sample_view(rng, worlds, 4)
-        # exactly the singletons other than the unit that hold concrete
-        # cells alone and compose with p, in the oracle's order
-        assert list(mono.frames(p)) == [unit] + [
-            r for r in singletons
-            if r != unit and _concrete_only(r) and mono.compose(p, r)]
         post = strongest_post(mono, t, alpha, p)
         q = rng.choice([
             sample_view(rng, worlds, 4),
             post if post is not None else frozenset(),
             (post or frozenset()) | sample_view(rng, worlds, 2),
         ])
-        result = _agree(mono, t, alpha, p, q)
-        assert result is True or isinstance(result, ActionCounterexample)
-        kinds[_kind(result)] += 1
-    assert set(kinds) == {"holds", "fault", "unit frame", "other frame"}, \
-        kinds
+        kinds[_kind(_agree(mono, frames, t, alpha, p, q))] += 1
+    # no oracle counterexample names a frame other than the unit
+    assert set(kinds) == {"holds", "fault", "unit frame"}, kinds
+    assert len(local) == len(PRIMS) * len(mono.dom.thread_ids())
 
 
 RD = APCom("rd", 0, 0)
 
 
 def test_abstract_and_token_frames_never_fail_first():
-    """Two threads, concrete cells l and m under the non-local census, and
+    """Two threads, concrete cells l, m and n under local primitives, and
     abstract cells x and y.  `rd`'s guard reads y, so a frame that adds y
     alone, or adds the other thread's token, lets more linearization runs
-    through; such a frame never fails before the unit or a concrete-only
-    frame does."""
-    dom = micro_domains(cloc={"l": (0, 1), "m": (0,)},
+    through; no such frame fails once the unit passes."""
+    dom = micro_domains(cloc={"l": (0, 1), "m": (0,), "n": (0,)},
                         aloc={"x": (0,), "y": (0, 1)}, nthreads=2,
                         apcoms=(OP00, RD), values=(0, 1))
     atable = AbstractTable({
         "op": GuardedUpdate(updates=(("x", LVar("a")),)),
         "rd": GuardedUpdate(guard=Eq(Read("y"), LVar("a"))),
     })
-    mono = DcslMonoid(dom, Semantics(_CensusTable(), atable, 2))
+    mono = DcslMonoid(dom, Semantics(CTABLE, atable, 2))
     worlds = enumerate_worlds(dom)
+    frames = tuple(singleton_frames(dom))
     rng = random.Random(31)
-    prims = PRIMS_1LOC + (CENSUS,)
+    local = set()
     kinds = Counter()
     for _ in range(1500):
-        t = rng.choice(dom.thread_ids())
-        alpha = rng.choice(prims)
+        t, alpha = _sample_prim(rng, mono, local)
         p = sample_view(rng, worlds, 3)
         post = strongest_post(mono, t, alpha, p) or frozenset()
         q = rng.choice([
@@ -159,12 +152,8 @@ def test_abstract_and_token_frames_never_fail_first():
             # command the unit lets run would fail here
             frozenset(w for w in post if not w.toks.todos()),
         ])
-        result = _agree(mono, t, alpha, p, q)
-        if result is not True:
-            assert result.frame == UNIT_DCSL or _concrete_only(result.frame)
-        kinds[_kind(result)] += 1
-    assert set(kinds) == {"holds", "fault", "unit frame", "other frame"}, \
-        kinds
+        kinds[_kind(_agree(mono, frames, t, alpha, p, q))] += 1
+    assert set(kinds) == {"holds", "fault", "unit frame"}, kinds
 
 
 def _widened(doc, nvalues, nthreads):

@@ -104,11 +104,11 @@ def test_frames_counts():
                         values=(0, 1), cap=3)
     with pytest.raises(UniverseTooLarge):
         list(singleton_frames(big))
-    # the pruned frames check the cap against the whole universe, even
-    # for a pre-view that composes with no singleton but the empty one
+    # the action judgement checks the unit frame alone, yet still applies
+    # the cap to the whole universe
+    assert DcslMonoid(dom, micro_semantics(dom)).frames() == (UNIT_DCSL,)
     with pytest.raises(UniverseTooLarge) as exc:
-        DcslMonoid(big, micro_semantics(big)).frames(
-            frozenset({w({"l": 0}, {"m": 0})}))
+        DcslMonoid(big, micro_semantics(big)).frames()
     assert str(exc.value) == str(UniverseTooLarge(9, 3))
 
 
