@@ -184,8 +184,8 @@ class _Library:
     thread's local moves are tabulated once per (thread, slot id, heap id)
     as (move, event or None, slot id', heap id') entries; a configuration's
     successor table splices one entry's slot id' and heap id' into its key,
-    and is built once, so the product and the frontier walks of one check
-    share it.  A call or return's move is its event; a silent step's move
+    and is built once, so the frontier walk and the fault search of one
+    check share it.  A call or return's move is its event; a silent step's move
     is (thread, primitive) and its event None.
     """
 
@@ -318,7 +318,7 @@ def _histories(lib: _Library, n: int, cid: int, memo: dict) -> frozenset:
     return events of its runs, memoized on (moves left, configuration id).
     Every level contributes the empty history, so level n holds all depths
     up to n; the sets are prefix-closed and monotone in the bound.  A fault
-    raises with the schedule that reaches it, as in `_Product.missing`."""
+    raises with the schedule that reaches it, as in `_first_fault`."""
     key = (n, cid)
     hit = memo.get(key)
     if hit is not None:
@@ -354,7 +354,7 @@ def abstract_histories(model: LibraryModel, bound: int) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# History inclusion as an on-the-fly product
+# History inclusion over pairs of frontiers
 
 
 class _Frontiers:
@@ -367,7 +367,8 @@ class _Frontiers:
     with fewer, so the largest budget is all a frontier keeps (an
     antichain; De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  Frontier
     0 is empty: its history is not one of the library's within the budget.
-    Configurations are the library's interned ids.
+    Configurations are the library's interned ids; `entries` counts the
+    (configuration, budget) entries of every frontier interned.
     """
 
     def __init__(self, lib: _Library):
@@ -376,6 +377,7 @@ class _Frontiers:
         self.ids: Dict[frozenset, int] = {}
         self.members: List[frozenset] = []  # id -> {(config id, budget), ...}
         self._next: List[Optional[dict]] = []  # id -> {event: id}
+        self.entries = 0
         self._intern({})
 
     def start(self, budget: int) -> int:
@@ -390,29 +392,33 @@ class _Frontiers:
             by_event: Dict[Event, dict] = {}
             for cid, b in self.members[fid]:
                 if b:
+                    b -= 1
                     for ev, cid2 in lib.successors(cid):
                         if cid2 < 0:
                             raise lib.fault(cid)
                         if ev is not None:
-                            _keep_max(by_event.setdefault(ev, {}), cid2,
-                                      b - 1)
+                            budgets = by_event.setdefault(ev, {})
+                            if budgets.get(cid2, -1) < b:
+                                budgets[cid2] = b
             nxt = self._next[fid] = {
                 ev: self._intern(self._close(budgets))
                 for ev, budgets in by_event.items()}
         return nxt
 
     def _close(self, budgets: dict) -> dict:
-        lib = self.lib
+        successors = self.lib.successors
         todo = list(budgets.items())
         while todo:
             cid, b = todo.pop()
             # an entry whose budget has since been raised is stale
             if b and budgets[cid] == b:
-                for ev, cid2 in lib.successors(cid):
+                b -= 1
+                for ev, cid2 in successors(cid):
                     if cid2 < 0:
-                        raise lib.fault(cid)
-                    if ev is None and _keep_max(budgets, cid2, b - 1):
-                        todo.append((cid2, b - 1))
+                        raise self.lib.fault(cid)
+                    if ev is None and budgets.get(cid2, -1) < b:
+                        budgets[cid2] = b
+                        todo.append((cid2, b))
         return budgets
 
     def _intern(self, budgets: dict) -> int:
@@ -425,123 +431,63 @@ class _Frontiers:
             fid = self.ids[key] = len(self.members)
             self.members.append(key)
             self._next.append(None)
+            self.entries += len(key)
         return fid
 
 
-def _keep_max(budgets: dict, config, b: int) -> bool:
-    """Record budget b for config unless it has one as large already."""
-    if budgets.get(config, -1) >= b:
-        return False
-    budgets[config] = b
-    return True
-
-
-_UNSEEN = object()
-
-
-class _Product:
-    """The concrete library run against the abstract library's frontier.
-
-    A product state is (concrete moves left, concrete configuration id,
-    abstract frontier id).  Concrete successors are visited in the order
-    `concrete_histories` visits them, and an empty frontier is explored
-    too, so the first reachable fault is the one `concrete_histories`
-    meets.  As a `FaultReachable` unwinds, each state prepends the move it
-    took, so the fault's schedule replays from the initial configuration.
-    """
-
-    def __init__(self, model: LibraryModel):
-        self.cap = model.dom.cap
-        self.conc = _Library(model, True)
-        self.spec = _Frontiers(_Library(model, False))
-        self.memo: Dict = {}
-
-    def missing(self, k: int, cid: int, fid: int) -> Optional[History]:
-        """The least continuation, under `history_sort_key`, that the
-        concrete library can produce within k moves from (k, cid, fid) and
-        the frontier cannot follow; None if there is none.  The key orders
-        by length and then lexicographically, so the least continuation of
-        a state is the least over its moves of the move's event, if any,
-        followed by the least continuation after it.
-
-        The walk is depth first on an explicit stack, so the bound is not
-        limited by the interpreter's recursion limit.  A frame is [state,
-        successor table, entries taken, least continuation so far]."""
-        memo, cap = self.memo, self.cap
-        conc, spec = self.conc, self.spec
-        stack: List[list] = []
-        state = (k, cid, fid)
-        try:
-            while True:
-                sub = memo.get(state, _UNSEEN)
-                if sub is _UNSEEN:
-                    if len(memo) > cap:
-                        raise UniverseTooLarge(None, cap, "product")
-                    k, cid, fid = state
-                    stack.append([state,
-                                  conc.successors(cid) if k > 0 else (), 0,
-                                  () if fid == 0 else None])
-                # fold finished states into their parents until one has a
-                # move left to take
-                while stack:
-                    frame = stack[-1]
-                    (k, cid, fid), table, i, best = frame
-                    if sub is not _UNSEEN:
-                        if sub is not None and best != ():
-                            ev = table[i - 1][0]
-                            if ev is not None:
-                                sub = (ev,) + sub
-                            if best is None or history_sort_key(sub) < \
-                                    history_sort_key(best):
-                                best = frame[3] = sub
-                        sub = _UNSEEN
-                    if i < len(table):
-                        ev, cid2 = table[i]
-                        frame[2] = i + 1
-                        if cid2 < 0:
-                            raise conc.fault(cid)
-                        state = (k - 1, cid2, fid if ev is None else
-                                 spec.successors(fid).get(ev, 0))
-                        break
-                    memo[frame[0]] = sub = best
-                    stack.pop()
-                else:
-                    return sub
-        except FaultReachable as exc:
-            # each state above the faulting one took the move of the last
-            # entry it read
-            exc.schedule[:0] = [conc.move(f[0][1], f[2] - 1)
-                                for f in stack[:-1]]
-            raise
-
-
-def _still_growing(lib: _Library, bound: int) -> bool:
-    """Whether the library has a history at `bound` that it has not at
-    bound - 1: whether some history's cheapest run takes all `bound`
-    moves, that is, some frontier reachable at budget `bound` has no
-    budget left in any configuration."""
-    front = _Frontiers(lib)
-    todo = [front.start(bound)]
-    seen = set(todo)
-    while todo:
-        fid = todo.pop()
-        if not any(b for _config, b in front.members[fid]):
+def _fault_within(lib: _Library, n: int) -> bool:
+    """Whether a configuration reachable within n moves steps into the
+    fault state: a breadth-first scan, each configuration at its least
+    depth."""
+    seen, layer = set(), {lib.start()}
+    for _depth in range(n + 1):
+        seen |= layer
+        nxt = {cid2 for cid in layer for _ev, cid2 in lib.successors(cid)}
+        if _FAULT_STEP[1] in nxt:
             return True
-        for nxt in front.successors(fid).values():
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
+        layer = nxt - seen
     return False
+
+
+def _first_fault(lib: _Library, bound: int) -> FaultReachable:
+    """The first fault of a depth-first search over (moves left,
+    configuration) that takes successors in table order, as `_histories`
+    does, with the moves its stack took as the schedule; a fault must lie
+    within the bound.  It skips a configuration searched to the end with
+    at least as many moves left.  A frame is [config id, moves left,
+    entries taken]."""
+    done: Dict[int, int] = {}  # config id -> most moves left, searched
+    stack = [[lib.start(), bound, 0]]
+    while True:
+        frame = stack[-1]
+        cid, k, i = frame
+        table = lib.successors(cid)
+        if i == len(table):
+            done[cid] = max(k, done.get(cid, 0))
+            stack.pop()
+            continue
+        frame[2] = i + 1
+        cid2 = table[i][1]
+        if cid2 < 0:
+            fault = lib.fault(cid)
+            fault.schedule[:0] = [lib.move(f[0], f[2] - 1)
+                                  for f in stack[:-1]]
+            return fault
+        if k > 1 and done.get(cid2, 0) < k - 1:
+            stack.append([cid2, k - 1, 0])
 
 
 @dataclass
 class LinResult:
+    """A `check-lin` outcome: the least missing history, if any; as
+    `stats`, the concrete configurations tabulated and the frontiers
+    interned for both libraries; and, for a pass only, whether the
+    concrete history set at `bound` differs from the one at bound - 1."""
+
     ok: bool
     bound: int
     counterexample: Optional[History]
     stats: Dict[str, int]
-    # the concrete history set at `bound` differs from the one at
-    # bound - 1; computed only for a check that passes
     still_growing: bool
 
     def verdict(self) -> str:
@@ -551,20 +497,53 @@ class LinResult:
 
 
 def check_linearizable(model: LibraryModel, bound: int) -> LinResult:
-    """History inclusion up to the bound, decided on the fly: the concrete
-    library runs against the abstract library's frontier, and no history
-    set is built.  The abstract bound equals the concrete one: an abstract
-    run needs at most one step per completed call, never more than the
-    concrete run it matches.  The counterexample is the least missing
-    history under `history_sort_key`; `dom.cap` bounds the product states
-    and the frontiers."""
-    prod = _Product(model)
-    ce = prod.missing(bound, prod.conc.start(), prod.spec.start(bound))
-    stats = {"configurations": len(prod.memo),
-             "frontiers": len(prod.spec.members)}
-    ok = ce is None
-    return LinResult(ok, bound, ce, stats,
-                     ok and _still_growing(prod.conc, bound))
+    """History inclusion up to the bound, by one breadth-first walk over
+    pairs (concrete frontier, abstract frontier) of the same history.  The
+    abstract bound equals the concrete one: an abstract run needs at most
+    one step per completed call, never more than the concrete run it
+    matches.  Each pair keeps the least history that reaches it as a
+    parent pointer and takes its events in `render_event` order, so the
+    first event the abstract frontier cannot follow ends the least missing
+    history under `history_sort_key`.  A passing walk visits every
+    concrete frontier: the set still grows if one has no budget left.  A
+    fault within the bound is reported, counterexample or not, as
+    `_first_fault` finds it.  `dom.cap` bounds the frontiers of each
+    library and the entries of both."""
+    conc = _Library(model, True)
+    front, spec = _Frontiers(conc), _Frontiers(_Library(model, False))
+    ce = None
+    try:
+        pairs = [(front.start(bound), spec.start(bound))]
+        parents = {pairs[0]: None}  # pair -> (parent pair, event) or None
+        for pair in pairs:
+            nxt = front.successors(pair[0])
+            anxt = spec.successors(pair[1]) if nxt else {}
+            if front.entries + spec.entries > front.cap:
+                raise UniverseTooLarge(None, front.cap, "frontier table",
+                                       "entries")
+            for ev in sorted(nxt, key=render_event):
+                if ev not in anxt:
+                    ce = [ev]
+                    while parents[pair] is not None:
+                        pair, ev = parents[pair]
+                        ce.append(ev)
+                    ce = tuple(reversed(ce))
+                    break
+                pair2 = (nxt[ev], anxt[ev])
+                if pair2 not in parents:
+                    parents[pair2] = (pair, ev)
+                    pairs.append(pair2)
+            if ce is not None:
+                break
+    except FaultReachable:
+        raise _first_fault(conc, bound) from None
+    if ce is not None and _fault_within(conc, bound - 1):
+        raise _first_fault(conc, bound)
+    stats = {"configurations": len(conc._succ),
+             "frontiers": len(front.members) + len(spec.members)}
+    growing = ce is None and any(
+        not any(b for _cid, b in front.members[cf]) for cf, _af in pairs)
+    return LinResult(ce is None, bound, ce, stats, growing)
 
 
 # ---------------------------------------------------------------------------

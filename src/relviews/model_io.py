@@ -61,6 +61,7 @@ from .vassn import (
     StarA,
     TokA,
     TrueA,
+    VAssn,
 )
 
 DEFAULT_CAP = 200_000  # the state cap of a model that declares none
@@ -200,21 +201,42 @@ def parse_command(doc, path: str = "cmd") -> Command:
 
 
 class MacroTable:
+    """A document's predicate macros.  Each application that parses is
+    memoized on (name, JSON arguments, thread count) with the macro names
+    its expansion reached, and reused under any expansion chain that holds
+    none of them: parsing again would build the same hash-consed tree.
+    Errors are not memoized, so each keeps its own path."""
+
     def __init__(self, raw: Dict[str, dict]):
         self.raw = raw
+        # key -> (parsed assertion, names reached)
+        self._parsed: Dict[tuple, Tuple[VAssn, frozenset]] = {}
+        self._trail: List[str] = []  # every name reached, in order
 
-    def expand(self, name: str, args: List, path: str, stack: Tuple[str, ...]):
-        if name in stack:
-            _fail(path, f"recursive macro {name!r} "
-                        f"(expansion chain {' -> '.join(stack)})")
-        if name not in self.raw:
-            _fail(path, f"unknown macro {name!r}")
-        spec = self.raw[name]
-        params = spec.get("params", [])
-        if len(params) != len(args):
-            _fail(path, f"macro {name!r} expects {len(params)} arguments")
-        body = _subst_json(spec["body"], dict(zip(params, args)), path)
-        return body, stack + (name,)
+    def apply(self, name: str, args: List, nthreads: int, path: str,
+              stack: Tuple[str, ...]) -> VAssn:
+        """`["macro", name, *args]` parsed under the expansion chain
+        `stack`."""
+        key = (name, json.dumps(args), nthreads)
+        hit = self._parsed.get(key)
+        if hit is None or not hit[1].isdisjoint(stack):
+            if name in stack:
+                _fail(path, f"recursive macro {name!r} "
+                            f"(expansion chain {' -> '.join(stack)})")
+            if name not in self.raw:
+                _fail(path, f"unknown macro {name!r}")
+            spec = self.raw[name]
+            params = spec.get("params", [])
+            if len(params) != len(args):
+                _fail(path, f"macro {name!r} expects {len(params)} arguments")
+            body = _subst_json(spec["body"], dict(zip(params, args)), path)
+            start = len(self._trail)
+            parsed = parse_vassn(body, self, nthreads, f"{path}/{name}",
+                                 stack + (name,))
+            hit = self._parsed[key] = (
+                parsed, frozenset(self._trail[start:]) | {name})
+        self._trail.extend(hit[1])
+        return hit[0]
 
 
 def _subst_json(doc, binding: Dict[str, object], path: str):
@@ -279,9 +301,8 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
         _fail(path, "a repartitioning implication is not an assertion; "
                     "a conseq outline node checks one")
     if tag == "macro" and args:
-        body, stack2 = macros.expand(str(args[0]), list(args[1:]), path, stack)
-        return parse_vassn(body, macros, nthreads, f"{path}/{args[0]}",
-                           stack2)
+        return macros.apply(str(args[0]), list(args[1:]), nthreads, path,
+                            stack)
     if tag == "sep_threads" and len(args) == 2:
         var = str(args[0])
         parts = []

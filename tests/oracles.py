@@ -11,7 +11,7 @@ history within the bound to its least number of moves.  `_HistoryGen`
 computes the same sets with a memo over (pool, heap) states; the shipped
 `concrete_histories`/`abstract_histories`, a walk over interned
 configurations, are tested against it.  `lin_by_history_sets` decides
-history inclusion from its sets, which the on-the-fly product of
+history inclusion from its sets, which the frontier-pair walk of
 `check_linearizable` is tested against.
 
 Proof-side references: `check_safe`, the greatest-fixpoint safety
@@ -526,8 +526,8 @@ class _HistoryGen:
 
 
 def lin_by_history_sets(model, bound: int):
-    """History inclusion as `check_linearizable` decided it before the
-    on-the-fly product: build the concrete and abstract history sets at
+    """History inclusion as `check_linearizable` decided it before it
+    walked frontiers: build the concrete and abstract history sets at
     the bound with one `_HistoryGen` (one memo, one cap), then the
     concrete set at bound - 1.  Returns (least missing history under
     `history_sort_key` or None, conc(bound) != conc(bound - 1))."""

@@ -41,7 +41,7 @@ def test_machine_format_agrees_with_text(capsys):
     doc = json.loads(out)
     assert doc["ok"] is False
     assert doc["counterexample"] == "t=1 call inc(1)\nt=1 ret inc(0)"
-    # product states and abstract frontiers
+    # concrete configurations tabulated and frontiers of both libraries
     assert set(doc["stats"]) == {"configurations", "frontiers"}
     assert doc["stats"]["configurations"] > doc["stats"]["frontiers"] > 1
 
@@ -242,14 +242,14 @@ def test_outline_document_must_be_an_object(capsys, tmp_path, doc):
 
 
 def test_check_lin_past_the_recursion_limit_gives_a_verdict(capsys):
-    # the product walk keeps its own stack, so a bound deeper than the
-    # interpreter's recursion limit still ends in a verdict
+    # the frontier-pair walk keeps its own queue, so a bound deeper than
+    # the interpreter's recursion limit still ends in a verdict
     code, out, err = run(capsys, "check-lin", f"{FIX}/atomic-inc/model.json",
                          "--bound", "1000", "--format", "machine")
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["verdict"] == "no violation up to bound 1000"
-    assert report["stats"] == {"configurations": 28194, "frontiers": 6624}
+    assert report["stats"] == {"configurations": 288, "frontiers": 13248}
 
 
 def test_histories_past_the_recursion_limit_is_a_limit_error(capsys):
@@ -428,8 +428,9 @@ def test_cap_error_text_independent_of_hash_seed():
 
 @pytest.mark.parametrize("argv,what", [
     (["check-lin", f"{FIX}/flat-combiner/model.json", "--bound", "12",
-      "--cap", "3000"], "product of more than 3000 states exceeds cap 3000"),
-    # cap 0 trips on the abstract start frontier, before any product state
+      "--cap", "3000"],
+     "frontier table of more than 3000 entries exceeds cap 3000"),
+    # cap 0 trips on the first start frontier, before any pair is expanded
     (["check-lin", f"{FIX}/atomic-inc/model.json", "--bound", "6",
       "--cap", "0"], "frontier table of more than 0 frontiers exceeds cap 0"),
     (["histories", f"{FIX}/atomic-inc/model.json", "--side", "concrete",

@@ -1,8 +1,8 @@
-"""`check_linearizable`'s on-the-fly product and the shipped history sets
-against the test-only `oracles._HistoryGen`.
+"""`check_linearizable`'s walk over frontier pairs and the shipped history
+sets against the test-only `oracles._HistoryGen`.
 
-The product's oracle, `oracles.lin_by_history_sets`, builds the concrete
-and abstract history sets with `_HistoryGen` and compares them.  Both must
+The walk's oracle, `oracles.lin_by_history_sets`, builds the concrete and
+abstract history sets with `_HistoryGen` and compares them.  Both must
 give the same least counterexample, the same growth flag on a pass, and
 the same error type and message, and for a fault the same schedule.
 `concrete_histories`/`abstract_histories` must give `_HistoryGen`'s sets,
@@ -75,8 +75,8 @@ def _model(name, cap=None):
 def _outcome(decide):
     """(least counterexample, growth flag on a pass), or the error's type,
     message and, for a fault, schedule.  A cap error gives its size and
-    cap instead of its message, which names what was counted: product
-    states here, history memo entries in the oracle."""
+    cap instead of its message, which names what was counted: frontier
+    entries here, history memo entries in the oracle."""
     try:
         ce, growing = decide()
     except UniverseTooLarge as exc:
@@ -86,14 +86,14 @@ def _outcome(decide):
     return ce, growing if ce is None else None
 
 
-def _product(model, bound):
+def _lin_check(model, bound):
     res = check_linearizable(model, bound)
     return res.counterexample, res.still_growing
 
 
 def _assert_agrees(model, bound):
     want = _outcome(lambda: lin_by_history_sets(model, bound))
-    assert _outcome(lambda: _product(model, bound)) == want
+    assert _outcome(lambda: _lin_check(model, bound)) == want
 
 
 CASES = [
@@ -209,36 +209,34 @@ def _put(pool, t, slot):
     return pool[:t - 1] + (slot,) + pool[t:]
 
 
-# (configurations, frontiers) of each fixture at bounds 0..12, pinned:
-# interning configurations and tabulating their moves must leave the
-# product states and frontiers the check explores as they were.
+# (configurations, frontiers) of each fixture at bounds 0..12, pinned: the
+# concrete configurations whose moves the check tabulates and the
+# frontiers it interns on both sides must stay as they are.
 STATS = {
-    "atomic-inc": [(1, 2), (9, 4), (27, 5), (36, 6), (46, 8), (66, 11),
-                   (83, 14), (95, 16), (117, 21), (142, 26), (156, 28),
-                   (180, 35), (213, 42)],
-    "dcsl-cell": [(1, 2), (5, 4), (9, 4), (13, 4), (15, 4), (17, 6),
-                  (25, 10), (33, 10), (41, 10), (45, 10), (47, 12),
-                  (55, 16), (63, 16)],
-    "dcsl-helping": [(1, 2), (3, 4), (6, 5), (9, 6), (12, 8), (15, 9),
-                     (18, 10), (21, 12), (24, 13), (27, 14), (30, 16),
-                     (33, 17), (36, 18)],
-    "flat-combiner": [(1, 2), (21, 6), (143, 10), (375, 12), (628, 12),
-                      (892, 12), (1186, 12), (1506, 12), (1819, 12),
-                      (2148, 12), (2547, 20), (3001, 26), (3571, 26)],
-    "flat-combiner-noaction4": [(1, 2), (21, 6), (143, 10), (375, 12),
-                                (628, 12), (892, 12), (1186, 12),
-                                (1506, 12), (1819, 12), (2148, 12),
-                                (2547, 20), (3001, 26), (3571, 26)],
-    "flat-combiner-nolock": [(1, 2), (11, 4), (46, 5), (106, 6), (201, 6),
-                             (381, 6), (666, 6), (976, 6), (1396, 6),
-                             (2026, 6), (2853, 6), (3664, 6), (4344, 10)],
-    "flat-combiner-stale": [(1, 2), (6, 3), (11, 3), (16, 3), (26, 3),
-                            (41, 3), (46, 3), (51, 3), (61, 3), (66, 3),
-                            (71, 3), (76, 3), (81, 3)],
-    "flat-combiner-valueret": [(1, 2), (11, 4), (46, 5), (106, 6),
-                               (201, 6), (381, 6), (666, 6), (976, 6),
-                               (1346, 6), (1856, 6), (2391, 6), (2881, 6),
-                               (3516, 6)],
+    "atomic-inc": [(0, 4), (1, 8), (9, 10), (27, 12), (36, 16), (46, 22),
+                   (66, 28), (83, 32), (95, 42), (117, 52), (142, 56),
+                   (156, 70), (180, 84)],
+    "dcsl-cell": [(0, 4), (1, 8), (5, 8), (9, 8), (13, 8), (15, 12), (16, 20),
+                  (20, 20), (20, 20), (20, 20), (20, 24), (20, 32), (20, 32)],
+    "dcsl-helping": [(0, 4), (1, 8), (3, 10), (6, 12), (8, 16), (9, 18),
+                     (9, 20), (9, 24), (9, 26), (9, 28), (9, 32), (9, 34),
+                     (9, 36)],
+    "flat-combiner": [(0, 4), (1, 12), (21, 20), (143, 22), (375, 22),
+                      (628, 22), (892, 22), (1186, 22), (1506, 22), (1769, 23),
+                      (1947, 35), (2116, 45), (2268, 47)],
+    "flat-combiner-noaction4": [(0, 4), (1, 12), (21, 20), (143, 22),
+                                (375, 22), (628, 22), (892, 22), (1186, 22),
+                                (1506, 22), (1769, 23), (1947, 35), (2116, 45),
+                                (2268, 47)],
+    "flat-combiner-nolock": [(0, 4), (1, 8), (11, 10), (46, 11), (106, 11),
+                             (201, 11), (381, 11), (666, 11), (976, 11),
+                             (1396, 11), (2026, 11), (2853, 12), (3664, 12)],
+    "flat-combiner-stale": [(0, 4), (1, 6), (6, 6), (11, 6), (16, 6), (26, 6),
+                            (41, 6), (46, 6), (51, 6), (61, 6), (66, 6),
+                            (71, 6), (76, 6)],
+    "flat-combiner-valueret": [(0, 4), (1, 8), (11, 10), (46, 11), (106, 11),
+                               (201, 11), (381, 11), (666, 11), (976, 11),
+                               (1346, 11), (1856, 11), (2391, 11), (2881, 11)],
 }
 
 
@@ -290,6 +288,6 @@ def test_moves_are_generated_once_per_configuration(name, monkeypatch):
     check_linearizable(_model(name), 12)
     assert max(steps.values()) == 1
     assert {side for side, *_ in steps} == {"concrete", "abstract"}
-    # one library per side: a passing check's growth walk reads the
-    # product's concrete tables
+    # one library per side: the walk, its growth test and the fault scan
+    # read the same concrete tables
     assert sorted(lib.concrete for lib in libs.values()) == [False, True]

@@ -14,17 +14,19 @@ from relviews.command_lang import (
     desugar_while,
     expr_locs,
 )
+from relviews import model_io
 from relviews.errors import ModelError
 from relviews.model_io import (
     attach_outlines,
     load_model,
+    load_outlines,
     parse_command,
     parse_expr,
     parse_model,
     parse_vassn,
     MacroTable,
 )
-from util import store
+from util import fixture_manifest, store
 
 FIX = "src/relviews/fixtures"
 
@@ -69,6 +71,78 @@ def test_macro_recursion_rejected():
     })
     with pytest.raises(ModelError, match="recursive"):
         parse_vassn(["macro", "a"], macros, 2)
+
+
+class _Unmemoized(MacroTable):
+    """Every macro application expanded and parsed afresh."""
+
+    def apply(self, name, args, nthreads, path, stack):
+        self._parsed.clear()
+        return super().apply(name, args, nthreads, path, stack)
+
+
+def _parsed_trees(fixture):
+    """Every assertion and outline tree a fixture's load parses, keyed."""
+    model = load_model(fixture.model_path)
+    if fixture.outline_path:
+        load_outlines(fixture.outline_path, model)
+    out = [("shared universe", model.shared_universe_assn)]
+    for kind in ("pre_templates", "post_templates", "outline_templates"):
+        out += [((kind, m), tree)
+                for m, tree in sorted(getattr(model, kind).items())]
+    out += [(("action", name, i), tree)
+            for name, pair in sorted(model.actions.items())
+            for i, tree in enumerate(pair)]
+    return out
+
+
+@pytest.mark.parametrize("fixture", fixture_manifest(), ids=lambda f: f.name)
+def test_memoized_macros_parse_to_the_same_trees(fixture, monkeypatch):
+    memoized = _parsed_trees(fixture)
+    monkeypatch.setattr(model_io, "MacroTable", _Unmemoized)
+    fresh = _parsed_trees(fixture)
+    assert [key for key, _ in memoized] == [key for key, _ in fresh]
+    assert all(a is b for (_, a), (_, b) in zip(memoized, fresh))
+
+
+def test_each_macro_application_is_parsed_once_per_table(monkeypatch):
+    parses = []
+    original = model_io.parse_vassn
+
+    def recording(doc, macros, nthreads, path="vassn", stack=()):
+        if stack and path.endswith("/" + stack[-1]):  # a macro's body
+            parses.append((macros, stack[-1], json.dumps(doc)))
+        return original(doc, macros, nthreads, path, stack)
+
+    monkeypatch.setattr(model_io, "parse_vassn", recording)
+    _parsed_trees(next(f for f in fixture_manifest()
+                       if f.name == "flat-combiner-noaction4"))
+    assert parses and len(parses) == len(set(parses))
+
+
+def _macro_error(macros, doc):
+    with pytest.raises(ModelError) as info:
+        parse_vassn(doc, macros, 2)
+    return str(info.value)
+
+
+def test_memoized_macro_keeps_its_errors_and_paths():
+    raw = {
+        "ok": {"params": [], "body": ["macro", "wrap", ["emp"]]},
+        # its parameter stands where an assertion goes, so an argument
+        # can carry a macro application
+        "wrap": {"params": ["p"], "body": ["or", ["var", "p"], ["emp"]]},
+    }
+    # `ok` parses alone, but under `wrap` its own `wrap` is recursive: the
+    # memoized `ok` must not hide that
+    recursive = ["star", ["macro", "ok"], ["macro", "wrap", ["macro", "ok"]]]
+    unknown = ["star", ["macro", "ok"], ["macro", "ok"], ["macro", "nope"]]
+    for doc, want in (
+            (recursive, "vassn/star[1]/wrap/or[0]/ok: recursive macro "
+                        "'wrap' (expansion chain wrap -> ok)"),
+            (unknown, "vassn/star[2]: unknown macro 'nope'")):
+        assert _macro_error(MacroTable(raw), doc) == want
+        assert _macro_error(_Unmemoized(raw), doc) == want
 
 
 def test_macro_arity_checked():
