@@ -169,24 +169,25 @@ def history_sort_key(h: History):
 class _Library:
     """One library's moves, over configurations interned to ints.
 
-    A configuration is a pool of per-thread slots, each idle or a running
-    (method, command, expected return), plus a heap.  A call starts a
-    command in an idle slot, a running command takes silent steps, and a
-    `Skip` command returns.  The two libraries differ only in the command
-    a call starts and in how it steps: a concrete body runs under the
-    small-step semantics, where a step may fault; an abstract method is
-    its pending `APCom`, run atomically to `Skip`, and blocks rather than
-    faults.
+    A configuration is a pool of per-thread slots plus a heap.  A slot is
+    idle or a running (method, members), the (command, expected return)
+    pairs that its moves so far leave possible.  The call event does not
+    name the return, so a call starts one slot holding every value's
+    command; a running slot steps each member and groups the results by
+    (primitive, heap'), each group the next slot, and a `Skip` member
+    returns its value.  A merged run thus stands for the runs of its
+    members, with the same moves, events and heaps.  A concrete command is
+    a body under the small-step semantics, where a step may fault; an
+    abstract one is the pending `APCom`, run atomically to `Skip`, which
+    blocks rather than faults.
 
     Slots and heaps are interned to small ints, `IDLE` as slot 0, and a
-    configuration's key is the flat tuple (heap id, slot id of thread 1,
-    ..., slot id of thread N), so hashing a key hashes ints only.  Each
-    thread's local moves are tabulated once per (thread, slot id, heap id)
-    as (move, event or None, slot id', heap id') entries; a configuration's
-    successor table splices one entry's slot id' and heap id' into its key,
-    and is built once, so the frontier walk and the fault search of one
-    check share it.  A call or return's move is its event; a silent step's move
-    is (thread, primitive) and its event None.
+    configuration is the interned flat tuple (heap id, slot id of thread
+    1, ..., slot id of thread N).  A member steps once per (thread,
+    command, heap id); `local` and `successors` tabulate once per key.  A
+    call or return's move is its event; a silent step's move is (thread,
+    primitive) and its event None.  `dom.cap` bounds the configurations
+    tabulated.
     """
 
     def __init__(self, model: LibraryModel, concrete: bool):
@@ -198,31 +199,40 @@ class _Library:
         self._heap_ids: Dict[Heap, int] = {}
         # (method, arg, started slot id) per call
         self.calls = tuple(
-            (m, a, _index(self._slot_ids, self.slots, (
-                m, model.body(m, a, v) if concrete else APCom(m, a, v), v)))
-            for m in model.methods() for a in model.method_args[m]
-            for v in model.dom.values)
+            (m, a, _index(self._slot_ids, self.slots, (m, frozenset(
+                (model.body(m, a, v) if concrete else APCom(m, a, v), v)
+                for v in model.dom.values))))
+            for m in model.methods() for a in model.method_args[m])
+        # (thread, command, heap id) -> ((primitive, command', heap'), ...)
+        self._steps: Dict[Tuple[int, Command, int], tuple] = {}
         # (thread, slot id, heap id) -> ((move, event, slot id, heap id), ...)
         self._locals: Dict[Tuple[int, int, int], tuple] = {}
         self.ids: Dict[Tuple[int, ...], int] = {}
         self.configs: List[Tuple[int, ...]] = []  # id -> key
         self._succ: Dict[int, tuple] = {}  # id -> ((event, id), ...)
         heap = model.init_conc if concrete else model.init_abst
-        self._start = _index(
+        self.start = _index(  # the initial configuration's id
             self.ids, self.configs,
             (_index(self._heap_ids, self.heaps, heap),)
             + (0,) * len(model.dom.thread_ids()))
 
-    def start(self) -> int:
-        """The initial configuration's id."""
-        return self._start
+    def _step(self, t: int, cmd, hid: int) -> tuple:
+        steps = self._steps.get((t, cmd, hid))
+        if steps is None:
+            heap, model = self.heaps[hid], self.model
+            mod = model.dom.modulus
+            steps = self._steps[t, cmd, hid] = tuple(
+                state_step(cmd, heap, t, model.ctable, mod) if self.concrete
+                else ((cmd, SKIP, h) for h in model.atable.apply(
+                    *cmd, t, heap, mod)))
+        return steps
 
-    def _local(self, t: int, sid: int, hid: int) -> tuple:
+    def local(self, t: int, sid: int, hid: int) -> tuple:
         """Thread t's moves from slot sid at heap hid, as (move, event or
         None, slot id', heap id') entries, built on the first call: calls
-        in `calls` order, a return, or silent steps in `state_step` order.
-        A step into the fault state ends the table as (move, None, -1,
-        -1)."""
+        in `calls` order, or returns and then the members' steps grouped
+        by (primitive, heap').  A group that steps into the fault state is
+        the marker (move, None, -1, -1)."""
         key = (t, sid, hid)
         table = self._locals.get(key)
         if table is not None:
@@ -231,27 +241,21 @@ class _Library:
         if slot is IDLE:
             table = tuple(((t, "call", m, a),) * 2 + (started, hid)
                           for m, a, started in self.calls)
-        elif isinstance(slot[1], Skip):
-            ev = (t, "ret", slot[0], slot[2])
-            table = ((ev, ev, 0, hid),)
         else:
-            m, cmd, v = slot
-            model = self.model
-            heap = self.heaps[hid]
-            if self.concrete:
-                steps = state_step(cmd, heap, t, model.ctable,
-                                   model.dom.modulus)
-            else:
-                steps = ((cmd, SKIP, heap2) for heap2 in model.atable.apply(
-                    *cmd, t, heap, model.dom.modulus))
-            out = []
-            for alpha, cmd2, heap2 in steps:
-                if heap2 is FAULT:
-                    out.append(((t, alpha), None, -1, -1))
-                    break
-                out.append(((t, alpha), None,
-                            _index(self._slot_ids, self.slots, (m, cmd2, v)),
-                            _index(self._heap_ids, self.heaps, heap2)))
+            m, members = slot
+            out, groups = [], {}
+            for cmd, v in members:
+                if isinstance(cmd, Skip):
+                    out.append(((t, "ret", m, v),) * 2 + (0, hid))
+                    continue
+                for alpha, cmd2, heap2 in self._step(t, cmd, hid):
+                    groups.setdefault((alpha, heap2), []).append((cmd2, v))
+            out.extend(
+                ((t, alpha), None, -1, -1) if heap2 is FAULT else
+                ((t, alpha), None,
+                 _index(self._slot_ids, self.slots, (m, frozenset(group))),
+                 _index(self._heap_ids, self.heaps, heap2))
+                for (alpha, heap2), group in groups.items())
             table = tuple(out)
         self._locals[key] = table
         return table
@@ -259,42 +263,29 @@ class _Library:
     def successors(self, cid: int) -> tuple:
         """Configuration cid's moves as (event or None, successor id): its
         threads' local tables in thread order, built on the first call.  A
-        step into the fault state ends the table as `_FAULT_STEP`: whoever
-        reaches it raises `fault(cid)`."""
+        fault marker is (None, -1) here: a walk that reaches it within its
+        budget raises `_FaultMet`."""
         succ = self._succ.get(cid)
         if succ is None:
+            cap = self.model.dom.cap
+            if len(self._succ) > cap:
+                raise UniverseTooLarge(None, cap, "configuration table",
+                                       "configurations")
             key = self.configs[cid]
             hid = key[0]
             out = []
             for t in range(1, len(key)):
                 head, tail = key[1:t], key[t + 1:]
-                for _move, ev, sid2, hid2 in self._local(t, key[t], hid):
-                    out.append(_FAULT_STEP if sid2 < 0 else (ev, _index(
+                for _move, ev, sid2, hid2 in self.local(t, key[t], hid):
+                    out.append((None, -1) if sid2 < 0 else (ev, _index(
                         self.ids, self.configs,
                         (hid2,) + head + (sid2,) + tail)))
-                # a fault marker ends its local table and this one
-                if out and out[-1] is _FAULT_STEP:
-                    break
             succ = self._succ[cid] = tuple(out)
         return succ
 
-    def move(self, cid: int, i: int):
-        """The move behind entry i of cid's successor table."""
-        key = self.configs[cid]
-        entries = itertools.chain.from_iterable(
-            self._local(t, key[t], key[0]) for t in range(1, len(key)))
-        return next(itertools.islice(entries, i, None))[0]
 
-    def fault(self, cid: int) -> FaultReachable:
-        """The fault that ends cid's table, its schedule that one step."""
-        key = self.configs[cid]
-        pool = tuple(self.slots[sid] for sid in key[1:])
-        move = self.move(cid, len(self.successors(cid)) - 1)
-        return _fault(pool, self.heaps[key[0]], move)
-
-
-# a successor-table entry: the configuration's next move faults
-_FAULT_STEP = (None, -1)
+class _FaultMet(Exception):
+    """A walk reached a fault marker; its caller reports `_least_fault`."""
 
 
 def _index(ids: dict, items: list, item) -> int:
@@ -306,11 +297,58 @@ def _index(ids: dict, items: list, item) -> int:
     return i
 
 
-def _fault(pool: tuple, heap: Heap, move) -> FaultReachable:
-    t, alpha = move
-    return FaultReachable(
-        f"thread {t} faults executing {alpha!r} in method "
-        f"{pool[t - 1][0]} at state {heap!r}", [move])
+def _least_fault(lib: _Library, bound: int) -> Optional[FaultReachable]:
+    """The fault of the least faulting run within the bound, or None: least
+    by length, then by its moves one by one as text (`render_event`, or
+    `t=T primitive` for a step), then by message.  A merged run has the
+    faults of each run it stands for, so neither the merging nor any
+    iteration order changes it.
+
+    A breadth-first scan, each configuration at its least depth, finds the
+    first layer with a fault marker, where a shortest faulting run ends.
+    Only then are the layers ranked by the least schedule reaching each
+    configuration: (rank of the best parent, move text) keys, with the
+    message added for a fault, which is keyed -1."""
+    layers, seen, faulty = [[lib.start]], {lib.start}, False
+    while not faulty and layers[-1] and len(layers) <= bound:
+        layers.append([])
+        for cid in layers[-2]:
+            for _ev, cid2 in lib.successors(cid):
+                faulty |= cid2 < 0
+                if cid2 >= 0 and cid2 not in seen:
+                    seen.add(cid2)
+                    layers[-1].append(cid2)
+    if not faulty:
+        return None
+    rank = {lib.start: 0}
+    parent = {lib.start: None}  # config id -> (parent id, move) or None
+    for layer in layers:
+        best = {}  # config id of the next layer, or -1 -> (key, parent, move)
+        for cid in layer:
+            hid, *sids = lib.configs[cid]
+            entries = itertools.chain.from_iterable(
+                lib.local(t, sid, hid) for t, sid in enumerate(sids, 1))
+            for (move, *_), (_ev, cid2) in zip(entries, lib.successors(cid)):
+                key = (rank[cid], render_event(move) if len(move) == 4
+                       else f"t={move[0]} {move[1]!r}")
+                if cid2 < 0:
+                    key += (f"thread {move[0]} faults executing {move[1]!r} "
+                            f"in method {lib.slots[sids[move[0] - 1]][0]} "
+                            f"at state {lib.heaps[hid]!r}",)
+                if cid2 not in rank and (cid2 not in best
+                                         or key < best[cid2][0]):
+                    best[cid2] = (key, cid, move)
+        if -1 in best:
+            key, cid, move = best[-1]
+            schedule = [move]
+            while parent[cid] is not None:
+                cid, move = parent[cid]
+                schedule.append(move)
+            return FaultReachable(key[2], schedule[::-1])
+        ranks = {key: i for i, key in enumerate(
+            sorted({key for key, _cid, _move in best.values()}))}
+        for cid2, (key, cid, move) in best.items():
+            rank[cid2], parent[cid2] = ranks[key], (cid, move)
 
 
 def _histories(lib: _Library, n: int, cid: int, memo: dict) -> frozenset:
@@ -318,7 +356,7 @@ def _histories(lib: _Library, n: int, cid: int, memo: dict) -> frozenset:
     return events of its runs, memoized on (moves left, configuration id).
     Every level contributes the empty history, so level n holds all depths
     up to n; the sets are prefix-closed and monotone in the bound.  A fault
-    raises with the schedule that reaches it, as in `_first_fault`."""
+    marker within the moves left raises `_FaultMet`."""
     key = (n, cid)
     hit = memo.get(key)
     if hit is not None:
@@ -330,27 +368,28 @@ def _histories(lib: _Library, n: int, cid: int, memo: dict) -> frozenset:
         raise UniverseTooLarge(None, cap, "history memo", "entries")
     out = {()}
     if n > 0:
-        for i, (ev, cid2) in enumerate(lib.successors(cid)):
+        for ev, cid2 in lib.successors(cid):
             if cid2 < 0:
-                raise lib.fault(cid)
-            try:
-                sub = _histories(lib, n - 1, cid2, memo)
-            except FaultReachable as exc:
-                exc.schedule.insert(0, lib.move(cid, i))
-                raise
+                raise _FaultMet
+            sub = _histories(lib, n - 1, cid2, memo)
             out.update(sub if ev is None else ((ev,) + h for h in sub))
     result = memo[key] = frozenset(out)
     return result
 
 
 def concrete_histories(model: LibraryModel, bound: int) -> frozenset:
-    lib = _Library(model, True)
-    return _histories(lib, bound, lib.start(), {})
+    return _all_histories(_Library(model, True), bound)
 
 
 def abstract_histories(model: LibraryModel, bound: int) -> frozenset:
-    lib = _Library(model, False)
-    return _histories(lib, bound, lib.start(), {})
+    return _all_histories(_Library(model, False), bound)
+
+
+def _all_histories(lib: _Library, bound: int) -> frozenset:
+    try:
+        return _histories(lib, bound, lib.start, {})
+    except _FaultMet:
+        raise _least_fault(lib, bound) from None
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +420,7 @@ class _Frontiers:
         self._intern({})
 
     def start(self, budget: int) -> int:
-        return self._intern(self._close({self.lib.start(): budget}))
+        return self._intern(self._close({self.lib.start: budget}))
 
     def successors(self, fid: int) -> dict:
         """The frontier after each event the library can do from `fid`,
@@ -393,9 +432,8 @@ class _Frontiers:
             for cid, b in self.members[fid]:
                 if b:
                     b -= 1
+                    # `_close` has met any fault marker of a member
                     for ev, cid2 in lib.successors(cid):
-                        if cid2 < 0:
-                            raise lib.fault(cid)
                         if ev is not None:
                             budgets = by_event.setdefault(ev, {})
                             if budgets.get(cid2, -1) < b:
@@ -415,7 +453,7 @@ class _Frontiers:
                 b -= 1
                 for ev, cid2 in successors(cid):
                     if cid2 < 0:
-                        raise self.lib.fault(cid)
+                        raise _FaultMet
                     if ev is None and budgets.get(cid2, -1) < b:
                         budgets[cid2] = b
                         todo.append((cid2, b))
@@ -433,48 +471,6 @@ class _Frontiers:
             self._next.append(None)
             self.entries += len(key)
         return fid
-
-
-def _fault_within(lib: _Library, n: int) -> bool:
-    """Whether a configuration reachable within n moves steps into the
-    fault state: a breadth-first scan, each configuration at its least
-    depth."""
-    seen, layer = set(), {lib.start()}
-    for _depth in range(n + 1):
-        seen |= layer
-        nxt = {cid2 for cid in layer for _ev, cid2 in lib.successors(cid)}
-        if _FAULT_STEP[1] in nxt:
-            return True
-        layer = nxt - seen
-    return False
-
-
-def _first_fault(lib: _Library, bound: int) -> FaultReachable:
-    """The first fault of a depth-first search over (moves left,
-    configuration) that takes successors in table order, as `_histories`
-    does, with the moves its stack took as the schedule; a fault must lie
-    within the bound.  It skips a configuration searched to the end with
-    at least as many moves left.  A frame is [config id, moves left,
-    entries taken]."""
-    done: Dict[int, int] = {}  # config id -> most moves left, searched
-    stack = [[lib.start(), bound, 0]]
-    while True:
-        frame = stack[-1]
-        cid, k, i = frame
-        table = lib.successors(cid)
-        if i == len(table):
-            done[cid] = max(k, done.get(cid, 0))
-            stack.pop()
-            continue
-        frame[2] = i + 1
-        cid2 = table[i][1]
-        if cid2 < 0:
-            fault = lib.fault(cid)
-            fault.schedule[:0] = [lib.move(f[0], f[2] - 1)
-                                  for f in stack[:-1]]
-            return fault
-        if k > 1 and done.get(cid2, 0) < k - 1:
-            stack.append([cid2, k - 1, 0])
 
 
 @dataclass
@@ -507,8 +503,10 @@ def check_linearizable(model: LibraryModel, bound: int) -> LinResult:
     history under `history_sort_key`.  A passing walk visits every
     concrete frontier: the set still grows if one has no budget left.  A
     fault within the bound is reported, counterexample or not, as
-    `_first_fault` finds it.  `dom.cap` bounds the frontiers of each
-    library and the entries of both."""
+    `_least_fault` finds it: a passing walk expands every configuration
+    with a move left, so it meets any such fault.  `dom.cap` bounds the
+    configurations and frontiers of each library and the entries of
+    both."""
     conc = _Library(model, True)
     front, spec = _Frontiers(conc), _Frontiers(_Library(model, False))
     ce = None
@@ -535,10 +533,11 @@ def check_linearizable(model: LibraryModel, bound: int) -> LinResult:
                     pairs.append(pair2)
             if ce is not None:
                 break
-    except FaultReachable:
-        raise _first_fault(conc, bound) from None
-    if ce is not None and _fault_within(conc, bound - 1):
-        raise _first_fault(conc, bound)
+    except _FaultMet:
+        raise _least_fault(conc, bound) from None
+    fault = _least_fault(conc, bound) if ce is not None else None
+    if fault is not None:
+        raise fault
     stats = {"configurations": len(conc._succ),
              "frontiers": len(front.members) + len(spec.members)}
     growing = ce is None and any(

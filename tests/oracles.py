@@ -12,7 +12,11 @@ computes the same sets with a memo over (pool, heap) states; the shipped
 `concrete_histories`/`abstract_histories`, a walk over interned
 configurations, are tested against it.  `lin_by_history_sets` decides
 history inclusion from its sets, which the frontier-pair walk of
-`check_linearizable` is tested against.
+`check_linearizable` is tested against.  `least_fault(model, bound)` is
+the least faulting run within the bound over configurations whose slots
+each hold one expected return, by a memoized recursion; `_HistoryGen`
+raises it, and the shipped checks, which merge a call's expected returns
+into one slot, must report the same fault.
 
 Proof-side references: `check_safe`, the greatest-fixpoint safety
 judgement over a finite view universe and the command shapes that
@@ -77,8 +81,8 @@ from relviews.errors import FaultReachable, ModelError, UniverseTooLarge
 from relviews.linearizability import (
     IDLE,
     LibraryModel,
-    _fault,
     history_sort_key,
+    render_event,
 )
 from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
 from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
@@ -441,7 +445,13 @@ class _HistoryGen:
         self._steps: Dict = {}
 
     def concrete(self, n: int) -> frozenset:
-        return self._histories(True, n, self._idle(), self.model.init_conc)
+        """The concrete histories within n moves; a fault within them
+        raises `least_fault(model, n)`."""
+        try:
+            return self._histories(True, n, self._idle(),
+                                   self.model.init_conc)
+        except _FaultSeen:
+            raise least_fault(self.model, n) from None
 
     def abstract(self, n: int) -> frozenset:
         return self._histories(False, n, self._idle(), self.model.init_abst)
@@ -508,14 +518,10 @@ class _HistoryGen:
             raise UniverseTooLarge(None, self.cap, "history memo", "entries")
         out = {()}
         if n > 0:
-            for move, ev, pool2, sigma2 in self.moves(concrete, pool, sigma):
+            for _move, ev, pool2, sigma2 in self.moves(concrete, pool, sigma):
                 if sigma2 is FAULT:
-                    raise _fault(pool, sigma, move)
-                try:
-                    sub = self._histories(concrete, n - 1, pool2, sigma2)
-                except FaultReachable as exc:
-                    exc.schedule.insert(0, move)
-                    raise
+                    raise _FaultSeen
+                sub = self._histories(concrete, n - 1, pool2, sigma2)
                 if ev is None:
                     out.update(sub)
                 else:
@@ -523,6 +529,55 @@ class _HistoryGen:
         result = frozenset(out)
         self.memo[key] = result
         return result
+
+
+class _FaultSeen(Exception):
+    """`_HistoryGen` stepped into the fault state."""
+
+
+def _render_move(move) -> str:
+    if len(move) == 4:
+        return render_event(move)
+    t, alpha = move
+    return f"t={t} {alpha!r}"
+
+
+def least_fault(model, bound: int):
+    """The `FaultReachable` of the least faulting concrete run within the
+    bound, or None.  Runs are ordered by length, then by their moves one
+    by one as text (a call or return as `render_event` renders it, a
+    silent step (t, primitive) as `t=T primitive`), then by the fault's
+    message.  A memoized recursion over (moves left, pool, heap), where a
+    slot holds one expected return as in `_HistoryGen.moves`, keeps the
+    least (length, rendered moves, message, moves) from each
+    configuration."""
+    gen = _HistoryGen(model)
+    memo: Dict = {}
+
+    def least(n, pool, heap):
+        key = (n, pool, heap)
+        if key in memo:
+            return memo[key]
+        best = None
+        for move, _ev, pool2, heap2 in gen.moves(True, pool, heap):
+            if heap2 is FAULT:
+                t, alpha = move
+                tail = (0, (), f"thread {t} faults executing {alpha!r} in "
+                        f"method {pool[t - 1][0]} at state {heap!r}", ())
+            else:
+                tail = least(n - 1, pool2, heap2) if n > 1 else None
+                if tail is None:
+                    continue
+            found = (tail[0] + 1, (_render_move(move),) + tail[1], tail[2],
+                     (move,) + tail[3])
+            if best is None or found[:3] < best[:3]:
+                best = found
+        memo[key] = best
+        return best
+
+    found = least(bound, gen._idle(), model.init_conc) if bound else None
+    return None if found is None else FaultReachable(found[2],
+                                                     list(found[3]))
 
 
 def lin_by_history_sets(model, bound: int):

@@ -249,7 +249,7 @@ def test_check_lin_past_the_recursion_limit_gives_a_verdict(capsys):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["verdict"] == "no violation up to bound 1000"
-    assert report["stats"] == {"configurations": 288, "frontiers": 13248}
+    assert report["stats"] == {"configurations": 108, "frontiers": 13248}
 
 
 def test_histories_past_the_recursion_limit_is_a_limit_error(capsys):
@@ -406,37 +406,65 @@ def test_import_loads_no_process_pool():
             if m.startswith(("multiprocessing", "concurrent.futures"))] == []
 
 
-def test_cap_error_text_independent_of_hash_seed():
-    """Successors are explored in per-process hash order, so how far the
-    memo has grown when the cap trips varies; the message must not."""
+def _under_seeds(argv, seeds=("0", "1")):
+    """(exit code, stdout, stderr) of `relviews ARGV` run in a fresh
+    process under each hash seed."""
     src = os.path.abspath("src")
-    errs = set()
-    for seed in ("0", "2"):
+    runs = []
+    for seed in seeds:
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "relviews.cli", "check-lin",
-             f"{FIX}/flat-combiner/model.json", "--bound", "12",
-             "--cap", "3000"],
+            [sys.executable, "-m", "relviews.cli", *argv],
             env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2
-        errs.add(proc.stderr)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    return runs
+
+
+def test_cap_error_text_independent_of_hash_seed():
+    """Successors are explored in per-process hash order, so how far the
+    tables have grown when the cap trips varies; the message must not."""
+    runs = _under_seeds(["check-lin", f"{FIX}/flat-combiner/model.json",
+                         "--bound", "12", "--cap", "300"], ("0", "2"))
+    assert [code for code, _out, _err in runs] == [2, 2]
+    errs = {err for _code, _out, err in runs}
     assert len(errs) == 1
-    assert "exceeds cap 3000" in errs.pop()
+    assert "exceeds cap 300" in errs.pop()
+
+
+def test_fault_text_independent_of_hash_seed(tmp_path):
+    """The fault reported is the least faulting run's, whatever order the
+    successors are explored in."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["domains"]["locations"]["ghost"] = [0]
+    doc["primitives"]["inc_atomic"]["updates"].append(["ghost", 0])
+    bad = tmp_path / "ghost-concrete.json"
+    bad.write_text(json.dumps(doc))
+    runs = _under_seeds(["check-lin", str(bad), "--bound", "6",
+                         "--format", "machine"])
+    assert [code for code, _out, _err in runs] == [1, 1]
+    details = {json.loads(out)["detail"] for _code, out, _err in runs}
+    assert details == {
+        "thread 1 faults executing inc_atomic(Const(value=1), "
+        "Const(value=1)) in method inc at state [k:0]"}
 
 
 @pytest.mark.parametrize("argv,what", [
     (["check-lin", f"{FIX}/flat-combiner/model.json", "--bound", "12",
-      "--cap", "3000"],
-     "frontier table of more than 3000 entries exceeds cap 3000"),
+      "--cap", "300"],
+     "frontier table of more than 300 entries exceeds cap 300"),
+    # here the configuration table outgrows the frontier entries
+    (["check-lin", f"{FIX}/flat-combiner/model.json", "--bound", "12",
+      "--cap", "200"],
+     "configuration table of more than 200 configurations exceeds cap 200"),
     # cap 0 trips on the first start frontier, before any pair is expanded
     (["check-lin", f"{FIX}/atomic-inc/model.json", "--bound", "6",
       "--cap", "0"], "frontier table of more than 0 frontiers exceeds cap 0"),
     (["histories", f"{FIX}/atomic-inc/model.json", "--side", "concrete",
-      "--bound", "6", "--cap", "5"],
+      "--bound", "4", "--cap", "5"],
      "history memo of more than 5 entries exceeds cap 5"),
-], ids=["product", "frontiers", "history memo"])
+], ids=["product", "configurations", "frontiers", "history memo"])
 def test_history_cap_errors_name_what_they_counted(capsys, argv, what):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -453,19 +481,11 @@ def test_unstable_witness_independent_of_hash_seed(tmp_path):
                         ["pure", ["<", ["var", "V"], 2]]]]]
     bad = tmp_path / "model.json"
     bad.write_text(json.dumps(doc))
-    src = os.path.abspath("src")
-    firsts = set()
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "relviews.cli", "check-proof", str(bad),
-             f"{FIX}/atomic-inc/outline.json"],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1
-        firsts.add(next(line for line in proc.stdout.splitlines()
-                        if line.startswith("[FAIL]")))
+    runs = _under_seeds(["check-proof", str(bad),
+                         f"{FIX}/atomic-inc/outline.json"])
+    assert [code for code, _out, _err in runs] == [1, 1]
+    firsts = {next(line for line in out.splitlines()
+                   if line.startswith("[FAIL]")) for _code, out, _err in runs}
     assert len(firsts) == 1
     assert "rely moves shared state ([k:0], [K:0], {}) to ([k:2], [K:2], " \
         "{})" in firsts.pop()

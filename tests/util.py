@@ -271,21 +271,21 @@ def run_distributivity(count, seed=13):
 TINY_VALUES = (0, 1, 2)
 
 
-def _tiny_expr(cells):
+def _tiny_expr(cells, names=("a", "r")):
     return st.one_of(
         st.sampled_from(TINY_VALUES),
-        st.sampled_from([["var", "a"], ["var", "r"]]),
+        st.sampled_from([["var", n] for n in names]),
         st.sampled_from([["read", c] for c in cells]),
         st.sampled_from([["+", ["read", c], ["var", "a"]] for c in cells]))
 
 
-def _tiny_update(cells):
-    """A guarded update: an optional `cell == e` guard and at most two
-    writes to distinct cells."""
+def _tiny_update(cells, names=("a", "r")):
+    """A guarded update over the variables `names`: an optional `cell ==
+    e` guard and at most two writes to distinct cells."""
+    expr = _tiny_expr(cells, names)
     guard = st.one_of(st.none(), st.builds(
-        lambda c, e: ["==", ["read", c], e], st.sampled_from(cells),
-        _tiny_expr(cells)))
-    updates = st.lists(st.tuples(st.sampled_from(cells), _tiny_expr(cells))
+        lambda c, e: ["==", ["read", c], e], st.sampled_from(cells), expr))
+    updates = st.lists(st.tuples(st.sampled_from(cells), expr)
                        .map(list), max_size=2, unique_by=lambda u: u[0])
     return st.fixed_dictionaries({"guard": guard, "updates": updates})
 
@@ -295,15 +295,19 @@ def tiny_model_docs(draw):
     """A model document with 1-2 threads, 1-2 cells over the values 0..2
     (modulus 3) and one method `op`.  Its body is one or two steps, each a
     guarded-update primitive or a CAS whose branches are `skip` or a
-    primitive, optionally followed by an `assume` that ties the expected
-    return to a cell.  The abstract `op` is a guarded update of its own.
-    A cell may be left uninitialized, so that some bodies fault."""
+    primitive.  It may also take a step of the primitive `q`, which reads
+    no `r`, somewhere before the last step, and an `assume` that ties the
+    expected return to a cell, last or before the last step; so a call's
+    expected returns take the same steps for part of the body and then
+    part ways.  The abstract `op` is a guarded update of its own.  A cell
+    may be left uninitialized, so that some bodies fault."""
     cells = ["x", "y"][:draw(st.integers(1, 2))]
     acells = [c.upper() for c in cells]
     prims = {f"p{i}": dict(draw(_tiny_update(cells)), params=["a", "r"])
              for i in range(draw(st.integers(1, 2)))}
     call = st.sampled_from([["prim", p, ["var", "a"], ["var", "r"]]
                             for p in prims])
+    prims["q"] = dict(draw(_tiny_update(cells, ("a",))), params=["a"])
     branch = st.one_of(st.just(["skip"]), call)
     cas = st.builds(lambda c, old, new, then, other:
                     ["cas", c, old, new, then, other],
@@ -311,8 +315,12 @@ def tiny_model_docs(draw):
                     _tiny_expr(cells), branch, branch)
     body = draw(st.lists(st.one_of(call, cas), min_size=1, max_size=2))
     if draw(st.booleans()):
-        body.append(["assume", ["==", ["read", draw(st.sampled_from(cells))],
-                                ["var", "r"]]])
+        body.insert(draw(st.integers(0, len(body) - 1)),
+                    ["prim", "q", ["var", "a"]])
+    if draw(st.booleans()):
+        body.insert(len(body) - draw(st.integers(0, 1)),
+                    ["assume", ["==", ["read", draw(st.sampled_from(cells))],
+                                      ["var", "r"]]])
     init = {c: draw(st.sampled_from(TINY_VALUES)) for c in cells}
     if draw(st.integers(0, 4)) == 0:
         del init[cells[-1]]
