@@ -17,13 +17,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .errors import FaultReachable, RelviewsError
+from .errors import FaultReachable, RelviewsError, UniverseTooLarge
 from .linearizability import (
-    abstract_histories,
     check_linearizable,
     check_obligations,
-    concrete_histories,
-    history_sort_key,
+    history_walk,
     render_history,
 )
 from .model_io import load_model, load_outlines
@@ -119,19 +117,18 @@ def cmd_check_proof(args) -> int:
 def cmd_histories(args) -> int:
     t0 = time.perf_counter()
     model = load_model(args.model, args.cap)
-    if args.side == "abstract":
-        hs = abstract_histories(model, args.bound)
-    else:
-        hs = concrete_histories(model, args.bound)
-    ordered = sorted(hs, key=history_sort_key)
-    for i, h in enumerate(ordered):
+    count, hs = history_walk(model, args.bound, args.side == "concrete")
+    if count > model.dom.cap:
+        raise UniverseTooLarge(None, model.dom.cap, "history set",
+                               "histories")
+    for i, h in enumerate(hs):
         if args.format == "machine":
             print(json.dumps([list(ev) for ev in h]))
         else:
             print(f"# history {i}")
             print(render_history(h))
     if args.format != "machine":
-        print(f"{len(ordered)} histories ({args.side}, bound {args.bound}, "
+        print(f"{count} histories ({args.side}, bound {args.bound}, "
               f"{time.perf_counter() - t0:.2f}s)")
     return EXIT_OK
 
@@ -191,12 +188,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_VIOLATION
     except (RelviewsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except RecursionError:
-        # `histories` recurses once per move of the bound
-        bound = getattr(args, "bound", None)
-        hint = "" if bound is None else f" at bound {bound}; lower --bound"
-        print(f"error: recursion limit exceeded{hint}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -1,19 +1,22 @@
-"""Library models, bounded history generation and the soundness obligations.
+"""Library models, bounded history sets and the soundness obligations.
 
 Concrete histories arise from interleaving method bodies under the
 small-step semantics with nondeterministically chosen expected return
 values; abstract histories run each method as one atomic command.  A
 library is linearizable up to a bound when its concrete history set is
-included in the abstract one.  The obligations checklist verifies the
-hypotheses under which that inclusion holds at every bound: per-method
-proof outlines plus token pinning and the token-swap correspondence.
+included in the abstract one.  A history set is the paths of a library's
+frontier automaton, which `history_walk` counts and lists and
+`check_linearizable` walks in pairs.  The obligations checklist verifies
+the hypotheses under which that inclusion holds at every bound:
+per-method proof outlines plus token pinning and the token-swap
+correspondence.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .command_lang import (
     AbstractTable,
@@ -160,10 +163,6 @@ def render_history(h: History) -> str:
     if not h:
         return "ε"
     return "\n".join(render_event(ev) for ev in h)
-
-
-def history_sort_key(h: History):
-    return (len(h), tuple(render_event(ev) for ev in h))
 
 
 class _Library:
@@ -351,49 +350,8 @@ def _least_fault(lib: _Library, bound: int) -> Optional[FaultReachable]:
             rank[cid2], parent[cid2] = ranks[key], (cid, move)
 
 
-def _histories(lib: _Library, n: int, cid: int, memo: dict) -> frozenset:
-    """The histories of configuration cid within n moves: the call and
-    return events of its runs, memoized on (moves left, configuration id).
-    Every level contributes the empty history, so level n holds all depths
-    up to n; the sets are prefix-closed and monotone in the bound.  A fault
-    marker within the moves left raises `_FaultMet`."""
-    key = (n, cid)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    cap = lib.model.dom.cap
-    if len(memo) > cap:
-        # how far past the cap the memo has grown depends on the
-        # exploration order, so the message does not say
-        raise UniverseTooLarge(None, cap, "history memo", "entries")
-    out = {()}
-    if n > 0:
-        for ev, cid2 in lib.successors(cid):
-            if cid2 < 0:
-                raise _FaultMet
-            sub = _histories(lib, n - 1, cid2, memo)
-            out.update(sub if ev is None else ((ev,) + h for h in sub))
-    result = memo[key] = frozenset(out)
-    return result
-
-
-def concrete_histories(model: LibraryModel, bound: int) -> frozenset:
-    return _all_histories(_Library(model, True), bound)
-
-
-def abstract_histories(model: LibraryModel, bound: int) -> frozenset:
-    return _all_histories(_Library(model, False), bound)
-
-
-def _all_histories(lib: _Library, bound: int) -> frozenset:
-    try:
-        return _histories(lib, bound, lib.start, {})
-    except _FaultMet:
-        raise _least_fault(lib, bound) from None
-
-
 # ---------------------------------------------------------------------------
-# History inclusion over pairs of frontiers
+# History sets and their inclusion, over frontiers
 
 
 class _Frontiers:
@@ -473,6 +431,53 @@ class _Frontiers:
         return fid
 
 
+def history_walk(model: LibraryModel, bound: int, concrete: bool
+                 ) -> Tuple[int, Iterator[History]]:
+    """The number of the library's histories within the bound, and an
+    iterator over them, shortest first and then by their events as text.
+
+    A history is one path from the start frontier.  Visiting every
+    reachable frontier expands every configuration with a move left, as
+    `check_linearizable`'s passing walk does, so it meets any fault.  A
+    frontier's count is 1 + its successors'; every event lowers the
+    largest budget, so frontiers in increasing largest budget come after
+    their successors.  The iterator takes each frontier's events in
+    `render_event` order, layer by layer, so each layer is in order."""
+    lib = _Library(model, concrete)
+    front = _Frontiers(lib)
+    try:
+        start = front.start(bound)
+        edges, todo = {}, [start]  # frontier id -> ((event, id'), ...)
+        while todo:
+            fid = todo.pop()
+            if fid not in edges:
+                edges[fid] = tuple(sorted(front.successors(fid).items(),
+                                          key=lambda e: render_event(e[0])))
+                todo.extend(fid2 for _ev, fid2 in edges[fid])
+    except _FaultMet:
+        raise _least_fault(lib, bound) from None
+    count = {}
+    for fid in sorted(edges, key=lambda f: max(b for _c, b in
+                                                front.members[f])):
+        count[fid] = 1 + sum(count[fid2] for _ev, fid2 in edges[fid])
+
+    def walk():
+        layer = [((), start)]
+        while layer:
+            yield from (h for h, _fid in layer)
+            layer = [(h + (ev,), fid2) for h, fid in layer
+                     for ev, fid2 in edges[fid]]
+    return count[start], walk()
+
+
+def concrete_histories(model: LibraryModel, bound: int) -> frozenset:
+    return frozenset(history_walk(model, bound, True)[1])
+
+
+def abstract_histories(model: LibraryModel, bound: int) -> frozenset:
+    return frozenset(history_walk(model, bound, False)[1])
+
+
 @dataclass
 class LinResult:
     """A `check-lin` outcome: the least missing history, if any; as
@@ -500,13 +505,13 @@ def check_linearizable(model: LibraryModel, bound: int) -> LinResult:
     matches.  Each pair keeps the least history that reaches it as a
     parent pointer and takes its events in `render_event` order, so the
     first event the abstract frontier cannot follow ends the least missing
-    history under `history_sort_key`.  A passing walk visits every
-    concrete frontier: the set still grows if one has no budget left.  A
-    fault within the bound is reported, counterexample or not, as
-    `_least_fault` finds it: a passing walk expands every configuration
-    with a move left, so it meets any such fault.  `dom.cap` bounds the
-    configurations and frontiers of each library and the entries of
-    both."""
+    history, shortest and then least by its events as text.  A passing
+    walk visits every concrete frontier: the set still grows if one has no
+    budget left.  A fault within the bound is reported, counterexample or
+    not, as `_least_fault` finds it: a passing walk expands every
+    configuration with a move left, so it meets any such fault.  `dom.cap`
+    bounds the configurations and frontiers of each library and the
+    entries of both."""
     conc = _Library(model, True)
     front, spec = _Frontiers(conc), _Frontiers(_Library(model, False))
     ce = None

@@ -73,14 +73,17 @@ def _fail(path: str, msg: str):
 
 @contextmanager
 def _malformed_is_model_error(path: str):
-    """A missing key or a value of the wrong shape in a document is a model
-    error naming the document, not a crash."""
+    """A missing key, a value of the wrong shape or nesting deeper than the
+    interpreter's stack in a document is a model error naming the
+    document, not a crash."""
     try:
         yield
     except KeyError as exc:
         _fail(path, f"malformed document: missing key {exc}")
     except (ValueError, TypeError, AttributeError) as exc:
         _fail(path, f"malformed document: {exc}")
+    except RecursionError:
+        _fail(path, "document is nested too deeply")
 
 
 def _check_placeholders(locs: Iterable[str], allowed: frozenset, path: str):
@@ -567,7 +570,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
 
 
 def _load_json(path: str):
-    with open(path) as fh:
+    with open(path) as fh, _malformed_is_model_error(path):
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

@@ -8,11 +8,14 @@ pass over the whole shared universe.
 
 Histories, by a plain walk: `history_depths(model, bound, side)` maps every
 history within the bound to its least number of moves.  `_HistoryGen`
-computes the same sets with a memo over (pool, heap) states; the shipped
-`concrete_histories`/`abstract_histories`, a walk over interned
-configurations, are tested against it.  `lin_by_history_sets` decides
-history inclusion from its sets, which the frontier-pair walk of
-`check_linearizable` is tested against.  `least_fault(model, bound)` is
+computes the same sets with a memo over (pool, heap) states.  The shipped
+`history_walk` counts and lists the paths of a library's frontier
+automaton, with no recursion; its sets (`concrete_histories`/
+`abstract_histories`) are tested against `_HistoryGen`'s, and its order
+and count against `history_sort_key` and the set's size.
+`lin_by_history_sets` decides history inclusion from `_HistoryGen`'s
+sets, which the frontier-pair walk of `check_linearizable` is tested
+against.  `least_fault(model, bound)` is
 the least faulting run within the bound over configurations whose slots
 each hold one expected return, by a memoized recursion; `_HistoryGen`
 raises it, and the shipped checks, which merge a call's expected returns
@@ -81,7 +84,6 @@ from relviews.errors import FaultReachable, ModelError, UniverseTooLarge
 from relviews.linearizability import (
     IDLE,
     LibraryModel,
-    history_sort_key,
     render_event,
 )
 from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
@@ -578,6 +580,13 @@ def least_fault(model, bound: int):
     found = least(bound, gen._idle(), model.init_conc) if bound else None
     return None if found is None else FaultReachable(found[2],
                                                      list(found[3]))
+
+
+def history_sort_key(h):
+    """The history order: shorter first, then by the events as text.  The
+    least missing history is least in it, and `history_walk` yields in
+    it."""
+    return (len(h), tuple(render_event(ev) for ev in h))
 
 
 def lin_by_history_sets(model, bound: int):

@@ -253,16 +253,85 @@ def test_check_lin_past_the_recursion_limit_gives_a_verdict(capsys):
 
 
 def test_histories_past_the_recursion_limit_is_a_limit_error(capsys):
-    # `histories` recurses once per move: an explicit stack would only
-    # trade the limit error for history sets that exhaust memory before
-    # the memo reaches the cap.  Exit 1 always comes with a verdict; a
-    # walk too deep for the interpreter's stack is a limit error that
-    # names the bound
+    # a bound past the interpreter's recursion limit ends in the
+    # history-set cap, not in a recursion error: `histories` walks the
+    # frontiers with its own queue and counts before printing anything
     code, out, err = run(capsys, "histories", f"{FIX}/atomic-inc/model.json",
                          "--bound", "2000", "--format", "machine")
     assert code == 2 and out == ""
-    assert err == ("error: recursion limit exceeded at bound 2000; "
-                   "lower --bound\n")
+    assert err == ("error: history set of more than 200000 histories exceeds "
+                   "cap 200000; raise --cap / RELVIEWS_CAP or restrict the "
+                   "model domains\n")
+
+
+def test_histories_past_the_cap_stay_small():
+    # 1,056,211 histories: counted over the frontiers, none of them built
+    src = os.path.abspath("src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import resource, sys\n"
+              "from relviews.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "print(f'maxrss_kb {rss}', file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "histories",
+         f"{FIX}/atomic-inc/model.json", "--side", "abstract",
+         "--bound", "24"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    cap_error, rss = proc.stderr.splitlines()
+    assert cap_error.startswith(
+        "error: history set of more than 200000 histories exceeds cap")
+    assert int(rss.split()[1]) < 100 * 1024
+    assert "Traceback" not in proc.stderr
+
+
+def _deep_body_doc(path):
+    """atomic-inc whose `inc` body nests 900 `seq`s."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    body = doc["methods"]["inc"]["body"]
+    for _ in range(900):
+        body = ["seq", body, ["skip"]]
+    doc["methods"]["inc"]["body"] = body
+    path.write_text(json.dumps(doc))
+
+
+def _deep_arrays_doc(path):
+    path.write_text("[" * 200_000 + "]" * 200_000)
+
+
+_AS_MODEL = {"check-lin": ["check-lin", "{doc}", "--bound", "2"],
+             "histories": ["histories", "{doc}", "--bound", "2"],
+             "check-proof": ["check-proof", "{doc}",
+                             f"{FIX}/atomic-inc/outline.json"]}
+
+
+@pytest.mark.parametrize("make,argv", [
+    *((make, argv) for make in (_deep_body_doc, _deep_arrays_doc)
+      for argv in _AS_MODEL.values()),
+    (_deep_arrays_doc,
+     ["check-proof", f"{FIX}/atomic-inc/model.json", "{doc}"]),
+], ids=[*(f"{doc}-{cmd}" for doc in ("seq-body", "arrays")
+          for cmd in _AS_MODEL), "arrays-outline"])
+def test_deeply_nested_document_is_a_model_error(capsys, tmp_path, make,
+                                                 argv):
+    # the parser's recursion, not the bound, meets the interpreter's limit
+    doc = tmp_path / "deep.json"
+    make(doc)
+    code, out, err = run(capsys, *(a.format(doc=doc) for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {doc}: document is nested too deeply\n"
+    assert "Traceback" not in err and "--bound" not in err
+
+
+def test_undecodable_document_is_a_model_error(capsys, tmp_path):
+    bad = tmp_path / "model.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "check-lin", str(bad), "--bound", "2")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: ")
 
 
 @pytest.mark.parametrize("argv", [["check-lin", "--bound", "4"],
@@ -461,10 +530,17 @@ def test_fault_text_independent_of_hash_seed(tmp_path):
     # cap 0 trips on the first start frontier, before any pair is expanded
     (["check-lin", f"{FIX}/atomic-inc/model.json", "--bound", "6",
       "--cap", "0"], "frontier table of more than 0 frontiers exceeds cap 0"),
+    # `histories` keeps no history memo: at cap 5 its configuration table
+    # trips first
     (["histories", f"{FIX}/atomic-inc/model.json", "--side", "concrete",
       "--bound", "4", "--cap", "5"],
-     "history memo of more than 5 entries exceeds cap 5"),
-], ids=["product", "configurations", "frontiers", "history memo"])
+     "configuration table of more than 5 configurations exceeds cap 5"),
+    # 15 histories over 7 frontiers and 9 tabulated configurations
+    (["histories", f"{FIX}/atomic-inc/model.json", "--side", "concrete",
+      "--bound", "4", "--cap", "10"],
+     "history set of more than 10 histories exceeds cap 10"),
+], ids=["product", "configurations", "frontiers", "histories configurations",
+        "history set"])
 def test_history_cap_errors_name_what_they_counted(capsys, argv, what):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

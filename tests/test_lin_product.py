@@ -6,7 +6,8 @@ abstract history sets with `_HistoryGen` and compares them.  Both must
 give the same least counterexample, the same growth flag on a pass, and
 the same error type and message, and for a fault the same schedule.
 `concrete_histories`/`abstract_histories` must give `_HistoryGen`'s sets,
-or the same error, message and schedule.  The fault reported is
+or the same error, message and schedule, and `history_walk` must count
+each set and list it in `history_sort_key` order.  The fault reported is
 `oracles.least_fault`, the least faulting run over unmerged
 configurations, which no iteration order may change; CI runs this module
 under a second `PYTHONHASHSEED`.  A capped run must either end in a cap
@@ -20,7 +21,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from oracles import _HistoryGen, lin_by_history_sets
+from oracles import _HistoryGen, history_sort_key, lin_by_history_sets
 from relviews import linearizability
 from relviews.command_lang import AbstractTable, Skip, state_step
 from relviews.errors import FaultReachable, RelviewsError, UniverseTooLarge
@@ -30,6 +31,7 @@ from relviews.linearizability import (
     abstract_histories,
     check_linearizable,
     concrete_histories,
+    history_walk,
 )
 from relviews.model_io import load_model, parse_model
 from relviews.state_model import FAULT, APCom
@@ -152,12 +154,20 @@ def _history_set(histories):
 
 
 def _assert_histories_agree(model, bound, cap=None):
+    """The shipped sets under `cap` against the oracle's; when a set is
+    built, `history_walk` must also count it and yield it in
+    `history_sort_key` order, each history once."""
     for shipped, side in ((concrete_histories, "concrete"),
                           (abstract_histories, "abstract")):
+        got = _history_set(lambda: shipped(_capped(model, cap), bound))
         _assert_capped_agrees(
-            _history_set(lambda: shipped(_capped(model, cap), bound)), cap,
-            lambda: _history_set(
+            got, cap, lambda: _history_set(
                 lambda: getattr(_HistoryGen(model), side)(bound)))
+        if isinstance(got, frozenset):
+            count, walk = history_walk(_capped(model, cap), bound,
+                                       side == "concrete")
+            assert list(walk) == sorted(got, key=history_sort_key)
+            assert count == len(got)
 
 
 # (model, largest bound, cap): every bound from 0 up is checked

@@ -13,7 +13,6 @@ from relviews.linearizability import (
     check_linearizable,
     check_obligations,
     concrete_histories,
-    history_sort_key,
     instance_obligations,
     render_event,
     render_history,
@@ -31,7 +30,7 @@ from relviews.command_lang import (
     command_prims,
 )
 from relviews.state_model import FAULT, Heap
-from oracles import history_depths, locality_witness
+from oracles import history_depths, history_sort_key, locality_witness
 from util import fixture_manifest, tiny_model_docs
 
 FIX = "src/relviews/fixtures"
