@@ -462,18 +462,22 @@ def desugar_while(e: Expr, body: Command) -> Command:
 
 
 def command_prims(c: Command) -> frozenset:
-    """The primitive commands occurring in a command."""
-    if isinstance(c, Skip):
-        return frozenset()
-    if isinstance(c, Prim):
-        return frozenset([c.prim])
-    if isinstance(c, Seq):
-        return command_prims(c.first) | command_prims(c.second)
-    if isinstance(c, Choice):
-        return command_prims(c.left) | command_prims(c.right)
-    if isinstance(c, Iter):
-        return command_prims(c.body)
-    raise ModelError(f"unknown command node {c!r}")
+    """The primitive commands occurring in a command, collected with an
+    explicit stack, so a long body does not meet the recursion limit."""
+    out, todo = set(), [c]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, Prim):
+            out.add(c.prim)
+        elif isinstance(c, Seq):
+            todo += (c.first, c.second)
+        elif isinstance(c, Choice):
+            todo += (c.left, c.right)
+        elif isinstance(c, Iter):
+            todo.append(c.body)
+        elif not isinstance(c, Skip):
+            raise ModelError(f"unknown command node {c!r}")
+    return frozenset(out)
 
 
 def validate_command(c: Command, table: TransformerTable) -> None:

@@ -46,6 +46,7 @@ from .state_model import (
     TokenMap,
     World,
 )
+from .subst import subst_command
 from .vassn import VAssn
 from .views_core import Semantics, ViewMonoid
 
@@ -57,7 +58,8 @@ IDLE = None
 
 @dataclass
 class LibraryModel:
-    """A fully instantiated model: everything downstream checks consume."""
+    """A loaded model, its method bodies and proof data kept as templates:
+    everything downstream checks consume."""
 
     name: str
     monoid_kind: str  # "dcsl" | "rgsep"
@@ -67,7 +69,6 @@ class LibraryModel:
     init_conc: Heap
     init_abst: Heap
     method_args: Dict[str, Tuple[int, ...]]
-    bodies: Dict[Tuple[str, int, int], Command]
     body_templates: Dict[str, Command]  # as parsed, before instantiation
     # proof data (optional)
     pre_templates: Dict[str, VAssn] = field(default_factory=dict)
@@ -82,6 +83,7 @@ class LibraryModel:
     def __post_init__(self):
         self._monoid = None
         self._envs: Dict[int, AssertionEnv] = {}
+        self._bodies: Dict[Tuple[str, int, int], Command] = {}
 
     def semantics(self) -> Semantics:
         return Semantics(self.ctable, self.atable, self.dom.modulus)
@@ -90,10 +92,12 @@ class LibraryModel:
         return tuple(sorted(self.method_args))
 
     def body(self, m: str, a: int, r: int) -> Command:
+        """Instance m(a)->r's body, instantiated on the first call."""
         key = (m, a, r)
-        if key not in self.bodies:
-            raise ModelError(f"no body for {m}({a})->{r}")
-        return self.bodies[key]
+        if key not in self._bodies:
+            self._bodies[key] = subst_command(self.body_templates[m],
+                                              {"a": a, "r": r})
+        return self._bodies[key]
 
     def monoid(self):
         """The model's view monoid, built on the first call; `dom.cap`

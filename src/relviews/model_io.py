@@ -1,7 +1,7 @@
 """Loading and validating model and outline files.
 
 One JSON document describes a model: domains, primitive transformers,
-concrete method bodies, abstract atomic commands, initial states, the
+method body templates, abstract atomic commands, initial states, the
 monoid selection, and (for proofs) predicate macros, rely/guarantee
 actions and per-method assertion families.  Outlines live in a second
 document mirroring the command tree with assertion slots.
@@ -10,6 +10,7 @@ document mirroring the command tree with assertion slots.
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -41,7 +42,6 @@ from .command_lang import (
     desugar_if,
     desugar_while,
     expr_locs,
-    loc_placeholders,
     seq,
     validate_command,
 )
@@ -49,7 +49,6 @@ from .errors import ModelError
 from .linearizability import LibraryModel
 from .logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
 from .state_model import APCom, Domains, Heap
-from .subst import subst_command
 from .vassn import (
     APt,
     BoxA,
@@ -86,18 +85,21 @@ def _malformed_is_model_error(path: str):
         _fail(path, "document is nested too deeply")
 
 
-def _check_placeholders(locs: Iterable[str], allowed: frozenset, path: str):
-    """Locations left unresolved by instantiation are resolved at run time
-    with the executing thread alone, so no other placeholder may remain."""
+def _check_placeholders(locs: Iterable[str], allowed: str, path: str):
+    """A location's braces must be placeholders `{x}`, x in `allowed`, with
+    no format spec or conversion: an instance substitutes `{a}` and `{r}`,
+    and `{t}` is resolved at run time with the executing thread alone."""
+    hole = re.compile(r"\{[%s]\}" % allowed)
     for loc in locs:
-        if not loc_placeholders(loc) <= allowed:
+        if set(hole.sub("", loc)) & set("{}"):
             _fail(path, f"location {loc!r} uses a placeholder other than "
                         + ", ".join(f"{{{n}}}" for n in sorted(allowed)))
 
 
 def _command_locs(cmd) -> Iterable[str]:
-    return (loc for prim in command_prims(cmd) for e in prim.args
-            for loc in expr_locs(e))
+    # sorted, so that the location an error names does not follow the seed
+    return sorted({loc for prim in command_prims(cmd) for e in prim.args
+                   for loc in expr_locs(e)})
 
 
 def _update_locs(spec: GuardedUpdate) -> Iterable[str]:
@@ -108,9 +110,13 @@ def _update_locs(spec: GuardedUpdate) -> Iterable[str]:
         loc for e in exprs for loc in expr_locs(e)]
 
 
-_THREAD_ONLY = frozenset({"t"})
-# outline instantiation binds the thread, argument and expected return
-_OUTLINE_BOUND = frozenset({"t", "a", "r"})
+def _distinct(entries, what: str, path: str) -> Tuple[int, ...]:
+    """A domain list's integers, none listed twice."""
+    out = tuple(int(x) for x in entries)
+    for i, x in enumerate(out):
+        if x in out[:i]:
+            _fail(path, f"{what} lists {x} twice")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +360,6 @@ def parse_outline_node(doc, macros: MacroTable, nthreads: int,
         cmd = parse_command(doc["cmd"], f"{path}/cmd")
         if not isinstance(cmd, Prim):
             _fail(path, "outline prim node must hold a primitive command")
-        _check_placeholders(_command_locs(cmd), _OUTLINE_BOUND, path)
         return OPrim(cmd.prim)
     if kind == "skip":
         return OSkip()
@@ -415,7 +420,7 @@ def _parse_update(spec: dict, params, path: str) -> GuardedUpdate:
     updates = tuple((str(loc), parse_expr(e, path))
                     for loc, e in spec.get("updates", []))
     out = GuardedUpdate(params=tuple(params), guard=guard, updates=updates)
-    _check_placeholders(_update_locs(out), _THREAD_ONLY, path)
+    _check_placeholders(_update_locs(out), "t", path)
     return out
 
 
@@ -436,7 +441,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
                 "abstract_locations"):
         if key not in dd:
             _fail(path, f"domains section missing {key!r}")
-    values = tuple(int(v) for v in dd["values"])
+    values = _distinct(dd["values"], "domains.values", path)
     if not values:
         _fail(path, "values must be nonempty")
     nthreads, modulus = int(dd["threads"]), int(dd["modulus"])
@@ -458,28 +463,23 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
     atable = AbstractTable(amethods)
 
     method_args = {}
-    bodies = {}
     body_templates = {}
     for mname, spec in doc["methods"].items():
         if mname not in amethods:
             _fail(path, f"dom mismatch: method {mname!r} has no abstract "
                         "counterpart")
-        args = tuple(int(a) for a in spec.get("args", values))
-        method_args[mname] = args
+        method_args[mname] = _distinct(spec.get("args", values),
+                                       f"method {mname!r} args", path)
         template = parse_command(spec["body"], f"{path}/methods/{mname}")
+        validate_command(template, ctable)
+        _check_placeholders(_command_locs(template), "art",
+                            f"{path}/methods/{mname}")
+        if isinstance(template, Skip):
+            # a zero-step body would let concrete histories outrun the
+            # abstract generator at equal bounds
+            _fail(path, f"method {mname!r} body must perform at least one "
+                        "step")
         body_templates[mname] = template
-        for a in args:
-            for r in values:
-                body = subst_command(template, {"a": a, "r": r})
-                validate_command(body, ctable)
-                _check_placeholders(_command_locs(body), _THREAD_ONLY,
-                                    f"{path}/methods/{mname}")
-                if isinstance(body, Skip):
-                    # a zero-step body would let concrete histories outrun
-                    # the abstract generator at equal bounds
-                    _fail(path, f"method {mname!r} body must perform at "
-                                "least one step")
-                bodies[(mname, a, r)] = body
     for mname in amethods:
         if mname not in method_args:
             _fail(path, f"dom mismatch: abstract method {mname!r} has no "
@@ -495,9 +495,9 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         values=values,
         modulus=modulus,
         nthreads=nthreads,
-        cloc={str(k): tuple(int(x) for x in v)
+        cloc={str(k): _distinct(v, f"location {k!r} domain", path)
               for k, v in dd["locations"].items()},
-        aloc={str(k): tuple(int(x) for x in v)
+        aloc={str(k): _distinct(v, f"abstract location {k!r} domain", path)
               for k, v in dd["abstract_locations"].items()},
         apcoms=apcoms,
         cap=cap,
@@ -556,7 +556,6 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         init_conc=init_conc,
         init_abst=init_abst,
         method_args=method_args,
-        bodies=bodies,
         body_templates=body_templates,
         pre_templates=pre_templates,
         post_templates=post_templates,

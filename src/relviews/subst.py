@@ -3,7 +3,8 @@
 Model files parametrize method bodies and outline primitives by thread id,
 argument and return value.  Instantiation substitutes integer bindings for
 the corresponding logical variables and formats `{name}` placeholders
-inside location strings; everything else is structural recursion.
+inside location strings; everything else is structural recursion, except
+along a `Seq` chain, which is walked by a loop.
 Assertions are not instantiated: they are evaluated under an
 interpretation that holds the instance's bindings.
 """
@@ -79,14 +80,22 @@ def subst_prim(p: PrimCommand, b: Binding) -> PrimCommand:
 
 
 def subst_command(c: Command, b: Binding) -> Command:
+    # a body's statements form one right-nested `Seq` chain, as long as the
+    # body: walk it with a loop, so the stack does not limit its length
+    firsts = []
+    while isinstance(c, Seq):
+        firsts.append(c.first)
+        c = c.second
     if isinstance(c, Skip):
-        return c
-    if isinstance(c, Prim):
-        return Prim(subst_prim(c.prim, b))
-    if isinstance(c, Seq):
-        return Seq(subst_command(c.first, b), subst_command(c.second, b))
-    if isinstance(c, Choice):
-        return Choice(subst_command(c.left, b), subst_command(c.right, b))
-    if isinstance(c, Iter):
-        return Iter(subst_command(c.body, b))
-    raise ModelError(f"unknown command node {c!r}")
+        out = c
+    elif isinstance(c, Prim):
+        out = Prim(subst_prim(c.prim, b))
+    elif isinstance(c, Choice):
+        out = Choice(subst_command(c.left, b), subst_command(c.right, b))
+    elif isinstance(c, Iter):
+        out = Iter(subst_command(c.body, b))
+    else:
+        raise ModelError(f"unknown command node {c!r}")
+    for first in reversed(firsts):
+        out = Seq(subst_command(first, b), out)
+    return out

@@ -56,6 +56,11 @@ a time, against which the column classes of RGSep views are tested;
 footprint with and without a one-location frame, checking the locality
 that the transformer language guarantees by construction.
 
+Method bodies instance by instance: `instance_bodies(model)` instantiates
+every method instance's body, and `per_instance_body_error` validates a
+body template by substituting each (a, r) and checking every instance.
+Loading checks the template alone, and is tested against it.
+
 Instances by substitution: `subst_vassn`/`subst_outline` build each
 instance's assertions and outline as new trees with its t, a and r
 substituted in, and `substituted_outline` applies them to an outline.  The
@@ -75,10 +80,13 @@ from relviews.command_lang import (
     PrimCommand,
     Skip,
     apply_guarded,
+    command_prims,
     expr_locs,
+    loc_placeholders,
     resolve_loc,
     state_step,
     step,
+    validate_command,
 )
 from relviews.errors import FaultReachable, ModelError, UniverseTooLarge
 from relviews.linearizability import (
@@ -103,7 +111,7 @@ from relviews.state_model import (
     world_minus,
     world_sort_key,
 )
-from relviews.subst import Binding, subst_expr, subst_loc
+from relviews.subst import Binding, subst_command, subst_expr, subst_loc
 from relviews.vassn import (
     APt,
     BoxA,
@@ -367,6 +375,36 @@ def rgsep_pred(mono, rho: VAssn, interp) -> frozenset:
                      for l in local_sets(mono, rho, s, interp))
 
 
+def instance_bodies(model) -> dict:
+    """Every method instance's body, keyed by (method, argument, expected
+    return)."""
+    return {(m, a, r): model.body(m, a, r) for m in model.methods()
+            for a in model.method_args[m] for r in model.dom.values}
+
+
+def per_instance_body_error(template: Command, args, values, ctable):
+    """The first check that an instance of a method body fails, or None:
+    substitute each (a, r) of `args` x `values` and require the instance's
+    primitives declared ("undeclared primitive"), no placeholder but `{t}`
+    left in its locations ("placeholder other than") and a body that is not
+    `skip` ("at least one step").  Each name is a phrase of the load
+    error."""
+    for a in args:
+        for r in values:
+            body = subst_command(template, {"a": a, "r": r})
+            try:
+                validate_command(body, ctable)
+            except ModelError:
+                return "undeclared primitive"
+            if any(not loc_placeholders(loc) <= {"t"}
+                   for prim in command_prims(body) for e in prim.args
+                   for loc in expr_locs(e)):
+                return "placeholder other than"
+            if isinstance(body, Skip):
+                return "at least one step"
+    return None
+
+
 def history_depths(model, bound: int, side: str) -> dict:
     """Every history of a library within `bound` moves, mapped to the least
     number of moves that produces it, by a plain depth-first walk over
@@ -403,7 +441,7 @@ def history_depths(model, bound: int, side: str) -> dict:
                 for m in sorted(model.method_args):
                     for a in model.method_args[m]:
                         for r in model.dom.values:
-                            run = model.bodies[(m, a, r)] if concrete else m
+                            run = model.body(m, a, r) if concrete else m
                             move((m, a, r, run), sigma, (t, "call", m, a))
                 continue
             m, a, r, run = slot

@@ -5,9 +5,12 @@ import sys
 
 import pytest
 
-from relviews import cli
+from relviews import cli, linearizability
 from relviews.cli import main
 from relviews.model_io import load_model
+from relviews.subst import subst_command
+
+from util import fixture_manifest
 
 FIX = "src/relviews/fixtures"
 
@@ -324,6 +327,65 @@ def test_deeply_nested_document_is_a_model_error(capsys, tmp_path, make,
     assert code == 2 and out == ""
     assert err == f"error: {doc}: document is nested too deeply\n"
     assert "Traceback" not in err and "--bound" not in err
+
+
+@pytest.mark.parametrize("argv", [["check-lin", "--bound", "6"],
+                                  ["histories", "--bound", "4"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("length", [1000, 5000])
+def test_long_flat_body_is_not_limited_by_the_stack(capsys, tmp_path, length,
+                                                    argv):
+    # a flat `seq` of `length` statements is one right-nested chain as long
+    # as the body; its document nests only a few levels deep
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    body = doc["methods"]["inc"]["body"]
+    doc["methods"]["inc"]["body"] = ["seq", *[["assume", 1]] * length, body]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code, out, err = run(capsys, argv[0], str(model), *argv[1:])
+    assert code == 0 and err == ""
+    if argv[0] == "check-lin":
+        assert "verdict: no violation up to bound 6" in out
+
+
+def _counted_instantiation(monkeypatch):
+    """Every (body template, binding) `LibraryModel.body` instantiates."""
+    calls = []
+
+    def counted(template, binding):
+        calls.append((template, tuple(sorted(binding.items()))))
+        return subst_command(template, binding)
+
+    monkeypatch.setattr(linearizability, "subst_command", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fx", [f for f in fixture_manifest()
+                                if f.outline_path], ids=lambda f: f.name)
+def test_check_proof_instantiates_no_body(capsys, monkeypatch, fx):
+    calls = _counted_instantiation(monkeypatch)
+    code, _, err = run(capsys, "check-proof", fx.model_path, fx.outline_path)
+    assert code in (0, 1) and err == ""
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [["check-lin", "--bound", "6"],
+                                  ["histories", "--bound", "4"],
+                                  ["histories", "--side", "abstract",
+                                   "--bound", "4"]],
+                         ids=["check-lin", "histories", "histories-abstract"])
+@pytest.mark.parametrize("fx", fixture_manifest(), ids=lambda f: f.name)
+def test_each_method_instance_is_instantiated_at_most_once(
+        capsys, monkeypatch, fx, argv):
+    calls = _counted_instantiation(monkeypatch)
+    code, _, err = run(capsys, argv[0], fx.model_path, *argv[1:])
+    assert code in (0, 1) and err == ""
+    assert len(calls) == len(set(calls))
+    model = load_model(fx.model_path)
+    instances = {(model.body_templates[m], (("a", a), ("r", r)))
+                 for m in model.methods() for a in model.method_args[m]
+                 for r in model.dom.values}
+    assert set(calls) <= instances
 
 
 def test_undecodable_document_is_a_model_error(capsys, tmp_path):

@@ -30,7 +30,12 @@ from relviews.command_lang import (
     command_prims,
 )
 from relviews.state_model import FAULT, Heap
-from oracles import history_depths, history_sort_key, locality_witness
+from oracles import (
+    history_depths,
+    history_sort_key,
+    instance_bodies,
+    locality_witness,
+)
 from util import fixture_manifest, tiny_model_docs
 
 FIX = "src/relviews/fixtures"
@@ -322,7 +327,8 @@ def test_the_locality_oracle_catches_a_table_that_reads_its_frame():
 
 def _thread_prims(model):
     """Every (primitive, thread) pair a check of the model can run."""
-    prims = {p for body in model.bodies.values() for p in command_prims(body)}
+    prims = {p for body in instance_bodies(model).values()
+             for p in command_prims(body)}
     return [(p, t) for p in sorted(prims, key=repr)
             for t in model.dom.thread_ids()]
 

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relviews.cli import main
 from relviews.command_lang import (
@@ -26,6 +28,7 @@ from relviews.model_io import (
     parse_vassn,
     MacroTable,
 )
+from oracles import per_instance_body_error
 from util import fixture_manifest, store
 
 FIX = "src/relviews/fixtures"
@@ -170,6 +173,85 @@ def test_undeclared_primitive_in_body():
     doc["methods"]["inc"]["body"] = ["prim", "mystery"]
     with pytest.raises(ModelError, match="mystery"):
         parse_model(doc)
+
+
+def _body_locs():
+    """Locations drawing placeholders from `{t}`, `{a}`, `{r}` and the
+    unbound `{q}`."""
+    return st.lists(st.sampled_from(["k", "{t}", "{a}", "{r}", "{q}"]),
+                    min_size=1, max_size=3).map("".join)
+
+
+def _bodies():
+    """Method bodies over `_body_locs`, with `skip` and the undeclared
+    primitive `mystery` among their statements."""
+    loc = _body_locs()
+    stmt = st.one_of(
+        st.builds(lambda l: ["store", l, ["var", "a"]], loc),
+        st.builds(lambda l, m: ["load", l, m], loc, loc),
+        st.builds(lambda l: ["assume", ["==", ["read", l], ["var", "r"]]],
+                  loc),
+        st.sampled_from([["prim", "inc_atomic", ["var", "a"], ["var", "r"]],
+                         ["prim", "mystery"], ["skip"]]))
+    return st.one_of(
+        stmt,
+        st.lists(stmt, min_size=2, max_size=3).map(lambda ss: ["seq", *ss]),
+        st.tuples(stmt, stmt).map(lambda lr: ["choice", *lr]),
+        stmt.map(lambda s: ["iter", s]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(body=_bodies(), args=st.sampled_from([[1], [0, 3], [2]]))
+def test_load_checks_a_body_template_as_every_instance_does(body, args):
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["methods"]["inc"] = {"args": args, "body": ["assume", 1]}
+    model = parse_model(doc)
+    want = per_instance_body_error(parse_command(body),
+                                   model.method_args["inc"],
+                                   model.dom.values, model.ctable)
+    # a method with no arguments has no instance, and its body is checked
+    # all the same
+    for method_args in (args, []):
+        doc["methods"]["inc"] = {"args": method_args, "body": body}
+        try:
+            parse_model(doc)
+            got = None
+        except ModelError as exc:
+            got = str(exc)
+        assert (got is None) == (want is None), (got, want)
+        assert want is None or want in got
+
+
+_REPEATS = {
+    "values": (lambda doc: doc["domains"]["values"].append(0),
+               "domains.values lists 0 twice"),
+    "args": (lambda doc: doc["methods"]["inc"]["args"].append(1),
+             "method 'inc' args lists 1 twice"),
+    "location": (lambda doc: doc["domains"]["locations"]["k"].append(3),
+                 "location 'k' domain lists 3 twice"),
+    "abstract location": (
+        lambda doc: doc["domains"]["abstract_locations"]["K"].append(2),
+        "abstract location 'K' domain lists 2 twice"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-lin", "{model}", "--bound", "2"],
+    ["histories", "{model}", "--side", "concrete", "--bound", "2"],
+    ["check-proof", "{model}", f"{FIX}/atomic-inc/outline.json"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("place", sorted(_REPEATS))
+def test_repeated_domain_entry_is_a_model_error(capsys, tmp_path, place,
+                                                argv):
+    repeat, message = _REPEATS[place]
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    repeat(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code = main([a.format(model=bad) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: {message}\n"
 
 
 def test_outline_for_unknown_method_rejected():

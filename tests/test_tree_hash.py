@@ -34,7 +34,7 @@ from relviews.model_io import _erase, load_model, load_outlines
 from relviews.subst import subst_prim
 from relviews.vassn import TokA, TrueA
 
-from oracles import reachable_commands
+from oracles import instance_bodies, reachable_commands
 from util import fixture_manifest
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -53,10 +53,11 @@ def _trees(model):
     bodies and the commands `step` reaches from them (with the fired
     primitives), the parsed templates, actions and shared universe, and
     each instance's outline: the method's templates and its bindings."""
-    out = [model.bodies, model.body_templates, model.pre_templates,
+    bodies = instance_bodies(model)
+    out = [bodies, model.body_templates, model.pre_templates,
            model.post_templates, model.outline_templates, model.actions,
            model.shared_universe_assn]
-    for body in model.bodies.values():
+    for body in bodies.values():
         for c in sorted(reachable_commands(body), key=repr):
             out.append(c)
             out.extend(sorted(step(c), key=repr))
@@ -170,7 +171,7 @@ def test_rebuilt_nodes_are_canonical():
         model = _load(fx)
         trees = _trees(model)
         nodes = list(_nodes(trees))
-        for body in model.bodies.values():
+        for body in instance_bodies(model).values():
             for c in reachable_commands(body):
                 assert _canonical(sorted(step(c), key=repr)), fx.name
         for m, node in model.outline_templates.items():
