@@ -481,7 +481,13 @@ def command_prims(c: Command) -> frozenset:
 
 
 def validate_command(c: Command, table: TransformerTable) -> None:
-    for prim in command_prims(c):
-        if not table.declared(prim.name):
-            raise ModelError(
-                f"command uses undeclared primitive {prim.name!r}")
+    """Every primitive of c is declared and given as many arguments as it
+    takes; of several faults, the least by (name, argument count) is
+    reported."""
+    for name, given in sorted({(prim.name, len(prim.args))
+                               for prim in command_prims(c)}):
+        if not table.declared(name):
+            raise ModelError(f"command uses undeclared primitive {name!r}")
+        if table.arity(name) != given:
+            raise ModelError(f"arity mismatch for {name!r}: takes "
+                             f"{table.arity(name)}, given {given}")

@@ -669,33 +669,91 @@ def check_obligations(model: LibraryModel) -> ObligationReport:
         items.append(ObligationItem("(3) token swap", f"thread {t}", ok,
                                     detail))
 
-    try:
-        items.append(_initial_coverage(model, insts))
-    except RelviewsError as exc:
-        items.append(ObligationItem(
-            "initial coverage", "library", False,
-            f"assertion family not evaluable: {exc}"))
+    items.append(initial_coverage(model, insts))
     return ObligationReport(items)
 
 
-def _initial_coverage(model: LibraryModel, insts) -> ObligationItem:
+def initial_coverage(model: LibraryModel, insts) -> ObligationItem:
     """The composed per-thread preconditions must describe the declared
     initial states for some choice of pending commands; otherwise the
     linearizability conclusion is vacuous (e.g. two threads both claiming
-    the same token or cell)."""
-    mon = model.monoid()
-    tids = list(model.dom.thread_ids())
-    for combo in itertools.product(insts, repeat=len(tids)):
-        view = None
-        for t, (m, a, r) in zip(tids, combo):
-            env = model.assertion_env(t)
-            p = env.eval(model.pre_assertion(m), {"t": t, "a": a, "r": r})
-            view = p if view is None else mon.compose(view, p)
-        toks = TokenMap({t: Token(TODO, APCom(*inst))
-                         for t, inst in zip(tids, combo)})
-        target = World(model.init_conc, model.init_abst, toks)
-        if target in mon.reify(view):
+    the same token or cell).
+
+    The choices are searched depth first over threads 1..N, each thread's
+    instances in `insts` order, so combinations come in
+    `itertools.product` order.  A world that can be part of the target
+    holds concrete and abstract cells of the initial states and only todo
+    tokens, and a chosen thread's token, if it holds it, is the todo of
+    the chosen instance.  Each precondition is cut to such worlds, and so
+    is each composed prefix; a prefix with no world left is dropped.  This
+    is exact: DCSL composes by disjoint union and RGSep adds locals over
+    one shared state, so a target world of the composed view splits into
+    one such world per thread, and cutting changes no rely or guarantee.
+
+    Each (thread, instance) precondition is evaluated once, where the
+    product would first evaluate it, so an evaluation error is the one the
+    product raises.  The product first reaches thread d's instance j at
+    the combination of first instances with j at d.  Such a combination
+    in a dropped prefix's subtree comes before the next prefix's first
+    one, where the search evaluates it, and every one comes before the
+    first combination of thread 1's last instance."""
+    tids = tuple(model.dom.thread_ids())
+    n, k = len(tids), len(insts)
+    conc, abst = set(model.init_conc.items()), set(model.init_abst.items())
+    todos = [Token(TODO, APCom(*inst)) for inst in insts]
+
+    def fits(chosen: dict):
+        def keep(w: World) -> bool:
+            if not (conc.issuperset(w.conc.items())
+                    and abst.issuperset(w.abst.items())):
+                return False
+            return all(tok.kind == TODO and chosen.get(u, tok) == tok
+                       for u, tok in w.toks.items())
+        return keep
+
+    # (first combination reaching it, thread index, instance index), last
+    # due at the end
+    due = sorted(((tuple(j if e == d else 0 for e in range(n)), d, j)
+                  for d in range(n) for j in range(k)), reverse=True)
+    cut = {}  # (thread index, instance index) -> its cut precondition
+
+    def reach(combo: tuple) -> None:
+        while due and due[-1][0] <= combo:
+            _first, d, j = due.pop()
+            t, (m, a, r) = tids[d], insts[j]
+            p = model.assertion_env(t).eval(model.pre_assertion(m),
+                                            {"t": t, "a": a, "r": r})
+            cut[d, j] = mon.restrict(p, fits({t: todos[j]}))
+
+    def covers(prefix: tuple, view, chosen: dict) -> bool:
+        """Some completion of the prefix's choices covers the target; view
+        is their composed preconditions, cut, and chosen their todos."""
+        d = len(prefix)
+        first = (0,) * (n - d - 1)
+        for j in range(k):
+            combo = prefix + (j,)
+            reach(combo + first)
+            chosen2 = {**chosen, tids[d]: todos[j]}
+            v = cut[d, j] if view is None else mon.compose(view, cut[d, j])
+            if d + 1 == n:
+                worlds = mon.reify(v)
+                if worlds and World(model.init_conc, model.init_abst,
+                                    TokenMap(chosen2)) in worlds:
+                    return True
+                continue
+            if view is not None:
+                v = mon.restrict(v, fits(chosen2))
+            if mon.reify(v) and covers(combo, v, chosen2):
+                return True
+        return False
+
+    try:
+        mon = model.monoid()
+        if covers((), None, {}):
             return ObligationItem("initial coverage", "library", True)
+    except RelviewsError as exc:
+        return ObligationItem("initial coverage", "library", False,
+                              f"assertion family not evaluable: {exc}")
     return ObligationItem(
         "initial coverage", "library", False,
         "no choice of pending commands makes the composed preconditions "

@@ -471,7 +471,10 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         method_args[mname] = _distinct(spec.get("args", values),
                                        f"method {mname!r} args", path)
         template = parse_command(spec["body"], f"{path}/methods/{mname}")
-        validate_command(template, ctable)
+        try:
+            validate_command(template, ctable)
+        except ModelError as exc:
+            _fail(f"{path}/methods/{mname}", str(exc))
         _check_placeholders(_command_locs(template), "art",
                             f"{path}/methods/{mname}")
         if isinstance(template, Skip):

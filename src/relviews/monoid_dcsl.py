@@ -74,6 +74,9 @@ class DcslMonoid(ViewMonoid):
     def reify(self, p):
         return reify_dcsl(p)
 
+    def restrict(self, p, keep):
+        return frozenset(filter(keep, p))
+
     def frames(self) -> tuple:
         """The frames the action judgement checks: the unit alone, which
         decides it by locality (see the module docstring).  A universe of

@@ -152,12 +152,32 @@ class RgsepMonoid(ViewMonoid):
 
     def reify(self, p):
         """The worlds of the predicate's pairs, not memoized: the initial
-        coverage check reifies many composed views once each."""
+        coverage search reifies each composed, cut prefix once."""
         universe = self.universe
         return frozenset(w for ls, m in p.classes for i in _bits(m)
                          for l in ls
                          for w in (compose_worlds(l, universe[i]),)
                          if w is not None)
+
+    def restrict(self, p, keep):
+        """p cut column by column: a shared state s keeps the locals l whose
+        world l + s satisfies keep, and a state that fails keep itself
+        keeps none.  The rely and guarantee are unchanged."""
+        if p.bot:
+            return p
+        universe = self.universe
+        groups: Dict[FrozenSet[World], int] = {}
+        for ls, m in p.classes:
+            for i in _bits(m):
+                s = universe[i]
+                if keep(s):
+                    kept = frozenset(l for l in ls
+                                     for w in (compose_worlds(l, s),)
+                                     if w is not None and keep(w))
+                    if kept:
+                        groups[kept] = groups.get(kept, 0) | 1 << i
+        return RgsepView(tuple(sorted(groups.items(), key=_MASK)), p.rely,
+                         p.guar)
 
     def _composed(self, classes: Classes) -> tuple:
         """The (local, shared, world) triples of the predicate whose local

@@ -160,6 +160,11 @@ class ViewMonoid:
     def reify(self, p) -> frozenset:
         raise NotImplementedError
 
+    def restrict(self, p, keep):
+        """p cut to the worlds that satisfy keep, a predicate that holds of
+        every sub-world of a world it holds of."""
+        raise NotImplementedError
+
     def reified_token_worlds(self, p):
         raise NotImplementedError
 

@@ -29,8 +29,11 @@ the unit-plus-singleton strategy is validated against; `singleton_frames`,
 the unit plus every singleton view, against which DCSL's unit-frame
 action judgement is validated;
 `repart_implies_with_frames`, the repartitioning implication quantified
-over given frames, which DCSL's inclusion test is validated against; and
-`token_exclusive`, the one-token-per-thread invariant of DCSL views.
+over given frames, which DCSL's inclusion test is validated against;
+`token_exclusive`, the one-token-per-thread invariant of DCSL views;
+and `initial_coverage_by_product`, the initial-coverage obligation by
+trying every combination of pending commands, against which the pruned
+search of `check_obligations` is tested.
 
 World composition, item by item: `compose_states_copying` and
 `compose_tokens_copying` check a key at a time and build the union through
@@ -86,12 +89,17 @@ from relviews.command_lang import (
     resolve_loc,
     state_step,
     step,
-    validate_command,
 )
-from relviews.errors import FaultReachable, ModelError, UniverseTooLarge
+from relviews.errors import (
+    FaultReachable,
+    ModelError,
+    RelviewsError,
+    UniverseTooLarge,
+)
 from relviews.linearizability import (
     IDLE,
     LibraryModel,
+    ObligationItem,
     render_event,
 )
 from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
@@ -100,8 +108,10 @@ from relviews.monoid_rgsep import BOT, RgsepMonoid
 from relviews.state_model import (
     EMPTY_WORLD,
     FAULT,
+    TODO,
     APCom,
     Heap,
+    Token,
     TokenMap,
     World,
     compose_states,
@@ -385,17 +395,20 @@ def instance_bodies(model) -> dict:
 def per_instance_body_error(template: Command, args, values, ctable):
     """The first check that an instance of a method body fails, or None:
     substitute each (a, r) of `args` x `values` and require the instance's
-    primitives declared ("undeclared primitive"), no placeholder but `{t}`
-    left in its locations ("placeholder other than") and a body that is not
-    `skip` ("at least one step").  Each name is a phrase of the load
-    error."""
+    primitives, least by (name, argument count) first, declared
+    ("undeclared primitive") and given as many arguments as they take
+    ("arity mismatch"), no placeholder but `{t}` left in its locations
+    ("placeholder other than") and a body that is not `skip` ("at least
+    one step").  Each name is a phrase of the load error."""
     for a in args:
         for r in values:
             body = subst_command(template, {"a": a, "r": r})
-            try:
-                validate_command(body, ctable)
-            except ModelError:
-                return "undeclared primitive"
+            for prim in sorted(command_prims(body),
+                               key=lambda p: (p.name, len(p.args))):
+                if not ctable.declared(prim.name):
+                    return "undeclared primitive"
+                if ctable.arity(prim.name) != len(prim.args):
+                    return "arity mismatch"
             if any(not loc_placeholders(loc) <= {"t"}
                    for prim in command_prims(body) for e in prim.args
                    for loc in expr_locs(e)):
@@ -838,3 +851,33 @@ def repart_implies_with_frames(monoid, p, q, frames) -> ImplVerdict:
 def token_exclusive(p) -> bool:
     """No world of a DCSL view holds two tokens for one thread."""
     return all(len(dict(w.toks.items())) == len(w.toks) for w in p)
+
+
+def initial_coverage_by_product(model: LibraryModel) -> ObligationItem:
+    """The `initial coverage` item of `check_obligations`, by trying every
+    combination of pending commands in `itertools.product` order and
+    composing and reifying each one's preconditions in full."""
+    tids = list(model.dom.thread_ids())
+    insts = [(m, a, r) for m in model.methods() for a in model.method_args[m]
+             for r in model.dom.values]
+    try:
+        mon = model.monoid()
+        for combo in itertools.product(insts, repeat=len(tids)):
+            view = None
+            for t, (m, a, r) in zip(tids, combo):
+                env = model.assertion_env(t)
+                p = env.eval(model.pre_assertion(m), {"t": t, "a": a, "r": r})
+                view = p if view is None else mon.compose(view, p)
+            toks = TokenMap({t: Token(TODO, APCom(*inst))
+                             for t, inst in zip(tids, combo)})
+            target = World(model.init_conc, model.init_abst, toks)
+            if target in mon.reify(view):
+                return ObligationItem("initial coverage", "library", True)
+    except RelviewsError as exc:
+        return ObligationItem("initial coverage", "library", False,
+                              f"assertion family not evaluable: {exc}")
+    return ObligationItem(
+        "initial coverage", "library", False,
+        "no choice of pending commands makes the composed preconditions "
+        "cover the initial states (token composition undefined or "
+        "assertions too strong)")

@@ -161,6 +161,29 @@ def test_malformed_model_exit_two(capsys, tmp_path, mutate):
     assert err.startswith("error:") and str(bad) in err
 
 
+@pytest.mark.parametrize("body,message", [
+    (["prim", "inc_atomic", ["var", "a"]],
+     "arity mismatch for 'inc_atomic': takes 2, given 1"),
+    (["prim", "mystery"], "command uses undeclared primitive 'mystery'"),
+], ids=["arity", "undeclared"])
+@pytest.mark.parametrize("argv", [
+    ["check-lin", "{model}", "--bound", "2"],
+    ["check-proof", "{model}", f"{FIX}/atomic-inc/outline.json"],
+    ["histories", "{model}", "--side", "concrete", "--bound", "2"],
+], ids=lambda argv: argv[0])
+def test_body_primitive_is_checked_at_load(capsys, tmp_path, body, message,
+                                           argv):
+    """A body's primitives are declared and given as many arguments as
+    they take, or loading fails naming the method in the document."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["methods"]["inc"]["body"] = body
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(a.format(model=bad) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}/methods/inc: {message}\n"
+
+
 @pytest.mark.parametrize("key,value", [("threads", 0), ("modulus", 0),
                                        ("cap", -1)])
 @pytest.mark.parametrize("argv", [

@@ -205,8 +205,13 @@ def test_table_rejects_builtin_shadowing_and_bad_arity():
 
 
 def test_validate_command_checks_declarations():
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="undeclared primitive 'mystery'"):
         validate_command(Prim(PrimCommand("mystery")), TBL)
+
+
+def test_validate_command_checks_arity():
+    with pytest.raises(ModelError, match="takes 1, given 0"):
+        validate_command(Prim(PrimCommand("assume")), TBL)
 
 
 def test_reachable_commands_finite_for_iter():

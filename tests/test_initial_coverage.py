@@ -1,0 +1,192 @@
+"""The initial-coverage obligation: the pruned search over threads against
+the product of every combination of pending commands."""
+
+import copy
+import itertools
+import json
+
+import pytest
+
+from relviews.logic import AssertionEnv
+from relviews.linearizability import initial_coverage
+from relviews.model_io import load_model, parse_model
+from oracles import initial_coverage_by_product
+from util import fixture_manifest
+
+FIX = "src/relviews/fixtures"
+OUTLINED = ("atomic-inc", "dcsl-cell", "dcsl-helping", "flat-combiner",
+            "flat-combiner-noaction4")
+
+
+def _doc(name: str) -> dict:
+    with open(f"{FIX}/{name}/model.json") as fh:
+        return json.load(fh)
+
+
+def _insts(model):
+    return [(m, a, r) for m in model.methods() for a in model.method_args[m]
+            for r in model.dom.values]
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not hidden
+        return (type(exc).__name__, str(exc))
+
+
+def _agree(model):
+    got = _outcome(initial_coverage, model, _insts(model))
+    want = _outcome(initial_coverage_by_product, model)
+    assert got == want
+    return got
+
+
+def dcsl_cell(nvalues: int, nthreads: int) -> dict:
+    """dcsl-cell with values 0..nvalues-1 and nthreads threads."""
+    doc = _doc("dcsl-cell")
+    vals = list(range(nvalues))
+    dom = doc["domains"]
+    dom.update(values=vals, modulus=nvalues, threads=nthreads)
+    dom["locations"]["x"] = vals
+    dom["abstract_locations"]["X"] = vals
+    doc["methods"]["put"]["args"] = vals
+    return doc
+
+
+def atomic_inc(nthreads: int, k: int = 0) -> dict:
+    """atomic-inc with nthreads threads and the concrete counter starting
+    at k; the abstract one starts at 0, so k != 0 is not covered."""
+    doc = _doc("atomic-inc")
+    doc["domains"]["threads"] = nthreads
+    doc["initial"]["concrete"]["k"] = k
+    return doc
+
+
+@pytest.mark.parametrize("name", OUTLINED)
+def test_outline_fixtures_agree_with_the_product(name):
+    _agree(load_model(f"{FIX}/{name}/model.json"))
+
+
+@pytest.mark.parametrize("nthreads,covered", [(2, False), (1, True)])
+def test_widened_dcsl_cell_agrees_with_the_product(nthreads, covered):
+    item = _agree(parse_model(dcsl_cell(3, nthreads)))
+    assert item.ok is covered
+
+
+@pytest.mark.parametrize("fx", fixture_manifest(), ids=lambda f: f.name)
+def test_every_initial_cell_value_agrees_with_the_product(fx):
+    """Each initial cell, concrete or abstract, set to each value of its
+    domain in turn.  The monoid and the preconditions do not read the
+    initial states, so the variants share the model's."""
+    model = load_model(fx.model_path)
+    _agree(model)
+    for side, locdoms in (("init_conc", model.dom.cloc),
+                          ("init_abst", model.dom.aloc)):
+        for loc, values in locdoms:
+            if loc not in getattr(model, side):
+                continue
+            for v in values:
+                variant = copy.copy(model)
+                setattr(variant, side, getattr(model, side).set(loc, v))
+                _agree(variant)
+
+
+@pytest.mark.parametrize("nthreads", [3, 4, 5, 6])
+@pytest.mark.parametrize("k", [0, 1])
+def test_atomic_inc_threads_agree_with_the_product(nthreads, k):
+    item = _agree(parse_model(atomic_inc(nthreads, k)))
+    assert item.ok is (k == 0)
+
+
+def _guarded(doc: dict, method: str, cover: dict, bad: list) -> dict:
+    """doc with method's precondition cut to the instances whose expected
+    return is in cover["rets"] (cover["pre"] maps each thread to its
+    precondition there), plus, for each (thread, expected return, points-to
+    tag, cell) of `bad`, a disjunct in that instance that reads the cell,
+    which no view assertion may."""
+    def eq(name, v):
+        return ["pure", ["==", ["var", name], v]]
+    doc["assertions"][method]["pre"] = ["or", *(
+        ["star", eq("t", t), ["pure", ["or", *(
+            ["==", ["var", "r"], r] for r in cover["rets"])]], pre]
+        for t, pre in cover["pre"].items()), *(
+        ["star", eq("t", t), eq("r", r), [tag, cell, ["read", cell]]]
+        for t, r, tag, cell in bad)]
+    return doc
+
+
+def _parity_models():
+    """Two models whose initial coverage holds only for some expected
+    returns, with a non-evaluable instance at each (thread, expected
+    return) position, and with two at each ordered pair of positions: the
+    first reads the concrete cell and the second the abstract cell, so the
+    error says which one the search met first."""
+    todo = ["todo", ["var", "t"], "put", ["var", "a"], ["var", "r"]]
+    cell = ["star", ["macro", "cell_any"], todo]
+    bases = (
+        # RGSep: both threads cover with expected returns 2 and 3 only
+        (lambda: atomic_inc(2), "inc", ("k", "K"), {
+            "rets": [2, 3],
+            "pre": {t: _doc("atomic-inc")["assertions"]["inc"]["pre"]
+                    for t in (1, 2)}}),
+        # DCSL: thread 1 owns the cell and thread 2 only its token; returns
+        # 1 and 2 cover
+        (lambda: dcsl_cell(3, 2), "put", ("x", "X"), {
+            "rets": [1, 2], "pre": {1: cell, 2: todo}}),
+    )
+    for make, method, (cloc, aloc), cover in bases:
+        positions = [(t, r) for t in (1, 2)
+                     for r in make()["domains"]["values"]]
+        for pair in itertools.chain(
+                itertools.combinations(positions, 1),
+                itertools.permutations(positions, 2)):
+            bad = [(*at, tag, loc) for at, tag, loc in zip(
+                pair, ("pt", "apt"), (cloc, aloc))]
+            yield parse_model(_guarded(make(), method, cover, bad))
+
+
+def test_an_error_is_the_one_the_product_raises():
+    """A non-evaluable instance fails the item when the product reaches
+    it before the first covering combination, and goes unseen when it
+    comes after; of two, the product reports the one it reaches first."""
+    seen = set()
+    for model in _parity_models():
+        item = _agree(model)
+        seen.add((item.ok, item.detail[-4:]))
+    assert seen == {(True, ""), (False, "'k')"), (False, "'K')"),
+                    (False, "'x')"), (False, "'X')")}
+
+
+def _counted_evaluations(monkeypatch, limit: int) -> list:
+    """Count `AssertionEnv.eval` calls from here on, failing past limit,
+    so that an exhaustive product fails at once rather than slowly."""
+    calls = []
+    original = AssertionEnv.eval
+
+    def counted(env, rho, interp):
+        calls.append(rho)
+        assert len(calls) <= limit, f"more than {limit} evaluations"
+        return original(env, rho, interp)
+
+    monkeypatch.setattr(AssertionEnv, "eval", counted)
+    return calls
+
+
+@pytest.mark.parametrize("doc,limit", [
+    (atomic_inc(8, k=1), 8 * 4),
+    (dcsl_cell(3, 2), 2 * 9),
+], ids=["atomic-inc-t8-k1", "dcsl-cell-v3-t2"])
+def test_coverage_evaluates_each_precondition_once(monkeypatch, doc, limit):
+    """A rejected model: the product tries |insts|^N combinations (65,536
+    for atomic-inc at 8 threads); the search evaluates each (thread,
+    instance) precondition at most once."""
+    model = parse_model(doc)
+    insts = _insts(model)
+    assert len(model.dom.thread_ids()) * len(insts) == limit
+    model.monoid()
+    calls = _counted_evaluations(monkeypatch, limit)
+    item = initial_coverage(model, insts)
+    assert not item.ok and item.detail.startswith("no choice of pending")
+    assert 0 < len(calls) <= limit

@@ -183,8 +183,9 @@ def _body_locs():
 
 
 def _bodies():
-    """Method bodies over `_body_locs`, with `skip` and the undeclared
-    primitive `mystery` among their statements."""
+    """Method bodies over `_body_locs`, with `skip`, the undeclared
+    primitive `mystery` and `inc_atomic` short of an argument among their
+    statements."""
     loc = _body_locs()
     stmt = st.one_of(
         st.builds(lambda l: ["store", l, ["var", "a"]], loc),
@@ -192,6 +193,7 @@ def _bodies():
         st.builds(lambda l: ["assume", ["==", ["read", l], ["var", "r"]]],
                   loc),
         st.sampled_from([["prim", "inc_atomic", ["var", "a"], ["var", "r"]],
+                         ["prim", "inc_atomic", ["var", "a"]],
                          ["prim", "mystery"], ["skip"]]))
     return st.one_of(
         stmt,
