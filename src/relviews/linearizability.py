@@ -607,7 +607,10 @@ def instance_obligations(model: LibraryModel,
     subject = f"{m}(a={a},r={r}) in thread {t}"
     env = model.assertion_env(t)
     outline = model.outline(m, t, a, r)
-    fail = check_proof(outline, env)
+    try:
+        fail = check_proof(outline, env)
+    except ModelError as exc:
+        raise ModelError(f"{subject}: {exc}") from exc
     items = [ObligationItem("(1) outline", subject, fail is None,
                             str(fail) if fail else "")]
     ap = APCom(m, a, r)
@@ -653,16 +656,14 @@ def check_obligations(model: LibraryModel) -> ObligationReport:
     for t in model.dom.thread_ids():
         env = model.assertion_env(t)
         try:
-            stripped = {}
+            stripped = set()
             for m, a, r in insts:
                 b = {"t": t, "a": a, "r": r}
                 p = env.eval(model.pre_assertion(m), b)
                 q = env.eval(model.post_assertion(m), b)
-                stripped[("P", m, a, r)] = mon.strip_token_set(p, t)
-                stripped[("Q", m, a, r)] = mon.strip_token_set(q, t)
-            base = stripped[("P", *insts[0])]
-            ok = all(stripped[("P", *i)] == base for i in insts) and all(
-                stripped[("Q", *i)] == base for i in insts)
+                stripped.add(mon.strip_token_set(p, t))
+                stripped.add(mon.strip_token_set(q, t))
+            ok = len(stripped) <= 1
             detail = "pre/post families differ by more than the thread's token"
         except RelviewsError as exc:
             ok, detail = False, f"assertion family not evaluable: {exc}"

@@ -28,9 +28,7 @@ from .command_lang import PrimCommand
 from .errors import ModelError, StabilityViolation
 from .state_model import (
     EMPTY_WORLD,
-    FAULT,
     Domains,
-    Heap,
     World,
     compose_worlds,
     enumerate_worlds,
@@ -44,6 +42,7 @@ from .views_core import (
     Semantics,
     ViewMonoid,
     check_action_with_frames,  # not called here; perfbench/tracer.py wraps it
+    judge_action,
     memo_key,
 )
 
@@ -379,14 +378,10 @@ class RgsepMonoid(ViewMonoid):
 
     def check_action(self, t: int, alpha: PrimCommand, p: RgsepView,
                      q: RgsepView):
-        """Sufficient frame-free condition for the action judgement: every
-        primitive step from a predicate pair resplits into a post pair whose
-        shared change is in the guarantee (or is no change at all) and whose
-        abstract side is reachable by linearization steps.  Sufficient
-        because every primitive is local: the frame property in
-        `views_core`."""
-        if p.bot:
-            return True
+        """Sufficient frame-free condition for the action judgement:
+        `judge_action` over the predicates' pairs, each shared change none
+        or in the guarantee.  Sufficient because every primitive is local:
+        the frame property in `views_core`."""
         if q.bot:
             composed = self._composed(p.classes)
             if composed:
@@ -394,37 +389,16 @@ class RgsepMonoid(ViewMonoid):
                     t, alpha, None, composed[0][2], None,
                     "postcondition is inconsistent (bottom view)")
             return True
-        if p.rely != q.rely or p.guar != q.guar:
+        if not p.bot and (p.rely != q.rely or p.guar != q.guar):
             raise ModelError(
                 "action checks require pre and post views sharing rely and "
                 "guarantee")
-        sem = self.sem
-        post_by_conc: Dict[Heap, list] = {}
-        for _l2, s2, (sigma2, abs2, toks2) in self._composed(q.classes):
-            post_by_conc.setdefault(sigma2, []).append((s2, abs2, toks2))
-        guar = p.guar
-        for _l, s, world in self._composed(p.classes):
-            sigma, sigma_a, toks = world
-            lp_set = None
-            for sigma2 in sem.ctable.apply(alpha, t, sigma, sem.modulus):
-                if sigma2 is FAULT:
-                    return ActionCounterexample(
-                        t, alpha, None, world, FAULT, "fault reachable")
-                if lp_set is None:
-                    lp_set = self.lp_star(sigma_a, toks)
-                ok = False
-                for s2, abs2, toks2 in post_by_conc.get(sigma2, ()):
-                    if (abs2, toks2) not in lp_set:
-                        continue
-                    if s2 == s or (s, s2) in guar:
-                        ok = True
-                        break
-                if not ok:
-                    return ActionCounterexample(
-                        t, alpha, None, world, sigma2,
-                        "no post predicate pair matches with a guarantee "
-                        "transition and linearization steps")
-        return True
+        return judge_action(
+            self, t, alpha, None,
+            ((s, w) for _l, s, w in self._composed(p.classes)),
+            ((s, w) for _l, s, w in self._composed(q.classes)), p.guar,
+            "no post predicate pair matches with a guarantee transition and "
+            "linearization steps")
 
     def repart_implies(self, p: RgsepView, q: RgsepView) -> ImplVerdict:
         """Sufficient condition only: containment state by state, checked

@@ -5,7 +5,9 @@ assertion in thread t's context (`eval_vassn(rho, interp, t)`), the action
 judgement and the repartitioning implication; this module implements what
 is common to all monoids: the denotation of box-free view assertions as
 world-fragment sets, the linearization-point relation on (abstract state,
-tokens) pairs, and the action judgement quantified over given frames.
+tokens) pairs, and the one loop of the action judgement, `judge_action`:
+RGSep runs it on (shared, world) pairs with its guarantee, and
+`check_action_with_frames` under each given frame with no shared part.
 
 Both monoids rest on the frame property of local actions (Calcagno,
 O'Hearn and Yang, LICS 2007).  Every builtin primitive and every guarded
@@ -140,8 +142,8 @@ def memo_key(rho: VAssn, interp: Dict[str, int]) -> tuple:
 class ViewMonoid:
     """Interface a monoid instantiation must supply.
 
-    Subclasses provide extensional views plus a frame-checking strategy that
-    decides the (in principle frame-quantified) action judgement and
+    Subclasses provide extensional views, the (in principle
+    frame-quantified) action judgement through `judge_action`, and the
     repartitioning implication.  The denotation of box-free view assertions
     does not depend on the monoid and lives here.
     """
@@ -256,31 +258,52 @@ class ViewMonoid:
         return out
 
 
+def judge_action(monoid: ViewMonoid, t: int, alpha: PrimCommand, frame,
+                 pre: Iterable, post: Iterable, guar, reason: str):
+    """The action judgement's loop, for every monoid.  `pre` and `post`
+    hold (shared, world) pairs, `pre` in report order.  Each primitive step
+    from a pre-world must fault nowhere and reach, by linearization steps,
+    a post world with its result whose shared change is none or in `guar`.
+    Returns True or the first counterexample, under `frame`."""
+    index: Dict[Heap, list] = {}
+    for shared2, (sigma2, abs2, toks2) in post:
+        index.setdefault(sigma2, []).append((shared2, abs2, toks2))
+    sem = monoid.sem
+    for shared, world in pre:
+        sigma, sigma_a, toks = world
+        lp_set = None
+        for sigma2 in sem.ctable.apply(alpha, t, sigma, sem.modulus):
+            if sigma2 is FAULT:
+                return ActionCounterexample(
+                    t, alpha, frame, world, FAULT, "fault reachable")
+            if lp_set is None:
+                lp_set = monoid.lp_star(sigma_a, toks)
+            for shared2, abs2, toks2 in index.get(sigma2, ()):
+                if (abs2, toks2) in lp_set and (
+                        shared2 == shared or (shared, shared2) in guar):
+                    break
+            else:
+                return ActionCounterexample(t, alpha, frame, world, sigma2,
+                                            reason)
+    return True
+
+
 def check_action_with_frames(monoid: ViewMonoid, t: int, alpha: PrimCommand,
                              p, q, frames: Iterable):
     """The action judgement of the simulation condition, quantified over the
-    given frames: every primitive step from a reified pre-world must be
-    matched by zero or more linearization steps landing in the framed
-    postcondition.  Returns True or the first counterexample under the
+    given frames: `judge_action` under each frame r, from the reified
+    p * r in `world_sort_key` order into the reified q * r, with no shared
+    part.  Returns True or the first counterexample under the
     deterministic enumeration order."""
-    sem = monoid.sem
     for r in frames:
         pre = sorted(monoid.reify(monoid.compose(p, r)), key=world_sort_key)
         if not pre:
             continue
         post = monoid.reify(monoid.compose(q, r))
-        for world in pre:
-            sigma, sigma_a, toks = world
-            lp_set = None
-            for sigma2 in sem.ctable.apply(alpha, t, sigma, sem.modulus):
-                if sigma2 is FAULT:
-                    return ActionCounterexample(
-                        t, alpha, r, world, FAULT, "fault reachable")
-                if lp_set is None:
-                    lp_set = monoid.lp_star(sigma_a, toks)
-                if not any(World(sigma2, s2, d2) in post
-                           for s2, d2 in lp_set):
-                    return ActionCounterexample(
-                        t, alpha, r, world, sigma2,
-                        "no linearization choice reaches the postcondition")
+        got = judge_action(
+            monoid, t, alpha, r, ((None, w) for w in pre),
+            ((None, w) for w in post), frozenset(),
+            "no linearization choice reaches the postcondition")
+        if got is not True:
+            return got
     return True

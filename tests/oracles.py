@@ -21,7 +21,11 @@ each hold one expected return, by a memoized recursion; `_HistoryGen`
 raises it, and the shipped checks, which merge a call's expected returns
 into one slot, must report the same fault.
 
-Proof-side references: `check_safe`, the greatest-fixpoint safety
+Proof-side references: `action_over_frames`, the action judgement over
+given frames testing each linearization choice's world for membership in
+the framed post, and `rgsep_action_by_pairs`, RGSep's frame-free
+condition over the predicates' pairs, against which the shared judgement
+loop of `views_core` is tested; `check_safe`, the greatest-fixpoint safety
 judgement over a finite view universe and the command shapes that
 `reachable_commands` finds, which an accepted outline's views
 (`outline_views`) must witness; `powerset_frames`, every DCSL frame, which
@@ -136,9 +140,9 @@ from relviews.vassn import (
     VAssn,
     free_lvars,
 )
-from relviews.views_core import ImplVerdict
+from relviews.views_core import ActionCounterexample, ImplVerdict, lp_star
 
-from util import rgsep_unit, rgsep_view
+from util import rgsep_unit, rgsep_view, view_columns
 
 
 def compose_states_copying(s1, s2):
@@ -834,6 +838,73 @@ def singleton_frames(dom):
     yield UNIT_DCSL
     for w in enumerate_worlds(dom):
         yield frozenset({w})
+
+
+def action_over_frames(monoid, t: int, alpha: PrimCommand, p, q, frames):
+    """The action judgement quantified over the given frames, world by
+    world: under each frame r, every primitive step from a world of the
+    reified p * r, in `world_sort_key` order, must fault nowhere and reach
+    a world of the reified q * r by linearization steps, each tested for
+    membership.  True or the first counterexample.  The shipped
+    `check_action_with_frames` and `DcslMonoid.check_action` are tested
+    against it."""
+    sem = monoid.sem
+    for r in frames:
+        pre = sorted(monoid.reify(monoid.compose(p, r)), key=world_sort_key)
+        if not pre:
+            continue
+        post = monoid.reify(monoid.compose(q, r))
+        for world in pre:
+            sigma, sigma_a, toks = world
+            for sigma2 in sem.ctable.apply(alpha, t, sigma, sem.modulus):
+                if sigma2 is FAULT:
+                    return ActionCounterexample(
+                        t, alpha, r, world, FAULT, "fault reachable")
+                if not any(World(sigma2, s2, d2) in post
+                           for s2, d2 in lp_star(sigma_a, toks, sem)):
+                    return ActionCounterexample(
+                        t, alpha, r, world, sigma2,
+                        "no linearization choice reaches the postcondition")
+    return True
+
+
+def rgsep_action_by_pairs(mono, t: int, alpha: PrimCommand, p, q):
+    """`RgsepMonoid.check_action`'s frame-free condition, pair by pair:
+    every primitive step from a (local, shared) pair of p, in
+    `composed_pairs` order, must fault nowhere and resplit into a pair of
+    q whose shared change is none or in the guarantee and whose abstract
+    side the linearization steps reach.  True, the first counterexample,
+    or the ModelError of views with different relies or guarantees."""
+    if q.bot:
+        pre = composed_pairs(mono.universe, view_columns(mono, p))
+        if pre:
+            return ActionCounterexample(
+                t, alpha, None, pre[0][2], None,
+                "postcondition is inconsistent (bottom view)")
+        return True
+    if p.bot:
+        return True
+    if p.rely != q.rely or p.guar != q.guar:
+        raise ModelError(
+            "action checks require pre and post views sharing rely and "
+            "guarantee")
+    sem = mono.sem
+    post = composed_pairs(mono.universe, view_columns(mono, q))
+    for _l, s, world in composed_pairs(mono.universe, view_columns(mono, p)):
+        sigma, sigma_a, toks = world
+        for sigma2 in sem.ctable.apply(alpha, t, sigma, sem.modulus):
+            if sigma2 is FAULT:
+                return ActionCounterexample(
+                    t, alpha, None, world, FAULT, "fault reachable")
+            lp_set = lp_star(sigma_a, toks, sem)
+            if not any(w2.conc == sigma2 and (w2.abst, w2.toks) in lp_set
+                       and (s2 == s or (s, s2) in p.guar)
+                       for _l2, s2, w2 in post):
+                return ActionCounterexample(
+                    t, alpha, None, world, sigma2,
+                    "no post predicate pair matches with a guarantee "
+                    "transition and linearization steps")
+    return True
 
 
 def repart_implies_with_frames(monoid, p, q, frames) -> ImplVerdict:

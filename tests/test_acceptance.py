@@ -39,8 +39,9 @@ from relviews.state_model import (
     world_minus,
 )
 from relviews.vassn import CPt
-from relviews.views_core import check_action_with_frames, lp_star
+from relviews.views_core import lp_star
 from oracles import (
+    action_over_frames,
     check_safe,
     closed_singletons,
     powerset_frames,
@@ -129,8 +130,8 @@ def test_criterion_2_frame_reduction_oracle():
         q = sample_view(rng, worlds, 3)
         alpha = rng.choice(PRIMS_1LOC)
         fast = mono.check_action(1, alpha, p, q) is True
-        slow = check_action_with_frames(mono, 1, alpha, p, q,
-                                        all_frames) is True
+        slow = action_over_frames(mono, 1, alpha, p, q,
+                                  all_frames) is True
         if fast != slow:
             mismatches += 1
         fast_i = mono.repart_implies(p, q).ok()
@@ -291,7 +292,7 @@ def test_criterion_4_prop1_bridge():
                     continue
                 q = rgsep_view(mono, post, frozenset(), guar)
                 if mono.check_action(1, alpha, p, q) is True:
-                    assert check_action_with_frames(
+                    assert action_over_frames(
                             mono, 1, alpha, p, q, frames) is True, (
                         f"Prop 1 accepted but the fully-quantified "
                         f"judgement fails: {alpha} {p} {q}")

@@ -238,6 +238,39 @@ def test_an_action_that_cannot_be_denoted_is_a_model_error(capsys,
                    "(location 'k')\n")
 
 
+def test_a_model_error_in_an_outline_check_names_the_instance(capsys,
+                                                               tmp_path):
+    for side in ("pre", "post"):
+        doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+        # the expected return of the pinned todo or done token
+        doc["assertions"]["inc"][side][2][4] = ["read", "k"]
+        bad = tmp_path / f"{side}.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check-proof", str(bad),
+                             f"{FIX}/atomic-inc/outline.json")
+        assert (code, out) == (2, ""), side
+        assert err == ("error: inc(a=1,r=0) in thread 1: view assertion "
+                       "values may not read the heap (location 'k')\n"), side
+
+
+def test_check_proof_without_method_arguments_gives_a_verdict(capsys,
+                                                               tmp_path):
+    # no instance at all: the token-swap check compares no families, and
+    # no choice of pending commands covers the initial states
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["methods"]["inc"]["args"] = []
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-proof", str(bad),
+                         f"{FIX}/atomic-inc/outline.json", "--format",
+                         "machine")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["verdict"] == "proof rejected" and doc["ok"] is False
+    assert "[pass] (3) token swap thread 1" in doc["detail"]
+    assert "first failure: initial coverage library" in doc["detail"]
+
+
 def test_an_outline_must_annotate_its_method_body(capsys, tmp_path):
     # `get` no longer ties its return to the cell: the unchanged outline
     # still proves the old body, and the changed body is not linearizable

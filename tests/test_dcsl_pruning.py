@@ -2,9 +2,9 @@
 
 `DcslMonoid.check_action` checks the unit frame alone, which decides the
 judgement because primitives are local.  It must return exactly what the
-judgement returns over the unit plus every singleton
-(`oracles.singleton_frames`): `True`, or the same counterexample, frame and
-world included.  Every sampled primitive is checked local with
+reference judgement (`oracles.action_over_frames`) returns over the unit
+plus every singleton (`oracles.singleton_frames`): `True`, or the same
+counterexample, frame and world included.  Every sampled primitive is checked local with
 `oracles.locality_witness` first, since a non-local table voids the
 argument.
 """
@@ -29,12 +29,8 @@ from relviews.command_lang import (
 )
 from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
 from relviews.state_model import FAULT, APCom, enumerate_worlds
-from relviews.views_core import (
-    ActionCounterexample,
-    Semantics,
-    check_action_with_frames,
-)
-from oracles import locality_witness, singleton_frames
+from relviews.views_core import ActionCounterexample, Semantics
+from oracles import action_over_frames, locality_witness, singleton_frames
 from util import PRIMS_1LOC, micro_domains, sample_view, strongest_post
 
 FIX = "src/relviews/fixtures"
@@ -82,7 +78,7 @@ def _sample_prim(rng, mono, local):
 
 def _agree(mono, frames, t, alpha, p, q):
     got = mono.check_action(t, alpha, p, q)
-    want = check_action_with_frames(mono, t, alpha, p, q, frames)
+    want = action_over_frames(mono, t, alpha, p, q, frames)
     assert got == want, (t, alpha, p, q)
     assert got is True or isinstance(got, ActionCounterexample)
     return got
@@ -217,8 +213,8 @@ def test_every_action_check_of_a_proof_agrees_with_oracle(
                     else 1)
     assert calls
     for mono, t, alpha, p, q, got in calls:
-        want = check_action_with_frames(mono, t, alpha, p, q,
-                                        singleton_frames(mono.dom))
+        want = action_over_frames(mono, t, alpha, p, q,
+                                  singleton_frames(mono.dom))
         assert got == want, (case, t, alpha)
     if edit:
         assert any(got is not True for *_, got in calls)

@@ -34,7 +34,7 @@ from relviews.vassn import (
 )
 from relviews.command_lang import Const, Eq, LVar
 from relviews.monoid_rgsep import RgsepMonoid
-from oracles import (EMPTY_VIEW, powerset_frames,
+from oracles import (EMPTY_VIEW, action_over_frames, powerset_frames,
                      repart_implies_with_frames, singleton_frames,
                      token_exclusive)
 from util import micro_dcsl, micro_domains, micro_semantics, sample_view
@@ -244,7 +244,6 @@ def test_powerset_frames_enumeration():
 
 
 def test_frame_reduction_smoke():
-    from relviews.views_core import check_action_with_frames
     from util import PRIMS_1LOC
 
     mono = micro_dcsl(cloc={"l": (0, 1)}, aloc={"x": (0, 1)}, values=(0, 1))
@@ -256,8 +255,8 @@ def test_frame_reduction_smoke():
         q = sample_view(rng, worlds, 2)
         alpha = rng.choice(PRIMS_1LOC)
         fast = mono.check_action(1, alpha, p, q) is True
-        slow = check_action_with_frames(mono, 1, alpha, p, q,
-                                        all_frames) is True
+        slow = action_over_frames(mono, 1, alpha, p, q,
+                                  all_frames) is True
         assert fast == slow
         fast_i = mono.repart_implies(p, q).ok()
         slow_i = repart_implies_with_frames(mono, p, q, all_frames).ok()
