@@ -33,8 +33,6 @@ from .errors import (
     UniverseTooLarge,
 )
 from .logic import AssertionEnv, OutlineNode, ProofOutline, check_proof
-from .monoid_dcsl import DcslMonoid
-from .monoid_rgsep import RgsepMonoid
 from .state_model import (
     DONE,
     FAULT,
@@ -48,7 +46,6 @@ from .state_model import (
 )
 from .subst import subst_command
 from .vassn import VAssn
-from .views_core import Semantics, ViewMonoid
 
 Event = Tuple[int, str, str, int]  # (thread, "call"|"ret", method, value)
 History = Tuple[Event, ...]
@@ -85,9 +82,6 @@ class LibraryModel:
         self._envs: Dict[int, AssertionEnv] = {}
         self._bodies: Dict[Tuple[str, int, int], Command] = {}
 
-    def semantics(self) -> Semantics:
-        return Semantics(self.ctable, self.atable, self.dom.modulus)
-
     def methods(self) -> Tuple[str, ...]:
         return tuple(sorted(self.method_args))
 
@@ -101,9 +95,15 @@ class LibraryModel:
 
     def monoid(self):
         """The model's view monoid, built on the first call; `dom.cap`
-        bounds its shared universe (RGSep) or frame universe (DCSL)."""
+        bounds its shared universe (RGSep) or frame universe (DCSL).  The
+        monoid modules are imported here, so a check that builds no monoid
+        (`check-lin`, `histories`) never loads them."""
         if self._monoid is None:
-            sem = self.semantics()
+            from .monoid_dcsl import DcslMonoid
+            from .monoid_rgsep import RgsepMonoid
+            from .views_core import Semantics, ViewMonoid
+
+            sem = Semantics(self.ctable, self.atable, self.dom.modulus)
             if self.monoid_kind == "dcsl":
                 self._monoid = DcslMonoid(self.dom, sem)
             elif self.monoid_kind == "rgsep":

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from .command_lang import PrimCommand, tree_node
 from .errors import ModelError, StabilityViolation
 from .subst import subst_prim
-from .vassn import VAssn, free_lvars
-from .views_core import ActionCounterexample, ViewMonoid, memo_key
+from .vassn import VAssn, free_lvars, memo_key
+
+if TYPE_CHECKING:  # the monoids load only when a model builds one
+    from .views_core import ActionCounterexample, ViewMonoid
 
 _UNSEEN = object()
 

@@ -110,9 +110,17 @@ def _update_locs(spec: GuardedUpdate) -> Iterable[str]:
         loc for e in exprs for loc in expr_locs(e)]
 
 
+def _integer(x, what: str, path: str) -> int:
+    """x, which must be a JSON integer: a float, a string or a bool is a
+    model error, not truncated or coerced."""
+    if type(x) is not int:
+        _fail(path, f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _distinct(entries, what: str, path: str) -> Tuple[int, ...]:
     """A domain list's integers, none listed twice."""
-    out = tuple(int(x) for x in entries)
+    out = tuple(_integer(x, f"{what} entry", path) for x in entries)
     for i, x in enumerate(out):
         if x in out[:i]:
             _fail(path, f"{what} lists {x} twice")
@@ -133,7 +141,7 @@ def parse_expr(doc, path: str = "expr") -> Expr:
     tag = doc[0]
     args = doc[1:]
     if tag == "const" and len(args) == 1:
-        return Const(int(args[0]))
+        return Const(_integer(args[0], "a constant", path))
     if tag == "var" and len(args) == 1:
         return LVar(str(args[0]))
     if tag == "read" and len(args) == 1:
@@ -444,13 +452,13 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
     values = _distinct(dd["values"], "domains.values", path)
     if not values:
         _fail(path, "values must be nonempty")
-    nthreads, modulus = int(dd["threads"]), int(dd["modulus"])
-    cap = int(dd.get("cap", DEFAULT_CAP))
+    nthreads, modulus, cap = (dd["threads"], dd["modulus"],
+                              dd.get("cap", DEFAULT_CAP))
     for key, value, least in (("threads", nthreads, 1),
                               ("modulus", modulus, 1), ("cap", cap, 0)):
-        if value < least:
+        if type(value) is not int or value < least:
             _fail(path, f"domains.{key} must be an integer >= {least}, "
-                        f"got {value}")
+                        f"got {value!r}")
 
     prims = {
         pname: _parse_update(spec, spec.get("params", []),
@@ -507,10 +515,10 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
     )
 
     init = doc["initial"]
-    init_conc = Heap({str(k): int(v)
-                      for k, v in init.get("concrete", {}).items()})
-    init_abst = Heap({str(k): int(v)
-                      for k, v in init.get("abstract", {}).items()})
+    init_conc, init_abst = (
+        Heap({str(k): _integer(v, f"initial {side} {k!r}", path)
+              for k, v in init.get(side, {}).items()})
+        for side in ("concrete", "abstract"))
     cloc = dict(dom.cloc)
     for loc, _v in init_conc.items():
         if loc not in cloc:

@@ -35,7 +35,16 @@ from .state_model import (
     world_minus,
     world_sort_key,
 )
-from .vassn import BoxA, ExistsA, OrA, StarA, TrueA, VAssn, free_lvars
+from .vassn import (
+    BoxA,
+    ExistsA,
+    OrA,
+    StarA,
+    TrueA,
+    VAssn,
+    free_lvars,
+    memo_key,
+)
 from .views_core import (
     ActionCounterexample,
     ImplVerdict,
@@ -43,7 +52,6 @@ from .views_core import (
     ViewMonoid,
     check_action_with_frames,  # not called here; perfbench/tracer.py wraps it
     judge_action,
-    memo_key,
 )
 
 Rel = FrozenSet[Tuple[World, World]]

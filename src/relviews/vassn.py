@@ -16,7 +16,7 @@ checker discharges at skip and consequence sites.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Dict, Tuple, Union
 
 from .command_lang import (
     And,
@@ -136,3 +136,12 @@ def free_lvars(a: VAssn) -> frozenset:
     if isinstance(a, BoxA):
         return free_lvars(a.body)
     raise ModelError(f"unknown assertion node {a!r}")
+
+
+def memo_key(rho: VAssn, interp: Dict[str, int]) -> tuple:
+    """The key of an evaluation memo: the assertion and the interpretation's
+    entries for its free logical variables, the only ones an evaluation
+    reads.  A name it does not mention, such as an instance's `a` in a
+    thread's invariant, does not split its entries."""
+    names = free_lvars(rho)
+    return (rho, tuple(sorted(kv for kv in interp.items() if kv[0] in names)))

@@ -60,7 +60,7 @@ from .vassn import (
     TokA,
     TrueA,
     VAssn,
-    free_lvars,
+    memo_key,
 )
 
 
@@ -128,15 +128,6 @@ class ImplVerdict(Enum):
 
 
 _EMP = frozenset({EMPTY_WORLD})
-
-
-def memo_key(rho: VAssn, interp: Dict[str, int]) -> tuple:
-    """The key of an evaluation memo: the assertion and the interpretation's
-    entries for its free logical variables, the only ones an evaluation
-    reads.  A name it does not mention, such as an instance's `a` in a
-    thread's invariant, does not split its entries."""
-    names = free_lvars(rho)
-    return (rho, tuple(sorted(kv for kv in interp.items() if kv[0] in names)))
 
 
 class ViewMonoid:

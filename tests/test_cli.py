@@ -593,6 +593,38 @@ def test_import_loads_no_process_pool():
             if m.startswith(("multiprocessing", "concurrent.futures"))] == []
 
 
+_MONOID_MODULES = ["relviews.monoid_dcsl", "relviews.monoid_rgsep",
+                   "relviews.views_core"]
+
+_LOADED_AFTER_EACH = """
+import contextlib, io, sys
+from relviews.cli import main
+model, outline = sys.argv[1:]
+for argv in (["check-lin", model, "--bound", "4"],
+             ["histories", model, "--bound", "2"],
+             ["check-proof", model, outline]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    print(sorted(m for m in sys.modules if m.startswith(
+        ("relviews.monoid_", "relviews.views_core"))))
+"""
+
+
+def test_only_check_proof_loads_the_monoids():
+    """`check-lin` and `histories` build no view monoid, so a process that
+    runs them never imports the monoid modules; `check-proof` does."""
+    src = os.path.abspath("src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_EACH,
+         f"{FIX}/flat-combiner/model.json",
+         f"{FIX}/flat-combiner/outline.json"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]", str(_MONOID_MODULES)]
+
+
 def _under_seeds(argv, seeds=("0", "1")):
     """(exit code, stdout, stderr) of `relviews ARGV` run in a fresh
     process under each hash seed."""

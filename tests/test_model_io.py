@@ -256,6 +256,62 @@ def test_repeated_domain_entry_is_a_model_error(capsys, tmp_path, place,
     assert err == f"error: {bad}: {message}\n"
 
 
+def _prepend_to_inc(doc, cmd):
+    doc["methods"]["inc"]["body"] = ["seq", cmd, doc["methods"]["inc"]["body"]]
+
+
+# place -> (edit of atomic-inc, the message naming the file)
+_WRONG_TYPES = {
+    "values": (lambda doc: doc["domains"].update(values=[0, 1, 2, 3.7]),
+               "domains.values entry must be an integer, got 3.7"),
+    "method args": (lambda doc: doc["methods"]["inc"].update(args=["1"]),
+                    "method 'inc' args entry must be an integer, got '1'"),
+    "location domain": (
+        lambda doc: doc["domains"]["locations"].update(k=[0, 1, 2, 3.0]),
+        "location 'k' domain entry must be an integer, got 3.0"),
+    "threads float": (lambda doc: doc["domains"].update(threads=2.9),
+                      "domains.threads must be an integer >= 1, got 2.9"),
+    "threads bool": (lambda doc: doc["domains"].update(threads=True),
+                     "domains.threads must be an integer >= 1, got True"),
+    "modulus": (lambda doc: doc["domains"].update(modulus=4.0),
+                "domains.modulus must be an integer >= 1, got 4.0"),
+    "cap": (lambda doc: doc["domains"].update(cap="1000"),
+            "domains.cap must be an integer >= 0, got '1000'"),
+    "initial concrete": (
+        lambda doc: doc["initial"]["concrete"].update(k=0.5),
+        "initial concrete 'k' must be an integer, got 0.5"),
+    "initial abstract": (
+        lambda doc: doc["initial"]["abstract"].update(K=False),
+        "initial abstract 'K' must be an integer, got False"),
+    "const": (lambda doc: _prepend_to_inc(doc, ["assume", ["const", 1.5]]),
+              "a constant must be an integer, got 1.5"),
+}
+
+
+@pytest.mark.parametrize("place", sorted(_WRONG_TYPES))
+def test_a_number_of_the_wrong_type_is_a_model_error(capsys, tmp_path,
+                                                      place):
+    """No number in a model is truncated or coerced: `check-lin` rejects
+    the model, naming the file, before any check runs."""
+    edit, message = _WRONG_TYPES[place]
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    edit(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["check-lin", str(bad), "--bound", "4"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}") and err.endswith(f"{message}\n")
+
+
+def test_bare_booleans_are_expressions():
+    """`true` and `false` stand for 1 and 0 wherever an expression does."""
+    assert parse_expr(True) is Const(1) and parse_expr(False) is Const(0)
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    _prepend_to_inc(doc, ["assume", True])
+    parse_model(doc)
+
+
 def test_outline_for_unknown_method_rejected():
     model = load_model(f"{FIX}/atomic-inc/model.json")
     with pytest.raises(ModelError, match="unknown method"):
