@@ -15,7 +15,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 from .errors import FaultReachable, RelviewsError, UniverseTooLarge
 from .linearizability import (
@@ -133,22 +134,22 @@ def cmd_histories(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def build_parser() -> Tuple[argparse.ArgumentParser, tuple]:
+    """The argument parser and its `--cap` actions, built once per
+    process; `main` sets their default on every call."""
     p = argparse.ArgumentParser(
         prog="relviews",
         description="bounded linearizability checking and relational-view "
                     "proof outlines for concurrent library models")
     sub = p.add_subparsers(dest="command", required=True)
-
-    # a string default goes through `type`, so a bad RELVIEWS_CAP is a
-    # usage error like a bad --cap
-    cap_default = os.environ.get("RELVIEWS_CAP") or None
+    caps = []
 
     def common(sp):
-        sp.add_argument("--cap", type=_count(0, " (--cap or RELVIEWS_CAP)"),
-                        default=cap_default,
-                        help="state-count cap, an integer >= 0 (default: "
-                             "RELVIEWS_CAP, else the model's own cap)")
+        caps.append(sp.add_argument(
+            "--cap", type=_count(0, " (--cap or RELVIEWS_CAP)"),
+            help="state-count cap, an integer >= 0 (default: RELVIEWS_CAP, "
+                 "else the model's own cap)"))
         sp.add_argument("--jobs", type=_count(1), default=1, choices=(1,),
                         help="must be 1: every check runs in one process")
         sp.add_argument("--format", choices=("text", "machine"),
@@ -174,11 +175,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=_count(0), required=True)
     common(sp)
     sp.set_defaults(fn=cmd_histories)
-    return p
+    return p, tuple(caps)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, caps = build_parser()
+    # RELVIEWS_CAP as it is now; a string default goes through `type`, so
+    # a bad value is a usage error like a bad --cap
+    for action in caps:
+        action.default = os.environ.get("RELVIEWS_CAP") or None
+    args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
         return args.fn(args)

@@ -12,7 +12,7 @@ import inspect
 import string
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from .errors import ModelError, UndefinedLocation
 from .state_model import FAULT, Heap, HeapState
@@ -438,15 +438,27 @@ def step(c: Command) -> frozenset:
     raise ModelError(f"unknown command node {c!r}")
 
 
-def state_step(c: Command, sigma: Heap, t: int, table: TransformerTable,
-               modulus: int) -> frozenset:
-    """Stateful transitions; the fault state may appear in results and is
-    surfaced to callers for reporting."""
-    out = set()
-    for alpha, c2 in step(c):
-        for sigma2 in table.apply(alpha, t, sigma, modulus):
-            out.add((alpha, c2, sigma2))
-    return frozenset(out)
+def reachable_commands(c: Command) -> frozenset:
+    """All command shapes reachable from c by stepping (finite)."""
+    seen = {c}
+    frontier = [c]
+    while frontier:
+        cur = frontier.pop()
+        for _, nxt in step(cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
+
+
+def state_step(c: Command, apply: Callable[[PrimCommand], object]) -> tuple:
+    """Stateful transitions, one (primitive, command', results) triple per
+    stateless step, where results is `apply(primitive)`: the caller runs
+    the primitive's transformer (`TransformerTable.apply` at its thread
+    and state), so it can share the runs between commands.  The fault
+    state may appear in results and is surfaced to callers for
+    reporting."""
+    return tuple((alpha, c2, apply(alpha)) for alpha, c2 in step(c))
 
 
 # ---------------------------------------------------------------------------

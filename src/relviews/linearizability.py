@@ -21,9 +21,16 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .command_lang import (
     AbstractTable,
     SKIP,
+    Choice,
     Command,
+    Iter,
+    Prim,
+    PrimCommand,
     Skip,
     TransformerTable,
+    Seq,
+    command_prims,
+    reachable_commands,
     state_step,
 )
 from .errors import (
@@ -44,7 +51,7 @@ from .state_model import (
     TokenMap,
     World,
 )
-from .subst import subst_command
+from .subst import subst_command, subst_prim
 from .vassn import VAssn
 
 Event = Tuple[int, str, str, int]  # (thread, "call"|"ret", method, value)
@@ -80,17 +87,18 @@ class LibraryModel:
     def __post_init__(self):
         self._monoid = None
         self._envs: Dict[int, AssertionEnv] = {}
-        self._bodies: Dict[Tuple[str, int, int], Command] = {}
+        self._bodies: Dict[Tuple[str, int], Command] = {}
 
     def methods(self) -> Tuple[str, ...]:
         return tuple(sorted(self.method_args))
 
-    def body(self, m: str, a: int, r: int) -> Command:
-        """Instance m(a)->r's body, instantiated on the first call."""
-        key = (m, a, r)
+    def body(self, m: str, a: int) -> Command:
+        """Method m's body at argument a, with the expected return `r` left
+        free, instantiated on the first call."""
+        key = (m, a)
         if key not in self._bodies:
             self._bodies[key] = subst_command(self.body_templates[m],
-                                              {"a": a, "r": r})
+                                              {"a": a})
         return self._bodies[key]
 
     def monoid(self):
@@ -179,18 +187,36 @@ class _Library:
     command; a running slot steps each member and groups the results by
     (primitive, heap'), each group the next slot, and a `Skip` member
     returns its value.  A merged run thus stands for the runs of its
-    members, with the same moves, events and heaps.  A concrete command is
-    a body under the small-step semantics, where a step may fault; an
-    abstract one is the pending `APCom`, run atomically to `Skip`, which
-    blocks rather than faults.
+    members, with the same moves, events and heaps.  An abstract command
+    is the pending `APCom`, run atomically to `Skip`, which blocks rather
+    than faults.
+
+    A concrete command is a body under the small-step semantics, where a
+    step may fault.  The members of a call m(a) share one command, the
+    body `model.body(m, a)` with `r` still free, so the expected returns
+    share its steps until a primitive reads `r`: that step runs the
+    primitive's instance at the member's value, which the move and any
+    fault text name.  A member (c, v) stands for (c[r := v], v), the
+    member a body instantiated per value would hold.  Substitution is
+    structural, so if r := v is injective on the primitives of m's bodies
+    for every value v, it is injective on every command built from them,
+    and shared members give the same slots, configurations and moves as
+    per-value ones.  That is checked once per method, over all of its
+    arguments' bodies, since a slot names the method but not the
+    argument; at a value where two primitives meet, injectivity is tested
+    on the commands that stepping reaches from the bodies instead.  A
+    method that fails it (a choice between `assume r == 0` and `assume 0
+    == 0`) starts per-value members, which read no `r`, and steps them
+    with the same code.
 
     Slots and heaps are interned to small ints, `IDLE` as slot 0, and a
     configuration is the interned flat tuple (heap id, slot id of thread
-    1, ..., slot id of thread N).  A member steps once per (thread,
-    command, heap id); `local` and `successors` tabulate once per key.  A
-    call or return's move is its event; a silent step's move is (thread,
-    primitive) and its event None.  `dom.cap` bounds the configurations
-    tabulated.
+    1, ..., slot id of thread N).  A command steps once per (thread,
+    command, heap id), a primitive runs once per (primitive, thread, heap
+    id) and a primitive that reads `r` is instantiated once per value;
+    `local` and `successors` tabulate once per key.  A call or return's
+    move is its event; a silent step's move is (thread, primitive) and
+    its event None.  `dom.cap` bounds the configurations tabulated.
     """
 
     def __init__(self, model: LibraryModel, concrete: bool):
@@ -200,14 +226,17 @@ class _Library:
         self._slot_ids: Dict = {IDLE: 0}
         self.heaps: List[Heap] = []  # heap id -> heap
         self._heap_ids: Dict[Heap, int] = {}
+        # primitive -> {value: instance} if it reads r, else None
+        self._instances: Dict[PrimCommand, Optional[dict]] = {}
         # (method, arg, started slot id) per call
         self.calls = tuple(
-            (m, a, _index(self._slot_ids, self.slots, (m, frozenset(
-                (model.body(m, a, v) if concrete else APCom(m, a, v), v)
-                for v in model.dom.values))))
-            for m in model.methods() for a in model.method_args[m])
-        # (thread, command, heap id) -> ((primitive, command', heap'), ...)
+            (m, a, _index(self._slot_ids, self.slots, (m, members)))
+            for m in model.methods()
+            for a, members in zip(model.method_args[m], self._starts(m)))
+        # (thread, command, heap id) -> ((primitive, command', heaps'), ...)
         self._steps: Dict[Tuple[int, Command, int], tuple] = {}
+        # (primitive, thread, heap id) -> heaps'
+        self._runs: Dict[Tuple[PrimCommand, int, int], tuple] = {}
         # (thread, slot id, heap id) -> ((move, event, slot id, heap id), ...)
         self._locals: Dict[Tuple[int, int, int], tuple] = {}
         self.ids: Dict[Tuple[int, ...], int] = {}
@@ -219,15 +248,55 @@ class _Library:
             (_index(self._heap_ids, self.heaps, heap),)
             + (0,) * len(model.dom.thread_ids()))
 
+    def _starts(self, m: str) -> List[frozenset]:
+        """The members a call m(a) starts, per argument a in order."""
+        model, values = self.model, self.model.dom.values
+        if not self.concrete:
+            return [frozenset((APCom(m, a, v), v) for v in values)
+                    for a in model.method_args[m]]
+        bodies = [model.body(m, a) for a in model.method_args[m]]
+        prims = frozenset().union(*map(command_prims, bodies))
+        inst = self._instances
+        for p in prims - inst.keys():
+            first = subst_prim(p, {"r": values[0]})
+            inst[p] = None if first is p else {
+                values[0]: first,
+                **{v: subst_prim(p, {"r": v}) for v in values[1:]}}
+
+        def at(v):  # each primitive's instance at r = v
+            return {p: p if inst[p] is None else inst[p][v] for p in prims}
+
+        # where r := v maps two primitives onto one, test the commands
+        clashes = [v for v in values if len(set(at(v).values())) < len(prims)]
+        if clashes:
+            cmds = frozenset().union(*map(reachable_commands, bodies))
+            if any(_merges(cmds, at(v)) for v in clashes):
+                return [frozenset((subst_command(body, {"r": v}), v)
+                                  for v in values) for body in bodies]
+        return [frozenset((body, v) for v in values) for body in bodies]
+
+    def _run(self, alpha: PrimCommand, t: int, hid: int) -> tuple:
+        """The heaps' of primitive alpha run by thread t at heap hid."""
+        heaps = self._runs.get((alpha, t, hid))
+        if heaps is None:
+            heaps = self._runs[alpha, t, hid] = self.model.ctable.apply(
+                alpha, t, self.heaps[hid], self.model.dom.modulus)
+        return heaps
+
     def _step(self, t: int, cmd, hid: int) -> tuple:
+        """The steps of cmd by thread t at heap hid as (primitive, command',
+        heaps') entries, built on the first call; heaps' is None where the
+        primitive reads `r`."""
         steps = self._steps.get((t, cmd, hid))
         if steps is None:
-            heap, model = self.heaps[hid], self.model
-            mod = model.dom.modulus
-            steps = self._steps[t, cmd, hid] = tuple(
-                state_step(cmd, heap, t, model.ctable, mod) if self.concrete
-                else ((cmd, SKIP, h) for h in model.atable.apply(
-                    *cmd, t, heap, mod)))
+            if self.concrete:
+                inst = self._instances
+                steps = state_step(cmd, lambda alpha: None if inst.get(alpha)
+                                   else self._run(alpha, t, hid))
+            else:
+                steps = ((cmd, SKIP, self.model.atable.apply(
+                    *cmd, t, self.heaps[hid], self.model.dom.modulus)),)
+            self._steps[t, cmd, hid] = steps
         return steps
 
     def local(self, t: int, sid: int, hid: int) -> tuple:
@@ -251,8 +320,13 @@ class _Library:
                 if isinstance(cmd, Skip):
                     out.append(((t, "ret", m, v),) * 2 + (0, hid))
                     continue
-                for alpha, cmd2, heap2 in self._step(t, cmd, hid):
-                    groups.setdefault((alpha, heap2), []).append((cmd2, v))
+                for alpha, cmd2, heaps2 in self._step(t, cmd, hid):
+                    if heaps2 is None:
+                        alpha = self._instances[alpha][v]
+                        heaps2 = self._run(alpha, t, hid)
+                    for heap2 in heaps2:
+                        groups.setdefault((alpha, heap2), []).append(
+                            (cmd2, v))
             out.extend(
                 ((t, alpha), None, -1, -1) if heap2 is FAULT else
                 ((t, alpha), None,
@@ -285,6 +359,33 @@ class _Library:
                         (hid2,) + head + (sid2,) + tail)))
             succ = self._succ[cid] = tuple(out)
         return succ
+
+
+def _merges(cmds: frozenset, at: dict) -> bool:
+    """Whether r := v maps two of the commands onto one, where at[p] is
+    primitive p's instance: each command's instance is interned to an int
+    bottom-up, each node once, with no tree built."""
+    ids: Dict[Command, int] = {}  # node -> the int of its instance
+    table: Dict = {}  # primitive instance, `Skip`, or (class, ints) -> int
+
+    def image(c) -> int:
+        # a `Seq` chain is walked by a loop, as `subst_command` walks it
+        firsts = []
+        while isinstance(c, Seq) and c not in ids:
+            firsts.append(c)
+            c = c.second
+        i = ids.get(c)
+        if i is None:
+            key = (at[c.prim] if isinstance(c, Prim) else
+                   (Choice, image(c.left), image(c.right))
+                   if isinstance(c, Choice) else
+                   (Iter, image(c.body)) if isinstance(c, Iter) else c)
+            i = ids[c] = table.setdefault(key, len(table))
+        for s in reversed(firsts):
+            i = ids[s] = table.setdefault((Seq, image(s.first), i), len(table))
+        return i
+
+    return len({image(c) for c in cmds}) < len(cmds)
 
 
 class _FaultMet(Exception):

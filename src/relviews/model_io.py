@@ -118,6 +118,14 @@ def _integer(x, what: str, path: str) -> int:
     return x
 
 
+def _location(x, path: str) -> str:
+    """x, which must be a JSON string: a location name of another type is
+    a model error, not coerced."""
+    if type(x) is not str:
+        _fail(path, f"a location name must be a string, got {x!r}")
+    return x
+
+
 def _distinct(entries, what: str, path: str) -> Tuple[int, ...]:
     """A domain list's integers, none listed twice."""
     out = tuple(_integer(x, f"{what} entry", path) for x in entries)
@@ -145,7 +153,7 @@ def parse_expr(doc, path: str = "expr") -> Expr:
     if tag == "var" and len(args) == 1:
         return LVar(str(args[0]))
     if tag == "read" and len(args) == 1:
-        return Read(str(args[0]))
+        return Read(_location(args[0], path))
     if tag == "tid" and not args:
         return Tid()
     if tag == "+" and len(args) == 2:
@@ -186,10 +194,12 @@ def parse_command(doc, path: str = "cmd") -> Command:
         return Prim(PrimCommand("assume", (parse_expr(args[0], path),)))
     if tag == "store" and len(args) == 2:
         return Prim(PrimCommand(
-            "store", (Read(str(args[0])), parse_expr(args[1], path))))
+            "store", (Read(_location(args[0], path)),
+                      parse_expr(args[1], path))))
     if tag == "load" and len(args) == 2:
         return Prim(PrimCommand(
-            "load", (Read(str(args[0])), Read(str(args[1])))))
+            "load", (Read(_location(args[0], path)),
+                     Read(_location(args[1], path)))))
     if tag == "seq":
         return seq(*(parse_command(a, f"{path}/seq[{i}]")
                      for i, a in enumerate(args)))
@@ -199,7 +209,7 @@ def parse_command(doc, path: str = "cmd") -> Command:
     if tag == "iter" and len(args) == 1:
         return Iter(parse_command(args[0], f"{path}/iter"))
     if tag == "cas" and len(args) == 5:
-        return cas(str(args[0]), parse_expr(args[1], path),
+        return cas(_location(args[0], path), parse_expr(args[1], path),
                    parse_expr(args[2], path),
                    parse_command(args[3], f"{path}/then"),
                    parse_command(args[4], f"{path}/else"))
@@ -291,9 +301,9 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
     if tag == "true":
         return TrueA()
     if tag == "pt" and len(args) == 2:
-        return CPt(str(args[0]), parse_expr(args[1], path))
+        return CPt(_location(args[0], path), parse_expr(args[1], path))
     if tag == "apt" and len(args) == 2:
-        return APt(str(args[0]), parse_expr(args[1], path))
+        return APt(_location(args[0], path), parse_expr(args[1], path))
     if tag in ("todo", "done") and len(args) == 4:
         return TokA(tag, parse_expr(args[0], path), str(args[1]),
                     parse_expr(args[2], path), parse_expr(args[3], path))
@@ -425,7 +435,7 @@ def _parse_update(spec: dict, params, path: str) -> GuardedUpdate:
     use the `{t}` placeholder."""
     guard = (parse_expr(spec["guard"], path)
              if spec.get("guard") is not None else None)
-    updates = tuple((str(loc), parse_expr(e, path))
+    updates = tuple((_location(loc, path), parse_expr(e, path))
                     for loc, e in spec.get("updates", []))
     out = GuardedUpdate(params=tuple(params), guard=guard, updates=updates)
     _check_placeholders(_update_locs(out), "t", path)

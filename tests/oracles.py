@@ -63,10 +63,16 @@ a time, against which the column classes of RGSep views are tested;
 footprint with and without a one-location frame, checking the locality
 that the transformer language guarantees by construction.
 
-Method bodies instance by instance: `instance_bodies(model)` instantiates
-every method instance's body, and `per_instance_body_error` validates a
-body template by substituting each (a, r) and checking every instance.
-Loading checks the template alone, and is tested against it.
+Method bodies instance by instance: `instance_body(model, m, a, r)`
+instantiates one method instance's body and `instance_bodies(model)` every
+one, and `per_instance_body_error` validates a body template by
+substituting each (a, r) and checking every instance.  Loading checks the
+template alone, and is tested against it.  `heap_steps` steps an instance
+at one heap.  `PerValueLibrary` is the concrete library over such
+instances, one body per expected return, each stepped on its own;
+`per_value_stepping()` makes the shipped checks build it, and the shipped
+library, whose members share the body until a primitive reads `r`, is
+tested against it.
 
 Instances by substitution: `subst_vassn`/`subst_outline` build each
 instance's assertions and outline as new trees with its t, a and r
@@ -78,6 +84,7 @@ against checking the substituted outline with no bindings.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict
 
@@ -90,10 +97,11 @@ from relviews.command_lang import (
     command_prims,
     expr_locs,
     loc_placeholders,
+    reachable_commands,
     resolve_loc,
-    state_step,
     step,
 )
+from relviews import linearizability
 from relviews.errors import (
     FaultReachable,
     ModelError,
@@ -104,6 +112,8 @@ from relviews.linearizability import (
     IDLE,
     LibraryModel,
     ObligationItem,
+    _index,
+    _Library,
     render_event,
 )
 from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
@@ -389,11 +399,25 @@ def rgsep_pred(mono, rho: VAssn, interp) -> frozenset:
                      for l in local_sets(mono, rho, s, interp))
 
 
+def instance_body(model, m: str, a: int, r: int) -> Command:
+    """Instance m(a)->r's body: the shipped body at argument a, with the
+    expected return substituted too."""
+    return subst_command(model.body(m, a), {"r": r})
+
+
 def instance_bodies(model) -> dict:
     """Every method instance's body, keyed by (method, argument, expected
     return)."""
-    return {(m, a, r): model.body(m, a, r) for m in model.methods()
+    return {(m, a, r): instance_body(model, m, a, r) for m in model.methods()
             for a in model.method_args[m] for r in model.dom.values}
+
+
+def heap_steps(c: Command, sigma, t: int, table, modulus: int) -> frozenset:
+    """The stateful transitions of c at one heap: a (primitive, c', sigma')
+    triple per result of each stateless step's primitive, the fault state
+    among them."""
+    return frozenset((alpha, c2, sigma2) for alpha, c2 in step(c)
+                     for sigma2 in table.apply(alpha, t, sigma, modulus))
 
 
 def per_instance_body_error(template: Command, args, values, ctable):
@@ -458,7 +482,8 @@ def history_depths(model, bound: int, side: str) -> dict:
                 for m in sorted(model.method_args):
                     for a in model.method_args[m]:
                         for r in model.dom.values:
-                            run = model.body(m, a, r) if concrete else m
+                            run = (instance_body(model, m, a, r)
+                                   if concrete else m)
                             move((m, a, r, run), sigma, (t, "call", m, a))
                 continue
             m, a, r, run = slot
@@ -521,7 +546,7 @@ class _HistoryGen:
         event, pool, heap), in the order of the shipped successor tables:
         threads in pool order; an idle thread's calls by method, argument
         and expected return, a finished command's return, a running
-        command's steps in `state_step` order.  A call or return's move is
+        command's steps in `heap_steps` order.  A call or return's move is
         its event; a silent step's move is (thread, primitive) and its
         event None.  A step into the fault state has `FAULT` as its heap.
         A slot is idle or a running (method, command, expected return)."""
@@ -537,8 +562,8 @@ class _HistoryGen:
                     for a in model.method_args[m]:
                         ev = (t, "call", m, a)
                         for v in model.dom.values:
-                            run = model.body(m, a, v) if concrete \
-                                else APCom(m, a, v)
+                            run = instance_body(model, m, a, v) \
+                                if concrete else APCom(m, a, v)
                             yield ev, ev, put((m, run, v)), heap
                 continue
             m, cmd, v = slot
@@ -555,7 +580,7 @@ class _HistoryGen:
         if hit is None:
             model = self.model
             if concrete:
-                hit = tuple(state_step(cmd, heap, t, model.ctable,
+                hit = tuple(heap_steps(cmd, heap, t, model.ctable,
                                        model.dom.modulus))
             else:
                 hit = tuple((cmd, SKIP, heap2) for heap2 in model.atable.apply(
@@ -635,6 +660,73 @@ def least_fault(model, bound: int):
     found = least(bound, gen._idle(), model.init_conc) if bound else None
     return None if found is None else FaultReachable(found[2],
                                                      list(found[3]))
+
+
+class PerValueLibrary(_Library):
+    """`_Library` with a body instantiated per expected return: each
+    member of a call holds its own instance's body, a member steps by
+    `heap_steps` once per (thread, command, heap id), and a primitive runs
+    afresh in every step table.  The shipped library shares one body among
+    a call's members until a primitive reads `r`, and must give the same
+    verdicts, counterexamples, faults, stats and histories; run the
+    shipped checks on this one under `per_value_stepping()`."""
+
+    def _starts(self, m):
+        if not self.concrete:
+            return super()._starts(m)
+        return [frozenset((instance_body(self.model, m, a, v), v)
+                          for v in self.model.dom.values)
+                for a in self.model.method_args[m]]
+
+    def _step(self, t, cmd, hid):
+        steps = self._steps.get((t, cmd, hid))
+        if steps is None:
+            heap, model = self.heaps[hid], self.model
+            mod = model.dom.modulus
+            steps = self._steps[t, cmd, hid] = tuple(
+                heap_steps(cmd, heap, t, model.ctable, mod) if self.concrete
+                else ((cmd, SKIP, h) for h in model.atable.apply(
+                    *cmd, t, heap, mod)))
+        return steps
+
+    def local(self, t, sid, hid):
+        key = (t, sid, hid)
+        table = self._locals.get(key)
+        if table is not None:
+            return table
+        slot = self.slots[sid]
+        if slot is IDLE:
+            table = tuple(((t, "call", m, a),) * 2 + (started, hid)
+                          for m, a, started in self.calls)
+        else:
+            m, members = slot
+            out, groups = [], {}
+            for cmd, v in members:
+                if isinstance(cmd, Skip):
+                    out.append(((t, "ret", m, v),) * 2 + (0, hid))
+                    continue
+                for alpha, cmd2, heap2 in self._step(t, cmd, hid):
+                    groups.setdefault((alpha, heap2), []).append((cmd2, v))
+            out.extend(
+                ((t, alpha), None, -1, -1) if heap2 is FAULT else
+                ((t, alpha), None,
+                 _index(self._slot_ids, self.slots, (m, frozenset(group))),
+                 _index(self._heap_ids, self.heaps, heap2))
+                for (alpha, heap2), group in groups.items())
+            table = tuple(out)
+        self._locals[key] = table
+        return table
+
+
+@contextmanager
+def per_value_stepping():
+    """Within the block, the shipped checks build `PerValueLibrary`s."""
+    shipped = linearizability._Library
+    linearizability._Library = PerValueLibrary
+    try:
+        yield
+    finally:
+        linearizability._Library = shipped
 
 
 def history_sort_key(h):
@@ -748,19 +840,6 @@ def substituted_outline(outline):
     return replace(outline, pre=subst_vassn(outline.pre, b),
                    body=subst_outline(outline.body, b),
                    post=subst_vassn(outline.post, b), binding=())
-
-
-def reachable_commands(c: Command) -> frozenset:
-    """All command shapes reachable from c by stepping (finite)."""
-    seen = {c}
-    frontier = [c]
-    while frontier:
-        cur = frontier.pop()
-        for _, nxt in step(cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
 
 
 # the DCSL view of no worlds

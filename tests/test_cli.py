@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from relviews import cli, linearizability
-from relviews.cli import main
+from relviews.cli import build_parser, main
 from relviews.model_io import load_model
 from relviews.subst import subst_command
 
@@ -106,6 +106,30 @@ def test_cap_env_var_triggers_universe_error(capsys, monkeypatch):
                        f"{FIX}/flat-combiner/model.json", "--bound", "6")
     assert code == 2
     assert "cap" in err
+
+
+def test_cap_env_var_is_read_on_every_call(capsys, monkeypatch):
+    """The parser is built once per process, but each `main` call reads
+    RELVIEWS_CAP afresh."""
+    argv = ("histories", f"{FIX}/flat-combiner/model.json", "--bound", "6",
+            "--format", "machine")
+    monkeypatch.setenv("RELVIEWS_CAP", "2")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "cap 2;" in err
+    monkeypatch.setenv("RELVIEWS_CAP", "100000")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out
+    monkeypatch.delenv("RELVIEWS_CAP")
+    assert run(capsys, *argv)[:2] == (0, out)
+    monkeypatch.setenv("RELVIEWS_CAP", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.splitlines()[-1] == (
+        "relviews histories: error: argument --cap: expected an integer "
+        ">= 0 (--cap or RELVIEWS_CAP), got 'abc'")
+    assert build_parser.cache_info().currsize == 1
 
 
 def _first_choice(node):
@@ -436,12 +460,13 @@ def test_each_method_instance_is_instantiated_at_most_once(
     calls = _counted_instantiation(monkeypatch)
     code, _, err = run(capsys, argv[0], fx.model_path, *argv[1:])
     assert code in (0, 1) and err == ""
+    # a call's expected returns share one body: each (method, argument)
+    # body is instantiated at most once, with its argument alone
     assert len(calls) == len(set(calls))
     model = load_model(fx.model_path)
-    instances = {(model.body_templates[m], (("a", a), ("r", r)))
-                 for m in model.methods() for a in model.method_args[m]
-                 for r in model.dom.values}
-    assert set(calls) <= instances
+    bodies = {(model.body_templates[m], (("a", a),))
+              for m in model.methods() for a in model.method_args[m]}
+    assert set(calls) <= bodies
 
 
 def test_undecodable_document_is_a_model_error(capsys, tmp_path):
@@ -598,7 +623,7 @@ _MONOID_MODULES = ["relviews.monoid_dcsl", "relviews.monoid_rgsep",
 
 _LOADED_AFTER_EACH = """
 import contextlib, io, sys
-from relviews.cli import main
+from relviews.cli import build_parser, main
 model, outline = sys.argv[1:]
 for argv in (["check-lin", model, "--bound", "4"],
              ["histories", model, "--bound", "2"],

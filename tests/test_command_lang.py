@@ -74,22 +74,29 @@ def test_step_deterministic_shape():
     assert isinstance(step(c), frozenset)
 
 
+def _at(sigma, t=1, modulus=4):
+    """`state_step`'s callback: run each primitive by TBL at one heap."""
+    return lambda alpha: TBL.apply(alpha, t, sigma, modulus)
+
+
 def test_state_step_id():
     sigma = Heap({"l": 0})
-    got = state_step(Prim(PrimCommand("id")), sigma, 1, TBL, 4)
-    assert got == {(PrimCommand("id"), SKIP, sigma)}
+    got = state_step(Prim(PrimCommand("id")), _at(sigma))
+    assert got == ((PrimCommand("id"), SKIP, (sigma,)),)
 
 
 def test_state_step_assume_false_blocks():
-    assert state_step(assume(Const(0)), Heap({"l": 0}), 1, TBL, 4) == frozenset()
+    ((_alpha, _c2, results),) = state_step(assume(Const(0)),
+                                           _at(Heap({"l": 0})))
+    assert results == ()
 
 
 def test_state_step_store_under_seq():
     sigma = Heap({"l": 0})
     c = Seq(store("l", Const(5)), assume(Const(1)))
-    got = state_step(c, sigma, 1, TBL, 8)
+    got = state_step(c, _at(sigma, modulus=8))
     assert len(got) == 1
-    ((alpha, c2, sigma2),) = got
+    ((alpha, c2, (sigma2,)),) = got
     assert alpha.name == "store"
     assert sigma2 == Heap({"l": 5})
     assert c2 == Seq(SKIP, assume(Const(1)))
@@ -98,14 +105,22 @@ def test_state_step_store_under_seq():
 def test_state_step_projects_into_step():
     sigma = Heap({"l": 1})
     c = Choice(store("l", Const(0)), assume(Read("l")))
-    shapes = step(c)
-    for alpha, c2, _sigma2 in state_step(c, sigma, 1, TBL, 4):
-        assert (alpha, c2) in shapes
+    got = state_step(c, _at(sigma))
+    assert {(alpha, c2) for alpha, c2, _results in got} == step(c)
+
+
+def test_state_step_asks_the_callback_once_per_step():
+    c = Choice(store("l", Const(0)), assume(Read("l")))
+    asked = []
+    got = state_step(c, lambda alpha: asked.append(alpha) or alpha.name)
+    assert sorted(asked, key=repr) == sorted(
+        (alpha for alpha, _c2 in step(c)), key=repr)
+    assert all(results == alpha.name for alpha, _c2, results in got)
 
 
 def test_store_on_missing_location_faults():
-    got = state_step(store("m", Const(1)), Heap({"l": 0}), 1, TBL, 4)
-    assert {s for _, _, s in got} == {FAULT}
+    got = state_step(store("m", Const(1)), _at(Heap({"l": 0})))
+    assert [results for _, _, results in got] == [(FAULT,)]
 
 
 def test_desugar_if_shape():
@@ -132,11 +147,12 @@ def _traces(c, sigma, t=1, modulus=4):
         if isinstance(cur, Skip):
             out.add(trace)
             continue
-        for _alpha, c2, s2 in state_step(cur, sg, t, TBL, modulus):
-            if s2 is FAULT:
-                continue
-            grown = trace if s2 == trace[-1] else trace + (s2,)
-            stack.append((c2, s2, grown))
+        for _alpha, c2, results in state_step(cur, _at(sg, t, modulus)):
+            for s2 in results:
+                if s2 is FAULT:
+                    continue
+                grown = trace if s2 == trace[-1] else trace + (s2,)
+                stack.append((c2, s2, grown))
     return out
 
 

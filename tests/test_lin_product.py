@@ -21,9 +21,22 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from oracles import _HistoryGen, history_sort_key, lin_by_history_sets
+from families import flat_combiner
+from oracles import (
+    _HistoryGen,
+    heap_steps,
+    history_sort_key,
+    instance_body,
+    lin_by_history_sets,
+    per_value_stepping,
+)
 from relviews import linearizability
-from relviews.command_lang import AbstractTable, Skip, state_step
+from relviews.command_lang import (
+    AbstractTable,
+    Skip,
+    TransformerTable,
+    state_step,
+)
 from relviews.errors import FaultReachable, RelviewsError, UniverseTooLarge
 from relviews.linearizability import (
     IDLE,
@@ -35,6 +48,7 @@ from relviews.linearizability import (
 )
 from relviews.model_io import load_model, parse_model
 from relviews.state_model import FAULT, APCom
+from relviews.subst import subst_prim
 from util import fixture_manifest, tiny_model_docs
 
 FIX = "src/relviews/fixtures"
@@ -214,8 +228,8 @@ def test_fault_schedule_replays_to_the_fault(run):
                 t, kind, m, v = move
                 slot = pool[t - 1]
                 if kind == "call" and slot is IDLE:
-                    out.update((_put(pool, t, (m, model.body(m, v, r), r)),
-                                heap) for r in model.dom.values)
+                    out.update((_put(pool, t, (m, instance_body(
+                        model, m, v, r), r)), heap) for r in model.dom.values)
                 elif kind == "ret" and slot is not IDLE and \
                         isinstance(slot[1], Skip) and slot[2] == v:
                     out.add((_put(pool, t, IDLE), heap))
@@ -225,7 +239,7 @@ def test_fault_schedule_replays_to_the_fault(run):
             if slot is IDLE:
                 continue
             m, cmd, r = slot
-            for alpha2, cmd2, heap2 in state_step(
+            for alpha2, cmd2, heap2 in heap_steps(
                     cmd, heap, t, model.ctable, model.dom.modulus):
                 if alpha2 == alpha and (heap2 is FAULT) == last:
                     out.add((_put(pool, t, (m, cmd2, r)), heap2))
@@ -283,39 +297,224 @@ def test_stats_are_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(STATS))
 def test_moves_are_generated_once_per_configuration(name, monkeypatch):
-    """Each library tabulates a thread's local moves once per (slot, heap,
-    thread), so one check runs `state_step` (concrete side) or the
-    abstract table (abstract side) at most once per distinct (command,
-    heap, thread); and it builds each configuration's successor table
+    """A call's expected returns share its body until a primitive reads
+    `r`, and each piece of work is done once per key: the concrete
+    library builds one step table (one `state_step` call) per (thread,
+    command, heap), runs `ctable.apply` once per (primitive, thread,
+    heap) and instantiates a primitive that reads `r` once per value; the
+    abstract library runs the abstract table once per (command, heap,
+    thread); and each library builds a configuration's successor table
     once, so every request for it returns the same table."""
-    steps = Counter()
+    tables, runs, instances = Counter(), Counter(), Counter()
+    model = _model(name)
+    stepping = []  # the (library, thread, command, heap) being tabulated
+    original_step = _Library._step
 
-    def counting_step(cmd, heap, t, table, modulus):
-        steps[("concrete", cmd, heap, t)] += 1
-        return state_step(cmd, heap, t, table, modulus)
+    def tracking_step(self, t, cmd, hid):
+        stepping.append((id(self), t, cmd, self.heaps[hid]))
+        try:
+            return original_step(self, t, cmd, hid)
+        finally:
+            stepping.pop()
+
+    def counting_state_step(cmd, apply):
+        tables[stepping[-1]] += 1
+        return state_step(cmd, apply)
+
+    original_run = TransformerTable.apply
+
+    def counting_run(self, alpha, t, heap, modulus):
+        runs[("concrete", alpha, heap, t)] += 1
+        return original_run(self, alpha, t, heap, modulus)
 
     original_apply = AbstractTable.apply
 
     def counting_apply(self, method, arg, ret, t, heap, modulus):
-        steps[("abstract", APCom(method, arg, ret), heap, t)] += 1
+        runs[("abstract", APCom(method, arg, ret), heap, t)] += 1
         return original_apply(self, method, arg, ret, t, heap, modulus)
 
-    tables = {}
+    def counting_subst(prim, binding):
+        instances[prim, tuple(binding.items())] += 1
+        return subst_prim(prim, binding)
+
+    succ_tables = {}
     libs = {}
     original_successors = _Library.successors
 
     def recording(self, cid):
         succ = original_successors(self, cid)
         libs[id(self)] = self
-        assert tables.setdefault((id(self), cid), succ) is succ
+        assert succ_tables.setdefault((id(self), cid), succ) is succ
         return succ
 
-    monkeypatch.setattr(linearizability, "state_step", counting_step)
+    monkeypatch.setattr(_Library, "_step", tracking_step)
+    monkeypatch.setattr(linearizability, "state_step", counting_state_step)
+    monkeypatch.setattr(TransformerTable, "apply", counting_run)
     monkeypatch.setattr(AbstractTable, "apply", counting_apply)
+    monkeypatch.setattr(linearizability, "subst_prim", counting_subst)
     monkeypatch.setattr(_Library, "successors", recording)
-    check_linearizable(_model(name), 12)
-    assert max(steps.values()) == 1
-    assert {side for side, *_ in steps} == {"concrete", "abstract"}
+    check_linearizable(model, 12)
+    assert tables and max(tables.values()) == 1
+    assert max(runs.values()) == 1
+    assert {side for side, *_ in runs} == {"concrete", "abstract"}
+    # a primitive is instantiated at the first value, and at every other
+    # value only if that instance differs from it: if it reads `r`
+    assert max(instances.values()) == 1
+    values = model.dom.values
+    at = {}
+    for prim, ((var, v),) in instances:
+        assert var == "r"
+        at.setdefault(prim, set()).add(v)
+    for prim, seen in at.items():
+        reads = subst_prim(prim, {"r": values[0]}) is not prim
+        assert seen == (set(values) if reads else {values[0]})
     # one library per side: the walk, its growth test and the fault scan
     # read the same concrete tables
     assert sorted(lib.concrete for lib in libs.values()) == [False, True]
+
+
+# ---------------------------------------------------------------------------
+# Shared bodies against per-value stepping
+
+
+def _twin_doc(doc, method):
+    """The model with a choice between `assume 0 == 0` and its twin
+    `assume r == 0` put first in the method's body: r := 0 maps the two
+    branches onto one command, so the members of a call cannot share the
+    body."""
+    doc = json.loads(json.dumps(doc))
+    doc["methods"][method]["body"] = [
+        "seq", ["choice", ["assume", ["==", 0, 0]],
+                ["assume", ["==", ["var", "r"], 0]]],
+        doc["methods"][method]["body"]]
+    return doc
+
+
+def _cross_argument_twin_doc():
+    """One thread and one method whose two arguments' bodies are each
+    injective under r := v, though not together: at r = 1 the instance
+    `store x (r + 0)` of op(0) is the `store x (1 + 0)` of op(1), so the
+    two calls reach slots that are one slot per value (0 is an argument
+    but not a value)."""
+    return {
+        "name": "cross-argument-twin",
+        "monoid": "rgsep",
+        "domains": {"values": [1, 2], "modulus": 3, "threads": 1,
+                    "locations": {"x": [0, 1, 2]},
+                    "abstract_locations": {"X": [0, 1, 2]}},
+        "methods": {"op": {"args": [0, 1], "body": [
+            "seq", ["assume", ["<", ["var", "r"], 2]],
+            ["choice",
+             ["seq", ["assume", ["==", ["var", "a"], 1]],
+              ["store", "x", ["+", ["var", "a"], 0]]],
+             ["seq", ["assume", ["==", ["var", "a"], 0]],
+              ["store", "x", ["+", ["var", "r"], ["var", "a"]]]]]]}},
+        "abstract": {"op": {"updates": [["X", ["var", "r"]]]}},
+        "initial": {"concrete": {"x": 0}, "abstract": {"X": 0}},
+    }
+
+
+def _twin_paths_doc():
+    """One thread and one method whose body has two paths, one ending in
+    `assume 0 == 0` and one in its twin `assume r == 0`: after `assume r <
+    1` leaves only r = 0, the paths' stores differ as moves but not in the
+    heap they leave, so they reach two slots that are one slot per
+    value."""
+    return {
+        "name": "twin-paths",
+        "monoid": "rgsep",
+        "domains": {"values": [0, 1], "modulus": 2, "threads": 1,
+                    "locations": {"x": [0, 1]},
+                    "abstract_locations": {"X": [0, 1]}},
+        "methods": {"op": {"args": [0], "body": [
+            "seq", ["assume", ["<", ["var", "r"], 1]],
+            ["choice",
+             ["seq", ["store", "x", 1], ["assume", ["==", 0, 0]]],
+             ["seq", ["store", "x", ["+", 0, 1]],
+              ["assume", ["==", ["var", "r"], 0]]]]]}},
+        "abstract": {"op": {"updates": [["X", ["var", "r"]]]}},
+        "initial": {"concrete": {"x": 0}, "abstract": {"X": 0}},
+    }
+
+
+def _fc_doc():
+    return json.load(open(f"{FIX}/flat-combiner/model.json"))
+
+
+def _lin_outcome(model, bound):
+    """The verdict, least counterexample, stats and growth flag, or the
+    error's type, message and, for a fault, schedule."""
+    try:
+        res = check_linearizable(model, bound)
+    except RelviewsError as exc:
+        return type(exc), str(exc), getattr(exc, "schedule", None)
+    return res.ok, res.counterexample, res.stats, res.still_growing
+
+
+def _walk_outcome(model, bound, concrete):
+    """`history_walk`'s count and histories, or the error as above."""
+    try:
+        count, walk = history_walk(model, bound, concrete)
+        return count, list(walk)
+    except RelviewsError as exc:
+        return type(exc), str(exc), getattr(exc, "schedule", None)
+
+
+def _assert_as_per_value(model, bounds, walk_bounds=()):
+    """The shipped checks on `model` give what they give on
+    `PerValueLibrary`: check-lin at each of `bounds`, and the concrete
+    and abstract histories at each of `walk_bounds`."""
+    runs = [(_lin_outcome, bound) for bound in bounds] + [
+        (lambda m, b, c=c: _walk_outcome(m, b, c), bound)
+        for bound in walk_bounds for c in (True, False)]
+    for run, bound in runs:
+        got = run(model, bound)
+        with per_value_stepping():
+            assert run(model, bound) == got
+
+
+def _shares_body(model) -> bool:
+    """Whether the concrete library's calls start members that share one
+    command."""
+    lib = _Library(model, True)
+    return all(len({cmd for cmd, _v in lib.slots[sid][1]}) == 1
+               for _m, _a, sid in lib.calls)
+
+
+@pytest.mark.parametrize("name", [*sorted(STATS), *GHOSTS, "late-fault"])
+def test_shared_bodies_step_as_per_value_bodies(name):
+    model = _model(name)
+    _assert_as_per_value(model, range(15), range(8))
+    assert _shares_body(model)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=tiny_model_docs())
+def test_shared_bodies_step_as_per_value_bodies_on_generated_models(doc):
+    _assert_as_per_value(parse_model(doc), range(7), range(5))
+
+
+def test_shared_bodies_step_as_per_value_bodies_on_three_threads():
+    _assert_as_per_value(parse_model(flat_combiner(3)[0]), range(11))
+
+
+@pytest.mark.parametrize("doc", [
+    _twin_doc(_fc_doc(), "inc"),
+    _twin_doc(json.load(open(f"{FIX}/flat-combiner-nolock/model.json")),
+             "inc"),
+    _twin_paths_doc(),
+    _cross_argument_twin_doc(),
+], ids=["flat-combiner", "flat-combiner-nolock", "paths", "cross-argument"])
+def test_twin_primitives_step_per_value(doc):
+    model = parse_model(doc)
+    assert not _shares_body(model)
+    _assert_as_per_value(model, range(15), range(8))
+
+
+def test_a_twin_in_one_method_leaves_the_others_shared():
+    model = parse_model(_twin_doc(_fc_doc(), "inc"))
+    lib = _Library(model, True)
+    shared = {m: len({cmd for cmd, _v in lib.slots[sid][1]}) == 1
+              for m, _a, sid in lib.calls}
+    assert shared == {"get": True, "inc": False}

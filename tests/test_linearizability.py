@@ -33,7 +33,9 @@ from relviews.state_model import FAULT, Heap
 from oracles import (
     history_depths,
     history_sort_key,
+    heap_steps,
     instance_bodies,
+    instance_body,
     locality_witness,
 )
 from util import fixture_manifest, tiny_model_docs
@@ -182,10 +184,8 @@ def test_mutated_final_token_rejected():
 
 def _drive_until(cmd, sigma, t, model, stop_prim):
     """Follow the unique transition chain until the named primitive fires."""
-    from relviews.command_lang import state_step
-
     while True:
-        steps = state_step(cmd, sigma, t, model.ctable, model.dom.modulus)
+        steps = heap_steps(cmd, sigma, t, model.ctable, model.dom.modulus)
         assert len(steps) == 1, "prefix is not deterministic"
         ((alpha, cmd, sigma),) = steps
         if alpha.name == stop_prim:
@@ -195,7 +195,7 @@ def _drive_until(cmd, sigma, t, model, stop_prim):
 def _complete(cmd, sigma, t, model, avoid=()):
     """Some terminal state reachable without firing the avoided primitives,
     or None."""
-    from relviews.command_lang import Skip, state_step
+    from relviews.command_lang import Skip
     from relviews.state_model import Heap
 
     seen = set()
@@ -207,7 +207,7 @@ def _complete(cmd, sigma, t, model, avoid=()):
         if (c, s) in seen:
             continue
         seen.add((c, s))
-        for alpha, c2, s2 in state_step(c, s, t, model.ctable,
+        for alpha, c2, s2 in heap_steps(c, s, t, model.ctable,
                                         model.dom.modulus):
             if alpha.name in avoid or not isinstance(s2, Heap):
                 continue
@@ -218,17 +218,16 @@ def _complete(cmd, sigma, t, model, avoid=()):
 def test_helping_completes_a_spinning_thread():
     m = load_model(f"{FIX}/flat-combiner/model.json")
     sigma0 = m.init_conc
+    body = instance_body(m, "inc", 1, 0)
     # thread 2 cannot finish on its own without the lock
-    assert _complete(m.body("inc", 1, 0), sigma0, 2, m,
+    assert _complete(body, sigma0, 2, m,
                      avoid=("cas_succ", "cas_fail")) is None
     # thread 2 publishes its task and spins
-    t2_cmd, sigma1 = _drive_until(m.body("inc", 1, 0), sigma0, 2, m,
-                                  "publish")
+    t2_cmd, sigma1 = _drive_until(body, sigma0, 2, m, "publish")
     assert sigma1["res[2]"] == 4
     # thread 1 runs to completion as the combiner (it must take the lock and
     # must process thread 2's pending task along the way)
-    sigma2 = _complete(m.body("inc", 1, 0), sigma1, 1, m,
-                       avoid=("cas_fail",))
+    sigma2 = _complete(body, sigma1, 1, m, avoid=("cas_fail",))
     assert sigma2 is not None
     assert sigma2["k"] == 2 and sigma2["res[2]"] == 0 and sigma2["L"] == 0
     # now thread 2 finishes without ever touching the lock: its

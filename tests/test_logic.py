@@ -41,7 +41,12 @@ from relviews.state_model import (
 )
 from relviews.vassn import APt, CPt, ExistsA, OrA, StarA, free_lvars
 from relviews.command_lang import LVar
-from oracles import check_safe, outline_views, substituted_outline
+from oracles import (
+    check_safe,
+    instance_body,
+    outline_views,
+    substituted_outline,
+)
 from util import fixture_manifest, micro_dcsl, store
 
 FIX = "src/relviews/fixtures"
@@ -167,7 +172,7 @@ def test_lemma1_bridge_shipped_dcsl_outline():
         universe = outline_views(outline, env)
         p = env.eval(outline.pre, dict(outline.binding))
         q = env.eval(outline.post, dict(outline.binding))
-        body = model.body(m, a, r)
+        body = instance_body(model, m, a, r)
         assert check_safe(1, p, body, q, universe, model.monoid())
 
 
@@ -180,8 +185,8 @@ def test_lemma1_bridge_rgsep_outline():
     universe = outline_views(outline, env)
     p = env.eval(outline.pre, dict(outline.binding))
     q = env.eval(outline.post, dict(outline.binding))
-    assert check_safe(2, p, model.body("inc", 1, 2), q, universe,
-                      model.monoid())
+    assert check_safe(2, p, instance_body(model, "inc", 1, 2), q,
+                      universe, model.monoid())
 
 
 def test_safety_seq_closure_smoke():

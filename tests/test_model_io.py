@@ -28,7 +28,7 @@ from relviews.model_io import (
     parse_vassn,
     MacroTable,
 )
-from oracles import per_instance_body_error
+from oracles import instance_body, per_instance_body_error
 from util import fixture_manifest, store
 
 FIX = "src/relviews/fixtures"
@@ -336,7 +336,7 @@ def test_seq_outline_alternation_enforced():
 
 def test_inc_body_uses_expected_locations():
     model = load_model(f"{FIX}/flat-combiner/model.json")
-    body = model.body("inc", 1, 0)
+    body = instance_body(model, "inc", 1, 0)
     prims = command_prims(body)
     assert "publish" in {p.name for p in prims}
     assert "res[{t}]" in {loc for p in prims for e in p.args
@@ -382,3 +382,67 @@ def test_rimpl_in_outline_rejected_at_load(capsys, tmp_path):
     assert code == 2
     assert "error:" in err and str(bad) in err
     assert "repartitioning implication" in err
+
+
+def _declare_seven(doc):
+    """atomic-inc with a concrete and an abstract location named "7", so
+    that a location 7 coerced to a string would load."""
+    doc["domains"]["locations"]["7"] = [0, 1]
+    doc["domains"]["abstract_locations"]["7"] = [0, 1]
+    doc["initial"]["concrete"]["7"] = 0
+    doc["initial"]["abstract"]["7"] = 0
+
+
+def _body_first(cmd):
+    def put(doc):
+        doc["methods"]["inc"]["body"] = ["seq", cmd,
+                                         doc["methods"]["inc"]["body"]]
+    return put
+
+
+def _universe(assn):
+    def put(doc):
+        doc["shared_universe"] = ["star", assn, doc["shared_universe"]]
+    return put
+
+
+def _update(section, name):
+    def put(doc):
+        doc[section][name]["updates"].append([7, 0])
+    return put
+
+
+@pytest.mark.parametrize("put,where", [
+    (_body_first(["store", 7, 1]), "/methods/inc/seq[0]"),
+    (_body_first(["load", 7, "k"]), "/methods/inc/seq[0]"),
+    (_body_first(["load", "k", 7]), "/methods/inc/seq[0]"),
+    (_body_first(["cas", 7, 0, 1, ["skip"], ["skip"]]),
+     "/methods/inc/seq[0]"),
+    (_body_first(["assume", ["==", ["read", 7], 0]]), "/methods/inc/seq[0]"),
+    (_universe(["pt", 7, 0]), "/shared_universe/star[0]"),
+    (_universe(["apt", 7, 0]), "/shared_universe/star[0]"),
+    (_update("primitives", "inc_atomic"), "/primitives/inc_atomic"),
+    (_update("abstract", "inc"), "/abstract/inc"),
+], ids=["store", "load-from", "load-to", "cas", "read", "pt", "apt",
+        "update", "abstract-update"])
+def test_a_location_name_must_be_a_string(capsys, tmp_path, put, where):
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    _declare_seven(doc)
+    put(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-lin", str(bad), "--bound", "4"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {bad}{where}: a location name must be a "
+                       "string, got 7\n")
+
+
+def test_a_declared_string_location_seven_loads(capsys, tmp_path):
+    """The same documents with the location written "7" load and pass."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    _declare_seven(doc)
+    _body_first(["store", "7", 1])(doc)
+    good = tmp_path / "model.json"
+    good.write_text(json.dumps(doc))
+    assert main(["check-lin", str(good), "--bound", "4"]) == 0
