@@ -438,19 +438,6 @@ def step(c: Command) -> frozenset:
     raise ModelError(f"unknown command node {c!r}")
 
 
-def reachable_commands(c: Command) -> frozenset:
-    """All command shapes reachable from c by stepping (finite)."""
-    seen = {c}
-    frontier = [c]
-    while frontier:
-        cur = frontier.pop()
-        for _, nxt in step(cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
-
-
 def state_step(c: Command, apply: Callable[[PrimCommand], object]) -> tuple:
     """Stateful transitions, one (primitive, command', results) triple per
     stateless step, where results is `apply(primitive)`: the caller runs

@@ -21,16 +21,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .command_lang import (
     AbstractTable,
     SKIP,
-    Choice,
     Command,
-    Iter,
-    Prim,
     PrimCommand,
     Skip,
     TransformerTable,
-    Seq,
     command_prims,
-    reachable_commands,
     state_step,
 )
 from .errors import (
@@ -196,18 +191,15 @@ class _Library:
     body `model.body(m, a)` with `r` still free, so the expected returns
     share its steps until a primitive reads `r`: that step runs the
     primitive's instance at the member's value, which the move and any
-    fault text name.  A member (c, v) stands for (c[r := v], v), the
-    member a body instantiated per value would hold.  Substitution is
-    structural, so if r := v is injective on the primitives of m's bodies
-    for every value v, it is injective on every command built from them,
-    and shared members give the same slots, configurations and moves as
-    per-value ones.  That is checked once per method, over all of its
-    arguments' bodies, since a slot names the method but not the
-    argument; at a value where two primitives meet, injectivity is tested
-    on the commands that stepping reaches from the bodies instead.  A
-    method that fails it (a choice between `assume r == 0` and `assume 0
-    == 0`) starts per-value members, which read no `r`, and steps them
-    with the same code.
+    fault text name.  Mapping each member (c, v) to (c[r := v], v) is a
+    functional simulation (Lynch and Vaandrager, Inf. Comput. 1995) of
+    the library with a body per value: `step` commutes with structural
+    substitution, and `local` groups members by the instantiated
+    primitive.  So a configuration has the moves, events, heaps and
+    faults of its image, and the library the runs, histories, least fault
+    and counterexample of the per-value one.  Where r := v maps two
+    commands of a method onto one, two slots share an image, and more
+    configurations are tabulated (and capped by `dom.cap`).
 
     Slots and heaps are interned to small ints, `IDLE` as slot 0, and a
     configuration is the interned flat tuple (heap id, slot id of thread
@@ -255,24 +247,12 @@ class _Library:
             return [frozenset((APCom(m, a, v), v) for v in values)
                     for a in model.method_args[m]]
         bodies = [model.body(m, a) for a in model.method_args[m]]
-        prims = frozenset().union(*map(command_prims, bodies))
         inst = self._instances
-        for p in prims - inst.keys():
+        for p in frozenset().union(*map(command_prims, bodies)) - inst.keys():
             first = subst_prim(p, {"r": values[0]})
             inst[p] = None if first is p else {
                 values[0]: first,
                 **{v: subst_prim(p, {"r": v}) for v in values[1:]}}
-
-        def at(v):  # each primitive's instance at r = v
-            return {p: p if inst[p] is None else inst[p][v] for p in prims}
-
-        # where r := v maps two primitives onto one, test the commands
-        clashes = [v for v in values if len(set(at(v).values())) < len(prims)]
-        if clashes:
-            cmds = frozenset().union(*map(reachable_commands, bodies))
-            if any(_merges(cmds, at(v)) for v in clashes):
-                return [frozenset((subst_command(body, {"r": v}), v)
-                                  for v in values) for body in bodies]
         return [frozenset((body, v) for v in values) for body in bodies]
 
     def _run(self, alpha: PrimCommand, t: int, hid: int) -> tuple:
@@ -359,33 +339,6 @@ class _Library:
                         (hid2,) + head + (sid2,) + tail)))
             succ = self._succ[cid] = tuple(out)
         return succ
-
-
-def _merges(cmds: frozenset, at: dict) -> bool:
-    """Whether r := v maps two of the commands onto one, where at[p] is
-    primitive p's instance: each command's instance is interned to an int
-    bottom-up, each node once, with no tree built."""
-    ids: Dict[Command, int] = {}  # node -> the int of its instance
-    table: Dict = {}  # primitive instance, `Skip`, or (class, ints) -> int
-
-    def image(c) -> int:
-        # a `Seq` chain is walked by a loop, as `subst_command` walks it
-        firsts = []
-        while isinstance(c, Seq) and c not in ids:
-            firsts.append(c)
-            c = c.second
-        i = ids.get(c)
-        if i is None:
-            key = (at[c.prim] if isinstance(c, Prim) else
-                   (Choice, image(c.left), image(c.right))
-                   if isinstance(c, Choice) else
-                   (Iter, image(c.body)) if isinstance(c, Iter) else c)
-            i = ids[c] = table.setdefault(key, len(table))
-        for s in reversed(firsts):
-            i = ids[s] = table.setdefault((Seq, image(s.first), i), len(table))
-        return i
-
-    return len({image(c) for c in cmds}) < len(cmds)
 
 
 class _FaultMet(Exception):
@@ -588,7 +541,9 @@ class LinResult:
     """A `check-lin` outcome: the least missing history, if any; as
     `stats`, the concrete configurations tabulated and the frontiers
     interned for both libraries; and, for a pass only, whether the
-    concrete history set at `bound` differs from the one at bound - 1."""
+    concrete history set at `bound` differs from the one at bound - 1.
+    The counts are of `_Library`'s configurations, whose bodies leave `r`
+    free: more than per-value bodies make where r := v merges commands."""
 
     ok: bool
     bound: int

@@ -61,6 +61,7 @@ from .vassn import (
     TokA,
     TrueA,
     VAssn,
+    free_lvars_expr,
 )
 
 DEFAULT_CAP = 200_000  # the state cap of a model that declares none
@@ -102,12 +103,24 @@ def _command_locs(cmd) -> Iterable[str]:
                    for loc in expr_locs(e)})
 
 
+def _update_exprs(spec: GuardedUpdate) -> List[Expr]:
+    guard = [] if spec.guard is None else [spec.guard]
+    return [e for _, e in spec.updates] + guard
+
+
 def _update_locs(spec: GuardedUpdate) -> Iterable[str]:
-    exprs = [e for _, e in spec.updates]
-    if spec.guard is not None:
-        exprs.append(spec.guard)
     return [loc for loc, _ in spec.updates] + [
-        loc for e in exprs for loc in expr_locs(e)]
+        loc for e in _update_exprs(spec) for loc in expr_locs(e)]
+
+
+def _check_vars(exprs, names, what: str, path: str, note: str = ""):
+    """A logical variable that the template does not bind is a load error,
+    not a run-time error that names no file."""
+    free = set().union(*map(free_lvars_expr, exprs)) - set(names)
+    if free:
+        bound = "only " + ", ".join(map(repr, names)) if names else "none"
+        _fail(path, f"unbound logical variable {min(free)!r}: {what} binds "
+                    f"{bound}{note}")
 
 
 def _integer(x, what: str, path: str) -> int:
@@ -430,14 +443,15 @@ def parse_model(doc: dict, path: str = "model",
     return model
 
 
-def _parse_update(spec: dict, params, path: str) -> GuardedUpdate:
-    """A guarded update with the given parameters; its locations may only
-    use the `{t}` placeholder."""
+def _parse_update(spec: dict, params, what: str, path: str) -> GuardedUpdate:
+    """A guarded update with the given parameters, the only variables it
+    may read; its locations may only use the `{t}` placeholder."""
     guard = (parse_expr(spec["guard"], path)
              if spec.get("guard") is not None else None)
     updates = tuple((_location(loc, path), parse_expr(e, path))
                     for loc, e in spec.get("updates", []))
     out = GuardedUpdate(params=tuple(params), guard=guard, updates=updates)
+    _check_vars(_update_exprs(out), out.params, what, path)
     _check_placeholders(_update_locs(out), "t", path)
     return out
 
@@ -471,12 +485,13 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
                         f"got {value!r}")
 
     prims = {
-        pname: _parse_update(spec, spec.get("params", []),
+        pname: _parse_update(spec, spec.get("params", []), "this primitive",
                              f"{path}/primitives/{pname}")
         for pname, spec in doc.get("primitives", {}).items()}
     ctable = TransformerTable(prims)
     amethods = {
-        mname: _parse_update(spec, ("a", "r"), f"{path}/abstract/{mname}")
+        mname: _parse_update(spec, ("a", "r"), "an abstract method",
+                             f"{path}/abstract/{mname}")
         for mname, spec in doc["abstract"].items()}
     atable = AbstractTable(amethods)
 
@@ -493,6 +508,9 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
             validate_command(template, ctable)
         except ModelError as exc:
             _fail(f"{path}/methods/{mname}", str(exc))
+        _check_vars([e for p in command_prims(template) for e in p.args],
+                    ("a", "r"), "a method body", f"{path}/methods/{mname}",
+                    ' (the thread id is ["tid"])')
         _check_placeholders(_command_locs(template), "art",
                             f"{path}/methods/{mname}")
         if isinstance(template, Skip):

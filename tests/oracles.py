@@ -97,7 +97,6 @@ from relviews.command_lang import (
     command_prims,
     expr_locs,
     loc_placeholders,
-    reachable_commands,
     resolve_loc,
     step,
 )
@@ -847,6 +846,19 @@ EMPTY_VIEW = frozenset()
 
 # each monoid's view with empty reification, for unreachable annotations
 EMPTY_VIEWS = {DcslMonoid: EMPTY_VIEW, RgsepMonoid: BOT}
+
+
+def reachable_commands(c: Command) -> frozenset:
+    """All command shapes reachable from c by stepping (finite)."""
+    seen = {c}
+    frontier = [c]
+    while frontier:
+        cur = frontier.pop()
+        for _, nxt in step(cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
 
 
 def check_safe(t: int, p, cmd, q, universe, monoid, _caches=None) -> bool:

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 
 from families import flat_combiner
 from oracles import (
+    PerValueLibrary,
     _HistoryGen,
     heap_steps,
     history_sort_key,
@@ -48,7 +49,7 @@ from relviews.linearizability import (
 )
 from relviews.model_io import load_model, parse_model
 from relviews.state_model import FAULT, APCom
-from relviews.subst import subst_prim
+from relviews.subst import subst_command, subst_prim
 from util import fixture_manifest, tiny_model_docs
 
 FIX = "src/relviews/fixtures"
@@ -380,8 +381,7 @@ def test_moves_are_generated_once_per_configuration(name, monkeypatch):
 def _twin_doc(doc, method):
     """The model with a choice between `assume 0 == 0` and its twin
     `assume r == 0` put first in the method's body: r := 0 maps the two
-    branches onto one command, so the members of a call cannot share the
-    body."""
+    branches onto one command."""
     doc = json.loads(json.dumps(doc))
     doc["methods"][method]["body"] = [
         "seq", ["choice", ["assume", ["==", 0, 0]],
@@ -499,22 +499,76 @@ def test_shared_bodies_step_as_per_value_bodies_on_three_threads():
     _assert_as_per_value(parse_model(flat_combiner(3)[0]), range(11))
 
 
-@pytest.mark.parametrize("doc", [
-    _twin_doc(_fc_doc(), "inc"),
-    _twin_doc(json.load(open(f"{FIX}/flat-combiner-nolock/model.json")),
-             "inc"),
-    _twin_paths_doc(),
-    _cross_argument_twin_doc(),
-], ids=["flat-combiner", "flat-combiner-nolock", "paths", "cross-argument"])
-def test_twin_primitives_step_per_value(doc):
-    model = parse_model(doc)
-    assert not _shares_body(model)
-    _assert_as_per_value(model, range(15), range(8))
+def _concrete_library(model, bound, library):
+    """`_lin_outcome` with the shipped checks building `library`, and the
+    concrete library they built."""
+    made = []
+
+    class Recording(library):
+        def __init__(self, model, concrete):
+            super().__init__(model, concrete)
+            if concrete:
+                made.append(self)
+
+    shipped = linearizability._Library
+    linearizability._Library = Recording
+    try:
+        outcome = _lin_outcome(model, bound)
+    finally:
+        linearizability._Library = shipped
+    (lib,) = made
+    return outcome, lib
 
 
-def test_a_twin_in_one_method_leaves_the_others_shared():
-    model = parse_model(_twin_doc(_fc_doc(), "inc"))
-    lib = _Library(model, True)
-    shared = {m: len({cmd for cmd, _v in lib.slots[sid][1]}) == 1
-              for m, _a, sid in lib.calls}
-    assert shared == {"get": True, "inc": False}
+def _tabulated(lib, image=lambda slot: slot) -> set:
+    """The configurations whose moves `lib` tabulated, as (heap, slots),
+    each slot mapped by `image`."""
+    return {(lib.heaps[key[0]], tuple(image(lib.slots[sid])
+                                      for sid in key[1:]))
+            for key in map(lib.configs.__getitem__, lib._succ)}
+
+
+def _per_value_image(slot):
+    """A shared slot's image: each member (c, v) as (c[r := v], v)."""
+    if slot is IDLE:
+        return slot
+    m, members = slot
+    return m, frozenset((subst_command(c, {"r": v}), v) for c, v in members)
+
+
+TWINS = {
+    "flat-combiner": lambda: _twin_doc(_fc_doc(), "inc"),
+    "flat-combiner-nolock": lambda: _twin_doc(
+        json.load(open(f"{FIX}/flat-combiner-nolock/model.json")), "inc"),
+    "paths": _twin_paths_doc,
+    "cross-argument": _cross_argument_twin_doc,
+}
+
+# (configurations, frontiers) at bound 6, shared and per value, of the
+# twins where r := v maps two commands of a method onto one: two shared
+# slots have one image, so the shared library tabulates more configurations
+TWIN_STATS_AT_6 = {"paths": ((7, 6), (6, 6)),
+                   "cross-argument": ((11, 8), (10, 8))}
+
+
+@pytest.mark.parametrize("name", list(TWINS))
+def test_twin_primitives_step_per_value(name):
+    """Where r := v maps two primitives (or two commands) of a method onto
+    one, the members still share the body, and mapping each member (c, v)
+    to (c[r := v], v) is a simulation: every outcome but the counts is
+    `PerValueLibrary`'s, and the images of the configurations tabulated
+    are the ones the per-value library tabulates."""
+    model = parse_model(TWINS[name]())
+    assert _shares_body(model)
+    for bound in range(15):
+        got, shared = _concrete_library(model, bound, _Library)
+        want, per_value = _concrete_library(model, bound, PerValueLibrary)
+        if isinstance(got[0], type):  # an error
+            assert got == want
+            continue
+        assert got[:2] + got[3:] == want[:2] + want[3:]
+        assert _tabulated(shared, _per_value_image) == _tabulated(per_value)
+        if bound == 6 and name in TWIN_STATS_AT_6:
+            assert tuple((s["configurations"], s["frontiers"])
+                         for s in (got[2], want[2])) == TWIN_STATS_AT_6[name]
+    _assert_as_per_value(model, (), range(8))

@@ -446,3 +446,56 @@ def test_a_declared_string_location_seven_loads(capsys, tmp_path):
     good = tmp_path / "model.json"
     good.write_text(json.dumps(doc))
     assert main(["check-lin", str(good), "--bound", "4"]) == 0
+
+
+def _guard_and(section, name, cond):
+    def put(doc):
+        doc[section][name]["guard"] = ["and", doc[section][name]["guard"],
+                                       cond]
+    return put
+
+
+def _first_update_plus(section, name, e):
+    def put(doc):
+        loc, value = doc[section][name]["updates"][0]
+        doc[section][name]["updates"][0] = [loc, ["+", value, e]]
+    return put
+
+
+_BODY = "a method body binds only 'a', 'r' (the thread id is [\"tid\"])"
+
+
+@pytest.mark.parametrize("put,where,var,binds", [
+    (_body_first(["assume", ["==", ["var", "q"], 0]]), "/methods/inc", "q",
+     _BODY),
+    (_body_first(["assume", ["==", ["var", "t"], 1]]), "/methods/inc", "t",
+     _BODY),
+    (_body_first(["prim", "inc_atomic", ["var", "q"], ["var", "r"]]),
+     "/methods/inc", "q", _BODY),
+    (_guard_and("primitives", "inc_atomic", ["==", ["var", "q"], 0]),
+     "/primitives/inc_atomic", "q", "this primitive binds only 'a', 'r'"),
+    (_first_update_plus("primitives", "inc_atomic", ["var", "t"]),
+     "/primitives/inc_atomic", "t", "this primitive binds only 'a', 'r'"),
+    (_guard_and("abstract", "inc", ["==", ["var", "t"], 1]),
+     "/abstract/inc", "t", "an abstract method binds only 'a', 'r'"),
+    (_first_update_plus("abstract", "inc", ["var", "q"]),
+     "/abstract/inc", "q", "an abstract method binds only 'a', 'r'"),
+], ids=["body-q", "body-t", "body-prim-arg", "prim-guard", "prim-update",
+        "abstract-guard", "abstract-update"])
+def test_a_variable_no_template_binds_is_a_load_error(capsys, tmp_path, put,
+                                                      where, var, binds):
+    """Before, these loaded and stopped at run time with an error naming
+    no file; a body reading `t` even passed check-proof, whose outline
+    primitives are instantiated with t, while check-lin stopped."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    put(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    outline = f"{FIX}/atomic-inc/outline.json"
+    for argv in (["check-lin", str(bad), "--bound", "4"],
+                 ["check-proof", str(bad), outline]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: {bad}{where}: unbound logical variable "
+                           f"{var!r}: {binds}\n")
