@@ -34,9 +34,12 @@ def tree_node(cls):
     The hash is that of the field tuple, computed once when the node is
     created, so set and dict order is what a frozen dataclass would give.
     A hash of a tree that holds strings is valid only in the process that
-    computed it: as with `state_model.Heap`, `__reduce__` rebuilds the node
-    through the constructor, so an unpickled or copied node is the
-    canonical node of its process, hashed afresh.
+    computed it: `__reduce__` rebuilds the node through the constructor,
+    so an unpickled or copied node is the canonical node of its process,
+    hashed afresh.  `state_model`'s heaps and token maps are hash-consed
+    and rebuilt the same way too, but they hash by identity and their
+    tables hold weak references: a map lives only while it is used, and
+    their set order follows object addresses.
     """
     # not `vars(cls)["__annotations__"]`, which lazily evaluated
     # annotations (PEP 649, Python 3.14) leave out of the class dict

@@ -757,6 +757,7 @@ def initial_coverage(model: LibraryModel, insts) -> ObligationItem:
     tids = tuple(model.dom.thread_ids())
     n, k = len(tids), len(insts)
     conc, abst = set(model.init_conc.items()), set(model.init_abst.items())
+    cells = (conc, abst)
     todos = [Token(TODO, APCom(*inst)) for inst in insts]
 
     def fits(chosen: dict):
@@ -780,7 +781,7 @@ def initial_coverage(model: LibraryModel, insts) -> ObligationItem:
             t, (m, a, r) = tids[d], insts[j]
             p = model.assertion_env(t).eval(model.pre_assertion(m),
                                             {"t": t, "a": a, "r": r})
-            cut[d, j] = mon.restrict(p, fits({t: todos[j]}))
+            cut[d, j] = mon.restrict(p, fits({t: todos[j]}), cells)
 
     def covers(prefix: tuple, view, chosen: dict) -> bool:
         """Some completion of the prefix's choices covers the target; view
@@ -799,7 +800,7 @@ def initial_coverage(model: LibraryModel, insts) -> ObligationItem:
                     return True
                 continue
             if view is not None:
-                v = mon.restrict(v, fits(chosen2))
+                v = mon.restrict(v, fits(chosen2), cells)
             if mon.reify(v) and covers(combo, v, chosen2):
                 return True
         return False

@@ -74,7 +74,7 @@ class DcslMonoid(ViewMonoid):
     def reify(self, p):
         return reify_dcsl(p)
 
-    def restrict(self, p, keep):
+    def restrict(self, p, keep, cells):
         return frozenset(filter(keep, p))
 
     def frames(self) -> tuple:

@@ -120,10 +120,8 @@ class RgsepMonoid(ViewMonoid):
             for cells, part in zip(self._cells, s):
                 for kv in part.items():
                     cells[kv] = cells.get(kv, 0) | 1 << i
-        # classes -> their composable pairs, and one object per distinct
-        # heap or token map of their worlds; see `_composed`
+        # classes -> their composable pairs; see `_composed`
         self._composed_memo: Dict[Classes, tuple] = {}
-        self._world_parts: dict = {}
         # see `_local_classes`, `_box_states`, `_successors` and
         # `strip_token_set`
         self._classes_memo: Dict[tuple, Classes] = {}
@@ -166,16 +164,23 @@ class RgsepMonoid(ViewMonoid):
                          for w in (compose_worlds(l, universe[i]),)
                          if w is not None)
 
-    def restrict(self, p, keep):
+    def restrict(self, p, keep, cells):
         """p cut column by column: a shared state s keeps the locals l whose
         world l + s satisfies keep, and a state that fails keep itself
-        keeps none.  The rely and guarantee are unchanged."""
+        keeps none.  A state holding a concrete or abstract cell outside
+        `cells` fails keep, so it is dropped by its mask in `_cells`
+        before keep is called.  The rely and guarantee are unchanged."""
         if p.bot:
             return p
+        inside = self._full
+        for index, allowed in zip(self._cells, cells):
+            for kv, m in index.items():
+                if kv not in allowed:
+                    inside &= ~m
         universe = self.universe
         groups: Dict[FrozenSet[World], int] = {}
         for ls, m in p.classes:
-            for i in _bits(m):
+            for i in _bits(m & inside):
                 s = universe[i]
                 if keep(s):
                     kept = frozenset(l for l in ls
@@ -191,10 +196,9 @@ class RgsepMonoid(ViewMonoid):
         and shared parts compose to a world, ordered by local and then
         shared under `world_sort_key`: the distinct locals are sorted once
         and each one's shared states follow in universe order, which is
-        that order.  Computed once per predicate.  The kept worlds are
-        built from shared heaps and token maps: a few dozen distinct ones
-        make up thousands of worlds, which would otherwise each hold their
-        own copies."""
+        that order.  Computed once per predicate.  The worlds share their
+        heaps and token maps, which are hash-consed: a few dozen distinct
+        ones make up thousands of worlds."""
         hit = self._composed_memo.get(classes)
         if hit is None:
             at: Dict[World, int] = {}
@@ -202,7 +206,6 @@ class RgsepMonoid(ViewMonoid):
                 for l in ls:
                     at[l] = at.get(l, 0) | m
             universe = self.universe
-            parts = self._world_parts
             out = []
             for l in sorted(at, key=world_sort_key):
                 m = at[l]
@@ -212,8 +215,7 @@ class RgsepMonoid(ViewMonoid):
                     s = universe[low.bit_length() - 1]
                     w = compose_worlds(l, s)
                     if w is not None:
-                        out.append((l, s, World(*(parts.setdefault(x, x)
-                                                  for x in w))))
+                        out.append((l, s, w))
             hit = self._composed_memo[classes] = tuple(out)
         return hit
 

@@ -10,6 +10,7 @@ map; reification of any view produces a set of these.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
@@ -36,27 +37,54 @@ class _Fault:
 FAULT = _Fault()
 
 
+_SERIALS = itertools.count()
+
+
 class _FrozenMap:
-    """Immutable finite partial map, compared and hashed by its items in
-    sorted order; equal only to a map of the same class."""
+    """Immutable finite partial map, hash-consed: every way of building one
+    returns the one live map of its class with those items, so equal maps
+    are one object, equality is identity and hashing is the object's own,
+    both in C.  A map is equal only to itself, so never to a map of the
+    other class.  Each class keeps its live maps in `_table`, keyed by
+    their items in sorted order, through weak references that remove their
+    entry when the map dies.  `_memo` holds the map's compositions with
+    right operands (see `compose_maps`), keyed by their `_serial`, a number
+    no other map of the process has: a map holds only larger maps, so maps
+    form no reference cycle and die as soon as no one holds them."""
 
-    __slots__ = ("_d", "_key", "_hash")
+    __slots__ = ("_d", "_key", "_memo", "_serial", "__weakref__")
     _brackets = "{}"
+    _table: dict
 
-    def __init__(self, items=()):
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        table = cls._table = {}
+
+        def drop(ref):
+            if table.get(ref.key) is ref:
+                del table[ref.key]
+
+        cls._drop = staticmethod(drop)
+
+    def __new__(cls, items=()):
         d = dict(items)
-        self._d = d
-        self._key = tuple(sorted(d.items()))
-        self._hash = hash(self._key)
+        return cls._of(tuple(sorted(d.items())), d)
 
     @classmethod
-    def _of(cls, d: dict, key: tuple):
-        """The map of a dict no one else holds, given its items already
-        sorted; neither is copied."""
-        m = cls.__new__(cls)
-        m._d = d
+    def _of(cls, key: tuple, d: Optional[dict] = None):
+        """The map with the items of key, which are sorted; d, if given, is
+        a dict of them that no one else holds."""
+        ref = cls._table.get(key)
+        if ref is not None:
+            m = ref()
+            if m is not None:
+                return m
+        m = object.__new__(cls)
+        m._d = dict(key) if d is None else d
         m._key = key
-        m._hash = hash(key)
+        m._memo = None
+        m._serial = next(_SERIALS)
+        cls._table[key] = weakref.KeyedRef(m, cls._drop, key)
         return m
 
     def get(self, k):
@@ -77,17 +105,10 @@ class _FrozenMap:
     def set(self, k, v):
         d = dict(self._d)
         d[k] = v
-        return self._of(d, tuple(sorted(d.items())))
+        return self._of(tuple(sorted(d.items())), d)
 
     def _without(self, drop):
-        return self._of({k: v for k, v in self._d.items() if k not in drop},
-                        tuple(kv for kv in self._key if kv[0] not in drop))
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
+        return self._of(tuple(kv for kv in self._key if kv[0] not in drop))
 
     def __repr__(self):
         inner = ", ".join(f"{k}:{v!r}" for k, v in self._key)
@@ -106,7 +127,7 @@ class Heap(_FrozenMap):
     def set_many(self, pairs: Iterable[Tuple[str, int]]) -> "Heap":
         d = dict(self._d)
         d.update(pairs)
-        return self._of(d, tuple(sorted(d.items())))
+        return self._of(tuple(sorted(d.items())), d)
 
 
 EMPTY_HEAP = Heap()
@@ -165,16 +186,28 @@ class World(NamedTuple):
 EMPTY_WORLD = World(EMPTY_HEAP, EMPTY_HEAP, EMPTY_TOKENS)
 
 
+_UNKNOWN = object()
+
+
 def compose_maps(m1, m2):
     """Disjoint union of two heaps or of two token maps; None when a key is
-    shared.  An empty side returns the other map itself."""
+    shared.  An empty side returns the other map itself.  Otherwise the
+    result is memoized in m1's `_memo`, keyed by m2's serial number, for
+    the life of m1."""
     if not m1._key:
         return m2
     if not m2._key:
         return m1
-    if not m1._d.keys().isdisjoint(m2._d):
-        return None
-    return m1._of({**m1._d, **m2._d}, tuple(sorted(m1._key + m2._key)))
+    memo = m1._memo
+    if memo is None:
+        memo = m1._memo = {}
+    got = memo.get(m2._serial, _UNKNOWN)
+    if got is _UNKNOWN:
+        got = None
+        if m1._d.keys().isdisjoint(m2._d):
+            got = m1._of(tuple(sorted(m1._key + m2._key)))
+        memo[m2._serial] = got
+    return got
 
 
 def compose_states(s1: HeapState, s2: HeapState) -> Optional[HeapState]:

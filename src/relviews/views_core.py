@@ -153,9 +153,12 @@ class ViewMonoid:
     def reify(self, p) -> frozenset:
         raise NotImplementedError
 
-    def restrict(self, p, keep):
+    def restrict(self, p, keep, cells):
         """p cut to the worlds that satisfy keep, a predicate that holds of
-        every sub-world of a world it holds of."""
+        every sub-world of a world it holds of.  `cells` is a pair of sets,
+        the concrete and the abstract (location, value) items that a world
+        satisfying keep may hold; keep fails every world holding another,
+        and a monoid may use that to call keep less often."""
         raise NotImplementedError
 
     def reified_token_worlds(self, p):

@@ -10,7 +10,9 @@ import pytest
 from relviews.logic import AssertionEnv
 from relviews.linearizability import initial_coverage
 from relviews.model_io import load_model, parse_model
-from oracles import initial_coverage_by_product
+from relviews.monoid_rgsep import RgsepMonoid
+from families import flat_combiner
+from oracles import initial_coverage_by_product, restrict_by_keep
 from util import fixture_manifest
 
 FIX = "src/relviews/fixtures"
@@ -190,3 +192,45 @@ def test_coverage_evaluates_each_precondition_once(monkeypatch, doc, limit):
     item = initial_coverage(model, insts)
     assert not item.ok and item.detail.startswith("no choice of pending")
     assert 0 < len(calls) <= limit
+
+
+_RGSEP_CUTS = {"atomic-inc", "flat-combiner", "flat-combiner-noaction4",
+               "flat-combiner-3", "flat-combiner-4"}
+
+
+def _restrict_cases():
+    for fx in fixture_manifest():
+        yield pytest.param(lambda fx=fx: load_model(fx.model_path), id=fx.name)
+    for n in (3, 4):
+        yield pytest.param(lambda n=n: parse_model(flat_combiner(n)[0]),
+                           id=f"flat-combiner-{n}")
+
+
+@pytest.mark.parametrize("make", _restrict_cases())
+def test_restrict_matches_keep_on_every_state(monkeypatch, make):
+    """RGSep's cut drops the states holding a cell outside the initial
+    heaps by their masks; every cut of the coverage search equals the cut
+    that asks keep of every state, with fewer keep calls."""
+    model = make()
+    calls = {"mask": 0, "keep": 0}
+    original = RgsepMonoid.restrict
+
+    def counted(keep, name):
+        def wrapped(w):
+            calls[name] += 1
+            return keep(w)
+        return wrapped
+
+    def checked(mon, p, keep, cells):
+        got = original(mon, p, counted(keep, "mask"), cells)
+        assert got == restrict_by_keep(mon, p, counted(keep, "keep"))
+        return got
+
+    monkeypatch.setattr(RgsepMonoid, "restrict", checked)
+    initial_coverage(model, _insts(model))
+    # the RGSep models whose preconditions evaluate make cuts; the N = 4
+    # family asks keep 72 times instead of 1,736
+    if model.name in _RGSEP_CUTS:
+        assert 0 < calls["mask"] < calls["keep"], calls
+    else:
+        assert calls == {"mask": 0, "keep": 0}, calls

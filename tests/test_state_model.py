@@ -1,3 +1,11 @@
+import copy
+import gc
+import itertools
+import json
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +26,7 @@ from relviews.state_model import (
     compose_states,
     compose_worlds,
     count_worlds,
+    enumerate_heaps,
     enumerate_worlds,
     world_minus,
 )
@@ -26,7 +35,7 @@ from oracles import (
     compose_tokens_copying,
     world_leq,
 )
-from util import micro_domains
+from util import fixture_manifest, micro_domains
 
 AP = APCom("op", 0, 0)
 
@@ -220,6 +229,146 @@ def test_internal_maps_equal_constructed_ones():
 
 def test_heaps_and_token_maps_never_equal():
     assert EMPTY_HEAP != EMPTY_TOKENS
-    assert EMPTY_HEAP == Heap() and EMPTY_TOKENS == TokenMap()
+    assert EMPTY_HEAP is Heap() and EMPTY_TOKENS is TokenMap()
     assert Heap({1: 0}) != TokenMap({1: 0})
-    assert len({EMPTY_HEAP, EMPTY_TOKENS}) == 2
+    assert Heap({1: 0}) is not TokenMap({1: 0})
+    assert Heap({1: 0}).items() == TokenMap({1: 0}).items()
+    assert len({EMPTY_HEAP, EMPTY_TOKENS, Heap({1: 0}), TokenMap({1: 0})}) == 4
+
+
+def _copies(m):
+    """m rebuilt by copying, deep copying and a pickle round trip."""
+    return [copy.copy(m), copy.deepcopy(m),
+            pickle.loads(pickle.dumps(m, pickle.HIGHEST_PROTOCOL))]
+
+
+def test_equal_items_are_one_map_on_every_path():
+    h = Heap({"a": 1, "b": 0})
+    ap = Token(TODO, AP)
+    t = TokenMap({1: ap, 2: Token(DONE, AP)})
+    paths = [
+        (h, Heap([("b", 0), ("a", 1)])),
+        (h, Heap._of((("a", 1), ("b", 0)))),
+        (h, Heap({"a": 0}).set("a", 1).set("b", 0)),
+        (h, Heap({"b": 1}).set_many((("a", 1), ("b", 0)))),
+        (h, Heap({"a": 1, "b": 0, "c": 1})._without({"c"})),
+        (h, compose_maps(Heap({"a": 1}), Heap({"b": 0}))),
+        (h, compose_maps(Heap({"b": 0}), Heap({"a": 1}))),
+        (h, next(x for x in enumerate_heaps((("a", (0, 1)), ("b", (0,))))
+                 if len(x) == 2 and x["a"] == 1)),
+        (t, TokenMap({2: Token(DONE, AP)}).set(1, ap)),
+        (t, TokenMap({1: ap, 2: Token(DONE, AP), 3: ap}).remove(3)),
+        (t, compose_maps(TokenMap({2: Token(DONE, AP)}), TokenMap({1: ap}))),
+        (t, TokenMap({1: Token(TODO, APCom("op", 0, 0)),
+                      2: Token(DONE, APCom("op", 0, 0))})),
+        (EMPTY_HEAP, Heap({"a": 1})._without({"a": 0})),
+        (EMPTY_TOKENS, TokenMap({1: ap}).remove(1)),
+    ]
+    paths += [(m, c) for m in (h, t, EMPTY_HEAP, EMPTY_TOKENS)
+              for c in _copies(m)]
+    for want, got in paths:
+        assert got is want, (want, got)
+    world = World(h, EMPTY_HEAP, t)
+    assert all(c == world and all(a is b for a, b in zip(c, world))
+               for c in _copies(world))
+
+
+def _maps(kind, keys, vals):
+    return st.builds(kind, st.dictionaries(st.sampled_from(keys),
+                                           st.sampled_from(vals), max_size=3))
+
+
+# disjoint, overlapping and empty pairs all occur over three keys
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(_maps(Heap, ["a", "b", "c"], [0, 1]),
+              _maps(Heap, ["a", "b", "c"], [0, 1])),
+    st.tuples(_maps(TokenMap, [1, 2, 3], [Token(TODO, AP), Token(DONE, AP)]),
+              _maps(TokenMap, [1, 2, 3], [Token(TODO, AP), Token(DONE, AP)]))))
+def test_memoized_composition_is_the_copying_one(pair):
+    m1, m2 = pair
+    copying = (compose_states_copying if type(m1) is Heap
+               else compose_tokens_copying)
+    want = copying(m1, m2)
+    # the first call may compute, the second reads m1's memo
+    assert compose_maps(m1, m2) is want
+    assert compose_maps(m1, m2) is want
+    assert compose_maps(m2, m1) is want
+
+
+def test_composed_maps_die_without_the_cycle_collector():
+    """A memo holds only larger maps, so maps composed both ways round form
+    no cycle, and their table entries go when the last reference does."""
+    keys = [("cycle-a", 0)], [("cycle-b", 1)], [("cycle-c", 0)]
+    gc.disable()
+    try:
+        a, b, c = (Heap(k) for k in keys)
+        for x, y in itertools.permutations((a, b, c, compose_maps(a, b)), 2):
+            compose_maps(x, y)
+        del a, b, c, x, y
+        assert not [k for k in Heap._table
+                    if any(loc.startswith("cycle-") for loc, _v in k)]
+    finally:
+        gc.enable()
+
+
+# A fresh interpreter, so that no other test's maps are alive.  Each check
+# runs twice; both runs must compute the same number of non-empty
+# compositions (no memo outlives its maps), and after each only the module
+# constants may remain in the tables.
+_LIFETIME = """
+import gc, json, sys
+from relviews import state_model
+from relviews.linearizability import check_linearizable, check_obligations
+from relviews.model_io import load_model, load_outlines
+from relviews.state_model import EMPTY_HEAP, EMPTY_TOKENS, Heap, TokenMap
+
+real = state_model.compose_maps
+computed = [0]
+
+def counted(m1, m2):
+    memo = m1._memo
+    if m1._key and m2._key and (memo is None or m2._serial not in memo):
+        computed[0] += 1
+    return real(m1, m2)
+
+state_model.compose_maps = counted
+
+def live():
+    gc.collect()
+    return [list(Heap._table.values()), list(TokenMap._table.values())]
+
+out = {}
+for path, outline in json.loads(sys.argv[1]):
+    for run in range(2):
+        computed[0] = 0
+        model = load_model(path)
+        if outline:
+            load_outlines(outline, model)
+            check_obligations(model)
+        else:
+            check_linearizable(model, 8)
+        del model
+        tables = [[m() for m in t] for t in live()]
+        assert tables == [[EMPTY_HEAP], [EMPTY_TOKENS]], (path, tables)
+        out.setdefault(f"{path} {outline}", []).append(computed[0])
+print(json.dumps(out))
+"""
+
+
+def test_no_map_outlives_a_check():
+    fixtures = fixture_manifest()
+    jobs = [(fx.model_path, None) for fx in fixtures] + [
+        (fx.model_path, fx.outline_path) for fx in fixtures if fx.outline_path]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIFETIME, json.dumps(jobs)],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert len(counts) == len(jobs)
+    for job, (first, second) in counts.items():
+        assert first == second, job
+    # the flat-combiner proofs compose hundreds of non-empty pairs
+    assert all(counts[f"{fx.model_path} {fx.outline_path}"][0] > 100
+               for fx in fixtures
+               if fx.outline_path and fx.name.startswith("flat-combiner"))
