@@ -14,7 +14,6 @@ correspondence.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -82,19 +81,9 @@ class LibraryModel:
     def __post_init__(self):
         self._monoid = None
         self._envs: Dict[int, AssertionEnv] = {}
-        self._bodies: Dict[Tuple[str, int], Command] = {}
 
     def methods(self) -> Tuple[str, ...]:
         return tuple(sorted(self.method_args))
-
-    def body(self, m: str, a: int) -> Command:
-        """Method m's body at argument a, with the expected return `r` left
-        free, instantiated on the first call."""
-        key = (m, a)
-        if key not in self._bodies:
-            self._bodies[key] = subst_command(self.body_templates[m],
-                                              {"a": a})
-        return self._bodies[key]
 
     def monoid(self):
         """The model's view monoid, built on the first call; `dom.cap`
@@ -188,7 +177,7 @@ class _Library:
 
     A concrete command is a body under the small-step semantics, where a
     step may fault.  The members of a call m(a) share one command, the
-    body `model.body(m, a)` with `r` still free, so the expected returns
+    body at argument a with `r` still free, so the expected returns
     share its steps until a primitive reads `r`: that step runs the
     primitive's instance at the member's value, which the move and any
     fault text name.  Mapping each member (c, v) to (c[r := v], v) is a
@@ -201,14 +190,15 @@ class _Library:
     commands of a method onto one, two slots share an image, and more
     configurations are tabulated (and capped by `dom.cap`).
 
-    Slots and heaps are interned to small ints, `IDLE` as slot 0, and a
-    configuration is the interned flat tuple (heap id, slot id of thread
-    1, ..., slot id of thread N).  A command steps once per (thread,
-    command, heap id), a primitive runs once per (primitive, thread, heap
-    id) and a primitive that reads `r` is instantiated once per value;
-    `local` and `successors` tabulate once per key.  A call or return's
-    move is its event; a silent step's move is (thread, primitive) and
-    its event None.  `dom.cap` bounds the configurations tabulated.
+    Slots are interned to small ints, `IDLE` as slot 0, and a
+    configuration is the interned flat tuple (heap, slot id of thread 1,
+    ..., slot id of thread N); a heap is hash-consed, so it is its own
+    identity.  A command steps once per (thread, command, heap), a
+    primitive runs once per (primitive, thread, heap) and a primitive that
+    reads `r` is instantiated once per value; `local` and `successors`
+    tabulate once per key.  A call or return's move is its event; a
+    silent step's move is (thread, primitive) and its event None.
+    `dom.cap` bounds the configurations tabulated.
     """
 
     def __init__(self, model: LibraryModel, concrete: bool):
@@ -216,8 +206,6 @@ class _Library:
         self.concrete = concrete
         self.slots: List = [IDLE]  # slot id -> slot
         self._slot_ids: Dict = {IDLE: 0}
-        self.heaps: List[Heap] = []  # heap id -> heap
-        self._heap_ids: Dict[Heap, int] = {}
         # primitive -> {value: instance} if it reads r, else None
         self._instances: Dict[PrimCommand, Optional[dict]] = {}
         # (method, arg, started slot id) per call
@@ -225,20 +213,19 @@ class _Library:
             (m, a, _index(self._slot_ids, self.slots, (m, members)))
             for m in model.methods()
             for a, members in zip(model.method_args[m], self._starts(m)))
-        # (thread, command, heap id) -> ((primitive, command', heaps'), ...)
-        self._steps: Dict[Tuple[int, Command, int], tuple] = {}
-        # (primitive, thread, heap id) -> heaps'
-        self._runs: Dict[Tuple[PrimCommand, int, int], tuple] = {}
-        # (thread, slot id, heap id) -> ((move, event, slot id, heap id), ...)
-        self._locals: Dict[Tuple[int, int, int], tuple] = {}
-        self.ids: Dict[Tuple[int, ...], int] = {}
-        self.configs: List[Tuple[int, ...]] = []  # id -> key
-        self._succ: Dict[int, tuple] = {}  # id -> ((event, id), ...)
+        # (thread, command, heap) -> ((primitive, command', heaps'), ...)
+        self._steps: Dict[Tuple[int, Command, Heap], tuple] = {}
+        # (primitive, thread, heap) -> heaps'
+        self._runs: Dict[Tuple[PrimCommand, int, Heap], tuple] = {}
+        # (thread, slot id, heap) -> ((move, event, slot id, heap), ...)
+        self._locals: Dict[Tuple[int, int, Heap], tuple] = {}
+        self.ids: Dict[tuple, int] = {}
+        self.configs: List[tuple] = []  # id -> key
+        self._succ: Dict[int, tuple] = {}  # id -> ((event, id, move), ...)
         heap = model.init_conc if concrete else model.init_abst
         self.start = _index(  # the initial configuration's id
             self.ids, self.configs,
-            (_index(self._heap_ids, self.heaps, heap),)
-            + (0,) * len(model.dom.thread_ids()))
+            (heap,) + (0,) * len(model.dom.thread_ids()))
 
     def _starts(self, m: str) -> List[frozenset]:
         """The members a call m(a) starts, per argument a in order."""
@@ -246,7 +233,8 @@ class _Library:
         if not self.concrete:
             return [frozenset((APCom(m, a, v), v) for v in values)
                     for a in model.method_args[m]]
-        bodies = [model.body(m, a) for a in model.method_args[m]]
+        bodies = [subst_command(model.body_templates[m], {"a": a})
+                  for a in model.method_args[m]]
         inst = self._instances
         for p in frozenset().union(*map(command_prims, bodies)) - inst.keys():
             first = subst_prim(p, {"r": values[0]})
@@ -255,73 +243,71 @@ class _Library:
                 **{v: subst_prim(p, {"r": v}) for v in values[1:]}}
         return [frozenset((body, v) for v in values) for body in bodies]
 
-    def _run(self, alpha: PrimCommand, t: int, hid: int) -> tuple:
-        """The heaps' of primitive alpha run by thread t at heap hid."""
-        heaps = self._runs.get((alpha, t, hid))
+    def _run(self, alpha: PrimCommand, t: int, heap: Heap) -> tuple:
+        """The heaps' of primitive alpha run by thread t at heap."""
+        heaps = self._runs.get((alpha, t, heap))
         if heaps is None:
-            heaps = self._runs[alpha, t, hid] = self.model.ctable.apply(
-                alpha, t, self.heaps[hid], self.model.dom.modulus)
+            heaps = self._runs[alpha, t, heap] = self.model.ctable.apply(
+                alpha, t, heap, self.model.dom.modulus)
         return heaps
 
-    def _step(self, t: int, cmd, hid: int) -> tuple:
-        """The steps of cmd by thread t at heap hid as (primitive, command',
+    def _step(self, t: int, cmd, heap: Heap) -> tuple:
+        """The steps of cmd by thread t at heap as (primitive, command',
         heaps') entries, built on the first call; heaps' is None where the
         primitive reads `r`."""
-        steps = self._steps.get((t, cmd, hid))
+        steps = self._steps.get((t, cmd, heap))
         if steps is None:
             if self.concrete:
                 inst = self._instances
                 steps = state_step(cmd, lambda alpha: None if inst.get(alpha)
-                                   else self._run(alpha, t, hid))
+                                   else self._run(alpha, t, heap))
             else:
                 steps = ((cmd, SKIP, self.model.atable.apply(
-                    *cmd, t, self.heaps[hid], self.model.dom.modulus)),)
-            self._steps[t, cmd, hid] = steps
+                    *cmd, t, heap, self.model.dom.modulus)),)
+            self._steps[t, cmd, heap] = steps
         return steps
 
-    def local(self, t: int, sid: int, hid: int) -> tuple:
-        """Thread t's moves from slot sid at heap hid, as (move, event or
-        None, slot id', heap id') entries, built on the first call: calls
-        in `calls` order, or returns and then the members' steps grouped
-        by (primitive, heap').  A group that steps into the fault state is
-        the marker (move, None, -1, -1)."""
-        key = (t, sid, hid)
+    def local(self, t: int, sid: int, heap: Heap) -> tuple:
+        """Thread t's moves from slot sid at heap, as (move, event or None,
+        slot id', heap') entries, built on the first call: calls in
+        `calls` order, or returns and then the members' steps grouped by
+        (primitive, heap').  A group that steps into the fault state is
+        the marker (move, None, -1, FAULT)."""
+        key = (t, sid, heap)
         table = self._locals.get(key)
         if table is not None:
             return table
         slot = self.slots[sid]
         if slot is IDLE:
-            table = tuple(((t, "call", m, a),) * 2 + (started, hid)
+            table = tuple(((t, "call", m, a),) * 2 + (started, heap)
                           for m, a, started in self.calls)
         else:
             m, members = slot
             out, groups = [], {}
             for cmd, v in members:
                 if isinstance(cmd, Skip):
-                    out.append(((t, "ret", m, v),) * 2 + (0, hid))
+                    out.append(((t, "ret", m, v),) * 2 + (0, heap))
                     continue
-                for alpha, cmd2, heaps2 in self._step(t, cmd, hid):
+                for alpha, cmd2, heaps2 in self._step(t, cmd, heap):
                     if heaps2 is None:
                         alpha = self._instances[alpha][v]
-                        heaps2 = self._run(alpha, t, hid)
+                        heaps2 = self._run(alpha, t, heap)
                     for heap2 in heaps2:
                         groups.setdefault((alpha, heap2), []).append(
                             (cmd2, v))
             out.extend(
-                ((t, alpha), None, -1, -1) if heap2 is FAULT else
-                ((t, alpha), None,
-                 _index(self._slot_ids, self.slots, (m, frozenset(group))),
-                 _index(self._heap_ids, self.heaps, heap2))
+                ((t, alpha), None, -1 if heap2 is FAULT else _index(
+                    self._slot_ids, self.slots, (m, frozenset(group))), heap2)
                 for (alpha, heap2), group in groups.items())
             table = tuple(out)
         self._locals[key] = table
         return table
 
     def successors(self, cid: int) -> tuple:
-        """Configuration cid's moves as (event or None, successor id): its
-        threads' local tables in thread order, built on the first call.  A
-        fault marker is (None, -1) here: a walk that reaches it within its
-        budget raises `_FaultMet`."""
+        """Configuration cid's moves as (event or None, successor id,
+        move): its threads' local tables in thread order, built on the
+        first call.  A fault marker is (None, -1, move) here: a walk that
+        reaches it within its budget raises `_FaultMet`."""
         succ = self._succ.get(cid)
         if succ is None:
             cap = self.model.dom.cap
@@ -329,14 +315,14 @@ class _Library:
                 raise UniverseTooLarge(None, cap, "configuration table",
                                        "configurations")
             key = self.configs[cid]
-            hid = key[0]
+            heap = key[0]
             out = []
             for t in range(1, len(key)):
                 head, tail = key[1:t], key[t + 1:]
-                for _move, ev, sid2, hid2 in self.local(t, key[t], hid):
-                    out.append((None, -1) if sid2 < 0 else (ev, _index(
+                for move, ev, sid2, heap2 in self.local(t, key[t], heap):
+                    out.append((None, -1, move) if sid2 < 0 else (ev, _index(
                         self.ids, self.configs,
-                        (hid2,) + head + (sid2,) + tail)))
+                        (heap2,) + head + (sid2,) + tail), move))
             succ = self._succ[cid] = tuple(out)
         return succ
 
@@ -370,7 +356,7 @@ def _least_fault(lib: _Library, bound: int) -> Optional[FaultReachable]:
     while not faulty and layers[-1] and len(layers) <= bound:
         layers.append([])
         for cid in layers[-2]:
-            for _ev, cid2 in lib.successors(cid):
+            for _ev, cid2, _move in lib.successors(cid):
                 faulty |= cid2 < 0
                 if cid2 >= 0 and cid2 not in seen:
                     seen.add(cid2)
@@ -382,16 +368,14 @@ def _least_fault(lib: _Library, bound: int) -> Optional[FaultReachable]:
     for layer in layers:
         best = {}  # config id of the next layer, or -1 -> (key, parent, move)
         for cid in layer:
-            hid, *sids = lib.configs[cid]
-            entries = itertools.chain.from_iterable(
-                lib.local(t, sid, hid) for t, sid in enumerate(sids, 1))
-            for (move, *_), (_ev, cid2) in zip(entries, lib.successors(cid)):
+            heap, *sids = lib.configs[cid]
+            for _ev, cid2, move in lib.successors(cid):
                 key = (rank[cid], render_event(move) if len(move) == 4
                        else f"t={move[0]} {move[1]!r}")
                 if cid2 < 0:
                     key += (f"thread {move[0]} faults executing {move[1]!r} "
                             f"in method {lib.slots[sids[move[0] - 1]][0]} "
-                            f"at state {lib.heaps[hid]!r}",)
+                            f"at state {heap!r}",)
                 if cid2 not in rank and (cid2 not in best
                                          or key < best[cid2][0]):
                     best[cid2] = (key, cid, move)
@@ -449,7 +433,7 @@ class _Frontiers:
                 if b:
                     b -= 1
                     # `_close` has met any fault marker of a member
-                    for ev, cid2 in lib.successors(cid):
+                    for ev, cid2, _move in lib.successors(cid):
                         if ev is not None:
                             budgets = by_event.setdefault(ev, {})
                             if budgets.get(cid2, -1) < b:
@@ -467,7 +451,7 @@ class _Frontiers:
             # an entry whose budget has since been raised is stale
             if b and budgets[cid] == b:
                 b -= 1
-                for ev, cid2 in successors(cid):
+                for ev, cid2, _move in successors(cid):
                     if cid2 < 0:
                         raise _FaultMet
                     if ev is None and budgets.get(cid2, -1) < b:
@@ -707,13 +691,11 @@ def check_obligations(model: LibraryModel) -> ObligationReport:
 
     # (3): across every pair of command instances, post and pre states agree
     # up to the thread's token.
-    insts = [(m, a, r) for m in methods for a in model.method_args[m]
-             for r in model.dom.values]
     for t in model.dom.thread_ids():
         env = model.assertion_env(t)
         try:
             stripped = set()
-            for m, a, r in insts:
+            for m, a, r in model.dom.apcoms:
                 b = {"t": t, "a": a, "r": r}
                 p = env.eval(model.pre_assertion(m), b)
                 q = env.eval(model.post_assertion(m), b)
@@ -726,11 +708,12 @@ def check_obligations(model: LibraryModel) -> ObligationReport:
         items.append(ObligationItem("(3) token swap", f"thread {t}", ok,
                                     detail))
 
-    items.append(initial_coverage(model, insts))
+    items.append(initial_coverage(model, model.dom.apcoms))
     return ObligationReport(items)
 
 
-def initial_coverage(model: LibraryModel, insts) -> ObligationItem:
+def initial_coverage(model: LibraryModel, insts: Tuple[APCom, ...]
+                     ) -> ObligationItem:
     """The composed per-thread preconditions must describe the declared
     initial states for some choice of pending commands; otherwise the
     linearizability conclusion is vacuous (e.g. two threads both claiming
@@ -738,7 +721,9 @@ def initial_coverage(model: LibraryModel, insts) -> ObligationItem:
 
     The choices are searched depth first over threads 1..N, each thread's
     instances in `insts` order, so combinations come in
-    `itertools.product` order.  A world that can be part of the target
+    `itertools.product` order.  The search keeps an explicit stack, not a
+    recursive closure, so no reference cycle keeps the model's monoid and
+    views alive after it returns.  A world that can be part of the target
     holds concrete and abstract cells of the initial states and only todo
     tokens, and a chosen thread's token, if it holds it, is the todo of
     the chosen instance.  Each precondition is cut to such worlds, and so
@@ -758,7 +743,7 @@ def initial_coverage(model: LibraryModel, insts) -> ObligationItem:
     n, k = len(tids), len(insts)
     conc, abst = set(model.init_conc.items()), set(model.init_abst.items())
     cells = (conc, abst)
-    todos = [Token(TODO, APCom(*inst)) for inst in insts]
+    todos = [Token(TODO, ap) for ap in insts]
 
     def fits(chosen: dict):
         def keep(w: World) -> bool:
@@ -783,32 +768,29 @@ def initial_coverage(model: LibraryModel, insts) -> ObligationItem:
                                             {"t": t, "a": a, "r": r})
             cut[d, j] = mon.restrict(p, fits({t: todos[j]}), cells)
 
-    def covers(prefix: tuple, view, chosen: dict) -> bool:
-        """Some completion of the prefix's choices covers the target; view
-        is their composed preconditions, cut, and chosen their todos."""
-        d = len(prefix)
-        first = (0,) * (n - d - 1)
-        for j in range(k):
-            combo = prefix + (j,)
-            reach(combo + first)
-            chosen2 = {**chosen, tids[d]: todos[j]}
+    # subtrees still to search, the next on top: (choices, then the
+    # composed cut preconditions and the todos of all but the last choice)
+    stack = [((j,), None, {}) for j in reversed(range(k))]
+    try:
+        mon = model.monoid()
+        while stack:
+            combo, view, chosen = stack.pop()
+            d, j = len(combo) - 1, combo[-1]
+            reach(combo + (0,) * (n - d - 1))
+            chosen = {**chosen, tids[d]: todos[j]}
             v = cut[d, j] if view is None else mon.compose(view, cut[d, j])
             if d + 1 == n:
                 worlds = mon.reify(v)
                 if worlds and World(model.init_conc, model.init_abst,
-                                    TokenMap(chosen2)) in worlds:
-                    return True
+                                    TokenMap(chosen)) in worlds:
+                    return ObligationItem("initial coverage", "library",
+                                          True)
                 continue
             if view is not None:
-                v = mon.restrict(v, fits(chosen2), cells)
-            if mon.reify(v) and covers(combo, v, chosen2):
-                return True
-        return False
-
-    try:
-        mon = model.monoid()
-        if covers((), None, {}):
-            return ObligationItem("initial coverage", "library", True)
+                v = mon.restrict(v, fits(chosen), cells)
+            if mon.reify(v):
+                stack.extend((combo + (j2,), v, chosen)
+                             for j2 in reversed(range(k)))
     except RelviewsError as exc:
         return ObligationItem("initial coverage", "library", False,
                               f"assertion family not evaluable: {exc}")

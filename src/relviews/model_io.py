@@ -241,14 +241,16 @@ def parse_command(doc, path: str = "cmd") -> Command:
 
 
 class MacroTable:
-    """A document's predicate macros.  Each application that parses is
-    memoized on (name, JSON arguments, thread count) with the macro names
-    its expansion reached, and reused under any expansion chain that holds
-    none of them: parsing again would build the same hash-consed tree.
-    Errors are not memoized, so each keeps its own path."""
+    """A document's predicate macros, and the methods its token literals
+    may name.  Each application that parses is memoized on (name, JSON
+    arguments, thread count) with the macro names its expansion reached,
+    and reused under any expansion chain that holds none of them: parsing
+    again would build the same hash-consed tree.  Errors are not memoized,
+    so each keeps its own path."""
 
-    def __init__(self, raw: Dict[str, dict]):
+    def __init__(self, raw: Dict[str, dict], methods: Iterable[str]):
         self.raw = raw
+        self.methods = frozenset(methods)
         # key -> (parsed assertion, names reached)
         self._parsed: Dict[tuple, Tuple[VAssn, frozenset]] = {}
         self._trail: List[str] = []  # every name reached, in order
@@ -318,7 +320,9 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
     if tag == "apt" and len(args) == 2:
         return APt(_location(args[0], path), parse_expr(args[1], path))
     if tag in ("todo", "done") and len(args) == 4:
-        return TokA(tag, parse_expr(args[0], path), str(args[1]),
+        if not isinstance(args[1], str) or args[1] not in macros.methods:
+            _fail(path, f"{tag} token names undeclared method {args[1]!r}")
+        return TokA(tag, parse_expr(args[0], path), args[1],
                     parse_expr(args[2], path), parse_expr(args[3], path))
     if tag == "pure" and len(args) == 1:
         return PureA(parse_expr(args[0], path))
@@ -558,7 +562,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
             _fail(path, f"initial abstract state uses undeclared "
                         f"location {loc!r}")
 
-    macros = MacroTable(doc.get("macros", {}))
+    macros = MacroTable(doc.get("macros", {}), method_args)
 
     shared_universe = None
     if doc.get("shared_universe") is not None:
@@ -645,7 +649,8 @@ def attach_outlines(doc: dict, model: LibraryModel, path: str = "outline") -> No
     if not isinstance(doc, dict):
         _fail(path, "outline document must be an object")
     with _malformed_is_model_error(path):
-        macros = MacroTable({**model.macros_raw, **doc.get("macros", {})})
+        macros = MacroTable({**model.macros_raw, **doc.get("macros", {})},
+                            model.method_args)
         outlines = doc.get("outlines")
         if not isinstance(outlines, dict):
             _fail(path, "outline document needs an 'outlines' object")

@@ -402,9 +402,9 @@ def rgsep_pred(mono, rho: VAssn, interp) -> frozenset:
 
 
 def instance_body(model, m: str, a: int, r: int) -> Command:
-    """Instance m(a)->r's body: the shipped body at argument a, with the
-    expected return substituted too."""
-    return subst_command(model.body(m, a), {"r": r})
+    """Instance m(a)->r's body: the body template with the argument and
+    the expected return substituted."""
+    return subst_command(model.body_templates[m], {"a": a, "r": r})
 
 
 def instance_bodies(model) -> dict:
@@ -667,7 +667,7 @@ def least_fault(model, bound: int):
 class PerValueLibrary(_Library):
     """`_Library` with a body instantiated per expected return: each
     member of a call holds its own instance's body, a member steps by
-    `heap_steps` once per (thread, command, heap id), and a primitive runs
+    `heap_steps` once per (thread, command, heap), and a primitive runs
     afresh in every step table.  The shipped library shares one body among
     a call's members until a primitive reads `r`, and must give the same
     verdicts, counterexamples, faults, stats and histories; run the
@@ -680,40 +680,38 @@ class PerValueLibrary(_Library):
                           for v in self.model.dom.values)
                 for a in self.model.method_args[m]]
 
-    def _step(self, t, cmd, hid):
-        steps = self._steps.get((t, cmd, hid))
+    def _step(self, t, cmd, heap):
+        steps = self._steps.get((t, cmd, heap))
         if steps is None:
-            heap, model = self.heaps[hid], self.model
+            model = self.model
             mod = model.dom.modulus
-            steps = self._steps[t, cmd, hid] = tuple(
+            steps = self._steps[t, cmd, heap] = tuple(
                 heap_steps(cmd, heap, t, model.ctable, mod) if self.concrete
                 else ((cmd, SKIP, h) for h in model.atable.apply(
                     *cmd, t, heap, mod)))
         return steps
 
-    def local(self, t, sid, hid):
-        key = (t, sid, hid)
+    def local(self, t, sid, heap):
+        key = (t, sid, heap)
         table = self._locals.get(key)
         if table is not None:
             return table
         slot = self.slots[sid]
         if slot is IDLE:
-            table = tuple(((t, "call", m, a),) * 2 + (started, hid)
+            table = tuple(((t, "call", m, a),) * 2 + (started, heap)
                           for m, a, started in self.calls)
         else:
             m, members = slot
             out, groups = [], {}
             for cmd, v in members:
                 if isinstance(cmd, Skip):
-                    out.append(((t, "ret", m, v),) * 2 + (0, hid))
+                    out.append(((t, "ret", m, v),) * 2 + (0, heap))
                     continue
-                for alpha, cmd2, heap2 in self._step(t, cmd, hid):
+                for alpha, cmd2, heap2 in self._step(t, cmd, heap):
                     groups.setdefault((alpha, heap2), []).append((cmd2, v))
             out.extend(
-                ((t, alpha), None, -1, -1) if heap2 is FAULT else
-                ((t, alpha), None,
-                 _index(self._slot_ids, self.slots, (m, frozenset(group))),
-                 _index(self._heap_ids, self.heaps, heap2))
+                ((t, alpha), None, -1 if heap2 is FAULT else _index(
+                    self._slot_ids, self.slots, (m, frozenset(group))), heap2)
                 for (alpha, heap2), group in groups.items())
             table = tuple(out)
         self._locals[key] = table

@@ -2,15 +2,18 @@
 the product of every combination of pending commands."""
 
 import copy
+import gc
 import itertools
 import json
+import weakref
 
 import pytest
 
 from relviews.logic import AssertionEnv
-from relviews.linearizability import initial_coverage
-from relviews.model_io import load_model, parse_model
+from relviews.linearizability import check_obligations, initial_coverage
+from relviews.model_io import load_model, load_outlines, parse_model
 from relviews.monoid_rgsep import RgsepMonoid
+from relviews.state_model import APCom
 from families import flat_combiner
 from oracles import initial_coverage_by_product, restrict_by_keep
 from util import fixture_manifest
@@ -26,8 +29,8 @@ def _doc(name: str) -> dict:
 
 
 def _insts(model):
-    return [(m, a, r) for m in model.methods() for a in model.method_args[m]
-            for r in model.dom.values]
+    return [APCom(m, a, r) for m in model.methods()
+            for a in model.method_args[m] for r in model.dom.values]
 
 
 def _outcome(fn, *args):
@@ -234,3 +237,28 @@ def test_restrict_matches_keep_on_every_state(monkeypatch, make):
         assert 0 < calls["mask"] < calls["keep"], calls
     else:
         assert calls == {"mask": 0, "keep": 0}, calls
+
+
+@pytest.mark.parametrize("fx", fixture_manifest(), ids=lambda f: f.name)
+def test_the_model_lists_instances_in_search_order(fx):
+    """`check_obligations` passes `dom.apcoms` as the instance list: every
+    (method, argument, expected return), methods sorted."""
+    model = load_model(fx.model_path)
+    assert model.dom.apcoms == tuple(_insts(model))
+
+
+@pytest.mark.parametrize("name", OUTLINED)
+def test_the_monoid_dies_with_the_model_without_the_cycle_collector(name):
+    """Nothing the obligations check builds refers back to itself: once
+    the model is dropped, its monoid dies by reference counting alone."""
+    model = load_model(f"{FIX}/{name}/model.json")
+    load_outlines(f"{FIX}/{name}/outline.json", model)
+    gc.collect()
+    gc.disable()
+    try:
+        check_obligations(model)
+        monoid = weakref.ref(model.monoid())
+        del model
+        assert monoid() is None
+    finally:
+        gc.enable()

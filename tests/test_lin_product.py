@@ -311,10 +311,10 @@ def test_moves_are_generated_once_per_configuration(name, monkeypatch):
     stepping = []  # the (library, thread, command, heap) being tabulated
     original_step = _Library._step
 
-    def tracking_step(self, t, cmd, hid):
-        stepping.append((id(self), t, cmd, self.heaps[hid]))
+    def tracking_step(self, t, cmd, heap):
+        stepping.append((id(self), t, cmd, heap))
         try:
-            return original_step(self, t, cmd, hid)
+            return original_step(self, t, cmd, heap)
         finally:
             stepping.pop()
 
@@ -523,8 +523,7 @@ def _concrete_library(model, bound, library):
 def _tabulated(lib, image=lambda slot: slot) -> set:
     """The configurations whose moves `lib` tabulated, as (heap, slots),
     each slot mapped by `image`."""
-    return {(lib.heaps[key[0]], tuple(image(lib.slots[sid])
-                                      for sid in key[1:]))
+    return {(key[0], tuple(image(lib.slots[sid]) for sid in key[1:]))
             for key in map(lib.configs.__getitem__, lib._succ)}
 
 

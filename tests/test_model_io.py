@@ -71,7 +71,7 @@ def test_macro_recursion_rejected():
     macros = MacroTable({
         "a": {"params": [], "body": ["macro", "b"]},
         "b": {"params": [], "body": ["macro", "a"]},
-    })
+    }, ())
     with pytest.raises(ModelError, match="recursive"):
         parse_vassn(["macro", "a"], macros, 2)
 
@@ -144,12 +144,12 @@ def test_memoized_macro_keeps_its_errors_and_paths():
             (recursive, "vassn/star[1]/wrap/or[0]/ok: recursive macro "
                         "'wrap' (expansion chain wrap -> ok)"),
             (unknown, "vassn/star[2]: unknown macro 'nope'")):
-        assert _macro_error(MacroTable(raw), doc) == want
-        assert _macro_error(_Unmemoized(raw), doc) == want
+        assert _macro_error(MacroTable(raw, ()), doc) == want
+        assert _macro_error(_Unmemoized(raw, ()), doc) == want
 
 
 def test_macro_arity_checked():
-    macros = MacroTable({"a": {"params": ["x"], "body": ["emp"]}})
+    macros = MacroTable({"a": {"params": ["x"], "body": ["emp"]}}, ())
     with pytest.raises(ModelError, match="expects"):
         parse_vassn(["macro", "a"], macros, 2)
 
@@ -499,3 +499,62 @@ def test_a_variable_no_template_binds_is_a_load_error(capsys, tmp_path, put,
         assert out.out == ""
         assert out.err == (f"error: {bad}{where}: unbound logical variable "
                            f"{var!r}: {binds}\n")
+
+
+_MISSPELLED = ["todo", 1, "incX", 1, 0]
+
+
+def _star_first(*keys):
+    def put(doc):
+        slot = doc
+        for key in keys[:-1]:
+            slot = slot[key]
+        slot[keys[-1]] = ["star", _MISSPELLED, slot[keys[-1]]]
+    return put
+
+
+def _rename_pre_token(name):
+    def put(doc):
+        doc["assertions"]["inc"]["pre"][2][2] = name
+    return put
+
+
+@pytest.mark.parametrize("put,where,name", [
+    (_rename_pre_token("incX"), "/assertions/inc/pre/star[1]", "incX"),
+    (_star_first("actions", "incr", "post"), "/actions/incr/post/star[0]",
+     "incX"),
+    (_star_first("shared_universe"), "/shared_universe/star[0]", "incX"),
+    (_star_first("macros", "kinv_any", "body"),
+     "/shared_universe/kinv_any/star[0]", "incX"),
+    (_rename_pre_token(["var", "m"]), "/assertions/inc/pre/star[1]",
+     ["var", "m"]),
+    (_rename_pre_token(5), "/assertions/inc/pre/star[1]", 5),
+], ids=["assertions", "actions", "shared-universe", "macro-body",
+        "not-a-name", "number"])
+def test_a_token_naming_an_undeclared_method_is_a_load_error(
+        capsys, tmp_path, put, where, name):
+    """Before, such a token loaded and denoted nothing, so the proof
+    failed somewhere unrelated."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    put(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-lin", str(bad), "--bound", "4"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {bad}{where}: todo token names undeclared "
+                       f"method {name!r}\n")
+
+
+def test_an_outline_token_naming_an_undeclared_method_is_a_load_error(
+        capsys, tmp_path):
+    """dcsl-cell's outline with its token renamed `putX`."""
+    doc = json.load(open(f"{FIX}/dcsl-cell/outline.json"))
+    doc["outlines"]["put"]["steps"][1][3][2] = "putX"
+    bad = tmp_path / "outline.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-proof", f"{FIX}/dcsl-cell/model.json", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {bad}/put/mid[0]/star[2]: todo token names "
+                       "undeclared method 'putX'\n")
