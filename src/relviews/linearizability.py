@@ -730,7 +730,7 @@ def initial_coverage(model: LibraryModel, insts: Tuple[APCom, ...]
     is each composed prefix; a prefix with no world left is dropped.  This
     is exact: DCSL composes by disjoint union and RGSep adds locals over
     one shared state, so a target world of the composed view splits into
-    one such world per thread, and cutting changes no rely or guarantee.
+    one such world per thread.
 
     Each (thread, instance) precondition is evaluated once, where the
     product would first evaluate it, so an evaluation error is the one the

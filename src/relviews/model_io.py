@@ -139,6 +139,14 @@ def _location(x, path: str) -> str:
     return x
 
 
+def _lvar(x, path: str) -> str:
+    """x, which must be a JSON string: a logical-variable name of another
+    type is a model error, not coerced."""
+    if type(x) is not str:
+        _fail(path, f"a logical variable name must be a string, got {x!r}")
+    return x
+
+
 def _distinct(entries, what: str, path: str) -> Tuple[int, ...]:
     """A domain list's integers, none listed twice."""
     out = tuple(_integer(x, f"{what} entry", path) for x in entries)
@@ -164,7 +172,7 @@ def parse_expr(doc, path: str = "expr") -> Expr:
     if tag == "const" and len(args) == 1:
         return Const(_integer(args[0], "a constant", path))
     if tag == "var" and len(args) == 1:
-        return LVar(str(args[0]))
+        return LVar(_lvar(args[0], path))
     if tag == "read" and len(args) == 1:
         return Read(_location(args[0], path))
     if tag == "tid" and not args:
@@ -268,7 +276,8 @@ class MacroTable:
             if name not in self.raw:
                 _fail(path, f"unknown macro {name!r}")
             spec = self.raw[name]
-            params = spec.get("params", [])
+            params = [_lvar(p, f"{path}/{name}")
+                      for p in spec.get("params", [])]
             if len(params) != len(args):
                 _fail(path, f"macro {name!r} expects {len(params)} arguments")
             body = _subst_json(spec["body"], dict(zip(params, args)), path)
@@ -335,7 +344,7 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
             parse_vassn(a, macros, nthreads, f"{path}/or[{i}]", stack)
             for i, a in enumerate(args)))
     if tag == "exists" and len(args) == 2:
-        return ExistsA(str(args[0]),
+        return ExistsA(_lvar(args[0], path),
                        parse_vassn(args[1], macros, nthreads,
                                    f"{path}/exists", stack))
     if tag == "box" and len(args) == 1:
@@ -348,7 +357,7 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
         return macros.apply(str(args[0]), list(args[1:]), nthreads, path,
                             stack)
     if tag == "sep_threads" and len(args) == 2:
-        var = str(args[0])
+        var = _lvar(args[0], path)
         parts = []
         for j in range(1, nthreads + 1):
             body = _subst_json(args[1], {var: j}, path)
@@ -551,16 +560,15 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         Heap({str(k): _integer(v, f"initial {side} {k!r}", path)
               for k, v in init.get(side, {}).items()})
         for side in ("concrete", "abstract"))
-    cloc = dict(dom.cloc)
-    for loc, _v in init_conc.items():
-        if loc not in cloc:
-            _fail(path, f"initial concrete state uses undeclared "
-                        f"location {loc!r}")
-    aloc = dict(dom.aloc)
-    for loc, _v in init_abst.items():
-        if loc not in aloc:
-            _fail(path, f"initial abstract state uses undeclared "
-                        f"location {loc!r}")
+    for side, heap, locs in (("concrete", init_conc, dict(dom.cloc)),
+                             ("abstract", init_abst, dict(dom.aloc))):
+        for loc, v in heap.items():
+            if loc not in locs:
+                _fail(path, f"initial {side} state uses undeclared "
+                            f"location {loc!r}")
+            if v not in locs[loc]:
+                _fail(path, f"initial {side} value {v} of location {loc!r} "
+                            f"is outside its domain {list(locs[loc])}")
 
     macros = MacroTable(doc.get("macros", {}), method_args)
 

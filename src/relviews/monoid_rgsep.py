@@ -1,25 +1,24 @@
 """The rely/guarantee-with-separation view monoid.
 
-A view is either the inconsistent bottom or a triple of a predicate, a
-rely and a guarantee (relations on shared fragments).  The predicate pairs
-each shared state with a set of local world fragments; it is held as
-column classes, each distinct set with the bitmask of its shared states.
-Predicates must be stable under the rely.  Composition demands that each
-side's guarantee is covered by the other's rely and otherwise merges local
-parts class by class.
+A view is a predicate pairing each shared state with a set of local world
+fragments, held as column classes: each distinct set with the bitmask of
+its shared states.  The monoid holds each thread's rely and guarantee
+(relations on shared states), built once from the model's actions, and
+evaluates a thread's assertions under them: a thread's predicates must be
+stable under its rely, and its actions may change shared state only by its
+guarantee.  Each thread's guarantee is part of every other thread's rely,
+so views of different threads always compose, and composition merges
+local parts class by class (Vafeiadis and Parkinson, CONCUR 2007).
 
 Everything is materialized extensionally over a finite universe of shared
 states: by default all world triples over the declared domains, optionally
 restricted by a model-declared shared-universe assertion to keep larger
-models enumerable.  The monoid also holds each thread's rely and guarantee,
-built once from the model's actions, and evaluates a thread's assertions
-under them.
+models enumerable.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter, or_
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
@@ -46,7 +45,6 @@ from .vassn import (
     memo_key,
 )
 from .views_core import (
-    ActionCounterexample,
     ImplVerdict,
     Semantics,
     ViewMonoid,
@@ -55,46 +53,11 @@ from .views_core import (
 )
 
 Rel = FrozenSet[Tuple[World, World]]
+# A view: classes, each a non-empty set of local fragments and the int mask
+# of the states of the monoid's sorted shared universe paired with it (bit
+# i for the i-th).  Masks are disjoint, sets distinct and classes sorted by
+# mask, so equal predicates are equal tuples.
 Classes = Tuple[Tuple[FrozenSet[World], int], ...]
-
-
-@dataclass(frozen=True)
-class RgsepView:
-    """Bot, or (classes, rely, guar).  A class is a non-empty set of local
-    fragments and the int mask of the states of the monoid's sorted shared
-    universe paired with it (bit i for the i-th).  Masks are disjoint, sets
-    distinct and classes sorted by mask, so equal predicates are equal
-    tuples.  rely=None encodes the full relation."""
-
-    classes: Classes
-    rely: Optional[Rel]
-    guar: Rel
-    bot: bool = False
-
-    def __repr__(self):
-        if self.bot:
-            return "BOT"
-        rely = "full" if self.rely is None else f"{len(self.rely)} pairs"
-        size = sum(len(ls) * m.bit_count() for ls, m in self.classes)
-        return (
-            f"RgsepView(|pred|={size}, rely={rely}, |guar|={len(self.guar)})"
-        )
-
-
-BOT = RgsepView((), frozenset(), frozenset(), bot=True)
-
-
-def compose_rgsep(v1: RgsepView, v2: RgsepView) -> RgsepView:
-    """Bot if either side is bot or a guarantee escapes the other's rely;
-    otherwise local parts merge class by class."""
-    if v1.bot or v2.bot:
-        return BOT
-    r1, r2 = v1.rely, v2.rely
-    if not (r2 is None or v1.guar <= r2) or not (r1 is None or v2.guar <= r1):
-        return BOT
-    rely = r2 if r1 is None else r1 if r2 is None else r1 & r2
-    return RgsepView(_meet(_compose_sets, v1.classes, v2.classes), rely,
-                     v1.guar | v2.guar)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +89,7 @@ class RgsepMonoid(ViewMonoid):
         # `strip_token_set`
         self._classes_memo: Dict[tuple, Classes] = {}
         self._box_memo: Dict[tuple, int] = {}
-        self._succ_memo: Dict[Optional[Rel], tuple] = {}
+        self._succ_memo: Dict[Rel, tuple] = {}
         self._stripped: Dict[int, dict] = {}
         # each thread's guarantee, and its rely: every other thread's
         # guarantee and rely-extra actions; each action denoted once per
@@ -153,13 +116,14 @@ class RgsepMonoid(ViewMonoid):
     # -- monoid operations
 
     def compose(self, p, q):
-        return compose_rgsep(p, q)
+        """Local parts merge class by class."""
+        return _meet(_compose_sets, p, q)
 
     def reify(self, p):
         """The worlds of the predicate's pairs, not memoized: the initial
         coverage search reifies each composed, cut prefix once."""
         universe = self.universe
-        return frozenset(w for ls, m in p.classes for i in _bits(m)
+        return frozenset(w for ls, m in p for i in _bits(m)
                          for l in ls
                          for w in (compose_worlds(l, universe[i]),)
                          if w is not None)
@@ -169,9 +133,7 @@ class RgsepMonoid(ViewMonoid):
         world l + s satisfies keep, and a state that fails keep itself
         keeps none.  A state holding a concrete or abstract cell outside
         `cells` fails keep, so it is dropped by its mask in `_cells`
-        before keep is called.  The rely and guarantee are unchanged."""
-        if p.bot:
-            return p
+        before keep is called."""
         inside = self._full
         for index, allowed in zip(self._cells, cells):
             for kv, m in index.items():
@@ -179,7 +141,7 @@ class RgsepMonoid(ViewMonoid):
                     inside &= ~m
         universe = self.universe
         groups: Dict[FrozenSet[World], int] = {}
-        for ls, m in p.classes:
+        for ls, m in p:
             for i in _bits(m & inside):
                 s = universe[i]
                 if keep(s):
@@ -188,8 +150,7 @@ class RgsepMonoid(ViewMonoid):
                                      if w is not None and keep(w))
                     if kept:
                         groups[kept] = groups.get(kept, 0) | 1 << i
-        return RgsepView(tuple(sorted(groups.items(), key=_MASK)), p.rely,
-                         p.guar)
+        return tuple(sorted(groups.items(), key=_MASK))
 
     def _composed(self, classes: Classes) -> tuple:
         """The (local, shared, world) triples of the predicate whose local
@@ -222,20 +183,19 @@ class RgsepMonoid(ViewMonoid):
     # -- assertion satisfaction
 
     def eval_vassn(self, rho: VAssn, interp: Dict[str, int],
-                   t: int) -> RgsepView:
-        return self.eval_vassn_rg(rho, self.rely(t), self.guarantee(t),
-                                  interp)
+                   t: int) -> Classes:
+        return self.eval_vassn_rg(rho, self.rely(t), interp)
 
-    def eval_vassn_rg(self, rho: VAssn, rely: Optional[Rel], guar: Rel,
-                      interp: Dict[str, int]) -> RgsepView:
+    def eval_vassn_rg(self, rho: VAssn, rely: Rel,
+                      interp: Dict[str, int]) -> Classes:
         """Materialize an assertion as a view in one pass over the shared
-        universe; rejects unstable predicates rather than silently
-        stabilizing them."""
+        universe; rejects a predicate unstable under the rely rather than
+        silently stabilizing it."""
         classes = self._local_classes(rho, interp, self._full)
         self._check_stable(classes, rely)
-        return RgsepView(classes, rely, guar)
+        return classes
 
-    def _check_stable(self, classes: Classes, rely: Optional[Rel]) -> None:
+    def _check_stable(self, classes: Classes, rely: Rel) -> None:
         """A class is stable when the rely leads from its states only into
         classes whose sets contain its own.  Only when one is not are the
         rely's pairs searched for the witness: the least (shared, shared')
@@ -253,22 +213,22 @@ class RgsepMonoid(ViewMonoid):
             return
         universe = self.universe
         cols = {universe[i]: ls for ls, m in classes for i in _bits(m)}
-        s, s2 = min(((s, s2) for s, s2 in (
-            itertools.product(universe, universe) if rely is None else rely)
-            if not cols.get(s, _NONE) <= cols.get(s2, _NONE)),
+        s, s2 = min(
+            ((s, s2) for s, s2 in rely
+             if not cols.get(s, _NONE) <= cols.get(s2, _NONE)),
             key=lambda e: (world_sort_key(e[0]), world_sort_key(e[1])))
         raise StabilityViolation(
             min(cols[s] - cols.get(s2, _NONE), key=world_sort_key), s, s2)
 
-    def _successors(self, rely: Optional[Rel]) -> tuple:
+    def _successors(self, rely: Rel) -> tuple:
         """Per universe index, the mask of the states the rely leads to (bit
-        len(universe) for any outside it; the full rely leads everywhere),
-        and a memo of their unions per mask; built once per rely."""
+        len(universe) for any outside it), and a memo of their unions per
+        mask; built once per rely."""
         hit = self._succ_memo.get(rely)
         if hit is None:
             index, outside = self._index, len(self.universe)
-            per = [self._full if rely is None else 0] * outside
-            for s, s2 in rely or ():
+            per = [0] * outside
+            for s, s2 in rely:
                 if s in index:
                     per[index[s]] |= 1 << index.get(s2, outside)
             hit = self._succ_memo[rely] = (per, {})
@@ -386,60 +346,41 @@ class RgsepMonoid(ViewMonoid):
 
     # -- the frame-free action check (sufficient condition)
 
-    def check_action(self, t: int, alpha: PrimCommand, p: RgsepView,
-                     q: RgsepView):
+    def check_action(self, t: int, alpha: PrimCommand, p: Classes,
+                     q: Classes):
         """Sufficient frame-free condition for the action judgement:
         `judge_action` over the predicates' pairs, each shared change none
-        or in the guarantee.  Sufficient because every primitive is local:
-        the frame property in `views_core`."""
-        if q.bot:
-            composed = self._composed(p.classes)
-            if composed:
-                return ActionCounterexample(
-                    t, alpha, None, composed[0][2], None,
-                    "postcondition is inconsistent (bottom view)")
-            return True
-        if not p.bot and (p.rely != q.rely or p.guar != q.guar):
-            raise ModelError(
-                "action checks require pre and post views sharing rely and "
-                "guarantee")
+        or in thread t's guarantee.  Sufficient because every primitive is
+        local: the frame property in `views_core`."""
         return judge_action(
             self, t, alpha, None,
-            ((s, w) for _l, s, w in self._composed(p.classes)),
-            ((s, w) for _l, s, w in self._composed(q.classes)), p.guar,
+            ((s, w) for _l, s, w in self._composed(p)),
+            ((s, w) for _l, s, w in self._composed(q)), self.guarantee(t),
             "no post predicate pair matches with a guarantee transition and "
             "linearization steps")
 
-    def repart_implies(self, p: RgsepView, q: RgsepView) -> ImplVerdict:
+    def repart_implies(self, p: Classes, q: Classes) -> ImplVerdict:
         """Sufficient condition only: containment state by state, checked
-        once per pair of classes that share states, with a narrower rely
-        and a wider guarantee.  Incompleteness is reported as `not
-        established`, never as failure."""
-        if p.bot:
-            return ImplVerdict.HOLDS
-        if q.bot:
-            return ImplVerdict.NOT_ESTABLISHED
-        rely_ok = q.rely is None or (p.rely is not None and p.rely <= q.rely)
-        if (rely_ok and q.guar <= p.guar
-                and not _cover(p.classes) & ~_cover(q.classes)
-                and all(ls <= rs for ls, m in p.classes
-                        for rs, m2 in q.classes if m & m2)):
+        once per pair of classes that share states.  Incompleteness is
+        reported as `not established`, never as failure."""
+        if (not _cover(p) & ~_cover(q)
+                and all(ls <= rs for ls, m in p for rs, m2 in q if m & m2)):
             return ImplVerdict.HOLDS
         return ImplVerdict.NOT_ESTABLISHED
 
     # -- obligation helpers
 
-    def reified_token_worlds(self, p: RgsepView):
-        for _l, _s, world in self._composed(p.classes):
+    def reified_token_worlds(self, p: Classes):
+        for _l, _s, world in self._composed(p):
             yield world
 
-    def strip_token_set(self, p: RgsepView, t: int) -> frozenset:
+    def strip_token_set(self, p: Classes, t: int) -> frozenset:
         """Predicate pairs with thread t's token erased (keeping its side),
         for the token-swap correspondence check.  Each distinct local and
         shared world is stripped once per thread."""
         stripped = self._stripped.setdefault(t, {})
         out = set()
-        for l, s, _world in self._composed(p.classes):
+        for l, s, _world in self._composed(p):
             for w in (l, s):
                 if w not in stripped:
                     stripped[w] = (World(w.conc, w.abst, w.toks.remove(t)),

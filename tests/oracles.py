@@ -48,14 +48,13 @@ World composition, item by item: `compose_states_copying` and
 kernel, with its empty-side identity and its memo on the left operand, is
 tested against them.
 
-RGSep side conditions, by brute force: `stable(pred, rely, universe)` is
-the least witness (local, shared, shared') of a predicate not closed under
-a rely, which `eval_vassn_rg`'s class check must report;
-`stabilize(pred, rely, universe)` is a predicate's rely-closure over
-pairs; `closed_singletons(mono, guar)`, the unit plus every singleton
-frame closed under a guarantee, is the frame set of the fully-quantified
-action judgement, which `RgsepMonoid.check_action`'s frame-free condition
-is validated against;
+RGSep side conditions, by brute force: `stable(pred, rely)` is the least
+witness (local, shared, shared') of a predicate not closed under a rely,
+which `eval_vassn_rg`'s class check must report; `stabilize(pred, rely)`
+is a predicate's rely-closure over pairs; `closed_singletons(mono,
+guar)`, the unit plus every singleton frame closed under a guarantee, is
+the frame set of the fully-quantified action judgement, which
+`RgsepMonoid.check_action`'s frame-free condition is validated against;
 `denote_action_all_states` denotes an action by meeting each pre fragment
 with every universe state, where `denote_action` meets only the states
 that hold its cells; `compose_columns`, `columns_contained` and
@@ -120,7 +119,7 @@ from relviews.linearizability import (
 )
 from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
 from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
-from relviews.monoid_rgsep import BOT, RgsepMonoid, RgsepView
+from relviews.monoid_rgsep import RgsepMonoid
 from relviews.state_model import (
     EMPTY_WORLD,
     FAULT,
@@ -186,13 +185,10 @@ def compose_tokens_copying(d1: TokenMap, d2: TokenMap):
     return TokenMap(out)
 
 
-def stable(pred, rely, universe):
-    """None when the predicate is closed under the rely (None for the full
-    relation over the universe); otherwise the least witness (local,
-    shared, shared') ordered by shared, then shared', then local under
-    `world_sort_key`."""
-    if rely is None:
-        rely = [(s, s2) for s in universe for s2 in universe]
+def stable(pred, rely):
+    """None when the predicate is closed under the rely; otherwise the
+    least witness (local, shared, shared') ordered by shared, then shared',
+    then local under `world_sort_key`."""
     locals_by_shared: Dict = {}
     for l, s in pred:
         locals_by_shared.setdefault(s, set()).add(l)
@@ -203,12 +199,8 @@ def stable(pred, rely, universe):
         world_sort_key(w[1]), world_sort_key(w[2]), world_sort_key(w[0])))
 
 
-def stabilize(pred, rely, universe) -> frozenset:
-    """The rely-closure of a set of (local, shared) pairs (None for the
-    full relation over the universe)."""
-    if rely is None:
-        shareds = tuple(universe)
-        return frozenset((l, s2) for (l, _s) in pred for s2 in shareds)
+def stabilize(pred, rely) -> frozenset:
+    """The rely-closure of a set of (local, shared) pairs."""
     succ: Dict = {}
     for s, s2 in rely:
         succ.setdefault(s, set()).add(s2)
@@ -234,9 +226,9 @@ def closed_singletons(mono, guar) -> list:
     frames = [rgsep_unit(mono)]
     for l in enumerate_worlds(mono.dom):
         for s in mono.universe:
-            pairs = {pair for pair in stabilize({(l, s)}, guar, mono.universe)
+            pairs = {pair for pair in stabilize({(l, s)}, guar)
                      if pair[1] in inside}
-            frames.append(rgsep_view(mono, pairs, guar, frozenset()))
+            frames.append(rgsep_view(mono, pairs))
     return frames
 
 
@@ -846,7 +838,7 @@ def substituted_outline(outline):
 EMPTY_VIEW = frozenset()
 
 # each monoid's view with empty reification, for unreachable annotations
-EMPTY_VIEWS = {DcslMonoid: EMPTY_VIEW, RgsepMonoid: BOT}
+EMPTY_VIEWS = {DcslMonoid: EMPTY_VIEW, RgsepMonoid: ()}
 
 
 def reachable_commands(c: Command) -> frozenset:
@@ -964,23 +956,10 @@ def rgsep_action_by_pairs(mono, t: int, alpha: PrimCommand, p, q):
     """`RgsepMonoid.check_action`'s frame-free condition, pair by pair:
     every primitive step from a (local, shared) pair of p, in
     `composed_pairs` order, must fault nowhere and resplit into a pair of
-    q whose shared change is none or in the guarantee and whose abstract
-    side the linearization steps reach.  True, the first counterexample,
-    or the ModelError of views with different relies or guarantees."""
-    if q.bot:
-        pre = composed_pairs(mono.universe, view_columns(mono, p))
-        if pre:
-            return ActionCounterexample(
-                t, alpha, None, pre[0][2], None,
-                "postcondition is inconsistent (bottom view)")
-        return True
-    if p.bot:
-        return True
-    if p.rely != q.rely or p.guar != q.guar:
-        raise ModelError(
-            "action checks require pre and post views sharing rely and "
-            "guarantee")
-    sem = mono.sem
+    q whose shared change is none or in thread t's guarantee and whose
+    abstract side the linearization steps reach.  True or the first
+    counterexample."""
+    sem, guar = mono.sem, mono.guarantee(t)
     post = composed_pairs(mono.universe, view_columns(mono, q))
     for _l, s, world in composed_pairs(mono.universe, view_columns(mono, p)):
         sigma, sigma_a, toks = world
@@ -990,7 +969,7 @@ def rgsep_action_by_pairs(mono, t: int, alpha: PrimCommand, p, q):
                     t, alpha, None, world, FAULT, "fault reachable")
             lp_set = lp_star(sigma_a, toks, sem)
             if not any(w2.conc == sigma2 and (w2.abst, w2.toks) in lp_set
-                       and (s2 == s or (s, s2) in p.guar)
+                       and (s2 == s or (s, s2) in guar)
                        for _l2, s2, w2 in post):
                 return ActionCounterexample(
                     t, alpha, None, world, sigma2,
@@ -1019,11 +998,9 @@ def token_exclusive(p) -> bool:
 def restrict_by_keep(mono: RgsepMonoid, p, keep):
     """p cut column by column: a shared state s keeps the locals l whose
     world l + s satisfies keep, and a state that fails keep itself keeps
-    none.  The rely and guarantee are unchanged."""
-    if p.bot:
-        return p
+    none."""
     groups = {}
-    for ls, m in p.classes:
+    for ls, m in p:
         for i in range(len(mono.universe)):
             if not m >> i & 1:
                 continue
@@ -1034,8 +1011,7 @@ def restrict_by_keep(mono: RgsepMonoid, p, keep):
                                  if w is not None and keep(w))
                 if kept:
                     groups[kept] = groups.get(kept, 0) | 1 << i
-    return RgsepView(tuple(sorted(groups.items(), key=lambda c: c[1])),
-                     p.rely, p.guar)
+    return tuple(sorted(groups.items(), key=lambda c: c[1]))
 
 
 def initial_coverage_by_product(model: LibraryModel) -> ObligationItem:

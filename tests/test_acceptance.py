@@ -232,11 +232,13 @@ def test_criterion_3_appendix_suites():
 # 4. RGSep Proposition-1 bridge
 
 
-def _rgsep_micro():
+def _rgsep_micro(actions=None):
+    """The micro monoid whose thread guarantees the given actions."""
     ap = APCom("op", 0, 0)
     dom = micro_domains(cloc={"l": (0, 1)}, aloc={"x": (0, 1)}, nthreads=1,
                         apcoms=(ap,), values=(0, 1))
-    return RgsepMonoid(dom, micro_semantics(dom))
+    return RgsepMonoid(dom, micro_semantics(dom), actions=actions,
+                       guarantee_names=tuple(actions or ()))
 
 
 def _post_pred(mono, t, alpha, pred, guar):
@@ -268,29 +270,28 @@ def _post_pred(mono, t, alpha, pred, guar):
 
 def test_criterion_4_prop1_bridge():
     t0 = time.time()
-    mono = _rgsep_micro()
-    worlds = enumerate_worlds(mono.dom)
-    g_cell = mono.denote_action(CPt("l", Const(0)), CPt("l", Const(1)),
-                                {})
-    guars = [frozenset(), g_cell]
+    monos = [_rgsep_micro(), _rgsep_micro(
+        {"set": (CPt("l", Const(0)), CPt("l", Const(1)))})]
+    worlds = enumerate_worlds(monos[0].dom)
     alphas = [PrimCommand("id"),
               PrimCommand("store", (Read("l"), Const(1))),
               PrimCommand("assume", (Eq(Read("l"), Const(0)),))]
     confirmed = 0
     cases = 0
-    for guar in guars:
+    for mono in monos:
+        guar = mono.guarantee(1)
         frames = closed_singletons(mono, guar)
         # every stabilized singleton view over the micro domain
         pairs = [(l, s) for l in worlds for s in mono.universe]
         for l, s in pairs:
-            pred = stabilize(frozenset({(l, s)}), frozenset(), mono.universe)
-            p = rgsep_view(mono, pred, frozenset(), guar)
+            pred = stabilize(frozenset({(l, s)}), frozenset())
+            p = rgsep_view(mono, pred)
             for alpha in alphas:
                 cases += 1
                 post = _post_pred(mono, 1, alpha, pred, guar)
                 if post is None:
                     continue
-                q = rgsep_view(mono, post, frozenset(), guar)
+                q = rgsep_view(mono, post)
                 if mono.check_action(1, alpha, p, q) is True:
                     assert action_over_frames(
                             mono, 1, alpha, p, q, frames) is True, (

@@ -448,6 +448,62 @@ def test_a_declared_string_location_seven_loads(capsys, tmp_path):
     assert main(["check-lin", str(good), "--bound", "4"]) == 0
 
 
+def _macro_body(name, body):
+    def put(doc):
+        doc["macros"][name]["body"] = body
+    return put
+
+
+def _macro_params(name, params):
+    def put(doc):
+        doc["macros"][name]["params"] = params
+    return put
+
+
+@pytest.mark.parametrize("fixture,put,where", [
+    ("atomic-inc", _body_first(["assume", ["==", ["var", 7], 0]]),
+     "/methods/inc/seq[0]"),
+    ("dcsl-cell",
+     _macro_body("cell_any", ["exists", 7, ["macro", "cell", ["var", 7]]]),
+     "/assertions/put/pre/star[0]/cell_any"),
+    ("flat-combiner",
+     _macro_body("slots", ["sep_threads", 7, ["macro", "tinv", ["var", 7]]]),
+     "/shared_universe/star[1]/slots"),
+    ("dcsl-cell", _macro_params("cell", [7]),
+     "/assertions/put/pre/star[0]/cell_any/exists/cell"),
+], ids=["var", "exists", "sep_threads", "macro-params"])
+def test_a_logical_variable_name_must_be_a_string(capsys, tmp_path, fixture,
+                                                  put, where):
+    """A variable name of another type is not turned into a string: the
+    `exists` variant of dcsl-cell loaded and its proof was accepted."""
+    doc = json.load(open(f"{FIX}/{fixture}/model.json"))
+    put(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-lin", str(bad), "--bound", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {bad}{where}: a logical variable name must "
+                       "be a string, got 7\n")
+
+
+@pytest.mark.parametrize("side,loc", [("concrete", "x"), ("abstract", "X")])
+def test_an_initial_value_outside_its_domain_is_a_model_error(
+        capsys, tmp_path, side, loc):
+    """dcsl-cell with an initial 7 in a cell whose domain is [0, 1] is
+    refused at load, not rejected by the proof's initial coverage."""
+    doc = json.load(open(f"{FIX}/dcsl-cell/model.json"))
+    doc["initial"][side][loc] = 7
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-proof", str(bad),
+                 f"{FIX}/dcsl-cell/outline.json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {bad}: initial {side} value 7 of location "
+                       f"{loc!r} is outside its domain [0, 1]\n")
+
+
 def _guard_and(section, name, cond):
     def put(doc):
         doc[section][name]["guard"] = ["and", doc[section][name]["guard"],

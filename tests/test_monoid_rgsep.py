@@ -15,7 +15,7 @@ from relviews.command_lang import (
     TransformerTable,
 )
 from relviews.errors import ModelError, StabilityViolation
-from relviews.monoid_rgsep import BOT, RgsepMonoid, RgsepView, compose_rgsep
+from relviews.monoid_rgsep import RgsepMonoid
 from relviews.state_model import (
     APCom,
     EMPTY_WORLD,
@@ -28,7 +28,7 @@ from relviews.state_model import (
 from relviews.fixtures import fixture_path
 from relviews.linearizability import all_instances, check_obligations
 from relviews.logic import AssertionEnv
-from relviews.model_io import load_model, load_outlines
+from relviews.model_io import load_model, load_outlines, parse_model
 from relviews.state_model import (
     compose_worlds,
     enumerate_worlds,
@@ -59,6 +59,7 @@ from oracles import (
     stabilize,
     stable,
 )
+from families import flat_combiner
 from util import (
     classes_of_columns,
     disjoin,
@@ -77,6 +78,11 @@ def w(conc=None, abst=None, toks=None):
     return World(Heap(conc or {}), Heap(abst or {}), TokenMap(toks or {}))
 
 
+def full_rely(mono) -> frozenset:
+    """The relation that leads from every universe state to every one."""
+    return frozenset((s, s2) for s in mono.universe for s2 in mono.universe)
+
+
 def _mono(cloc=None, aloc=None, values=(0, 1), apcoms=(AP,), nthreads=1):
     dom = micro_domains(cloc=cloc or {"x": (0, 1)}, aloc=aloc or {},
                         nthreads=nthreads, apcoms=apcoms, values=values)
@@ -86,44 +92,28 @@ def _mono(cloc=None, aloc=None, values=(0, 1), apcoms=(AP,), nthreads=1):
 def test_compose_unit_identity():
     mono = _mono()
     pred = frozenset({(w({"x": 0}), s) for s in mono.universe})
-    v = rgsep_view(mono, pred, frozenset(), frozenset())
+    v = rgsep_view(mono, pred)
     unit = rgsep_unit(mono)
-    assert compose_rgsep(v, unit) == v
-    assert compose_rgsep(unit, v) == v
-
-
-def test_compose_guarantee_escape_is_bot():
-    mono = _mono()
-    s0, s1 = w({"x": 0}), w({"x": 1})
-    g = frozenset({(s0, s1)})
-    v1 = rgsep_view(mono, {(EMPTY_WORLD, s0)}, frozenset(), g)
-    v2 = rgsep_view(mono, {(EMPTY_WORLD, s0)}, frozenset(), frozenset())
-    assert compose_rgsep(v1, v2) is BOT
-    # tolerated once the other side's rely covers it
-    v2r = rgsep_view(mono, {(EMPTY_WORLD, s0), (EMPTY_WORLD, s1)}, g,
-                     frozenset())
-    got = compose_rgsep(v1, v2r)
-    assert not got.bot
-    assert got.guar == g
-    assert got.rely == frozenset()
+    assert mono.compose(v, unit) == v
+    assert mono.compose(unit, v) == v
 
 
 def test_compose_merges_disjoint_locals_over_common_shared():
     mono = _mono(cloc={"x": (0,), "y": (0,)})
     s = w()
-    v1 = rgsep_view(mono, {(w({"x": 0}), s)}, frozenset(), frozenset())
-    v2 = rgsep_view(mono, {(w({"y": 0}), s)}, frozenset(), frozenset())
-    got = compose_rgsep(v1, v2)
+    v1 = rgsep_view(mono, {(w({"x": 0}), s)})
+    v2 = rgsep_view(mono, {(w({"y": 0}), s)})
+    got = mono.compose(v1, v2)
     assert view_pairs(mono, got) == frozenset({(w({"x": 0, "y": 0}), s)})
 
 
 def test_reify():
     mono = _mono()
-    assert mono.reify(BOT) == frozenset()
+    assert mono.reify(()) == frozenset()
     s = w({"x": 1})
-    v = rgsep_view(mono, {(EMPTY_WORLD, s)}, frozenset(), frozenset())
+    v = rgsep_view(mono, {(EMPTY_WORLD, s)})
     assert mono.reify(v) == frozenset({s})
-    clash = rgsep_view(mono, {(w({"x": 0}), s)}, frozenset(), frozenset())
+    clash = rgsep_view(mono, {(w({"x": 0}), s)})
     assert mono.reify(clash) == frozenset()
 
 
@@ -143,7 +133,7 @@ def test_satisfaction_clauses():
     # the whole-universe evaluation agrees with the clauses
     for rho in (CPt("x", Const(3)), BoxA(TrueA()), rho,
                 BoxA(StarA((TrueA(), CPt("y", Const(0)))))):
-        got = mono.eval_vassn_rg(rho, frozenset(), frozenset(), {})
+        got = mono.eval_vassn_rg(rho, frozenset(), {})
         assert view_pairs(mono, got) == rgsep_pred(mono, rho, {})
 
 
@@ -152,7 +142,7 @@ def _eval_or_error(mono, rho, interp):
     predicate is stable), or the model error it raises."""
     try:
         return view_pairs(mono, mono.eval_vassn_rg(rho, frozenset(),
-                                                   frozenset(), interp))
+                                                   interp))
     except ModelError as exc:
         return ("error", str(exc))
 
@@ -192,8 +182,8 @@ def test_composed_order_is_the_sorted_oracle_pairs(name, monkeypatch):
     evaluated = {}
     original = RgsepMonoid.eval_vassn_rg
 
-    def record(self, rho, rely, guar, interp):
-        view = original(self, rho, rely, guar, interp)
+    def record(self, rho, rely, interp):
+        view = original(self, rho, rely, interp)
         evaluated[(self, rho, tuple(sorted(interp.items())))] = view
         return view
 
@@ -207,7 +197,7 @@ def test_composed_order_is_the_sorted_oracle_pairs(name, monkeypatch):
             world_sort_key(p[0]), world_sort_key(p[1])))
         want = [(l, s, w) for l, s in pairs
                 for w in (compose_worlds(l, s),) if w is not None]
-        assert list(mono._composed(view.classes)) == want, (rho, interp)
+        assert list(mono._composed(view)) == want, (rho, interp)
 
 
 def test_rely_and_guarantee_are_built_per_thread_from_the_actions():
@@ -226,6 +216,28 @@ def test_rely_and_guarantee_are_built_per_thread_from_the_actions():
                                                               other)
     # the rely-extra action adds transitions no guarantee makes
     assert len(mono.rely(1) - mono.guarantee(2)) == 18
+
+
+def _guarantee_cases():
+    for name in ("atomic-inc", "flat-combiner", "flat-combiner-noaction4"):
+        yield pytest.param(
+            lambda name=name: load_model(fixture_path(name, "model.json")),
+            id=name)
+    for n in (2, 3, 4):
+        yield pytest.param(lambda n=n: parse_model(flat_combiner(n)[0]),
+                           id=f"flat-combiner-{n}")
+
+
+@pytest.mark.parametrize("make", _guarantee_cases())
+def test_each_guarantee_is_in_every_other_threads_rely(make):
+    # what makes composition total: a thread's views never meet a change
+    # of shared state that another thread's rely does not allow for
+    mono = make().monoid()
+    tids = mono.dom.thread_ids()
+    assert len(tids) > 1
+    for t1, t2 in itertools.permutations(tids, 2):
+        assert mono.guarantee(t1) <= mono.rely(t2), (t1, t2)
+    assert any(mono.guarantee(t) for t in tids)
 
 
 _FALSE = PureA(Eq(Const(0), Const(1)))
@@ -372,8 +384,8 @@ def test_generated_assertions_include_errors_and_boxes():
 @st.composite
 def _sequence_case(draw):
     """A `_case` monoid with a run of assertions that overlap (later ones
-    may combine earlier ones) and a rely: the full relation, pairs over
-    the universe, or pairs that may leave it."""
+    may combine earlier ones) and a rely: the full relation over the
+    universe, pairs over the universe, or pairs that may leave it."""
     mono, rho = draw(_case())
     locs = tuple(sorted(dict(mono.dom.cloc)))
     rhos = [rho]
@@ -390,7 +402,7 @@ def _sequence_case(draw):
         return st.frozensets(st.tuples(st.sampled_from(worlds),
                                        st.sampled_from(worlds)), max_size=6)
 
-    rely = draw(st.one_of(st.none(), pairs(mono.universe),
+    rely = draw(st.one_of(st.just(full_rely(mono)), pairs(mono.universe),
                           pairs(enumerate_worlds(mono.dom))))
     return mono, rhos, rely
 
@@ -401,14 +413,13 @@ def _oracle_outcome(mono, rho, rely):
     pred = _oracle_or_error(mono, rho, {})
     if isinstance(pred, tuple):
         return pred
-    witness = stable(pred, rely, mono.universe)
+    witness = stable(pred, rely)
     return pred if witness is None else ("unstable", witness)
 
 
 def _outcome(mono, rho, rely):
     try:
-        return view_pairs(mono, mono.eval_vassn_rg(rho, rely, frozenset(),
-                                                   {}))
+        return view_pairs(mono, mono.eval_vassn_rg(rho, rely, {}))
     except StabilityViolation as exc:
         return ("unstable", exc.witness)
     except ModelError as exc:
@@ -433,7 +444,7 @@ def test_generated_sequences_include_stable_and_unstable():
     @given(_sequence_case())
     def collect(case):
         mono, rhos, rely = case
-        kind = ("full" if rely is None else
+        kind = ("full" if rely == full_rely(mono) else
                 "inside" if {s for pair in rely for s in pair}
                 <= set(mono.universe) else "outside")
         for rho in rhos:
@@ -449,7 +460,7 @@ def test_generated_sequences_include_stable_and_unstable():
 def test_token_literal_pins_local_tokens():
     mono = _mono()
     rho = TokA(TODO, Const(1), "op", Const(0), Const(0))
-    view = mono.eval_vassn_rg(rho, None, frozenset(), {})
+    view = mono.eval_vassn_rg(rho, full_rely(mono), {})
     for l, _s in view_pairs(mono, view):
         assert l.toks.get(1) == Token(TODO, AP)
         assert not l.conc.items() and not l.abst.items()
@@ -457,7 +468,7 @@ def test_token_literal_pins_local_tokens():
 
 def test_boxed_true_leaves_shared_unconstrained():
     mono = _mono()
-    view = mono.eval_vassn_rg(BoxA(TrueA()), None, frozenset(), {})
+    view = mono.eval_vassn_rg(BoxA(TrueA()), full_rely(mono), {})
     assert {s for _l, s in view_pairs(mono, view)} == set(mono.universe)
     assert {l for l, _s in view_pairs(mono, view)} == {EMPTY_WORLD}
 
@@ -467,10 +478,10 @@ def test_unstable_assertion_rejected():
     s0, s1 = w({"x": 0}), w({"x": 1})
     rely = frozenset({(s0, s1)})
     with pytest.raises(StabilityViolation):
-        mono.eval_vassn_rg(BoxA(CPt("x", Const(0))), rely, frozenset(), {})
+        mono.eval_vassn_rg(BoxA(CPt("x", Const(0))), rely, {})
     # the stabilized closure is accepted
-    pred = stabilize(frozenset({(EMPTY_WORLD, s0)}), rely, mono.universe)
-    assert stable(pred, rely, mono.universe) is None
+    pred = stabilize(frozenset({(EMPTY_WORLD, s0)}), rely)
+    assert stable(pred, rely) is None
     assert (EMPTY_WORLD, s1) in pred
 
 
@@ -518,36 +529,37 @@ def test_denote_action_quantifies_unbound_placeholders():
 
 def test_check_action_id_reflexive():
     mono = _mono()
-    v = mono.eval_vassn_rg(BoxA(TrueA()), frozenset(), frozenset(), {})
+    v = mono.eval_vassn_rg(BoxA(TrueA()), frozenset(), {})
     assert mono.check_action(1, PrimCommand("id"), v, v) is True
 
 
 def test_check_action_shared_change_outside_guarantee():
     mono = _mono()
-    pre = mono.eval_vassn_rg(BoxA(StarA((TrueA(), CPt("x", Const(0))))),
-                             frozenset(), frozenset(), {})
-    post = mono.eval_vassn_rg(BoxA(TrueA()), frozenset(), frozenset(), {})
+    pre_assn = BoxA(StarA((TrueA(), CPt("x", Const(0)))))
+    pre = mono.eval_vassn(pre_assn, {}, 1)
+    post = mono.eval_vassn(BoxA(TrueA()), {}, 1)
     alpha = PrimCommand("store", (Read("x"), Const(1)))
     got = mono.check_action(1, alpha, pre, post)
     assert isinstance(got, ActionCounterexample)
-    # granting the transition in the guarantee fixes it
-    g = mono.denote_action(CPt("x", Const(0)), CPt("x", Const(1)), {})
-    pre2 = mono.eval_vassn_rg(BoxA(StarA((TrueA(), CPt("x", Const(0))))),
-                              frozenset(), g, {})
-    post2 = mono.eval_vassn_rg(BoxA(TrueA()), frozenset(), g, {})
-    assert mono.check_action(1, alpha, pre2, post2) is True
+    # granting the transition in the thread's guarantee fixes it
+    granted = RgsepMonoid(mono.dom, mono.sem, actions={
+        "set": (CPt("x", Const(0)), CPt("x", Const(1)))},
+        guarantee_names=("set",))
+    assert granted.guarantee(1) == mono.denote_action(
+        CPt("x", Const(0)), CPt("x", Const(1)), {})
+    assert granted.eval_vassn(pre_assn, {}, 1) == pre
+    assert granted.check_action(1, alpha, pre, post) is True
 
 
 def test_check_action_discharges_token_via_lp():
     mono = _mono()
-    g = frozenset()
     todo = mono.eval_vassn_rg(
         StarA((BoxA(TrueA()), TokA(TODO, Const(1), "op", Const(0), Const(0)))),
-        frozenset(), g, {})
+        frozenset(), {})
     done = mono.eval_vassn_rg(
         StarA((BoxA(TrueA()), TokA("done", Const(1), "op", Const(0),
                                    Const(0)))),
-        frozenset(), g, {})
+        frozenset(), {})
     assert mono.check_action(1, PrimCommand("id"), todo, done) is True
 
 
@@ -574,29 +586,25 @@ def test_locality_violation_detected():
     assert got == (Heap({}), Heap({"x": 0}))
 
 
-def test_disjoin_requires_matching_protocol():
+def test_disjoin_is_the_state_by_state_union():
     mono = _mono()
     s = mono.universe[0]
-    v1 = rgsep_view(mono, {(EMPTY_WORLD, s)}, frozenset(), frozenset())
-    v2 = rgsep_view(mono, {(w({"x": 0}), s)}, frozenset(), frozenset())
+    v1 = rgsep_view(mono, {(EMPTY_WORLD, s)})
+    v2 = rgsep_view(mono, {(w({"x": 0}), s)})
     got = disjoin(mono, v1, v2)
     assert view_pairs(mono, got) \
         == view_pairs(mono, v1) | view_pairs(mono, v2)
-    assert disjoin(mono, BOT, v1) == v1
-    g = frozenset({(s, s)})
-    v3 = rgsep_view(mono, (), frozenset(), g)
-    with pytest.raises(ModelError):
-        disjoin(mono, v1, v3)
+    assert disjoin(mono, (), v1) == v1
 
 
 def test_disjunction_laws_under_equal_protocol():
     # exhaustive over all views whose predicate draws at most two pairs from
-    # a reduced pair family (empty rely/guarantee keeps them all stable)
+    # a reduced pair family
     mono = _mono()
     shareds = mono.universe[:3]
     locals_ = (EMPTY_WORLD, w({"x": 0}), w({"x": 1}))
     pairs = [(l, s) for l in locals_ for s in shareds]
-    views = [rgsep_view(mono, c, frozenset(), frozenset())
+    views = [rgsep_view(mono, c)
              for n in (0, 1, 2)
              for c in itertools.combinations(pairs, n)]
     for p, q in itertools.product(views, views):
@@ -604,37 +612,32 @@ def test_disjunction_laws_under_equal_protocol():
             == mono.reify(p) | mono.reify(q)
     small = views[:12]
     for p, q, r in itertools.product(small, small, small):
-        assert compose_rgsep(disjoin(mono, p, q), r) \
-            == disjoin(mono, compose_rgsep(p, r), compose_rgsep(q, r))
+        assert mono.compose(disjoin(mono, p, q), r) \
+            == disjoin(mono, mono.compose(p, r), mono.compose(q, r))
 
 
 def test_composition_preserves_stability_exhaustive_micro():
+    # two views stable under one rely compose to a view stable under it
     mono = _mono(cloc={"x": (0,)})
     shareds = mono.universe
     pairs = [(l, s) for l in (EMPTY_WORLD, w({"x": 0})) for s in shareds]
-    rels = [frozenset(), frozenset({(shareds[0], shareds[-1])})]
-    views = []
-    for n in (0, 1, 2):
-        for combo in itertools.combinations(pairs, n):
-            for rely in rels:
-                pred = stabilize(frozenset(combo), rely, shareds)
-                views.append(rgsep_view(mono, pred, rely, frozenset()))
-    for v1, v2 in itertools.product(views, views):
-        got = compose_rgsep(v1, v2)
-        if got.bot:
-            continue
-        assert stable(view_pairs(mono, got), got.rely, shareds) is None
+    for rely in (frozenset(), frozenset({(shareds[0], shareds[-1])})):
+        views = [rgsep_view(mono, stabilize(frozenset(combo), rely))
+                 for n in (0, 1, 2)
+                 for combo in itertools.combinations(pairs, n)]
+        for v1, v2 in itertools.product(views, views):
+            got = mono.compose(v1, v2)
+            assert stable(view_pairs(mono, got), rely) is None
 
 
 def test_repart_sufficient_condition():
     mono = _mono()
     s = mono.universe[0]
-    small = rgsep_view(mono, {(EMPTY_WORLD, s)}, frozenset(), frozenset())
-    big = rgsep_view(mono, {(EMPTY_WORLD, x) for x in mono.universe},
-                     frozenset(), frozenset())
+    small = rgsep_view(mono, {(EMPTY_WORLD, s)})
+    big = rgsep_view(mono, {(EMPTY_WORLD, x) for x in mono.universe})
     assert mono.repart_implies(small, big) is ImplVerdict.HOLDS
     assert mono.repart_implies(big, small) is ImplVerdict.NOT_ESTABLISHED
-    assert mono.repart_implies(BOT, small) is ImplVerdict.HOLDS
+    assert mono.repart_implies((), small) is ImplVerdict.HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -702,13 +705,13 @@ def test_generated_actions_include_empty_and_nonempty_relations():
 @st.composite
 def _views_case(draw):
     """A `_case` monoid, two predicates over it and a rely (the full
-    relation, or pairs that may leave the universe)."""
+    relation over the universe, or pairs that may leave it)."""
     mono, _rho = draw(_case())
     worlds = enumerate_worlds(mono.dom)
     pairs = st.frozensets(st.tuples(st.sampled_from(worlds),
                                     st.sampled_from(mono.universe)),
                           max_size=8)
-    rely = draw(st.one_of(st.none(), st.frozensets(
+    rely = draw(st.one_of(st.just(full_rely(mono)), st.frozensets(
         st.tuples(st.sampled_from(worlds), st.sampled_from(worlds)),
         max_size=6)))
     return mono, draw(pairs), draw(pairs), rely
@@ -718,16 +721,15 @@ def _views_case(draw):
 @given(_views_case())
 def test_classwise_operations_match_per_state_columns(case):
     mono, pairs1, pairs2, _rely = case
-    v1 = rgsep_view(mono, pairs1, frozenset(), frozenset())
-    v2 = rgsep_view(mono, pairs2, frozenset(), frozenset())
+    v1 = rgsep_view(mono, pairs1)
+    v2 = rgsep_view(mono, pairs2)
     cols1, cols2 = view_columns(mono, v1), view_columns(mono, v2)
-    got = compose_rgsep(v1, v2)
-    want = RgsepView(classes_of_columns(compose_columns(cols1, cols2)),
-                     frozenset(), frozenset())
+    got = mono.compose(v1, v2)
+    want = classes_of_columns(compose_columns(cols1, cols2))
     assert got == want and hash(got) == hash(want)
     assert mono.reify(v1) == frozenset(
         w for _l, _s, w in composed_pairs(mono.universe, cols1))
-    assert list(mono._composed(v1.classes)) \
+    assert list(mono._composed(v1)) \
         == composed_pairs(mono.universe, cols1)
     for p, q, cp, cq in ((v1, v2, cols1, cols2), (v2, v1, cols2, cols1),
                          (v1, got, cols1, view_columns(mono, got))):
@@ -740,13 +742,13 @@ def test_classwise_operations_match_per_state_columns(case):
 @given(_views_case())
 def test_class_stability_witness_matches_the_oracle(case):
     mono, pairs, _pairs2, rely = case
-    view = rgsep_view(mono, pairs, rely, frozenset())
+    view = rgsep_view(mono, pairs)
     try:
-        mono._check_stable(view.classes, rely)
+        mono._check_stable(view, rely)
         got = None
     except StabilityViolation as exc:
         got = exc.witness
-    assert got == stable(pairs, rely, mono.universe)
+    assert got == stable(pairs, rely)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -755,16 +757,16 @@ def test_one_predicate_built_in_two_orders_is_one_view(case):
     mono, pairs, _pairs2, rely = case
     forward = sorted(pairs, key=lambda p: (world_sort_key(p[0]),
                                            world_sort_key(p[1])))
-    v1 = rgsep_view(mono, forward, rely, frozenset())
-    v2 = rgsep_view(mono, reversed(forward), rely, frozenset())
+    v1 = rgsep_view(mono, forward)
+    v2 = rgsep_view(mono, reversed(forward))
     assert v1 == v2 and hash(v1) == hash(v2)
     # the classes are canonical: disjoint masks, distinct non-empty sets,
     # sorted by mask
-    masks = [m for _ls, m in v1.classes]
+    masks = [m for _ls, m in v1]
     assert masks == sorted(masks) and all(masks)
     assert sum(masks) == functools.reduce(operator.or_, masks, 0)
-    assert len({ls for ls, _m in v1.classes}) == len(masks)
-    assert all(ls for ls, _m in v1.classes)
+    assert len({ls for ls, _m in v1}) == len(masks)
+    assert all(ls for ls, _m in v1)
 
 
 def test_generated_views_reach_every_outcome():
@@ -774,13 +776,12 @@ def test_generated_views_reach_every_outcome():
     @given(_views_case())
     def collect(case):
         mono, pairs1, pairs2, rely = case
-        v1 = rgsep_view(mono, pairs1, frozenset(), frozenset())
-        v2 = rgsep_view(mono, pairs2, frozenset(), frozenset())
-        seen.add("unstable" if stable(pairs1, rely, mono.universe)
-                 else "stable")
+        v1 = rgsep_view(mono, pairs1)
+        v2 = rgsep_view(mono, pairs2)
+        seen.add("unstable" if stable(pairs1, rely) else "stable")
         seen.add(mono.repart_implies(v1, v2))
-        seen.add("classes" if len(v1.classes) > 1 else "class")
-        seen.add("composes" if compose_rgsep(v1, v2).classes else "empty")
+        seen.add("classes" if len(v1) > 1 else "class")
+        seen.add("composes" if mono.compose(v1, v2) else "empty")
 
     collect()
     assert seen == {"stable", "unstable", ImplVerdict.HOLDS,

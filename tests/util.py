@@ -24,11 +24,9 @@ from relviews.command_lang import (
     Eq,
     TransformerTable,
 )
-from relviews.errors import ModelError
 from relviews.fixtures import FIXTURE_ROOT
 from relviews.model_io import DEFAULT_CAP
 from relviews.monoid_dcsl import DcslMonoid
-from relviews.monoid_rgsep import RgsepView
 from relviews.state_model import EMPTY_WORLD, APCom, Domains, enumerate_worlds
 from relviews.views_core import Semantics
 
@@ -96,24 +94,16 @@ def micro_dcsl(cloc=None, aloc=None, nthreads=1, apcoms=(), values=(0, 1),
 
 def disjoin(mono, p, q):
     """View disjunction: set union for DCSL; for RGSep the state-by-state
-    union of the predicates, defined only under one rely and guarantee."""
+    union of the predicates."""
     if isinstance(mono, DcslMonoid):
         return p | q
-    if p.bot:
-        return q
-    if q.bot:
-        return p
-    if p.rely != q.rely or p.guar != q.guar:
-        raise ModelError(
-            "disjunction of RGSep views requires equal rely and guarantee")
-    return rgsep_view(mono, view_pairs(mono, p) | view_pairs(mono, q),
-                      p.rely, p.guar)
+    return rgsep_view(mono, view_pairs(mono, p) | view_pairs(mono, q))
 
 
 def view_columns(mono, view) -> list:
     """The local set of each universe state, in universe order."""
     cols = [frozenset()] * len(mono.universe)
-    for ls, mask in view.classes:
+    for ls, mask in view:
         for i in range(len(cols)):
             if mask >> i & 1:
                 cols[i] = ls
@@ -130,21 +120,20 @@ def classes_of_columns(cols) -> tuple:
     return tuple(sorted(masks.items(), key=lambda c: c[1]))
 
 
-def rgsep_view(mono, pairs, rely, guar) -> RgsepView:
+def rgsep_view(mono, pairs) -> tuple:
     """The RGSep view of the monoid whose predicate is the given (local,
     shared) pairs; every shared part must be in the monoid's universe."""
     index = {s: i for i, s in enumerate(mono.universe)}
     cols = [set() for _ in mono.universe]
     for l, s in pairs:
         cols[index[s]].add(l)
-    return RgsepView(classes_of_columns(map(frozenset, cols)), rely, guar)
+    return classes_of_columns(map(frozenset, cols))
 
 
-def rgsep_unit(mono) -> RgsepView:
+def rgsep_unit(mono) -> tuple:
     """The unit of an RGSep monoid: the empty local fragment at every
-    shared state, under the full rely and the empty guarantee."""
-    return rgsep_view(mono, {(EMPTY_WORLD, s) for s in mono.universe}, None,
-                      frozenset())
+    shared state."""
+    return rgsep_view(mono, {(EMPTY_WORLD, s) for s in mono.universe})
 
 
 def view_pairs(mono, view) -> frozenset:
