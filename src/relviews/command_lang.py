@@ -4,6 +4,11 @@ Commands are finite trees over primitives, sequencing, binary choice and
 finite iteration.  Stepping is split into a stateless relation on command
 shapes and a stateful one that additionally runs the fired primitive's
 transformer.  Conditionals and loops are encodings on top of assume.
+
+Structure is walked generically: `walk` and `rebuild` read each node's
+fields, so copying or searching a tree of expressions, primitives,
+commands or assertions names no node class.  Meaning is given per class,
+where nodes are evaluated or stepped (`eval_expr`, `step`).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import inspect
 import string
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 from .errors import ModelError, UndefinedLocation
 from .state_model import FAULT, Heap, HeapState
@@ -22,6 +27,8 @@ from .state_model import FAULT, Heap, HeapState
 
 # Every tree node built in this process, keyed by (class, field tuple).
 _NODES: dict = {}
+# Every class decorated with `tree_node`.
+_NODE_CLASSES: set = set()
 
 
 def tree_node(cls):
@@ -40,6 +47,9 @@ def tree_node(cls):
     and rebuilt the same way too, but they hash by identity and their
     tables hold weak references: a map lives only while it is used, and
     their set order follows object addresses.
+
+    A node also records its parts, the nodes among its fields (`_parts`),
+    which `walk` and `rebuild` read.
     """
     # not `vars(cls)["__annotations__"]`, which lazily evaluated
     # annotations (PEP 649, Python 3.14) leave out of the class dict
@@ -58,7 +68,8 @@ def tree_node(cls):
         node = _NODES.get(key)
         if node is None:
             node = object.__new__(klass)
-            node.__dict__.update(zip(names, args), _hash=hash(args))
+            node.__dict__.update(zip(names, args), _hash=hash(args),
+                                 _parts=_parts(args))
             node = _NODES.setdefault(key, node)
         return node
 
@@ -82,7 +93,66 @@ def tree_node(cls):
     cls.__setattr__ = cls.__delattr__ = frozen
     if "__repr__" not in vars(cls):
         cls.__repr__ = __repr__
+    _NODE_CLASSES.add(cls)
     return cls
+
+
+def _parts(fields: tuple) -> tuple:
+    """The nodes among a node's fields, the items of a tuple field
+    included, in field order."""
+    return tuple(v for value in fields
+                 for v in (value if type(value) is tuple else (value,))
+                 if type(v) in _NODE_CLASSES)
+
+
+def _with_parts(node, parts: list):
+    """The node of node's class with node's fields, its parts (as `_parts`
+    lists them) replaced by `parts` in order."""
+    new = iter(parts)
+
+    def swap(value):
+        return next(new) if type(value) in _NODE_CLASSES else value
+
+    return type(node)(*[
+        tuple(map(swap, value)) if type(value) is tuple else swap(value)
+        for value in (getattr(node, name) for name in node._fields)])
+
+
+def walk(*roots) -> Iterator:
+    """Every node of the trees at `roots`, a node before its parts, a
+    shared subtree once per occurrence.  The walk keeps an explicit stack,
+    so a deep tree (a body's `Seq` chain, say) does not meet the
+    recursion limit."""
+    todo = list(roots)
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += node._parts
+
+
+def rebuild(node, leaf: Callable):
+    """The tree at `node` rebuilt bottom up: each subtree for which
+    `leaf` returns a node is replaced by that node, and every other node
+    is built again from its rebuilt parts, or kept where they come back
+    unchanged.  An explicit stack, as in `walk`."""
+    todo, done = [node], []  # done: the rebuilt subtrees, in order
+    while todo:
+        n = todo.pop()
+        if type(n) is tuple:  # (node, count): its parts are rebuilt
+            n, count = n
+            parts = done[-count:]
+            del done[-count:]
+            done.append(n if tuple(parts) == n._parts
+                        else _with_parts(n, parts))
+            continue
+        out = leaf(n)
+        parts = n._parts if out is None else ()
+        if parts:
+            todo.append((n, len(parts)))
+            todo += reversed(parts)
+        else:
+            done.append(n if out is None else out)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +268,9 @@ def eval_expr(e: Expr, sigma: Heap, interp: Dict[str, int], t: int, modulus: int
     raise ModelError(f"unknown expression node {e!r}")
 
 
-def expr_locs(e: Expr) -> frozenset:
-    if isinstance(e, Read):
-        return frozenset([e.loc])
-    if isinstance(e, (Plus, Eq, Lt, And, Or)):
-        return expr_locs(e.a) | expr_locs(e.b)
-    if isinstance(e, Not):
-        return expr_locs(e.a)
-    return frozenset()
+def expr_locs(*trees) -> frozenset:
+    """The locations read in the trees, placeholders unresolved."""
+    return frozenset(n.loc for n in walk(*trees) if isinstance(n, Read))
 
 
 # ---------------------------------------------------------------------------
@@ -464,22 +529,8 @@ def desugar_while(e: Expr, body: Command) -> Command:
 
 
 def command_prims(c: Command) -> frozenset:
-    """The primitive commands occurring in a command, collected with an
-    explicit stack, so a long body does not meet the recursion limit."""
-    out, todo = set(), [c]
-    while todo:
-        c = todo.pop()
-        if isinstance(c, Prim):
-            out.add(c.prim)
-        elif isinstance(c, Seq):
-            todo += (c.first, c.second)
-        elif isinstance(c, Choice):
-            todo += (c.left, c.right)
-        elif isinstance(c, Iter):
-            todo.append(c.body)
-        elif not isinstance(c, Skip):
-            raise ModelError(f"unknown command node {c!r}")
-    return frozenset(out)
+    """The primitive commands occurring in a command."""
+    return frozenset(n for n in walk(c) if isinstance(n, PrimCommand))
 
 
 def validate_command(c: Command, table: TransformerTable) -> None:

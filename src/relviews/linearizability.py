@@ -45,7 +45,7 @@ from .state_model import (
     TokenMap,
     World,
 )
-from .subst import subst_command, subst_prim
+from .subst import subst
 from .vassn import VAssn
 
 Event = Tuple[int, str, str, int]  # (thread, "call"|"ret", method, value)
@@ -233,14 +233,14 @@ class _Library:
         if not self.concrete:
             return [frozenset((APCom(m, a, v), v) for v in values)
                     for a in model.method_args[m]]
-        bodies = [subst_command(model.body_templates[m], {"a": a})
+        bodies = [subst(model.body_templates[m], {"a": a})
                   for a in model.method_args[m]]
         inst = self._instances
         for p in frozenset().union(*map(command_prims, bodies)) - inst.keys():
-            first = subst_prim(p, {"r": values[0]})
+            first = subst(p, {"r": values[0]})
             inst[p] = None if first is p else {
                 values[0]: first,
-                **{v: subst_prim(p, {"r": v}) for v in values[1:]}}
+                **{v: subst(p, {"r": v}) for v in values[1:]}}
         return [frozenset((body, v) for v in values) for body in bodies]
 
     def _run(self, alpha: PrimCommand, t: int, heap: Heap) -> tuple:

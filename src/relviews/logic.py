@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from .command_lang import PrimCommand, tree_node
 from .errors import ModelError, StabilityViolation
-from .subst import subst_prim
+from .subst import subst
 from .vassn import VAssn, free_lvars, memo_key
 
 if TYPE_CHECKING:  # the monoids load only when a model builds one
@@ -188,7 +188,7 @@ class ProofChecker:
             yield interp, {**interp, **self.binding}
 
     def _prim(self, node, pre, post, t, path):
-        alpha = subst_prim(node.prim, self.binding)
+        alpha = subst(node.prim, self.binding)
         for interp, full in self._interps(pre, post):
             try:
                 p = self.env.eval(pre, full)

@@ -38,7 +38,6 @@ from .command_lang import (
     AbstractTable,
     TransformerTable,
     cas,
-    command_prims,
     desugar_if,
     desugar_while,
     expr_locs,
@@ -91,32 +90,17 @@ def _check_placeholders(locs: Iterable[str], allowed: str, path: str):
     no format spec or conversion: an instance substitutes `{a}` and `{r}`,
     and `{t}` is resolved at run time with the executing thread alone."""
     hole = re.compile(r"\{[%s]\}" % allowed)
-    for loc in locs:
+    # sorted, so that the location an error names does not follow the seed
+    for loc in sorted(locs):
         if set(hole.sub("", loc)) & set("{}"):
             _fail(path, f"location {loc!r} uses a placeholder other than "
                         + ", ".join(f"{{{n}}}" for n in sorted(allowed)))
 
 
-def _command_locs(cmd) -> Iterable[str]:
-    # sorted, so that the location an error names does not follow the seed
-    return sorted({loc for prim in command_prims(cmd) for e in prim.args
-                   for loc in expr_locs(e)})
-
-
-def _update_exprs(spec: GuardedUpdate) -> List[Expr]:
-    guard = [] if spec.guard is None else [spec.guard]
-    return [e for _, e in spec.updates] + guard
-
-
-def _update_locs(spec: GuardedUpdate) -> Iterable[str]:
-    return [loc for loc, _ in spec.updates] + [
-        loc for e in _update_exprs(spec) for loc in expr_locs(e)]
-
-
-def _check_vars(exprs, names, what: str, path: str, note: str = ""):
+def _check_vars(trees, names, what: str, path: str, note: str = ""):
     """A logical variable that the template does not bind is a load error,
     not a run-time error that names no file."""
-    free = set().union(*map(free_lvars_expr, exprs)) - set(names)
+    free = free_lvars_expr(*trees) - set(names)
     if free:
         bound = "only " + ", ".join(map(repr, names)) if names else "none"
         _fail(path, f"unbound logical variable {min(free)!r}: {what} binds "
@@ -131,19 +115,12 @@ def _integer(x, what: str, path: str) -> int:
     return x
 
 
-def _location(x, path: str) -> str:
-    """x, which must be a JSON string: a location name of another type is
-    a model error, not coerced."""
+def _name(x, kind: str, path: str) -> str:
+    """x, which must be a JSON string: the name of a location, logical
+    variable, primitive or macro (`kind`) of another type is a model error,
+    not coerced."""
     if type(x) is not str:
-        _fail(path, f"a location name must be a string, got {x!r}")
-    return x
-
-
-def _lvar(x, path: str) -> str:
-    """x, which must be a JSON string: a logical-variable name of another
-    type is a model error, not coerced."""
-    if type(x) is not str:
-        _fail(path, f"a logical variable name must be a string, got {x!r}")
+        _fail(path, f"a {kind} name must be a string, got {x!r}")
     return x
 
 
@@ -172,9 +149,9 @@ def parse_expr(doc, path: str = "expr") -> Expr:
     if tag == "const" and len(args) == 1:
         return Const(_integer(args[0], "a constant", path))
     if tag == "var" and len(args) == 1:
-        return LVar(_lvar(args[0], path))
+        return LVar(_name(args[0], "logical variable", path))
     if tag == "read" and len(args) == 1:
-        return Read(_location(args[0], path))
+        return Read(_name(args[0], "location", path))
     if tag == "tid" and not args:
         return Tid()
     if tag == "+" and len(args) == 2:
@@ -208,19 +185,19 @@ def parse_command(doc, path: str = "cmd") -> Command:
     if tag == "prim":
         if not args:
             _fail(path, "prim needs a name")
+        name = _name(args[0], "primitive", path)
         return Prim(PrimCommand(
-            str(args[0]),
-            tuple(parse_expr(a, f"{path}/{args[0]}") for a in args[1:])))
+            name, tuple(parse_expr(a, f"{path}/{name}") for a in args[1:])))
     if tag == "assume" and len(args) == 1:
         return Prim(PrimCommand("assume", (parse_expr(args[0], path),)))
     if tag == "store" and len(args) == 2:
         return Prim(PrimCommand(
-            "store", (Read(_location(args[0], path)),
+            "store", (Read(_name(args[0], "location", path)),
                       parse_expr(args[1], path))))
     if tag == "load" and len(args) == 2:
         return Prim(PrimCommand(
-            "load", (Read(_location(args[0], path)),
-                     Read(_location(args[1], path)))))
+            "load", (Read(_name(args[0], "location", path)),
+                     Read(_name(args[1], "location", path)))))
     if tag == "seq":
         return seq(*(parse_command(a, f"{path}/seq[{i}]")
                      for i, a in enumerate(args)))
@@ -230,7 +207,7 @@ def parse_command(doc, path: str = "cmd") -> Command:
     if tag == "iter" and len(args) == 1:
         return Iter(parse_command(args[0], f"{path}/iter"))
     if tag == "cas" and len(args) == 5:
-        return cas(_location(args[0], path), parse_expr(args[1], path),
+        return cas(_name(args[0], "location", path), parse_expr(args[1], path),
                    parse_expr(args[2], path),
                    parse_command(args[3], f"{path}/then"),
                    parse_command(args[4], f"{path}/else"))
@@ -254,9 +231,15 @@ class MacroTable:
     arguments, thread count) with the macro names its expansion reached,
     and reused under any expansion chain that holds none of them: parsing
     again would build the same hash-consed tree.  Errors are not memoized,
-    so each keeps its own path."""
+    so each keeps its own path.  Every macro's parameters are checked to
+    be names once, when the table is built, whether or not an assertion
+    applies the macro."""
 
-    def __init__(self, raw: Dict[str, dict], methods: Iterable[str]):
+    def __init__(self, raw: Dict[str, dict], methods: Iterable[str],
+                 path: str = "model"):
+        for name in sorted(raw):
+            for p in raw[name].get("params", []):
+                _name(p, "logical variable", f"{path}/macros/{name}")
         self.raw = raw
         self.methods = frozenset(methods)
         # key -> (parsed assertion, names reached)
@@ -276,8 +259,7 @@ class MacroTable:
             if name not in self.raw:
                 _fail(path, f"unknown macro {name!r}")
             spec = self.raw[name]
-            params = [_lvar(p, f"{path}/{name}")
-                      for p in spec.get("params", [])]
+            params = spec.get("params", [])
             if len(params) != len(args):
                 _fail(path, f"macro {name!r} expects {len(params)} arguments")
             body = _subst_json(spec["body"], dict(zip(params, args)), path)
@@ -325,9 +307,9 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
     if tag == "true":
         return TrueA()
     if tag == "pt" and len(args) == 2:
-        return CPt(_location(args[0], path), parse_expr(args[1], path))
+        return CPt(_name(args[0], "location", path), parse_expr(args[1], path))
     if tag == "apt" and len(args) == 2:
-        return APt(_location(args[0], path), parse_expr(args[1], path))
+        return APt(_name(args[0], "location", path), parse_expr(args[1], path))
     if tag in ("todo", "done") and len(args) == 4:
         if not isinstance(args[1], str) or args[1] not in macros.methods:
             _fail(path, f"{tag} token names undeclared method {args[1]!r}")
@@ -344,7 +326,7 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
             parse_vassn(a, macros, nthreads, f"{path}/or[{i}]", stack)
             for i, a in enumerate(args)))
     if tag == "exists" and len(args) == 2:
-        return ExistsA(_lvar(args[0], path),
+        return ExistsA(_name(args[0], "logical variable", path),
                        parse_vassn(args[1], macros, nthreads,
                                    f"{path}/exists", stack))
     if tag == "box" and len(args) == 1:
@@ -354,10 +336,10 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
         _fail(path, "a repartitioning implication is not an assertion; "
                     "a conseq outline node checks one")
     if tag == "macro" and args:
-        return macros.apply(str(args[0]), list(args[1:]), nthreads, path,
-                            stack)
+        return macros.apply(_name(args[0], "macro", path), list(args[1:]),
+                            nthreads, path, stack)
     if tag == "sep_threads" and len(args) == 2:
-        var = _lvar(args[0], path)
+        var = _name(args[0], "logical variable", path)
         parts = []
         for j in range(1, nthreads + 1):
             body = _subst_json(args[1], {var: j}, path)
@@ -461,12 +443,13 @@ def _parse_update(spec: dict, params, what: str, path: str) -> GuardedUpdate:
     may read; its locations may only use the `{t}` placeholder."""
     guard = (parse_expr(spec["guard"], path)
              if spec.get("guard") is not None else None)
-    updates = tuple((_location(loc, path), parse_expr(e, path))
+    updates = tuple((_name(loc, "location", path), parse_expr(e, path))
                     for loc, e in spec.get("updates", []))
-    out = GuardedUpdate(params=tuple(params), guard=guard, updates=updates)
-    _check_vars(_update_exprs(out), out.params, what, path)
-    _check_placeholders(_update_locs(out), "t", path)
-    return out
+    exprs = [e for _, e in updates] + ([] if guard is None else [guard])
+    _check_vars(exprs, params, what, path)
+    _check_placeholders({loc for loc, _ in updates} | expr_locs(*exprs), "t",
+                        path)
+    return GuardedUpdate(params=tuple(params), guard=guard, updates=updates)
 
 
 def _parse_model(doc: dict, path: str) -> LibraryModel:
@@ -521,10 +504,9 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
             validate_command(template, ctable)
         except ModelError as exc:
             _fail(f"{path}/methods/{mname}", str(exc))
-        _check_vars([e for p in command_prims(template) for e in p.args],
-                    ("a", "r"), "a method body", f"{path}/methods/{mname}",
-                    ' (the thread id is ["tid"])')
-        _check_placeholders(_command_locs(template), "art",
+        _check_vars([template], ("a", "r"), "a method body",
+                    f"{path}/methods/{mname}", ' (the thread id is ["tid"])')
+        _check_placeholders(expr_locs(template), "art",
                             f"{path}/methods/{mname}")
         if isinstance(template, Skip):
             # a zero-step body would let concrete histories outrun the
@@ -570,7 +552,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
                 _fail(path, f"initial {side} value {v} of location {loc!r} "
                             f"is outside its domain {list(locs[loc])}")
 
-    macros = MacroTable(doc.get("macros", {}), method_args)
+    macros = MacroTable(doc.get("macros", {}), method_args, path)
 
     shared_universe = None
     if doc.get("shared_universe") is not None:
@@ -658,7 +640,7 @@ def attach_outlines(doc: dict, model: LibraryModel, path: str = "outline") -> No
         _fail(path, "outline document must be an object")
     with _malformed_is_model_error(path):
         macros = MacroTable({**model.macros_raw, **doc.get("macros", {})},
-                            model.method_args)
+                            model.method_args, path)
         outlines = doc.get("outlines")
         if not isinstance(outlines, dict):
             _fail(path, "outline document needs an 'outlines' object")

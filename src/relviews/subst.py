@@ -3,8 +3,9 @@
 Model files parametrize method bodies and outline primitives by thread id,
 argument and return value.  Instantiation substitutes integer bindings for
 the corresponding logical variables and formats `{name}` placeholders
-inside location strings; everything else is structural recursion, except
-along a `Seq` chain, which is walked by a loop.
+inside location strings.  Only those two node classes get a meaning here:
+`command_lang.rebuild` copies the rest of any tree (an expression, a
+primitive or a command) from each node's fields.
 Assertions are not instantiated: they are evaluated under an
 interpretation that holds the instance's bindings.
 """
@@ -13,27 +14,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from .command_lang import (
-    And,
-    Choice,
-    Command,
-    Const,
-    Eq,
-    Expr,
-    Iter,
-    LVar,
-    Lt,
-    Not,
-    Or,
-    Plus,
-    Prim,
-    PrimCommand,
-    Read,
-    Seq,
-    Skip,
-    Tid,
-)
-from .errors import ModelError
+from .command_lang import Const, LVar, Read, rebuild
 
 Binding = Dict[str, int]
 
@@ -45,57 +26,15 @@ class _Partial(dict):
         return "{" + key + "}"
 
 
-def subst_loc(loc: str, b: Binding) -> str:
-    if "{" not in loc:
-        return loc
-    return loc.format_map(_Partial(b))
+def subst(node, b: Binding):
+    """The tree at node with each logical variable that b binds replaced
+    by its value, and b's `{name}` placeholders formatted in each read
+    location."""
+    def leaf(n):
+        if type(n) is LVar:
+            return Const(b[n.name]) if n.name in b else n
+        if type(n) is Read:
+            return Read(n.loc.format_map(_Partial(b))) if "{" in n.loc else n
+        return None
 
-
-def subst_expr(e: Expr, b: Binding) -> Expr:
-    if isinstance(e, Const) or isinstance(e, Tid):
-        return e
-    if isinstance(e, LVar):
-        if e.name in b:
-            return Const(b[e.name])
-        return e
-    if isinstance(e, Read):
-        return Read(subst_loc(e.loc, b))
-    if isinstance(e, Plus):
-        return Plus(subst_expr(e.a, b), subst_expr(e.b, b))
-    if isinstance(e, Eq):
-        return Eq(subst_expr(e.a, b), subst_expr(e.b, b))
-    if isinstance(e, Lt):
-        return Lt(subst_expr(e.a, b), subst_expr(e.b, b))
-    if isinstance(e, Not):
-        return Not(subst_expr(e.a, b))
-    if isinstance(e, And):
-        return And(subst_expr(e.a, b), subst_expr(e.b, b))
-    if isinstance(e, Or):
-        return Or(subst_expr(e.a, b), subst_expr(e.b, b))
-    raise ModelError(f"unknown expression node {e!r}")
-
-
-def subst_prim(p: PrimCommand, b: Binding) -> PrimCommand:
-    return PrimCommand(p.name, tuple(subst_expr(a, b) for a in p.args))
-
-
-def subst_command(c: Command, b: Binding) -> Command:
-    # a body's statements form one right-nested `Seq` chain, as long as the
-    # body: walk it with a loop, so the stack does not limit its length
-    firsts = []
-    while isinstance(c, Seq):
-        firsts.append(c.first)
-        c = c.second
-    if isinstance(c, Skip):
-        out = c
-    elif isinstance(c, Prim):
-        out = Prim(subst_prim(c.prim, b))
-    elif isinstance(c, Choice):
-        out = Choice(subst_command(c.left, b), subst_command(c.right, b))
-    elif isinstance(c, Iter):
-        out = Iter(subst_command(c.body, b))
-    else:
-        raise ModelError(f"unknown command node {c!r}")
-    for first in reversed(firsts):
-        out = Seq(subst_command(first, b), out)
-    return out
+    return rebuild(node, leaf)

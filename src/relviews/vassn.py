@@ -18,18 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Tuple, Union
 
-from .command_lang import (
-    And,
-    Eq,
-    Expr,
-    LVar,
-    Lt,
-    Not,
-    Or,
-    Plus,
-    loc_placeholders,
-    tree_node,
-)
+from .command_lang import Expr, LVar, loc_placeholders, tree_node, walk
 from .errors import ModelError
 
 
@@ -103,14 +92,10 @@ class BoxA:
 VAssn = Union[EmpA, CPt, APt, TokA, PureA, StarA, OrA, ExistsA, TrueA, BoxA]
 
 
-def free_lvars_expr(e) -> frozenset:
-    if isinstance(e, LVar):
-        return frozenset([e.name])
-    if isinstance(e, (Plus, Eq, Lt, And, Or)):
-        return free_lvars_expr(e.a) | free_lvars_expr(e.b)
-    if isinstance(e, Not):
-        return free_lvars_expr(e.a)
-    return frozenset()
+def free_lvars_expr(*trees) -> frozenset:
+    """The logical variables in the trees (expressions or commands); no
+    expression binds one."""
+    return frozenset(n.name for n in walk(*trees) if isinstance(n, LVar))
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +107,7 @@ def free_lvars(a: VAssn) -> frozenset:
     if isinstance(a, (CPt, APt)):
         return free_lvars_expr(a.value) | loc_placeholders(a.loc)
     if isinstance(a, TokA):
-        return (free_lvars_expr(a.tid) | free_lvars_expr(a.arg)
-                | free_lvars_expr(a.ret))
+        return free_lvars_expr(a.tid, a.arg, a.ret)
     if isinstance(a, PureA):
         return free_lvars_expr(a.cond)
     if isinstance(a, (StarA, OrA)):

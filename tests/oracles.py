@@ -81,6 +81,13 @@ instance's assertions and outline as new trees with its t, a and r
 substituted in, and `substituted_outline` applies them to an outline.  The
 checker binds those variables in the interpretation instead, and is tested
 against checking the substituted outline with no bindings.
+
+Per-class structure: `ref_subst_expr`, `ref_subst_prim`,
+`ref_subst_command`, `ref_expr_locs`, `ref_free_lvars_expr` and
+`ref_command_prims` copy or search a tree with one branch per node class,
+as the package did before `command_lang.walk` and `rebuild` read each
+node's fields; the generic `subst`, `expr_locs`, `free_lvars_expr` and
+`command_prims` are tested against them.
 """
 
 from __future__ import annotations
@@ -92,9 +99,24 @@ from typing import Dict
 
 from relviews.command_lang import (
     SKIP,
+    And,
+    Choice,
     Command,
+    Const,
+    Eq,
+    Expr,
+    Iter,
+    LVar,
+    Lt,
+    Not,
+    Or,
+    Plus,
+    Prim,
     PrimCommand,
+    Read,
+    Seq,
     Skip,
+    Tid,
     apply_guarded,
     command_prims,
     expr_locs,
@@ -136,7 +158,7 @@ from relviews.state_model import (
     world_minus,
     world_sort_key,
 )
-from relviews.subst import Binding, subst_command, subst_expr, subst_loc
+from relviews.subst import Binding, subst
 from relviews.vassn import (
     APt,
     BoxA,
@@ -302,7 +324,7 @@ def locality_witness(ctable, dom, alpha: PrimCommand, t: int):
         exprs += [e for _, e in spec.updates]
         exprs += [spec.guard] if spec.guard is not None else []
         footprint |= {loc for loc, _ in spec.updates}
-    footprint |= {loc for e in exprs for loc in expr_locs(e)}
+    footprint |= expr_locs(*exprs)
     footprint = {resolve_loc(loc, t) for loc in footprint}
     cloc = dict(dom.cloc)
     extra = next((l for l in sorted(cloc) if l not in footprint), None)
@@ -396,7 +418,7 @@ def rgsep_pred(mono, rho: VAssn, interp) -> frozenset:
 def instance_body(model, m: str, a: int, r: int) -> Command:
     """Instance m(a)->r's body: the body template with the argument and
     the expected return substituted."""
-    return subst_command(model.body_templates[m], {"a": a, "r": r})
+    return subst(model.body_templates[m], {"a": a, "r": r})
 
 
 def instance_bodies(model) -> dict:
@@ -424,7 +446,7 @@ def per_instance_body_error(template: Command, args, values, ctable):
     one step").  Each name is a phrase of the load error."""
     for a in args:
         for r in values:
-            body = subst_command(template, {"a": a, "r": r})
+            body = subst(template, {"a": a, "r": r})
             for prim in sorted(command_prims(body),
                                key=lambda p: (p.name, len(p.args))):
                 if not ctable.declared(prim.name):
@@ -432,8 +454,7 @@ def per_instance_body_error(template: Command, args, values, ctable):
                 if ctable.arity(prim.name) != len(prim.args):
                     return "arity mismatch"
             if any(not loc_placeholders(loc) <= {"t"}
-                   for prim in command_prims(body) for e in prim.args
-                   for loc in expr_locs(e)):
+                   for loc in expr_locs(body)):
                 return "placeholder other than"
             if isinstance(body, Skip):
                 return "at least one step"
@@ -782,14 +803,14 @@ def subst_vassn(a: VAssn, b: Binding) -> VAssn:
     if isinstance(a, (EmpA, TrueA)):
         return a
     if isinstance(a, CPt):
-        return CPt(subst_loc(a.loc, b), subst_expr(a.value, b))
+        return CPt(ref_subst_loc(a.loc, b), subst(a.value, b))
     if isinstance(a, APt):
-        return APt(subst_loc(a.loc, b), subst_expr(a.value, b))
+        return APt(ref_subst_loc(a.loc, b), subst(a.value, b))
     if isinstance(a, TokA):
-        return TokA(a.kind, subst_expr(a.tid, b), a.method,
-                    subst_expr(a.arg, b), subst_expr(a.ret, b))
+        return TokA(a.kind, subst(a.tid, b), a.method, subst(a.arg, b),
+                    subst(a.ret, b))
     if isinstance(a, PureA):
-        return PureA(subst_expr(a.cond, b))
+        return PureA(subst(a.cond, b))
     if isinstance(a, StarA):
         return StarA(tuple(subst_vassn(p, b) for p in a.parts))
     if isinstance(a, OrA):
@@ -804,9 +825,7 @@ def subst_vassn(a: VAssn, b: Binding) -> VAssn:
 
 def subst_outline(node, b: Binding):
     if isinstance(node, OPrim):
-        return OPrim(PrimCommand(
-            node.prim.name,
-            tuple(subst_expr(a, b) for a in node.prim.args)))
+        return OPrim(subst(node.prim, b))
     if isinstance(node, OSkip):
         return node
     if isinstance(node, OSeq):
@@ -832,6 +851,113 @@ def substituted_outline(outline):
     return replace(outline, pre=subst_vassn(outline.pre, b),
                    body=subst_outline(outline.body, b),
                    post=subst_vassn(outline.post, b), binding=())
+
+
+# ---------------------------------------------------------------------------
+# Per-class structure: one branch per node class
+
+
+class _Partial(dict):
+    """Leaves unbound placeholders in place."""
+
+    def __missing__(self, key):
+        return "{" + key + "}"
+
+
+def ref_subst_loc(loc: str, b: Binding) -> str:
+    if "{" not in loc:
+        return loc
+    return loc.format_map(_Partial(b))
+
+
+def ref_subst_expr(e: Expr, b: Binding) -> Expr:
+    if isinstance(e, Const) or isinstance(e, Tid):
+        return e
+    if isinstance(e, LVar):
+        if e.name in b:
+            return Const(b[e.name])
+        return e
+    if isinstance(e, Read):
+        return Read(ref_subst_loc(e.loc, b))
+    if isinstance(e, Plus):
+        return Plus(ref_subst_expr(e.a, b), ref_subst_expr(e.b, b))
+    if isinstance(e, Eq):
+        return Eq(ref_subst_expr(e.a, b), ref_subst_expr(e.b, b))
+    if isinstance(e, Lt):
+        return Lt(ref_subst_expr(e.a, b), ref_subst_expr(e.b, b))
+    if isinstance(e, Not):
+        return Not(ref_subst_expr(e.a, b))
+    if isinstance(e, And):
+        return And(ref_subst_expr(e.a, b), ref_subst_expr(e.b, b))
+    if isinstance(e, Or):
+        return Or(ref_subst_expr(e.a, b), ref_subst_expr(e.b, b))
+    raise ModelError(f"unknown expression node {e!r}")
+
+
+def ref_subst_prim(p: PrimCommand, b: Binding) -> PrimCommand:
+    return PrimCommand(p.name, tuple(ref_subst_expr(a, b) for a in p.args))
+
+
+def ref_subst_command(c: Command, b: Binding) -> Command:
+    # a body's statements form one right-nested `Seq` chain, as long as the
+    # body: walk it with a loop, so the stack does not limit its length
+    firsts = []
+    while isinstance(c, Seq):
+        firsts.append(c.first)
+        c = c.second
+    if isinstance(c, Skip):
+        out = c
+    elif isinstance(c, Prim):
+        out = Prim(ref_subst_prim(c.prim, b))
+    elif isinstance(c, Choice):
+        out = Choice(ref_subst_command(c.left, b),
+                     ref_subst_command(c.right, b))
+    elif isinstance(c, Iter):
+        out = Iter(ref_subst_command(c.body, b))
+    else:
+        raise ModelError(f"unknown command node {c!r}")
+    for first in reversed(firsts):
+        out = Seq(ref_subst_command(first, b), out)
+    return out
+
+
+def ref_expr_locs(e: Expr) -> frozenset:
+    if isinstance(e, Read):
+        return frozenset([e.loc])
+    if isinstance(e, (Plus, Eq, Lt, And, Or)):
+        return ref_expr_locs(e.a) | ref_expr_locs(e.b)
+    if isinstance(e, Not):
+        return ref_expr_locs(e.a)
+    return frozenset()
+
+
+def ref_free_lvars_expr(e: Expr) -> frozenset:
+    if isinstance(e, LVar):
+        return frozenset([e.name])
+    if isinstance(e, (Plus, Eq, Lt, And, Or)):
+        return ref_free_lvars_expr(e.a) | ref_free_lvars_expr(e.b)
+    if isinstance(e, Not):
+        return ref_free_lvars_expr(e.a)
+    return frozenset()
+
+
+def ref_command_prims(c: Command) -> frozenset:
+    """The primitive commands occurring in a command, collected with an
+    explicit stack, so a long body does not meet the recursion limit."""
+    out, todo = set(), [c]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, Prim):
+            out.add(c.prim)
+        elif isinstance(c, Seq):
+            todo += (c.first, c.second)
+        elif isinstance(c, Choice):
+            todo += (c.left, c.right)
+        elif isinstance(c, Iter):
+            todo.append(c.body)
+        elif not isinstance(c, Skip):
+            raise ModelError(f"unknown command node {c!r}")
+    return frozenset(out)
 
 
 # the DCSL view of no worlds

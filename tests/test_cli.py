@@ -7,8 +7,9 @@ import pytest
 
 from relviews import cli, linearizability
 from relviews.cli import build_parser, main
+from relviews.command_lang import PrimCommand
 from relviews.model_io import load_model
-from relviews.subst import subst_command
+from relviews.subst import subst
 
 from util import fixture_manifest
 
@@ -436,14 +437,16 @@ def test_long_flat_body_is_not_limited_by_the_stack(capsys, tmp_path, length,
 
 
 def _counted_instantiation(monkeypatch):
-    """Every (body template, binding) `LibraryModel.body` instantiates."""
+    """Every (body template, binding) the library instantiates: the calls
+    of `subst` on a command, not on a primitive."""
     calls = []
 
-    def counted(template, binding):
-        calls.append((template, tuple(sorted(binding.items()))))
-        return subst_command(template, binding)
+    def counted(node, binding):
+        if not isinstance(node, PrimCommand):
+            calls.append((node, tuple(sorted(binding.items()))))
+        return subst(node, binding)
 
-    monkeypatch.setattr(linearizability, "subst_command", counted)
+    monkeypatch.setattr(linearizability, "subst", counted)
     return calls
 
 

@@ -34,6 +34,7 @@ from oracles import (
 from relviews import linearizability
 from relviews.command_lang import (
     AbstractTable,
+    PrimCommand,
     Skip,
     TransformerTable,
     state_step,
@@ -49,7 +50,7 @@ from relviews.linearizability import (
 )
 from relviews.model_io import load_model, parse_model
 from relviews.state_model import FAULT, APCom
-from relviews.subst import subst_command, subst_prim
+from relviews.subst import subst
 from util import fixture_manifest, tiny_model_docs
 
 FIX = "src/relviews/fixtures"
@@ -334,9 +335,10 @@ def test_moves_are_generated_once_per_configuration(name, monkeypatch):
         runs[("abstract", APCom(method, arg, ret), heap, t)] += 1
         return original_apply(self, method, arg, ret, t, heap, modulus)
 
-    def counting_subst(prim, binding):
-        instances[prim, tuple(binding.items())] += 1
-        return subst_prim(prim, binding)
+    def counting_subst(node, binding):
+        if isinstance(node, PrimCommand):  # not a body
+            instances[node, tuple(binding.items())] += 1
+        return subst(node, binding)
 
     succ_tables = {}
     libs = {}
@@ -352,7 +354,7 @@ def test_moves_are_generated_once_per_configuration(name, monkeypatch):
     monkeypatch.setattr(linearizability, "state_step", counting_state_step)
     monkeypatch.setattr(TransformerTable, "apply", counting_run)
     monkeypatch.setattr(AbstractTable, "apply", counting_apply)
-    monkeypatch.setattr(linearizability, "subst_prim", counting_subst)
+    monkeypatch.setattr(linearizability, "subst", counting_subst)
     monkeypatch.setattr(_Library, "successors", recording)
     check_linearizable(model, 12)
     assert tables and max(tables.values()) == 1
@@ -367,7 +369,7 @@ def test_moves_are_generated_once_per_configuration(name, monkeypatch):
         assert var == "r"
         at.setdefault(prim, set()).add(v)
     for prim, seen in at.items():
-        reads = subst_prim(prim, {"r": values[0]}) is not prim
+        reads = subst(prim, {"r": values[0]}) is not prim
         assert seen == (set(values) if reads else {values[0]})
     # one library per side: the walk, its growth test and the fault scan
     # read the same concrete tables
@@ -532,7 +534,7 @@ def _per_value_image(slot):
     if slot is IDLE:
         return slot
     m, members = slot
-    return m, frozenset((subst_command(c, {"r": v}), v) for c, v in members)
+    return m, frozenset((subst(c, {"r": v}), v) for c, v in members)
 
 
 TWINS = {

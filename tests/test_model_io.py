@@ -469,8 +469,7 @@ def _macro_params(name, params):
     ("flat-combiner",
      _macro_body("slots", ["sep_threads", 7, ["macro", "tinv", ["var", 7]]]),
      "/shared_universe/star[1]/slots"),
-    ("dcsl-cell", _macro_params("cell", [7]),
-     "/assertions/put/pre/star[0]/cell_any/exists/cell"),
+    ("dcsl-cell", _macro_params("cell", [7]), "/macros/cell"),
 ], ids=["var", "exists", "sep_threads", "macro-params"])
 def test_a_logical_variable_name_must_be_a_string(capsys, tmp_path, fixture,
                                                   put, where):
@@ -485,6 +484,78 @@ def test_a_logical_variable_name_must_be_a_string(capsys, tmp_path, fixture,
     assert out.out == ""
     assert out.err == (f"error: {bad}{where}: a logical variable name must "
                        "be a string, got 7\n")
+
+
+def _prim_seven(doc):
+    """atomic-inc with `inc_atomic` renamed "7" and called as 7."""
+    doc["primitives"]["7"] = doc["primitives"].pop("inc_atomic")
+    doc["methods"]["inc"]["body"][1] = 7
+
+
+def _macro_seven(doc):
+    """dcsl-cell with `cell_any` renamed "7" and applied as 7."""
+    doc["macros"]["7"] = doc["macros"].pop("cell_any")
+    for spec in doc["assertions"].values():
+        for side in ("pre", "post"):
+            spec[side][1] = ["macro", 7]
+
+
+@pytest.mark.parametrize("fixture,put,where,kind", [
+    ("atomic-inc", _prim_seven, "/methods/inc", "primitive"),
+    ("dcsl-cell", _macro_seven, "/assertions/put/pre/star[0]", "macro"),
+], ids=["primitive", "macro"])
+def test_a_primitive_or_macro_name_must_be_a_string(capsys, tmp_path,
+                                                    fixture, put, where,
+                                                    kind):
+    """A name 7 was turned into the string "7": both documents loaded, the
+    first passed check-lin and the second's proof was accepted."""
+    doc = json.load(open(f"{FIX}/{fixture}/model.json"))
+    put(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["check-lin", str(bad), "--bound", "4"],
+                 ["check-proof", str(bad), f"{FIX}/{fixture}/outline.json"]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: {bad}{where}: a {kind} name must be a "
+                           "string, got 7\n")
+
+
+_UNUSED = {"params": [7], "body": ["emp"]}
+
+
+def test_an_unused_macro_with_a_bad_parameter_is_a_model_error(capsys,
+                                                                tmp_path):
+    """Macro parameters are checked when the table is built: the model
+    with this unused macro loaded and its proof was accepted."""
+    doc = json.load(open(f"{FIX}/dcsl-cell/model.json"))
+    doc["macros"]["unused"] = _UNUSED
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["check-lin", str(bad), "--bound", "4"],
+                 ["check-proof", str(bad), f"{FIX}/dcsl-cell/outline.json"]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: {bad}/macros/unused: a logical variable "
+                           "name must be a string, got 7\n")
+
+
+def test_the_first_bad_macro_in_name_order_is_reported(capsys, tmp_path):
+    """Of an outline document's bad macros, the least name is reported,
+    with the outline document's path."""
+    outline = json.load(open(f"{FIX}/dcsl-cell/outline.json"))
+    outline["macros"] = {"zz": {"params": ["a", 7], "body": ["emp"]},
+                         "bad": {"params": [[]], "body": ["emp"]}}
+    bad = tmp_path / "outline.json"
+    bad.write_text(json.dumps(outline))
+    assert main(["check-proof", f"{FIX}/dcsl-cell/model.json",
+                 str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {bad}/macros/bad: a logical variable name "
+                       "must be a string, got []\n")
 
 
 @pytest.mark.parametrize("side,loc", [("concrete", "x"), ("abstract", "X")])

@@ -31,7 +31,7 @@ from relviews.command_lang import (
 from relviews.linearizability import all_instances
 from relviews.logic import OConseq, OPrim
 from relviews.model_io import _erase, load_model, load_outlines
-from relviews.subst import subst_prim
+from relviews.subst import subst
 from relviews.vassn import TokA, TrueA
 
 from oracles import instance_bodies, reachable_commands
@@ -181,7 +181,7 @@ def test_rebuilt_nodes_are_canonical():
             binding = dict(outline.binding)
             prims = [n.prim for n in _nodes(outline.body)
                      if isinstance(n, OPrim)]
-            assert _canonical([subst_prim(p, binding) for p in prims])
+            assert _canonical([subst(p, binding) for p in prims])
         assert all(copy.copy(n) is n for n in nodes), fx.name
         for rebuilt in (copy.deepcopy(trees),
                         pickle.loads(pickle.dumps(trees))):
