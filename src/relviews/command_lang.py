@@ -237,8 +237,6 @@ def eval_expr(e: Expr, sigma: Heap, interp: Dict[str, int], t: int, modulus: int
     if isinstance(e, Const):
         return e.value
     if isinstance(e, LVar):
-        if e.name not in interp:
-            raise ModelError(f"unbound logical variable {e.name!r}")
         return interp[e.name]
     if isinstance(e, Read):
         loc = resolve_loc(e.loc, t)
@@ -352,45 +350,28 @@ class GuardedUpdate:
     updates: Tuple[Tuple[str, Expr], ...] = ()
 
 
+# the builtin primitives and the number of arguments each takes
+BUILTIN_ARITY = {"id": 0, ASSUME: 1, STORE: 2, LOAD: 2, CAS_SUCC: 3,
+                 CAS_FAIL: 3}
+
+
 class TransformerTable:
     """Maps primitive names to their semantics.
 
-    The builtin names id/assume/load/store/cas_succ/cas_fail are always
-    present; models may declare further guarded-update primitives.
+    The builtin names of `BUILTIN_ARITY` are always present; models may
+    declare further guarded-update primitives, under other names.
     """
-
-    _BUILTIN_ARITY = {
-        "id": 0,
-        ASSUME: 1,
-        STORE: 2,
-        LOAD: 2,
-        CAS_SUCC: 3,
-        CAS_FAIL: 3,
-    }
 
     def __init__(self, custom: Optional[Dict[str, GuardedUpdate]] = None):
         self.custom = dict(custom or {})
-        for name in self.custom:
-            if name in self._BUILTIN_ARITY:
-                raise ModelError(f"primitive {name!r} shadows a builtin")
-
-    def arity(self, name: str) -> int:
-        if name in self._BUILTIN_ARITY:
-            return self._BUILTIN_ARITY[name]
-        if name in self.custom:
-            return len(self.custom[name].params)
-        raise ModelError(f"undeclared primitive {name!r}")
-
-    def declared(self, name: str) -> bool:
-        return name in self._BUILTIN_ARITY or name in self.custom
 
     def apply(self, alpha: PrimCommand, t: int, sigma: Heap,
               modulus: int) -> Tuple[HeapState, ...]:
         """Run one primitive atomically; the result set is empty when the
-        primitive blocks and contains FAULT on a memory error."""
+        primitive blocks and contains FAULT on a memory error.  A loaded
+        primitive has its arity, and its location arguments are reads
+        (`model_io`)."""
         name = alpha.name
-        if self.arity(name) != len(alpha.args):
-            raise ModelError(f"arity mismatch for {name!r}")
         try:
             if name == "id":
                 return (sigma,)
@@ -398,20 +379,20 @@ class TransformerTable:
                 val = eval_expr(alpha.args[0], sigma, {}, t, modulus)
                 return (sigma,) if val != 0 else ()
             if name == STORE:
-                loc = resolve_loc(_loc_arg(alpha.args[0]), t)
+                loc = resolve_loc(alpha.args[0].loc, t)
                 written = eval_expr(alpha.args[1], sigma, {}, t, modulus)
                 if loc not in sigma:
                     return (FAULT,)
                 return (sigma.set(loc, written),)
             if name == LOAD:
-                src = resolve_loc(_loc_arg(alpha.args[0]), t)
-                dst = resolve_loc(_loc_arg(alpha.args[1]), t)
+                src = resolve_loc(alpha.args[0].loc, t)
+                dst = resolve_loc(alpha.args[1].loc, t)
                 val = eval_expr(Read(src), sigma, {}, t, modulus)
                 if dst not in sigma:
                     return (FAULT,)
                 return (sigma.set(dst, val),)
             if name in (CAS_SUCC, CAS_FAIL):
-                loc = resolve_loc(_loc_arg(alpha.args[0]), t)
+                loc = resolve_loc(alpha.args[0].loc, t)
                 if loc not in sigma:
                     return (FAULT,)
                 old = eval_expr(alpha.args[1], sigma, {}, t, modulus)
@@ -458,17 +439,9 @@ class AbstractTable:
     def apply(self, method: str, arg: int, ret: int, t: int, sigma: Heap,
               modulus: int) -> Tuple[Heap, ...]:
         """Run one abstract command atomically; it blocks, never faults."""
-        if method not in self.methods:
-            raise ModelError(f"no abstract command for method {method!r}")
         out = apply_guarded(self.methods[method], {"a": arg, "r": ret}, t,
                             sigma, modulus)
         return () if out and out[0] is FAULT else out
-
-
-def _loc_arg(e: Expr) -> str:
-    if isinstance(e, Read):
-        return e.loc
-    raise ModelError(f"expected a location argument, got {e!r}")
 
 
 def assume(e: Expr) -> Command:
@@ -532,15 +505,3 @@ def command_prims(c: Command) -> frozenset:
     """The primitive commands occurring in a command."""
     return frozenset(n for n in walk(c) if isinstance(n, PrimCommand))
 
-
-def validate_command(c: Command, table: TransformerTable) -> None:
-    """Every primitive of c is declared and given as many arguments as it
-    takes; of several faults, the least by (name, argument count) is
-    reported."""
-    for name, given in sorted({(prim.name, len(prim.args))
-                               for prim in command_prims(c)}):
-        if not table.declared(name):
-            raise ModelError(f"command uses undeclared primitive {name!r}")
-        if table.arity(name) != given:
-            raise ModelError(f"arity mismatch for {name!r}: takes "
-                             f"{table.arity(name)}, given {given}")

@@ -68,7 +68,7 @@ class LibraryModel:
     init_abst: Heap
     method_args: Dict[str, Tuple[int, ...]]
     body_templates: Dict[str, Command]  # as parsed, before instantiation
-    # proof data (optional)
+    # proof data (optional); every outlined method has its two families
     pre_templates: Dict[str, VAssn] = field(default_factory=dict)
     post_templates: Dict[str, VAssn] = field(default_factory=dict)
     outline_templates: Dict[str, OutlineNode] = field(default_factory=dict)
@@ -98,7 +98,7 @@ class LibraryModel:
             sem = Semantics(self.ctable, self.atable, self.dom.modulus)
             if self.monoid_kind == "dcsl":
                 self._monoid = DcslMonoid(self.dom, sem)
-            elif self.monoid_kind == "rgsep":
+            else:
                 universe = None
                 if self.shared_universe_assn is not None:
                     universe = ViewMonoid(self.dom, sem).fragments(
@@ -110,8 +110,6 @@ class LibraryModel:
                 self._monoid = RgsepMonoid(
                     self.dom, sem, universe, self.actions,
                     self.guarantee_names, self.rely_extra_names)
-            else:
-                raise ModelError(f"unknown monoid {self.monoid_kind!r}")
         return self._monoid
 
     def assertion_env(self, t: int) -> AssertionEnv:
@@ -122,26 +120,12 @@ class LibraryModel:
             env = self._envs[t] = AssertionEnv(self.monoid(), t)
         return env
 
-    def pre_assertion(self, m: str) -> VAssn:
-        """Method m's precondition family, over the instance's t, a, r."""
-        if m not in self.pre_templates:
-            raise ModelError(f"method {m!r} declares no precondition family")
-        return self.pre_templates[m]
-
-    def post_assertion(self, m: str) -> VAssn:
-        """Method m's postcondition family, over the instance's t, a, r."""
-        if m not in self.post_templates:
-            raise ModelError(f"method {m!r} declares no postcondition family")
-        return self.post_templates[m]
-
     def outline(self, m: str, t: int, a: int, r: int) -> ProofOutline:
-        if m not in self.outline_templates:
-            raise ModelError(f"method {m!r} has no proof outline")
         return ProofOutline(
             thread=t,
-            pre=self.pre_assertion(m),
+            pre=self.pre_templates[m],
             body=self.outline_templates[m],
-            post=self.post_assertion(m),
+            post=self.post_templates[m],
             binding=(("a", a), ("r", r), ("t", t)),
         )
 
@@ -647,10 +631,7 @@ def instance_obligations(model: LibraryModel,
     subject = f"{m}(a={a},r={r}) in thread {t}"
     env = model.assertion_env(t)
     outline = model.outline(m, t, a, r)
-    try:
-        fail = check_proof(outline, env)
-    except ModelError as exc:
-        raise ModelError(f"{subject}: {exc}") from exc
+    fail = check_proof(outline, env)
     items = [ObligationItem("(1) outline", subject, fail is None,
                             str(fail) if fail else "")]
     ap = APCom(m, a, r)
@@ -697,8 +678,8 @@ def check_obligations(model: LibraryModel) -> ObligationReport:
             stripped = set()
             for m, a, r in model.dom.apcoms:
                 b = {"t": t, "a": a, "r": r}
-                p = env.eval(model.pre_assertion(m), b)
-                q = env.eval(model.post_assertion(m), b)
+                p = env.eval(model.pre_templates[m], b)
+                q = env.eval(model.post_templates[m], b)
                 stripped.add(mon.strip_token_set(p, t))
                 stripped.add(mon.strip_token_set(q, t))
             ok = len(stripped) <= 1
@@ -732,13 +713,13 @@ def initial_coverage(model: LibraryModel, insts: Tuple[APCom, ...]
     one shared state, so a target world of the composed view splits into
     one such world per thread.
 
-    Each (thread, instance) precondition is evaluated once, where the
-    product would first evaluate it, so an evaluation error is the one the
-    product raises.  The product first reaches thread d's instance j at
-    the combination of first instances with j at d.  Such a combination
-    in a dropped prefix's subtree comes before the next prefix's first
-    one, where the search evaluates it, and every one comes before the
-    first combination of thread 1's last instance."""
+    Each (thread, instance) precondition is evaluated once, on first use.
+    A loaded model's only evaluation error is an unstable precondition,
+    which fails the item.  That precondition, under the same thread's env
+    and the same binding, already fails obligations (2) and (3), which
+    come first in the report: which unstable precondition the search
+    meets first, if any, changes this item's line only, not the report's
+    verdict or first failure."""
     tids = tuple(model.dom.thread_ids())
     n, k = len(tids), len(insts)
     conc, abst = set(model.init_conc.items()), set(model.init_abst.items())
@@ -754,19 +735,15 @@ def initial_coverage(model: LibraryModel, insts: Tuple[APCom, ...]
                        for u, tok in w.toks.items())
         return keep
 
-    # (first combination reaching it, thread index, instance index), last
-    # due at the end
-    due = sorted(((tuple(j if e == d else 0 for e in range(n)), d, j)
-                  for d in range(n) for j in range(k)), reverse=True)
     cut = {}  # (thread index, instance index) -> its cut precondition
 
-    def reach(combo: tuple) -> None:
-        while due and due[-1][0] <= combo:
-            _first, d, j = due.pop()
+    def precondition(d: int, j: int):
+        if (d, j) not in cut:
             t, (m, a, r) = tids[d], insts[j]
-            p = model.assertion_env(t).eval(model.pre_assertion(m),
+            p = model.assertion_env(t).eval(model.pre_templates[m],
                                             {"t": t, "a": a, "r": r})
             cut[d, j] = mon.restrict(p, fits({t: todos[j]}), cells)
+        return cut[d, j]
 
     # subtrees still to search, the next on top: (choices, then the
     # composed cut preconditions and the todos of all but the last choice)
@@ -776,9 +753,9 @@ def initial_coverage(model: LibraryModel, insts: Tuple[APCom, ...]
         while stack:
             combo, view, chosen = stack.pop()
             d, j = len(combo) - 1, combo[-1]
-            reach(combo + (0,) * (n - d - 1))
             chosen = {**chosen, tids[d]: todos[j]}
-            v = cut[d, j] if view is None else mon.compose(view, cut[d, j])
+            p = precondition(d, j)
+            v = p if view is None else mon.compose(view, p)
             if d + 1 == n:
                 worlds = mon.reify(v)
                 if worlds and World(model.init_conc, model.init_abst,

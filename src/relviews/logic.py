@@ -145,9 +145,6 @@ class ProofChecker:
         if isinstance(node, OSkip):
             return self._implies(pre, post, t, path, "Skip")
         if isinstance(node, OSeq):
-            if len(node.mids) != len(node.children) - 1:
-                raise ModelError("sequence outline needs one intermediate "
-                                 "assertion between adjacent children")
             assns = [pre, *node.mids, post]
             for idx, child in enumerate(node.children):
                 fail = self._node(child, assns[idx], assns[idx + 1], t,

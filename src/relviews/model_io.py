@@ -16,6 +16,7 @@ from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .command_lang import (
+    BUILTIN_ARITY,
     And,
     Choice,
     Command,
@@ -38,11 +39,12 @@ from .command_lang import (
     AbstractTable,
     TransformerTable,
     cas,
+    command_prims,
     desugar_if,
     desugar_while,
     expr_locs,
     seq,
-    validate_command,
+    walk,
 )
 from .errors import ModelError
 from .linearizability import LibraryModel
@@ -60,6 +62,7 @@ from .vassn import (
     TokA,
     TrueA,
     VAssn,
+    free_lvars,
     free_lvars_expr,
 )
 
@@ -97,10 +100,10 @@ def _check_placeholders(locs: Iterable[str], allowed: str, path: str):
                         + ", ".join(f"{{{n}}}" for n in sorted(allowed)))
 
 
-def _check_vars(trees, names, what: str, path: str, note: str = ""):
-    """A logical variable that the template does not bind is a load error,
-    not a run-time error that names no file."""
-    free = free_lvars_expr(*trees) - set(names)
+def _check_vars(free, names, what: str, path: str, note: str = ""):
+    """A free logical variable (`free`) that the template or assertion does
+    not bind is a load error, not a run-time error that names no file."""
+    free = free - set(names)
     if free:
         bound = "only " + ", ".join(map(repr, names)) if names else "none"
         _fail(path, f"unbound logical variable {min(free)!r}: {what} binds "
@@ -174,6 +177,25 @@ def parse_expr(doc, path: str = "expr") -> Expr:
 # ---------------------------------------------------------------------------
 # Commands
 
+# the builtin primitives' location arguments, by index
+_LOC_ARGS = {"store": (0,), "load": (0, 1), "cas_succ": (0,), "cas_fail": (0,)}
+
+
+def validate_command(c: Command, table: TransformerTable,
+                     path: str = "cmd") -> None:
+    """Every primitive of c is declared and given as many arguments as it
+    takes; of several faults, the least by (name, argument count) is
+    reported."""
+    arity = {**BUILTIN_ARITY,
+             **{name: len(u.params) for name, u in table.custom.items()}}
+    for name, given in sorted({(prim.name, len(prim.args))
+                               for prim in command_prims(c)}):
+        if name not in arity:
+            _fail(path, f"command uses undeclared primitive {name!r}")
+        if arity[name] != given:
+            _fail(path, f"arity mismatch for {name!r}: takes {arity[name]}, "
+                        f"given {given}")
+
 
 def parse_command(doc, path: str = "cmd") -> Command:
     if not isinstance(doc, list) or not doc:
@@ -186,8 +208,13 @@ def parse_command(doc, path: str = "cmd") -> Command:
         if not args:
             _fail(path, "prim needs a name")
         name = _name(args[0], "primitive", path)
-        return Prim(PrimCommand(
-            name, tuple(parse_expr(a, f"{path}/{name}") for a in args[1:])))
+        prim = PrimCommand(
+            name, tuple(parse_expr(a, f"{path}/{name}") for a in args[1:]))
+        for i in _LOC_ARGS.get(name, ()):
+            if i < len(prim.args) and not isinstance(prim.args[i], Read):
+                _fail(path, f"argument {i + 1} of {name!r} must be a "
+                            f'location ["read", loc], got {args[i + 1]!r}')
+        return Prim(prim)
     if tag == "assume" and len(args) == 1:
         return Prim(PrimCommand("assume", (parse_expr(args[0], path),)))
     if tag == "store" and len(args) == 2:
@@ -232,14 +259,19 @@ class MacroTable:
     and reused under any expansion chain that holds none of them: parsing
     again would build the same hash-consed tree.  Errors are not memoized,
     so each keeps its own path.  Every macro's parameters are checked to
-    be names once, when the table is built, whether or not an assertion
-    applies the macro."""
+    be a list of names once, when the table is built, whether or not an
+    assertion applies the macro."""
 
     def __init__(self, raw: Dict[str, dict], methods: Iterable[str],
                  path: str = "model"):
         for name in sorted(raw):
-            for p in raw[name].get("params", []):
-                _name(p, "logical variable", f"{path}/macros/{name}")
+            where = f"{path}/macros/{name}"
+            params = raw[name].get("params", [])
+            if type(params) is not list:
+                _fail(where, f"a macro's params must be a list, got "
+                             f"{params!r}")
+            for p in params:
+                _name(p, "logical variable", where)
         self.raw = raw
         self.methods = frozenset(methods)
         # key -> (parsed assertion, names reached)
@@ -296,6 +328,35 @@ def _subst_json(doc, binding: Dict[str, object], path: str):
     return doc
 
 
+_VAR_HOLE = re.compile(r"\{[A-Za-z_]\w*\}")
+
+
+def _cell(doc, path: str) -> Tuple[str, Expr]:
+    """An assertion cell's location and value.  The location's braces
+    must be `{name}` placeholders, name an identifier: the assertion's
+    interpretation fills them in."""
+    loc, value = doc
+    if set(_VAR_HOLE.sub("", _name(loc, "location", path))) & set("{}"):
+        _fail(path, f"location {loc!r} uses a brace that is not a "
+                    "placeholder {name}")
+    return loc, _value(value, path)
+
+
+def _value(doc, path: str) -> Expr:
+    """An assertion's expression: it denotes a value under the assertion's
+    interpretation alone, so it reads no heap location and not the thread
+    id of `["tid"]`; an assertion names its thread as `["var", "t"]`."""
+    e = parse_expr(doc, path)
+    for n in walk(e):
+        if isinstance(n, Read):
+            _fail(path, f"an assertion may not read the heap (location "
+                        f"{n.loc!r})")
+        if isinstance(n, Tid):
+            _fail(path, 'an assertion may not use ["tid"]; its thread is '
+                        '["var", "t"]')
+    return e
+
+
 def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
                 stack: Tuple[str, ...] = ()):
     if not isinstance(doc, list) or not doc:
@@ -307,16 +368,16 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
     if tag == "true":
         return TrueA()
     if tag == "pt" and len(args) == 2:
-        return CPt(_name(args[0], "location", path), parse_expr(args[1], path))
+        return CPt(*_cell(args, path))
     if tag == "apt" and len(args) == 2:
-        return APt(_name(args[0], "location", path), parse_expr(args[1], path))
+        return APt(*_cell(args, path))
     if tag in ("todo", "done") and len(args) == 4:
         if not isinstance(args[1], str) or args[1] not in macros.methods:
             _fail(path, f"{tag} token names undeclared method {args[1]!r}")
-        return TokA(tag, parse_expr(args[0], path), args[1],
-                    parse_expr(args[2], path), parse_expr(args[3], path))
+        return TokA(tag, _value(args[0], path), args[1],
+                    _value(args[2], path), _value(args[3], path))
     if tag == "pure" and len(args) == 1:
-        return PureA(parse_expr(args[0], path))
+        return PureA(_value(args[0], path))
     if tag == "star":
         return StarA(tuple(
             parse_vassn(a, macros, nthreads, f"{path}/star[{i}]", stack)
@@ -349,27 +410,35 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
     _fail(path, f"unknown view assertion form {doc!r}")
 
 
-def _validate_vassn(a, path: str, inside_box: bool = False):
-    """Boxes may not nest, and `true` may only stand inside a box."""
-    if isinstance(a, TrueA):
-        if not inside_box:
-            _fail(path, "`true` is only supported inside boxed assertions")
-    elif isinstance(a, BoxA):
-        if inside_box:
-            _fail(path, "boxed assertions must not be nested")
-        _validate_vassn(a.body, path, True)
-    elif isinstance(a, (StarA, OrA)):
-        for p in a.parts:
-            _validate_vassn(p, path, inside_box)
-    elif isinstance(a, ExistsA):
-        _validate_vassn(a.body, path, inside_box)
+def _check_boxes(a, path: str, no_box: Optional[str] = None,
+                 body: bool = False):
+    """A box stands only in a slot that allows one (`no_box` is the error
+    of a slot that does not) and never inside another box.  `true` stands
+    only where `RgsepMonoid._box_states` reads it (`body`): as a box's
+    body, or as a conjunct of a `star` that is the body, under any `or`
+    and `exists` at the top of the body.  Everywhere else an assertion is
+    denoted by `ViewMonoid.fragments`, which knows neither."""
+    if isinstance(a, BoxA):
+        if no_box is not None:
+            _fail(path, no_box)
+        _check_boxes(a.body, path, "boxed assertions must not be nested",
+                     True)
+    elif isinstance(a, TrueA) and not body:
+        _fail(path, "`true` may stand only as a box's body or as a "
+                    "conjunct of the star that is a box's body")
+    elif isinstance(a, (StarA, OrA, ExistsA)):
+        top = body and not isinstance(a, StarA)
+        for part in a._parts:
+            _check_boxes(part, path, no_box,
+                         top or body and isinstance(part, TrueA))
 
 
 def parse_assertion(doc, macros: MacroTable, nthreads: int,
-                    path: str = "assn"):
-    """Parse and validate the view assertion in any assertion slot."""
+                    path: str = "assn", no_box: Optional[str] = None):
+    """Parse the view assertion in any assertion slot and check where its
+    boxes and `true` stand (`_check_boxes`)."""
     rho = parse_vassn(doc, macros, nthreads, path)
-    _validate_vassn(rho, path)
+    _check_boxes(rho, path, no_box)
     return rho
 
 
@@ -378,7 +447,17 @@ def parse_assertion(doc, macros: MacroTable, nthreads: int,
 
 
 def parse_outline_node(doc, macros: MacroTable, nthreads: int,
-                       path: str = "outline"):
+                       path: str = "outline", no_box: Optional[str] = None):
+    """An outline node; its assertions are checked as `parse_assertion`
+    checks them, `no_box` the error of a box in them."""
+    def node(sub, where: str):
+        return parse_outline_node(sub, macros, nthreads, f"{path}/{where}",
+                                  no_box)
+
+    def assn(sub, where: str):
+        return parse_assertion(sub, macros, nthreads, f"{path}/{where}",
+                               no_box)
+
     if not isinstance(doc, dict) or "kind" not in doc:
         _fail(path, f"expected an outline node object, got {doc!r}")
     kind = doc["kind"]
@@ -393,37 +472,25 @@ def parse_outline_node(doc, macros: MacroTable, nthreads: int,
         steps = doc.get("steps", [])
         if len(steps) < 3 or len(steps) % 2 == 0:
             _fail(path, "seq steps must alternate node, assertion, node, ...")
-        children = []
-        mids = []
-        for i, entry in enumerate(steps):
-            if i % 2 == 0:
-                children.append(parse_outline_node(
-                    entry, macros, nthreads, f"{path}/seq[{i // 2}]"))
-            else:
-                mids.append(parse_assertion(
-                    entry, macros, nthreads, f"{path}/mid[{i // 2}]"))
-        return OSeq(tuple(children), tuple(mids))
+        parsed = [assn(e, f"mid[{i // 2}]") if i % 2 else
+                  node(e, f"seq[{i // 2}]") for i, e in enumerate(steps)]
+        return OSeq(tuple(parsed[::2]), tuple(parsed[1::2]))
     if kind == "choice":
-        return OChoice(
-            parse_outline_node(doc["left"], macros, nthreads, f"{path}/left"),
-            parse_outline_node(doc["right"], macros, nthreads,
-                               f"{path}/right"))
+        return OChoice(node(doc["left"], "left"), node(doc["right"], "right"))
     if kind == "iter":
-        return OIter(
-            parse_assertion(doc["invariant"], macros, nthreads,
-                            f"{path}/invariant"),
-            parse_outline_node(doc["body"], macros, nthreads, f"{path}/body"))
+        return OIter(assn(doc["invariant"], "invariant"),
+                     node(doc["body"], "body"))
     if kind == "conseq":
-        return OConseq(
-            parse_assertion(doc["pre"], macros, nthreads, f"{path}/pre"),
-            parse_assertion(doc["post"], macros, nthreads, f"{path}/post"),
-            parse_outline_node(doc["inner"], macros, nthreads,
-                               f"{path}/inner"))
+        return OConseq(assn(doc["pre"], "pre"), assn(doc["post"], "post"),
+                       node(doc["inner"], "inner"))
     _fail(path, f"unknown outline node kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # Models
+
+
+_NO_BOX_DCSL = "a box may not stand in a dcsl model"
 
 
 def parse_model(doc: dict, path: str = "model",
@@ -446,7 +513,7 @@ def _parse_update(spec: dict, params, what: str, path: str) -> GuardedUpdate:
     updates = tuple((_name(loc, "location", path), parse_expr(e, path))
                     for loc, e in spec.get("updates", []))
     exprs = [e for _, e in updates] + ([] if guard is None else [guard])
-    _check_vars(exprs, params, what, path)
+    _check_vars(free_lvars_expr(*exprs), params, what, path)
     _check_placeholders({loc for loc, _ in updates} | expr_locs(*exprs), "t",
                         path)
     return GuardedUpdate(params=tuple(params), guard=guard, updates=updates)
@@ -480,10 +547,13 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
             _fail(path, f"domains.{key} must be an integer >= {least}, "
                         f"got {value!r}")
 
-    prims = {
-        pname: _parse_update(spec, spec.get("params", []), "this primitive",
-                             f"{path}/primitives/{pname}")
-        for pname, spec in doc.get("primitives", {}).items()}
+    prims = {}
+    for pname, spec in doc.get("primitives", {}).items():
+        where = f"{path}/primitives/{pname}"
+        if pname in BUILTIN_ARITY:
+            _fail(where, f"primitive {pname!r} shadows a builtin")
+        prims[pname] = _parse_update(spec, spec.get("params", []),
+                                     "this primitive", where)
     ctable = TransformerTable(prims)
     amethods = {
         mname: _parse_update(spec, ("a", "r"), "an abstract method",
@@ -500,11 +570,8 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         method_args[mname] = _distinct(spec.get("args", values),
                                        f"method {mname!r} args", path)
         template = parse_command(spec["body"], f"{path}/methods/{mname}")
-        try:
-            validate_command(template, ctable)
-        except ModelError as exc:
-            _fail(f"{path}/methods/{mname}", str(exc))
-        _check_vars([template], ("a", "r"), "a method body",
+        validate_command(template, ctable, f"{path}/methods/{mname}")
+        _check_vars(free_lvars_expr(template), ("a", "r"), "a method body",
                     f"{path}/methods/{mname}", ' (the thread id is ["tid"])')
         _check_placeholders(expr_locs(template), "art",
                             f"{path}/methods/{mname}")
@@ -553,32 +620,39 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
                             f"is outside its domain {list(locs[loc])}")
 
     macros = MacroTable(doc.get("macros", {}), method_args, path)
+    no_box = _NO_BOX_DCSL if monoid_kind == "dcsl" else None
 
     shared_universe = None
     if doc.get("shared_universe") is not None:
-        shared_universe = parse_assertion(doc["shared_universe"], macros,
-                                          nthreads, f"{path}/shared_universe")
+        where = f"{path}/shared_universe"
+        shared_universe = parse_assertion(
+            doc["shared_universe"], macros, nthreads, where,
+            "a box may not stand in the shared universe")
+        _check_vars(free_lvars(shared_universe), (), "the shared universe",
+                    where)
 
     actions = {}
     for aname, spec in doc.get("actions", {}).items():
         actions[aname] = tuple(
             parse_assertion(spec[side], macros, nthreads,
-                            f"{path}/actions/{aname}/{side}")
+                            f"{path}/actions/{aname}/{side}",
+                            "a box may not stand in an action")
             for side in ("pre", "post"))
     for aname in list(doc.get("guarantee", [])) + list(doc.get("rely_extra",
                                                                [])):
         if aname not in actions:
             _fail(path, f"guarantee/rely references unknown action {aname!r}")
 
-    pre_templates = {}
-    post_templates = {}
+    families = {"pre": {}, "post": {}}
     for mname, spec in doc.get("assertions", {}).items():
         if mname not in method_args:
             _fail(path, f"assertions declared for unknown method {mname!r}")
-        pre_templates[mname] = parse_assertion(
-            spec["pre"], macros, nthreads, f"{path}/assertions/{mname}/pre")
-        post_templates[mname] = parse_assertion(
-            spec["post"], macros, nthreads, f"{path}/assertions/{mname}/post")
+        for side, templates in families.items():
+            where = f"{path}/assertions/{mname}/{side}"
+            templates[mname] = parse_assertion(spec[side], macros, nthreads,
+                                               where, no_box)
+            _check_vars(free_lvars(templates[mname]), ("t", "a", "r"),
+                        "a pre/post family", where)
 
     return LibraryModel(
         name=name,
@@ -590,8 +664,8 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         init_abst=init_abst,
         method_args=method_args,
         body_templates=body_templates,
-        pre_templates=pre_templates,
-        post_templates=post_templates,
+        pre_templates=families["pre"],
+        post_templates=families["post"],
         outline_templates={},
         actions=actions,
         guarantee_names=tuple(doc.get("guarantee", [])),
@@ -644,12 +718,16 @@ def attach_outlines(doc: dict, model: LibraryModel, path: str = "outline") -> No
         outlines = doc.get("outlines")
         if not isinstance(outlines, dict):
             _fail(path, "outline document needs an 'outlines' object")
+        no_box = _NO_BOX_DCSL if model.monoid_kind == "dcsl" else None
         templates = {}
         for mname, node in outlines.items():
             if mname not in model.method_args:
                 _fail(path, f"outline for unknown method {mname!r}")
+            if mname not in model.pre_templates:
+                _fail(f"{path}/{mname}", f"method {mname!r} has an outline "
+                      "but its model declares no assertions for it")
             templates[mname] = parse_outline_node(
-                node, macros, model.dom.nthreads, f"{path}/{mname}")
+                node, macros, model.dom.nthreads, f"{path}/{mname}", no_box)
             if _erase(templates[mname]) != model.body_templates[mname]:
                 _fail(f"{path}/{mname}",
                       "outline does not annotate the method body")

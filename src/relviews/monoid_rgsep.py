@@ -24,7 +24,7 @@ from operator import itemgetter, or_
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .command_lang import PrimCommand
-from .errors import ModelError, StabilityViolation
+from .errors import StabilityViolation
 from .state_model import (
     EMPTY_WORLD,
     Domains,
@@ -237,13 +237,11 @@ class RgsepMonoid(ViewMonoid):
     def _local_classes(self, rho: VAssn, interp, live: int) -> Classes:
         """The classes of the local fragments l such that (l, universe[i])
         satisfies the assertion, for the universe indices i in the live
-        mask.  A part is evaluated at exactly the shared states where a
+        mask.  A part is evaluated only at the shared states where a
         state-by-state reading looks at it (a star gives up on a state
-        once its prefix denotes nothing there), so a model error is raised
-        exactly when that reading raises one; of several faulty parts, the
-        one reported may differ.  Memoized on `memo_key` and the live
-        mask: parts that do not mention an instance's variables are
-        evaluated once for all its instances.  An error is not cached."""
+        once its prefix denotes nothing there).  Memoized on `memo_key`
+        and the live mask: parts that do not mention an instance's
+        variables are evaluated once for all its instances."""
         key = (memo_key(rho, interp), live)
         classes = self._classes_memo.get(key)
         if classes is None:
@@ -273,8 +271,6 @@ class RgsepMonoid(ViewMonoid):
                             cur + ((_NONE, live & ~_cover(cur)),),
                             got + ((_NONE, live & ~_cover(got)),))
             return cur
-        if isinstance(rho, TrueA):
-            raise ModelError("`true` is only supported inside boxes")
         frags = self.fragments(rho, interp)
         return ((frags, live),) if frags else ()
 

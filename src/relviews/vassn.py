@@ -7,8 +7,9 @@ universe.  A view assertion describes a set of world fragments: singleton
 concrete or abstract cells, token literals, pure facts, separating
 conjunction, disjunction and finite existentials.  Boxed assertions
 (shared-state fragments) and `true` are meaningful only for the RGSep
-monoid and are rejected by the box-free denotation `ViewMonoid.fragments`,
-which DCSL's `eval_vassn` returns in every thread.  Repartitioning
+monoid; `model_io` admits them only where `RgsepMonoid` reads them, so
+the box-free denotation `ViewMonoid.fragments`, which DCSL's
+`eval_vassn` returns in every thread, never meets one.  Repartitioning
 implication is not an assertion form: it is the side condition the outline
 checker discharges at skip and consequence sites.
 """

@@ -32,7 +32,7 @@ from .command_lang import (
     TransformerTable,
     eval_expr,
 )
-from .errors import ModelError, UndefinedLocation
+from .errors import ModelError
 from .state_model import (
     DONE,
     EMPTY_HEAP,
@@ -50,7 +50,6 @@ from .state_model import (
 )
 from .vassn import (
     APt,
-    BoxA,
     CPt,
     EmpA,
     ExistsA,
@@ -58,7 +57,6 @@ from .vassn import (
     PureA,
     StarA,
     TokA,
-    TrueA,
     VAssn,
     memo_key,
 )
@@ -189,29 +187,22 @@ class ViewMonoid:
         """All world fragments exactly satisfying a box-free assertion under
         an interpretation of its logical variables; memoized.  Cells outside
         the declared domains and tokens outside the alphabet denote
-        nothing."""
+        nothing.  A loaded assertion's values read neither the heap nor the
+        thread id, and the interpretation binds its free variables and
+        placeholders (`model_io`)."""
         key = memo_key(rho, interp)
         out = self._frag_cache.get(key)
         if out is not None:
             return out
 
         def value(e) -> int:
-            try:
-                return eval_expr(e, EMPTY_HEAP, interp, 0, self.sem.modulus)
-            except UndefinedLocation as exc:
-                raise ModelError(
-                    "view assertion values may not read the heap "
-                    f"(location {exc.loc!r})")
+            return eval_expr(e, EMPTY_HEAP, interp, 0, self.sem.modulus)
 
         if isinstance(rho, EmpA):
             out = _EMP
         elif isinstance(rho, (CPt, APt)):
             v = value(rho.value)
-            try:
-                loc = rho.loc.format_map(interp) if "{" in rho.loc else rho.loc
-            except KeyError as exc:
-                raise ModelError(f"location {rho.loc!r} references unbound "
-                                 f"logical variable {exc}")
+            loc = rho.loc.format_map(interp) if "{" in rho.loc else rho.loc
             out = frozenset()  # outside the declared domains
             if v in self._locdoms[type(rho)].get(loc, ()):
                 cell = Heap({loc: v})
@@ -243,9 +234,6 @@ class ViewMonoid:
             out = frozenset().union(
                 *(self.fragments(rho.body, {**interp, rho.var: n})
                   for n in self.dom.values))
-        elif isinstance(rho, (BoxA, TrueA)):
-            raise ModelError(
-                "boxed/true assertions cannot appear in fragment position")
         else:
             raise ModelError(f"unknown assertion node {rho!r}")
         self._frag_cache[key] = out

@@ -98,6 +98,7 @@ from dataclasses import replace
 from typing import Dict
 
 from relviews.command_lang import (
+    BUILTIN_ARITY,
     SKIP,
     And,
     Choice,
@@ -399,8 +400,6 @@ def local_sets(mono, rho: VAssn, s: World, interp) -> frozenset:
         for n in mono.dom.values:
             out |= local_sets(mono, rho.body, s, {**interp, rho.var: n})
         return frozenset(out)
-    if isinstance(rho, TrueA):
-        raise ModelError("`true` is only supported inside boxes")
     return mono.fragments(rho, interp)
 
 
@@ -449,9 +448,11 @@ def per_instance_body_error(template: Command, args, values, ctable):
             body = subst(template, {"a": a, "r": r})
             for prim in sorted(command_prims(body),
                                key=lambda p: (p.name, len(p.args))):
-                if not ctable.declared(prim.name):
+                arity = ({n: len(u.params) for n, u in ctable.custom.items()}
+                         | BUILTIN_ARITY)
+                if prim.name not in arity:
                     return "undeclared primitive"
-                if ctable.arity(prim.name) != len(prim.args):
+                if arity[prim.name] != len(prim.args):
                     return "arity mismatch"
             if any(not loc_placeholders(loc) <= {"t"}
                    for loc in expr_locs(body)):
@@ -1153,7 +1154,7 @@ def initial_coverage_by_product(model: LibraryModel) -> ObligationItem:
             view = None
             for t, (m, a, r) in zip(tids, combo):
                 env = model.assertion_env(t)
-                p = env.eval(model.pre_assertion(m), {"t": t, "a": a, "r": r})
+                p = env.eval(model.pre_templates[m], {"t": t, "a": a, "r": r})
                 view = p if view is None else mon.compose(view, p)
             toks = TokenMap({t: Token(TODO, APCom(*inst))
                              for t, inst in zip(tids, combo)})

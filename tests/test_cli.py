@@ -250,8 +250,8 @@ def test_malformed_outline_exit_two(capsys, tmp_path, mutate):
 
 def test_an_action_that_cannot_be_denoted_is_a_model_error(capsys,
                                                             tmp_path):
-    # the rely and guarantee are built from the actions before any
-    # obligation is checked, so the error leaves no report behind
+    # an action is denoted under its variables alone, so it may not read
+    # the heap; the load error leaves no report behind
     doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
     doc["actions"]["incr"]["post"] = ["pt", "k", ["read", "k"]]
     bad = tmp_path / "model.json"
@@ -259,23 +259,111 @@ def test_an_action_that_cannot_be_denoted_is_a_model_error(capsys,
     code, out, err = run(capsys, "check-proof", str(bad),
                          f"{FIX}/atomic-inc/outline.json")
     assert (code, out) == (2, "")
-    assert err == ("error: view assertion values may not read the heap "
-                   "(location 'k')\n")
+    assert err == (f"error: {bad}/actions/incr/post: an assertion may not "
+                   "read the heap (location 'k')\n")
 
 
-def test_a_model_error_in_an_outline_check_names_the_instance(capsys,
-                                                               tmp_path):
-    for side in ("pre", "post"):
-        doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
-        # the expected return of the pinned todo or done token
-        doc["assertions"]["inc"][side][2][4] = ["read", "k"]
-        bad = tmp_path / f"{side}.json"
-        bad.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "check-proof", str(bad),
-                             f"{FIX}/atomic-inc/outline.json")
-        assert (code, out) == (2, ""), side
-        assert err == ("error: inc(a=1,r=0) in thread 1: view assertion "
-                       "values may not read the heap (location 'k')\n"), side
+def _pre(method, wrap):
+    """Set a method's precondition family to wrap(family)."""
+    def edit(doc):
+        family = doc["assertions"][method]
+        family["pre"] = wrap(family["pre"])
+    return edit
+
+
+def _set(keys, value):
+    """Set the entry at keys to value, or to value(doc) if it is callable."""
+    def edit(doc):
+        slot = doc
+        for key in keys[:-1]:
+            slot = slot[key]
+        slot[keys[-1]] = value(doc) if callable(value) else value
+    return edit
+
+
+_INC_PRE = ["assertions", "inc", "pre"]
+_K_IS_0 = ["pure", ["==", ["var", "k"], 0]]
+# name -> (fixture, edit of its model, command, path, message)
+_MALFORMED = {
+    # an assertion reads no heap location and no thread id
+    "heap-read": (
+        "atomic-inc", _set(_INC_PRE + [2, 4], ["read", "k"]), "check-proof",
+        "/assertions/inc/pre/star[1]",
+        "an assertion may not read the heap (location 'k')"),
+    "tid": (
+        "dcsl-cell", _pre("put", lambda pre: ["star", pre[1], [
+            "todo", ["tid"], "put", ["var", "a"], ["var", "r"]]]),
+        "check-proof", "/assertions/put/pre/star[1]",
+        'an assertion may not use ["tid"]; its thread is ["var", "t"]'),
+    # `true` stands only where a box's body reads it
+    "true-outside-box-body": (
+        "atomic-inc", _set(_INC_PRE + [1], ["box", [
+            "star", ["macro", "kinv_any"], ["or", ["true"], ["emp"]]]]),
+        "check-proof", "/assertions/inc/pre",
+        "`true` may stand only as a box's body or as a conjunct of the star "
+        "that is a box's body"),
+    # no box in a dcsl model, an action or the shared universe
+    "box-in-dcsl": (
+        "dcsl-cell", _pre("put", lambda pre: ["star", ["box", ["emp"]], pre]),
+        "check-proof", "/assertions/put/pre",
+        "a box may not stand in a dcsl model"),
+    "box-in-action": (
+        "atomic-inc", _set(["actions", "incr", "pre"],
+                           ["box", ["macro", "kinv", ["var", "V"]]]),
+        "check-proof", "/actions/incr/pre",
+        "a box may not stand in an action"),
+    "box-in-universe": (
+        "atomic-inc",
+        _set(["shared_universe"], ["box", ["macro", "kinv_any"]]),
+        "check-proof", "/shared_universe",
+        "a box may not stand in the shared universe"),
+    # a family binds only t, a and r, the shared universe nothing
+    "free-var-in-family": (
+        "dcsl-cell", _pre("put", lambda pre: ["star", pre, _K_IS_0]),
+        "check-proof", "/assertions/put/pre",
+        "unbound logical variable 'k': a pre/post family binds only 't', "
+        "'a', 'r'"),
+    "free-var-in-universe": (
+        "atomic-inc", _set(["shared_universe"], lambda doc: [
+            "star", doc["shared_universe"], _K_IS_0]),
+        "check-proof", "/shared_universe",
+        "unbound logical variable 'k': the shared universe binds none"),
+    # an outlined method declares its assertions
+    "no-assertions": (
+        "dcsl-cell", lambda doc: doc.pop("assertions"), "check-proof", "/put",
+        "method 'put' has an outline but its model declares no assertions "
+        "for it"),
+    # a builtin's location argument is a location
+    "location-argument": (
+        "dcsl-cell", _set(["methods", "put", "body", 1],
+                          ["prim", "store", 0, ["var", "a"]]),
+        "check-lin", "/methods/put/seq[0]",
+        'argument 1 of \'store\' must be a location ["read", loc], got 0'),
+    # a macro's params is a list of names
+    "params": (
+        "dcsl-cell", _set(["macros", "cell", "params"], "V"), "check-proof",
+        "/macros/cell", "a macro's params must be a list, got 'V'"),
+}
+
+
+@pytest.mark.parametrize("name", _MALFORMED)
+def test_a_malformed_model_is_a_load_error(capsys, tmp_path, name):
+    """Each form that a checker cannot give a meaning to is refused at
+    load, naming the document and the path in it: before, each of these
+    loaded and ended in an error naming no file, a rejected proof or an
+    accepted one."""
+    fixture, edit, command, where, message = _MALFORMED[name]
+    doc = json.load(open(f"{FIX}/{fixture}/model.json"))
+    edit(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    outline = f"{FIX}/{fixture}/outline.json"
+    code, out, err = run(capsys, command, str(bad), *(
+        ["--bound", "4"] if command == "check-lin" else [outline]))
+    # an outlined method without assertions is met in the outline document
+    named = outline if name == "no-assertions" else bad
+    assert (code, out) == (2, "")
+    assert err == f"error: {named}{where}: {message}\n"
 
 
 def test_check_proof_without_method_arguments_gives_a_verdict(capsys,

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from relviews.command_lang import (
@@ -25,9 +27,10 @@ from relviews.command_lang import (
     eval_expr,
     state_step,
     step,
-    validate_command,
 )
 from relviews.errors import ModelError, UndefinedLocation
+from relviews.fixtures import fixture_path
+from relviews.model_io import parse_model, validate_command
 from relviews.state_model import FAULT, Heap
 
 from oracles import reachable_commands
@@ -214,10 +217,16 @@ def test_custom_prim_blocking_vs_faulting_distinct():
 
 
 def test_table_rejects_builtin_shadowing_and_bad_arity():
-    with pytest.raises(ModelError):
-        TransformerTable({"store": GuardedUpdate()})
-    with pytest.raises(ModelError):
-        TBL.apply(PrimCommand("assume"), 1, Heap(), 4)
+    # both are load errors: `apply` trusts a loaded primitive
+    doc = json.load(open(fixture_path("atomic-inc", "model.json")))
+    doc["primitives"]["store"] = doc["primitives"]["inc_atomic"]
+    with pytest.raises(ModelError) as info:
+        parse_model(doc)
+    assert str(info.value) == ("model/primitives/store: primitive 'store' "
+                               "shadows a builtin")
+    tbl = TransformerTable({"two": GuardedUpdate(params=("x", "y"))})
+    with pytest.raises(ModelError, match="'two': takes 2, given 1"):
+        validate_command(Prim(PrimCommand("two", (Const(0),))), tbl)
 
 
 def test_validate_command_checks_declarations():

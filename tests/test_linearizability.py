@@ -249,7 +249,7 @@ def test_assertion_env_is_one_per_thread():
     for t, env in envs.items():
         assert model.assertion_env(t) is env
     # the memo hands back the very view it computed
-    pre, b = model.pre_assertion("inc"), {"t": 1, "a": 1, "r": 0}
+    pre, b = model.pre_templates["inc"], {"t": 1, "a": 1, "r": 0}
     assert envs[1].eval(pre, b) is envs[1].eval(pre, dict(b))
 
 

@@ -168,6 +168,79 @@ def test_true_outside_box_rejected():
         parse_model(doc)
 
 
+_FALSE = ["pure", ["==", 0, 1]]
+_X0 = ["pt", "x", 0]
+# `true` in a star that is not the box's body, where `fragments` would
+# meet it
+_BAD_BOX_PART = ["star", ["or", ["true"], ["emp"]]]
+_TRUE_MISPLACED = ("`true` may stand only as a box's body or as a conjunct "
+                   "of the star that is a box's body")
+
+
+@pytest.mark.parametrize("doc,error", [
+    (["box", ["true"]], None),
+    (["box", ["star", ["true"], _X0, ["true"]]], None),
+    (["star", ["box", ["or", _X0, ["exists", "v", ["star", ["true"], [
+        "pure", ["==", ["var", "v"], 0]]]]]], _X0], None),
+    (["star", _FALSE, ["true"]], _TRUE_MISPLACED),
+    (["star", ["box", _X0], ["true"]], _TRUE_MISPLACED),
+    (["or", ["star", _FALSE, ["true"]], ["box", ["true"]]], _TRUE_MISPLACED),
+    (["box", ["or", ["true"], _BAD_BOX_PART]], _TRUE_MISPLACED),
+    (["box", ["or", _X0, _BAD_BOX_PART]], _TRUE_MISPLACED),
+    (["box", ["exists", "v", ["or", ["star", ["true"], [
+        "pure", ["==", ["var", "v"], 0]]], _BAD_BOX_PART]]], _TRUE_MISPLACED),
+    (["box", ["star", ["star", ["true"], _X0]]], _TRUE_MISPLACED),
+    (["box", ["star", ["true"], ["box", _X0]]],
+     "boxed assertions must not be nested"),
+], ids=["body", "conjuncts", "under-or-exists", "star", "star-with-box",
+        "or", "or-in-body-star", "or-after-cell", "exists", "inner-star",
+        "nested-box"])
+def test_true_stands_only_where_a_box_body_reads_it(doc, error):
+    """Where `RgsepMonoid._box_states` reads `true`; everywhere else the
+    assertion is denoted by `fragments`, which knows no `true`.  Before,
+    `true` anywhere inside a box loaded, and evaluating a misplaced one
+    raised an error naming no file, or nothing where no evaluation
+    reached it."""
+    try:
+        model_io.parse_assertion(doc, MacroTable({}, ()), 1)
+        got = None
+    except ModelError as exc:
+        got = str(exc)
+    assert got == (error and f"assn: {error}")
+
+
+@pytest.mark.parametrize("loc", ["x{0}", "x{}", "x{k.y}", "x{k!r}", "x{"])
+def test_an_assertion_placeholder_is_a_name(capsys, tmp_path, loc):
+    """Before, each of these loaded and ended in a traceback (exit 1) or an
+    error naming no file once an outline assertion was evaluated."""
+    doc = json.load(open(f"{FIX}/dcsl-cell/outline.json"))
+    steps = doc["outlines"]["put"]["steps"]
+    steps[1] = ["star", steps[1], ["or", ["emp"], ["pt", loc, 0]]]
+    bad = tmp_path / "outline.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-proof", f"{FIX}/dcsl-cell/model.json", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {bad}/put/mid[0]/star[1]/or[1]: location "
+                       f"{loc!r} uses a brace that is not a placeholder "
+                       "{name}\n")
+
+
+@pytest.mark.parametrize("cmd,message", [
+    (["prim", "load", ["read", "x"], 1], "argument 2 of 'load' must be a "
+     'location ["read", loc], got 1'),
+    (["prim", "cas_succ", ["var", "a"], 0, 1], "argument 1 of 'cas_succ' "
+     'must be a location ["read", loc], got [\'var\', \'a\']'),
+    (["prim", "cas_fail", ["+", ["read", "x"], 0], 0, 1], "argument 1 of "
+     "'cas_fail' must be a location [\"read\", loc], got ['+', ['read', "
+     "'x'], 0]"),
+], ids=["load", "cas_succ", "cas_fail"])
+def test_a_builtin_location_argument_is_a_location(cmd, message):
+    with pytest.raises(ModelError) as info:
+        parse_command(cmd)
+    assert str(info.value) == f"cmd: {message}"
+
+
 def test_undeclared_primitive_in_body():
     doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
     doc["methods"]["inc"]["body"] = ["prim", "mystery"]

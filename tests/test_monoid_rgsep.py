@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relviews import model_io
 from relviews.command_lang import (
     Const,
     Eq,
@@ -13,8 +14,9 @@ from relviews.command_lang import (
     PrimCommand,
     Read,
     TransformerTable,
+    walk,
 )
-from relviews.errors import ModelError, StabilityViolation
+from relviews.errors import StabilityViolation
 from relviews.monoid_rgsep import RgsepMonoid
 from relviews.state_model import (
     APCom,
@@ -137,21 +139,10 @@ def test_satisfaction_clauses():
         assert view_pairs(mono, got) == rgsep_pred(mono, rho, {})
 
 
-def _eval_or_error(mono, rho, interp):
-    """The predicate eval_vassn_rg computes under an empty rely (so every
-    predicate is stable), or the model error it raises."""
-    try:
-        return view_pairs(mono, mono.eval_vassn_rg(rho, frozenset(),
-                                                   interp))
-    except ModelError as exc:
-        return ("error", str(exc))
-
-
-def _oracle_or_error(mono, rho, interp):
-    try:
-        return rgsep_pred(mono, rho, interp)
-    except ModelError as exc:
-        return ("error", str(exc))
+def _eval(mono, rho, interp):
+    """The predicate eval_vassn_rg computes under an empty rely, under
+    which every predicate is stable."""
+    return view_pairs(mono, mono.eval_vassn_rg(rho, frozenset(), interp))
 
 
 @pytest.mark.parametrize("name", ["atomic-inc", "flat-combiner",
@@ -170,8 +161,8 @@ def test_eval_matches_oracle_on_fixture_assertions(name):
         names = sorted(free_lvars(rho) - dict(binding).keys())
         for combo in itertools.product(mono.dom.values, repeat=len(names)):
             interp = {**dict(zip(names, combo)), **dict(binding)}
-            assert _eval_or_error(mono, rho, interp) \
-                == _oracle_or_error(mono, rho, interp), (rho, interp)
+            assert _eval(mono, rho, interp) \
+                == rgsep_pred(mono, rho, interp), (rho, interp)
 
 
 @pytest.mark.parametrize("name", ["atomic-inc", "flat-combiner",
@@ -240,38 +231,9 @@ def test_each_guarantee_is_in_every_other_threads_rely(make):
     assert any(mono.guarantee(t) for t in tids)
 
 
-_FALSE = PureA(Eq(Const(0), Const(1)))
-# `true` in fragment position inside a box: a model error wherever the
-# box interior is looked at
-_BAD_BOX_PART = StarA((OrA((TrueA(), EmpA())),))
-_X0 = w({"x": 0})
-
-
-@pytest.mark.parametrize("rho,universe,raises", [
-    # a star gives up on a state once its prefix denotes nothing there
-    (StarA((_FALSE, TrueA())), None, False),
-    (StarA((BoxA(CPt("x", Const(0))), TrueA())), None, True),
-    (StarA((BoxA(CPt("x", Const(0))), TrueA())), (w(), w({"x": 1})), False),
-    (OrA((StarA((_FALSE, TrueA())), BoxA(TrueA()))), None, False),
-    # a box disjunct or witness is tried only where the earlier ones failed
-    (BoxA(OrA((TrueA(), _BAD_BOX_PART))), None, False),
-    (BoxA(OrA((CPt("x", Const(0)), _BAD_BOX_PART))), None, True),
-    (BoxA(OrA((CPt("x", Const(0)), _BAD_BOX_PART))), (_X0,), False),
-    (BoxA(ExistsA("v", OrA((StarA((TrueA(), PureA(Eq(LVar("v"), Const(0))))),
-                            _BAD_BOX_PART)))), None, False),
-])
-def test_eval_raises_exactly_where_the_oracle_does(rho, universe, raises):
-    mono = _mono()
-    if universe is not None:
-        mono = RgsepMonoid(mono.dom, mono.sem, universe)
-    got = _eval_or_error(mono, rho, {})
-    assert got == _oracle_or_error(mono, rho, {})
-    assert isinstance(got, tuple) == raises
-
-
-# Small assertions over one or two locations.  A box interior is a
-# disjunction or existential over stars of box-free parts with optional
-# `true` conjuncts; `true` anywhere else is a model error.
+# Small assertions over one or two locations, each one that loads: a box
+# interior is a disjunction or existential over stars of box-free parts
+# with optional `true` conjuncts, and `true` stands nowhere else.
 _VARS = ("u", "v")
 
 
@@ -334,7 +296,7 @@ def _assertion(locs, bound=(), depth=2):
     return st.one_of(
         _leaf(locs, bound),
         st.builds(BoxA, _box_body(locs, bound, 1)),
-        st.just(TrueA()),
+        st.just(BoxA(TrueA())),
         st.builds(lambda ps: StarA(tuple(ps)), st.lists(sub, min_size=2,
                                                          max_size=3)),
         st.builds(lambda ps: OrA(tuple(ps)), st.lists(sub, min_size=2,
@@ -362,23 +324,27 @@ def _case(draw):
 @given(_case())
 def test_eval_matches_oracle_on_generated_assertions(case):
     mono, rho = case
-    assert _eval_or_error(mono, rho, {}) == _oracle_or_error(mono, rho, {})
+    assert _eval(mono, rho, {}) == rgsep_pred(mono, rho, {})
 
 
-def test_generated_assertions_include_errors_and_boxes():
-    # the generator above reaches both outcomes of the comparison
+def test_generated_assertions_load_and_reach_every_kind():
+    # the generator above yields only assertions that load, with and
+    # without boxes and `true`, denoting empty and non-empty predicates
     seen = set()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_case())
     def collect(case):
         mono, rho = case
-        got = _oracle_or_error(mono, rho, {})
-        seen.add("error" if isinstance(got, tuple) else
-                 "nonempty" if got else "empty")
+        model_io._check_boxes(rho, "generated")
+        kinds = {type(n) for n in walk(rho)}
+        seen.add("box" if BoxA in kinds else "box-free")
+        seen.add("true" if TrueA in kinds else "no true")
+        seen.add("nonempty" if rgsep_pred(mono, rho, {}) else "empty")
 
     collect()
-    assert seen == {"error", "nonempty", "empty"}
+    assert seen == {"box", "box-free", "true", "no true", "nonempty",
+                    "empty"}
 
 
 @st.composite
@@ -408,11 +374,9 @@ def _sequence_case(draw):
 
 
 def _oracle_outcome(mono, rho, rely):
-    """The model error, the least stability witness or the predicate that
-    the state-by-state reading and `stable` give."""
-    pred = _oracle_or_error(mono, rho, {})
-    if isinstance(pred, tuple):
-        return pred
+    """The least stability witness or the predicate that the state-by-state
+    reading and `stable` give."""
+    pred = rgsep_pred(mono, rho, {})
     witness = stable(pred, rely)
     return pred if witness is None else ("unstable", witness)
 
@@ -422,8 +386,6 @@ def _outcome(mono, rho, rely):
         return view_pairs(mono, mono.eval_vassn_rg(rho, rely, {}))
     except StabilityViolation as exc:
         return ("unstable", exc.witness)
-    except ModelError as exc:
-        return ("error", str(exc))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -449,12 +411,12 @@ def test_generated_sequences_include_stable_and_unstable():
                 <= set(mono.universe) else "outside")
         for rho in rhos:
             got = _oracle_outcome(mono, rho, rely)
-            seen.add((kind, got[0] if isinstance(got, tuple) else "stable"))
+            seen.add((kind, "unstable" if isinstance(got, tuple) else
+                      "stable"))
 
     collect()
     assert {(kind, outcome) for kind in ("full", "inside", "outside")
-            for outcome in ("stable", "unstable")} <= seen
-    assert any(outcome == "error" for _kind, outcome in seen)
+            for outcome in ("stable", "unstable")} == seen
 
 
 def test_token_literal_pins_local_tokens():
@@ -571,11 +533,6 @@ class _NonLocalTable(TransformerTable):
             return (sigma,)
         return super().apply(alpha, t, sigma, modulus)
 
-    def arity(self, name):
-        if name == "weird":
-            return 0
-        return super().arity(name)
-
 
 def test_locality_violation_detected():
     # `weird` names no location, so its footprint is empty and it is
@@ -644,13 +601,6 @@ def test_repart_sufficient_condition():
 # Action denotations against the all-states oracle
 
 
-def _denote_or_error(denote, mono, pre, post, binding):
-    try:
-        return denote(mono, pre, post, binding)
-    except ModelError as exc:
-        return ("error", str(exc))
-
-
 @pytest.mark.parametrize("name", ["atomic-inc", "flat-combiner",
                                   "flat-combiner-noaction4"])
 def test_denote_action_matches_the_all_states_oracle_on_fixtures(name):
@@ -679,8 +629,8 @@ def _action_case(draw):
 def test_denote_action_matches_the_all_states_oracle_on_generated_actions(
         case):
     mono, pre, post = case
-    assert _denote_or_error(RgsepMonoid.denote_action, mono, pre, post, {}) \
-        == _denote_or_error(denote_action_all_states, mono, pre, post, {})
+    assert mono.denote_action(pre, post, {}) \
+        == denote_action_all_states(mono, pre, post, {})
 
 
 def test_generated_actions_include_empty_and_nonempty_relations():
