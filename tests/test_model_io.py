@@ -209,6 +209,33 @@ def test_true_stands_only_where_a_box_body_reads_it(doc, error):
     assert got == (error and f"assn: {error}")
 
 
+_K0 = ["pt", "k", 0]
+
+
+@pytest.mark.parametrize("pre,universe", [
+    (["star", ["box", _K0], ["true"]], None),
+    (["star", ["box", _K0], ["true"]], ["macro", "kinv", 1]),
+    (["box", ["or", _K0, _BAD_BOX_PART]], None),
+    (["box", ["or", _K0, _BAD_BOX_PART]], ["macro", "kinv", 0]),
+], ids=["star-with-box-any-k", "star-with-box-k-is-1", "or-after-cell-any-k",
+        "or-after-cell-k-is-0"])
+def test_a_misplaced_true_is_a_load_error_whatever_the_universe(pre,
+                                                                universe):
+    """The evaluator met a misplaced `true` only in the shared states that
+    its star prefix or earlier disjuncts had not settled: with `k` never 0
+    the star gives up first, with `k` always 0 the first disjunct holds.
+    The load rule reads the assertion's form alone, so the shared
+    universe plays no part in whether the model loads."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["assertions"]["inc"]["pre"] = pre
+    if universe is None:
+        del doc["shared_universe"]
+    else:
+        doc["shared_universe"] = universe
+    with pytest.raises(ModelError, match=_TRUE_MISPLACED):
+        parse_model(doc)
+
+
 @pytest.mark.parametrize("loc", ["x{0}", "x{}", "x{k.y}", "x{k!r}", "x{"])
 def test_an_assertion_placeholder_is_a_name(capsys, tmp_path, loc):
     """Before, each of these loaded and ended in a traceback (exit 1) or an
