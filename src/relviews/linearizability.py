@@ -77,6 +77,7 @@ class LibraryModel:
     rely_extra_names: Tuple[str, ...] = ()
     shared_universe_assn: Optional[VAssn] = None
     macros_raw: Dict[str, dict] = field(default_factory=dict)
+    path: str = "model"  # the document's, for errors found after loading
 
     def __post_init__(self):
         self._monoid = None
@@ -104,7 +105,8 @@ class LibraryModel:
                     universe = ViewMonoid(self.dom, sem).fragments(
                         self.shared_universe_assn, {})
                     if not universe:
-                        raise ModelError("declared shared universe is empty")
+                        raise ModelError(f"{self.path}/shared_universe: "
+                                         "declared shared universe is empty")
                     if len(universe) > self.dom.cap:
                         raise UniverseTooLarge(len(universe), self.dom.cap)
                 self._monoid = RgsepMonoid(

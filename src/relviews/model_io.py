@@ -672,6 +672,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         rely_extra_names=tuple(doc.get("rely_extra", [])),
         shared_universe_assn=shared_universe,
         macros_raw=dict(doc.get("macros", {})),
+        path=path,
     )
 
 

@@ -68,6 +68,8 @@ def reify_dcsl(p: DcslView) -> frozenset:
 
 
 class DcslMonoid(ViewMonoid):
+    _size = None  # the world count of `frames`
+
     def compose(self, p, q):
         return compose_dcsl(p, q)
 
@@ -80,11 +82,13 @@ class DcslMonoid(ViewMonoid):
     def frames(self) -> tuple:
         """The frames the action judgement checks: the unit alone, which
         decides it by locality (see the module docstring).  A universe of
-        more than `dom.cap` worlds raises `UniverseTooLarge`, although none
-        of its worlds is built."""
-        size = count_worlds(self.dom)
-        if size > self.dom.cap:
-            raise UniverseTooLarge(size, self.dom.cap)
+        more than `dom.cap` worlds raises `UniverseTooLarge` on every call,
+        although none of its worlds is built; its size is counted once per
+        monoid."""
+        if self._size is None:
+            self._size = count_worlds(self.dom)
+        if self._size > self.dom.cap:
+            raise UniverseTooLarge(self._size, self.dom.cap)
         return (UNIT_DCSL,)
 
     def check_action(self, t: int, alpha: PrimCommand, p, q):

@@ -50,6 +50,7 @@ from .views_core import (
     ViewMonoid,
     check_action_with_frames,  # not called here; perfbench/tracer.py wraps it
     judge_action,
+    post_index,
 )
 
 Rel = FrozenSet[Tuple[World, World]]
@@ -83,8 +84,10 @@ class RgsepMonoid(ViewMonoid):
             for cells, part in zip(self._cells, s):
                 for kv in part.items():
                     cells[kv] = cells.get(kv, 0) | 1 << i
-        # classes -> their composable pairs; see `_composed`
+        # classes -> their composable pairs and their `post_index`; see
+        # `_composed` and `check_action`
         self._composed_memo: Dict[Classes, tuple] = {}
+        self._post_memo: Dict[Classes, dict] = {}
         # see `_local_classes`, `_box_states`, `_successors` and
         # `strip_token_set`
         self._classes_memo: Dict[tuple, Classes] = {}
@@ -347,11 +350,15 @@ class RgsepMonoid(ViewMonoid):
         """Sufficient frame-free condition for the action judgement:
         `judge_action` over the predicates' pairs, each shared change none
         or in thread t's guarantee.  Sufficient because every primitive is
-        local: the frame property in `views_core`."""
+        local: the frame property in `views_core`.  The post's index is
+        built once per predicate."""
+        post = self._post_memo.get(q)
+        if post is None:
+            post = self._post_memo[q] = post_index(
+                (s, w) for _l, s, w in self._composed(q))
         return judge_action(
-            self, t, alpha, None,
-            ((s, w) for _l, s, w in self._composed(p)),
-            ((s, w) for _l, s, w in self._composed(q)), self.guarantee(t),
+            self, t, alpha, None, ((s, w) for _l, s, w in self._composed(p)),
+            post, self.guarantee(t),
             "no post predicate pair matches with a guarantee transition and "
             "linearization steps")
 

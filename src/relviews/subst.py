@@ -12,9 +12,11 @@ interpretation that holds the instance's bindings.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict
 
-from .command_lang import Const, LVar, Read, rebuild
+from .command_lang import (Const, LVar, Read, expr_locs, loc_placeholders,
+                           rebuild, walk)
 
 Binding = Dict[str, int]
 
@@ -38,3 +40,12 @@ def subst(node, b: Binding):
         return None
 
     return rebuild(node, leaf)
+
+
+@lru_cache(maxsize=None)
+def subst_names(node) -> tuple:
+    """The names `subst` reads in the tree at node, sorted: its logical
+    variables and the `{name}` placeholders of its read locations;
+    memoized, as `vassn.free_lvars` is."""
+    names = {n.name for n in walk(node) if type(n) is LVar}
+    return tuple(sorted(names.union(*map(loc_placeholders, expr_locs(node)))))

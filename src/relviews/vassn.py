@@ -123,10 +123,15 @@ def free_lvars(a: VAssn) -> frozenset:
     raise ModelError(f"unknown assertion node {a!r}")
 
 
+@lru_cache(maxsize=None)
+def _sorted_free(a: VAssn) -> tuple:
+    return tuple(sorted(free_lvars(a)))
+
+
 def memo_key(rho: VAssn, interp: Dict[str, int]) -> tuple:
     """The key of an evaluation memo: the assertion and the interpretation's
     entries for its free logical variables, the only ones an evaluation
-    reads.  A name it does not mention, such as an instance's `a` in a
-    thread's invariant, does not split its entries."""
-    names = free_lvars(rho)
-    return (rho, tuple(sorted(kv for kv in interp.items() if kv[0] in names)))
+    reads, in name order.  A name it does not mention, such as an
+    instance's `a` in a thread's invariant, does not split its entries."""
+    return (rho, tuple((n, interp[n]) for n in _sorted_free(rho)
+                       if n in interp))

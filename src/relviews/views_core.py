@@ -142,6 +142,8 @@ class ViewMonoid:
         self.sem = sem
         self._frag_cache: Dict = {}
         self._lp_cache: Dict = {}
+        self._runs: Dict = {}  # see `run`
+        self.instances: Dict = {}  # see `logic.ProofChecker._instance`
         self._locdoms = {CPt: dict(dom.cloc), APt: dict(dom.aloc)}
         self._apcoms = frozenset(dom.apcoms)
 
@@ -183,6 +185,15 @@ class ViewMonoid:
             out = self._lp_cache[key] = lp_star(sigma_a, toks, self.sem)
         return out
 
+    def run(self, alpha: PrimCommand, t: int, sigma: Heap) -> tuple:
+        """The results of primitive alpha run by thread t on the heap
+        sigma; memoized, as a run depends on (alpha, t, sigma) alone."""
+        out = self._runs.get((alpha, t, sigma))
+        if out is None:
+            out = self._runs[alpha, t, sigma] = self.sem.ctable.apply(
+                alpha, t, sigma, self.sem.modulus)
+        return out
+
     def fragments(self, rho: VAssn, interp: Dict[str, int]) -> frozenset:
         """All world fragments exactly satisfying a box-free assertion under
         an interpretation of its logical variables; memoized.  Cells outside
@@ -219,14 +230,14 @@ class ViewMonoid:
         elif isinstance(rho, PureA):
             out = _EMP if value(rho.cond) != 0 else frozenset()
         elif isinstance(rho, StarA):
-            out = _EMP
-            for part in rho.parts:
+            out = self.fragments(rho.parts[0], interp) if rho.parts else _EMP
+            for part in rho.parts[1:]:
+                if not out:
+                    break
                 frags = self.fragments(part, interp)
                 out = frozenset(w for f1 in out for f2 in frags
                                 for w in (compose_worlds(f1, f2),)
                                 if w is not None)
-                if not out:
-                    break
         elif isinstance(rho, OrA):
             out = frozenset().union(
                 *(self.fragments(part, interp) for part in rho.parts))
@@ -240,27 +251,34 @@ class ViewMonoid:
         return out
 
 
-def judge_action(monoid: ViewMonoid, t: int, alpha: PrimCommand, frame,
-                 pre: Iterable, post: Iterable, guar, reason: str):
-    """The action judgement's loop, for every monoid.  `pre` and `post`
-    hold (shared, world) pairs, `pre` in report order.  Each primitive step
-    from a pre-world must fault nowhere and reach, by linearization steps,
-    a post world with its result whose shared change is none or in `guar`.
-    Returns True or the first counterexample, under `frame`."""
+def post_index(post: Iterable) -> Dict[Heap, list]:
+    """A post's (shared, world) pairs by concrete heap, as the
+    (shared, abstract heap, tokens) of each, in the post's order."""
     index: Dict[Heap, list] = {}
     for shared2, (sigma2, abs2, toks2) in post:
         index.setdefault(sigma2, []).append((shared2, abs2, toks2))
-    sem = monoid.sem
+    return index
+
+
+def judge_action(monoid: ViewMonoid, t: int, alpha: PrimCommand, frame,
+                 pre: Iterable, post: Dict[Heap, list], guar, reason: str):
+    """The action judgement's loop, for every monoid.  `pre` holds
+    (shared, world) pairs in report order, and `post` is the `post_index`
+    of the post's pairs.  Each primitive step from a pre-world, taken from
+    the monoid's memo of runs, must fault nowhere and reach, by
+    linearization steps, a post world with its result whose shared change
+    is none or in `guar`.  Returns True or the first counterexample, under
+    `frame`."""
     for shared, world in pre:
         sigma, sigma_a, toks = world
         lp_set = None
-        for sigma2 in sem.ctable.apply(alpha, t, sigma, sem.modulus):
+        for sigma2 in monoid.run(alpha, t, sigma):
             if sigma2 is FAULT:
                 return ActionCounterexample(
                     t, alpha, frame, world, FAULT, "fault reachable")
             if lp_set is None:
                 lp_set = monoid.lp_star(sigma_a, toks)
-            for shared2, abs2, toks2 in index.get(sigma2, ()):
+            for shared2, abs2, toks2 in post.get(sigma2, ()):
                 if (abs2, toks2) in lp_set and (
                         shared2 == shared or (shared, shared2) in guar):
                     break
@@ -281,10 +299,10 @@ def check_action_with_frames(monoid: ViewMonoid, t: int, alpha: PrimCommand,
         pre = sorted(monoid.reify(monoid.compose(p, r)), key=world_sort_key)
         if not pre:
             continue
-        post = monoid.reify(monoid.compose(q, r))
+        post = post_index(
+            (None, w) for w in monoid.reify(monoid.compose(q, r)))
         got = judge_action(
-            monoid, t, alpha, r, ((None, w) for w in pre),
-            ((None, w) for w in post), frozenset(),
+            monoid, t, alpha, r, ((None, w) for w in pre), post, frozenset(),
             "no linearization choice reaches the postcondition")
         if got is not True:
             return got

@@ -3,7 +3,9 @@
 `flat_combiner(n)` is the shipped `flat-combiner` model and outline widened
 to n threads: each thread publishes its task in its own `arg[i]`/`res[i]`
 slot, and the thread holding the lock helps every slot in turn.  At n = 2
-it is the shipped fixture.
+it is the shipped fixture.  `dcsl_cell(nvalues, nthreads)` is the shipped
+`dcsl-cell` model widened to more values and threads; the shipped outline
+proves it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,21 @@ from relviews.fixtures import fixture_path
 _HELPING_MACROS = ("TASKMID", "TASKMID2")
 
 
-def _load(filename: str) -> dict:
-    with open(fixture_path("flat-combiner", filename)) as fh:
+def _load(filename: str, name: str = "flat-combiner") -> dict:
+    with open(fixture_path(name, filename)) as fh:
         return json.load(fh)
+
+
+def dcsl_cell(nvalues: int, nthreads: int) -> dict:
+    """dcsl-cell with values 0..nvalues-1 and nthreads threads."""
+    doc = _load("model.json", "dcsl-cell")
+    vals = list(range(nvalues))
+    dom = doc["domains"]
+    dom.update(values=vals, modulus=nvalues, threads=nthreads)
+    dom["locations"]["x"] = vals
+    dom["abstract_locations"]["X"] = vals
+    doc["methods"]["put"]["args"] = vals
+    return doc
 
 
 def _for_slot(doc, i: int):

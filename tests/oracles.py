@@ -21,6 +21,11 @@ each hold one expected return, by a memoized recursion; `_HistoryGen`
 raises it, and the shipped checks, which merge a call's expected returns
 into one slot, must report the same fault.
 
+The box-free denotation with no memo: `ref_fragments(mono, rho, interp)`
+folds a star's parts from the unit `emp` and decides each leaf against the
+declared domains; `ViewMonoid.fragments`, which starts a star's fold at
+its first part, is tested against it.
+
 Proof-side references: `action_over_frames`, the action judgement over
 given frames testing each linearization choice's world for membership in
 the framed post, and `rgsep_action_by_pairs`, RGSep's frame-free
@@ -120,6 +125,7 @@ from relviews.command_lang import (
     Tid,
     apply_guarded,
     command_prims,
+    eval_expr,
     expr_locs,
     loc_placeholders,
     resolve_loc,
@@ -401,6 +407,50 @@ def local_sets(mono, rho: VAssn, s: World, interp) -> frozenset:
             out |= local_sets(mono, rho.body, s, {**interp, rho.var: n})
         return frozenset(out)
     return mono.fragments(rho, interp)
+
+
+def ref_fragments(mono, rho: VAssn, interp) -> frozenset:
+    """The world fragments exactly satisfying a box-free assertion, with
+    no memo and no shortcut."""
+    dom = mono.dom
+
+    def value(e) -> int:
+        return eval_expr(e, Heap({}), interp, 0, dom.modulus)
+
+    if isinstance(rho, EmpA):
+        return frozenset({EMPTY_WORLD})
+    if isinstance(rho, (CPt, APt)):
+        loc, v = rho.loc.format_map(interp), value(rho.value)
+        conc = isinstance(rho, CPt)
+        if v not in dict(dom.cloc if conc else dom.aloc).get(loc, ()):
+            return frozenset()
+        cell = Heap({loc: v})
+        return frozenset({World(cell, Heap({}), TokenMap({})) if conc
+                          else World(Heap({}), cell, TokenMap({}))})
+    if isinstance(rho, TokA):
+        tid, ap = value(rho.tid), APCom(rho.method, value(rho.arg),
+                                        value(rho.ret))
+        if tid not in dom.thread_ids() or ap not in dom.apcoms:
+            return frozenset()
+        return frozenset({World(Heap({}), Heap({}),
+                                TokenMap({tid: Token(rho.kind, ap)}))})
+    if isinstance(rho, PureA):
+        return frozenset({EMPTY_WORLD} if value(rho.cond) else ())
+    if isinstance(rho, StarA):
+        out = {EMPTY_WORLD}
+        for part in rho.parts:
+            frags = ref_fragments(mono, part, interp)
+            out = {w for f1 in out for f2 in frags
+                   for w in (compose_worlds(f1, f2),) if w is not None}
+        return frozenset(out)
+    if isinstance(rho, OrA):
+        return frozenset().union(*(ref_fragments(mono, p, interp)
+                                   for p in rho.parts))
+    if isinstance(rho, ExistsA):
+        return frozenset().union(*(
+            ref_fragments(mono, rho.body, {**interp, rho.var: n})
+            for n in dom.values))
+    raise ModelError(f"not a box-free assertion: {rho!r}")
 
 
 def satisfies(mono, local: World, shared: World, interp, rho: VAssn) -> bool:

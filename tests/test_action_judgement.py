@@ -9,18 +9,32 @@ post.  `RgsepMonoid.check_action` must return what
 results are compared whole: `True`, or the counterexample's thread,
 primitive, frame, world, result and reason.  Views are generated over micro
 domains, and passing, faulting and unmatched judgements must all occur.
+
+A model's monoid memoizes the judgement's inputs: the primitive instances,
+the primitive runs and RGSep's post indexes.  Each judgement that
+`check-proof` makes is recomputed on its own copy of a freshly built
+monoid of a freshly loaded model, whose memos are empty, and each memoized
+instance must be the primitive substituted afresh.
 """
 
 import copy
+import json
 import random
 from collections import Counter
+
+import pytest
 
 from relviews.command_lang import (
     AbstractTable,
     GuardedUpdate,
     LVar,
     TransformerTable,
+    walk,
 )
+from relviews.fixtures import fixture_path
+from relviews.linearizability import all_instances, check_obligations
+from relviews.logic import OPrim, ProofChecker
+from relviews.model_io import attach_outlines, parse_model
 from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
 from relviews.monoid_rgsep import RgsepMonoid
 from relviews.state_model import (
@@ -31,7 +45,9 @@ from relviews.state_model import (
     enumerate_worlds,
     world_minus,
 )
+from relviews.subst import subst
 from relviews.views_core import Semantics, check_action_with_frames, lp_star
+from families import dcsl_cell, flat_combiner
 from oracles import action_over_frames, rgsep_action_by_pairs, world_leq
 from util import (
     PRIMS_1LOC,
@@ -156,3 +172,76 @@ def test_rgsep_judgement_agrees_with_reference():
             alpha, pre, q_pairs)
         kinds[_kind(got)] += 1
     assert set(kinds) == {"holds", "fault", "no match"}, kinds
+
+
+# ---------------------------------------------------------------------------
+# The memos of a model's monoid
+
+
+def _fixture(name):
+    return tuple(json.load(open(fixture_path(name, f)))
+                 for f in ("model.json", "outline.json"))
+
+
+def _proof_cases():
+    cell_outline = _fixture("dcsl-cell")[1]
+    cases = {name: _fixture(name) for name in (
+        "atomic-inc", "dcsl-cell", "dcsl-helping", "flat-combiner",
+        "flat-combiner-noaction4")}
+    for nvalues, nthreads in ((5, 1), (3, 2)):
+        cases[f"dcsl-cell-v{nvalues}-t{nthreads}"] = (
+            dcsl_cell(nvalues, nthreads), cell_outline)
+    for n in (2, 3, 4):
+        for res1 in (0, 4):
+            cases[f"flat-combiner-{n}-res1-{res1}"] = flat_combiner(n, res1)
+    return cases
+
+
+_PROOF_CASES = _proof_cases()
+
+
+def _verdict(got):
+    return True if got is True else str(got)
+
+
+@pytest.mark.parametrize("name", _PROOF_CASES)
+def test_memoized_judgements_match_a_fresh_monoid(name, monkeypatch):
+    doc, outline_doc = _PROOF_CASES[name]
+    model = parse_model(copy.deepcopy(doc))
+    attach_outlines(copy.deepcopy(outline_doc), model)
+    cls = type(model.monoid())
+    made = []
+
+    def record(self, t, alpha, p, q):
+        got = check(self, t, alpha, p, q)
+        made.append((t, alpha, p, q, _verdict(got)))
+        return got
+
+    check = cls.check_action
+    monkeypatch.setattr(cls, "check_action", record)
+    check_obligations(model)
+    monkeypatch.undo()
+    assert made
+
+    # a fresh model's monoid, built and never used: each judgement runs on
+    # a copy of it whose memos are its own
+    fresh = parse_model(copy.deepcopy(doc)).monoid()
+    assert not (fresh._runs or fresh.instances or fresh._lp_cache)
+    for t, alpha, p, q, want in made:
+        mono = copy.copy(fresh)
+        mono.__dict__.update((k, dict(v)) for k, v in vars(fresh).items()
+                             if type(v) is dict)
+        assert _verdict(mono.check_action(t, alpha, p, q)) == want, (
+            t, alpha)
+
+    # every memoized instance is the primitive substituted afresh, also
+    # for the bindings that share an entry with an earlier one
+    instances = model.monoid().instances
+    assert instances
+    for m, t, a, r in all_instances(model):
+        binding = dict(model.outline(m, t, a, r).binding)
+        checker = ProofChecker(model.assertion_env(t), binding)
+        for node in walk(model.outline_templates[m]):
+            if type(node) is OPrim:
+                assert checker._instance(node.prim) is subst(node.prim,
+                                                             binding)

@@ -263,6 +263,22 @@ def test_an_action_that_cannot_be_denoted_is_a_model_error(capsys,
                    "read the heap (location 'k')\n")
 
 
+def test_an_empty_shared_universe_names_its_document(capsys, tmp_path):
+    # deciding emptiness needs the monoid modules, which `check-lin` does
+    # not import, so it is found when the monoid is built, not at load;
+    # the error still names the document and the path in it
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc["shared_universe"] = ["star", ["macro", "kinv_any"],
+                              ["pure", ["==", 0, 1]]]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-proof", str(bad),
+                         f"{FIX}/atomic-inc/outline.json")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {bad}/shared_universe: declared shared universe "
+                   "is empty\n")
+
+
 def _pre(method, wrap):
     """Set a method's precondition family to wrap(family)."""
     def edit(doc):

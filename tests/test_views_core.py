@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from relviews.command_lang import (
     AbstractTable,
     Const,
@@ -10,6 +13,7 @@ from relviews.command_lang import (
     PrimCommand,
     Read,
     TransformerTable,
+    walk,
 )
 from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
 from relviews.state_model import (
@@ -24,6 +28,16 @@ from relviews.state_model import (
     World,
     enumerate_worlds,
 )
+from relviews.vassn import (
+    APt,
+    CPt,
+    EmpA,
+    ExistsA,
+    OrA,
+    PureA,
+    StarA,
+    TokA,
+)
 from relviews.views_core import (
     ActionCounterexample,
     ImplVerdict,
@@ -31,8 +45,9 @@ from relviews.views_core import (
     lp_star,
     lp_step,
 )
-from util import (disjoin, micro_dcsl, micro_domains, run_consequence,
-                  run_distributivity, run_locality)
+from oracles import ref_fragments
+from util import (disjoin, micro_dcsl, micro_domains, micro_semantics,
+                  run_consequence, run_distributivity, run_locality)
 
 AP = APCom("op", 0, 0)
 
@@ -222,3 +237,80 @@ def test_counterexample_replays():
     assert all(
         World(ce.sigma2, s2, d2) not in post
         for s2, d2 in lp_star(ce.world.abst, ce.world.toks, mono.sem))
+
+
+# ---------------------------------------------------------------------------
+# The box-free denotation against its reference
+
+_FRAG_DOM = micro_domains(cloc={"x": (0, 1), "y": (0, 1), "c1": (0, 1)},
+                          aloc={"X": (0, 1)}, nthreads=2, apcoms=(AP,),
+                          values=(0, 1, 2))
+_FALSE = PureA(Eq(Const(0), Const(1)))
+
+
+def _frag_value(bound):
+    return st.sampled_from([Const(0), Const(1), Const(2), LVar("t")]
+                           + [LVar(x) for x in bound])
+
+
+def _frag_leaf(bound):
+    v = _frag_value(bound)
+    return st.one_of(
+        st.just(EmpA()),
+        st.builds(CPt, st.sampled_from(("x", "y", "c{t}")), v),
+        st.builds(APt, st.sampled_from(("X", "Z")), v),
+        st.builds(lambda kind, tid, arg: TokA(kind, tid, "op", arg,
+                                               Const(0)),
+                  st.sampled_from((TODO, DONE)), v, v),
+        st.builds(lambda a, b: PureA(Eq(a, b)), v, v),
+    )
+
+
+def _frag_assertion(bound=(), depth=2):
+    if depth == 0:
+        return _frag_leaf(bound)
+    sub = _frag_assertion(bound, depth - 1)
+    var = "uv"[len(bound)] if len(bound) < 2 else None
+    return st.one_of(
+        _frag_leaf(bound),
+        # stars of no part, one part and more, some led by a part that
+        # denotes nothing
+        st.builds(lambda ps: StarA(tuple(ps)), st.lists(sub, max_size=3)),
+        st.lists(sub, max_size=2).map(lambda ps: StarA((_FALSE, *ps))),
+        st.builds(lambda ps: OrA(tuple(ps)), st.lists(sub, min_size=1,
+                                                       max_size=2)),
+        *(() if var is None else (
+            _frag_assertion(bound + (var,), depth - 1).map(
+                lambda b: ExistsA(var, b)),)),
+    )
+
+
+def _stars(rho):
+    """The kinds of star in an assertion: by number of parts, and led by
+    a part that denotes nothing."""
+    return {"first empty" if n.parts[:1] == (_FALSE,)
+            else min(len(n.parts), 2)
+            for n in walk(rho) if isinstance(n, StarA)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_frag_assertion(), st.sampled_from((1, 2)))
+def test_fragments_match_the_reference_denotation(rho, t):
+    mono = DcslMonoid(_FRAG_DOM, micro_semantics(_FRAG_DOM))
+    assert mono.fragments(rho, {"t": t}) == ref_fragments(mono, rho,
+                                                          {"t": t})
+
+
+def test_generated_box_free_assertions_reach_every_kind_of_star():
+    mono = DcslMonoid(_FRAG_DOM, micro_semantics(_FRAG_DOM))
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_frag_assertion())
+    def collect(rho):
+        seen.update(_stars(rho))
+        seen.add("nonempty" if ref_fragments(mono, rho, {"t": 1})
+                 else "empty")
+
+    collect()
+    assert seen == {0, 1, 2, "first empty", "nonempty", "empty"}, seen
