@@ -24,7 +24,6 @@ from .command_lang import (
     PrimCommand,
     Skip,
     TransformerTable,
-    command_prims,
     state_step,
 )
 from .errors import (
@@ -45,13 +44,45 @@ from .state_model import (
     TokenMap,
     World,
 )
-from .subst import subst
+from .subst import Binding, subst, subst_names
 from .vassn import VAssn
 
 Event = Tuple[int, str, str, int]  # (thread, "call"|"ret", method, value)
 History = Tuple[Event, ...]
 
 IDLE = None
+
+
+class Semantics:
+    """A model's primitive semantics: its transformer tables and modulus.
+    Every check of the model runs and instantiates its primitives here,
+    each once: a run depends on (primitive, thread, heap) alone, and an
+    instance on the primitive and the binding's values for the names
+    `subst` reads."""
+
+    def __init__(self, ctable: TransformerTable, atable: AbstractTable,
+                 modulus: int):
+        self.ctable = ctable
+        self.atable = atable
+        self.modulus = modulus
+        self._runs: Dict = {}
+        self._instances: Dict = {}
+
+    def run(self, alpha: PrimCommand, t: int, heap: Heap) -> tuple:
+        """The results of primitive alpha run by thread t on heap."""
+        out = self._runs.get((alpha, t, heap))
+        if out is None:
+            out = self._runs[alpha, t, heap] = self.ctable.apply(
+                alpha, t, heap, self.modulus)
+        return out
+
+    def instance(self, prim: PrimCommand, binding: Binding) -> PrimCommand:
+        """The primitive under the binding."""
+        key = (prim, tuple(map(binding.get, subst_names(prim))))
+        alpha = self._instances.get(key)
+        if alpha is None:
+            alpha = self._instances[key] = subst(prim, binding)
+        return alpha
 
 
 @dataclass
@@ -62,8 +93,7 @@ class LibraryModel:
     name: str
     monoid_kind: str  # "dcsl" | "rgsep"
     dom: Domains
-    ctable: TransformerTable
-    atable: AbstractTable
+    sem: Semantics
     init_conc: Heap
     init_abst: Heap
     method_args: Dict[str, Tuple[int, ...]]
@@ -94,15 +124,14 @@ class LibraryModel:
         if self._monoid is None:
             from .monoid_dcsl import DcslMonoid
             from .monoid_rgsep import RgsepMonoid
-            from .views_core import Semantics, ViewMonoid
+            from .views_core import ViewMonoid
 
-            sem = Semantics(self.ctable, self.atable, self.dom.modulus)
             if self.monoid_kind == "dcsl":
-                self._monoid = DcslMonoid(self.dom, sem)
+                self._monoid = DcslMonoid(self.dom, self.sem)
             else:
                 universe = None
                 if self.shared_universe_assn is not None:
-                    universe = ViewMonoid(self.dom, sem).fragments(
+                    universe = ViewMonoid(self.dom, self.sem).fragments(
                         self.shared_universe_assn, {})
                     if not universe:
                         raise ModelError(f"{self.path}/shared_universe: "
@@ -110,7 +139,7 @@ class LibraryModel:
                     if len(universe) > self.dom.cap:
                         raise UniverseTooLarge(len(universe), self.dom.cap)
                 self._monoid = RgsepMonoid(
-                    self.dom, sem, universe, self.actions,
+                    self.dom, self.sem, universe, self.actions,
                     self.guarantee_names, self.rely_extra_names)
         return self._monoid
 
@@ -179,12 +208,13 @@ class _Library:
     Slots are interned to small ints, `IDLE` as slot 0, and a
     configuration is the interned flat tuple (heap, slot id of thread 1,
     ..., slot id of thread N); a heap is hash-consed, so it is its own
-    identity.  A command steps once per (thread, command, heap), a
-    primitive runs once per (primitive, thread, heap) and a primitive that
-    reads `r` is instantiated once per value; `local` and `successors`
-    tabulate once per key.  A call or return's move is its event; a
-    silent step's move is (thread, primitive) and its event None.
-    `dom.cap` bounds the configurations tabulated.
+    identity.  A command steps once per (thread, command, heap); the
+    model's `Semantics` runs a primitive once per (primitive, thread,
+    heap), and instantiates one that reads `r` at a value only when a step
+    of it fires at that value.  `local` and `successors` tabulate once per
+    key.  A call or return's move is its event; a silent step's move is
+    (thread, primitive) and its event None.  `dom.cap` bounds the
+    configurations tabulated.
     """
 
     def __init__(self, model: LibraryModel, concrete: bool):
@@ -192,8 +222,6 @@ class _Library:
         self.concrete = concrete
         self.slots: List = [IDLE]  # slot id -> slot
         self._slot_ids: Dict = {IDLE: 0}
-        # primitive -> {value: instance} if it reads r, else None
-        self._instances: Dict[PrimCommand, Optional[dict]] = {}
         # (method, arg, started slot id) per call
         self.calls = tuple(
             (m, a, _index(self._slot_ids, self.slots, (m, members)))
@@ -201,8 +229,6 @@ class _Library:
             for a, members in zip(model.method_args[m], self._starts(m)))
         # (thread, command, heap) -> ((primitive, command', heaps'), ...)
         self._steps: Dict[Tuple[int, Command, Heap], tuple] = {}
-        # (primitive, thread, heap) -> heaps'
-        self._runs: Dict[Tuple[PrimCommand, int, Heap], tuple] = {}
         # (thread, slot id, heap) -> ((move, event, slot id, heap), ...)
         self._locals: Dict[Tuple[int, int, Heap], tuple] = {}
         self.ids: Dict[tuple, int] = {}
@@ -221,21 +247,7 @@ class _Library:
                     for a in model.method_args[m]]
         bodies = [subst(model.body_templates[m], {"a": a})
                   for a in model.method_args[m]]
-        inst = self._instances
-        for p in frozenset().union(*map(command_prims, bodies)) - inst.keys():
-            first = subst(p, {"r": values[0]})
-            inst[p] = None if first is p else {
-                values[0]: first,
-                **{v: subst(p, {"r": v}) for v in values[1:]}}
         return [frozenset((body, v) for v in values) for body in bodies]
-
-    def _run(self, alpha: PrimCommand, t: int, heap: Heap) -> tuple:
-        """The heaps' of primitive alpha run by thread t at heap."""
-        heaps = self._runs.get((alpha, t, heap))
-        if heaps is None:
-            heaps = self._runs[alpha, t, heap] = self.model.ctable.apply(
-                alpha, t, heap, self.model.dom.modulus)
-        return heaps
 
     def _step(self, t: int, cmd, heap: Heap) -> tuple:
         """The steps of cmd by thread t at heap as (primitive, command',
@@ -243,13 +255,14 @@ class _Library:
         primitive reads `r`."""
         steps = self._steps.get((t, cmd, heap))
         if steps is None:
+            sem = self.model.sem
             if self.concrete:
-                inst = self._instances
-                steps = state_step(cmd, lambda alpha: None if inst.get(alpha)
-                                   else self._run(alpha, t, heap))
+                steps = state_step(cmd, lambda alpha: None
+                                   if "r" in subst_names(alpha)
+                                   else sem.run(alpha, t, heap))
             else:
-                steps = ((cmd, SKIP, self.model.atable.apply(
-                    *cmd, t, heap, self.model.dom.modulus)),)
+                steps = ((cmd, SKIP, sem.atable.apply(*cmd, t, heap,
+                                                      sem.modulus)),)
             self._steps[t, cmd, heap] = steps
         return steps
 
@@ -276,8 +289,8 @@ class _Library:
                     continue
                 for alpha, cmd2, heaps2 in self._step(t, cmd, heap):
                     if heaps2 is None:
-                        alpha = self._instances[alpha][v]
-                        heaps2 = self._run(alpha, t, heap)
+                        alpha = self.model.sem.instance(alpha, {"r": v})
+                        heaps2 = self.model.sem.run(alpha, t, heap)
                     for heap2 in heaps2:
                         groups.setdefault((alpha, heap2), []).append(
                             (cmd2, v))
@@ -627,7 +640,7 @@ def instance_obligations(model: LibraryModel,
                          ) -> List[ObligationItem]:
     """The obligations of one command instance (method, thread, argument,
     expected return): its outline (1) and the tokens pinned in its pre and
-    postcondition (2)."""
+    postcondition (2), in every world each reifies to."""
     m, t, a, r = inst
     mon = model.monoid()
     subject = f"{m}(a={a},r={r}) in thread {t}"
@@ -645,12 +658,12 @@ def instance_obligations(model: LibraryModel,
             "(2) todo pinned", subject, False,
             f"assertion family not evaluable: {exc}"))
         return items
-    bad_pre = [w for w in mon.reified_token_worlds(pre)
+    bad_pre = [w for w in mon.reify(pre)
                if w.toks.get(t) != Token(TODO, ap)]
     items.append(ObligationItem(
         "(2) todo pinned", subject, not bad_pre,
         f"{len(bad_pre)} precondition worlds lack todo({ap!r})"))
-    bad_post = [w for w in mon.reified_token_worlds(post)
+    bad_post = [w for w in mon.reify(post)
                 if w.toks.get(t) != Token(DONE, ap)]
     items.append(ObligationItem(
         "(2) done pinned", subject, not bad_post,
@@ -664,13 +677,8 @@ def check_obligations(model: LibraryModel) -> ObligationReport:
     token-swap correspondence, and coverage of the initial states by the
     composed preconditions."""
     mon = model.monoid()
-    methods = model.methods()
-    missing = [m for m in methods if m not in model.atable.methods]
-    items = [ObligationItem("dom(concrete)=dom(abstract)", "library",
-                            not missing, f"abstract methods missing: {missing}")]
-
-    for inst in all_instances(model):
-        items.extend(instance_obligations(model, inst))
+    items = [item for inst in all_instances(model)
+             for item in instance_obligations(model, inst)]
 
     # (3): across every pair of command instances, post and pre states agree
     # up to the thread's token.

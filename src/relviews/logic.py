@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from .command_lang import PrimCommand, tree_node
 from .errors import ModelError, StabilityViolation
-from .subst import subst, subst_names
 from .vassn import VAssn, free_lvars, memo_key
 
 if TYPE_CHECKING:  # the monoids load only when a model builds one
@@ -184,21 +183,13 @@ class ProofChecker:
             interp = dict(zip(names, combo))
             yield interp, {**interp, **self.binding}
 
-    def _instance(self, prim: PrimCommand) -> PrimCommand:
-        """The primitive under the instance's binding, from the monoid's
-        memo keyed on the binding's values for the names `subst` reads."""
-        key = (prim, tuple(map(self.binding.get, subst_names(prim))))
-        alpha = self.monoid.instances.get(key)
-        if alpha is None:
-            alpha = self.monoid.instances[key] = subst(prim, self.binding)
-        return alpha
-
     def _prim(self, node, pre, post, t, path):
         """The action judgement of the instantiated primitive under each
         interpretation.  The instance and the primitive's runs come from
-        the monoid's memos and the views from the thread's env, so each is
-        built once per model, whatever instance asks for it first."""
-        alpha = self._instance(node.prim)
+        the model's `Semantics` and the views from the thread's env, so
+        each is built once per model, whatever instance asks for it
+        first."""
+        alpha = self.monoid.sem.instance(node.prim, self.binding)
         for interp, full in self._interps(pre, post):
             try:
                 p = self.env.eval(pre, full)

@@ -47,7 +47,7 @@ from .command_lang import (
     walk,
 )
 from .errors import ModelError
-from .linearizability import LibraryModel
+from .linearizability import LibraryModel, Semantics
 from .logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
 from .state_model import APCom, Domains, Heap
 from .vassn import (
@@ -658,8 +658,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         name=name,
         monoid_kind=monoid_kind,
         dom=dom,
-        ctable=ctable,
-        atable=atable,
+        sem=Semantics(ctable, atable, dom.modulus),
         init_conc=init_conc,
         init_abst=init_abst,
         method_args=method_args,

@@ -100,9 +100,6 @@ class DcslMonoid(ViewMonoid):
     def eval_vassn(self, rho, interp, t: int):
         return self.fragments(rho, interp)  # the same view in every thread
 
-    def reified_token_worlds(self, p):
-        return p
-
     def strip_token_set(self, p, t: int) -> frozenset:
         """The worlds with thread t's token erased (token-swap check)."""
         return frozenset(World(w.conc, w.abst, w.toks.remove(t)) for w in p)

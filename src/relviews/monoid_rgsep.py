@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import itemgetter, or_
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator,
+                    Optional, Tuple)
 
 from .command_lang import PrimCommand
 from .errors import StabilityViolation
@@ -46,12 +47,14 @@ from .vassn import (
 )
 from .views_core import (
     ImplVerdict,
-    Semantics,
     ViewMonoid,
     check_action_with_frames,  # not called here; perfbench/tracer.py wraps it
     judge_action,
     post_index,
 )
+
+if TYPE_CHECKING:
+    from .linearizability import Semantics
 
 Rel = FrozenSet[Tuple[World, World]]
 # A view: classes, each a non-empty set of local fragments and the int mask
@@ -123,13 +126,8 @@ class RgsepMonoid(ViewMonoid):
         return _meet(_compose_sets, p, q)
 
     def reify(self, p):
-        """The worlds of the predicate's pairs, not memoized: the initial
-        coverage search reifies each composed, cut prefix once."""
-        universe = self.universe
-        return frozenset(w for ls, m in p for i in _bits(m)
-                         for l in ls
-                         for w in (compose_worlds(l, universe[i]),)
-                         if w is not None)
+        """The worlds of the predicate's pairs, from `_composed`."""
+        return frozenset(w for _l, _s, w in self._composed(p))
 
     def restrict(self, p, keep, cells):
         """p cut column by column: a shared state s keeps the locals l whose
@@ -372,10 +370,6 @@ class RgsepMonoid(ViewMonoid):
         return ImplVerdict.NOT_ESTABLISHED
 
     # -- obligation helpers
-
-    def reified_token_worlds(self, p: Classes):
-        for _l, _s, world in self._composed(p):
-            yield world
 
     def strip_token_set(self, p: Classes, t: int) -> frozenset:
         """Predicate pairs with thread t's token erased (keeping its side),

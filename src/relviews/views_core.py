@@ -24,14 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable
+from typing import TYPE_CHECKING, Dict, Iterable
 
-from .command_lang import (
-    AbstractTable,
-    PrimCommand,
-    TransformerTable,
-    eval_expr,
-)
+from .command_lang import PrimCommand, eval_expr
 from .errors import ModelError
 from .state_model import (
     DONE,
@@ -61,14 +56,8 @@ from .vassn import (
     memo_key,
 )
 
-
-@dataclass(frozen=True)
-class Semantics:
-    """Bundles the transformer tables and the arithmetic modulus."""
-
-    ctable: TransformerTable
-    atable: AbstractTable
-    modulus: int
+if TYPE_CHECKING:
+    from .linearizability import Semantics
 
 
 def lp_step(sigma_a: Heap, toks: TokenMap, sem: Semantics) -> frozenset:
@@ -142,8 +131,6 @@ class ViewMonoid:
         self.sem = sem
         self._frag_cache: Dict = {}
         self._lp_cache: Dict = {}
-        self._runs: Dict = {}  # see `run`
-        self.instances: Dict = {}  # see `logic.ProofChecker._instance`
         self._locdoms = {CPt: dict(dom.cloc), APt: dict(dom.aloc)}
         self._apcoms = frozenset(dom.apcoms)
 
@@ -159,9 +146,6 @@ class ViewMonoid:
         the concrete and the abstract (location, value) items that a world
         satisfying keep may hold; keep fails every world holding another,
         and a monoid may use that to call keep less often."""
-        raise NotImplementedError
-
-    def reified_token_worlds(self, p):
         raise NotImplementedError
 
     def strip_token_set(self, p, t: int) -> frozenset:
@@ -183,15 +167,6 @@ class ViewMonoid:
         out = self._lp_cache.get(key)
         if out is None:
             out = self._lp_cache[key] = lp_star(sigma_a, toks, self.sem)
-        return out
-
-    def run(self, alpha: PrimCommand, t: int, sigma: Heap) -> tuple:
-        """The results of primitive alpha run by thread t on the heap
-        sigma; memoized, as a run depends on (alpha, t, sigma) alone."""
-        out = self._runs.get((alpha, t, sigma))
-        if out is None:
-            out = self._runs[alpha, t, sigma] = self.sem.ctable.apply(
-                alpha, t, sigma, self.sem.modulus)
         return out
 
     def fragments(self, rho: VAssn, interp: Dict[str, int]) -> frozenset:
@@ -265,14 +240,14 @@ def judge_action(monoid: ViewMonoid, t: int, alpha: PrimCommand, frame,
     """The action judgement's loop, for every monoid.  `pre` holds
     (shared, world) pairs in report order, and `post` is the `post_index`
     of the post's pairs.  Each primitive step from a pre-world, taken from
-    the monoid's memo of runs, must fault nowhere and reach, by
+    the model's `Semantics.run`, must fault nowhere and reach, by
     linearization steps, a post world with its result whose shared change
     is none or in `guar`.  Returns True or the first counterexample, under
     `frame`."""
     for shared, world in pre:
         sigma, sigma_a, toks = world
         lp_set = None
-        for sigma2 in monoid.run(alpha, t, sigma):
+        for sigma2 in monoid.sem.run(alpha, t, sigma):
             if sigma2 is FAULT:
                 return ActionCounterexample(
                     t, alpha, frame, world, FAULT, "fault reachable")

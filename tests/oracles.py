@@ -557,13 +557,13 @@ def history_depths(model, bound: int, side: str) -> dict:
                 move(None, sigma, (t, "ret", m, r))
             elif concrete:
                 for alpha, run2 in step(run):
-                    for sigma2 in model.ctable.apply(alpha, t, sigma,
+                    for sigma2 in model.sem.ctable.apply(alpha, t, sigma,
                                                      modulus):
                         if sigma2 is FAULT:
                             raise FaultReachable(f"thread {t} faults")
                         move((m, a, r, run2), sigma2)
             else:
-                spec = model.atable.methods[m]
+                spec = model.sem.atable.methods[m]
                 for sigma2 in apply_guarded(spec, {"a": a, "r": r}, t, sigma,
                                             modulus):
                     if sigma2 is not FAULT:
@@ -646,11 +646,12 @@ class _HistoryGen:
         if hit is None:
             model = self.model
             if concrete:
-                hit = tuple(heap_steps(cmd, heap, t, model.ctable,
+                hit = tuple(heap_steps(cmd, heap, t, model.sem.ctable,
                                        model.dom.modulus))
             else:
-                hit = tuple((cmd, SKIP, heap2) for heap2 in model.atable.apply(
-                    *cmd, t, heap, model.dom.modulus))
+                hit = tuple((cmd, SKIP, heap2)
+                            for heap2 in model.sem.atable.apply(
+                                *cmd, t, heap, model.dom.modulus))
             self._steps[key] = hit
         return hit
 
@@ -747,11 +748,11 @@ class PerValueLibrary(_Library):
     def _step(self, t, cmd, heap):
         steps = self._steps.get((t, cmd, heap))
         if steps is None:
-            model = self.model
-            mod = model.dom.modulus
+            sem = self.model.sem
+            mod = sem.modulus
             steps = self._steps[t, cmd, heap] = tuple(
-                heap_steps(cmd, heap, t, model.ctable, mod) if self.concrete
-                else ((cmd, SKIP, h) for h in model.atable.apply(
+                heap_steps(cmd, heap, t, sem.ctable, mod) if self.concrete
+                else ((cmd, SKIP, h) for h in sem.atable.apply(
                     *cmd, t, heap, mod)))
         return steps
 

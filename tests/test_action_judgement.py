@@ -10,11 +10,15 @@ results are compared whole: `True`, or the counterexample's thread,
 primitive, frame, world, result and reason.  Views are generated over micro
 domains, and passing, faulting and unmatched judgements must all occur.
 
-A model's monoid memoizes the judgement's inputs: the primitive instances,
-the primitive runs and RGSep's post indexes.  Each judgement that
-`check-proof` makes is recomputed on its own copy of a freshly built
-monoid of a freshly loaded model, whose memos are empty, and each memoized
-instance must be the primitive substituted afresh.
+A model memoizes the judgement's inputs: its `Semantics` the primitive
+instances and runs, and its monoid RGSep's post indexes.  Each judgement
+that `check-proof` makes is recomputed on its own copy of a freshly built
+monoid of a freshly loaded model, and of that model's `Semantics`, whose
+memos are empty, and each memoized instance must be the primitive
+substituted afresh.  `check-lin` and `check-proof` share the `Semantics`:
+run on one model in either order, each reports what it reports on a
+freshly loaded model, and every run and instance either memoizes is
+computed afresh.
 """
 
 import copy
@@ -32,8 +36,13 @@ from relviews.command_lang import (
     walk,
 )
 from relviews.fixtures import fixture_path
-from relviews.linearizability import all_instances, check_obligations
-from relviews.logic import OPrim, ProofChecker
+from relviews.linearizability import (
+    Semantics,
+    all_instances,
+    check_linearizable,
+    check_obligations,
+)
+from relviews.logic import OPrim
 from relviews.model_io import attach_outlines, parse_model
 from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
 from relviews.monoid_rgsep import RgsepMonoid
@@ -45,8 +54,8 @@ from relviews.state_model import (
     enumerate_worlds,
     world_minus,
 )
-from relviews.subst import subst
-from relviews.views_core import Semantics, check_action_with_frames, lp_star
+from relviews.subst import subst, subst_names
+from relviews.views_core import check_action_with_frames, lp_star
 from families import dcsl_cell, flat_combiner
 from oracles import action_over_frames, rgsep_action_by_pairs, world_leq
 from util import (
@@ -204,6 +213,14 @@ def _verdict(got):
     return True if got is True else str(got)
 
 
+def _with_own_memos(obj):
+    """A shallow copy of obj whose dict attributes are copies."""
+    out = copy.copy(obj)
+    out.__dict__.update((k, dict(v)) for k, v in vars(obj).items()
+                        if type(v) is dict)
+    return out
+
+
 @pytest.mark.parametrize("name", _PROOF_CASES)
 def test_memoized_judgements_match_a_fresh_monoid(name, monkeypatch):
     doc, outline_doc = _PROOF_CASES[name]
@@ -224,24 +241,54 @@ def test_memoized_judgements_match_a_fresh_monoid(name, monkeypatch):
     assert made
 
     # a fresh model's monoid, built and never used: each judgement runs on
-    # a copy of it whose memos are its own
+    # a copy of it and of its `Semantics` whose memos are their own
     fresh = parse_model(copy.deepcopy(doc)).monoid()
-    assert not (fresh._runs or fresh.instances or fresh._lp_cache)
+    assert not (fresh.sem._runs or fresh.sem._instances or fresh._lp_cache)
     for t, alpha, p, q, want in made:
-        mono = copy.copy(fresh)
-        mono.__dict__.update((k, dict(v)) for k, v in vars(fresh).items()
-                             if type(v) is dict)
+        mono = _with_own_memos(fresh)
+        mono.sem = _with_own_memos(fresh.sem)
         assert _verdict(mono.check_action(t, alpha, p, q)) == want, (
             t, alpha)
 
     # every memoized instance is the primitive substituted afresh, also
     # for the bindings that share an entry with an earlier one
-    instances = model.monoid().instances
-    assert instances
+    assert model.sem._instances
     for m, t, a, r in all_instances(model):
         binding = dict(model.outline(m, t, a, r).binding)
-        checker = ProofChecker(model.assertion_env(t), binding)
         for node in walk(model.outline_templates[m]):
             if type(node) is OPrim:
-                assert checker._instance(node.prim) is subst(node.prim,
-                                                             binding)
+                assert model.sem.instance(node.prim, binding) is subst(
+                    node.prim, binding)
+
+
+_SHARED_CASES = {name: _PROOF_CASES[name] for name in (
+    "atomic-inc", "dcsl-cell", "dcsl-helping", "flat-combiner",
+    "flat-combiner-noaction4", "flat-combiner-3-res1-0")}
+
+
+@pytest.mark.parametrize("name", _SHARED_CASES)
+def test_both_checkers_share_one_semantics(name):
+    doc, outline_doc = _SHARED_CASES[name]
+
+    def load():
+        model = parse_model(copy.deepcopy(doc))
+        attach_outlines(copy.deepcopy(outline_doc), model)
+        return model
+
+    lin, obligations = check_linearizable(load(), 10), check_obligations(
+        load())
+    lin_first, proof_first = load(), load()
+    assert check_linearizable(lin_first, 10) == lin
+    assert check_obligations(lin_first) == obligations
+    assert check_obligations(proof_first) == obligations
+    assert check_linearizable(proof_first, 10) == lin
+
+    for model in (lin_first, proof_first):
+        sem = model.sem
+        assert sem._runs and sem._instances
+        for (alpha, t, heap), heaps in sem._runs.items():
+            assert heaps == sem.ctable.apply(alpha, t, heap, sem.modulus)
+        for (prim, values), alpha in sem._instances.items():
+            binding = {n: v for n, v in zip(subst_names(prim), values)
+                       if v is not None}
+            assert alpha is subst(prim, binding), (prim, values)

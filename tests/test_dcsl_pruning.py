@@ -27,9 +27,10 @@ from relviews.command_lang import (
     Read,
     TransformerTable,
 )
+from relviews.linearizability import Semantics
 from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
 from relviews.state_model import FAULT, APCom, enumerate_worlds
-from relviews.views_core import ActionCounterexample, Semantics
+from relviews.views_core import ActionCounterexample
 from oracles import action_over_frames, locality_witness, singleton_frames
 from util import PRIMS_1LOC, micro_domains, sample_view, strongest_post
 

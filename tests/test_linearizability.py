@@ -185,7 +185,8 @@ def test_mutated_final_token_rejected():
 def _drive_until(cmd, sigma, t, model, stop_prim):
     """Follow the unique transition chain until the named primitive fires."""
     while True:
-        steps = heap_steps(cmd, sigma, t, model.ctable, model.dom.modulus)
+        steps = heap_steps(cmd, sigma, t, model.sem.ctable,
+                           model.dom.modulus)
         assert len(steps) == 1, "prefix is not deterministic"
         ((alpha, cmd, sigma),) = steps
         if alpha.name == stop_prim:
@@ -207,7 +208,7 @@ def _complete(cmd, sigma, t, model, avoid=()):
         if (c, s) in seen:
             continue
         seen.add((c, s))
-        for alpha, c2, s2 in heap_steps(c, s, t, model.ctable,
+        for alpha, c2, s2 in heap_steps(c, s, t, model.sem.ctable,
                                         model.dom.modulus):
             if alpha.name in avoid or not isinstance(s2, Heap):
                 continue
@@ -317,10 +318,10 @@ def test_the_locality_oracle_catches_a_table_that_reads_its_frame():
     doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
     doc["domains"]["locations"]["spare"] = [0, 1]
     model = parse_model(doc)
-    model.ctable = _LeakyTable(model.ctable.custom)
+    leaky = _LeakyTable(model.sem.ctable.custom)
     # inc_atomic(1, 0) is enabled only at k = 3
     alpha = PrimCommand("inc_atomic", (Const(1), Const(0)))
-    assert locality_witness(model.ctable, model.dom, alpha, 1) == \
+    assert locality_witness(leaky, model.dom, alpha, 1) == \
         (Heap({"k": 3}), Heap({"spare": 1}))
 
 
@@ -340,7 +341,8 @@ def test_every_fixture_primitive_is_local(fx):
     pairs = _thread_prims(model)
     assert pairs
     for alpha, t in pairs:
-        assert locality_witness(model.ctable, model.dom, alpha, t) is None
+        assert locality_witness(
+            model.sem.ctable, model.dom, alpha, t) is None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -349,4 +351,5 @@ def test_every_generated_primitive_is_local(doc):
     doc["domains"]["locations"]["spare"] = [0, 1]
     model = parse_model(doc)
     for alpha, t in _thread_prims(model):
-        assert locality_witness(model.ctable, model.dom, alpha, t) is None
+        assert locality_witness(
+            model.sem.ctable, model.dom, alpha, t) is None

@@ -105,7 +105,8 @@ def _check_model(model):
         for node in walk(outline):
             if isinstance(node, OPrim):
                 _check_prim(node.prim, bindings)
-    specs = [*model.ctable.custom.values(), *model.atable.methods.values()]
+    specs = [*model.sem.ctable.custom.values(),
+             *model.sem.atable.methods.values()]
     assert specs
     for spec in specs:
         exprs = [e for _, e in spec.updates]

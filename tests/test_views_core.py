@@ -15,6 +15,7 @@ from relviews.command_lang import (
     TransformerTable,
     walk,
 )
+from relviews.linearizability import Semantics
 from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
 from relviews.state_model import (
     APCom,
@@ -41,7 +42,6 @@ from relviews.vassn import (
 from relviews.views_core import (
     ActionCounterexample,
     ImplVerdict,
-    Semantics,
     lp_star,
     lp_step,
 )

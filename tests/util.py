@@ -25,10 +25,10 @@ from relviews.command_lang import (
     TransformerTable,
 )
 from relviews.fixtures import FIXTURE_ROOT
+from relviews.linearizability import Semantics
 from relviews.model_io import DEFAULT_CAP
 from relviews.monoid_dcsl import DcslMonoid
 from relviews.state_model import EMPTY_WORLD, APCom, Domains, enumerate_worlds
-from relviews.views_core import Semantics
 
 
 @dataclass(frozen=True)
