@@ -55,10 +55,11 @@ IDLE = None
 
 class Semantics:
     """A model's primitive semantics: its transformer tables and modulus.
-    Every check of the model runs and instantiates its primitives here,
-    each once: a run depends on (primitive, thread, heap) alone, and an
-    instance on the primitive and the binding's values for the names
-    `subst` reads."""
+    Every check of the model runs its concrete primitives and abstract
+    commands and instantiates its primitives here, each once: a run
+    depends on (primitive or `APCom`, thread, heap) alone, and an instance
+    on the primitive and the binding's values for the names `subst`
+    reads."""
 
     def __init__(self, ctable: TransformerTable, atable: AbstractTable,
                  modulus: int):
@@ -68,12 +69,15 @@ class Semantics:
         self._runs: Dict = {}
         self._instances: Dict = {}
 
-    def run(self, alpha: PrimCommand, t: int, heap: Heap) -> tuple:
-        """The results of primitive alpha run by thread t on heap."""
+    def run(self, alpha, t: int, heap: Heap) -> tuple:
+        """The results of alpha, a primitive or an abstract command, run by
+        thread t on heap."""
         out = self._runs.get((alpha, t, heap))
         if out is None:
-            out = self._runs[alpha, t, heap] = self.ctable.apply(
-                alpha, t, heap, self.modulus)
+            out = self._runs[alpha, t, heap] = (
+                self.atable.apply(*alpha, t, heap, self.modulus)
+                if type(alpha) is APCom
+                else self.ctable.apply(alpha, t, heap, self.modulus))
         return out
 
     def instance(self, prim: PrimCommand, binding: Binding) -> PrimCommand:
@@ -209,10 +213,10 @@ class _Library:
     configuration is the interned flat tuple (heap, slot id of thread 1,
     ..., slot id of thread N); a heap is hash-consed, so it is its own
     identity.  A command steps once per (thread, command, heap); the
-    model's `Semantics` runs a primitive once per (primitive, thread,
-    heap), and instantiates one that reads `r` at a value only when a step
-    of it fires at that value.  `local` and `successors` tabulate once per
-    key.  A call or return's move is its event; a silent step's move is
+    model's `Semantics` runs a primitive or abstract command once per
+    (command, thread, heap), and instantiates a primitive that reads `r`
+    at a value only when a step of it fires at that value.  `local` and
+    `successors` tabulate once per key.  A call or return's move is its event; a silent step's move is
     (thread, primitive) and its event None.  `dom.cap` bounds the
     configurations tabulated.
     """
@@ -261,8 +265,7 @@ class _Library:
                                    if "r" in subst_names(alpha)
                                    else sem.run(alpha, t, heap))
             else:
-                steps = ((cmd, SKIP, sem.atable.apply(*cmd, t, heap,
-                                                      sem.modulus)),)
+                steps = ((cmd, SKIP, sem.run(cmd, t, heap)),)
             self._steps[t, cmd, heap] = steps
         return steps
 

@@ -16,19 +16,21 @@ decides it exactly:
 - Write a singleton frame as f = f_c + f_at, where f_c holds f's concrete
   cells and f_at its abstract cells and tokens.  The primitive reads only
   the concrete heap, so the pre-worlds under f step exactly as they do
-  under f_c.  `AbstractTable.apply` runs guarded updates, which block when
-  a cell they read or write is missing and write only cells that are
-  present, and `lp_step` fires each todo on its own thread's command
-  without reading any other token.  So every linearization run under f_c
-  is also a run under f that leaves f_at untouched, and its post-world
-  composes with f_at: if f fails, f_c fails too.
+  under f_c.  A linearization step runs a guarded update, which blocks
+  when a cell it reads or writes is missing and writes only cells that
+  are present, and fires one todo on its own thread's command without
+  reading any other token.  So steps that lead from (a, d) to (a2, d2)
+  lead from (a, d) + f_at to (a2, d2) + f_at, and `linearizes`, which
+  decides exactly where steps lead, accepts the framed post-world under f
+  wherever it accepts the post-world under f_c: if f fails, f_c fails.
 - Take f_c = (sigma_f, {}, {}), composable with a pre-world
   w = (sigma, a, d), and suppose the unit passes.  Then the primitive does
   not fault on sigma, so by locality it runs on sigma + sigma_f to exactly
-  {sigma2 + sigma_f : sigma2 a result on sigma}.  `lp_star` is unchanged,
-  since f_c holds no abstract cell and no token.  The unit's matching
-  post-world (sigma2, a2, d2) in q composes with f_c, because sigma2 has
-  the locations of sigma, which are disjoint from sigma_f.  So f_c passes.
+  {sigma2 + sigma_f : sigma2 a result on sigma}.  Where steps lead is
+  unchanged, as f_c holds no abstract cell and no token.  The unit's
+  matching post-world (sigma2, a2, d2) in q composes with f_c, because
+  sigma2 has the locations of sigma, which are disjoint from sigma_f.  So
+  f_c passes.
 
 So when the unit passes, every frame does; when it fails, its
 counterexample is the one the unit plus every singleton gives, since the

@@ -165,9 +165,6 @@ class TokenMap(_FrozenMap):
     def remove(self, tid: int) -> "TokenMap":
         return self._without((tid,))
 
-    def todos(self) -> Tuple[Tuple[int, APCom], ...]:
-        return tuple((t, tok.apcom) for t, tok in self._key if tok.kind == TODO)
-
 
 EMPTY_TOKENS = TokenMap()
 

@@ -4,8 +4,9 @@ A view monoid supplies composition, reification, the view of an
 assertion in thread t's context (`eval_vassn(rho, interp, t)`), the action
 judgement and the repartitioning implication; this module implements what
 is common to all monoids: the denotation of box-free view assertions as
-world-fragment sets, the linearization-point relation on (abstract state,
-tokens) pairs, and the one loop of the action judgement, `judge_action`:
+world-fragment sets, the test that linearization steps lead from one
+(abstract state, tokens) pair to another, and the one loop of the action
+judgement, `judge_action`:
 RGSep runs it on (shared, world) pairs with its guarantee, and
 `check_action_with_frames` under each given frame with no shared part.
 
@@ -34,6 +35,7 @@ from .state_model import (
     EMPTY_TOKENS,
     EMPTY_WORLD,
     FAULT,
+    TODO,
     APCom,
     Domains,
     Heap,
@@ -60,29 +62,32 @@ if TYPE_CHECKING:
     from .linearizability import Semantics
 
 
-def lp_step(sigma_a: Heap, toks: TokenMap, sem: Semantics) -> frozenset:
-    """One linearization step: fire any pending todo token whose abstract
-    command can run, flipping it to done."""
-    out = set()
-    for tid, ap in toks.todos():
-        for sigma2 in sem.atable.apply(ap.method, ap.arg, ap.ret, tid,
-                                       sigma_a, sem.modulus):
-            out.add((sigma2, toks.set(tid, Token(DONE, ap))))
-    return frozenset(out)
-
-
-def lp_star(sigma_a: Heap, toks: TokenMap, sem: Semantics) -> frozenset:
-    """Reflexive-transitive closure of lp_step; finite because every step
-    consumes one todo token."""
-    seen = {(sigma_a, toks)}
-    frontier = [(sigma_a, toks)]
-    while frontier:
-        s, d = frontier.pop()
-        for nxt in lp_step(s, d, sem):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+def linearizes(sem: Semantics, sigma_a: Heap, toks: TokenMap, abs2: Heap,
+               toks2: TokenMap) -> bool:
+    """Whether linearization steps lead from (sigma_a, toks) to
+    (abs2, toks2).  A step fires a pending todo token whose abstract
+    command runs, flipping it to done, and no step undoes a token.  So a
+    run to toks2 fires each thread of D, where the token maps differ, once
+    and no other, and each must flip from todo(c) to done(c); D's commands
+    are fired in every order, one layer of (heap, fired threads) per step.
+    Heaps and token maps are hash-consed, so equality is identity."""
+    if toks2 is toks:
+        return abs2 is sigma_a
+    if len(toks2) != len(toks):
+        return False
+    fire = []
+    for tid, tok in toks.items():
+        tok2 = toks2.get(tid)
+        if tok2 != tok:
+            if tok.kind != TODO or tok2 != Token(DONE, tok.apcom):
+                return False
+            fire.append((tid, tok.apcom))
+    layer = {(sigma_a, frozenset())}
+    for _ in fire:
+        layer = {(heap2, fired | {tid}) for heap, fired in layer
+                 for tid, ap in fire if tid not in fired
+                 for heap2 in sem.run(ap, tid, heap)}
+    return any(heap is abs2 for heap, _ in layer)
 
 
 @dataclass
@@ -130,7 +135,6 @@ class ViewMonoid:
         self.dom = dom
         self.sem = sem
         self._frag_cache: Dict = {}
-        self._lp_cache: Dict = {}
         self._locdoms = {CPt: dict(dom.cloc), APt: dict(dom.aloc)}
         self._apcoms = frozenset(dom.apcoms)
 
@@ -160,14 +164,6 @@ class ViewMonoid:
     def eval_vassn(self, rho: VAssn, interp: Dict[str, int], t: int):
         """The view an assertion denotes in thread t's context."""
         raise NotImplementedError
-
-    def lp_star(self, sigma_a: Heap, toks: TokenMap) -> frozenset:
-        """`lp_star` under this monoid's semantics; memoized."""
-        key = (sigma_a, toks)
-        out = self._lp_cache.get(key)
-        if out is None:
-            out = self._lp_cache[key] = lp_star(sigma_a, toks, self.sem)
-        return out
 
     def fragments(self, rho: VAssn, interp: Dict[str, int]) -> frozenset:
         """All world fragments exactly satisfying a box-free assertion under
@@ -240,21 +236,20 @@ def judge_action(monoid: ViewMonoid, t: int, alpha: PrimCommand, frame,
     """The action judgement's loop, for every monoid.  `pre` holds
     (shared, world) pairs in report order, and `post` is the `post_index`
     of the post's pairs.  Each primitive step from a pre-world, taken from
-    the model's `Semantics.run`, must fault nowhere and reach, by
-    linearization steps, a post world with its result whose shared change
-    is none or in `guar`.  Returns True or the first counterexample, under
-    `frame`."""
+    the model's `Semantics.run`, must fault nowhere and reach a post world
+    with its result whose shared change is none or in `guar`, and to whose
+    (abstract heap, tokens) the pre-world's lead by linearization steps:
+    each such post entry is tested with `linearizes`, goal first, rather
+    than by building every pair the steps reach.  Returns True or the
+    first counterexample, under `frame`."""
     for shared, world in pre:
         sigma, sigma_a, toks = world
-        lp_set = None
         for sigma2 in monoid.sem.run(alpha, t, sigma):
             if sigma2 is FAULT:
                 return ActionCounterexample(
                     t, alpha, frame, world, FAULT, "fault reachable")
-            if lp_set is None:
-                lp_set = monoid.lp_star(sigma_a, toks)
             for shared2, abs2, toks2 in post.get(sigma2, ()):
-                if (abs2, toks2) in lp_set and (
+                if linearizes(monoid.sem, sigma_a, toks, abs2, toks2) and (
                         shared2 == shared or (shared, shared2) in guar):
                     break
             else:

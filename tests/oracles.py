@@ -26,6 +26,11 @@ folds a star's parts from the unit `emp` and decides each leaf against the
 declared domains; `ViewMonoid.fragments`, which starts a star's fold at
 its first part, is tested against it.
 
+Linearization steps by closure: `lp_step` fires one pending todo token
+(`todos` lists them), and `lp_star(sigma_a, toks, sem)` is every
+(abstract heap, tokens) pair that steps reach.  The action judgement's
+goal-first `linearizes` is tested against membership in it.
+
 Proof-side references: `action_over_frames`, the action judgement over
 given frames testing each linearization choice's world for membership in
 the framed post, and `rgsep_action_by_pairs`, RGSep's frame-free
@@ -142,6 +147,7 @@ from relviews.linearizability import (
     IDLE,
     LibraryModel,
     ObligationItem,
+    Semantics,
     _index,
     _Library,
     render_event,
@@ -150,6 +156,7 @@ from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
 from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
 from relviews.monoid_rgsep import RgsepMonoid
 from relviews.state_model import (
+    DONE,
     EMPTY_WORLD,
     FAULT,
     TODO,
@@ -180,7 +187,7 @@ from relviews.vassn import (
     VAssn,
     free_lvars,
 )
-from relviews.views_core import ActionCounterexample, ImplVerdict, lp_star
+from relviews.views_core import ActionCounterexample, ImplVerdict
 
 from util import rgsep_unit, rgsep_view, view_columns
 
@@ -1091,6 +1098,36 @@ def powerset_frames(worlds):
     for n in range(len(ws) + 1):
         for combo in itertools.combinations(ws, n):
             yield frozenset(combo)
+
+
+def todos(toks: TokenMap) -> tuple:
+    """The (thread, command) of each todo token, in thread order."""
+    return tuple((t, tok.apcom) for t, tok in toks.items() if tok.kind == TODO)
+
+
+def lp_step(sigma_a: Heap, toks: TokenMap, sem: Semantics) -> frozenset:
+    """One linearization step: fire any pending todo token whose abstract
+    command can run, flipping it to done."""
+    out = set()
+    for tid, ap in todos(toks):
+        for sigma2 in sem.atable.apply(ap.method, ap.arg, ap.ret, tid,
+                                       sigma_a, sem.modulus):
+            out.add((sigma2, toks.set(tid, Token(DONE, ap))))
+    return frozenset(out)
+
+
+def lp_star(sigma_a: Heap, toks: TokenMap, sem: Semantics) -> frozenset:
+    """Reflexive-transitive closure of lp_step; finite because every step
+    consumes one todo token."""
+    seen = {(sigma_a, toks)}
+    frontier = [(sigma_a, toks)]
+    while frontier:
+        s, d = frontier.pop()
+        for nxt in lp_step(s, d, sem):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
 
 
 def singleton_frames(dom):

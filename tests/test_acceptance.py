@@ -39,11 +39,11 @@ from relviews.state_model import (
     world_minus,
 )
 from relviews.vassn import CPt
-from relviews.views_core import lp_star
 from oracles import (
     action_over_frames,
     check_safe,
     closed_singletons,
+    lp_star,
     powerset_frames,
     repart_implies_with_frames,
     stabilize,

@@ -10,19 +10,26 @@ results are compared whole: `True`, or the counterexample's thread,
 primitive, frame, world, result and reason.  Views are generated over micro
 domains, and passing, faulting and unmatched judgements must all occur.
 
+Each post entry with a step's result is tested by `views_core.linearizes`,
+goal first; every test that `check-proof` makes must answer as membership
+in the oracle's `lp_star` closure does.
+
 A model memoizes the judgement's inputs: its `Semantics` the primitive
-instances and runs, and its monoid RGSep's post indexes.  Each judgement
-that `check-proof` makes is recomputed on its own copy of a freshly built
-monoid of a freshly loaded model, and of that model's `Semantics`, whose
-memos are empty, and each memoized instance must be the primitive
-substituted afresh.  `check-lin` and `check-proof` share the `Semantics`:
-run on one model in either order, each reports what it reports on a
-freshly loaded model, and every run and instance either memoizes is
-computed afresh.
+instances and the runs of primitives and abstract commands, and its
+monoid RGSep's post indexes.  Each judgement that `check-proof` makes is
+recomputed on its own copy of a freshly built monoid of a freshly loaded
+model, and of that model's `Semantics`, whose memos are empty, and each
+memoized instance must be the primitive substituted afresh.  `check-lin`
+and `check-proof` share the `Semantics`: run on one model in either
+order, each reports what it reports on a freshly loaded model, and every
+run and instance either memoizes is computed afresh.  `Semantics` is the
+one place in the package that runs a transformer table.
 """
 
+import ast
 import copy
 import json
+import os
 import random
 from collections import Counter
 
@@ -54,10 +61,17 @@ from relviews.state_model import (
     enumerate_worlds,
     world_minus,
 )
+from relviews import views_core
 from relviews.subst import subst, subst_names
-from relviews.views_core import check_action_with_frames, lp_star
+from relviews.views_core import check_action_with_frames, linearizes
 from families import dcsl_cell, flat_combiner
-from oracles import action_over_frames, rgsep_action_by_pairs, world_leq
+from oracles import (
+    action_over_frames,
+    lp_star,
+    rgsep_action_by_pairs,
+    todos,
+    world_leq,
+)
 from util import (
     PRIMS_1LOC,
     micro_domains,
@@ -100,7 +114,7 @@ def test_dcsl_judgement_agrees_with_reference():
             sample_view(rng, worlds, 4),
             post,
             post | sample_view(rng, worlds, 2),
-            frozenset(w for w in post if not w.toks.todos()),
+            frozenset(w for w in post if not todos(w.toks)),
         ])
         got = mono.check_action(t, alpha, p, q)
         assert got == action_over_frames(mono, t, alpha, p, q,
@@ -172,7 +186,7 @@ def test_rgsep_judgement_agrees_with_reference():
             post,
             post | set(rng.sample(pairs, 2)),
             {(l, s) for l, s in post
-             if not compose_worlds(l, s).toks.todos()},
+             if not todos(compose_worlds(l, s).toks)},
         ])
         p = rgsep_view(mono, pre)
         q = rgsep_view(mono, q_pairs)
@@ -241,9 +255,10 @@ def test_memoized_judgements_match_a_fresh_monoid(name, monkeypatch):
     assert made
 
     # a fresh model's monoid, built and never used: each judgement runs on
-    # a copy of it and of its `Semantics` whose memos are their own
+    # a copy of it and of its `Semantics` whose memos are their own; the
+    # runs memo holds the abstract runs too, so it is empty of them
     fresh = parse_model(copy.deepcopy(doc)).monoid()
-    assert not (fresh.sem._runs or fresh.sem._instances or fresh._lp_cache)
+    assert not (fresh.sem._runs or fresh.sem._instances)
     for t, alpha, p, q, want in made:
         mono = _with_own_memos(fresh)
         mono.sem = _with_own_memos(fresh.sem)
@@ -287,8 +302,67 @@ def test_both_checkers_share_one_semantics(name):
         sem = model.sem
         assert sem._runs and sem._instances
         for (alpha, t, heap), heaps in sem._runs.items():
-            assert heaps == sem.ctable.apply(alpha, t, heap, sem.modulus)
+            assert heaps == (sem.atable.apply(*alpha, t, heap, sem.modulus)
+                             if type(alpha) is APCom else
+                             sem.ctable.apply(alpha, t, heap, sem.modulus))
+        assert {type(alpha) is APCom for alpha, _t, _heap in sem._runs} == {
+            True, False}
         for (prim, values), alpha in sem._instances.items():
             binding = {n: v for n, v in zip(subst_names(prim), values)
                        if v is not None}
             assert alpha is subst(prim, binding), (prim, values)
+
+
+@pytest.mark.parametrize("name", _PROOF_CASES)
+def test_every_linearization_test_matches_the_closure(name, monkeypatch):
+    doc, outline_doc = _PROOF_CASES[name]
+    model = parse_model(copy.deepcopy(doc))
+    attach_outlines(copy.deepcopy(outline_doc), model)
+    tested = []
+
+    def record(sem, sigma_a, toks, abs2, toks2):
+        got = linearizes(sem, sigma_a, toks, abs2, toks2)
+        tested.append((sigma_a, toks, abs2, toks2, got))
+        return got
+
+    monkeypatch.setattr(views_core, "linearizes", record)
+    check_obligations(model)
+    monkeypatch.undo()
+    assert tested
+    closures = {}
+    for sigma_a, toks, abs2, toks2, got in tested:
+        closure = closures.get((sigma_a, toks))
+        if closure is None:
+            closure = closures[sigma_a, toks] = lp_star(sigma_a, toks,
+                                                        model.sem)
+        assert got == ((abs2, toks2) in closure), (sigma_a, toks, abs2,
+                                                   toks2)
+
+
+def _apply_calls(node, scope=""):
+    """(enclosing definitions, receiver) of each `.apply(...)` call under
+    node, the definitions dotted as `Class.method`."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        elif (isinstance(child, ast.Call)
+              and isinstance(child.func, ast.Attribute)
+              and child.func.attr == "apply"):
+            yield scope, ast.unparse(child.func.value)
+        yield from _apply_calls(child, inner)
+
+
+def test_only_semantics_runs_a_transformer_table():
+    # `AbstractTable.apply` and `TransformerTable.apply` are called in
+    # `Semantics.run` alone; the one other `.apply` call applies a macro
+    package = os.path.dirname(views_core.__file__)
+    calls = {(name, scope, receiver)
+             for name in sorted(os.listdir(package)) if name.endswith(".py")
+             for scope, receiver in _apply_calls(ast.parse(
+                 open(os.path.join(package, name)).read()))}
+    assert calls == {
+        ("linearizability.py", "Semantics.run", "self.atable"),
+        ("linearizability.py", "Semantics.run", "self.ctable"),
+        ("model_io.py", "parse_vassn", "macros"),
+    }, calls

@@ -31,7 +31,12 @@ from relviews.linearizability import Semantics
 from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
 from relviews.state_model import FAULT, APCom, enumerate_worlds
 from relviews.views_core import ActionCounterexample
-from oracles import action_over_frames, locality_witness, singleton_frames
+from oracles import (
+    action_over_frames,
+    locality_witness,
+    singleton_frames,
+    todos,
+)
 from util import PRIMS_1LOC, micro_domains, sample_view, strongest_post
 
 FIX = "src/relviews/fixtures"
@@ -147,7 +152,7 @@ def test_abstract_and_token_frames_never_fail_first():
             post | sample_view(rng, worlds, 2),
             # only the runs that fire every todo: a frame that blocked a
             # command the unit lets run would fail here
-            frozenset(w for w in post if not w.toks.todos()),
+            frozenset(w for w in post if not todos(w.toks)),
         ])
         kinds[_kind(_agree(mono, frames, t, alpha, p, q))] += 1
     assert set(kinds) == {"holds", "fault", "unit frame"}, kinds

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,6 @@ from relviews.state_model import (
     Token,
     TokenMap,
     World,
-    enumerate_worlds,
 )
 from relviews.vassn import (
     APt,
@@ -39,27 +40,23 @@ from relviews.vassn import (
     StarA,
     TokA,
 )
-from relviews.views_core import (
-    ActionCounterexample,
-    ImplVerdict,
-    lp_star,
-    lp_step,
-)
-from oracles import ref_fragments
+from relviews.views_core import ActionCounterexample, ImplVerdict, linearizes
+from oracles import lp_star, lp_step, ref_fragments
 from util import (disjoin, micro_dcsl, micro_domains, micro_semantics,
                   run_consequence, run_distributivity, run_locality)
 
 AP = APCom("op", 0, 0)
 
 
-def _counter_sem():
+def _counter_sem(modulus=4):
     """The running counter spec: inc(a, r) bumps K and insists on r."""
     inc = GuardedUpdate(
         params=("a", "r"),
         guard=Eq(Plus(Read("K"), LVar("a")), LVar("r")),
         updates=(("K", Plus(Read("K"), LVar("a"))),),
     )
-    return Semantics(TransformerTable(), AbstractTable({"inc": inc}), 4)
+    return Semantics(TransformerTable(), AbstractTable({"inc": inc}),
+                     modulus)
 
 
 def test_lp_step_empty_tokens():
@@ -142,23 +139,30 @@ def test_lp_star_monotone_in_tokens():
             assert (s, TokenMap(embedded)) in bigger
 
 
-def test_monoid_lp_star_memo_matches_lp_star():
-    sem = _counter_sem()
-    aps = [APCom("inc", a, r) for a in (1, 2) for r in range(4)]
-    dom = micro_domains(cloc={}, aloc={"K": (0, 1, 2, 3)}, nthreads=2,
-                        apcoms=aps, values=(0, 1, 2, 3))
-    mono = DcslMonoid(dom, sem)
-    pairs = sorted({(w.abst, w.toks) for w in enumerate_worlds(dom)},
-                   key=repr)
-    assert len(pairs) == 5 * 17 ** 2
-    moved = 0
+def test_linearizes_is_membership_in_the_closure():
+    # three threads, each holding no token or a todo or done inc(1, r),
+    # counting modulo 2: the guard K + 1 == r orders the firings, so a
+    # flip of all three threads is reachable from K = 0 in two orders or
+    # none, and the empty heap blocks every command
+    sem = _counter_sem(2)
+    tokens = [None] + [Token(kind, APCom("inc", 1, r))
+                       for kind in (TODO, DONE) for r in (0, 1)]
+    heaps = [EMPTY_HEAP, Heap({"K": 0}), Heap({"K": 1})]
+    pairs = [(sigma_a, TokenMap({t: tok for t, tok in enumerate(toks, 1)
+                                 if tok is not None}))
+             for sigma_a in heaps
+             for toks in itertools.product(tokens, repeat=3)]
+    assert len(pairs) == 3 * 5 ** 3
+    reached = Counter()
     for sigma_a, toks in pairs:
-        want = lp_star(sigma_a, toks, sem)
-        first = mono.lp_star(sigma_a, toks)
-        assert first == want
-        assert mono.lp_star(sigma_a, toks) is first
-        moved += len(want) > 1
-    assert moved  # some token fires, so the closure is not just the start
+        closure = lp_star(sigma_a, toks, sem)
+        for abs2, toks2 in pairs:
+            got = linearizes(sem, sigma_a, toks, abs2, toks2)
+            assert got == ((abs2, toks2) in closure), (
+                sigma_a, toks, abs2, toks2)
+            if got:
+                reached[sum(toks2[t] != tok for t, tok in toks.items())] += 1
+    assert set(reached) == {0, 1, 2, 3}, reached
 
 
 # ---------------------------------------------------------------------------

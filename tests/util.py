@@ -162,7 +162,7 @@ def strongest_post(monoid, t, alpha, p):
     number of linearization steps; None if alpha can fault.  By locality this
     is a valid postcondition for the (frame-quantified) action judgement."""
     from relviews.state_model import FAULT, World
-    from relviews.views_core import lp_star
+    from oracles import lp_star
 
     out = set()
     for w in p:
