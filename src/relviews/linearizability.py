@@ -28,7 +28,6 @@ from .command_lang import (
 )
 from .errors import (
     FaultReachable,
-    ModelError,
     RelviewsError,
     UniverseTooLarge,
 )
@@ -43,6 +42,7 @@ from .state_model import (
     Token,
     TokenMap,
     World,
+    compose_worlds,
 )
 from .subst import Binding, subst, subst_names
 from .vassn import VAssn
@@ -128,23 +128,14 @@ class LibraryModel:
         if self._monoid is None:
             from .monoid_dcsl import DcslMonoid
             from .monoid_rgsep import RgsepMonoid
-            from .views_core import ViewMonoid
 
             if self.monoid_kind == "dcsl":
                 self._monoid = DcslMonoid(self.dom, self.sem)
             else:
-                universe = None
-                if self.shared_universe_assn is not None:
-                    universe = ViewMonoid(self.dom, self.sem).fragments(
-                        self.shared_universe_assn, {})
-                    if not universe:
-                        raise ModelError(f"{self.path}/shared_universe: "
-                                         "declared shared universe is empty")
-                    if len(universe) > self.dom.cap:
-                        raise UniverseTooLarge(len(universe), self.dom.cap)
                 self._monoid = RgsepMonoid(
-                    self.dom, self.sem, universe, self.actions,
-                    self.guarantee_names, self.rely_extra_names)
+                    self.dom, self.sem, self.shared_universe_assn,
+                    self.actions, self.guarantee_names,
+                    self.rely_extra_names, f"{self.path}/shared_universe")
         return self._monoid
 
     def assertion_env(self, t: int) -> AssertionEnv:
@@ -683,19 +674,27 @@ def check_obligations(model: LibraryModel) -> ObligationReport:
     items = [item for inst in all_instances(model)
              for item in instance_obligations(model, inst)]
 
-    # (3): across every pair of command instances, post and pre states agree
-    # up to the thread's token.
+    # (3): across every pair of command instances, post and pre views agree
+    # up to the thread's token, which keeps its side: each distinct local
+    # and shared world is stripped of it, and marked if held, once per thread.
     for t in model.dom.thread_ids():
         env = model.assertion_env(t)
+        strip: Dict[World, tuple] = {}
         try:
-            stripped = set()
+            views = set()
             for m, a, r in model.dom.apcoms:
                 b = {"t": t, "a": a, "r": r}
-                p = env.eval(model.pre_templates[m], b)
-                q = env.eval(model.post_templates[m], b)
-                stripped.add(mon.strip_token_set(p, t))
-                stripped.add(mon.strip_token_set(q, t))
-            ok = len(stripped) <= 1
+                for rho in (model.pre_templates[m], model.post_templates[m]):
+                    view = set()
+                    for l, s, _w in mon.triples(env.eval(rho, b)):
+                        for w in (l, s):
+                            if w not in strip:
+                                strip[w] = (World(w.conc, w.abst,
+                                                  w.toks.remove(t)),
+                                            t in w.toks)
+                        view.add(strip[l] + strip[s])
+                    views.add(frozenset(view))
+            ok = len(views) <= 1
             detail = "pre/post families differ by more than the thread's token"
         except RelviewsError as exc:
             ok, detail = False, f"assertion family not evaluable: {exc}"
@@ -717,14 +716,19 @@ def initial_coverage(model: LibraryModel, insts: Tuple[APCom, ...]
     instances in `insts` order, so combinations come in
     `itertools.product` order.  The search keeps an explicit stack, not a
     recursive closure, so no reference cycle keeps the model's monoid and
-    views alive after it returns.  A world that can be part of the target
-    holds concrete and abstract cells of the initial states and only todo
-    tokens, and a chosen thread's token, if it holds it, is the todo of
-    the chosen instance.  Each precondition is cut to such worlds, and so
-    is each composed prefix; a prefix with no world left is dropped.  This
-    is exact: DCSL composes by disjoint union and RGSep adds locals over
-    one shared state, so a target world of the composed view splits into
-    one such world per thread.
+    views alive after it returns.  A world fits when it can be part of
+    the target: it holds concrete and abstract cells of the initial
+    states and only todo tokens, and a chosen thread's token, if it holds
+    it, is the todo of the chosen instance.  Each precondition is cut to
+    a {shared: locals} dict of the (local, shared) pairs of its triples
+    whose world fits; a composed prefix composes locals pairwise under
+    each shared state both hold and keeps the results whose world still
+    fits (a world fits when its local and its shared part do, as each
+    cell and token is tested alone), and a prefix with no pair left is
+    dropped.  This is exact for every monoid, as views compose local by
+    local over one shared state: a target world splits as
+    s + l_1 + ... + l_N, and each l_t + s, a sub-world of the target,
+    fits.  The last prefix is not cut: it must hold the target itself.
 
     Each (thread, instance) precondition is evaluated once, on first use.
     A loaded model's only evaluation error is an unstable precondition,
@@ -736,26 +740,26 @@ def initial_coverage(model: LibraryModel, insts: Tuple[APCom, ...]
     tids = tuple(model.dom.thread_ids())
     n, k = len(tids), len(insts)
     conc, abst = set(model.init_conc.items()), set(model.init_abst.items())
-    cells = (conc, abst)
     todos = [Token(TODO, ap) for ap in insts]
 
-    def fits(chosen: dict):
-        def keep(w: World) -> bool:
-            if not (conc.issuperset(w.conc.items())
-                    and abst.issuperset(w.abst.items())):
-                return False
-            return all(tok.kind == TODO and chosen.get(u, tok) == tok
-                       for u, tok in w.toks.items())
-        return keep
+    def fits(w: World, chosen: dict) -> bool:
+        return (conc.issuperset(w.conc.items())
+                and abst.issuperset(w.abst.items())
+                and all(tok.kind == TODO and chosen.get(u, tok) == tok
+                        for u, tok in w.toks.items()))
 
     cut = {}  # (thread index, instance index) -> its cut precondition
 
-    def precondition(d: int, j: int):
+    def precondition(d: int, j: int) -> dict:
         if (d, j) not in cut:
             t, (m, a, r) = tids[d], insts[j]
             p = model.assertion_env(t).eval(model.pre_templates[m],
                                             {"t": t, "a": a, "r": r})
-            cut[d, j] = mon.restrict(p, fits({t: todos[j]}), cells)
+            got = cut[d, j] = {}
+            chosen = {t: todos[j]}
+            for l, s, w in mon.triples(p):
+                if fits(w, chosen):
+                    got.setdefault(s, set()).add(l)
         return cut[d, j]
 
     # subtrees still to search, the next on top: (choices, then the
@@ -767,20 +771,26 @@ def initial_coverage(model: LibraryModel, insts: Tuple[APCom, ...]
             combo, view, chosen = stack.pop()
             d, j = len(combo) - 1, combo[-1]
             chosen = {**chosen, tids[d]: todos[j]}
-            p = precondition(d, j)
-            v = p if view is None else mon.compose(view, p)
-            if d + 1 == n:
-                worlds = mon.reify(v)
-                if worlds and World(model.init_conc, model.init_abst,
-                                    TokenMap(chosen)) in worlds:
-                    return ObligationItem("initial coverage", "library",
-                                          True)
-                continue
+            p = v = precondition(d, j)
+            last = d + 1 == n
             if view is not None:
-                v = mon.restrict(v, fits(chosen), cells)
-            if mon.reify(v):
+                v = {}
+                for s, ls in view.items():
+                    if s in p and (last or fits(s, chosen)):
+                        for l1 in ls:
+                            for l2 in p[s]:
+                                l = compose_worlds(l1, l2)
+                                if l is not None and (last or fits(l, chosen)):
+                                    v.setdefault(s, set()).add(l)
+            if v and not last:
                 stack.extend((combo + (j2,), v, chosen)
                              for j2 in reversed(range(k)))
+            elif v:
+                target = World(model.init_conc, model.init_abst,
+                               TokenMap(chosen))
+                if any(compose_worlds(l, s) == target
+                       for s, ls in v.items() for l in ls):
+                    return ObligationItem("initial coverage", "library", True)
     except RelviewsError as exc:
         return ObligationItem("initial coverage", "library", False,
                               f"assertion family not evaluable: {exc}")

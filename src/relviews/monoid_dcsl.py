@@ -1,10 +1,11 @@
 """The disjoint-separation view monoid.
 
-Views are finite sets of world triples; composition pairs worlds whose
-states and tokens are disjoint, dropping undefined pairs.  Reification is
-the identity and disjunction is set union.  The repartitioning implication
-is inclusion: the unit frame tests p <= q, and composition is monotone, so
-every other frame then holds too.
+Views are finite sets of worlds; composition pairs worlds whose states
+and tokens are disjoint, dropping undefined pairs.  Reification is the
+identity, each world is local with an empty shared part, and disjunction
+is set union.  The repartitioning implication is inclusion: the unit
+frame tests p <= q, and composition is monotone, so every other frame
+then holds too.
 
 The action judgement quantifies over every frame.  Because primitives are
 local (the frame property in `views_core`), checking the unit frame alone
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from .command_lang import PrimCommand
 from .errors import UniverseTooLarge
-from .state_model import EMPTY_WORLD, World, compose_worlds, count_worlds
+from .state_model import EMPTY_WORLD, compose_worlds, count_worlds
 from .views_core import ImplVerdict, ViewMonoid, check_action_with_frames
 
 DcslView = frozenset  # of World
@@ -65,21 +66,17 @@ def compose_dcsl(p: DcslView, q: DcslView) -> DcslView:
     return frozenset(out)
 
 
-def reify_dcsl(p: DcslView) -> frozenset:
-    return p
-
-
 class DcslMonoid(ViewMonoid):
     _size = None  # the world count of `frames`
 
     def compose(self, p, q):
         return compose_dcsl(p, q)
 
-    def reify(self, p):
-        return reify_dcsl(p)
+    def triples(self, p):
+        return ((w, EMPTY_WORLD, w) for w in p)
 
-    def restrict(self, p, keep, cells):
-        return frozenset(filter(keep, p))
+    def reify(self, p):
+        return p  # the world set, which the generic reify would rebuild
 
     def frames(self) -> tuple:
         """The frames the action judgement checks: the unit alone, which
@@ -101,8 +98,3 @@ class DcslMonoid(ViewMonoid):
 
     def eval_vassn(self, rho, interp, t: int):
         return self.fragments(rho, interp)  # the same view in every thread
-
-    def strip_token_set(self, p, t: int) -> frozenset:
-        """The worlds with thread t's token erased (token-swap check)."""
-        return frozenset(World(w.conc, w.abst, w.toks.remove(t)) for w in p)
-

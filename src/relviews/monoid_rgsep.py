@@ -21,11 +21,10 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import itemgetter, or_
-from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator,
-                    Optional, Tuple)
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .command_lang import PrimCommand
-from .errors import StabilityViolation
+from .errors import ModelError, StabilityViolation, UniverseTooLarge
 from .state_model import (
     EMPTY_WORLD,
     Domains,
@@ -70,14 +69,24 @@ Classes = Tuple[Tuple[FrozenSet[World], int], ...]
 
 class RgsepMonoid(ViewMonoid):
     def __init__(self, dom: Domains, sem: Semantics,
-                 shared_universe: Optional[Iterable[World]] = None,
+                 shared_universe: Optional[VAssn] = None,
                  actions: Optional[Dict[str, Tuple[VAssn, VAssn]]] = None,
                  guarantee_names: Tuple[str, ...] = (),
-                 rely_extra_names: Tuple[str, ...] = ()):
+                 rely_extra_names: Tuple[str, ...] = (),
+                 where: str = "shared_universe"):
+        """The shared universe is the worlds the declared assertion
+        denotes, whose path in its document is `where`, or without one
+        every world over the domains."""
         super().__init__(dom, sem)
         if shared_universe is None:
-            shared_universe = enumerate_worlds(dom)
-        self.universe = tuple(sorted(set(shared_universe), key=world_sort_key))
+            universe = enumerate_worlds(dom)
+        else:
+            universe = self.fragments(shared_universe, {})
+            if not universe:
+                raise ModelError(f"{where}: declared shared universe is empty")
+            if len(universe) > dom.cap:
+                raise UniverseTooLarge(len(universe), dom.cap)
+        self.universe = tuple(sorted(universe, key=world_sort_key))
         self._index = {s: i for i, s in enumerate(self.universe)}
         self._full = (1 << len(self.universe)) - 1
         # per component of a world (concrete heap, abstract heap, tokens),
@@ -87,16 +96,14 @@ class RgsepMonoid(ViewMonoid):
             for cells, part in zip(self._cells, s):
                 for kv in part.items():
                     cells[kv] = cells.get(kv, 0) | 1 << i
-        # classes -> their composable pairs and their `post_index`; see
-        # `_composed` and `check_action`
-        self._composed_memo: Dict[Classes, tuple] = {}
+        # classes -> their triples and their `post_index`; see `triples`
+        # and `check_action`
+        self._triples_memo: Dict[Classes, tuple] = {}
         self._post_memo: Dict[Classes, dict] = {}
-        # see `_local_classes`, `_box_states`, `_successors` and
-        # `strip_token_set`
+        # see `_local_classes`, `_box_states` and `_successors`
         self._classes_memo: Dict[tuple, Classes] = {}
         self._box_memo: Dict[tuple, int] = {}
         self._succ_memo: Dict[Rel, tuple] = {}
-        self._stripped: Dict[int, dict] = {}
         # each thread's guarantee, and its rely: every other thread's
         # guarantee and rely-extra actions; each action denoted once per
         # thread
@@ -125,35 +132,7 @@ class RgsepMonoid(ViewMonoid):
         """Local parts merge class by class."""
         return _meet(_compose_sets, p, q)
 
-    def reify(self, p):
-        """The worlds of the predicate's pairs, from `_composed`."""
-        return frozenset(w for _l, _s, w in self._composed(p))
-
-    def restrict(self, p, keep, cells):
-        """p cut column by column: a shared state s keeps the locals l whose
-        world l + s satisfies keep, and a state that fails keep itself
-        keeps none.  A state holding a concrete or abstract cell outside
-        `cells` fails keep, so it is dropped by its mask in `_cells`
-        before keep is called."""
-        inside = self._full
-        for index, allowed in zip(self._cells, cells):
-            for kv, m in index.items():
-                if kv not in allowed:
-                    inside &= ~m
-        universe = self.universe
-        groups: Dict[FrozenSet[World], int] = {}
-        for ls, m in p:
-            for i in _bits(m & inside):
-                s = universe[i]
-                if keep(s):
-                    kept = frozenset(l for l in ls
-                                     for w in (compose_worlds(l, s),)
-                                     if w is not None and keep(w))
-                    if kept:
-                        groups[kept] = groups.get(kept, 0) | 1 << i
-        return tuple(sorted(groups.items(), key=_MASK))
-
-    def _composed(self, classes: Classes) -> tuple:
+    def triples(self, classes: Classes) -> tuple:
         """The (local, shared, world) triples of the predicate whose local
         and shared parts compose to a world, ordered by local and then
         shared under `world_sort_key`: the distinct locals are sorted once
@@ -161,7 +140,7 @@ class RgsepMonoid(ViewMonoid):
         that order.  Computed once per predicate.  The worlds share their
         heaps and token maps, which are hash-consed: a few dozen distinct
         ones make up thousands of worlds."""
-        hit = self._composed_memo.get(classes)
+        hit = self._triples_memo.get(classes)
         if hit is None:
             at: Dict[World, int] = {}
             for ls, m in classes:
@@ -178,7 +157,7 @@ class RgsepMonoid(ViewMonoid):
                     w = compose_worlds(l, s)
                     if w is not None:
                         out.append((l, s, w))
-            hit = self._composed_memo[classes] = tuple(out)
+            hit = self._triples_memo[classes] = tuple(out)
         return hit
 
     # -- assertion satisfaction
@@ -353,9 +332,9 @@ class RgsepMonoid(ViewMonoid):
         post = self._post_memo.get(q)
         if post is None:
             post = self._post_memo[q] = post_index(
-                (s, w) for _l, s, w in self._composed(q))
+                (s, w) for _l, s, w in self.triples(q))
         return judge_action(
-            self, t, alpha, None, ((s, w) for _l, s, w in self._composed(p)),
+            self, t, alpha, None, ((s, w) for _l, s, w in self.triples(p)),
             post, self.guarantee(t),
             "no post predicate pair matches with a guarantee transition and "
             "linearization steps")
@@ -368,24 +347,6 @@ class RgsepMonoid(ViewMonoid):
                 and all(ls <= rs for ls, m in p for rs, m2 in q if m & m2)):
             return ImplVerdict.HOLDS
         return ImplVerdict.NOT_ESTABLISHED
-
-    # -- obligation helpers
-
-    def strip_token_set(self, p: Classes, t: int) -> frozenset:
-        """Predicate pairs with thread t's token erased (keeping its side),
-        for the token-swap correspondence check.  Each distinct local and
-        shared world is stripped once per thread."""
-        stripped = self._stripped.setdefault(t, {})
-        out = set()
-        for l, s, _world in self._composed(p):
-            for w in (l, s):
-                if w not in stripped:
-                    stripped[w] = (World(w.conc, w.abst, w.toks.remove(t)),
-                                   t in w.toks)
-            (l2, in_l), (s2, in_s) = stripped[l], stripped[s]
-            out.add((l2, s2,
-                     "local" if in_l else "shared" if in_s else "none"))
-        return frozenset(out)
 
 
 _EMP = frozenset({EMPTY_WORLD})

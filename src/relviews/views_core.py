@@ -1,13 +1,17 @@
 """The generic relational-view layer.
 
-A view monoid supplies composition, reification, the view of an
-assertion in thread t's context (`eval_vassn(rho, interp, t)`), the action
-judgement and the repartitioning implication; this module implements what
-is common to all monoids: the denotation of box-free view assertions as
-world-fragment sets, the test that linearization steps lead from one
-(abstract state, tokens) pair to another, and the one loop of the action
-judgement, `judge_action`:
-RGSep runs it on (shared, world) pairs with its guarantee, and
+A view monoid supplies composition, a view's (local, shared, world)
+triples, the view of an assertion in thread t's context
+(`eval_vassn(rho, interp, t)`), the action judgement and the
+repartitioning implication.  Views reify a view to worlds (Dinsdale-Young
+et al., POPL 2013) and RGSep splits each world into a local and a shared
+part (Vafeiadis and Parkinson, CONCUR 2007); the soundness obligations
+read a view only through those triples, once for every monoid.  This
+module implements what is common to all monoids: reification, the
+denotation of box-free view assertions as world-fragment sets, the test
+that linearization steps lead from one (abstract state, tokens) pair to
+another, and the one loop of the action judgement, `judge_action`: RGSep
+runs it on (shared, world) pairs with its guarantee, and
 `check_action_with_frames` under each given frame with no shared part.
 
 Both monoids rest on the frame property of local actions (Calcagno,
@@ -141,19 +145,17 @@ class ViewMonoid:
     def compose(self, p, q):
         raise NotImplementedError
 
+    def triples(self, p) -> Iterable:
+        """The (local, shared, world) triples of a view: each world it
+        reifies to, split into a local part and a shared part that
+        compose to it.  Views compose local by local over one shared
+        state: the triples of compose(p, q) are the (l1 + l2, s, w) for
+        (l1, s, _) of p and (l2, s, _) of q whose parts compose to a world
+        w.  The obligations read a view through this method alone."""
+        raise NotImplementedError
+
     def reify(self, p) -> frozenset:
-        raise NotImplementedError
-
-    def restrict(self, p, keep, cells):
-        """p cut to the worlds that satisfy keep, a predicate that holds of
-        every sub-world of a world it holds of.  `cells` is a pair of sets,
-        the concrete and the abstract (location, value) items that a world
-        satisfying keep may hold; keep fails every world holding another,
-        and a monoid may use that to call keep less often."""
-        raise NotImplementedError
-
-    def strip_token_set(self, p, t: int) -> frozenset:
-        raise NotImplementedError
+        return frozenset(w for _l, _s, w in self.triples(p))
 
     def check_action(self, t: int, alpha: PrimCommand, p, q):
         raise NotImplementedError

@@ -47,10 +47,7 @@ over given frames, which DCSL's inclusion test is validated against;
 `token_exclusive`, the one-token-per-thread invariant of DCSL views;
 and `initial_coverage_by_product`, the initial-coverage obligation by
 trying every combination of pending commands, against which the pruned
-search of `check_obligations` is tested; `restrict_by_keep`, RGSep's cut
-of a view that calls keep on every shared state, against which
-`RgsepMonoid.restrict`, which first drops the states holding a cell
-outside the given ones, is tested.
+search of `check_obligations` is tested.
 
 World composition, item by item: `compose_states_copying` and
 `compose_tokens_copying` check a key at a time and build the union through
@@ -1208,25 +1205,6 @@ def repart_implies_with_frames(monoid, p, q, frames) -> ImplVerdict:
 def token_exclusive(p) -> bool:
     """No world of a DCSL view holds two tokens for one thread."""
     return all(len(dict(w.toks.items())) == len(w.toks) for w in p)
-
-
-def restrict_by_keep(mono: RgsepMonoid, p, keep):
-    """p cut column by column: a shared state s keeps the locals l whose
-    world l + s satisfies keep, and a state that fails keep itself keeps
-    none."""
-    groups = {}
-    for ls, m in p:
-        for i in range(len(mono.universe)):
-            if not m >> i & 1:
-                continue
-            s = mono.universe[i]
-            if keep(s):
-                kept = frozenset(l for l in ls
-                                 for w in (compose_worlds(l, s),)
-                                 if w is not None and keep(w))
-                if kept:
-                    groups[kept] = groups.get(kept, 0) | 1 << i
-    return tuple(sorted(groups.items(), key=lambda c: c[1]))
 
 
 def initial_coverage_by_product(model: LibraryModel) -> ObligationItem:

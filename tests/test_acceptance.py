@@ -28,7 +28,7 @@ from relviews.linearizability import (
     render_history,
 )
 from relviews.model_io import load_model, load_outlines
-from relviews.monoid_dcsl import UNIT_DCSL, compose_dcsl, reify_dcsl
+from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid, compose_dcsl
 from relviews.monoid_rgsep import RgsepMonoid
 from relviews.state_model import (
     APCom,
@@ -81,6 +81,7 @@ def test_criterion_1_monoid_laws():
                         aloc={"m": (0, 1)}, nthreads=2, apcoms=(ap,),
                         values=(0, 1))
     worlds = enumerate_worlds(dom)
+    reify = DcslMonoid(dom, micro_semantics(dom)).reify
 
     # pointwise composition laws, exhaustive over the full micro universe
     for w1, w2 in itertools.product(worlds[:220], worlds[:220]):
@@ -95,7 +96,7 @@ def test_criterion_1_monoid_laws():
              for c in itertools.combinations(sub, n)]
     for p, q in itertools.product(views, views):
         assert compose_dcsl(p, q) == compose_dcsl(q, p)
-        assert reify_dcsl(p | q) == reify_dcsl(p) | reify_dcsl(q)
+        assert reify(p | q) == reify(p) | reify(q)
     for p in views:
         assert compose_dcsl(p, UNIT_DCSL) == p
     small = views[:14]

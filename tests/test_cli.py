@@ -400,6 +400,37 @@ def test_check_proof_without_method_arguments_gives_a_verdict(capsys,
     assert "first failure: initial coverage library" in doc["detail"]
 
 
+def test_dropping_a_dcsl_token_fails_the_token_swap(capsys, tmp_path):
+    # put's pre may also hold the cell without put's todo: the token swap
+    # compares each world without the thread's token and whether it held
+    # one, so a world that lacks the token no longer matches a swapped
+    # one.  Obligation (2) already fails for that thread, so the verdict
+    # and the first failure are those of a check that passed the swap
+    doc = json.load(open(f"{FIX}/dcsl-cell/model.json"))
+    put = doc["assertions"]["put"]
+    put["pre"] = ["or", put["pre"], ["macro", "cell_any"]]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-proof", str(bad),
+                         f"{FIX}/dcsl-cell/outline.json")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == "verdict: proof rejected"
+    assert "[FAIL] (3) token swap thread 1: pre/post families differ by " \
+        "more than the thread's token" in lines
+    assert "[FAIL] (2) todo pinned put(a=0,r=0) in thread 1: 2 " \
+        "precondition worlds lack todo(put(0,0))" in lines
+    first = lines.index("first failure: (1) outline put(a=0,r=0) in thread "
+                        "1: Prim fails at seq[0] (interp {}): action "
+                        "judgement fails for store(Read(loc='x'), "
+                        "Const(value=0))")
+    assert lines[first + 1] == (
+        "  action judgement fails for t=1 store(Read(loc='x'), "
+        "Const(value=0)): no linearization choice reaches the "
+        "postcondition; world=([x:0], [X:0], {}), result=[x:0], "
+        "frame=frozenset({([], [], {})})")
+
+
 def test_an_outline_must_annotate_its_method_body(capsys, tmp_path):
     # `get` no longer ties its return to the cell: the unchanged outline
     # still proves the old body, and the changed body is not linearizable

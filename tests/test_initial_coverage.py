@@ -22,10 +22,9 @@ from relviews.model_io import (
     load_outlines,
     parse_model,
 )
-from relviews.monoid_rgsep import RgsepMonoid
 from relviews.state_model import APCom
 from families import dcsl_cell, flat_combiner
-from oracles import initial_coverage_by_product, restrict_by_keep
+from oracles import initial_coverage_by_product
 from util import fixture_manifest
 
 FIX = "src/relviews/fixtures"
@@ -66,10 +65,19 @@ def test_outline_fixtures_agree_with_the_product(name):
     _agree(load_model(f"{FIX}/{name}/model.json"))
 
 
-@pytest.mark.parametrize("nthreads,covered", [(2, False), (1, True)])
+@pytest.mark.parametrize("nthreads,covered", [(3, False), (2, False),
+                                               (1, True)])
 def test_widened_dcsl_cell_agrees_with_the_product(nthreads, covered):
     item = _agree(parse_model(dcsl_cell(3, nthreads)))
     assert item.ok is covered
+
+
+@pytest.mark.parametrize("n,res1", [(2, 0), (2, 4), (3, 4)])
+def test_flat_combiner_family_agrees_with_the_product(n, res1):
+    """RGSep preconditions composed over shared states: no choice of
+    pending commands covers an initial res[1] of 4."""
+    item = _agree(parse_model(flat_combiner(n, res1)[0]))
+    assert item.ok is (res1 == 0)
 
 
 @pytest.mark.parametrize("name", OUTLINED)
@@ -174,51 +182,6 @@ def test_coverage_evaluates_each_precondition_once(monkeypatch, doc, limit):
     item = initial_coverage(model, insts)
     assert not item.ok and item.detail.startswith("no choice of pending")
     assert 0 < len(calls) <= limit
-
-
-_RGSEP_CUTS = {"atomic-inc", "flat-combiner", "flat-combiner-noaction4",
-               "flat-combiner-3", "flat-combiner-4"}
-
-
-def _restrict_cases():
-    for fx in fixture_manifest():
-        yield pytest.param(lambda fx=fx: load_model(fx.model_path), id=fx.name)
-    for n in (3, 4):
-        yield pytest.param(lambda n=n: parse_model(flat_combiner(n)[0]),
-                           id=f"flat-combiner-{n}")
-
-
-@pytest.mark.parametrize("make", _restrict_cases())
-def test_restrict_matches_keep_on_every_state(monkeypatch, make):
-    """RGSep's cut drops the states holding a cell outside the initial
-    heaps by their masks; every cut of the coverage search equals the cut
-    that asks keep of every state, with fewer keep calls."""
-    model = make()
-    calls = {"mask": 0, "keep": 0}
-    original = RgsepMonoid.restrict
-
-    def counted(keep, name):
-        def wrapped(w):
-            calls[name] += 1
-            return keep(w)
-        return wrapped
-
-    def checked(mon, p, keep, cells):
-        got = original(mon, p, counted(keep, "mask"), cells)
-        assert got == restrict_by_keep(mon, p, counted(keep, "keep"))
-        return got
-
-    monkeypatch.setattr(RgsepMonoid, "restrict", checked)
-    # a model without pre/post families takes no outline, so check-proof
-    # never searches it
-    if model.pre_templates:
-        initial_coverage(model, _insts(model))
-    # the RGSep models whose preconditions evaluate make cuts; the N = 4
-    # family asks keep 72 times instead of 1,736
-    if model.name in _RGSEP_CUTS:
-        assert 0 < calls["mask"] < calls["keep"], calls
-    else:
-        assert calls == {"mask": 0, "keep": 0}, calls
 
 
 @pytest.mark.parametrize("fx", fixture_manifest(), ids=lambda f: f.name)

@@ -4,14 +4,10 @@ import random
 import pytest
 
 from relviews.errors import ModelError, UniverseTooLarge
-from relviews.monoid_dcsl import (
-    UNIT_DCSL,
-    DcslMonoid,
-    compose_dcsl,
-    reify_dcsl,
-)
+from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid, compose_dcsl
 from relviews.state_model import (
     APCom,
+    EMPTY_WORLD,
     Heap,
     TODO,
     Token,
@@ -37,7 +33,8 @@ from relviews.monoid_rgsep import RgsepMonoid
 from oracles import (EMPTY_VIEW, action_over_frames, powerset_frames,
                      repart_implies_with_frames, singleton_frames,
                      token_exclusive)
-from util import micro_dcsl, micro_domains, micro_semantics, sample_view
+from util import (check_triples_contract, micro_dcsl, micro_domains,
+                  micro_semantics, sample_view)
 
 AP = APCom("op", 0, 0)
 
@@ -83,11 +80,12 @@ def test_compose_disjoint_with_token():
 
 
 def test_reify_is_identity():
-    assert reify_dcsl(UNIT_DCSL) == UNIT_DCSL
-    assert reify_dcsl(EMPTY_VIEW) == frozenset()
+    reify = micro_dcsl().reify
+    assert reify(UNIT_DCSL) is UNIT_DCSL
+    assert reify(EMPTY_VIEW) == frozenset()
     p = frozenset({w({"l1": 1})})
     q = frozenset({w({"l2": 0})})
-    pq = reify_dcsl(compose_dcsl(p, q))
+    pq = reify(compose_dcsl(p, q))
     pointwise = {c for a in p for b in q
                  for c in [compose_dcsl(frozenset([a]), frozenset([b]))]}
     assert pq <= frozenset().union(*pointwise)
@@ -146,11 +144,22 @@ def test_monoid_laws_exhaustive_small():
 
 def test_disjunction_laws():
     views = _law_universe()
+    reify = micro_dcsl().reify
     for p, q in itertools.product(views, views):
-        assert reify_dcsl(p | q) == reify_dcsl(p) | reify_dcsl(q)
+        assert reify(p | q) == reify(p) | reify(q)
     for p, q, r in itertools.product(views[:8], views[:8], views[:8]):
         assert (compose_dcsl(p | q, r)
                 == compose_dcsl(p, r) | compose_dcsl(q, r))
+
+
+def test_triples_reify_and_compose_local_by_local():
+    mono = micro_dcsl(cloc={"l": (0,)}, aloc={"m": (0,)}, apcoms=(AP,),
+                      values=(0,))
+    views = _law_universe()
+    for p in views:
+        assert list(mono.triples(p)) == [(w, EMPTY_WORLD, w) for w in p]
+    for p, q in itertools.product(views, views):
+        check_triples_contract(mono, p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ from oracles import (
 )
 from families import flat_combiner
 from util import (
+    check_triples_contract,
     classes_of_columns,
     disjoin,
     micro_domains,
@@ -188,7 +189,7 @@ def test_composed_order_is_the_sorted_oracle_pairs(name, monkeypatch):
             world_sort_key(p[0]), world_sort_key(p[1])))
         want = [(l, s, w) for l, s in pairs
                 for w in (compose_worlds(l, s),) if w is not None]
-        assert list(mono._composed(view)) == want, (rho, interp)
+        assert list(mono.triples(view)) == want, (rho, interp)
 
 
 def test_rely_and_guarantee_are_built_per_thread_from_the_actions():
@@ -317,7 +318,15 @@ def _case(draw):
     universe = draw(st.lists(st.sampled_from(worlds), min_size=1,
                              unique=True))
     rho = draw(_ASSERTIONS[locs])
-    return RgsepMonoid(dom, micro_semantics(dom), universe), rho
+    return RgsepMonoid(dom, micro_semantics(dom), _exactly(universe)), rho
+
+
+def _exactly(worlds):
+    """An assertion that denotes exactly the given worlds, each holding
+    concrete cells only."""
+    return OrA(tuple(StarA(tuple(CPt(loc, Const(v))
+                                 for loc, v in s.conc.items()))
+                     for s in worlds))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -669,6 +678,14 @@ def _views_case(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_views_case())
+def test_triples_reify_and_compose_local_by_local(case):
+    mono, pairs1, pairs2, _rely = case
+    check_triples_contract(mono, rgsep_view(mono, pairs1),
+                           rgsep_view(mono, pairs2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_views_case())
 def test_classwise_operations_match_per_state_columns(case):
     mono, pairs1, pairs2, _rely = case
     v1 = rgsep_view(mono, pairs1)
@@ -679,8 +696,7 @@ def test_classwise_operations_match_per_state_columns(case):
     assert got == want and hash(got) == hash(want)
     assert mono.reify(v1) == frozenset(
         w for _l, _s, w in composed_pairs(mono.universe, cols1))
-    assert list(mono._composed(v1)) \
-        == composed_pairs(mono.universe, cols1)
+    assert list(mono.triples(v1)) == composed_pairs(mono.universe, cols1)
     for p, q, cp, cq in ((v1, v2, cols1, cols2), (v2, v1, cols2, cols1),
                          (v1, got, cols1, view_columns(mono, got))):
         want = (ImplVerdict.HOLDS if columns_contained(cp, cq)

@@ -28,7 +28,13 @@ from relviews.fixtures import FIXTURE_ROOT
 from relviews.linearizability import Semantics
 from relviews.model_io import DEFAULT_CAP
 from relviews.monoid_dcsl import DcslMonoid
-from relviews.state_model import EMPTY_WORLD, APCom, Domains, enumerate_worlds
+from relviews.state_model import (
+    EMPTY_WORLD,
+    APCom,
+    Domains,
+    compose_worlds,
+    enumerate_worlds,
+)
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,19 @@ def view_pairs(mono, view) -> frozenset:
     return frozenset((l, s) for s, ls in zip(mono.universe,
                                              view_columns(mono, view))
                      for l in ls)
+
+
+def check_triples_contract(mono, p, q) -> None:
+    """The law of `ViewMonoid.triples` on two views of a monoid: p reifies
+    to the worlds of its triples, and the triples of p * q are those of p
+    and q composed local by local over each shared state."""
+    assert mono.reify(p) == frozenset(w for _l, _s, w in mono.triples(p))
+    want = {(l, s, w) for l1, s, _w1 in mono.triples(p)
+            for l2, s2, _w2 in mono.triples(q) if s2 == s
+            for l in (compose_worlds(l1, l2),) if l is not None
+            for w in (compose_worlds(l, s),) if w is not None}
+    got = list(mono.triples(mono.compose(p, q)))
+    assert len(got) == len(set(got)) and set(got) == want
 
 
 def sample_view(rng: random.Random, worlds, max_size=3):
