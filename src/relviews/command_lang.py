@@ -5,10 +5,12 @@ finite iteration.  Stepping is split into a stateless relation on command
 shapes and a stateful one that additionally runs the fired primitive's
 transformer.  Conditionals and loops are encodings on top of assume.
 
-Structure is walked generically: `walk` and `rebuild` read each node's
-fields, so copying or searching a tree of expressions, primitives,
-commands or assertions names no node class.  Meaning is given per class,
-where nodes are evaluated or stepped (`eval_expr`, `step`).
+Trees are hash-consed and hash by identity (`tree_node`).  Structure is
+walked generically: `walk` and `rebuild` read each node's fields, so
+copying or searching a tree of expressions, primitives, commands or
+assertions names no node class.  Meaning is given per class, where an
+expression is compiled to a closure once per node (`eval_expr`) and a
+command is stepped once per node (`step`).
 """
 
 from __future__ import annotations
@@ -35,18 +37,16 @@ def tree_node(cls):
     """Class decorator for an immutable tree node, hash-consed: the fields
     are the class's annotated names, and constructing a node returns the
     one node of that class with equal fields, so equal trees are one object
-    and equality is identity.  Like the `step` and `free_lvars` caches,
-    `_NODES` keeps every distinct node for the life of the process.
+    and equality is identity.  Like the `step`, `free_lvars` and compiled
+    expression caches, `_NODES` keeps every distinct node for the life of
+    the process.
 
-    The hash is that of the field tuple, computed once when the node is
-    created, so set and dict order is what a frozen dataclass would give.
-    A hash of a tree that holds strings is valid only in the process that
-    computed it: `__reduce__` rebuilds the node through the constructor,
-    so an unpickled or copied node is the canonical node of its process,
-    hashed afresh.  `state_model`'s heaps and token maps are hash-consed
-    and rebuilt the same way too, but they hash by identity and their
-    tables hold weak references: a map lives only while it is used, and
-    their set order follows object addresses.
+    A node hashes by identity, in C, as `state_model`'s heaps and token
+    maps do, so set and dict order of nodes follows object addresses and
+    no report may depend on it.  `__reduce__` rebuilds a node through the
+    constructor, so an unpickled or copied node is the canonical node of
+    its process.  Unlike the maps' tables, `_NODES` holds its nodes
+    strongly.
 
     A node also records its parts, the nodes among its fields (`_parts`),
     which `walk` and `rebuild` read.
@@ -68,13 +68,9 @@ def tree_node(cls):
         node = _NODES.get(key)
         if node is None:
             node = object.__new__(klass)
-            node.__dict__.update(zip(names, args), _hash=hash(args),
-                                 _parts=_parts(args))
+            node.__dict__.update(zip(names, args), _parts=_parts(args))
             node = _NODES.setdefault(key, node)
         return node
-
-    def __hash__(self):
-        return self._hash
 
     def __reduce__(self):
         return (type(self), tuple([getattr(self, n) for n in names]))
@@ -88,7 +84,6 @@ def tree_node(cls):
 
     cls._fields = names
     cls.__new__ = staticmethod(__new__)
-    cls.__hash__ = __hash__
     cls.__reduce__ = __reduce__
     cls.__setattr__ = cls.__delattr__ = frozen
     if "__repr__" not in vars(cls):
@@ -233,37 +228,65 @@ def resolve_loc(loc: str, t: int) -> str:
 
 def eval_expr(e: Expr, sigma: Heap, interp: Dict[str, int], t: int, modulus: int) -> int:
     """Total evaluation over the declared values; raises UndefinedLocation
-    when a read location is absent from the state."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, LVar):
-        return interp[e.name]
-    if isinstance(e, Read):
-        loc = resolve_loc(e.loc, t)
-        v = sigma.get(loc)
-        if v is None:
-            raise UndefinedLocation(loc)
-        return v
-    if isinstance(e, Tid):
-        return t
-    if isinstance(e, Plus):
-        return (eval_expr(e.a, sigma, interp, t, modulus)
-                + eval_expr(e.b, sigma, interp, t, modulus)) % modulus
-    if isinstance(e, Eq):
-        return int(eval_expr(e.a, sigma, interp, t, modulus)
-                   == eval_expr(e.b, sigma, interp, t, modulus))
-    if isinstance(e, Lt):
-        return int(eval_expr(e.a, sigma, interp, t, modulus)
-                   < eval_expr(e.b, sigma, interp, t, modulus))
-    if isinstance(e, Not):
-        return int(eval_expr(e.a, sigma, interp, t, modulus) == 0)
-    if isinstance(e, And):
-        return int(eval_expr(e.a, sigma, interp, t, modulus) != 0
-                   and eval_expr(e.b, sigma, interp, t, modulus) != 0)
-    if isinstance(e, Or):
-        return int(eval_expr(e.a, sigma, interp, t, modulus) != 0
-                   or eval_expr(e.b, sigma, interp, t, modulus) != 0)
-    raise ModelError(f"unknown expression node {e!r}")
+    when a read location is absent from the state.  Runs e's closure,
+    compiled on first use."""
+    return _compiled(e)(sigma, interp, t, modulus)
+
+
+@lru_cache(maxsize=None)
+def _compiled(e: Expr) -> Callable[[Heap, Dict[str, int], int, int], int]:
+    """e as a closure over (sigma, interp, t, modulus), one per hash-consed
+    node for the life of the process, as `step`'s cache is (Feeley and
+    Lapalme, Computer Languages 1987).  `and` and `or` skip their right
+    side as Python's do, and a node of no expression class raises only
+    when it is evaluated."""
+    kind = type(e)
+    if kind is Const:
+        value = e.value
+        return lambda sigma, interp, t, modulus: value
+    if kind is LVar:
+        name = e.name
+        return lambda sigma, interp, t, modulus: interp[name]
+    if kind is Read:
+        loc = e.loc
+
+        def read(sigma, interp, t, modulus):
+            where = resolve_loc(loc, t)
+            v = sigma.get(where)
+            if v is None:
+                raise UndefinedLocation(where)
+            return v
+        return read
+    if kind is Tid:
+        return lambda sigma, interp, t, modulus: t
+    if kind is Not:
+        a = _compiled(e.a)
+        return lambda sigma, interp, t, modulus: int(
+            a(sigma, interp, t, modulus) == 0)
+    if kind in (Plus, Eq, Lt, And, Or):
+        a, b = _compiled(e.a), _compiled(e.b)
+    if kind is Plus:
+        return lambda sigma, interp, t, modulus: (
+            a(sigma, interp, t, modulus)
+            + b(sigma, interp, t, modulus)) % modulus
+    if kind is Eq:
+        return lambda sigma, interp, t, modulus: int(
+            a(sigma, interp, t, modulus) == b(sigma, interp, t, modulus))
+    if kind is Lt:
+        return lambda sigma, interp, t, modulus: int(
+            a(sigma, interp, t, modulus) < b(sigma, interp, t, modulus))
+    if kind is And:
+        return lambda sigma, interp, t, modulus: int(
+            a(sigma, interp, t, modulus) != 0
+            and b(sigma, interp, t, modulus) != 0)
+    if kind is Or:
+        return lambda sigma, interp, t, modulus: int(
+            a(sigma, interp, t, modulus) != 0
+            or b(sigma, interp, t, modulus) != 0)
+
+    def unknown(sigma, interp, t, modulus):
+        raise ModelError(f"unknown expression node {e!r}")
+    return unknown
 
 
 def expr_locs(*trees) -> frozenset:
@@ -499,9 +522,4 @@ def desugar_if(e: Expr, then: Command, other: Command) -> Command:
 
 def desugar_while(e: Expr, body: Command) -> Command:
     return Seq(Iter(Seq(assume(e), body)), assume(Not(e)))
-
-
-def command_prims(c: Command) -> frozenset:
-    """The primitive commands occurring in a command."""
-    return frozenset(n for n in walk(c) if isinstance(n, PrimCommand))
 

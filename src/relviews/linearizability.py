@@ -178,12 +178,13 @@ class _Library:
     idle or a running (method, members), the (command, expected return)
     pairs that its moves so far leave possible.  The call event does not
     name the return, so a call starts one slot holding every value's
-    command; a running slot steps each member and groups the results by
-    (primitive, heap'), each group the next slot, and a `Skip` member
-    returns its value.  A merged run thus stands for the runs of its
-    members, with the same moves, events and heaps.  An abstract command
-    is the pending `APCom`, run atomically to `Skip`, which blocks rather
-    than faults.
+    command; a running slot steps each distinct command of its members
+    once, each member taking its command's steps, and groups the members'
+    results by (primitive, heap'), each group the next slot; a `Skip`
+    member returns its value.  A merged run thus stands for the runs of
+    its members, with the same moves, events and heaps.  An abstract
+    command is the pending `APCom`, run atomically to `Skip`, which blocks
+    rather than faults.
 
     A concrete command is a body under the small-step semantics, where a
     step may fault.  The members of a call m(a) share one command, the
@@ -203,13 +204,14 @@ class _Library:
     Slots are interned to small ints, `IDLE` as slot 0, and a
     configuration is the interned flat tuple (heap, slot id of thread 1,
     ..., slot id of thread N); a heap is hash-consed, so it is its own
-    identity.  A command steps once per (thread, command, heap); the
+    identity.  A command steps once per (thread, command, heap), looked
+    up once per local table however many members hold it; the
     model's `Semantics` runs a primitive or abstract command once per
     (command, thread, heap), and instantiates a primitive that reads `r`
     at a value only when a step of it fires at that value.  `local` and
-    `successors` tabulate once per key.  A call or return's move is its event; a silent step's move is
-    (thread, primitive) and its event None.  `dom.cap` bounds the
-    configurations tabulated.
+    `successors` tabulate once per key.  A call or return's move is its
+    event; a silent step's move is (thread, primitive) and its event None.
+    `dom.cap` bounds the configurations tabulated.
     """
 
     def __init__(self, model: LibraryModel, concrete: bool):
@@ -264,8 +266,10 @@ class _Library:
         """Thread t's moves from slot sid at heap, as (move, event or None,
         slot id', heap') entries, built on the first call: calls in
         `calls` order, or returns and then the members' steps grouped by
-        (primitive, heap').  A group that steps into the fault state is
-        the marker (move, None, -1, FAULT)."""
+        (primitive, heap'), each distinct command stepped once (and its
+        primitive instantiated per member value where it reads `r`).  A
+        group that steps into the fault state is the marker (move, None,
+        -1, FAULT)."""
         key = (t, sid, heap)
         table = self._locals.get(key)
         if table is not None:
@@ -276,18 +280,26 @@ class _Library:
                           for m, a, started in self.calls)
         else:
             m, members = slot
-            out, groups = [], {}
+            values = {}  # command -> the values of the members holding it
             for cmd, v in members:
-                if isinstance(cmd, Skip):
-                    out.append(((t, "ret", m, v),) * 2 + (0, heap))
+                values.setdefault(cmd, []).append(v)
+            out, groups = [], {}
+            sem = self.model.sem
+            for cmd, vs in values.items():
+                if type(cmd) is Skip:
+                    out += [((t, "ret", m, v),) * 2 + (0, heap) for v in vs]
                     continue
                 for alpha, cmd2, heaps2 in self._step(t, cmd, heap):
-                    if heaps2 is None:
-                        alpha = self.model.sem.instance(alpha, {"r": v})
-                        heaps2 = self.model.sem.run(alpha, t, heap)
-                    for heap2 in heaps2:
-                        groups.setdefault((alpha, heap2), []).append(
-                            (cmd2, v))
+                    if heaps2 is not None:
+                        pairs = [(cmd2, v) for v in vs]
+                        for heap2 in heaps2:
+                            groups.setdefault((alpha, heap2), []).extend(pairs)
+                        continue
+                    for v in vs:
+                        beta = sem.instance(alpha, {"r": v})
+                        for heap2 in sem.run(beta, t, heap):
+                            groups.setdefault((beta, heap2), []).append(
+                                (cmd2, v))
             out.extend(
                 ((t, alpha), None, -1 if heap2 is FAULT else _index(
                     self._slot_ids, self.slots, (m, frozenset(group))), heap2)

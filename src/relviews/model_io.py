@@ -39,7 +39,6 @@ from .command_lang import (
     AbstractTable,
     TransformerTable,
     cas,
-    command_prims,
     desugar_if,
     desugar_while,
     expr_locs,
@@ -183,18 +182,27 @@ _LOC_ARGS = {"store": (0,), "load": (0, 1), "cas_succ": (0,), "cas_fail": (0,)}
 
 def validate_command(c: Command, table: TransformerTable,
                      path: str = "cmd") -> None:
-    """Every primitive of c is declared and given as many arguments as it
-    takes; of several faults, the least by (name, argument count) is
-    reported."""
+    """A method body, walked once: every primitive of c is declared and
+    given as many arguments as it takes (of several faults, the least by
+    (name, argument count) is reported); then c reads no logical variable
+    but `a` and `r`, and its locations no placeholder but `{a}`, `{r}` and
+    `{t}`."""
+    nodes: Dict[type, set] = {PrimCommand: set(), LVar: set(), Read: set()}
+    for n in walk(c):
+        if type(n) in nodes:
+            nodes[type(n)].add(n)
     arity = {**BUILTIN_ARITY,
              **{name: len(u.params) for name, u in table.custom.items()}}
     for name, given in sorted({(prim.name, len(prim.args))
-                               for prim in command_prims(c)}):
+                               for prim in nodes[PrimCommand]}):
         if name not in arity:
             _fail(path, f"command uses undeclared primitive {name!r}")
         if arity[name] != given:
             _fail(path, f"arity mismatch for {name!r}: takes {arity[name]}, "
                         f"given {given}")
+    _check_vars({n.name for n in nodes[LVar]}, ("a", "r"), "a method body",
+                path, ' (the thread id is ["tid"])')
+    _check_placeholders({n.loc for n in nodes[Read]}, "art", path)
 
 
 def parse_command(doc, path: str = "cmd") -> Command:
@@ -571,10 +579,6 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
                                        f"method {mname!r} args", path)
         template = parse_command(spec["body"], f"{path}/methods/{mname}")
         validate_command(template, ctable, f"{path}/methods/{mname}")
-        _check_vars(free_lvars_expr(template), ("a", "r"), "a method body",
-                    f"{path}/methods/{mname}", ' (the thread id is ["tid"])')
-        _check_placeholders(expr_locs(template), "art",
-                            f"{path}/methods/{mname}")
         if isinstance(template, Skip):
             # a zero-step body would let concrete histories outrun the
             # abstract generator at equal bounds

@@ -31,12 +31,14 @@ class _Partial(dict):
 def subst(node, b: Binding):
     """The tree at node with each logical variable that b binds replaced
     by its value, and b's `{name}` placeholders formatted in each read
-    location."""
+    location.  A subtree that reads no name b binds is kept as it is."""
     def leaf(n):
+        if b.keys().isdisjoint(subst_names(n)):
+            return n
         if type(n) is LVar:
-            return Const(b[n.name]) if n.name in b else n
+            return Const(b[n.name])
         if type(n) is Read:
-            return Read(n.loc.format_map(_Partial(b))) if "{" in n.loc else n
+            return Read(n.loc.format_map(_Partial(b)))
         return None
 
     return rebuild(node, leaf)

@@ -81,7 +81,9 @@ at one heap.  `PerValueLibrary` is the concrete library over such
 instances, one body per expected return, each stepped on its own;
 `per_value_stepping()` makes the shipped checks build it, and the shipped
 library, whose members share the body until a primitive reads `r`, is
-tested against it.
+tested against it.  `per_member_local` tabulates a slot's local moves
+stepping each member on its own; the shipped `_Library.local`, which
+steps each distinct command of the slot once, is tested against it.
 
 Instances by substitution: `subst_vassn`/`subst_outline` build each
 instance's assertions and outline as new trees with its t, a and r
@@ -94,7 +96,10 @@ Per-class structure: `ref_subst_expr`, `ref_subst_prim`,
 `ref_command_prims` copy or search a tree with one branch per node class,
 as the package did before `command_lang.walk` and `rebuild` read each
 node's fields; the generic `subst`, `expr_locs`, `free_lvars_expr` and
-`command_prims` are tested against them.
+`command_prims` (a filter over `walk`, which only tests use) are tested
+against them.  `ref_eval_expr` evaluates an expression by a recursive
+interpreter with one branch per node class; `command_lang.eval_expr`,
+which runs a closure compiled once per node, is tested against it.
 """
 
 from __future__ import annotations
@@ -126,18 +131,19 @@ from relviews.command_lang import (
     Skip,
     Tid,
     apply_guarded,
-    command_prims,
     eval_expr,
     expr_locs,
     loc_placeholders,
     resolve_loc,
     step,
+    walk,
 )
 from relviews import linearizability
 from relviews.errors import (
     FaultReachable,
     ModelError,
     RelviewsError,
+    UndefinedLocation,
     UniverseTooLarge,
 )
 from relviews.linearizability import (
@@ -750,41 +756,52 @@ class PerValueLibrary(_Library):
                 for a in self.model.method_args[m]]
 
     def _step(self, t, cmd, heap):
+        """(primitive, command', (heap',)) per step and result."""
         steps = self._steps.get((t, cmd, heap))
         if steps is None:
             sem = self.model.sem
             mod = sem.modulus
             steps = self._steps[t, cmd, heap] = tuple(
-                heap_steps(cmd, heap, t, sem.ctable, mod) if self.concrete
-                else ((cmd, SKIP, h) for h in sem.atable.apply(
-                    *cmd, t, heap, mod)))
+                (alpha, c2, (h,)) for alpha, c2, h in (
+                    heap_steps(cmd, heap, t, sem.ctable, mod) if self.concrete
+                    else ((cmd, SKIP, h) for h in sem.atable.apply(
+                        *cmd, t, heap, mod))))
         return steps
 
     def local(self, t, sid, heap):
-        key = (t, sid, heap)
-        table = self._locals.get(key)
-        if table is not None:
-            return table
-        slot = self.slots[sid]
-        if slot is IDLE:
-            table = tuple(((t, "call", m, a),) * 2 + (started, heap)
-                          for m, a, started in self.calls)
-        else:
-            m, members = slot
-            out, groups = [], {}
-            for cmd, v in members:
-                if isinstance(cmd, Skip):
-                    out.append(((t, "ret", m, v),) * 2 + (0, heap))
-                    continue
-                for alpha, cmd2, heap2 in self._step(t, cmd, heap):
-                    groups.setdefault((alpha, heap2), []).append((cmd2, v))
-            out.extend(
-                ((t, alpha), None, -1 if heap2 is FAULT else _index(
-                    self._slot_ids, self.slots, (m, frozenset(group))), heap2)
-                for (alpha, heap2), group in groups.items())
-            table = tuple(out)
-        self._locals[key] = table
+        table = self._locals.get((t, sid, heap))
+        if table is None:
+            table = self._locals[t, sid, heap] = per_member_local(
+                self, t, sid, heap)
         return table
+
+
+def per_member_local(lib: _Library, t: int, sid: int, heap) -> tuple:
+    """`lib.local(t, sid, heap)` with no memo, stepping each member of the
+    slot on its own: `lib._step` once per member, and a primitive that
+    reads `r` instantiated at the member's value.  The shipped `local`
+    steps each distinct command of the slot once."""
+    slot = lib.slots[sid]
+    if slot is IDLE:
+        return tuple(((t, "call", m, a),) * 2 + (started, heap)
+                     for m, a, started in lib.calls)
+    m, members = slot
+    out, groups = [], {}
+    for cmd, v in members:
+        if isinstance(cmd, Skip):
+            out.append(((t, "ret", m, v),) * 2 + (0, heap))
+            continue
+        for alpha, cmd2, heaps2 in lib._step(t, cmd, heap):
+            if heaps2 is None:
+                alpha = lib.model.sem.instance(alpha, {"r": v})
+                heaps2 = lib.model.sem.run(alpha, t, heap)
+            for heap2 in heaps2:
+                groups.setdefault((alpha, heap2), []).append((cmd2, v))
+    out.extend(
+        ((t, alpha), None, -1 if heap2 is FAULT else _index(
+            lib._slot_ids, lib.slots, (m, frozenset(group))), heap2)
+        for (alpha, heap2), group in groups.items())
+    return tuple(out)
 
 
 @contextmanager
@@ -977,6 +994,40 @@ def ref_subst_command(c: Command, b: Binding) -> Command:
     return out
 
 
+def ref_eval_expr(e: Expr, sigma, interp, t: int, modulus: int) -> int:
+    """An expression's value by a recursive interpreter, one branch per
+    node class; raises UndefinedLocation where a read location is absent
+    from the state."""
+    def ev(x):
+        return ref_eval_expr(x, sigma, interp, t, modulus)
+
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, LVar):
+        return interp[e.name]
+    if isinstance(e, Read):
+        loc = resolve_loc(e.loc, t)
+        v = sigma.get(loc)
+        if v is None:
+            raise UndefinedLocation(loc)
+        return v
+    if isinstance(e, Tid):
+        return t
+    if isinstance(e, Plus):
+        return (ev(e.a) + ev(e.b)) % modulus
+    if isinstance(e, Eq):
+        return int(ev(e.a) == ev(e.b))
+    if isinstance(e, Lt):
+        return int(ev(e.a) < ev(e.b))
+    if isinstance(e, Not):
+        return int(ev(e.a) == 0)
+    if isinstance(e, And):
+        return int(ev(e.a) != 0 and ev(e.b) != 0)
+    if isinstance(e, Or):
+        return int(ev(e.a) != 0 or ev(e.b) != 0)
+    raise ModelError(f"unknown expression node {e!r}")
+
+
 def ref_expr_locs(e: Expr) -> frozenset:
     if isinstance(e, Read):
         return frozenset([e.loc])
@@ -995,6 +1046,12 @@ def ref_free_lvars_expr(e: Expr) -> frozenset:
     if isinstance(e, Not):
         return ref_free_lvars_expr(e.a)
     return frozenset()
+
+
+def command_prims(c: Command) -> frozenset:
+    """The primitive commands occurring in a command, by the generic
+    walk."""
+    return frozenset(n for n in walk(c) if isinstance(n, PrimCommand))
 
 
 def ref_command_prims(c: Command) -> frozenset:

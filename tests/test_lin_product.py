@@ -29,6 +29,7 @@ from oracles import (
     history_sort_key,
     instance_body,
     lin_by_history_sets,
+    per_member_local,
     per_value_stepping,
 )
 from relviews import linearizability
@@ -495,16 +496,15 @@ def test_shared_bodies_step_as_per_value_bodies_on_three_threads():
     _assert_as_per_value(parse_model(flat_combiner(3)[0]), range(11))
 
 
-def _concrete_library(model, bound, library):
+def _libraries(model, bound, library=_Library):
     """`_lin_outcome` with the shipped checks building `library`, and the
-    concrete library they built."""
+    libraries they built."""
     made = []
 
     class Recording(library):
         def __init__(self, model, concrete):
             super().__init__(model, concrete)
-            if concrete:
-                made.append(self)
+            made.append(self)
 
     shipped = linearizability._Library
     linearizability._Library = Recording
@@ -512,7 +512,14 @@ def _concrete_library(model, bound, library):
         outcome = _lin_outcome(model, bound)
     finally:
         linearizability._Library = shipped
-    (lib,) = made
+    return outcome, made
+
+
+def _concrete_library(model, bound, library):
+    """`_lin_outcome` with the shipped checks building `library`, and the
+    concrete library they built."""
+    outcome, made = _libraries(model, bound, library)
+    (lib,) = [lib for lib in made if lib.concrete]
     return outcome, lib
 
 
@@ -567,3 +574,40 @@ def test_twin_primitives_step_per_value(name):
             assert tuple((s["configurations"], s["frontiers"])
                          for s in (got[2], want[2])) == TWIN_STATS_AT_6[name]
     _assert_as_per_value(model, (), range(8))
+
+
+# ---------------------------------------------------------------------------
+# A slot's distinct commands stepped once against each member stepped
+
+
+def _assert_local_as_per_member(model, bound):
+    """Every local table that the check tabulates, concrete and abstract,
+    holds the entries `oracles.per_member_local` gives, which steps each
+    member of the slot on its own."""
+    _outcome, libs = _libraries(model, bound)
+    for lib in libs:
+        assert lib._locals
+        for key, table in list(lib._locals.items()):
+            want = per_member_local(lib, *key)
+            assert len(table) == len(want) and set(table) == set(want), key
+
+
+@pytest.mark.parametrize("name", [*sorted(STATS), *GHOSTS, "late-fault"])
+def test_slots_step_each_command_as_each_member(name):
+    _assert_local_as_per_member(_model(name), 10)
+
+
+@pytest.mark.parametrize("name", list(TWINS))
+def test_twin_slots_step_each_command_as_each_member(name):
+    _assert_local_as_per_member(parse_model(TWINS[name]()), 10)
+
+
+def test_three_thread_slots_step_each_command_as_each_member():
+    _assert_local_as_per_member(parse_model(flat_combiner(3)[0]), 9)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=tiny_model_docs())
+def test_slots_step_each_command_as_each_member_on_generated_models(doc):
+    _assert_local_as_per_member(parse_model(doc), 6)

@@ -27,10 +27,10 @@ from relviews.command_lang import (
     Const,
     PrimCommand,
     TransformerTable,
-    command_prims,
 )
 from relviews.state_model import FAULT, Heap
 from oracles import (
+    command_prims,
     history_depths,
     history_sort_key,
     heap_steps,

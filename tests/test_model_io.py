@@ -11,7 +11,6 @@ from relviews.command_lang import (
     Const,
     Read,
     cas,
-    command_prims,
     desugar_if,
     desugar_while,
     expr_locs,
@@ -28,7 +27,7 @@ from relviews.model_io import (
     parse_vassn,
     MacroTable,
 )
-from oracles import instance_body, per_instance_body_error
+from oracles import command_prims, instance_body, per_instance_body_error
 from util import fixture_manifest, store
 
 FIX = "src/relviews/fixtures"

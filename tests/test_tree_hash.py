@@ -2,12 +2,12 @@
 
 Constructing a node returns the one node of its class with equal fields,
 kept in the process-wide table `command_lang._NODES`, so equal trees are
-one object.  Its hash, computed once, must equal the hash a frozen
-dataclass generates (the hash of its field tuple), so set and dict
-iteration order, and with it every report, stay as they were.  A hash of a
-tree holding strings is valid only under the hash seed that computed it,
-so it must never cross a process boundary: these tests unpickle hashed
-trees in a process with a different `PYTHONHASHSEED`.
+one object.  A node hashes by identity, in C, as heaps and token maps do,
+so set and dict order of nodes follows object addresses; no report may
+depend on it, which CI checks by comparing each report under hash seeds
+0 and 1 and under seed 0 again.  Copying, deep-copying and unpickling a
+tree give the canonical nodes of the process, also in a process with a
+different `PYTHONHASHSEED` from the one that pickled it.
 """
 
 import copy
@@ -19,6 +19,7 @@ import sys
 import pytest
 
 from relviews.command_lang import (
+    _NODE_CLASSES,
     _NODES,
     Const,
     LVar,
@@ -97,30 +98,20 @@ def _canonical(x):
     return all(_NODES.get((type(n), _fields(n))) is n for n in _nodes(x))
 
 
-class _Hashed:
-    """Stands in for a tuple element whose hash is already known."""
-
-    def __init__(self, h):
-        self.h = h
-
-    def __hash__(self):
-        return self.h
+def _hashed_by_identity(nodes) -> bool:
+    return all(hash(n) == object.__hash__(n) for n in nodes)
 
 
-def _field_tuple_hash(x, memo):
-    """The hash a frozen dataclass generates, computed without calling any
-    node's own `__hash__`; `memo` maps id(node) to its result."""
-    if id(x) in memo:
-        return memo[id(x)]
-    if _is_node(x):
-        parts = _fields(x)
-    elif isinstance(x, tuple):
-        parts = x
-    else:
-        return hash(x)
-    h = memo[id(x)] = hash(tuple(_Hashed(_field_tuple_hash(p, memo))
-                                 for p in parts))
-    return h
+def _copies_are_canonical(trees, nodes) -> bool:
+    """Copied, deep-copied and unpickled, the trees are the nodes listed."""
+    if not all(copy.copy(n) is n for n in nodes):
+        return False
+    for rebuilt in (copy.deepcopy(trees), pickle.loads(pickle.dumps(trees))):
+        back = list(_nodes(rebuilt))
+        if len(back) != len(nodes) or any(
+                a is not b for a, b in zip(back, nodes)):
+            return False
+    return True
 
 
 def test_fields_are_the_annotated_names_in_order():
@@ -137,13 +128,13 @@ def test_fields_are_the_annotated_names_in_order():
         Read("l", loc="m")
 
 
-def test_cached_hash_is_the_field_tuple_hash():
+def test_a_node_hashes_by_identity():
     for fx in fixture_manifest():
         nodes = list(_nodes(_trees(_load(fx))))
         assert nodes, fx.name
-        memo = {}
-        for node in nodes:
-            assert hash(node) == _field_tuple_hash(node, memo), (fx.name, node)
+        assert _hashed_by_identity(nodes), fx.name
+        assert not any("_hash" in vars(n) for n in nodes), fx.name
+    assert all("__hash__" not in vars(cls) for cls in _NODE_CLASSES)
 
 
 def test_equal_trees_built_apart_hash_alike():
@@ -182,12 +173,7 @@ def test_rebuilt_nodes_are_canonical():
             prims = [n.prim for n in _nodes(outline.body)
                      if isinstance(n, OPrim)]
             assert _canonical([subst(p, binding) for p in prims])
-        assert all(copy.copy(n) is n for n in nodes), fx.name
-        for rebuilt in (copy.deepcopy(trees),
-                        pickle.loads(pickle.dumps(trees))):
-            back = list(_nodes(rebuilt))
-            assert len(back) == len(nodes), fx.name
-            assert all(a is b for a, b in zip(back, nodes)), fx.name
+        assert _copies_are_canonical(trees, nodes), fx.name
 
 
 def test_fields_cannot_be_assigned_or_deleted():
@@ -195,7 +181,7 @@ def test_fields_cannot_be_assigned_or_deleted():
     with pytest.raises(AttributeError):
         node.a = Const(2)
     with pytest.raises(AttributeError):
-        node._hash = 0
+        node._parts = ()
     with pytest.raises(AttributeError):
         del node.b
     assert node is Plus(LVar("x"), Const(1)) and node.a is LVar("x")
@@ -219,8 +205,6 @@ def _main(cmd, path=None):
         trees = {}
         for fx in fixture_manifest():
             trees[fx.name] = _trees(_load(fx))
-            for node in _nodes(trees[fx.name]):
-                hash(node)
         with open(path, "wb") as fh:
             pickle.dump(trees, fh)
     elif cmd == "check":
@@ -230,10 +214,9 @@ def _main(cmd, path=None):
             back = list(_nodes(trees[fx.name]))
             fresh = list(_nodes(_trees(_load(fx))))
             assert len(back) == len(fresh), fx.name
-            memo = {}
-            for a, b in zip(back, fresh):
-                assert a is b, (fx.name, a)
-                assert hash(a) == _field_tuple_hash(a, memo), (fx.name, a)
+            assert all(a is b for a, b in zip(back, fresh)), fx.name
+            assert _hashed_by_identity(back), fx.name
+            assert _copies_are_canonical(trees[fx.name], back), fx.name
         print(len(trees))
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from families import flat_combiner
 from oracles import (
+    command_prims,
     ref_command_prims,
     ref_expr_locs,
     ref_free_lvars_expr,
@@ -41,7 +42,6 @@ from relviews.command_lang import (
     Seq,
     Skip,
     Tid,
-    command_prims,
     expr_locs,
     rebuild,
     walk,
