@@ -268,7 +268,8 @@ class MacroTable:
     again would build the same hash-consed tree.  Errors are not memoized,
     so each keeps its own path.  Every macro's parameters are checked to
     be a list of names once, when the table is built, whether or not an
-    assertion applies the macro."""
+    assertion applies the macro.  `boxes_passed` keeps the document's
+    `_check_boxes` results: one macro's tree stands in many slots."""
 
     def __init__(self, raw: Dict[str, dict], methods: Iterable[str],
                  path: str = "model"):
@@ -285,6 +286,7 @@ class MacroTable:
         # key -> (parsed assertion, names reached)
         self._parsed: Dict[tuple, Tuple[VAssn, frozenset]] = {}
         self._trail: List[str] = []  # every name reached, in order
+        self.boxes_passed: set = set()  # see `_check_boxes`
 
     def apply(self, name: str, args: List, nthreads: int, path: str,
               stack: Tuple[str, ...]) -> VAssn:
@@ -418,35 +420,43 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
     _fail(path, f"unknown view assertion form {doc!r}")
 
 
-def _check_boxes(a, path: str, no_box: Optional[str] = None,
+def _check_boxes(a, path: str, passed: set, no_box: Optional[str] = None,
                  body: bool = False):
     """A box stands only in a slot that allows one (`no_box` is the error
     of a slot that does not) and never inside another box.  `true` stands
     only where `RgsepMonoid._box_states` reads it (`body`): as a box's
     body, or as a conjunct of a `star` that is the body, under any `or`
     and `exists` at the top of the body.  Everywhere else an assertion is
-    denoted by `ViewMonoid.fragments`, which knows neither."""
+    denoted by `ViewMonoid.fragments`, which knows neither.  `passed`
+    holds the (node, `no_box`, `body`) triples already checked: the check
+    reads nothing else and the first failure raises, so a hash-consed
+    subtree that many slots share is walked once per document."""
+    key = (a, no_box, body)
+    if key in passed:
+        return
     if isinstance(a, BoxA):
         if no_box is not None:
             _fail(path, no_box)
-        _check_boxes(a.body, path, "boxed assertions must not be nested",
-                     True)
+        _check_boxes(a.body, path, passed,
+                     "boxed assertions must not be nested", True)
     elif isinstance(a, TrueA) and not body:
         _fail(path, "`true` may stand only as a box's body or as a "
                     "conjunct of the star that is a box's body")
     elif isinstance(a, (StarA, OrA, ExistsA)):
         top = body and not isinstance(a, StarA)
         for part in a._parts:
-            _check_boxes(part, path, no_box,
+            _check_boxes(part, path, passed, no_box,
                          top or body and isinstance(part, TrueA))
+    passed.add(key)
 
 
 def parse_assertion(doc, macros: MacroTable, nthreads: int,
                     path: str = "assn", no_box: Optional[str] = None):
     """Parse the view assertion in any assertion slot and check where its
-    boxes and `true` stand (`_check_boxes`)."""
+    boxes and `true` stand (`_check_boxes`), once per subtree in the
+    document of `macros`."""
     rho = parse_vassn(doc, macros, nthreads, path)
-    _check_boxes(rho, path, no_box)
+    _check_boxes(rho, path, macros.boxes_passed, no_box)
     return rho
 
 

@@ -100,10 +100,12 @@ class RgsepMonoid(ViewMonoid):
         # and `check_action`
         self._triples_memo: Dict[Classes, tuple] = {}
         self._post_memo: Dict[Classes, dict] = {}
-        # see `_local_classes`, `_box_states` and `_successors`
+        # see `_local_classes`, `_box_states`, `_successors` and
+        # `_composed_sets`
         self._classes_memo: Dict[tuple, Classes] = {}
         self._box_memo: Dict[tuple, int] = {}
         self._succ_memo: Dict[Rel, tuple] = {}
+        self._sets_memo: Dict[Tuple[frozenset, frozenset], frozenset] = {}
         # each thread's guarantee, and its rely: every other thread's
         # guarantee and rely-extra actions; each action denoted once per
         # thread
@@ -130,7 +132,16 @@ class RgsepMonoid(ViewMonoid):
 
     def compose(self, p, q):
         """Local parts merge class by class."""
-        return _meet(_compose_sets, p, q)
+        return _meet(self._composed_sets, p, q)
+
+    def _composed_sets(self, left: frozenset, right: frozenset) -> frozenset:
+        """`_compose_sets`, once per pair of local-fragment sets: star folds
+        meet the same columns again and again."""
+        key = (left, right)
+        got = self._sets_memo.get(key)
+        if got is None:
+            got = self._sets_memo[key] = _compose_sets(left, right)
+        return got
 
     def triples(self, classes: Classes) -> tuple:
         """The (local, shared, world) triples of the predicate whose local
@@ -238,7 +249,7 @@ class RgsepMonoid(ViewMonoid):
         if isinstance(rho, StarA):
             cur = ((_EMP, live),)
             for part in rho.parts:
-                cur = _meet(_compose_sets, cur, self._local_classes(
+                cur = _meet(self._composed_sets, cur, self._local_classes(
                     part, interp, _cover(cur)))
                 if not cur:
                     break

@@ -207,28 +207,40 @@ def compose_maps(m1, m2):
     return got
 
 
-def compose_states(s1: HeapState, s2: HeapState) -> Optional[HeapState]:
-    """Partial composition of states; None marks the undefined case.
-
-    Fault is absorbing; otherwise the union of the two maps when their
-    domains are disjoint.
-    """
-    if s1 is FAULT or s2 is FAULT:
-        return FAULT
-    return compose_maps(s1, s2)
-
-
 def compose_worlds(w1: World, w2: World) -> Optional[World]:
-    """Componentwise composition; None if any component is undefined."""
-    c = compose_states(w1.conc, w2.conc)
-    if c is None:
-        return None
-    a = compose_states(w1.abst, w2.abst)
-    if a is None:
-        return None
-    t = compose_maps(w1.toks, w2.toks)
-    if t is None:
-        return None
+    """Componentwise composition; None if any component is undefined.  A
+    fault state absorbs, an empty part yields the other part itself, and
+    only two non-empty parts reach `compose_maps` and its memo."""
+    c1, a1, t1 = w1
+    c2, a2, t2 = w2
+    if c1 is EMPTY_HEAP:
+        c = c2
+    elif c2 is EMPTY_HEAP:
+        c = c1
+    elif c1 is FAULT or c2 is FAULT:
+        c = FAULT
+    else:
+        c = compose_maps(c1, c2)
+        if c is None:
+            return None
+    if a1 is EMPTY_HEAP:
+        a = a2
+    elif a2 is EMPTY_HEAP:
+        a = a1
+    elif a1 is FAULT or a2 is FAULT:
+        a = FAULT
+    else:
+        a = compose_maps(a1, a2)
+        if a is None:
+            return None
+    if t1 is EMPTY_TOKENS:
+        t = t2
+    elif t2 is EMPTY_TOKENS:
+        t = t1
+    else:
+        t = compose_maps(t1, t2)
+        if t is None:
+            return None
     return World(c, a, t)
 
 

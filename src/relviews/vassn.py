@@ -17,6 +17,7 @@ checker discharges at skip and consequence sites.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Dict, Tuple, Union
 
 from .command_lang import Expr, LVar, loc_placeholders, tree_node, walk
@@ -128,10 +129,26 @@ def _sorted_free(a: VAssn) -> tuple:
     return tuple(sorted(free_lvars(a)))
 
 
+@lru_cache(maxsize=None)
+def _free_values(a: VAssn):
+    """An `itemgetter` of the values of the assertion's free logical
+    variables, in name order; None when it has none."""
+    names = _sorted_free(a)
+    return itemgetter(*names) if names else None
+
+
 def memo_key(rho: VAssn, interp: Dict[str, int]) -> tuple:
     """The key of an evaluation memo: the assertion and the interpretation's
-    entries for its free logical variables, the only ones an evaluation
+    values of its free logical variables, the only ones an evaluation
     reads, in name order.  A name it does not mention, such as an
-    instance's `a` in a thread's invariant, does not split its entries."""
-    return (rho, tuple((n, interp[n]) for n in _sorted_free(rho)
-                       if n in interp))
+    instance's `a` in a thread's invariant, does not split its entries.
+    An interpretation that lacks a free name keys on the (name, value)
+    pairs it has, in a longer tuple that no full key equals."""
+    get = _free_values(rho)
+    if get is None:
+        return (rho, ())
+    try:
+        return (rho, get(interp))
+    except KeyError:
+        return (rho, tuple((n, interp[n]) for n in _sorted_free(rho)
+                           if n in interp), None)

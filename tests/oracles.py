@@ -51,9 +51,12 @@ search of `check_obligations` is tested.
 
 World composition, item by item: `compose_states_copying` and
 `compose_tokens_copying` check a key at a time and build the union through
-`set_many` or the constructor, with no memo.  The shipped `compose_maps`
-kernel, with its empty-side identity and its memo on the left operand, is
-tested against them.
+`set_many` or the constructor, with no memo.  The shipped `compose_maps`,
+with its empty-side identity and its memo on the left operand, and the
+`compose_worlds` kernel, which handles empty and fault parts itself, are
+tested against them.  `compose_states` composes two states as the kernel
+composes each heap of a world: fault absorbs, and otherwise
+`compose_maps` decides.
 
 RGSep side conditions, by brute force: `stable(pred, rely)` is the least
 witness (local, shared, shared') of a predicate not closed under a rely,
@@ -168,7 +171,7 @@ from relviews.state_model import (
     Token,
     TokenMap,
     World,
-    compose_states,
+    compose_maps,
     compose_worlds,
     enumerate_heaps,
     enumerate_worlds,
@@ -193,6 +196,14 @@ from relviews.vassn import (
 from relviews.views_core import ActionCounterexample, ImplVerdict
 
 from util import rgsep_unit, rgsep_view, view_columns
+
+
+def compose_states(s1, s2):
+    """Partial composition of states through the shipped `compose_maps`;
+    None marks the undefined case and fault is absorbing."""
+    if s1 is FAULT or s2 is FAULT:
+        return FAULT
+    return compose_maps(s1, s2)
 
 
 def compose_states_copying(s1, s2):

@@ -191,9 +191,13 @@ _TRUE_MISPLACED = ("`true` may stand only as a box's body or as a conjunct "
     (["box", ["star", ["star", ["true"], _X0]]], _TRUE_MISPLACED),
     (["box", ["star", ["true"], ["box", _X0]]],
      "boxed assertions must not be nested"),
+    # a subtree that passed where it stood first fails where it stands next
+    (["star", ["box", ["true"]], ["true"]], _TRUE_MISPLACED),
+    (["star", ["box", _X0], ["box", ["star", ["true"], ["box", _X0]]]],
+     "boxed assertions must not be nested"),
 ], ids=["body", "conjuncts", "under-or-exists", "star", "star-with-box",
         "or", "or-in-body-star", "or-after-cell", "exists", "inner-star",
-        "nested-box"])
+        "nested-box", "true-again-outside", "box-again-inside"])
 def test_true_stands_only_where_a_box_body_reads_it(doc, error):
     """Where `RgsepMonoid._box_states` reads `true`; everywhere else the
     assertion is denoted by `fragments`, which knows no `true`.  Before,
@@ -206,6 +210,20 @@ def test_true_stands_only_where_a_box_body_reads_it(doc, error):
     except ModelError as exc:
         got = str(exc)
     assert got == (error and f"assn: {error}")
+
+
+def test_boxes_are_checked_once_per_subtree_and_slot_rule():
+    """A document's `_check_boxes` results are kept in its macro table:
+    a box that loaded in a slot that allows one is still an error, with
+    the path of a slot that does not."""
+    macros = MacroTable({}, ())
+    box = model_io.parse_assertion(["box", _X0], macros, 1)
+    assert macros.boxes_passed
+    with pytest.raises(ModelError) as exc:
+        model_io.parse_assertion(["star", ["box", _X0]], macros, 1,
+                                 "model/actions/a/pre", "no box here")
+    assert str(exc.value) == "model/actions/a/pre: no box here"
+    assert model_io.parse_assertion(["box", _X0], macros, 1) is box
 
 
 _K0 = ["pt", "k", 0]

@@ -17,7 +17,7 @@ from relviews.command_lang import (
     walk,
 )
 from relviews.errors import StabilityViolation
-from relviews.monoid_rgsep import RgsepMonoid
+from relviews.monoid_rgsep import RgsepMonoid, _compose_sets
 from relviews.state_model import (
     APCom,
     EMPTY_WORLD,
@@ -30,7 +30,12 @@ from relviews.state_model import (
 from relviews.fixtures import fixture_path
 from relviews.linearizability import all_instances, check_obligations
 from relviews.logic import AssertionEnv
-from relviews.model_io import load_model, load_outlines, parse_model
+from relviews.model_io import (
+    attach_outlines,
+    load_model,
+    load_outlines,
+    parse_model,
+)
 from relviews.state_model import (
     compose_worlds,
     enumerate_worlds,
@@ -232,6 +237,46 @@ def test_each_guarantee_is_in_every_other_threads_rely(make):
     assert any(mono.guarantee(t) for t in tids)
 
 
+def _checked_proofs():
+    for name in ("atomic-inc", "flat-combiner", "flat-combiner-noaction4"):
+        def load(name=name):
+            model = load_model(fixture_path(name, "model.json"))
+            load_outlines(fixture_path(name, "outline.json"), model)
+            return model
+        yield pytest.param(load, id=name)
+    for n in (2, 3, 4):
+        def build(n=n):
+            doc, outline = flat_combiner(n)
+            model = parse_model(doc)
+            attach_outlines(outline, model)
+            return model
+        yield pytest.param(build, id=f"flat-combiner-{n}")
+
+
+@pytest.mark.parametrize("make", _checked_proofs())
+def test_every_set_composition_memo_entry_is_computed_afresh(make,
+                                                             monkeypatch):
+    # star folds and `compose` read the monoid's memo of `_compose_sets`:
+    # each entry, and each answer it gave, is the composition of its sets
+    composed = RgsepMonoid._composed_sets
+    answers = []
+
+    def record(self, left, right):
+        got = composed(self, left, right)
+        answers.append((left, right, got))
+        return got
+
+    model = make()
+    monkeypatch.setattr(RgsepMonoid, "_composed_sets", record)
+    check_obligations(model)
+    memo = model.monoid()._sets_memo
+    assert memo and len(answers) > len(memo)
+    for (left, right), got in memo.items():
+        assert got == _compose_sets(left, right), (left, right)
+    for left, right, got in answers:
+        assert got == _compose_sets(left, right), (left, right)
+
+
 # Small assertions over one or two locations, each one that loads: a box
 # interior is a disjunction or existential over stars of box-free parts
 # with optional `true` conjuncts, and `true` stands nowhere else.
@@ -345,7 +390,7 @@ def test_generated_assertions_load_and_reach_every_kind():
     @given(_case())
     def collect(case):
         mono, rho = case
-        model_io._check_boxes(rho, "generated")
+        model_io._check_boxes(rho, "generated", set())
         kinds = {type(n) for n in walk(rho)}
         seen.add("box" if BoxA in kinds else "box-free")
         seen.add("true" if TrueA in kinds else "no true")

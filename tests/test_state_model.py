@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relviews.errors import UniverseTooLarge
+from relviews.linearizability import check_obligations
+from relviews.model_io import load_model, load_outlines
 from relviews.state_model import (
     APCom,
     DONE,
@@ -23,7 +25,6 @@ from relviews.state_model import (
     TokenMap,
     World,
     compose_maps,
-    compose_states,
     compose_worlds,
     count_worlds,
     enumerate_heaps,
@@ -31,6 +32,7 @@ from relviews.state_model import (
     world_minus,
 )
 from oracles import (
+    compose_states,
     compose_states_copying,
     compose_tokens_copying,
     world_leq,
@@ -193,17 +195,40 @@ def test_kernel_matches_copying_composition_on_every_pair():
             assert _same_map(compose_maps(d1, d2), want), (d1, d2)
             unions += want is not None and bool(d1) and bool(d2)
     assert unions
-    for w1 in ws:
-        for w2 in ws:
-            parts = (compose_states_copying(w1.conc, w2.conc),
-                     compose_states_copying(w1.abst, w2.abst),
-                     compose_tokens_copying(w1.toks, w2.toks))
-            got = compose_worlds(w1, w2)
-            if None in parts:
-                assert got is None
-            else:
-                assert got == World(*parts) and hash(got) == hash(World(*parts))
-                assert all(_same_map(g, p) for g, p in zip(got, parts))
+    # worlds with a fault part, which absorbs
+    faulty = {w._replace(**parts) for w in ws
+              for parts in ({"conc": FAULT}, {"abst": FAULT},
+                            {"conc": FAULT, "abst": FAULT})}
+    worlds = [*ws, *sorted(faulty, key=repr)]
+    for w1 in worlds:
+        for w2 in worlds:
+            _assert_kernel_agrees(w1, w2)
+    # the (local, shared) pairs of the RGSep fixtures' triples, both ways
+    pairs = 0
+    for fx in fixture_manifest():
+        model = load_model(fx.model_path)
+        if model.monoid_kind != "rgsep" or not fx.outline_path:
+            continue
+        load_outlines(fx.outline_path, model)
+        check_obligations(model)
+        for triples in model.monoid()._triples_memo.values():
+            for l, s, _w in triples:
+                _assert_kernel_agrees(l, s)
+                _assert_kernel_agrees(s, l)
+                pairs += 1
+    assert pairs > 1000
+
+
+def _assert_kernel_agrees(w1, w2):
+    parts = (compose_states_copying(w1.conc, w2.conc),
+             compose_states_copying(w1.abst, w2.abst),
+             compose_tokens_copying(w1.toks, w2.toks))
+    got = compose_worlds(w1, w2)
+    if None in parts:
+        assert got is None, (w1, w2)
+    else:
+        assert got == World(*parts) and hash(got) == hash(World(*parts))
+        assert all(_same_map(g, p) for g, p in zip(got, parts)), (w1, w2)
 
 
 def test_internal_maps_equal_constructed_ones():
