@@ -2,8 +2,10 @@
 
 Commands are finite trees over primitives, sequencing, binary choice and
 finite iteration.  Stepping is split into a stateless relation on command
-shapes and a stateful one that additionally runs the fired primitive's
-transformer.  Conditionals and loops are encodings on top of assume.
+shapes and a stateful one that additionally runs the fired primitive.
+Every primitive is a guarded update: a model declares its own, and each
+builtin is one (`builtin_update`).  Conditionals and loops are encodings
+on top of assume.
 
 Trees are hash-consed and hash by identity (`tree_node`).  Structure is
 walked generically: `walk` and `rebuild` read each node's fields, so
@@ -353,7 +355,7 @@ def seq(*cmds: Command) -> Command:
 
 
 # ---------------------------------------------------------------------------
-# Transformer tables
+# Guarded updates
 
 ASSUME = "assume"
 STORE = "store"
@@ -364,9 +366,12 @@ CAS_FAIL = "cas_fail"
 
 @dataclass(frozen=True)
 class GuardedUpdate:
-    """A model-declared atomic primitive: optional guard plus simultaneous
-    location updates.  Guard false blocks; any read or written location
-    missing from the state faults."""
+    """An atomic primitive: parameters, bound to the values of the
+    arguments it runs with before its guard is evaluated, an optional guard
+    and simultaneous location updates.  Guard false blocks; any read or
+    written location missing from the state faults.  An abstract method's
+    parameters are `a` and `r`, bound to its argument and expected
+    return."""
 
     params: Tuple[str, ...] = ()
     guard: Optional[Expr] = None
@@ -378,66 +383,42 @@ BUILTIN_ARITY = {"id": 0, ASSUME: 1, STORE: 2, LOAD: 2, CAS_SUCC: 3,
                  CAS_FAIL: 3}
 
 
-class TransformerTable:
-    """Maps primitive names to their semantics.
-
-    The builtin names of `BUILTIN_ARITY` are always present; models may
-    declare further guarded-update primitives, under other names.
-    """
-
-    def __init__(self, custom: Optional[Dict[str, GuardedUpdate]] = None):
-        self.custom = dict(custom or {})
-
-    def apply(self, alpha: PrimCommand, t: int, sigma: Heap,
-              modulus: int) -> Tuple[HeapState, ...]:
-        """Run one primitive atomically; the result set is empty when the
-        primitive blocks and contains FAULT on a memory error.  A loaded
-        primitive has its arity, and its location arguments are reads
-        (`model_io`)."""
-        name = alpha.name
-        try:
-            if name == "id":
-                return (sigma,)
-            if name == ASSUME:
-                val = eval_expr(alpha.args[0], sigma, {}, t, modulus)
-                return (sigma,) if val != 0 else ()
-            if name == STORE:
-                loc = resolve_loc(alpha.args[0].loc, t)
-                written = eval_expr(alpha.args[1], sigma, {}, t, modulus)
-                if loc not in sigma:
-                    return (FAULT,)
-                return (sigma.set(loc, written),)
-            if name == LOAD:
-                src = resolve_loc(alpha.args[0].loc, t)
-                dst = resolve_loc(alpha.args[1].loc, t)
-                val = eval_expr(Read(src), sigma, {}, t, modulus)
-                if dst not in sigma:
-                    return (FAULT,)
-                return (sigma.set(dst, val),)
-            if name in (CAS_SUCC, CAS_FAIL):
-                loc = resolve_loc(alpha.args[0].loc, t)
-                if loc not in sigma:
-                    return (FAULT,)
-                old = eval_expr(alpha.args[1], sigma, {}, t, modulus)
-                if name == CAS_FAIL:
-                    return (sigma,) if sigma[loc] != old else ()
-                new = eval_expr(alpha.args[2], sigma, {}, t, modulus)
-                return (sigma.set(loc, new),) if sigma[loc] == old else ()
-            spec = self.custom[name]
-            env = {}
-            for p, arg in zip(spec.params, alpha.args):
-                env[p] = eval_expr(arg, sigma, {}, t, modulus)
-            return apply_guarded(spec, env, t, sigma, modulus)
-        except UndefinedLocation:
-            return (FAULT,)
+@lru_cache(maxsize=None)
+def builtin_update(alpha: PrimCommand) -> GuardedUpdate:
+    """A builtin primitive as the guarded update it is, one per hash-consed
+    primitive for the life of the process, as `step`'s cache is.  A loaded
+    primitive has its arity, and its location arguments are reads
+    (`model_io`).  `cas_succ` evaluates its new value even where it fails,
+    and `cas_fail` never does."""
+    name, args = alpha.name, alpha.args
+    if name == "id":
+        return GuardedUpdate()
+    if name == ASSUME:
+        return GuardedUpdate(guard=args[0])
+    if name == STORE:
+        return GuardedUpdate(updates=((args[0].loc, args[1]),))
+    if name == LOAD:
+        return GuardedUpdate(updates=((args[1].loc, args[0]),))
+    if name == CAS_SUCC:
+        x, old, new = args
+        return GuardedUpdate(guard=And(Eq(new, new), Eq(x, old)),
+                             updates=((x.loc, new),))
+    if name == CAS_FAIL:
+        return GuardedUpdate(guard=Not(Eq(args[0], args[1])))
+    raise ModelError(f"undeclared primitive {name!r}")
 
 
-def apply_guarded(spec: GuardedUpdate, env: Dict[str, int], t: int,
+def apply_guarded(spec: GuardedUpdate, args: Tuple[Expr, ...], t: int,
                   sigma: Heap, modulus: int) -> Tuple[HeapState, ...]:
+    """Run one guarded update atomically with the arguments args: the
+    result set is empty when the guard is false, and is (FAULT,) when a
+    location read or written is missing from sigma."""
     try:
-        if spec.guard is not None:
-            if eval_expr(spec.guard, sigma, env, t, modulus) == 0:
-                return ()
+        env = {p: eval_expr(arg, sigma, {}, t, modulus)
+               for p, arg in zip(spec.params, args)}
+        if (spec.guard is not None
+                and eval_expr(spec.guard, sigma, env, t, modulus) == 0):
+            return ()
         out = []
         for loc, e in spec.updates:
             loc = resolve_loc(loc, t)
@@ -447,24 +428,6 @@ def apply_guarded(spec: GuardedUpdate, env: Dict[str, int], t: int,
         return (sigma.set_many(out),)
     except UndefinedLocation:
         return (FAULT,)
-
-
-class AbstractTable:
-    """Transformers for abstract primitive commands, one per method.
-
-    Each entry is a guarded update whose expressions may mention the
-    logical variables "a" and "r", bound from the command instance.
-    """
-
-    def __init__(self, methods: Dict[str, GuardedUpdate]):
-        self.methods = dict(methods)
-
-    def apply(self, method: str, arg: int, ret: int, t: int, sigma: Heap,
-              modulus: int) -> Tuple[Heap, ...]:
-        """Run one abstract command atomically; it blocks, never faults."""
-        out = apply_guarded(self.methods[method], {"a": arg, "r": ret}, t,
-                            sigma, modulus)
-        return () if out and out[0] is FAULT else out
 
 
 def assume(e: Expr) -> Command:
@@ -505,10 +468,9 @@ def step(c: Command) -> frozenset:
 def state_step(c: Command, apply: Callable[[PrimCommand], object]) -> tuple:
     """Stateful transitions, one (primitive, command', results) triple per
     stateless step, where results is `apply(primitive)`: the caller runs
-    the primitive's transformer (`TransformerTable.apply` at its thread
-    and state), so it can share the runs between commands.  The fault
-    state may appear in results and is surfaced to callers for
-    reporting."""
+    the primitive (the model's `Semantics.run` at its thread and state),
+    so it can share the runs between commands.  The fault state may
+    appear in results and is surfaced to callers for reporting."""
     return tuple((alpha, c2, apply(alpha)) for alpha, c2 in step(c))
 
 

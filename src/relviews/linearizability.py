@@ -18,12 +18,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .command_lang import (
-    AbstractTable,
     SKIP,
     Command,
+    Const,
+    GuardedUpdate,
     PrimCommand,
     Skip,
-    TransformerTable,
+    apply_guarded,
+    builtin_update,
     state_step,
 )
 from .errors import (
@@ -54,30 +56,38 @@ IDLE = None
 
 
 class Semantics:
-    """A model's primitive semantics: its transformer tables and modulus.
-    Every check of the model runs its concrete primitives and abstract
-    commands and instantiates its primitives here, each once: a run
-    depends on (primitive or `APCom`, thread, heap) alone, and an instance
-    on the primitive and the binding's values for the names `subst`
-    reads."""
+    """A model's primitive semantics: its declared primitives and abstract
+    methods, each a guarded update, and its modulus.  Every check of the
+    model runs its concrete primitives and abstract commands and
+    instantiates its primitives here, each once: a run depends on
+    (primitive or `APCom`, thread, heap) alone, and an instance on the
+    primitive and the binding's values for the names `subst` reads."""
 
-    def __init__(self, ctable: TransformerTable, atable: AbstractTable,
-                 modulus: int):
-        self.ctable = ctable
-        self.atable = atable
+    def __init__(self, prims: Dict[str, GuardedUpdate],
+                 abstract: Dict[str, GuardedUpdate], modulus: int):
+        self.prims = prims
+        self.abstract = abstract
         self.modulus = modulus
         self._runs: Dict = {}
         self._instances: Dict = {}
 
     def run(self, alpha, t: int, heap: Heap) -> tuple:
         """The results of alpha, a primitive or an abstract command, run by
-        thread t on heap."""
+        thread t on heap as a guarded update: a declared primitive's own, a
+        builtin's `builtin_update`, or an abstract method's, which blocks
+        where it would fault."""
         out = self._runs.get((alpha, t, heap))
         if out is None:
-            out = self._runs[alpha, t, heap] = (
-                self.atable.apply(*alpha, t, heap, self.modulus)
-                if type(alpha) is APCom
-                else self.ctable.apply(alpha, t, heap, self.modulus))
+            if type(alpha) is APCom:
+                out = apply_guarded(self.abstract[alpha.method],
+                                    (Const(alpha.arg), Const(alpha.ret)), t,
+                                    heap, self.modulus)
+                out = () if out and out[0] is FAULT else out
+            else:
+                out = apply_guarded(
+                    self.prims.get(alpha.name) or builtin_update(alpha),
+                    alpha.args, t, heap, self.modulus)
+            self._runs[alpha, t, heap] = out
         return out
 
     def instance(self, prim: PrimCommand, binding: Binding) -> PrimCommand:

@@ -1,6 +1,6 @@
 """Loading and validating model and outline files.
 
-One JSON document describes a model: domains, primitive transformers,
+One JSON document describes a model: domains, guarded-update primitives,
 method body templates, abstract atomic commands, initial states, the
 monoid selection, and (for proofs) predicate macros, rely/guarantee
 actions and per-method assertion families.  Outlines live in a second
@@ -36,8 +36,6 @@ from .command_lang import (
     SKIP,
     Skip,
     Tid,
-    AbstractTable,
-    TransformerTable,
     cas,
     desugar_if,
     desugar_while,
@@ -180,7 +178,7 @@ def parse_expr(doc, path: str = "expr") -> Expr:
 _LOC_ARGS = {"store": (0,), "load": (0, 1), "cas_succ": (0,), "cas_fail": (0,)}
 
 
-def validate_command(c: Command, table: TransformerTable,
+def validate_command(c: Command, prims: Dict[str, GuardedUpdate],
                      path: str = "cmd") -> None:
     """A method body, walked once: every primitive of c is declared and
     given as many arguments as it takes (of several faults, the least by
@@ -192,7 +190,7 @@ def validate_command(c: Command, table: TransformerTable,
         if type(n) in nodes:
             nodes[type(n)].add(n)
     arity = {**BUILTIN_ARITY,
-             **{name: len(u.params) for name, u in table.custom.items()}}
+             **{name: len(u.params) for name, u in prims.items()}}
     for name, given in sorted({(prim.name, len(prim.args))
                                for prim in nodes[PrimCommand]}):
         if name not in arity:
@@ -572,12 +570,10 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
             _fail(where, f"primitive {pname!r} shadows a builtin")
         prims[pname] = _parse_update(spec, spec.get("params", []),
                                      "this primitive", where)
-    ctable = TransformerTable(prims)
     amethods = {
         mname: _parse_update(spec, ("a", "r"), "an abstract method",
                              f"{path}/abstract/{mname}")
         for mname, spec in doc["abstract"].items()}
-    atable = AbstractTable(amethods)
 
     method_args = {}
     body_templates = {}
@@ -588,7 +584,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         method_args[mname] = _distinct(spec.get("args", values),
                                        f"method {mname!r} args", path)
         template = parse_command(spec["body"], f"{path}/methods/{mname}")
-        validate_command(template, ctable, f"{path}/methods/{mname}")
+        validate_command(template, prims, f"{path}/methods/{mname}")
         if isinstance(template, Skip):
             # a zero-step body would let concrete histories outrun the
             # abstract generator at equal bounds
@@ -672,7 +668,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         name=name,
         monoid_kind=monoid_kind,
         dom=dom,
-        sem=Semantics(ctable, atable, dom.modulus),
+        sem=Semantics(prims, amethods, dom.modulus),
         init_conc=init_conc,
         init_abst=init_abst,
         method_args=method_args,

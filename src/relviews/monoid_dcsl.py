@@ -7,9 +7,10 @@ is set union.  The repartitioning implication is inclusion: the unit
 frame tests p <= q, and composition is monotone, so every other frame
 then holds too.
 
-The action judgement quantifies over every frame.  Because primitives are
-local (the frame property in `views_core`), checking the unit frame alone
-decides it exactly:
+The action judgement quantifies over every frame.  Every primitive and
+every abstract command is a guarded update, which reads and writes only
+the cells it names (the frame property in `views_core`), so checking the
+unit frame alone decides it exactly:
 
 - The unit plus every singleton decides it: composition distributes over
   unions of world sets, so any failing frame projects to a failing
@@ -17,21 +18,21 @@ decides it exactly:
 - Write a singleton frame as f = f_c + f_at, where f_c holds f's concrete
   cells and f_at its abstract cells and tokens.  The primitive reads only
   the concrete heap, so the pre-worlds under f step exactly as they do
-  under f_c.  A linearization step runs a guarded update, which blocks
-  when a cell it reads or writes is missing and writes only cells that
-  are present, and fires one todo on its own thread's command without
-  reading any other token.  So steps that lead from (a, d) to (a2, d2)
-  lead from (a, d) + f_at to (a2, d2) + f_at, and `linearizes`, which
-  decides exactly where steps lead, accepts the framed post-world under f
-  wherever it accepts the post-world under f_c: if f fails, f_c fails.
+  under f_c.  A linearization step runs an abstract command's guarded
+  update, which blocks where a cell it names is missing, and fires one
+  todo on its own thread's command without reading any other token.  So
+  steps that lead from (a, d) to (a2, d2) lead from (a, d) + f_at to
+  (a2, d2) + f_at, and `linearizes`, which decides exactly where steps
+  lead, accepts the framed post-world under f wherever it accepts the
+  post-world under f_c: if f fails, f_c fails.
 - Take f_c = (sigma_f, {}, {}), composable with a pre-world
   w = (sigma, a, d), and suppose the unit passes.  Then the primitive does
-  not fault on sigma, so by locality it runs on sigma + sigma_f to exactly
-  {sigma2 + sigma_f : sigma2 a result on sigma}.  Where steps lead is
-  unchanged, as f_c holds no abstract cell and no token.  The unit's
-  matching post-world (sigma2, a2, d2) in q composes with f_c, because
-  sigma2 has the locations of sigma, which are disjoint from sigma_f.  So
-  f_c passes.
+  not fault on sigma, so by the frame property it runs on sigma + sigma_f
+  to exactly {sigma2 + sigma_f : sigma2 a result on sigma}.  Where steps
+  lead is unchanged, as f_c holds no abstract cell and no token.  The
+  unit's matching post-world (sigma2, a2, d2) in q composes with f_c,
+  because sigma2 has the locations of sigma, which are disjoint from
+  sigma_f.  So f_c passes.
 
 So when the unit passes, every frame does; when it fails, its
 counterexample is the one the unit plus every singleton gives, since the

@@ -326,7 +326,9 @@ class RgsepMonoid(ViewMonoid):
                     s = self.universe[i]
                     rem = world_minus(s, f)
                     for f2 in post_frags:
-                        s2 = compose_worlds(f2, rem)
+                        # the remainder on the left holds the memo entry,
+                        # which dies with it
+                        s2 = compose_worlds(rem, f2)
                         if s2 is not None and s2 in self._index:
                             pairs.add((s, s2))
         return frozenset(pairs)

@@ -102,11 +102,6 @@ class _FrozenMap:
     def items(self) -> tuple:
         return self._key
 
-    def set(self, k, v):
-        d = dict(self._d)
-        d[k] = v
-        return self._of(tuple(sorted(d.items())), d)
-
     def _without(self, drop):
         return self._of(tuple(kv for kv in self._key if kv[0] not in drop))
 

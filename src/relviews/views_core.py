@@ -15,14 +15,15 @@ runs it on (shared, world) pairs with its guarantee, and
 `check_action_with_frames` under each given frame with no shared part.
 
 Both monoids rest on the frame property of local actions (Calcagno,
-O'Hearn and Yang, LICS 2007).  Every builtin primitive and every guarded
-update a model declares reads and writes only the cells it names: it faults
-when one of them is missing and writes only cells that are present.  So a
+O'Hearn and Yang, LICS 2007).  Every primitive is a guarded update: a
+model declares its own and each builtin is one (`builtin_update`).  A
+guarded update reads and writes only the cells it names: it faults when
+one of them is missing and writes only cells that are present.  So a
 primitive that does not fault on a state sigma runs on sigma + sigma_f, for
 any disjoint frame sigma_f, to exactly {sigma2 + sigma_f : sigma2 a result
-on sigma}.  Only a `TransformerTable` subclass built in Python can break
-this; `locality_witness` in the tests checks it on every fixture and
-generated primitive.
+on sigma}.  Only a `Semantics` subclass built in Python can break this;
+`locality_witness` in the tests checks it on every fixture and generated
+primitive.
 """
 
 from __future__ import annotations

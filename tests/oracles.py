@@ -71,9 +71,10 @@ that hold its cells; `compose_columns`, `columns_contained` and
 `composed_pairs` compose, compare and list predicates one shared state at
 a time, against which the column classes of RGSep views are tested;
 `world_leq` is the sub-world order;
-`locality_witness` runs a primitive's transformer on every state of its
-footprint with and without a one-location frame, checking the locality
-that the transformer language guarantees by construction.
+`locality_witness` runs a primitive through a model's `Semantics` on
+every state of its footprint, read from its guarded update, with and
+without a one-location frame, checking the locality that guarded updates
+guarantee by construction.
 
 Method bodies instance by instance: `instance_body(model, m, a, r)`
 instantiates one method instance's body and `instance_bodies(model)` every
@@ -103,6 +104,11 @@ node's fields; the generic `subst`, `expr_locs`, `free_lvars_expr` and
 against them.  `ref_eval_expr` evaluates an expression by a recursive
 interpreter with one branch per node class; `command_lang.eval_expr`,
 which runs a closure compiled once per node, is tested against it.
+`ref_apply` runs a primitive with one case per builtin, and an abstract
+command; `Semantics.run`, which runs every primitive as a guarded update
+(a builtin as its `builtin_update`), is tested against it, and the
+oracles here that step a command or fire a todo token run primitives
+through it.
 """
 
 from __future__ import annotations
@@ -134,6 +140,7 @@ from relviews.command_lang import (
     Skip,
     Tid,
     apply_guarded,
+    builtin_update,
     eval_expr,
     expr_locs,
     loc_placeholders,
@@ -338,35 +345,31 @@ def composed_pairs(universe, cols) -> list:
             for w in (compose_worlds(l, s),) if w is not None]
 
 
-def locality_witness(ctable, dom, alpha: PrimCommand, t: int):
-    """None when thread t's run of the primitive is local; otherwise the
-    first (state, frame) where it is not.  The states are every heap over
-    the locations that its arguments, guard and updates name (`{t}`
-    resolved); the frames, every value of the first declared location
-    outside them.  A non-faulting run on a framed state must give exactly
-    the framed results."""
-    exprs = list(alpha.args)
-    footprint = set()
-    spec = ctable.custom.get(alpha.name)
-    if spec is not None:
-        exprs += [e for _, e in spec.updates]
-        exprs += [spec.guard] if spec.guard is not None else []
-        footprint |= {loc for loc, _ in spec.updates}
-    footprint |= expr_locs(*exprs)
-    footprint = {resolve_loc(loc, t) for loc in footprint}
+def locality_witness(sem, dom, alpha: PrimCommand, t: int):
+    """None when thread t's run of the primitive under the semantics `sem`
+    is local; otherwise the first (state, frame) where it is not.  The
+    states are every heap over the locations that its arguments and its
+    guarded update's guard and updates name (`{t}` resolved); the frames,
+    every value of the first declared location outside them.  A
+    non-faulting run on a framed state must give exactly the framed
+    results."""
+    spec = sem.prims.get(alpha.name) or builtin_update(alpha)
+    exprs = [*alpha.args, *(e for _, e in spec.updates)]
+    exprs += [spec.guard] if spec.guard is not None else []
+    footprint = {resolve_loc(loc, t) for loc in
+                 expr_locs(*exprs) | {loc for loc, _ in spec.updates}}
     cloc = dict(dom.cloc)
     extra = next((l for l in sorted(cloc) if l not in footprint), None)
     if extra is None:
         return None
     for sigma in enumerate_heaps([(loc, cloc.get(loc, dom.values[:2]))
                                   for loc in sorted(footprint)]):
-        res = ctable.apply(alpha, t, sigma, dom.modulus)
+        res = sem.run(alpha, t, sigma)
         if FAULT in res:
             continue
         for frame in (Heap({extra: v}) for v in cloc[extra]):
             want = {compose_states(s2, frame) for s2 in res}
-            got = set(ctable.apply(alpha, t, compose_states(sigma, frame),
-                                   dom.modulus))
+            got = set(sem.run(alpha, t, compose_states(sigma, frame)))
             if None in want or got != want:
                 return sigma, frame
     return None
@@ -498,15 +501,15 @@ def instance_bodies(model) -> dict:
             for a in model.method_args[m] for r in model.dom.values}
 
 
-def heap_steps(c: Command, sigma, t: int, table, modulus: int) -> frozenset:
+def heap_steps(c: Command, sigma, t: int, sem) -> frozenset:
     """The stateful transitions of c at one heap: a (primitive, c', sigma')
-    triple per result of each stateless step's primitive, the fault state
-    among them."""
+    triple per result of each stateless step's primitive (`ref_apply`
+    under the semantics `sem`), the fault state among them."""
     return frozenset((alpha, c2, sigma2) for alpha, c2 in step(c)
-                     for sigma2 in table.apply(alpha, t, sigma, modulus))
+                     for sigma2 in ref_apply(sem, alpha, t, sigma))
 
 
-def per_instance_body_error(template: Command, args, values, ctable):
+def per_instance_body_error(template: Command, args, values, prims):
     """The first check that an instance of a method body fails, or None:
     substitute each (a, r) of `args` x `values` and require the instance's
     primitives, least by (name, argument count) first, declared
@@ -519,7 +522,7 @@ def per_instance_body_error(template: Command, args, values, ctable):
             body = subst(template, {"a": a, "r": r})
             for prim in sorted(command_prims(body),
                                key=lambda p: (p.name, len(p.args))):
-                arity = ({n: len(u.params) for n, u in ctable.custom.items()}
+                arity = ({n: len(u.params) for n, u in prims.items()}
                          | BUILTIN_ARITY)
                 if prim.name not in arity:
                     return "undeclared primitive"
@@ -549,7 +552,6 @@ def history_depths(model, bound: int, side: str) -> dict:
     """
     concrete = side == "concrete"
     heap0 = model.init_conc if concrete else model.init_abst
-    modulus = model.dom.modulus
     depths = {}
 
     def walk(used, pool, sigma, hist):
@@ -578,17 +580,13 @@ def history_depths(model, bound: int, side: str) -> dict:
                 move(None, sigma, (t, "ret", m, r))
             elif concrete:
                 for alpha, run2 in step(run):
-                    for sigma2 in model.sem.ctable.apply(alpha, t, sigma,
-                                                     modulus):
+                    for sigma2 in ref_apply(model.sem, alpha, t, sigma):
                         if sigma2 is FAULT:
                             raise FaultReachable(f"thread {t} faults")
                         move((m, a, r, run2), sigma2)
             else:
-                spec = model.sem.atable.methods[m]
-                for sigma2 in apply_guarded(spec, {"a": a, "r": r}, t, sigma,
-                                            modulus):
-                    if sigma2 is not FAULT:
-                        move((m, a, r, SKIP), sigma2)
+                for sigma2 in ref_apply(model.sem, APCom(m, a, r), t, sigma):
+                    move((m, a, r, SKIP), sigma2)
 
     walk(0, tuple(None for _ in model.dom.thread_ids()), heap0, ())
     return depths
@@ -667,12 +665,10 @@ class _HistoryGen:
         if hit is None:
             model = self.model
             if concrete:
-                hit = tuple(heap_steps(cmd, heap, t, model.sem.ctable,
-                                       model.dom.modulus))
+                hit = tuple(heap_steps(cmd, heap, t, model.sem))
             else:
-                hit = tuple((cmd, SKIP, heap2)
-                            for heap2 in model.sem.atable.apply(
-                                *cmd, t, heap, model.dom.modulus))
+                hit = tuple((cmd, SKIP, heap2) for heap2 in ref_apply(
+                    model.sem, cmd, t, heap))
             self._steps[key] = hit
         return hit
 
@@ -771,12 +767,11 @@ class PerValueLibrary(_Library):
         steps = self._steps.get((t, cmd, heap))
         if steps is None:
             sem = self.model.sem
-            mod = sem.modulus
             steps = self._steps[t, cmd, heap] = tuple(
                 (alpha, c2, (h,)) for alpha, c2, h in (
-                    heap_steps(cmd, heap, t, sem.ctable, mod) if self.concrete
-                    else ((cmd, SKIP, h) for h in sem.atable.apply(
-                        *cmd, t, heap, mod))))
+                    heap_steps(cmd, heap, t, sem) if self.concrete
+                    else ((cmd, SKIP, h)
+                          for h in ref_apply(sem, cmd, t, heap))))
         return steps
 
     def local(self, t, sid, heap):
@@ -1039,6 +1034,53 @@ def ref_eval_expr(e: Expr, sigma, interp, t: int, modulus: int) -> int:
     raise ModelError(f"unknown expression node {e!r}")
 
 
+def ref_apply(sem, alpha, t: int, sigma) -> tuple:
+    """The results of alpha, a primitive or an abstract command, run by
+    thread t on sigma under the semantics `sem`, with one case per builtin
+    primitive: empty where it blocks, (FAULT,) where a primitive faults.
+    A declared primitive evaluates its arguments before its guard; an
+    abstract command blocks where its update would fault."""
+    modulus = sem.modulus
+    if type(alpha) is APCom:
+        out = apply_guarded(sem.abstract[alpha.method],
+                            (Const(alpha.arg), Const(alpha.ret)), t, sigma,
+                            modulus)
+        return () if out and out[0] is FAULT else out
+    name, args = alpha.name, alpha.args
+    try:
+        if name == "id":
+            return (sigma,)
+        if name == "assume":
+            val = eval_expr(args[0], sigma, {}, t, modulus)
+            return (sigma,) if val != 0 else ()
+        if name == "store":
+            loc = resolve_loc(args[0].loc, t)
+            written = eval_expr(args[1], sigma, {}, t, modulus)
+            if loc not in sigma:
+                return (FAULT,)
+            return (sigma.set_many([(loc, written)]),)
+        if name == "load":
+            src = resolve_loc(args[0].loc, t)
+            dst = resolve_loc(args[1].loc, t)
+            val = eval_expr(Read(src), sigma, {}, t, modulus)
+            if dst not in sigma:
+                return (FAULT,)
+            return (sigma.set_many([(dst, val)]),)
+        if name in ("cas_succ", "cas_fail"):
+            loc = resolve_loc(args[0].loc, t)
+            if loc not in sigma:
+                return (FAULT,)
+            old = eval_expr(args[1], sigma, {}, t, modulus)
+            if name == "cas_fail":
+                return (sigma,) if sigma[loc] != old else ()
+            new = eval_expr(args[2], sigma, {}, t, modulus)
+            return ((sigma.set_many([(loc, new)]),) if sigma[loc] == old
+                    else ())
+        return apply_guarded(sem.prims[name], args, t, sigma, modulus)
+    except UndefinedLocation:
+        return (FAULT,)
+
+
 def ref_expr_locs(e: Expr) -> frozenset:
     if isinstance(e, Read):
         return frozenset([e.loc])
@@ -1175,9 +1217,9 @@ def lp_step(sigma_a: Heap, toks: TokenMap, sem: Semantics) -> frozenset:
     command can run, flipping it to done."""
     out = set()
     for tid, ap in todos(toks):
-        for sigma2 in sem.atable.apply(ap.method, ap.arg, ap.ret, tid,
-                                       sigma_a, sem.modulus):
-            out.add((sigma2, toks.set(tid, Token(DONE, ap))))
+        for sigma2 in ref_apply(sem, ap, tid, sigma_a):
+            out.add((sigma2, TokenMap((*toks.items(),
+                                       (tid, Token(DONE, ap))))))
     return frozenset(out)
 
 
@@ -1220,7 +1262,7 @@ def action_over_frames(monoid, t: int, alpha: PrimCommand, p, q, frames):
         post = monoid.reify(monoid.compose(q, r))
         for world in pre:
             sigma, sigma_a, toks = world
-            for sigma2 in sem.ctable.apply(alpha, t, sigma, sem.modulus):
+            for sigma2 in ref_apply(sem, alpha, t, sigma):
                 if sigma2 is FAULT:
                     return ActionCounterexample(
                         t, alpha, r, world, FAULT, "fault reachable")
@@ -1243,7 +1285,7 @@ def rgsep_action_by_pairs(mono, t: int, alpha: PrimCommand, p, q):
     post = composed_pairs(mono.universe, view_columns(mono, q))
     for _l, s, world in composed_pairs(mono.universe, view_columns(mono, p)):
         sigma, sigma_a, toks = world
-        for sigma2 in sem.ctable.apply(alpha, t, sigma, sem.modulus):
+        for sigma2 in ref_apply(sem, alpha, t, sigma):
             if sigma2 is FAULT:
                 return ActionCounterexample(
                     t, alpha, None, world, FAULT, "fault reachable")

@@ -254,8 +254,7 @@ def _post_pred(mono, t, alpha, pred, guar):
         joined = compose_worlds(l, s)
         if joined is None:
             continue
-        for sigma2 in mono.sem.ctable.apply(alpha, t, joined.conc,
-                                            mono.sem.modulus):
+        for sigma2 in mono.sem.run(alpha, t, joined.conc):
             if sigma2 is FAULT:
                 return None
             for abs2, toks2 in lp_star(joined.abst, joined.toks, mono.sem):

@@ -36,10 +36,8 @@ from collections import Counter
 import pytest
 
 from relviews.command_lang import (
-    AbstractTable,
     GuardedUpdate,
     LVar,
-    TransformerTable,
     walk,
 )
 from relviews.fixtures import fixture_path
@@ -68,6 +66,7 @@ from families import dcsl_cell, flat_combiner
 from oracles import (
     action_over_frames,
     lp_star,
+    ref_apply,
     rgsep_action_by_pairs,
     todos,
     world_leq,
@@ -86,9 +85,8 @@ OPS = (APCom("op", 0, 0), APCom("op", 1, 1))
 def _semantics(dom):
     # the abstract op writes its argument to x, so linearization steps
     # change the abstract heap as well as the tokens
-    op = GuardedUpdate(updates=(("x", LVar("a")),))
-    return Semantics(TransformerTable(), AbstractTable({"op": op}),
-                     dom.modulus)
+    op = GuardedUpdate(params=("a", "r"), updates=(("x", LVar("a")),))
+    return Semantics({}, {"op": op}, dom.modulus)
 
 
 def _kind(result):
@@ -139,7 +137,7 @@ def _resplits(mono, t, alpha, pairs, guar, rng):
     out = set()
     for l, s in pairs:
         w = compose_worlds(l, s)
-        for sigma2 in sem.ctable.apply(alpha, t, w.conc, sem.modulus):
+        for sigma2 in ref_apply(sem, alpha, t, w.conc):
             if sigma2 is FAULT:
                 return None
             for abs2, toks2 in lp_star(w.abst, w.toks, sem):
@@ -302,9 +300,7 @@ def test_both_checkers_share_one_semantics(name):
         sem = model.sem
         assert sem._runs and sem._instances
         for (alpha, t, heap), heaps in sem._runs.items():
-            assert heaps == (sem.atable.apply(*alpha, t, heap, sem.modulus)
-                             if type(alpha) is APCom else
-                             sem.ctable.apply(alpha, t, heap, sem.modulus))
+            assert heaps == ref_apply(sem, alpha, t, heap)
         assert {type(alpha) is APCom for alpha, _t, _heap in sem._runs} == {
             True, False}
         for (prim, values), alpha in sem._instances.items():
@@ -339,30 +335,32 @@ def test_every_linearization_test_matches_the_closure(name, monkeypatch):
                                                    toks2)
 
 
-def _apply_calls(node, scope=""):
-    """(enclosing definitions, receiver) of each `.apply(...)` call under
-    node, the definitions dotted as `Class.method`."""
+def _calls(node, names, scope=""):
+    """(enclosing definitions, callee) of each `.apply(...)` call under
+    node and of each call to a function or method named in names, the
+    definitions dotted as `Class.method`."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}" if scope else child.name
-        elif (isinstance(child, ast.Call)
-              and isinstance(child.func, ast.Attribute)
-              and child.func.attr == "apply"):
-            yield scope, ast.unparse(child.func.value)
-        yield from _apply_calls(child, inner)
+        elif isinstance(child, ast.Call) and (
+                getattr(child.func, "attr", None) in {"apply", *names}
+                or getattr(child.func, "id", None) in names):
+            yield scope, ast.unparse(child.func)
+        yield from _calls(child, names, inner)
 
 
-def test_only_semantics_runs_a_transformer_table():
-    # `AbstractTable.apply` and `TransformerTable.apply` are called in
-    # `Semantics.run` alone; the one other `.apply` call applies a macro
+def test_only_semantics_runs_a_guarded_update():
+    # every primitive and abstract command is run in `Semantics.run` alone,
+    # as a guarded update; the one `.apply` call applies a macro
     package = os.path.dirname(views_core.__file__)
-    calls = {(name, scope, receiver)
+    calls = {(name, scope, callee)
              for name in sorted(os.listdir(package)) if name.endswith(".py")
-             for scope, receiver in _apply_calls(ast.parse(
-                 open(os.path.join(package, name)).read()))}
+             for scope, callee in _calls(ast.parse(
+                 open(os.path.join(package, name)).read()),
+                 {"apply_guarded", "builtin_update"})}
     assert calls == {
-        ("linearizability.py", "Semantics.run", "self.atable"),
-        ("linearizability.py", "Semantics.run", "self.ctable"),
-        ("model_io.py", "parse_vassn", "macros"),
+        ("linearizability.py", "Semantics.run", "apply_guarded"),
+        ("linearizability.py", "Semantics.run", "builtin_update"),
+        ("model_io.py", "parse_vassn", "macros.apply"),
     }, calls

@@ -20,7 +20,6 @@ from relviews.command_lang import (
     Seq,
     Skip,
     Tid,
-    TransformerTable,
     assume,
     desugar_if,
     desugar_while,
@@ -30,13 +29,13 @@ from relviews.command_lang import (
 )
 from relviews.errors import ModelError, UndefinedLocation
 from relviews.fixtures import fixture_path
+from relviews.linearizability import Semantics
 from relviews.model_io import parse_model, validate_command
 from relviews.state_model import FAULT, Heap
 
 from oracles import reachable_commands
 from util import store
 
-TBL = TransformerTable()
 
 
 def test_step_prim_to_skip():
@@ -78,8 +77,8 @@ def test_step_deterministic_shape():
 
 
 def _at(sigma, t=1, modulus=4):
-    """`state_step`'s callback: run each primitive by TBL at one heap."""
-    return lambda alpha: TBL.apply(alpha, t, sigma, modulus)
+    """`state_step`'s callback: run each builtin primitive at one heap."""
+    return lambda alpha: Semantics({}, {}, modulus).run(alpha, t, sigma)
 
 
 def test_state_step_id():
@@ -199,44 +198,44 @@ def test_eval_expr_undefined_location():
 
 
 def test_thread_local_location_resolution():
-    tbl = TransformerTable({"touch": GuardedUpdate(
-        updates=(("res[{t}]", Const(9)),))})
+    sem = Semantics({"touch": GuardedUpdate(
+        updates=(("res[{t}]", Const(9)),))}, {}, 16)
     sigma = Heap({"res[1]": 0, "res[2]": 0})
-    (out,) = tbl.apply(PrimCommand("touch"), 2, sigma, 16)
+    (out,) = sem.run(PrimCommand("touch"), 2, sigma)
     assert out == Heap({"res[1]": 0, "res[2]": 9})
 
 
 def test_custom_prim_blocking_vs_faulting_distinct():
-    tbl = TransformerTable({
+    sem = Semantics({
         "blocked": GuardedUpdate(guard=Const(0)),
         "faulty": GuardedUpdate(updates=(("missing", Const(0)),)),
-    })
+    }, {}, 4)
     sigma = Heap({"l": 0})
-    assert tbl.apply(PrimCommand("blocked"), 1, sigma, 4) == ()
-    assert tbl.apply(PrimCommand("faulty"), 1, sigma, 4) == (FAULT,)
+    assert sem.run(PrimCommand("blocked"), 1, sigma) == ()
+    assert sem.run(PrimCommand("faulty"), 1, sigma) == (FAULT,)
 
 
 def test_table_rejects_builtin_shadowing_and_bad_arity():
-    # both are load errors: `apply` trusts a loaded primitive
+    # both are load errors: `Semantics.run` trusts a loaded primitive
     doc = json.load(open(fixture_path("atomic-inc", "model.json")))
     doc["primitives"]["store"] = doc["primitives"]["inc_atomic"]
     with pytest.raises(ModelError) as info:
         parse_model(doc)
     assert str(info.value) == ("model/primitives/store: primitive 'store' "
                                "shadows a builtin")
-    tbl = TransformerTable({"two": GuardedUpdate(params=("x", "y"))})
+    prims = {"two": GuardedUpdate(params=("x", "y"))}
     with pytest.raises(ModelError, match="'two': takes 2, given 1"):
-        validate_command(Prim(PrimCommand("two", (Const(0),))), tbl)
+        validate_command(Prim(PrimCommand("two", (Const(0),))), prims)
 
 
 def test_validate_command_checks_declarations():
     with pytest.raises(ModelError, match="undeclared primitive 'mystery'"):
-        validate_command(Prim(PrimCommand("mystery")), TBL)
+        validate_command(Prim(PrimCommand("mystery")), {})
 
 
 def test_validate_command_checks_arity():
     with pytest.raises(ModelError, match="takes 1, given 0"):
-        validate_command(Prim(PrimCommand("assume")), TBL)
+        validate_command(Prim(PrimCommand("assume")), {})
 
 
 def test_reachable_commands_finite_for_iter():

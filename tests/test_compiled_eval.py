@@ -72,7 +72,7 @@ def _trees(model):
     primitives' and abstract methods' guards and updates, and the proof
     data."""
     sem = model.sem
-    updates = [*sem.ctable.custom.values(), *sem.atable.methods.values()]
+    updates = [*sem.prims.values(), *sem.abstract.values()]
     return [*model.body_templates.values(),
             *(u.guard for u in updates if u.guard is not None),
             *(e for u in updates for _loc, e in u.updates),

@@ -5,7 +5,7 @@ judgement because primitives are local.  It must return exactly what the
 reference judgement (`oracles.action_over_frames`) returns over the unit
 plus every singleton (`oracles.singleton_frames`): `True`, or the same
 counterexample, frame and world included.  Every sampled primitive is checked local with
-`oracles.locality_witness` first, since a non-local table voids the
+`oracles.locality_witness` first, since a non-local primitive voids the
 argument.
 """
 
@@ -18,14 +18,12 @@ import pytest
 
 from relviews.cli import main
 from relviews.command_lang import (
-    AbstractTable,
     Const,
     Eq,
     GuardedUpdate,
     LVar,
     PrimCommand,
     Read,
-    TransformerTable,
 )
 from relviews.linearizability import Semantics
 from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
@@ -43,11 +41,11 @@ FIX = "src/relviews/fixtures"
 
 # local multi-cell guarded updates: a swap of l and m, and a copy of m
 # into l guarded by m = 0
-CTABLE = TransformerTable({
+CPRIMS = {
     "swap": GuardedUpdate(updates=(("l", Read("m")), ("m", Read("l")))),
     "copy": GuardedUpdate(guard=Eq(Read("m"), Const(0)),
                           updates=(("l", Read("m")),)),
-})
+}
 PRIMS = PRIMS_1LOC + (PrimCommand("swap"), PrimCommand("copy"))
 
 
@@ -55,8 +53,9 @@ def _monoid(cloc, aloc, nthreads, apcoms):
     dom = micro_domains(cloc=cloc, aloc=aloc, nthreads=nthreads,
                         apcoms=apcoms, values=(0, 1))
     # the abstract op writes its argument to every abstract cell
-    op = GuardedUpdate(updates=tuple((loc, LVar("a")) for loc in aloc))
-    return DcslMonoid(dom, Semantics(CTABLE, AbstractTable({"op": op}), 2))
+    op = GuardedUpdate(params=("a", "r"),
+                       updates=tuple((loc, LVar("a")) for loc in aloc))
+    return DcslMonoid(dom, Semantics(CPRIMS, {"op": op}, 2))
 
 
 OP00, OP11 = APCom("op", 0, 0), APCom("op", 1, 1)
@@ -77,7 +76,7 @@ def _sample_prim(rng, mono, local):
     t = rng.choice(mono.dom.thread_ids())
     alpha = rng.choice(PRIMS)
     if (t, alpha) not in local:
-        assert locality_witness(mono.sem.ctable, mono.dom, alpha, t) is None
+        assert locality_witness(mono.sem, mono.dom, alpha, t) is None
         local.add((t, alpha))
     return t, alpha
 
@@ -132,11 +131,12 @@ def test_abstract_and_token_frames_never_fail_first():
     dom = micro_domains(cloc={"l": (0, 1), "m": (0,), "n": (0,)},
                         aloc={"x": (0,), "y": (0, 1)}, nthreads=2,
                         apcoms=(OP00, RD), values=(0, 1))
-    atable = AbstractTable({
-        "op": GuardedUpdate(updates=(("x", LVar("a")),)),
-        "rd": GuardedUpdate(guard=Eq(Read("y"), LVar("a"))),
-    })
-    mono = DcslMonoid(dom, Semantics(CTABLE, atable, 2))
+    abstract = {
+        "op": GuardedUpdate(params=("a", "r"), updates=(("x", LVar("a")),)),
+        "rd": GuardedUpdate(params=("a", "r"),
+                            guard=Eq(Read("y"), LVar("a"))),
+    }
+    mono = DcslMonoid(dom, Semantics(CPRIMS, abstract, 2))
     worlds = enumerate_worlds(dom)
     frames = tuple(singleton_frames(dom))
     rng = random.Random(31)

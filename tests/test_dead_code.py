@@ -4,7 +4,9 @@ package itself.
 
 A name counts as used when it is read (as a name that no local binding
 shadows, or as an attribute) or imported in `src/` outside the body of its
-own definition.  A reference from `tests/` or `perfbench/` does not count:
+own definition.  A method counts as used only when it is read as an
+attribute or imported: a bare name of the same spelling, a call of the
+builtin `set()` say, is no use of a method `set`.  A reference from `tests/` or `perfbench/` does not count:
 code that only tests use belongs in `tests/`.  Dunder methods, which Python
 calls itself, are exempt; so are the names in `EXEMPT`, each with its
 reason.
@@ -52,17 +54,18 @@ def _local_names(fn):
 
 
 def _references(node, shadowed=frozenset()):
-    """(name, line) for every name read, attribute read and imported name;
-    a name read where a local of that name is bound is not counted."""
+    """(name, line, bare) for every name read, attribute read and imported
+    name, bare for a name read; a name read where a local of that name is
+    bound is not counted."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         shadowed = shadowed | _local_names(node)
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         if node.id not in shadowed:
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
     elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-        yield node.attr, node.lineno
+        yield node.attr, node.lineno, False
     elif isinstance(node, ast.alias):
-        yield node.name, node.lineno
+        yield node.name, node.lineno, False
     for child in ast.iter_child_nodes(node):
         yield from _references(child, shadowed)
 
@@ -99,8 +102,8 @@ def unreferenced_definitions(exempt=EXEMPT):
             trees[path] = ast.parse(fh.read(), path)
     uses = {}
     for path, tree in trees.items():
-        for name, line in _references(tree):
-            uses.setdefault(name, []).append((path, line))
+        for name, line, bare in _references(tree):
+            uses.setdefault(name, []).append((path, line, bare))
     dead = []
     for path, tree in trees.items():
         if os.path.dirname(path) != PACKAGE:
@@ -108,9 +111,11 @@ def unreferenced_definitions(exempt=EXEMPT):
         for label, name, node in _definitions(tree):
             if (os.path.basename(path), label) in exempt:
                 continue
+            method = "." in label
             outside = [
-                (p, line) for p, line in uses.get(name, ())
+                (p, line) for p, line, bare in uses.get(name, ())
                 if not (p == path and node.lineno <= line <= node.end_lineno)
+                and not (method and bare)
             ]
             if not outside:
                 dead.append((os.path.basename(path), label, node.lineno))

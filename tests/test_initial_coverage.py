@@ -95,7 +95,8 @@ def test_every_initial_cell_value_agrees_with_the_product(name):
                 continue
             for v in values:
                 variant = copy.copy(model)
-                setattr(variant, side, getattr(model, side).set(loc, v))
+                setattr(variant, side,
+                        getattr(model, side).set_many([(loc, v)]))
                 _agree(variant)
 
 

@@ -33,16 +33,11 @@ from oracles import (
     per_value_stepping,
 )
 from relviews import linearizability
-from relviews.command_lang import (
-    AbstractTable,
-    PrimCommand,
-    Skip,
-    TransformerTable,
-    state_step,
-)
+from relviews.command_lang import PrimCommand, Skip, state_step
 from relviews.errors import FaultReachable, RelviewsError, UniverseTooLarge
 from relviews.linearizability import (
     IDLE,
+    Semantics,
     _Library,
     abstract_histories,
     check_linearizable,
@@ -242,8 +237,7 @@ def test_fault_schedule_replays_to_the_fault(run):
             if slot is IDLE:
                 continue
             m, cmd, r = slot
-            for alpha2, cmd2, heap2 in heap_steps(
-                    cmd, heap, t, model.sem.ctable, model.dom.modulus):
+            for alpha2, cmd2, heap2 in heap_steps(cmd, heap, t, model.sem):
                 if alpha2 == alpha and (heap2 is FAULT) == last:
                     out.add((_put(pool, t, (m, cmd2, r)), heap2))
         assert out, f"move {i} of the schedule cannot be replayed"
@@ -303,9 +297,9 @@ def test_moves_are_generated_once_per_configuration(name, monkeypatch):
     """A call's expected returns share its body until a primitive reads
     `r`, and each piece of work is done once per key: the concrete
     library builds one step table (one `state_step` call) per (thread,
-    command, heap), runs `ctable.apply` once per (primitive, thread,
-    heap) and instantiates a primitive only if it reads `r`, at most once
-    per value; the abstract library runs the abstract table once per
+    command, heap), runs a primitive once per (primitive, thread, heap)
+    and instantiates a primitive only if it reads `r`, at most once per
+    value; the abstract library runs an abstract command once per
     (command, heap, thread); and each library builds a configuration's
     successor table once, so every request for it returns the same
     table."""
@@ -325,17 +319,13 @@ def test_moves_are_generated_once_per_configuration(name, monkeypatch):
         tables[stepping[-1]] += 1
         return state_step(cmd, apply)
 
-    original_run = TransformerTable.apply
+    original_run = Semantics.run
 
-    def counting_run(self, alpha, t, heap, modulus):
-        runs[("concrete", alpha, heap, t)] += 1
-        return original_run(self, alpha, t, heap, modulus)
-
-    original_apply = AbstractTable.apply
-
-    def counting_apply(self, method, arg, ret, t, heap, modulus):
-        runs[("abstract", APCom(method, arg, ret), heap, t)] += 1
-        return original_apply(self, method, arg, ret, t, heap, modulus)
+    def counting_run(self, alpha, t, heap):
+        if (alpha, t, heap) not in self._runs:  # run, not looked up
+            side = "abstract" if type(alpha) is APCom else "concrete"
+            runs[(side, alpha, heap, t)] += 1
+        return original_run(self, alpha, t, heap)
 
     def counting_subst(node, binding):
         if isinstance(node, PrimCommand):  # not a body
@@ -354,8 +344,7 @@ def test_moves_are_generated_once_per_configuration(name, monkeypatch):
 
     monkeypatch.setattr(_Library, "_step", tracking_step)
     monkeypatch.setattr(linearizability, "state_step", counting_state_step)
-    monkeypatch.setattr(TransformerTable, "apply", counting_run)
-    monkeypatch.setattr(AbstractTable, "apply", counting_apply)
+    monkeypatch.setattr(Semantics, "run", counting_run)
     monkeypatch.setattr(linearizability, "subst", counting_subst)
     monkeypatch.setattr(_Library, "successors", recording)
     check_linearizable(model, 12)

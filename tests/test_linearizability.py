@@ -23,11 +23,8 @@ from relviews.model_io import (
     load_outlines,
     parse_model,
 )
-from relviews.command_lang import (
-    Const,
-    PrimCommand,
-    TransformerTable,
-)
+from relviews.command_lang import Const, PrimCommand
+from relviews.linearizability import Semantics
 from relviews.state_model import FAULT, Heap
 from oracles import (
     command_prims,
@@ -185,8 +182,7 @@ def test_mutated_final_token_rejected():
 def _drive_until(cmd, sigma, t, model, stop_prim):
     """Follow the unique transition chain until the named primitive fires."""
     while True:
-        steps = heap_steps(cmd, sigma, t, model.sem.ctable,
-                           model.dom.modulus)
+        steps = heap_steps(cmd, sigma, t, model.sem)
         assert len(steps) == 1, "prefix is not deterministic"
         ((alpha, cmd, sigma),) = steps
         if alpha.name == stop_prim:
@@ -208,8 +204,7 @@ def _complete(cmd, sigma, t, model, avoid=()):
         if (c, s) in seen:
             continue
         seen.add((c, s))
-        for alpha, c2, s2 in heap_steps(c, s, t, model.sem.ctable,
-                                        model.dom.modulus):
+        for alpha, c2, s2 in heap_steps(c, s, t, model.sem):
             if alpha.name in avoid or not isinstance(s2, Heap):
                 continue
             stack.append((c2, s2))
@@ -301,24 +296,26 @@ def test_a_fault_raises_on_the_concrete_side_and_blocks_on_the_abstract():
     assert all(kind == "call" for h in hs for _t, kind, _m, _v in h)
 
 
-class _LeakyTable(TransformerTable):
+class _LeakySemantics(Semantics):
     """`inc_atomic` also zeroes the cell `spare` whenever the state has it:
     its effect depends on a frame outside its footprint."""
 
-    def apply(self, alpha, t, sigma, modulus):
-        out = super().apply(alpha, t, sigma, modulus)
+    def run(self, alpha, t, sigma):
+        out = super().run(alpha, t, sigma)
         if alpha.name != "inc_atomic" or "spare" not in sigma:
             return out
-        return tuple(s if s is FAULT else s.set("spare", 0) for s in out)
+        return tuple(s if s is FAULT else s.set_many([("spare", 0)])
+                     for s in out)
 
 
 def test_the_locality_oracle_catches_a_table_that_reads_its_frame():
-    # JSON guarded updates are local by construction; only a table built
-    # through the API can break locality
+    # guarded updates are local by construction; only a `Semantics`
+    # subclass built through the API can break locality
     doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
     doc["domains"]["locations"]["spare"] = [0, 1]
     model = parse_model(doc)
-    leaky = _LeakyTable(model.sem.ctable.custom)
+    sem = model.sem
+    leaky = _LeakySemantics(sem.prims, sem.abstract, sem.modulus)
     # inc_atomic(1, 0) is enabled only at k = 3
     alpha = PrimCommand("inc_atomic", (Const(1), Const(0)))
     assert locality_witness(leaky, model.dom, alpha, 1) == \
@@ -341,8 +338,7 @@ def test_every_fixture_primitive_is_local(fx):
     pairs = _thread_prims(model)
     assert pairs
     for alpha, t in pairs:
-        assert locality_witness(
-            model.sem.ctable, model.dom, alpha, t) is None
+        assert locality_witness(model.sem, model.dom, alpha, t) is None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -351,5 +347,4 @@ def test_every_generated_primitive_is_local(doc):
     doc["domains"]["locations"]["spare"] = [0, 1]
     model = parse_model(doc)
     for alpha, t in _thread_prims(model):
-        assert locality_witness(
-            model.sem.ctable, model.dom, alpha, t) is None
+        assert locality_witness(model.sem, model.dom, alpha, t) is None

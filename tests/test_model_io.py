@@ -327,7 +327,7 @@ def test_load_checks_a_body_template_as_every_instance_does(body, args):
     model = parse_model(doc)
     want = per_instance_body_error(parse_command(body),
                                    model.method_args["inc"],
-                                   model.dom.values, model.sem.ctable)
+                                   model.dom.values, model.sem.prims)
     # a method with no arguments has no instance, and its body is checked
     # all the same
     for method_args in (args, []):

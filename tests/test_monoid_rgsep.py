@@ -12,8 +12,8 @@ from relviews.command_lang import (
     Eq,
     LVar,
     PrimCommand,
+    GuardedUpdate,
     Read,
-    TransformerTable,
     walk,
 )
 from relviews.errors import StabilityViolation
@@ -28,7 +28,7 @@ from relviews.state_model import (
     World,
 )
 from relviews.fixtures import fixture_path
-from relviews.linearizability import all_instances, check_obligations
+from relviews.linearizability import Semantics, all_instances, check_obligations
 from relviews.logic import AssertionEnv
 from relviews.model_io import (
     attach_outlines,
@@ -579,13 +579,17 @@ def test_check_action_discharges_token_via_lp():
     assert mono.check_action(1, PrimCommand("id"), todo, done) is True
 
 
-class _NonLocalTable(TransformerTable):
-    def apply(self, alpha, t, sigma, modulus):
-        if alpha.name == "weird":
-            if "x" in sigma:
-                return (sigma.set("x", 1),)
-            return (sigma,)
-        return super().apply(alpha, t, sigma, modulus)
+class _NonLocalSemantics(Semantics):
+    """`weird`, declared as a guarded update that names no location, sets
+    x to 1 wherever the state has x."""
+
+    def __init__(self):
+        super().__init__({"weird": GuardedUpdate()}, {}, 2)
+
+    def run(self, alpha, t, sigma):
+        if alpha.name == "weird" and "x" in sigma:
+            return (sigma.set_many([("x", 1)]),)
+        return super().run(alpha, t, sigma)
 
 
 def test_locality_violation_detected():
@@ -593,7 +597,8 @@ def test_locality_violation_detected():
     # framed with the first declared location
     dom = micro_domains(cloc={"x": (0, 1), "y": (0, 1)}, aloc={},
                         values=(0, 1))
-    got = locality_witness(_NonLocalTable(), dom, PrimCommand("weird"), 1)
+    got = locality_witness(_NonLocalSemantics(), dom, PrimCommand("weird"),
+                           1)
     assert got == (Heap({}), Heap({"x": 0}))
 
 

@@ -37,6 +37,7 @@ from oracles import (
     compose_tokens_copying,
     world_leq,
 )
+from families import flat_combiner
 from util import fixture_manifest, micro_domains
 
 AP = APCom("op", 0, 0)
@@ -237,9 +238,10 @@ def test_internal_maps_equal_constructed_ones():
     ws = enumerate_worlds(dom)
     built = []
     for w1 in ws:
-        built.append(w1.conc.set("n", 1))
+        built.append(w1.conc.set_many((("n", 1),)))
         built.append(w1.conc.set_many((("m", 0), ("k", 1))))
-        built.append(w1.toks.set(2, Token(DONE, AP)))
+        built.append(compose_maps(w1.toks.remove(2),
+                                  TokenMap({2: Token(DONE, AP)})))
         built.append(w1.toks.remove(1))
         for w2 in ws:
             w = compose_worlds(w1, w2)
@@ -274,14 +276,14 @@ def test_equal_items_are_one_map_on_every_path():
     paths = [
         (h, Heap([("b", 0), ("a", 1)])),
         (h, Heap._of((("a", 1), ("b", 0)))),
-        (h, Heap({"a": 0}).set("a", 1).set("b", 0)),
+        (h, Heap({"a": 0}).set_many((("a", 1),)).set_many((("b", 0),))),
         (h, Heap({"b": 1}).set_many((("a", 1), ("b", 0)))),
         (h, Heap({"a": 1, "b": 0, "c": 1})._without({"c"})),
         (h, compose_maps(Heap({"a": 1}), Heap({"b": 0}))),
         (h, compose_maps(Heap({"b": 0}), Heap({"a": 1}))),
         (h, next(x for x in enumerate_heaps((("a", (0, 1)), ("b", (0,))))
                  if len(x) == 2 and x["a"] == 1)),
-        (t, TokenMap({2: Token(DONE, AP)}).set(1, ap)),
+        (t, TokenMap([(2, Token(DONE, AP)), (1, ap)])),
         (t, TokenMap({1: ap, 2: Token(DONE, AP), 3: ap}).remove(3)),
         (t, compose_maps(TokenMap({2: Token(DONE, AP)}), TokenMap({1: ap}))),
         (t, TokenMap({1: Token(TODO, APCom("op", 0, 0)),
@@ -397,3 +399,51 @@ def test_no_map_outlives_a_check():
     assert all(counts[f"{fx.model_path} {fx.outline_path}"][0] > 100
                for fx in fixtures
                if fx.outline_path and fx.name.startswith("flat-combiner"))
+
+
+# A fresh interpreter, as above: counts, after `check_obligations` with the
+# model still alive, the memo entries on live maps and those of them keyed
+# by a serial that no live map has, whose right operand has died.
+_DEAD_KEYS = """
+import gc, json, sys
+from relviews.linearizability import check_obligations
+from relviews.model_io import load_model, load_outlines
+from relviews.state_model import Heap, TokenMap
+
+out = {}
+for path, outline in json.loads(sys.argv[1]):
+    model = load_model(path)
+    load_outlines(outline, model)
+    check_obligations(model)
+    gc.collect()
+    live = [m for table in (Heap._table, TokenMap._table)
+            for m in (ref() for ref in list(table.values())) if m is not None]
+    serials = {m._serial for m in live}
+    keys = [k for m in live for k in (m._memo or ())]
+    out[path] = [len(keys), sum(k not in serials for k in keys)]
+print(json.dumps(out))
+"""
+
+
+def test_no_memo_entry_outlives_its_right_operand(tmp_path):
+    """`compose_maps` keeps a result on its left operand, keyed by the
+    right one's serial, so a composition of a long-lived map with one that
+    dies at once belongs on the short-lived map's side."""
+    jobs = [(fx.model_path, fx.outline_path) for fx in fixture_manifest()
+            if fx.outline_path
+            and json.load(open(fx.model_path))["monoid"] == "rgsep"]
+    model, outline = flat_combiner(3)
+    jobs.append((str(tmp_path / "fc3.json"), str(tmp_path / "fc3-out.json")))
+    json.dump(model, open(jobs[-1][0], "w"))
+    json.dump(outline, open(jobs[-1][1], "w"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEAD_KEYS, json.dumps(jobs)],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert len(counts) == len(jobs) >= 3
+    assert {path: dead for path, (_n, dead) in counts.items()} == {
+        path: 0 for path, _outline in jobs}
+    # the memos are in use: the flat combiners keep over a hundred entries
+    assert counts[jobs[-1][0]][0] > 100
+

@@ -105,8 +105,7 @@ def _check_model(model):
         for node in walk(outline):
             if isinstance(node, OPrim):
                 _check_prim(node.prim, bindings)
-    specs = [*model.sem.ctable.custom.values(),
-             *model.sem.atable.methods.values()]
+    specs = [*model.sem.prims.values(), *model.sem.abstract.values()]
     assert specs
     for spec in specs:
         exprs = [e for _, e in spec.updates]

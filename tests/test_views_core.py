@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relviews.command_lang import (
-    AbstractTable,
     Const,
     Eq,
     GuardedUpdate,
@@ -14,7 +13,6 @@ from relviews.command_lang import (
     Plus,
     PrimCommand,
     Read,
-    TransformerTable,
     walk,
 )
 from relviews.linearizability import Semantics
@@ -55,8 +53,7 @@ def _counter_sem(modulus=4):
         guard=Eq(Plus(Read("K"), LVar("a")), LVar("r")),
         updates=(("K", Plus(Read("K"), LVar("a"))),),
     )
-    return Semantics(TransformerTable(), AbstractTable({"inc": inc}),
-                     modulus)
+    return Semantics({}, {"inc": inc}, modulus)
 
 
 def test_lp_step_empty_tokens():
@@ -235,7 +232,7 @@ def test_counterexample_replays():
     ce = mono.check_action(1, alpha, p, q)
     assert isinstance(ce, ActionCounterexample)
     assert ce.world in mono.reify(mono.compose(p, ce.frame))
-    results = mono.sem.ctable.apply(alpha, 1, ce.world.conc, mono.sem.modulus)
+    results = mono.sem.run(alpha, 1, ce.world.conc)
     assert ce.sigma2 in results
     post = mono.reify(mono.compose(q, ce.frame))
     assert all(

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from relviews.command_lang import (
     STORE,
-    AbstractTable,
     Command,
     Expr,
     GuardedUpdate,
@@ -22,7 +21,6 @@ from relviews.command_lang import (
     Read,
     Const,
     Eq,
-    TransformerTable,
 )
 from relviews.fixtures import FIXTURE_ROOT
 from relviews.linearizability import Semantics
@@ -89,7 +87,7 @@ def micro_semantics(dom: Domains, abstract=None) -> Semantics:
     methods = {"op": GuardedUpdate()}
     if abstract:
         methods.update(abstract)
-    return Semantics(TransformerTable(), AbstractTable(methods), dom.modulus)
+    return Semantics({}, methods, dom.modulus)
 
 
 def micro_dcsl(cloc=None, aloc=None, nthreads=1, apcoms=(), values=(0, 1),
@@ -181,12 +179,11 @@ def strongest_post(monoid, t, alpha, p):
     number of linearization steps; None if alpha can fault.  By locality this
     is a valid postcondition for the (frame-quantified) action judgement."""
     from relviews.state_model import FAULT, World
-    from oracles import lp_star
+    from oracles import lp_star, ref_apply
 
     out = set()
     for w in p:
-        for sigma2 in monoid.sem.ctable.apply(alpha, t, w.conc,
-                                              monoid.sem.modulus):
+        for sigma2 in ref_apply(monoid.sem, alpha, t, w.conc):
             if sigma2 is FAULT:
                 return None
             for s2, d2 in lp_star(w.abst, w.toks, monoid.sem):
