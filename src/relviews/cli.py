@@ -102,17 +102,17 @@ def cmd_check_proof(args) -> int:
     t0 = time.perf_counter()
     model = load_model(args.model, args.cap)
     load_outlines(args.outline, model)
-    report = check_obligations(model)
-    detail = "\n".join(it.line() for it in report.items)
-    fail = report.first_failure()
+    items = check_obligations(model)
+    detail = "\n".join(it.line() for it in items)
+    fail = next((it for it in items if not it.ok), None)
     if fail:
         detail += (f"\nfirst failure: {fail.obligation} {fail.subject}: "
                    f"{fail.detail}")
-    out = RunReport("proof accepted" if report.ok else "proof rejected",
-                    report.ok, stats={"checks": len(report.items)},
+    out = RunReport("proof rejected" if fail else "proof accepted",
+                    fail is None, stats={"checks": len(items)},
                     timing=time.perf_counter() - t0, detail=detail)
     _emit(out, args.format)
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return EXIT_VIOLATION if fail else EXIT_OK
 
 
 def cmd_histories(args) -> int:

@@ -33,7 +33,7 @@ from .errors import (
     RelviewsError,
     UniverseTooLarge,
 )
-from .logic import AssertionEnv, OutlineNode, ProofOutline, check_proof
+from .logic import AssertionEnv, OutlineNode, check_proof
 from .state_model import (
     DONE,
     FAULT,
@@ -155,15 +155,6 @@ class LibraryModel:
         if env is None:
             env = self._envs[t] = AssertionEnv(self.monoid(), t)
         return env
-
-    def outline(self, m: str, t: int, a: int, r: int) -> ProofOutline:
-        return ProofOutline(
-            thread=t,
-            pre=self.pre_templates[m],
-            body=self.outline_templates[m],
-            post=self.post_templates[m],
-            binding=(("a", a), ("r", r), ("t", t)),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -626,21 +617,6 @@ class ObligationItem:
         return f"[{mark}] {self.obligation} {self.subject}{detail}"
 
 
-@dataclass
-class ObligationReport:
-    items: List[ObligationItem]
-
-    @property
-    def ok(self) -> bool:
-        return all(it.ok for it in self.items)
-
-    def first_failure(self) -> Optional[ObligationItem]:
-        for it in self.items:
-            if not it.ok:
-                return it
-        return None
-
-
 def all_instances(model: LibraryModel) -> List[Tuple[str, int, int, int]]:
     return [
         (m, t, a, r)
@@ -661,14 +637,16 @@ def instance_obligations(model: LibraryModel,
     mon = model.monoid()
     subject = f"{m}(a={a},r={r}) in thread {t}"
     env = model.assertion_env(t)
-    outline = model.outline(m, t, a, r)
-    fail = check_proof(outline, env)
+    binding = {"a": a, "r": r, "t": t}
+    fail = check_proof(env, model.outline_templates[m],
+                       model.pre_templates[m], model.post_templates[m],
+                       binding)
     items = [ObligationItem("(1) outline", subject, fail is None,
                             str(fail) if fail else "")]
     ap = APCom(m, a, r)
     try:
-        pre = env.eval(outline.pre, dict(outline.binding))
-        post = env.eval(outline.post, dict(outline.binding))
+        pre = env.eval(model.pre_templates[m], binding)
+        post = env.eval(model.post_templates[m], binding)
     except RelviewsError as exc:
         items.append(ObligationItem(
             "(2) todo pinned", subject, False,
@@ -687,11 +665,11 @@ def instance_obligations(model: LibraryModel,
     return items
 
 
-def check_obligations(model: LibraryModel) -> ObligationReport:
+def check_obligations(model: LibraryModel) -> List[ObligationItem]:
     """Verify the linearizability obligations over the declared domains:
     per-method outlines, token pinning in the pre/post families, the
     token-swap correspondence, and coverage of the initial states by the
-    composed preconditions."""
+    composed preconditions.  One item per obligation checked, in order."""
     mon = model.monoid()
     items = [item for inst in all_instances(model)
              for item in instance_obligations(model, inst)]
@@ -724,7 +702,7 @@ def check_obligations(model: LibraryModel) -> ObligationReport:
                                     detail))
 
     items.append(initial_coverage(model, model.dom.apcoms))
-    return ObligationReport(items)
+    return items
 
 
 def initial_coverage(model: LibraryModel, insts: Tuple[APCom, ...]

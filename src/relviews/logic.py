@@ -1,8 +1,8 @@
 """The proof-outline checker.
 
 Every assertion slot of an outline holds a view assertion (`vassn.VAssn`),
-evaluated to a view by the monoid through a per-thread `AssertionEnv`.  The
-checker walks an annotated command tree rule by rule, discharging
+evaluated to a view by the monoid through a per-thread `AssertionEnv`.
+`check_proof` walks an annotated command tree rule by rule, discharging
 primitive nodes through the monoid's action judgement and skip and
 consequence sites through the repartitioning implication.
 """
@@ -90,19 +90,6 @@ class OConseq:
 OutlineNode = Union[OPrim, OSkip, OSeq, OChoice, OIter, OConseq]
 
 
-@dataclass(frozen=True)
-class ProofOutline:
-    """An outline of one command instance: the method's templates and the
-    instance's (name, value) bindings, under which its assertions are
-    evaluated and its primitives instantiated."""
-
-    thread: int
-    pre: VAssn
-    body: OutlineNode
-    post: VAssn
-    binding: Tuple[Tuple[str, int], ...]
-
-
 @dataclass
 class FailureReport:
     path: Tuple[str, ...]
@@ -117,110 +104,79 @@ class FailureReport:
         return f"{self.rule} fails at {where} (interp {self.interp}): {self.detail}{ce}"
 
 
-class ProofChecker:
-    """Syntax-directed checker for annotated outlines.
-
-    Primitive nodes discharge the action judgement for every interpretation
-    of the logical variables free in their pre/post and not bound by the
-    instance; skip and consequence sites discharge repartitioning
-    implications; the remaining rules are structural.  A failure reports
-    the enumerated interpretation only.
-    """
-
-    def __init__(self, env: AssertionEnv, binding: Dict[str, int]):
-        self.env = env
-        self.monoid = env.monoid
-        self.binding = binding
-
-    def check(self, outline: ProofOutline) -> Optional[FailureReport]:
-        return self._node(outline.body, outline.pre, outline.post,
-                          outline.thread, ())
-
-    # each method returns None on success or the first FailureReport
-
-    def _node(self, node, pre, post, t, path):
-        if isinstance(node, OPrim):
-            return self._prim(node, pre, post, t, path)
-        if isinstance(node, OSkip):
-            return self._implies(pre, post, t, path, "Skip")
-        if isinstance(node, OSeq):
-            assns = [pre, *node.mids, post]
-            for idx, child in enumerate(node.children):
-                fail = self._node(child, assns[idx], assns[idx + 1], t,
-                                  path + (f"seq[{idx}]",))
-                if fail:
-                    return fail
-            return None
-        if isinstance(node, OChoice):
-            return (self._node(node.left, pre, post, t, path + ("choice/left",))
-                    or self._node(node.right, pre, post, t,
-                                  path + ("choice/right",)))
-        if isinstance(node, OIter):
-            inv = node.invariant
-            return (
-                self._implies(pre, inv, t, path + ("iter/entry",), "Conseq")
-                or self._node(node.body, inv, inv, t, path + ("iter/body",))
-                or self._implies(inv, post, t, path + ("iter/exit",), "Conseq")
-            )
-        if isinstance(node, OConseq):
-            return (
-                self._implies(pre, node.pre, t, path + ("conseq/pre",),
-                              "Conseq")
-                or self._node(node.inner, node.pre, node.post, t,
-                              path + ("conseq",))
-                or self._implies(node.post, post, t, path + ("conseq/post",),
-                                 "Conseq")
-            )
-        raise ModelError(f"unknown outline node {node!r}")
-
-    def _interps(self, pre, post):
-        """Each interpretation of the variables free in pre or post that
-        the instance does not bind, with the instance's bindings added."""
-        names = sorted((free_lvars(pre) | free_lvars(post))
-                       - self.binding.keys())
-        for combo in itertools.product(self.monoid.dom.values,
-                                       repeat=len(names)):
-            interp = dict(zip(names, combo))
-            yield interp, {**interp, **self.binding}
-
-    def _prim(self, node, pre, post, t, path):
-        """The action judgement of the instantiated primitive under each
-        interpretation.  The instance and the primitive's runs come from
-        the model's `Semantics` and the views from the thread's env, so
-        each is built once per model, whatever instance asks for it
-        first."""
-        alpha = self.monoid.sem.instance(node.prim, self.binding)
-        for interp, full in self._interps(pre, post):
-            try:
-                p = self.env.eval(pre, full)
-                q = self.env.eval(post, full)
-                verdict = self.monoid.check_action(t, alpha, p, q)
-            except StabilityViolation as exc:
-                return FailureReport(path, "Prim", interp,
-                                     f"unstable assertion: {exc}")
-            if verdict is not True:
-                return FailureReport(
-                    path, "Prim", interp,
-                    f"action judgement fails for {alpha!r}",
-                    counterexample=verdict)
+def check_proof(env: AssertionEnv, node: OutlineNode, pre: VAssn,
+                post: VAssn, binding: Dict[str, int],
+                path: Tuple[str, ...] = ()) -> Optional[FailureReport]:
+    """Check an outline node between pre and post in thread `env.t`, rule
+    by rule, with the instance's (name, value) `binding` in every
+    interpretation; None on success, else the first failure.  Primitive
+    sites discharge the action judgement, skip and consequence sites the
+    repartitioning implication; the remaining rules are structural."""
+    if isinstance(node, OPrim):
+        # the instance and its runs come from the model's `Semantics`, so
+        # each is built once per model, whatever instance asks first
+        alpha = env.monoid.sem.instance(node.prim, binding)
+        return _site(env, "Prim", alpha, pre, post, binding, path)
+    if isinstance(node, OSkip):
+        return _site(env, "Skip", None, pre, post, binding, path)
+    if isinstance(node, OSeq):
+        assns = [pre, *node.mids, post]
+        for idx, child in enumerate(node.children):
+            fail = check_proof(env, child, assns[idx], assns[idx + 1],
+                               binding, path + (f"seq[{idx}]",))
+            if fail:
+                return fail
         return None
+    if isinstance(node, OChoice):
+        return (check_proof(env, node.left, pre, post, binding,
+                            path + ("choice/left",))
+                or check_proof(env, node.right, pre, post, binding,
+                               path + ("choice/right",)))
+    if isinstance(node, (OIter, OConseq)):
+        # the consequence rule around the inner node: pre implies p, the
+        # inner node runs from p to q, and q implies post; `at` holds the
+        # three premises' path steps
+        if isinstance(node, OIter):
+            p = q = node.invariant
+            inner, at = node.body, ("iter/entry", "iter/body", "iter/exit")
+        else:
+            p, q, inner = node.pre, node.post, node.inner
+            at = ("conseq/pre", "conseq", "conseq/post")
+        return (_site(env, "Conseq", None, pre, p, binding, path + at[:1])
+                or check_proof(env, inner, p, q, binding, path + at[1:2])
+                or _site(env, "Conseq", None, q, post, binding, path + at[2:]))
+    raise ModelError(f"unknown outline node {node!r}")
 
-    def _implies(self, pre, post, t, path, rule):
-        for interp, full in self._interps(pre, post):
-            try:
-                p = self.env.eval(pre, full)
-                q = self.env.eval(post, full)
-            except StabilityViolation as exc:
-                return FailureReport(path, rule, interp,
-                                     f"unstable assertion: {exc}")
-            verdict = self.monoid.repart_implies(p, q)
+
+def _site(env: AssertionEnv, rule: str, alpha: Optional[PrimCommand],
+          pre: VAssn, post: VAssn, binding: Dict[str, int],
+          path: Tuple[str, ...]) -> Optional[FailureReport]:
+    """One rule site under each interpretation of the variables free in
+    pre or post that the instance does not bind: the action judgement of
+    `alpha`, or the repartitioning implication where `alpha` is None.  A
+    failure reports the enumerated interpretation only."""
+    mon = env.monoid
+    names = sorted((free_lvars(pre) | free_lvars(post)) - binding.keys())
+    for combo in itertools.product(mon.dom.values, repeat=len(names)):
+        interp = dict(zip(names, combo))
+        full = {**interp, **binding}
+        try:
+            p = env.eval(pre, full)
+            q = env.eval(post, full)
+        except StabilityViolation as exc:
+            return FailureReport(path, rule, interp,
+                                 f"unstable assertion: {exc}")
+        if alpha is None:
+            verdict = mon.repart_implies(p, q)
             if not verdict.ok():
                 return FailureReport(
                     path, rule, interp,
                     f"repartitioning implication {verdict.value}")
-        return None
-
-
-def check_proof(outline: ProofOutline,
-                env: AssertionEnv) -> Optional[FailureReport]:
-    return ProofChecker(env, dict(outline.binding)).check(outline)
+        else:
+            verdict = mon.check_action(env.t, alpha, p, q)
+            if verdict is not True:
+                return FailureReport(
+                    path, rule, interp,
+                    f"action judgement fails for {alpha!r}",
+                    counterexample=verdict)
+    return None

@@ -71,14 +71,22 @@ def _fail(path: str, msg: str):
 
 
 @contextmanager
+def _missing_key_is_model_error(path: str):
+    """A missing key is a model error naming `path`, a document or entry."""
+    try:
+        yield
+    except KeyError as exc:
+        _fail(path, f"malformed document: missing key {exc}")
+
+
+@contextmanager
 def _malformed_is_model_error(path: str):
     """A missing key, a value of the wrong shape or nesting deeper than the
     interpreter's stack in a document is a model error naming the
     document, not a crash."""
     try:
-        yield
-    except KeyError as exc:
-        _fail(path, f"malformed document: missing key {exc}")
+        with _missing_key_is_model_error(path):
+            yield
     except (ValueError, TypeError, AttributeError) as exc:
         _fail(path, f"malformed document: {exc}")
     except RecursionError:
@@ -265,9 +273,10 @@ class MacroTable:
     and reused under any expansion chain that holds none of them: parsing
     again would build the same hash-consed tree.  Errors are not memoized,
     so each keeps its own path.  Every macro's parameters are checked to
-    be a list of names once, when the table is built, whether or not an
-    assertion applies the macro.  `boxes_passed` keeps the document's
-    `_check_boxes` results: one macro's tree stands in many slots."""
+    be a list of names, and its body to be present, once, when the table
+    is built, whether or not an assertion applies the macro.
+    `boxes_passed` keeps the document's `_check_boxes` results: one
+    macro's tree stands in many slots."""
 
     def __init__(self, raw: Dict[str, dict], methods: Iterable[str],
                  path: str = "model"):
@@ -279,6 +288,8 @@ class MacroTable:
                              f"{params!r}")
             for p in params:
                 _name(p, "logical variable", where)
+            if "body" not in raw[name]:
+                _fail(where, "malformed document: missing key 'body'")
         self.raw = raw
         self.methods = frozenset(methods)
         # key -> (parsed assertion, names reached)
@@ -578,13 +589,15 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
     method_args = {}
     body_templates = {}
     for mname, spec in doc["methods"].items():
+        where = f"{path}/methods/{mname}"
         if mname not in amethods:
             _fail(path, f"dom mismatch: method {mname!r} has no abstract "
                         "counterpart")
         method_args[mname] = _distinct(spec.get("args", values),
                                        f"method {mname!r} args", path)
-        template = parse_command(spec["body"], f"{path}/methods/{mname}")
-        validate_command(template, prims, f"{path}/methods/{mname}")
+        with _missing_key_is_model_error(where):
+            template = parse_command(spec["body"], where)
+        validate_command(template, prims, where)
         if isinstance(template, Skip):
             # a zero-step body would let concrete histories outrun the
             # abstract generator at equal bounds
@@ -643,11 +656,12 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
 
     actions = {}
     for aname, spec in doc.get("actions", {}).items():
-        actions[aname] = tuple(
-            parse_assertion(spec[side], macros, nthreads,
-                            f"{path}/actions/{aname}/{side}",
-                            "a box may not stand in an action")
-            for side in ("pre", "post"))
+        with _missing_key_is_model_error(f"{path}/actions/{aname}"):
+            actions[aname] = tuple(
+                parse_assertion(spec[side], macros, nthreads,
+                                f"{path}/actions/{aname}/{side}",
+                                "a box may not stand in an action")
+                for side in ("pre", "post"))
     for aname in list(doc.get("guarantee", [])) + list(doc.get("rely_extra",
                                                                [])):
         if aname not in actions:
@@ -659,8 +673,9 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
             _fail(path, f"assertions declared for unknown method {mname!r}")
         for side, templates in families.items():
             where = f"{path}/assertions/{mname}/{side}"
-            templates[mname] = parse_assertion(spec[side], macros, nthreads,
-                                               where, no_box)
+            with _missing_key_is_model_error(f"{path}/assertions/{mname}"):
+                templates[mname] = parse_assertion(spec[side], macros,
+                                                   nthreads, where, no_box)
             _check_vars(free_lvars(templates[mname]), ("t", "a", "r"),
                         "a pre/post family", where)
 
@@ -731,16 +746,17 @@ def attach_outlines(doc: dict, model: LibraryModel, path: str = "outline") -> No
         no_box = _NO_BOX_DCSL if model.monoid_kind == "dcsl" else None
         templates = {}
         for mname, node in outlines.items():
+            where = f"{path}/{mname}"
             if mname not in model.method_args:
                 _fail(path, f"outline for unknown method {mname!r}")
             if mname not in model.pre_templates:
-                _fail(f"{path}/{mname}", f"method {mname!r} has an outline "
-                      "but its model declares no assertions for it")
-            templates[mname] = parse_outline_node(
-                node, macros, model.dom.nthreads, f"{path}/{mname}", no_box)
+                _fail(where, f"method {mname!r} has an outline but its "
+                             "model declares no assertions for it")
+            with _missing_key_is_model_error(where):
+                templates[mname] = parse_outline_node(
+                    node, macros, model.dom.nthreads, where, no_box)
             if _erase(templates[mname]) != model.body_templates[mname]:
-                _fail(f"{path}/{mname}",
-                      "outline does not annotate the method body")
+                _fail(where, "outline does not annotate the method body")
     missing = [m for m in model.method_args if m not in templates]
     if missing:
         _fail(path, f"outlines missing for methods: {missing}")

@@ -115,7 +115,6 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Dict
 
 from relviews.command_lang import (
@@ -861,14 +860,12 @@ def outline_assertions(node) -> tuple:
     raise ModelError(f"unknown outline node {node!r}")
 
 
-def outline_views(outline, env) -> list:
+def outline_views(env, node, pre, post, binding) -> list:
     """The views an accepted outline annotates under its instance's
     bindings, deduplicated; this is the witness universe for the safety
     judgement."""
-    binding = dict(outline.binding)
     views = []
-    for rho in ((outline.pre, outline.post)
-                + outline_assertions(outline.body)):
+    for rho in (pre, post) + outline_assertions(node):
         names = sorted(free_lvars(rho) - binding.keys())
         for combo in itertools.product(env.monoid.dom.values,
                                        repeat=len(names)):
@@ -922,14 +919,12 @@ def subst_outline(node, b: Binding):
     raise ModelError(f"unknown outline node {node!r}")
 
 
-def substituted_outline(outline):
+def substituted_outline(node, pre, post, binding) -> tuple:
     """An instance's outline as it was checked before instances were bound
-    in the interpretation: the pre, post and body with the bindings
+    in the interpretation: the node, pre and post with the bindings
     substituted in, and no bindings left."""
-    b = dict(outline.binding)
-    return replace(outline, pre=subst_vassn(outline.pre, b),
-                   body=subst_outline(outline.body, b),
-                   post=subst_vassn(outline.post, b), binding=())
+    return (subst_outline(node, binding), subst_vassn(pre, binding),
+            subst_vassn(post, binding), {})
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from relviews.command_lang import (
     Seq,
 )
 from relviews.linearizability import (
-    ObligationReport,
     check_linearizable,
     check_obligations,
     instance_obligations,
@@ -51,6 +50,7 @@ from oracles import (
 )
 from util import (
     PRIMS_1LOC,
+    first_failure,
     fixture_manifest,
     micro_dcsl,
     micro_domains,
@@ -330,13 +330,13 @@ def test_criterion_6_flat_combiner():
     t0 = time.time()
     model = load_model(f"{FIX}/flat-combiner/model.json")
     load_outlines(f"{FIX}/flat-combiner/outline.json", model)
-    rep = check_obligations(model)
+    items = check_obligations(model)
     lin = check_linearizable(model, 12)
     elapsed = time.time() - t0
-    detail = rep.first_failure()
-    report(6, rep.ok and lin.ok and elapsed < 60,
+    detail = first_failure(items)
+    report(6, detail is None and lin.ok and elapsed < 60,
            f"flat combiner: proof+obligations pass "
-           f"({len(rep.items)} checks), check-lin@12 reports no violation "
+           f"({len(items)} checks), check-lin@12 reports no violation "
            f"({elapsed:.1f}s < 60s)"
            + (f"; first failure {detail.line()}" if detail else ""))
 
@@ -353,8 +353,7 @@ def test_criterion_7_bug_detection():
 
     broken = load_model(f"{FIX}/flat-combiner-noaction4/model.json")
     load_outlines(f"{FIX}/flat-combiner-noaction4/outline.json", broken)
-    rep = ObligationReport(instance_obligations(broken, ("inc", 1, 1, 0)))
-    fail = rep.first_failure()
+    fail = first_failure(instance_obligations(broken, ("inc", 1, 1, 0)))
     at_lp = (fail is not None and "(1) outline" == fail.obligation
              and "store(Read(loc='res[" in fail.detail)
     report(7, ce_ok and at_lp,
@@ -374,7 +373,7 @@ def test_criterion_8_theorem1_consistency():
         obligations_ok = False
         if fx.outline_path:
             load_outlines(fx.outline_path, model)
-            obligations_ok = check_obligations(model).ok
+            obligations_ok = first_failure(check_obligations(model)) is None
         bounds = {spec.get("bound", 6)
                   for cmd, spec in fx.expected.items() if cmd == "check-lin"}
         bounds.add(6)

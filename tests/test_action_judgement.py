@@ -73,6 +73,7 @@ from oracles import (
 )
 from util import (
     PRIMS_1LOC,
+    instance_outline,
     micro_domains,
     rgsep_view,
     sample_view,
@@ -267,8 +268,8 @@ def test_memoized_judgements_match_a_fresh_monoid(name, monkeypatch):
     # for the bindings that share an entry with an earlier one
     assert model.sem._instances
     for m, t, a, r in all_instances(model):
-        binding = dict(model.outline(m, t, a, r).binding)
-        for node in walk(model.outline_templates[m]):
+        outline, _pre, _post, binding = instance_outline(model, m, t, a, r)
+        for node in walk(outline):
             if type(node) is OPrim:
                 assert model.sem.instance(node.prim, binding) is subst(
                     node.prim, binding)

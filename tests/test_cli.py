@@ -885,3 +885,28 @@ def test_unstable_witness_independent_of_hash_seed(tmp_path):
     assert len(firsts) == 1
     assert "rely moves shared state ([k:0], [K:0], {}) to ([k:2], [K:2], " \
         "{})" in firsts.pop()
+
+
+def test_rgsep_implication_not_established_under_two_seeds(tmp_path):
+    """atomic-inc whose inc wraps its primitive in a consequence whose pre
+    holds `done` where the precondition holds `todo`: RGSep's sufficient
+    implication check cannot establish the step and says so, in words
+    distinct from DCSL's `fails`, whatever the hash seed."""
+    family = json.load(open(f"{FIX}/atomic-inc/model.json"))[
+        "assertions"]["inc"]
+    done_pre = json.loads(json.dumps(family["pre"]))
+    done_pre[2][0] = "done"
+    doc = json.load(open(f"{FIX}/atomic-inc/outline.json"))
+    doc["outlines"]["inc"] = {"kind": "conseq", "pre": done_pre,
+                              "post": family["post"],
+                              "inner": doc["outlines"]["inc"]}
+    outline = tmp_path / "outline.json"
+    outline.write_text(json.dumps(doc))
+    runs = _under_seeds(["check-proof", f"{FIX}/atomic-inc/model.json",
+                         str(outline), "--format", "machine"])
+    assert [code for code, _out, _err in runs] == [1, 1]
+    assert len({out for _code, out, _err in runs}) == 1
+    first = json.loads(runs[0][1])["detail"].split("first failure: ", 1)[1]
+    assert first == ("(1) outline inc(a=1,r=0) in thread 1: Conseq fails at "
+                     "conseq/pre (interp {}): repartitioning implication "
+                     "not established")

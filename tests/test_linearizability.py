@@ -143,8 +143,7 @@ def test_obligation_three_fails_on_asymmetric_families():
     m = parse_model(doc)
     out = json.load(open(f"{FIX}/dcsl-cell/outline.json"))
     attach_outlines(out, m)
-    rep = check_obligations(m)
-    failed = {it.obligation for it in rep.items if not it.ok}
+    failed = {it.obligation for it in check_obligations(m) if not it.ok}
     assert "(3) token swap" in failed
 
 

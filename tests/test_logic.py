@@ -22,13 +22,13 @@ from relviews.logic import (
     OPrim,
     OSeq,
     OSkip,
-    ProofOutline,
     check_proof,
 )
 from relviews.errors import ModelError
+from relviews import linearizability
 from relviews.linearizability import (
-    LibraryModel,
     all_instances,
+    check_obligations,
     instance_obligations,
 )
 from relviews.model_io import load_model, load_outlines, parse_model
@@ -46,7 +46,7 @@ from oracles import (
     outline_views,
     substituted_outline,
 )
-from util import fixture_manifest, micro_dcsl, store
+from util import fixture_manifest, instance_outline, micro_dcsl, store
 
 FIX = "src/relviews/fixtures"
 
@@ -94,8 +94,7 @@ def test_check_proof_prim_id_accepted():
     mono = _mono()
     env = AssertionEnv(mono, 1)
     p = CPt("l", Const(0))
-    outline = ProofOutline(1, p, OPrim(PrimCommand("id")), p, ())
-    assert check_proof(outline, env) is None
+    assert check_proof(env, OPrim(PrimCommand("id")), p, p, {}) is None
 
 
 def test_check_proof_rejects_wrong_post():
@@ -103,8 +102,7 @@ def test_check_proof_rejects_wrong_post():
     env = AssertionEnv(mono, 1)
     p = CPt("l", Const(0))
     q = CPt("l", Const(1))
-    outline = ProofOutline(1, p, OPrim(PrimCommand("id")), q, ())
-    fail = check_proof(outline, env)
+    fail = check_proof(env, OPrim(PrimCommand("id")), p, q, {})
     assert fail is not None
     assert fail.rule == "Prim"
 
@@ -119,14 +117,14 @@ def test_check_proof_structural_rules():
          OPrim(PrimCommand("store", (Read("l"), Const(0))))),
         (p1,),
     )
-    assert check_proof(ProofOutline(1, p0, node, p0, ()), env) is None
+    assert check_proof(env, node, p0, p0, {}) is None
     both = OrA((p0, p1))
     ch = OChoice(OPrim(PrimCommand("store", (Read("l"), Const(0)))),
                  OPrim(PrimCommand("store", (Read("l"), Const(0)))))
-    assert check_proof(ProofOutline(1, both, ch, p0, ()), env) is None
+    assert check_proof(env, ch, both, p0, {}) is None
     it = OIter(both, OPrim(PrimCommand("id")))
-    assert check_proof(ProofOutline(1, p0, it, both, ()), env) is None
-    skip_bad = check_proof(ProofOutline(1, p0, OSkip(), p1, ()), env)
+    assert check_proof(env, it, p0, both, {}) is None
+    skip_bad = check_proof(env, OSkip(), p0, p1, {})
     assert skip_bad is not None and skip_bad.rule == "Skip"
 
 
@@ -166,11 +164,12 @@ def test_lemma1_bridge_shipped_dcsl_outline():
     load_outlines(f"{FIX}/dcsl-cell/outline.json", model)
     for (m, a, r) in [("put", 0, 0), ("put", 1, 1), ("put", 0, 1)]:
         env = model.assertion_env(1)
-        outline = model.outline(m, 1, a, r)
-        assert check_proof(outline, env) is None
-        universe = outline_views(outline, env)
-        p = env.eval(outline.pre, dict(outline.binding))
-        q = env.eval(outline.post, dict(outline.binding))
+        outline = instance_outline(model, m, 1, a, r)
+        _node, pre, post, binding = outline
+        assert check_proof(env, *outline) is None
+        universe = outline_views(env, *outline)
+        p = env.eval(pre, binding)
+        q = env.eval(post, binding)
         body = instance_body(model, m, a, r)
         assert check_safe(1, p, body, q, universe, model.monoid())
 
@@ -179,11 +178,12 @@ def test_lemma1_bridge_rgsep_outline():
     model = load_model(f"{FIX}/atomic-inc/model.json")
     load_outlines(f"{FIX}/atomic-inc/outline.json", model)
     env = model.assertion_env(2)
-    outline = model.outline("inc", 2, 1, 2)
-    assert check_proof(outline, env) is None
-    universe = outline_views(outline, env)
-    p = env.eval(outline.pre, dict(outline.binding))
-    q = env.eval(outline.post, dict(outline.binding))
+    outline = instance_outline(model, "inc", 2, 1, 2)
+    _node, pre, post, binding = outline
+    assert check_proof(env, *outline) is None
+    universe = outline_views(env, *outline)
+    p = env.eval(pre, binding)
+    q = env.eval(post, binding)
     assert check_safe(2, p, instance_body(model, "inc", 1, 2), q,
                       universe, model.monoid())
 
@@ -223,21 +223,46 @@ def test_bound_outlines_match_the_substituted_oracle(fx):
     reports, and the instance's obligations read the same."""
     bound = _with_outline(fx)
     oracle = _with_outline(fx)
-    oracle.outline = lambda *inst: substituted_outline(
-        LibraryModel.outline(oracle, *inst))
     changed = 0
     for inst in all_instances(bound):
-        t = inst[1]
-        outline = bound.outline(*inst)
-        subst = oracle.outline(*inst)
-        assert subst.binding == ()
-        changed += subst.pre != outline.pre
-        got = check_proof(outline, bound.assertion_env(t))
-        want = check_proof(subst, oracle.assertion_env(t))
+        m, t = inst[:2]
+        outline = instance_outline(bound, *inst)
+        subst = substituted_outline(*outline)
+        # the oracle's obligations read this instance's substituted
+        # templates, under bindings that they no longer mention
+        (oracle.outline_templates[m], oracle.pre_templates[m],
+         oracle.post_templates[m], _) = subst
+        changed += subst[1] != outline[1]
+        got = check_proof(bound.assertion_env(t), *outline)
+        want = check_proof(oracle.assertion_env(t), *subst)
         assert str(got) == str(want), inst
         assert [it.line() for it in instance_obligations(bound, inst)] \
             == [it.line() for it in instance_obligations(oracle, inst)], inst
     assert changed, fx.name
+
+
+@pytest.mark.parametrize(
+    "fx", [fx for fx in fixture_manifest() if fx.outline_path],
+    ids=lambda fx: fx.name)
+def test_check_proof_is_called_once_per_instance(fx, monkeypatch):
+    """The obligations check each instance's outline with one call through
+    the `linearizability.check_proof` binding, whose calls the benchmark's
+    tracer counts; the walk recurses through `logic`'s own name."""
+    calls = []
+    original = linearizability.check_proof
+
+    def counted(env, node, pre, post, binding):
+        calls.append((env.t, binding))
+        return original(env, node, pre, post, binding)
+
+    monkeypatch.setattr(linearizability, "check_proof", counted)
+    model = _with_outline(fx)
+    want = [(t, {"a": a, "r": r, "t": t})
+            for _m, t, a, r in all_instances(model)]
+    for _ in range(2):  # the second check with every memo warm
+        calls.clear()
+        check_obligations(model)
+        assert calls == want, fx.name
 
 
 def test_unbound_placeholder_in_an_outline_is_quantified():
@@ -246,12 +271,11 @@ def test_unbound_placeholder_in_an_outline_is_quantified():
     env = AssertionEnv(mono, 1)
     pre = CPt("c0", Const(0))
     for post in (CPt("c{k}", Const(0)), CPt("c0", LVar("k"))):
-        fail = check_proof(
-            ProofOutline(1, pre, OPrim(PrimCommand("id")), post, ()), env)
+        fail = check_proof(env, OPrim(PrimCommand("id")), pre, post, {})
         assert fail.rule == "Prim" and fail.interp == {"k": 1}
-    assert check_proof(ProofOutline(
-        1, pre, OPrim(PrimCommand("id")),
-        OrA((CPt("c{k}", Const(0)), CPt("c0", Const(0)))), ()), env) is None
+    assert check_proof(
+        env, OPrim(PrimCommand("id")), pre,
+        OrA((CPt("c{k}", Const(0)), CPt("c0", Const(0)))), {}) is None
 
 
 _UNBOUND_K = "unbound logical variable 'k'"

@@ -802,3 +802,28 @@ def test_an_outline_token_naming_an_undeclared_method_is_a_load_error(
     assert out.out == ""
     assert out.err == (f"error: {bad}/put/mid[0]/star[2]: todo token names "
                        "undeclared method 'putX'\n")
+
+
+@pytest.mark.parametrize("name,edit,where,key", [
+    ("atomic-inc", lambda doc, out: doc["methods"]["inc"].pop("body"),
+     "m.json/methods/inc", "body"),
+    ("atomic-inc", lambda doc, out: doc["actions"]["incr"].pop("pre"),
+     "m.json/actions/incr", "pre"),
+    ("atomic-inc", lambda doc, out: doc["assertions"]["inc"].pop("post"),
+     "m.json/assertions/inc", "post"),
+    ("atomic-inc", lambda doc, out: doc["macros"]["kinv"].pop("body"),
+     "m.json/macros/kinv", "body"),
+    ("flat-combiner",
+     lambda doc, out: out["outlines"]["inc"]["steps"][4].pop("invariant"),
+     "o.json/inc", "invariant"),
+], ids=["method", "action", "assertion", "macro", "outline"])
+def test_a_missing_key_names_its_entry(name, edit, where, key):
+    """A required key missing from one entry of a per-entry section is a
+    model error naming that entry, not only the document."""
+    doc = json.load(open(f"{FIX}/{name}/model.json"))
+    out = json.load(open(f"{FIX}/{name}/outline.json"))
+    edit(doc, out)
+    with pytest.raises(ModelError) as exc:
+        attach_outlines(out, parse_model(doc, "m.json"), "o.json")
+    assert str(exc.value) == \
+        f"{where}: malformed document: missing key '{key}'"

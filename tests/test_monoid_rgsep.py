@@ -71,6 +71,7 @@ from util import (
     check_triples_contract,
     classes_of_columns,
     disjoin,
+    instance_outline,
     micro_domains,
     micro_semantics,
     rgsep_unit,
@@ -159,9 +160,9 @@ def test_eval_matches_oracle_on_fixture_assertions(name):
     mono = model.monoid()
     assns = set()
     for inst in all_instances(model):
-        outline = model.outline(*inst)
-        assns.update((rho, outline.binding) for rho in (
-            (outline.pre, outline.post) + outline_assertions(outline.body)))
+        node, pre, post, binding = instance_outline(model, *inst)
+        assns.update((rho, tuple(binding.items())) for rho in (
+            (pre, post) + outline_assertions(node)))
     assert assns
     for rho, binding in sorted(assns, key=repr):
         names = sorted(free_lvars(rho) - dict(binding).keys())

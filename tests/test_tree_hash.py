@@ -36,7 +36,7 @@ from relviews.subst import subst
 from relviews.vassn import TokA, TrueA
 
 from oracles import instance_bodies, reachable_commands
-from util import fixture_manifest
+from util import fixture_manifest, instance_outline
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
@@ -63,9 +63,9 @@ def _trees(model):
             out.append(c)
             out.extend(sorted(step(c), key=repr))
     if model.outline_templates:
-        for m, t, a, r in all_instances(model):
-            o = model.outline(m, t, a, r)
-            out.append((o.thread, o.pre, o.body, o.post, o.binding))
+        for inst in all_instances(model):
+            node, pre, post, binding = instance_outline(model, *inst)
+            out.append((node, pre, post, tuple(binding.items())))
     return out
 
 
@@ -168,10 +168,8 @@ def test_rebuilt_nodes_are_canonical():
         for m, node in model.outline_templates.items():
             assert _erase(node) is model.body_templates[m], (fx.name, m)
         for inst in all_instances(model) if model.outline_templates else ():
-            outline = model.outline(*inst)
-            binding = dict(outline.binding)
-            prims = [n.prim for n in _nodes(outline.body)
-                     if isinstance(n, OPrim)]
+            node, _pre, _post, binding = instance_outline(model, *inst)
+            prims = [n.prim for n in _nodes(node) if isinstance(n, OPrim)]
             assert _canonical([subst(p, binding) for p in prims])
         assert _copies_are_canonical(trees, nodes), fx.name
 

@@ -62,6 +62,19 @@ def fixture_manifest() -> Tuple[Fixture, ...]:
     return tuple(out)
 
 
+def instance_outline(model, m: str, t: int, a: int, r: int) -> tuple:
+    """The arguments after the env with which the obligations check the
+    outline of instance (m, t, a, r): the method's outline, pre and post
+    templates and the instance's binding."""
+    return (model.outline_templates[m], model.pre_templates[m],
+            model.post_templates[m], {"a": a, "r": r, "t": t})
+
+
+def first_failure(items):
+    """The first obligation item that fails, or None."""
+    return next((it for it in items if not it.ok), None)
+
+
 def store(loc: str, e: Expr) -> Command:
     return Prim(PrimCommand(STORE, (Read(loc), e)))
 
