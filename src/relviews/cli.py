@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -32,14 +31,17 @@ EXIT_VIOLATION = 1
 EXIT_ERROR = 2
 
 
-@dataclass
 class RunReport:
-    verdict: str
-    ok: bool
-    counterexample: Optional[str] = None
-    stats: Dict[str, int] = field(default_factory=dict)
-    timing: float = 0.0
-    detail: str = ""
+    def __init__(self, verdict: str, ok: bool,
+                 counterexample: Optional[str] = None,
+                 stats: Optional[Dict[str, int]] = None, timing: float = 0.0,
+                 detail: str = ""):
+        self.verdict = verdict
+        self.ok = ok
+        self.counterexample = counterexample
+        self.stats = {} if stats is None else stats
+        self.timing = timing
+        self.detail = detail
 
     def render_text(self) -> str:
         lines = [f"verdict: {self.verdict}"]

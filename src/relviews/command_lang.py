@@ -17,11 +17,10 @@ command is stepped once per node (`step`).
 
 from __future__ import annotations
 
-import inspect
-import string
-from dataclasses import dataclass
+from _string import formatter_parser
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterator, NamedTuple, Optional, Tuple,
+                    Union)
 
 from .errors import ModelError, UndefinedLocation
 from .state_model import FAULT, Heap, HeapState
@@ -54,18 +53,14 @@ def tree_node(cls):
     which `walk` and `rebuild` read.
     """
     # not `vars(cls)["__annotations__"]`, which lazily evaluated
-    # annotations (PEP 649, Python 3.14) leave out of the class dict
-    names = tuple(inspect.get_annotations(cls))
-    signature = inspect.Signature([
-        inspect.Parameter(n, inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                          default=vars(cls).get(n, inspect.Parameter.empty))
-        for n in names])
+    # annotations (PEP 649, Python 3.14) leave out of the class dict; the
+    # attribute is the class's own annotations from Python 3.10 on
+    names = tuple(cls.__annotations__)
+    defaults = {n: vars(cls)[n] for n in names if n in vars(cls)}
 
     def __new__(klass, *args, **kwargs):
         if kwargs or len(args) != len(names):
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
+            args = _bind(names, defaults, args, kwargs)
         key = (klass, args)
         node = _NODES.get(key)
         if node is None:
@@ -92,6 +87,29 @@ def tree_node(cls):
         cls.__repr__ = __repr__
     _NODE_CLASSES.add(cls)
     return cls
+
+
+def _bind(names: tuple, defaults: dict, args: tuple, kwargs: dict) -> tuple:
+    """A node's field values in field order, from its constructor's
+    arguments and the fields' `defaults`, raising the `TypeError`s that
+    `inspect.Signature.bind` raises for the same call."""
+    for name in names[:len(args)]:
+        if name in kwargs:
+            raise TypeError(f"multiple values for argument {name!r}")
+    if len(args) > len(names):
+        raise TypeError("too many positional arguments")
+    values = list(args)
+    for name in names[len(args):]:
+        if name in kwargs:
+            values.append(kwargs.pop(name))
+        elif name in defaults:
+            values.append(defaults[name])
+        else:
+            raise TypeError(f"missing a required argument: {name!r}")
+    if kwargs:
+        raise TypeError(
+            f"got an unexpected keyword argument {next(iter(kwargs))!r}")
+    return tuple(values)
 
 
 def _parts(fields: tuple) -> tuple:
@@ -215,8 +233,10 @@ Expr = Union[Const, LVar, Read, Tid, Plus, Eq, Lt, Not, And, Or]
 
 
 def loc_placeholders(loc: str) -> frozenset:
-    """The names of the `{name}` placeholders in a location."""
-    return frozenset(f for _, f, _, _ in string.Formatter().parse(loc)
+    """The names of the `{name}` placeholders in a location, as
+    `string.Formatter().parse` finds them: it returns this parser's
+    iterator, which raises `ValueError` at a stray brace."""
+    return frozenset(f for _, f, _, _ in formatter_parser(loc)
                      if f is not None)
 
 
@@ -364,8 +384,7 @@ CAS_SUCC = "cas_succ"
 CAS_FAIL = "cas_fail"
 
 
-@dataclass(frozen=True)
-class GuardedUpdate:
+class GuardedUpdate(NamedTuple):
     """An atomic primitive: parameters, bound to the values of the
     arguments it runs with before its guard is evaluated, an optional guard
     and simultaneous location updates.  Guard false blocks; any read or

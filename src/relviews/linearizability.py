@@ -14,8 +14,7 @@ correspondence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .command_lang import (
     SKIP,
@@ -99,31 +98,40 @@ class Semantics:
         return alpha
 
 
-@dataclass
 class LibraryModel:
     """A loaded model, its method bodies and proof data kept as templates:
     everything downstream checks consume."""
 
-    name: str
-    monoid_kind: str  # "dcsl" | "rgsep"
-    dom: Domains
-    sem: Semantics
-    init_conc: Heap
-    init_abst: Heap
-    method_args: Dict[str, Tuple[int, ...]]
-    body_templates: Dict[str, Command]  # as parsed, before instantiation
-    # proof data (optional); every outlined method has its two families
-    pre_templates: Dict[str, VAssn] = field(default_factory=dict)
-    post_templates: Dict[str, VAssn] = field(default_factory=dict)
-    outline_templates: Dict[str, OutlineNode] = field(default_factory=dict)
-    actions: Dict[str, Tuple[VAssn, VAssn]] = field(default_factory=dict)
-    guarantee_names: Tuple[str, ...] = ()
-    rely_extra_names: Tuple[str, ...] = ()
-    shared_universe_assn: Optional[VAssn] = None
-    macros_raw: Dict[str, dict] = field(default_factory=dict)
-    path: str = "model"  # the document's, for errors found after loading
-
-    def __post_init__(self):
+    def __init__(self, name: str, monoid_kind: str, dom: Domains,
+                 sem: Semantics, init_conc: Heap, init_abst: Heap,
+                 method_args: Dict[str, Tuple[int, ...]],
+                 body_templates: Dict[str, Command],
+                 pre_templates: Dict[str, VAssn],
+                 post_templates: Dict[str, VAssn],
+                 outline_templates: Dict[str, OutlineNode],
+                 actions: Dict[str, Tuple[VAssn, VAssn]],
+                 guarantee_names: Tuple[str, ...],
+                 rely_extra_names: Tuple[str, ...],
+                 shared_universe_assn: Optional[VAssn],
+                 macros_raw: Dict[str, dict], path: str):
+        self.name = name
+        self.monoid_kind = monoid_kind  # "dcsl" | "rgsep"
+        self.dom = dom
+        self.sem = sem
+        self.init_conc = init_conc
+        self.init_abst = init_abst
+        self.method_args = method_args
+        self.body_templates = body_templates  # as parsed, not instantiated
+        # proof data; every outlined method has its two families
+        self.pre_templates = pre_templates
+        self.post_templates = post_templates
+        self.outline_templates = outline_templates
+        self.actions = actions
+        self.guarantee_names = guarantee_names
+        self.rely_extra_names = rely_extra_names
+        self.shared_universe_assn = shared_universe_assn
+        self.macros_raw = macros_raw
+        self.path = path  # the document's, for errors found after loading
         self._monoid = None
         self._envs: Dict[int, AssertionEnv] = {}
 
@@ -526,8 +534,7 @@ def abstract_histories(model: LibraryModel, bound: int) -> frozenset:
     return frozenset(history_walk(model, bound, False)[1])
 
 
-@dataclass
-class LinResult:
+class LinResult(NamedTuple):
     """A `check-lin` outcome: the least missing history, if any; as
     `stats`, the concrete configurations tabulated and the frontiers
     interned for both libraries; and, for a pass only, whether the
@@ -604,8 +611,7 @@ def check_linearizable(model: LibraryModel, bound: int) -> LinResult:
 # The soundness obligations
 
 
-@dataclass
-class ObligationItem:
+class ObligationItem(NamedTuple):
     obligation: str
     subject: str
     ok: bool

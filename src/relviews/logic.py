@@ -10,8 +10,7 @@ consequence sites through the repartitioning implication.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple, Union
 
 from .command_lang import PrimCommand, tree_node
 from .errors import ModelError, StabilityViolation
@@ -90,8 +89,7 @@ class OConseq:
 OutlineNode = Union[OPrim, OSkip, OSeq, OChoice, OIter, OConseq]
 
 
-@dataclass
-class FailureReport:
+class FailureReport(NamedTuple):
     path: Tuple[str, ...]
     rule: str
     interp: Dict[str, int]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .command_lang import (
@@ -91,6 +90,13 @@ def _malformed_is_model_error(path: str):
         _fail(path, f"malformed document: {exc}")
     except RecursionError:
         _fail(path, "document is nested too deeply")
+
+
+def _object(spec, path: str) -> None:
+    """An entry of a per-entry section must be an object: another shape is
+    a model error naming the entry."""
+    if type(spec) is not dict:
+        _fail(path, f"malformed document: expected an object, got {spec!r}")
 
 
 def _check_placeholders(locs: Iterable[str], allowed: str, path: str):
@@ -282,6 +288,7 @@ class MacroTable:
                  path: str = "model"):
         for name in sorted(raw):
             where = f"{path}/macros/{name}"
+            _object(raw[name], where)
             params = raw[name].get("params", [])
             if type(params) is not list:
                 _fail(where, f"a macro's params must be a list, got "
@@ -528,7 +535,7 @@ def parse_model(doc: dict, path: str = "model",
     with _malformed_is_model_error(path):
         model = _parse_model(doc, path)
     if cap is not None:
-        model.dom = replace(model.dom, cap=cap)
+        model.dom = model.dom._replace(cap=cap)
     return model
 
 
@@ -579,12 +586,15 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         where = f"{path}/primitives/{pname}"
         if pname in BUILTIN_ARITY:
             _fail(where, f"primitive {pname!r} shadows a builtin")
+        _object(spec, where)
         prims[pname] = _parse_update(spec, spec.get("params", []),
                                      "this primitive", where)
-    amethods = {
-        mname: _parse_update(spec, ("a", "r"), "an abstract method",
-                             f"{path}/abstract/{mname}")
-        for mname, spec in doc["abstract"].items()}
+    amethods = {}
+    for mname, spec in doc["abstract"].items():
+        where = f"{path}/abstract/{mname}"
+        _object(spec, where)
+        amethods[mname] = _parse_update(spec, ("a", "r"),
+                                        "an abstract method", where)
 
     method_args = {}
     body_templates = {}
@@ -593,6 +603,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         if mname not in amethods:
             _fail(path, f"dom mismatch: method {mname!r} has no abstract "
                         "counterpart")
+        _object(spec, where)
         method_args[mname] = _distinct(spec.get("args", values),
                                        f"method {mname!r} args", path)
         with _missing_key_is_model_error(where):
@@ -656,7 +667,9 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
 
     actions = {}
     for aname, spec in doc.get("actions", {}).items():
-        with _missing_key_is_model_error(f"{path}/actions/{aname}"):
+        where = f"{path}/actions/{aname}"
+        _object(spec, where)
+        with _missing_key_is_model_error(where):
             actions[aname] = tuple(
                 parse_assertion(spec[side], macros, nthreads,
                                 f"{path}/actions/{aname}/{side}",
@@ -671,9 +684,11 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
     for mname, spec in doc.get("assertions", {}).items():
         if mname not in method_args:
             _fail(path, f"assertions declared for unknown method {mname!r}")
+        entry = f"{path}/assertions/{mname}"
+        _object(spec, entry)
         for side, templates in families.items():
-            where = f"{path}/assertions/{mname}/{side}"
-            with _missing_key_is_model_error(f"{path}/assertions/{mname}"):
+            where = f"{entry}/{side}"
+            with _missing_key_is_model_error(entry):
                 templates[mname] = parse_assertion(spec[side], macros,
                                                    nthreads, where, no_box)
             _check_vars(free_lvars(templates[mname]), ("t", "a", "r"),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from .errors import UniverseTooLarge
@@ -245,8 +244,7 @@ def world_minus(big: World, w: World) -> World:
                  big.toks._without(w.toks._d))
 
 
-@dataclass(frozen=True)
-class Domains:
+class Domains(NamedTuple):
     """Finite model-declared domains everything is enumerated over.
 
     cloc/aloc map each concrete/abstract location to its per-location value

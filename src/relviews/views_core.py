@@ -28,9 +28,8 @@ primitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Iterable
+from typing import TYPE_CHECKING, Dict, Iterable, NamedTuple
 
 from .command_lang import PrimCommand, eval_expr
 from .errors import ModelError
@@ -95,8 +94,7 @@ def linearizes(sem: Semantics, sigma_a: Heap, toks: TokenMap, abs2: Heap,
     return any(heap is abs2 for heap, _ in layer)
 
 
-@dataclass
-class ActionCounterexample:
+class ActionCounterexample(NamedTuple):
     """A witness that an action judgement fails: replaying the primitive from
     the recorded world under the recorded frame reproduces the failure."""
 

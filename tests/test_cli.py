@@ -763,6 +763,34 @@ def test_import_loads_no_process_pool():
             if m.startswith(("multiprocessing", "concurrent.futures"))] == []
 
 
+def _fresh_modules(code: str) -> set:
+    """The modules loaded in a fresh interpreter, run without `site` or
+    the environment, once it has run `code` with the checkout's sources
+    first on the path."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c",
+         f"import sys; sys.path.insert(0, sys.argv[1]); {code}; "
+         "print(*sorted(sys.modules))", os.path.abspath("src")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_import_generates_no_code():
+    """Importing the front end loads neither `dataclasses`, which generates
+    and compiles each dataclass's methods as it is applied, nor `inspect`,
+    nor `string`, which compiles a regex as it is imported; nor `ast`,
+    `dis` or `tokenize`, which they pull in, unless one of the standard
+    library modules that relviews imports loads it itself."""
+    loaded = _fresh_modules("import relviews.cli")
+    assert "relviews.cli" in loaded
+    assert not {"dataclasses", "inspect", "string"} & loaded
+    stdlib = _fresh_modules(
+        "import _string, argparse, contextlib, enum, functools, itertools, "
+        "json, operator, os, re, time, typing, weakref")
+    assert not {"ast", "dis", "tokenize"} & loaded - stdlib
+
+
 _MONOID_MODULES = ["relviews.monoid_dcsl", "relviews.monoid_rgsep",
                    "relviews.views_core"]
 

@@ -1,6 +1,9 @@
 import json
+import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relviews.command_lang import (
     And,
@@ -24,17 +27,24 @@ from relviews.command_lang import (
     desugar_if,
     desugar_while,
     eval_expr,
+    loc_placeholders,
     state_step,
     step,
+    walk,
 )
 from relviews.errors import ModelError, UndefinedLocation
 from relviews.fixtures import fixture_path
 from relviews.linearizability import Semantics
-from relviews.model_io import parse_model, validate_command
+from relviews.model_io import (
+    load_model,
+    load_outlines,
+    parse_model,
+    validate_command,
+)
 from relviews.state_model import FAULT, Heap
 
 from oracles import reachable_commands
-from util import store
+from util import fixture_manifest, store
 
 
 
@@ -267,3 +277,55 @@ def test_nonskip_commands_always_step():
         c = gen(3)
         if not isinstance(c, Skip):
             assert step(c)
+
+
+def _placeholders(fn, loc):
+    """fn(loc), or ValueError if it raises one."""
+    try:
+        return fn(loc)
+    except ValueError:
+        return ValueError
+
+
+def _formatter_names(loc):
+    """The oracle: the placeholder names `string.Formatter` parses."""
+    return frozenset(f for _, f, _, _ in string.Formatter().parse(loc)
+                     if f is not None)
+
+
+@given(st.text(alphabet="abt{}:!", max_size=12))
+def test_loc_placeholders_agree_with_the_formatter(loc):
+    assert _placeholders(loc_placeholders, loc) == \
+        _placeholders(_formatter_names, loc)
+
+
+def _fixture_locations():
+    """Every location of every fixture model and outline: declared, or
+    read, updated or pointed to by a primitive, body or assertion."""
+    locs = set()
+    for fx in fixture_manifest():
+        model = load_model(fx.model_path)
+        if fx.outline_path:
+            load_outlines(fx.outline_path, model)
+        locs.update(loc for loc, _ in model.dom.cloc + model.dom.aloc)
+        specs = [*model.sem.prims.values(), *model.sem.abstract.values()]
+        locs.update(loc for spec in specs for loc, _ in spec.updates)
+        trees = [e for spec in specs
+                 for e in (spec.guard, *(e for _, e in spec.updates))
+                 if e is not None]
+        trees += [*model.body_templates.values(),
+                  *model.pre_templates.values(),
+                  *model.post_templates.values(),
+                  *model.outline_templates.values(),
+                  *(a for pair in model.actions.values() for a in pair)]
+        if model.shared_universe_assn is not None:
+            trees.append(model.shared_universe_assn)
+        locs.update(n.loc for n in walk(*trees) if "loc" in n._fields)
+    return sorted(locs)
+
+
+def test_loc_placeholders_agree_with_the_formatter_on_the_fixtures():
+    locs = _fixture_locations()
+    assert any("{" in loc for loc in locs)
+    for loc in locs:
+        assert loc_placeholders(loc) == _formatter_names(loc), loc

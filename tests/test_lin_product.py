@@ -14,9 +14,9 @@ under a second `PYTHONHASHSEED`.  A capped run must either end in a cap
 error that names its cap or agree with the oracle run without a cap.
 """
 
+import copy
 import json
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -100,8 +100,11 @@ def _outcome(decide):
 
 
 def _capped(model, cap):
-    return model if cap is None else replace(
-        model, dom=replace(model.dom, cap=cap))
+    if cap is None:
+        return model
+    capped = copy.copy(model)
+    capped.dom = model.dom._replace(cap=cap)
+    return capped
 
 
 def _assert_capped_agrees(got, cap, want):

@@ -827,3 +827,27 @@ def test_a_missing_key_names_its_entry(name, edit, where, key):
         attach_outlines(out, parse_model(doc, "m.json"), "o.json")
     assert str(exc.value) == \
         f"{where}: malformed document: missing key '{key}'"
+
+
+@pytest.mark.parametrize("section,name,value", [
+    ("methods", "inc", 5),
+    ("actions", "incr", [1]),
+    ("assertions", "inc", 7),
+    ("macros", "kinv", 3),
+    ("primitives", "inc_atomic", []),
+    ("abstract", "inc", "inc"),
+], ids=["method", "action", "assertion", "macro", "primitive", "abstract"])
+def test_a_wrong_shape_entry_names_its_entry(capsys, tmp_path, section,
+                                             name, value):
+    """An entry of a per-entry section that is not an object is a model
+    error naming that entry (exit 2), not Python's own exception text
+    under the document's name."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc[section][name] = value
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-lin", str(bad), "--bound", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {bad}/{section}/{name}: malformed document: "
+                       f"expected an object, got {value!r}\n")

@@ -11,6 +11,7 @@ different `PYTHONHASHSEED` from the one that pickled it.
 """
 
 import copy
+import inspect
 import os
 import pickle
 import subprocess
@@ -126,6 +127,61 @@ def test_fields_are_the_annotated_names_in_order():
         Plus(Const(1))
     with pytest.raises(TypeError):
         Read("l", loc="m")
+
+
+def test_every_node_class_has_its_annotations_as_fields():
+    assert _NODE_CLASSES
+    for cls in _NODE_CLASSES:
+        assert cls._fields == tuple(inspect.get_annotations(cls)), cls
+
+
+def _signature(cls):
+    """The signature a node constructor binds: the class's annotated
+    fields, each defaulting to the class attribute of its name, if any."""
+    return inspect.Signature([
+        inspect.Parameter(n, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                          default=vars(cls).get(n, inspect.Parameter.empty))
+        for n in inspect.get_annotations(cls)])
+
+
+@pytest.mark.parametrize("cls,args,kwargs", [
+    (Read, ("l",), {"loc": "m"}),
+    (Plus, (Const(1), Const(2)), {"a": Const(3)}),
+    (Read, (), {"loc": "l", "x": 1}),
+    (PrimCommand, ("id",), {"arity": 0}),
+    (Read, ("l", "m"), {}),
+    (PrimCommand, ("id", (), 0), {}),
+    (Tid, (Const(1),), {}),
+    (Plus, (Const(1),), {}),
+    (PrimCommand, (), {"args": ()}),
+    (Plus, (Const(1), Const(2), Const(3)), {"a": Const(3)}),
+    (Read, (), {"x": 1}),
+], ids=["duplicated", "duplicated-second", "unknown-keyword",
+        "unknown-keyword-after-default", "too-many", "too-many-after-default",
+        "too-many-for-none", "missing", "missing-before-default",
+        "duplicated-before-too-many", "missing-before-unknown"])
+def test_a_bad_call_raises_what_signature_binding_raises(cls, args, kwargs):
+    """A call that does not bind raises the `TypeError` that binding it to
+    the class's signature raises, message included; the first fault is
+    reported where a call has more than one."""
+    with pytest.raises(TypeError) as want:
+        _signature(cls).bind(*args, **kwargs)
+    with pytest.raises(TypeError) as got:
+        cls(*args, **kwargs)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_good_call_binds_as_the_signature_does():
+    for cls, args, kwargs in [
+            (PrimCommand, ("id",), {}), (PrimCommand, (), {"name": "id"}),
+            (PrimCommand, ("cas",), {"args": (Read("l"),)}),
+            (Plus, (), {"b": Const(2), "a": Const(1)}),
+            (Plus, (Const(1),), {"b": Const(2)}), (Tid, (), {})]:
+        bound = _signature(cls).bind(*args, **kwargs)
+        bound.apply_defaults()
+        node = cls(*args, **kwargs)
+        assert node is cls(*bound.args)
+        assert tuple(getattr(node, n) for n in cls._fields) == bound.args
 
 
 def test_a_node_hashes_by_identity():
