@@ -113,7 +113,7 @@ class LibraryModel:
                  guarantee_names: Tuple[str, ...],
                  rely_extra_names: Tuple[str, ...],
                  shared_universe_assn: Optional[VAssn],
-                 macros_raw: Dict[str, dict], path: str):
+                 macros, path: str):
         self.name = name
         self.monoid_kind = monoid_kind  # "dcsl" | "rgsep"
         self.dom = dom
@@ -130,7 +130,7 @@ class LibraryModel:
         self.guarantee_names = guarantee_names
         self.rely_extra_names = rely_extra_names
         self.shared_universe_assn = shared_universe_assn
-        self.macros_raw = macros_raw
+        self.macros = macros  # the model's `model_io.MacroTable`
         self.path = path  # the document's, for errors found after loading
         self._monoid = None
         self._envs: Dict[int, AssertionEnv] = {}

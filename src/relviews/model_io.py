@@ -92,11 +92,20 @@ def _malformed_is_model_error(path: str):
         _fail(path, "document is nested too deeply")
 
 
-def _object(spec, path: str) -> None:
-    """An entry of a per-entry section must be an object: another shape is
-    a model error naming the entry."""
+def _object(spec, path: str) -> dict:
+    """spec, which must be an object: another shape is a model error naming
+    `path`, a section or its entry."""
     if type(spec) is not dict:
         _fail(path, f"malformed document: expected an object, got {spec!r}")
+    return spec
+
+
+def _entries(doc: dict, key: str, path: str):
+    """(name, entry, entry path) for each entry of section `key` of doc, if
+    present; the section and each entry must be objects."""
+    for name, spec in _object(doc.get(key, {}), f"{path}/{key}").items():
+        where = f"{path}/{key}/{name}"
+        yield name, _object(spec, where), where
 
 
 def _check_placeholders(locs: Iterable[str], allowed: str, path: str):
@@ -273,23 +282,23 @@ def parse_command(doc, path: str = "cmd") -> Command:
 
 
 class MacroTable:
-    """A document's predicate macros, and the methods its token literals
-    may name.  Each application that parses is memoized on (name, JSON
-    arguments, thread count) with the macro names its expansion reached,
-    and reused under any expansion chain that holds none of them: parsing
-    again would build the same hash-consed tree.  Errors are not memoized,
-    so each keeps its own path.  Every macro's parameters are checked to
-    be a list of names, and its body to be present, once, when the table
-    is built, whether or not an assertion applies the macro.
-    `boxes_passed` keeps the document's `_check_boxes` results: one
-    macro's tree stands in many slots."""
+    """A model's predicate macros, the methods its tokens may name and its
+    thread count.  An application that parses is memoized on (name, JSON
+    arguments) with the macro names its expansion reached, and reused
+    under any chain that holds none of them: parsing again would build the
+    same hash-consed tree.  Errors are not memoized, so each keeps its
+    path.  Each macro of `raw` is checked (params a list of names, a body)
+    when the table is built.  An outline's table extends its model's
+    (`parent`, of the same methods and threads), keeping each memo entry
+    that reaches no macro `raw` redefines and the `_check_boxes` results
+    in `boxes_passed`."""
 
     def __init__(self, raw: Dict[str, dict], methods: Iterable[str],
-                 path: str = "model"):
-        for name in sorted(raw):
+                 nthreads: int, path: str = "model",
+                 parent: Optional[MacroTable] = None):
+        for name in sorted(_object(raw, f"{path}/macros")):
             where = f"{path}/macros/{name}"
-            _object(raw[name], where)
-            params = raw[name].get("params", [])
+            params = _object(raw[name], where).get("params", [])
             if type(params) is not list:
                 _fail(where, f"a macro's params must be a list, got "
                              f"{params!r}")
@@ -299,16 +308,22 @@ class MacroTable:
                 _fail(where, "malformed document: missing key 'body'")
         self.raw = raw
         self.methods = frozenset(methods)
+        self.nthreads = nthreads
         # key -> (parsed assertion, names reached)
         self._parsed: Dict[tuple, Tuple[VAssn, frozenset]] = {}
         self._trail: List[str] = []  # every name reached, in order
         self.boxes_passed: set = set()  # see `_check_boxes`
+        if parent is not None:
+            self.raw = {**parent.raw, **raw}
+            self._parsed = {key: hit for key, hit in parent._parsed.items()
+                            if hit[1].isdisjoint(raw)}
+            self.boxes_passed = set(parent.boxes_passed)
 
-    def apply(self, name: str, args: List, nthreads: int, path: str,
+    def apply(self, name: str, args: List, path: str,
               stack: Tuple[str, ...]) -> VAssn:
         """`["macro", name, *args]` parsed under the expansion chain
         `stack`."""
-        key = (name, json.dumps(args), nthreads)
+        key = (name, json.dumps(args))
         hit = self._parsed.get(key)
         if hit is None or not hit[1].isdisjoint(stack):
             if name in stack:
@@ -322,7 +337,7 @@ class MacroTable:
                 _fail(path, f"macro {name!r} expects {len(params)} arguments")
             body = _subst_json(spec["body"], dict(zip(params, args)), path)
             start = len(self._trail)
-            parsed = parse_vassn(body, self, nthreads, f"{path}/{name}",
+            parsed = parse_vassn(body, self, f"{path}/{name}",
                                  stack + (name,))
             hit = self._parsed[key] = (
                 parsed, frozenset(self._trail[start:]) | {name})
@@ -383,7 +398,7 @@ def _value(doc, path: str) -> Expr:
     return e
 
 
-def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
+def parse_vassn(doc, macros: MacroTable, path: str = "vassn",
                 stack: Tuple[str, ...] = ()):
     if not isinstance(doc, list) or not doc:
         _fail(path, f"expected a view assertion, got {doc!r}")
@@ -405,33 +420,28 @@ def parse_vassn(doc, macros: MacroTable, nthreads: int, path: str = "vassn",
     if tag == "pure" and len(args) == 1:
         return PureA(_value(args[0], path))
     if tag == "star":
-        return StarA(tuple(
-            parse_vassn(a, macros, nthreads, f"{path}/star[{i}]", stack)
-            for i, a in enumerate(args)))
+        return StarA(tuple(parse_vassn(a, macros, f"{path}/star[{i}]", stack)
+                           for i, a in enumerate(args)))
     if tag == "or":
-        return OrA(tuple(
-            parse_vassn(a, macros, nthreads, f"{path}/or[{i}]", stack)
-            for i, a in enumerate(args)))
+        return OrA(tuple(parse_vassn(a, macros, f"{path}/or[{i}]", stack)
+                         for i, a in enumerate(args)))
     if tag == "exists" and len(args) == 2:
         return ExistsA(_name(args[0], "logical variable", path),
-                       parse_vassn(args[1], macros, nthreads,
-                                   f"{path}/exists", stack))
+                       parse_vassn(args[1], macros, f"{path}/exists", stack))
     if tag == "box" and len(args) == 1:
-        return BoxA(parse_vassn(args[0], macros, nthreads, f"{path}/box",
-                                stack))
+        return BoxA(parse_vassn(args[0], macros, f"{path}/box", stack))
     if tag == "rimpl":
         _fail(path, "a repartitioning implication is not an assertion; "
                     "a conseq outline node checks one")
     if tag == "macro" and args:
         return macros.apply(_name(args[0], "macro", path), list(args[1:]),
-                            nthreads, path, stack)
+                            path, stack)
     if tag == "sep_threads" and len(args) == 2:
         var = _name(args[0], "logical variable", path)
         parts = []
-        for j in range(1, nthreads + 1):
+        for j in range(1, macros.nthreads + 1):
             body = _subst_json(args[1], {var: j}, path)
-            parts.append(parse_vassn(body, macros, nthreads,
-                                     f"{path}/sep[{j}]", stack))
+            parts.append(parse_vassn(body, macros, f"{path}/sep[{j}]", stack))
         return StarA(tuple(parts))
     _fail(path, f"unknown view assertion form {doc!r}")
 
@@ -466,12 +476,12 @@ def _check_boxes(a, path: str, passed: set, no_box: Optional[str] = None,
     passed.add(key)
 
 
-def parse_assertion(doc, macros: MacroTable, nthreads: int,
-                    path: str = "assn", no_box: Optional[str] = None):
+def parse_assertion(doc, macros: MacroTable, path: str = "assn",
+                    no_box: Optional[str] = None):
     """Parse the view assertion in any assertion slot and check where its
     boxes and `true` stand (`_check_boxes`), once per subtree in the
     document of `macros`."""
-    rho = parse_vassn(doc, macros, nthreads, path)
+    rho = parse_vassn(doc, macros, path)
     _check_boxes(rho, path, macros.boxes_passed, no_box)
     return rho
 
@@ -480,17 +490,15 @@ def parse_assertion(doc, macros: MacroTable, nthreads: int,
 # Outlines
 
 
-def parse_outline_node(doc, macros: MacroTable, nthreads: int,
-                       path: str = "outline", no_box: Optional[str] = None):
+def parse_outline_node(doc, macros: MacroTable, path: str = "outline",
+                       no_box: Optional[str] = None):
     """An outline node; its assertions are checked as `parse_assertion`
     checks them, `no_box` the error of a box in them."""
     def node(sub, where: str):
-        return parse_outline_node(sub, macros, nthreads, f"{path}/{where}",
-                                  no_box)
+        return parse_outline_node(sub, macros, f"{path}/{where}", no_box)
 
     def assn(sub, where: str):
-        return parse_assertion(sub, macros, nthreads, f"{path}/{where}",
-                               no_box)
+        return parse_assertion(sub, macros, f"{path}/{where}", no_box)
 
     if not isinstance(doc, dict) or "kind" not in doc:
         _fail(path, f"expected an outline node object, got {doc!r}")
@@ -565,7 +573,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
     if monoid_kind not in ("dcsl", "rgsep"):
         _fail(path, f"monoid must be 'dcsl' or 'rgsep', got {monoid_kind!r}")
 
-    dd = doc["domains"]
+    dd = _object(doc["domains"], f"{path}/domains")
     for key in ("values", "modulus", "threads", "locations",
                 "abstract_locations"):
         if key not in dd:
@@ -582,28 +590,22 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
                         f"got {value!r}")
 
     prims = {}
-    for pname, spec in doc.get("primitives", {}).items():
-        where = f"{path}/primitives/{pname}"
+    for pname, spec, where in _entries(doc, "primitives", path):
         if pname in BUILTIN_ARITY:
             _fail(where, f"primitive {pname!r} shadows a builtin")
-        _object(spec, where)
         prims[pname] = _parse_update(spec, spec.get("params", []),
                                      "this primitive", where)
     amethods = {}
-    for mname, spec in doc["abstract"].items():
-        where = f"{path}/abstract/{mname}"
-        _object(spec, where)
+    for mname, spec, where in _entries(doc, "abstract", path):
         amethods[mname] = _parse_update(spec, ("a", "r"),
                                         "an abstract method", where)
 
     method_args = {}
     body_templates = {}
-    for mname, spec in doc["methods"].items():
-        where = f"{path}/methods/{mname}"
+    for mname, spec, where in _entries(doc, "methods", path):
         if mname not in amethods:
             _fail(path, f"dom mismatch: method {mname!r} has no abstract "
                         "counterpart")
-        _object(spec, where)
         method_args[mname] = _distinct(spec.get("args", values),
                                        f"method {mname!r} args", path)
         with _missing_key_is_model_error(where):
@@ -653,26 +655,23 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
                 _fail(path, f"initial {side} value {v} of location {loc!r} "
                             f"is outside its domain {list(locs[loc])}")
 
-    macros = MacroTable(doc.get("macros", {}), method_args, path)
+    macros = MacroTable(doc.get("macros", {}), method_args, nthreads, path)
     no_box = _NO_BOX_DCSL if monoid_kind == "dcsl" else None
 
     shared_universe = None
     if doc.get("shared_universe") is not None:
         where = f"{path}/shared_universe"
         shared_universe = parse_assertion(
-            doc["shared_universe"], macros, nthreads, where,
+            doc["shared_universe"], macros, where,
             "a box may not stand in the shared universe")
         _check_vars(free_lvars(shared_universe), (), "the shared universe",
                     where)
 
     actions = {}
-    for aname, spec in doc.get("actions", {}).items():
-        where = f"{path}/actions/{aname}"
-        _object(spec, where)
+    for aname, spec, where in _entries(doc, "actions", path):
         with _missing_key_is_model_error(where):
             actions[aname] = tuple(
-                parse_assertion(spec[side], macros, nthreads,
-                                f"{path}/actions/{aname}/{side}",
+                parse_assertion(spec[side], macros, f"{where}/{side}",
                                 "a box may not stand in an action")
                 for side in ("pre", "post"))
     for aname in list(doc.get("guarantee", [])) + list(doc.get("rely_extra",
@@ -681,16 +680,14 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
             _fail(path, f"guarantee/rely references unknown action {aname!r}")
 
     families = {"pre": {}, "post": {}}
-    for mname, spec in doc.get("assertions", {}).items():
+    for mname, spec, entry in _entries(doc, "assertions", path):
         if mname not in method_args:
             _fail(path, f"assertions declared for unknown method {mname!r}")
-        entry = f"{path}/assertions/{mname}"
-        _object(spec, entry)
         for side, templates in families.items():
             where = f"{entry}/{side}"
             with _missing_key_is_model_error(entry):
-                templates[mname] = parse_assertion(spec[side], macros,
-                                                   nthreads, where, no_box)
+                templates[mname] = parse_assertion(spec[side], macros, where,
+                                                   no_box)
             _check_vars(free_lvars(templates[mname]), ("t", "a", "r"),
                         "a pre/post family", where)
 
@@ -710,7 +707,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         guarantee_names=tuple(doc.get("guarantee", [])),
         rely_extra_names=tuple(doc.get("rely_extra", [])),
         shared_universe_assn=shared_universe,
-        macros_raw=dict(doc.get("macros", {})),
+        macros=macros,
         path=path,
     )
 
@@ -753,8 +750,8 @@ def attach_outlines(doc: dict, model: LibraryModel, path: str = "outline") -> No
     if not isinstance(doc, dict):
         _fail(path, "outline document must be an object")
     with _malformed_is_model_error(path):
-        macros = MacroTable({**model.macros_raw, **doc.get("macros", {})},
-                            model.method_args, path)
+        macros = MacroTable(doc.get("macros", {}), model.method_args,
+                            model.dom.nthreads, path, model.macros)
         outlines = doc.get("outlines")
         if not isinstance(outlines, dict):
             _fail(path, "outline document needs an 'outlines' object")
@@ -768,8 +765,8 @@ def attach_outlines(doc: dict, model: LibraryModel, path: str = "outline") -> No
                 _fail(where, f"method {mname!r} has an outline but its "
                              "model declares no assertions for it")
             with _missing_key_is_model_error(where):
-                templates[mname] = parse_outline_node(
-                    node, macros, model.dom.nthreads, where, no_box)
+                templates[mname] = parse_outline_node(node, macros, where,
+                                                      no_box)
             if _erase(templates[mname]) != model.body_templates[mname]:
                 _fail(where, "outline does not annotate the method body")
     missing = [m for m in model.method_args if m not in templates]

@@ -27,6 +27,7 @@ from relviews.model_io import (
     parse_vassn,
     MacroTable,
 )
+from families import dcsl_cell, flat_combiner
 from oracles import command_prims, instance_body, per_instance_body_error
 from util import fixture_manifest, store
 
@@ -70,17 +71,17 @@ def test_macro_recursion_rejected():
     macros = MacroTable({
         "a": {"params": [], "body": ["macro", "b"]},
         "b": {"params": [], "body": ["macro", "a"]},
-    }, ())
+    }, (), 2)
     with pytest.raises(ModelError, match="recursive"):
-        parse_vassn(["macro", "a"], macros, 2)
+        parse_vassn(["macro", "a"], macros)
 
 
 class _Unmemoized(MacroTable):
     """Every macro application expanded and parsed afresh."""
 
-    def apply(self, name, args, nthreads, path, stack):
+    def apply(self, name, args, path, stack):
         self._parsed.clear()
-        return super().apply(name, args, nthreads, path, stack)
+        return super().apply(name, args, path, stack)
 
 
 def _parsed_trees(fixture):
@@ -107,24 +108,142 @@ def test_memoized_macros_parse_to_the_same_trees(fixture, monkeypatch):
     assert all(a is b for (_, a), (_, b) in zip(memoized, fresh))
 
 
-def test_each_macro_application_is_parsed_once_per_table(monkeypatch):
+def _record_macro_parses(monkeypatch) -> list:
+    """The list to which each parse of a macro's expanded body appends
+    (table, macro name, JSON body)."""
     parses = []
     original = model_io.parse_vassn
 
-    def recording(doc, macros, nthreads, path="vassn", stack=()):
+    def recording(doc, macros, path="vassn", stack=()):
         if stack and path.endswith("/" + stack[-1]):  # a macro's body
             parses.append((macros, stack[-1], json.dumps(doc)))
-        return original(doc, macros, nthreads, path, stack)
+        return original(doc, macros, path, stack)
 
     monkeypatch.setattr(model_io, "parse_vassn", recording)
+    return parses
+
+
+def test_each_macro_application_is_parsed_once_per_table(monkeypatch):
+    parses = _record_macro_parses(monkeypatch)
     _parsed_trees(next(f for f in fixture_manifest()
                        if f.name == "flat-combiner-noaction4"))
     assert parses and len(parses) == len(set(parses))
 
 
+# flat-combiner's `slot_free` with one more conjunct: `slots` (so `global`
+# and `lockbox`) and `M` reach it
+_SLOT_FREE = {"params": ["i"], "body": [
+    "star", ["pt", "arg[{i}]", 1], ["pt", "res[{i}]", 0],
+    ["pure", ["==", 0, 0]]]}
+
+
+def _redefined_slot_free():
+    model, outline = flat_combiner(2)
+    outline["macros"]["slot_free"] = _SLOT_FREE
+    return model, outline
+
+
+def _outline_cases():
+    """(model, outline) documents: every outline fixture, the N-thread
+    flat combiner, both widened dcsl-cell variants and a flat combiner
+    whose outline redefines a model macro."""
+    cases = {f.name: (json.load(open(f.model_path)),
+                      json.load(open(f.outline_path)))
+             for f in fixture_manifest() if f.outline_path}
+    for n in (2, 3, 4):
+        cases[f"flat-combiner-{n}"] = flat_combiner(n)
+    cell_outline = json.load(open(f"{FIX}/dcsl-cell/outline.json"))
+    for nvalues, nthreads in ((5, 1), (3, 2)):
+        cases[f"dcsl-cell-v{nvalues}-t{nthreads}"] = (
+            dcsl_cell(nvalues, nthreads), cell_outline)
+    cases["flat-combiner-slot-free"] = _redefined_slot_free()
+    return cases
+
+
+def _fresh_outline_templates(model_doc, outline_doc, model, path):
+    """The outline templates parsed through a table built afresh over the
+    model's and the outline's raw macros, the outline's winning."""
+    macros = MacroTable({**model_doc.get("macros", {}),
+                         **outline_doc.get("macros", {})},
+                        model.method_args, model.dom.nthreads, path)
+    no_box = model_io._NO_BOX_DCSL if model.monoid_kind == "dcsl" else None
+    return {m: model_io.parse_outline_node(node, macros, f"{path}/{m}",
+                                           no_box)
+            for m, node in outline_doc["outlines"].items()}
+
+
+@pytest.mark.parametrize("name", sorted(_outline_cases()))
+def test_the_inherited_table_parses_what_a_fresh_table_parses(name):
+    """An outline's table extends its model's, inheriting memo entries
+    and box checks; its templates are the ones a fresh table over the
+    merged macros builds."""
+    model_doc, outline_doc = _outline_cases()[name]
+    model = parse_model(model_doc, "m.json")
+    attach_outlines(outline_doc, model, "o.json")
+    fresh = _fresh_outline_templates(model_doc, outline_doc, model, "o.json")
+    assert list(model.outline_templates) == list(fresh)
+    assert all(model.outline_templates[m] is fresh[m] for m in fresh)
+
+
+class _Kept(MacroTable):
+    """A macro table that records itself in `built`."""
+
+    built = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.built.append(self)
+
+
+def _load_keeping_the_outline_table(monkeypatch, model_doc, outline_doc):
+    """The loaded model (its table is `model.macros`) and its outline's
+    table."""
+    monkeypatch.setattr(_Kept, "built", [])
+    monkeypatch.setattr(model_io, "MacroTable", _Kept)
+    model = parse_model(model_doc, "m.json")
+    attach_outlines(outline_doc, model, "o.json")
+    assert _Kept.built[0] is model.macros and len(_Kept.built) == 2
+    return model, _Kept.built[1]
+
+
+def test_an_outline_redefinition_wins_and_reparses_what_reaches_it(
+        monkeypatch):
+    """flat-combiner's outline redefining `slot_free`: its templates are
+    not the fixture's, and of the model table's memo entries the outline
+    table inherits exactly those that do not reach `slot_free`."""
+    plain_doc, plain_outline = flat_combiner(2)
+    plain = parse_model(plain_doc, "m.json")
+    attach_outlines(plain_outline, plain, "o.json")
+    model, table = _load_keeping_the_outline_table(
+        monkeypatch, *_redefined_slot_free())
+    assert model.outline_templates != plain.outline_templates
+    parsed = model.macros._parsed
+    assert {key for key, hit in parsed.items()
+            if table._parsed.get(key) is hit} == {
+        key for key, hit in parsed.items() if "slot_free" not in hit[1]}
+    reparsed = [key for key, hit in parsed.items()
+                if "slot_free" in hit[1] and key in table._parsed]
+    assert reparsed and all(table._parsed[key][0] is not parsed[key][0]
+                            for key in reparsed)
+
+
+def test_an_outline_parses_no_expansion_its_model_parsed(monkeypatch):
+    """flat-combiner's outline applies model macros whose expansions the
+    model's table already parsed (18 of them); its table parses none of
+    them again, and keeps the model's box checks."""
+    parses = _record_macro_parses(monkeypatch)
+    model, table = _load_keeping_the_outline_table(monkeypatch,
+                                                   *flat_combiner(2))
+    by_model = {p[1:] for p in parses if p[0] is model.macros}
+    by_outline = {p[1:] for p in parses if p[0] is table}
+    assert len(by_model) + len(by_outline) == len(parses)
+    assert by_outline and not by_model & by_outline
+    assert model.macros.boxes_passed < table.boxes_passed
+
+
 def _macro_error(macros, doc):
     with pytest.raises(ModelError) as info:
-        parse_vassn(doc, macros, 2)
+        parse_vassn(doc, macros)
     return str(info.value)
 
 
@@ -143,14 +262,14 @@ def test_memoized_macro_keeps_its_errors_and_paths():
             (recursive, "vassn/star[1]/wrap/or[0]/ok: recursive macro "
                         "'wrap' (expansion chain wrap -> ok)"),
             (unknown, "vassn/star[2]: unknown macro 'nope'")):
-        assert _macro_error(MacroTable(raw, ()), doc) == want
-        assert _macro_error(_Unmemoized(raw, ()), doc) == want
+        assert _macro_error(MacroTable(raw, (), 2), doc) == want
+        assert _macro_error(_Unmemoized(raw, (), 2), doc) == want
 
 
 def test_macro_arity_checked():
-    macros = MacroTable({"a": {"params": ["x"], "body": ["emp"]}}, ())
+    macros = MacroTable({"a": {"params": ["x"], "body": ["emp"]}}, (), 2)
     with pytest.raises(ModelError, match="expects"):
-        parse_vassn(["macro", "a"], macros, 2)
+        parse_vassn(["macro", "a"], macros)
 
 
 def test_nested_box_rejected():
@@ -205,7 +324,7 @@ def test_true_stands_only_where_a_box_body_reads_it(doc, error):
     raised an error naming no file, or nothing where no evaluation
     reached it."""
     try:
-        model_io.parse_assertion(doc, MacroTable({}, ()), 1)
+        model_io.parse_assertion(doc, MacroTable({}, (), 1))
         got = None
     except ModelError as exc:
         got = str(exc)
@@ -216,14 +335,14 @@ def test_boxes_are_checked_once_per_subtree_and_slot_rule():
     """A document's `_check_boxes` results are kept in its macro table:
     a box that loaded in a slot that allows one is still an error, with
     the path of a slot that does not."""
-    macros = MacroTable({}, ())
-    box = model_io.parse_assertion(["box", _X0], macros, 1)
+    macros = MacroTable({}, (), 1)
+    box = model_io.parse_assertion(["box", _X0], macros)
     assert macros.boxes_passed
     with pytest.raises(ModelError) as exc:
-        model_io.parse_assertion(["star", ["box", _X0]], macros, 1,
+        model_io.parse_assertion(["star", ["box", _X0]], macros,
                                  "model/actions/a/pre", "no box here")
     assert str(exc.value) == "model/actions/a/pre: no box here"
-    assert model_io.parse_assertion(["box", _X0], macros, 1) is box
+    assert model_io.parse_assertion(["box", _X0], macros) is box
 
 
 _K0 = ["pt", "k", 0]
@@ -836,12 +955,15 @@ def test_a_missing_key_names_its_entry(name, edit, where, key):
     ("macros", "kinv", 3),
     ("primitives", "inc_atomic", []),
     ("abstract", "inc", "inc"),
-], ids=["method", "action", "assertion", "macro", "primitive", "abstract"])
+    ("methods", "dec", 5),
+], ids=["method", "action", "assertion", "macro", "primitive", "abstract",
+        "method-without-abstract"])
 def test_a_wrong_shape_entry_names_its_entry(capsys, tmp_path, section,
                                              name, value):
     """An entry of a per-entry section that is not an object is a model
     error naming that entry (exit 2), not Python's own exception text
-    under the document's name."""
+    under the document's name; its shape is reported before its other
+    faults (`dec` has no abstract counterpart)."""
     doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
     doc[section][name] = value
     bad = tmp_path / "m.json"
@@ -851,3 +973,37 @@ def test_a_wrong_shape_entry_names_its_entry(capsys, tmp_path, section,
     assert out.out == ""
     assert out.err == (f"error: {bad}/{section}/{name}: malformed document: "
                        f"expected an object, got {value!r}\n")
+
+
+@pytest.mark.parametrize("section,value", [
+    ("methods", 5),
+    ("macros", 3),
+    ("domains", 5),
+    ("actions", []),
+    ("primitives", 7),
+    ("abstract", "x"),
+    ("assertions", 2),
+    ("outline-macros", 3),
+], ids=["methods", "macros", "domains", "actions", "primitives", "abstract",
+        "assertions", "outline-macros"])
+def test_a_wrong_shape_section_names_its_section(capsys, tmp_path, section,
+                                                 value):
+    """A whole section that is not an object is a model error naming the
+    section (exit 2), not Python's own exception text under the
+    document's name."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    outline = json.load(open(f"{FIX}/atomic-inc/outline.json"))
+    model, outline_path = tmp_path / "m.json", tmp_path / "o.json"
+    if section == "outline-macros":
+        outline["macros"] = value
+        where = f"{outline_path}/macros"
+    else:
+        doc[section] = value
+        where = f"{model}/{section}"
+    model.write_text(json.dumps(doc))
+    outline_path.write_text(json.dumps(outline))
+    assert main(["check-proof", str(model), str(outline_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {where}: malformed document: expected an "
+                       f"object, got {value!r}\n")
