@@ -658,13 +658,12 @@ def instance_obligations(model: LibraryModel,
             "(2) todo pinned", subject, False,
             f"assertion family not evaluable: {exc}"))
         return items
-    bad_pre = [w for w in mon.reify(pre)
-               if w.toks.get(t) != Token(TODO, ap)]
+    todo, done = Token(TODO, ap), Token(DONE, ap)
+    bad_pre = [w for w in mon.reify(pre) if w.toks.get(t) != todo]
     items.append(ObligationItem(
         "(2) todo pinned", subject, not bad_pre,
         f"{len(bad_pre)} precondition worlds lack todo({ap!r})"))
-    bad_post = [w for w in mon.reify(post)
-                if w.toks.get(t) != Token(DONE, ap)]
+    bad_post = [w for w in mon.reify(post) if w.toks.get(t) != done]
     items.append(ObligationItem(
         "(2) done pinned", subject, not bad_post,
         f"{len(bad_post)} postcondition worlds lack done({ap!r})"))

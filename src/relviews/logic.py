@@ -10,6 +10,7 @@ consequence sites through the repartitioning implication.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple, Union
 
 from .command_lang import PrimCommand, tree_node
@@ -154,7 +155,7 @@ def _site(env: AssertionEnv, rule: str, alpha: Optional[PrimCommand],
     `alpha`, or the repartitioning implication where `alpha` is None.  A
     failure reports the enumerated interpretation only."""
     mon = env.monoid
-    names = sorted((free_lvars(pre) | free_lvars(post)) - binding.keys())
+    names = _site_names(pre, post, tuple(binding))
     for combo in itertools.product(mon.dom.values, repeat=len(names)):
         interp = dict(zip(names, combo))
         full = {**interp, **binding}
@@ -178,3 +179,11 @@ def _site(env: AssertionEnv, rule: str, alpha: Optional[PrimCommand],
                     f"action judgement fails for {alpha!r}",
                     counterexample=verdict)
     return None
+
+
+@lru_cache(maxsize=None)
+def _site_names(pre: VAssn, post: VAssn, bound: tuple) -> tuple:
+    """The names a site enumerates, sorted: free in pre or post and not
+    among the `bound` names; once per (pre, post)."""
+    return tuple(sorted(
+        (free_lvars(pre) | free_lvars(post)).difference(bound)))

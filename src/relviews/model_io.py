@@ -100,6 +100,14 @@ def _object(spec, path: str) -> dict:
     return spec
 
 
+def _list(spec, path: str) -> list:
+    """spec, which must be a list: another shape is a model error naming
+    `path`."""
+    if type(spec) is not list:
+        _fail(path, f"malformed document: expected a list, got {spec!r}")
+    return spec
+
+
 def _entries(doc: dict, key: str, path: str):
     """(name, entry, entry path) for each entry of section `key` of doc, if
     present; the section and each entry must be objects."""
@@ -606,8 +614,9 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         if mname not in amethods:
             _fail(path, f"dom mismatch: method {mname!r} has no abstract "
                         "counterpart")
-        method_args[mname] = _distinct(spec.get("args", values),
-                                       f"method {mname!r} args", path)
+        method_args[mname] = _distinct(
+            _list(spec["args"], f"{where}/args") if "args" in spec else values,
+            f"method {mname!r} args", path)
         with _missing_key_is_model_error(where):
             template = parse_command(spec["body"], where)
         validate_command(template, prims, where)
@@ -633,17 +642,21 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         modulus=modulus,
         nthreads=nthreads,
         cloc={str(k): _distinct(v, f"location {k!r} domain", path)
-              for k, v in dd["locations"].items()},
+              for k, v in _object(dd["locations"],
+                                  f"{path}/domains/locations").items()},
         aloc={str(k): _distinct(v, f"abstract location {k!r} domain", path)
-              for k, v in dd["abstract_locations"].items()},
+              for k, v in _object(dd["abstract_locations"],
+                                  f"{path}/domains/abstract_locations"
+                                  ).items()},
         apcoms=apcoms,
         cap=cap,
     )
 
-    init = doc["initial"]
+    init = _object(doc["initial"], f"{path}/initial")
     init_conc, init_abst = (
         Heap({str(k): _integer(v, f"initial {side} {k!r}", path)
-              for k, v in init.get(side, {}).items()})
+              for k, v in _object(init.get(side, {}),
+                                  f"{path}/initial/{side}").items()})
         for side in ("concrete", "abstract"))
     for side, heap, locs in (("concrete", init_conc, dict(dom.cloc)),
                              ("abstract", init_abst, dict(dom.aloc))):
@@ -674,8 +687,9 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
                 parse_assertion(spec[side], macros, f"{where}/{side}",
                                 "a box may not stand in an action")
                 for side in ("pre", "post"))
-    for aname in list(doc.get("guarantee", [])) + list(doc.get("rely_extra",
-                                                               [])):
+    guarantee, rely_extra = (_list(doc.get(key, []), f"{path}/{key}")
+                             for key in ("guarantee", "rely_extra"))
+    for aname in guarantee + rely_extra:
         if aname not in actions:
             _fail(path, f"guarantee/rely references unknown action {aname!r}")
 
@@ -704,8 +718,8 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         post_templates=families["post"],
         outline_templates={},
         actions=actions,
-        guarantee_names=tuple(doc.get("guarantee", [])),
-        rely_extra_names=tuple(doc.get("rely_extra", [])),
+        guarantee_names=tuple(guarantee),
+        rely_extra_names=tuple(rely_extra),
         shared_universe_assn=shared_universe,
         macros=macros,
         path=path,

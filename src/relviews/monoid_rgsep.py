@@ -19,7 +19,7 @@ models enumerable.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, Optional, Tuple
 
@@ -31,13 +31,13 @@ from .state_model import (
     World,
     compose_worlds,
     enumerate_worlds,
-    world_minus,
     world_sort_key,
 )
 from .vassn import (
     BoxA,
     ExistsA,
     OrA,
+    PureA,
     StarA,
     TrueA,
     VAssn,
@@ -108,9 +108,11 @@ class RgsepMonoid(ViewMonoid):
         self._sets_memo: Dict[Tuple[frozenset, frozenset], frozenset] = {}
         # each thread's guarantee, and its rely: every other thread's
         # guarantee and rely-extra actions; each action denoted once per
-        # thread
+        # thread, the fragments' remainder groups shared by all of them and
+        # dropped once the monoid is built
         tids = dom.thread_ids()
-        denote = {(name, t): self.denote_action(pre, post, {"t": t})
+        groups: Dict[World, dict] = {}
+        denote = {(name, t): self.denote_action(pre, post, {"t": t}, groups)
                   for name, (pre, post) in (actions or {}).items()
                   for t in tids}
         self._guars = {t: frozenset().union(
@@ -248,7 +250,7 @@ class RgsepMonoid(ViewMonoid):
             return ((_EMP, held),) if held else ()
         if isinstance(rho, StarA):
             cur = ((_EMP, live),)
-            for part in rho.parts:
+            for part in _pure_first(rho):
                 cur = _meet(self._composed_sets, cur, self._local_classes(
                     part, interp, _cover(cur)))
                 if not cur:
@@ -304,12 +306,17 @@ class RgsepMonoid(ViewMonoid):
     # -- action denotations
 
     def denote_action(self, pre: VAssn, post: VAssn,
-                      binding: Dict[str, int]) -> Rel:
+                      binding: Dict[str, int],
+                      groups: Optional[Dict[World, dict]] = None) -> Rel:
         """All shared-state transitions rewriting a pre fragment into a post
         fragment while preserving the remainder, restricted to the shared
         universe; the variables that `binding` leaves free range over the
-        values and thread ids.  A pre fragment meets only the universe
-        states that hold all its cells and tokens."""
+        values and thread ids.  The universe states that hold a fragment
+        are grouped by their remainder outside it (`_by_remainder`), and
+        the pairs are the states of a pre fragment's and a post fragment's
+        groups with equal remainders: s2 - f2 = s - f with f2 in s2 means
+        s2 = (s - f) + f2.  `groups` memoizes the grouping per fragment."""
+        groups = {} if groups is None else groups
         names = sorted((free_lvars(pre) | free_lvars(post)) - binding.keys())
         domain = sorted(set(self.dom.values) | set(self.dom.thread_ids()))
         pairs = set()
@@ -322,16 +329,25 @@ class RgsepMonoid(ViewMonoid):
             if not post_frags:
                 continue
             for f in pre_frags:
-                for i in _bits(self._holding(f)):
-                    s = self.universe[i]
-                    rem = world_minus(s, f)
-                    for f2 in post_frags:
-                        # the remainder on the left holds the memo entry,
-                        # which dies with it
-                        s2 = compose_worlds(rem, f2)
-                        if s2 is not None and s2 in self._index:
-                            pairs.add((s, s2))
+                before = self._by_remainder(f, groups)
+                for f2 in post_frags:
+                    after = self._by_remainder(f2, groups)
+                    pairs.update((before[rest], after[rest])
+                                 for rest in before.keys() & after.keys())
         return frozenset(pairs)
+
+    def _by_remainder(self, f: World, groups: Dict[World, dict]) -> dict:
+        """The universe states that hold fragment f, keyed by their
+        remainder: per part, its item tuple without f's items."""
+        got = groups.get(f)
+        if got is None:
+            drop = [frozenset(part.items()) for part in f]
+            got = groups[f] = {
+                tuple(tuple(kv for kv in part.items() if kv not in d)
+                      if d else part.items() for part, d in zip(s, drop)): s
+                for s in map(self.universe.__getitem__,
+                             _bits(self._holding(f)))}
+        return got
 
     # -- the frame-free action check (sufficient condition)
 
@@ -340,14 +356,18 @@ class RgsepMonoid(ViewMonoid):
         """Sufficient frame-free condition for the action judgement:
         `judge_action` over the predicates' pairs, each shared change none
         or in thread t's guarantee.  Sufficient because every primitive is
-        local: the frame property in `views_core`.  The post's index is
-        built once per predicate."""
+        local: the frame property in `views_core`.  A pre with no world
+        holds at once; otherwise the post's index is built, once per
+        predicate."""
+        pre = self.triples(p)
+        if not pre:
+            return True
         post = self._post_memo.get(q)
         if post is None:
             post = self._post_memo[q] = post_index(
                 (s, w) for _l, s, w in self.triples(q))
         return judge_action(
-            self, t, alpha, None, ((s, w) for _l, s, w in self.triples(p)),
+            self, t, alpha, None, ((s, w) for _l, s, w in pre),
             post, self.guarantee(t),
             "no post predicate pair matches with a guarantee transition and "
             "linearization steps")
@@ -378,6 +398,15 @@ def _bits(mask: int) -> Iterator[int]:
 def _cover(classes: Classes) -> int:
     """The union of the masks, which are disjoint."""
     return sum(m for _ls, m in classes)
+
+
+@lru_cache(maxsize=None)
+def _pure_first(star: StarA) -> tuple:
+    """A star's parts, its `pure` conjuncts first, once per node: a false
+    one ends the star's evaluation before any other part is evaluated.
+    Composition commutes and classes are canonical, so the order does not
+    change the view."""
+    return tuple(sorted(star.parts, key=lambda p: type(p) is not PureA))
 
 
 def _compose_sets(left: frozenset, right: frozenset) -> frozenset:

@@ -176,6 +176,8 @@ class World(NamedTuple):
 
 EMPTY_WORLD = World(EMPTY_HEAP, EMPTY_HEAP, EMPTY_TOKENS)
 
+_new_tuple = tuple.__new__
+
 
 _UNKNOWN = object()
 
@@ -204,7 +206,9 @@ def compose_maps(m1, m2):
 def compose_worlds(w1: World, w2: World) -> Optional[World]:
     """Componentwise composition; None if any component is undefined.  A
     fault state absorbs, an empty part yields the other part itself, and
-    only two non-empty parts reach `compose_maps` and its memo."""
+    only two non-empty parts reach `compose_maps` and its memo.  The
+    result is built by `tuple.__new__`, without `World`'s Python
+    constructor."""
     c1, a1, t1 = w1
     c2, a2, t2 = w2
     if c1 is EMPTY_HEAP:
@@ -235,13 +239,7 @@ def compose_worlds(w1: World, w2: World) -> Optional[World]:
         t = compose_maps(t1, t2)
         if t is None:
             return None
-    return World(c, a, t)
-
-
-def world_minus(big: World, w: World) -> World:
-    """Remove a sub-world; the caller guarantees that w is one of big."""
-    return World(big.conc._without(w.conc._d), big.abst._without(w.abst._d),
-                 big.toks._without(w.toks._d))
+    return _new_tuple(World, (c, a, t))
 
 
 class Domains(NamedTuple):
@@ -336,4 +334,6 @@ def enumerate_worlds(dom: Domains) -> Tuple[World, ...]:
 
 
 def world_sort_key(w: World):
-    return (w.conc.items(), w.abst.items(), w.toks.items())
+    """The parts' item tuples, read without a method call."""
+    c, a, t = w
+    return (c._key, a._key, t._key)

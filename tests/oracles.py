@@ -181,7 +181,6 @@ from relviews.state_model import (
     compose_worlds,
     enumerate_heaps,
     enumerate_worlds,
-    world_minus,
     world_sort_key,
 )
 from relviews.subst import Binding, subst
@@ -286,6 +285,12 @@ def closed_singletons(mono, guar) -> list:
                      if pair[1] in inside}
             frames.append(rgsep_view(mono, pairs))
     return frames
+
+
+def world_minus(big: World, w: World) -> World:
+    """Remove a sub-world; the caller guarantees that w is one of big."""
+    return World(big.conc._without(w.conc._d), big.abst._without(w.abst._d),
+                 big.toks._without(w.toks._d))
 
 
 def world_leq(w: World, big: World) -> bool:

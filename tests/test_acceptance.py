@@ -35,7 +35,6 @@ from relviews.state_model import (
     World,
     compose_worlds,
     enumerate_worlds,
-    world_minus,
 )
 from relviews.vassn import CPt
 from oracles import (
@@ -47,6 +46,7 @@ from oracles import (
     repart_implies_with_frames,
     stabilize,
     world_leq,
+    world_minus,
 )
 from util import (
     PRIMS_1LOC,

@@ -10,9 +10,10 @@ results are compared whole: `True`, or the counterexample's thread,
 primitive, frame, world, result and reason.  Views are generated over micro
 domains, and passing, faulting and unmatched judgements must all occur.
 
-Each post entry with a step's result is tested by `views_core.linearizes`,
-goal first; every test that `check-proof` makes must answer as membership
-in the oracle's `lp_star` closure does.
+A post entry with a step's result is tested by `views_core.linearizes`,
+goal first, only when its shared change is admissible and its token map is
+not the pre-world's own; every test that `check-proof` makes must answer
+as membership in the oracle's `lp_star` closure does.
 
 A model memoizes the judgement's inputs: its `Semantics` the primitive
 instances and the runs of primitives and abstract commands, and its
@@ -31,6 +32,7 @@ import copy
 import json
 import os
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -57,7 +59,6 @@ from relviews.state_model import (
     World,
     compose_worlds,
     enumerate_worlds,
-    world_minus,
 )
 from relviews import views_core
 from relviews.subst import subst, subst_names
@@ -70,6 +71,7 @@ from oracles import (
     rgsep_action_by_pairs,
     todos,
     world_leq,
+    world_minus,
 )
 from util import (
     PRIMS_1LOC,
@@ -334,6 +336,35 @@ def test_every_linearization_test_matches_the_closure(name, monkeypatch):
                                                         model.sem)
         assert got == ((abs2, toks2) in closure), (sigma_a, toks, abs2,
                                                    toks2)
+
+
+@pytest.mark.parametrize("name", ["atomic-inc", "flat-combiner",
+                                  "flat-combiner-noaction4",
+                                  "flat-combiner-3-res1-0"])
+def test_linearization_is_tested_only_after_the_cheaper_tests(name,
+                                                              monkeypatch):
+    """`judge_action` calls `linearizes` only for a post entry whose shared
+    change is admissible (none, or in the guarantee) and whose token map
+    is not the pre-world's own, where the abstract heaps decide."""
+    doc, outline_doc = _PROOF_CASES[name]
+    model = parse_model(copy.deepcopy(doc))
+    attach_outlines(copy.deepcopy(outline_doc), model)
+    tested = []
+
+    def record(sem, sigma_a, toks, abs2, toks2):
+        # the judgement's own post entry, read from its frame
+        judged = sys._getframe(1).f_locals
+        tested.append((judged["shared"], judged["shared2"], judged["guar"],
+                       toks, toks2))
+        return linearizes(sem, sigma_a, toks, abs2, toks2)
+
+    monkeypatch.setattr(views_core, "linearizes", record)
+    check_obligations(model)
+    monkeypatch.undo()
+    assert tested
+    for shared, shared2, guar, toks, toks2 in tested:
+        assert shared2 == shared or (shared, shared2) in guar
+        assert toks2 is not toks
 
 
 def _calls(node, names, scope=""):

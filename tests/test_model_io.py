@@ -1007,3 +1007,37 @@ def test_a_wrong_shape_section_names_its_section(capsys, tmp_path, section,
     assert out.out == ""
     assert out.err == (f"error: {where}: malformed document: expected an "
                        f"object, got {value!r}\n")
+
+
+@pytest.mark.parametrize("keys,value,shape", [
+    (("initial",), 5, "an object"),
+    (("initial", "concrete"), 5, "an object"),
+    (("initial", "abstract"), [], "an object"),
+    (("domains", "locations"), 5, "an object"),
+    (("domains", "abstract_locations"), "X", "an object"),
+    (("guarantee",), 5, "a list"),
+    (("guarantee",), "incr", "a list"),
+    (("rely_extra",), {}, "a list"),
+    (("methods", "inc", "args"), 5, "a list"),
+    (("methods", "inc", "args"), None, "a list"),
+], ids=["initial", "initial-concrete", "initial-abstract", "locations",
+        "abstract-locations", "guarantee", "guarantee-string", "rely-extra",
+        "args", "args-null"])
+def test_a_wrong_shape_field_names_its_path(capsys, tmp_path, keys, value,
+                                           shape):
+    """A field that must be an object or a list and is not is a model error
+    naming the field's path (exit 2), not Python's own exception text
+    under the document's name."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    owner = doc
+    for key in keys[:-1]:
+        owner = owner[key]
+    owner[keys[-1]] = value
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    outline = f"{FIX}/atomic-inc/outline.json"
+    assert main(["check-proof", str(model), outline]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {model}/{'/'.join(keys)}: malformed "
+                       f"document: expected {shape}, got {value!r}\n")

@@ -3,7 +3,7 @@ import itertools
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relviews import model_io
@@ -661,10 +661,21 @@ def test_repart_sufficient_condition():
 # Action denotations against the all-states oracle
 
 
+def _action_models():
+    cases = {name: load_model(fixture_path(name, "model.json"))
+             for name in ("atomic-inc", "flat-combiner",
+                          "flat-combiner-noaction4")}
+    for n in (2, 3, 4):
+        cases[f"flat-combiner-{n}"] = parse_model(flat_combiner(n)[0])
+    return cases
+
+
 @pytest.mark.parametrize("name", ["atomic-inc", "flat-combiner",
-                                  "flat-combiner-noaction4"])
+                                  "flat-combiner-noaction4",
+                                  "flat-combiner-2", "flat-combiner-3",
+                                  "flat-combiner-4"])
 def test_denote_action_matches_the_all_states_oracle_on_fixtures(name):
-    model = load_model(fixture_path(name, "model.json"))
+    model = _action_models()[name]
     mono = model.monoid()
     assert model.actions
     for pre, post in model.actions.values():
@@ -691,6 +702,87 @@ def test_denote_action_matches_the_all_states_oracle_on_generated_actions(
     mono, pre, post = case
     assert mono.denote_action(pre, post, {}) \
         == denote_action_all_states(mono, pre, post, {})
+
+
+@st.composite
+def _clash_case(draw):
+    """A `_case` monoid, a universe state s holding a cell c, and an action
+    whose pre fragment is some of s's other cells and whose post
+    fragment names c: it may not rewrite s, which holds c outside the
+    pre fragment."""
+    mono, _rho = draw(_case())
+    holders = [s for s in mono.universe if s.conc]
+    assume(holders)
+    s = draw(st.sampled_from(holders))
+    held = draw(st.sampled_from(s.conc.items()))
+    others = [CPt(loc, Const(v)) for loc, v in s.conc.items()
+              if loc != held[0]]
+    rest = draw(st.lists(st.sampled_from(others), unique=True)) \
+        if others else []
+    pre = StarA(tuple(rest)) if rest else EmpA()
+    post = StarA((CPt(held[0], Const(draw(st.sampled_from((0, 1))))),
+                  *rest[:draw(st.integers(0, 1))]))
+    return mono, s, pre, post
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_clash_case())
+def test_a_post_fragment_that_the_remainder_holds_gives_no_pair(case):
+    mono, s, pre, post = case
+    got = mono.denote_action(pre, post, {})
+    assert got == denote_action_all_states(mono, pre, post, {})
+    assert all(s1 != s for s1, _s2 in got)
+
+
+def test_a_post_token_that_the_remainder_holds_gives_no_pair():
+    # thread 1's todo token appears where the state holds no token of
+    # thread 1, and nowhere else: neither over a todo nor over a done
+    mono = _mono(cloc={"x": (0,)})
+    todo = TokA(TODO, Const(1), "op", Const(0), Const(0))
+    for pre in (EmpA(), CPt("x", Const(0))):
+        post = StarA((pre, todo))
+        got = mono.denote_action(pre, post, {})
+        assert got == denote_action_all_states(mono, pre, post, {})
+        assert got and all(1 not in s.toks and s2.toks.get(1) == Token(
+            TODO, AP) for s, s2 in got)
+        assert {s for s, _s2 in got} == {
+            s for s in mono.universe if 1 not in s.toks
+            and (pre == EmpA() or "x" in s.conc)}
+
+
+def test_an_empty_pre_holds_before_the_post_is_indexed():
+    mono = _mono()
+    post = mono.eval_vassn_rg(BoxA(TrueA()), frozenset(), {})
+    alpha = PrimCommand("store", (Read("x"), Const(1)))
+    assert mono.check_action(1, alpha, (), post) is True
+    assert not mono._post_memo
+    # a pre whose locals compose with none of its shared states has no
+    # world either
+    clash = rgsep_view(mono, {(w({"x": 0}), w({"x": 1}))})
+    assert clash and not mono.triples(clash)
+    assert mono.check_action(1, alpha, clash, post) is True
+    assert not mono._post_memo
+
+
+def test_a_false_pure_conjunct_ends_a_star_before_its_other_parts(
+        monkeypatch):
+    mono = _mono(cloc={"x": (0, 1), "y": (0, 1)})
+    asked = []
+    original = RgsepMonoid.fragments
+
+    def record(self, rho, interp):
+        asked.append(rho)
+        return original(self, rho, interp)
+
+    monkeypatch.setattr(RgsepMonoid, "fragments", record)
+    cells = (CPt("x", Const(0)), BoxA(StarA((TrueA(), CPt("y", Const(1))))))
+    false, true = PureA(Eq(Const(0), Const(1))), PureA(Eq(Const(1), Const(1)))
+    assert _eval(mono, StarA((*cells, false)), {}) == frozenset()
+    assert asked == [false]
+    # a true one changes nothing: the view is the parts' in any order
+    assert mono.eval_vassn_rg(StarA((*cells, true)), frozenset(), {}) \
+        == mono.eval_vassn_rg(StarA((true, *cells[::-1])), frozenset(), {}) \
+        == mono.eval_vassn_rg(StarA(cells), frozenset(), {})
 
 
 def test_generated_actions_include_empty_and_nonempty_relations():

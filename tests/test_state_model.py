@@ -29,13 +29,13 @@ from relviews.state_model import (
     count_worlds,
     enumerate_heaps,
     enumerate_worlds,
-    world_minus,
 )
 from oracles import (
     compose_states,
     compose_states_copying,
     compose_tokens_copying,
     world_leq,
+    world_minus,
 )
 from families import flat_combiner
 from util import fixture_manifest, micro_domains
