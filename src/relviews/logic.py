@@ -166,11 +166,10 @@ def _site(env: AssertionEnv, rule: str, alpha: Optional[PrimCommand],
             return FailureReport(path, rule, interp,
                                  f"unstable assertion: {exc}")
         if alpha is None:
-            verdict = mon.repart_implies(p, q)
-            if not verdict.ok():
+            if not mon.repart_implies(p, q):
                 return FailureReport(
                     path, rule, interp,
-                    f"repartitioning implication {verdict.value}")
+                    f"repartitioning implication {mon.implication_failure}")
         else:
             verdict = mon.check_action(env.t, alpha, p, q)
             if verdict is not True:

@@ -100,11 +100,12 @@ def _object(spec, path: str) -> dict:
     return spec
 
 
-def _list(spec, path: str) -> list:
-    """spec, which must be a list: another shape is a model error naming
-    `path`."""
-    if type(spec) is not list:
-        _fail(path, f"malformed document: expected a list, got {spec!r}")
+def _list(spec, path: str, size: Optional[int] = None) -> list:
+    """spec, which must be a list, of `size` items if given: another shape
+    is a model error naming `path`."""
+    if type(spec) is not list or size is not None and len(spec) != size:
+        shape = "a list" if size is None else f"a list of {size} items"
+        _fail(path, f"malformed document: expected {shape}, got {spec!r}")
     return spec
 
 
@@ -560,8 +561,11 @@ def _parse_update(spec: dict, params, what: str, path: str) -> GuardedUpdate:
     may read; its locations may only use the `{t}` placeholder."""
     guard = (parse_expr(spec["guard"], path)
              if spec.get("guard") is not None else None)
-    updates = tuple((_name(loc, "location", path), parse_expr(e, path))
-                    for loc, e in spec.get("updates", []))
+    entries = _list(spec.get("updates", []), f"{path}/updates")
+    updates = tuple(
+        (_name(loc, "location", path), parse_expr(e, path))
+        for loc, e in (_list(u, f"{path}/updates[{i}]", 2)
+                       for i, u in enumerate(entries)))
     exprs = [e for _, e in updates] + ([] if guard is None else [guard])
     _check_vars(free_lvars_expr(*exprs), params, what, path)
     _check_placeholders({loc for loc, _ in updates} | expr_locs(*exprs), "t",
@@ -586,7 +590,8 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
                 "abstract_locations"):
         if key not in dd:
             _fail(path, f"domains section missing {key!r}")
-    values = _distinct(dd["values"], "domains.values", path)
+    values = _distinct(_list(dd["values"], f"{path}/domains/values"),
+                       "domains.values", path)
     if not values:
         _fail(path, "values must be nonempty")
     nthreads, modulus, cap = (dd["threads"], dd["modulus"],
@@ -601,8 +606,9 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
     for pname, spec, where in _entries(doc, "primitives", path):
         if pname in BUILTIN_ARITY:
             _fail(where, f"primitive {pname!r} shadows a builtin")
-        prims[pname] = _parse_update(spec, spec.get("params", []),
-                                     "this primitive", where)
+        prims[pname] = _parse_update(
+            spec, _list(spec.get("params", []), f"{where}/params"),
+            "this primitive", where)
     amethods = {}
     for mname, spec, where in _entries(doc, "abstract", path):
         amethods[mname] = _parse_update(spec, ("a", "r"),
@@ -631,6 +637,12 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
             _fail(path, f"dom mismatch: abstract method {mname!r} has no "
                         "concrete body")
 
+    def locdom(key: str, what: str) -> dict:
+        where = f"{path}/domains/{key}"
+        return {str(k): _distinct(_list(v, f"{where}/{k}"),
+                                  f"{what} {k!r} domain", path)
+                for k, v in _object(dd[key], where).items()}
+
     apcoms = tuple(
         APCom(m, a, r)
         for m in sorted(method_args)
@@ -641,13 +653,8 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         values=values,
         modulus=modulus,
         nthreads=nthreads,
-        cloc={str(k): _distinct(v, f"location {k!r} domain", path)
-              for k, v in _object(dd["locations"],
-                                  f"{path}/domains/locations").items()},
-        aloc={str(k): _distinct(v, f"abstract location {k!r} domain", path)
-              for k, v in _object(dd["abstract_locations"],
-                                  f"{path}/domains/abstract_locations"
-                                  ).items()},
+        cloc=locdom("locations", "location"),
+        aloc=locdom("abstract_locations", "abstract location"),
         apcoms=apcoms,
         cap=cap,
     )

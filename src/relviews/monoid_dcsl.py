@@ -1,16 +1,17 @@
 """The disjoint-separation view monoid.
 
-Views are finite sets of worlds; composition pairs worlds whose states
-and tokens are disjoint, dropping undefined pairs.  Reification is the
-identity, each world is local with an empty shared part, and disjunction
-is set union.  The repartitioning implication is inclusion: the unit
-frame tests p <= q, and composition is monotone, so every other frame
-then holds too.
+Views are finite sets of worlds, composed by `state_model.compose_sets`.
+Reification is the identity, each world is local with an empty shared
+part, and disjunction is set union.  The repartitioning implication is
+inclusion, and a failed one `fails`: the unit frame tests p <= q, and
+composition is monotone, so every other frame then holds too.
 
-The action judgement quantifies over every frame.  Every primitive and
-every abstract command is a guarded update, which reads and writes only
-the cells it names (the frame property in `views_core`), so checking the
-unit frame alone decides it exactly:
+The action judgement is the shared `views_core.judge_action`, with no
+shared part and no guarantee, on each view composed with each frame
+(`check_action_with_frames`); it quantifies over every frame.  Every
+primitive and every abstract command is a guarded update, which reads and
+writes only the cells it names (the frame property in `views_core`), so
+checking the unit frame alone decides it exactly:
 
 - The unit plus every singleton decides it: composition distributes over
   unions of world sets, so any failing frame projects to a failing
@@ -43,59 +44,46 @@ from __future__ import annotations
 
 from .command_lang import PrimCommand
 from .errors import UniverseTooLarge
-from .state_model import EMPTY_WORLD, compose_worlds, count_worlds
-from .views_core import ImplVerdict, ViewMonoid, check_action_with_frames
-
-DcslView = frozenset  # of World
-
-UNIT_DCSL: DcslView = frozenset({EMPTY_WORLD})
-
-
-def compose_dcsl(p: DcslView, q: DcslView) -> DcslView:
-    """Pairwise composition of worlds, dropping undefined pairs; the unit
-    returns the other view itself."""
-    if p == UNIT_DCSL:
-        return frozenset(q)
-    if q == UNIT_DCSL:
-        return frozenset(p)
-    out = set()
-    for w1 in p:
-        for w2 in q:
-            w = compose_worlds(w1, w2)
-            if w is not None:
-                out.add(w)
-    return frozenset(out)
+from .state_model import (
+    EMPTY_WORLD,
+    UNIT,
+    compose_sets,
+    compose_worlds,  # not called here; perfbench/tracer.py wraps it
+    count_worlds,
+    world_sort_key,
+)
+from .views_core import ViewMonoid, check_action_with_frames
 
 
 class DcslMonoid(ViewMonoid):
+    unmatched = "no linearization choice reaches the postcondition"
+    implication_failure = "fails"
     _size = None  # the world count of `frames`
 
-    def compose(self, p, q):
-        return compose_dcsl(p, q)
+    compose = staticmethod(compose_sets)
 
-    def triples(self, p):
-        return ((w, EMPTY_WORLD, w) for w in p)
+    def _split(self, p):
+        return [(w, EMPTY_WORLD, w) for w in sorted(p, key=world_sort_key)]
 
     def reify(self, p):
         return p  # the world set, which the generic reify would rebuild
 
     def frames(self) -> tuple:
-        """The frames the action judgement checks: the unit alone, which
-        decides it by locality (see the module docstring).  A universe of
-        more than `dom.cap` worlds raises `UniverseTooLarge` on every call,
-        although none of its worlds is built; its size is counted once per
-        monoid."""
+        """The unit alone, which decides the action judgement by locality
+        (see the module docstring).  A universe of more than `dom.cap`
+        worlds, counted once per monoid and never built, raises
+        `UniverseTooLarge` on every call."""
         if self._size is None:
             self._size = count_worlds(self.dom)
         if self._size > self.dom.cap:
             raise UniverseTooLarge(self._size, self.dom.cap)
-        return (UNIT_DCSL,)
+        return (UNIT,)
 
     def check_action(self, t: int, alpha: PrimCommand, p, q):
         return check_action_with_frames(self, t, alpha, p, q, self.frames())
 
-    def repart_implies(self, p, q) -> ImplVerdict:
-        return ImplVerdict.HOLDS if p <= q else ImplVerdict.FAILS
+    def repart_implies(self, p, q) -> bool:
+        return p <= q
 
     def eval_vassn(self, rho, interp, t: int):
         return self.fragments(rho, interp)  # the same view in every thread

@@ -8,7 +8,10 @@ evaluates a thread's assertions under them: a thread's predicates must be
 stable under its rely, and its actions may change shared state only by its
 guarantee.  Each thread's guarantee is part of every other thread's rely,
 so views of different threads always compose, and composition merges
-local parts class by class (Vafeiadis and Parkinson, CONCUR 2007).
+local parts class by class with `state_model.compose_sets` (Vafeiadis and
+Parkinson, CONCUR 2007).  The action judgement is the shared
+`views_core.judge_action` under the thread's guarantee; the implication
+is a sufficient test, so a failed one is `not established`.
 
 Everything is materialized extensionally over a finite universe of shared
 states: by default all world triples over the declared domains, optionally
@@ -26,9 +29,10 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, Optional, Tuple
 from .command_lang import PrimCommand
 from .errors import ModelError, StabilityViolation, UniverseTooLarge
 from .state_model import (
-    EMPTY_WORLD,
+    UNIT,
     Domains,
     World,
+    compose_sets,
     compose_worlds,
     enumerate_worlds,
     world_sort_key,
@@ -45,11 +49,9 @@ from .vassn import (
     memo_key,
 )
 from .views_core import (
-    ImplVerdict,
     ViewMonoid,
     check_action_with_frames,  # not called here; perfbench/tracer.py wraps it
     judge_action,
-    post_index,
 )
 
 if TYPE_CHECKING:
@@ -68,6 +70,10 @@ Classes = Tuple[Tuple[FrozenSet[World], int], ...]
 
 
 class RgsepMonoid(ViewMonoid):
+    unmatched = ("no post predicate pair matches with a guarantee transition "
+                 "and linearization steps")
+    implication_failure = "not established"
+
     def __init__(self, dom: Domains, sem: Semantics,
                  shared_universe: Optional[VAssn] = None,
                  actions: Optional[Dict[str, Tuple[VAssn, VAssn]]] = None,
@@ -96,10 +102,6 @@ class RgsepMonoid(ViewMonoid):
             for cells, part in zip(self._cells, s):
                 for kv in part.items():
                     cells[kv] = cells.get(kv, 0) | 1 << i
-        # classes -> their triples and their `post_index`; see `triples`
-        # and `check_action`
-        self._triples_memo: Dict[Classes, tuple] = {}
-        self._post_memo: Dict[Classes, dict] = {}
         # see `_local_classes`, `_box_states`, `_successors` and
         # `_composed_sets`
         self._classes_memo: Dict[tuple, Classes] = {}
@@ -137,41 +139,38 @@ class RgsepMonoid(ViewMonoid):
         return _meet(self._composed_sets, p, q)
 
     def _composed_sets(self, left: frozenset, right: frozenset) -> frozenset:
-        """`_compose_sets`, once per pair of local-fragment sets: star folds
+        """`compose_sets`, once per pair of local-fragment sets: star folds
         meet the same columns again and again."""
         key = (left, right)
         got = self._sets_memo.get(key)
         if got is None:
-            got = self._sets_memo[key] = _compose_sets(left, right)
+            got = self._sets_memo[key] = compose_sets(left, right)
         return got
 
-    def triples(self, classes: Classes) -> tuple:
+    def _split(self, classes: Classes) -> list:
         """The (local, shared, world) triples of the predicate whose local
         and shared parts compose to a world, ordered by local and then
         shared under `world_sort_key`: the distinct locals are sorted once
         and each one's shared states follow in universe order, which is
-        that order.  Computed once per predicate.  The worlds share their
-        heaps and token maps, which are hash-consed: a few dozen distinct
-        ones make up thousands of worlds."""
-        hit = self._triples_memo.get(classes)
-        if hit is None:
-            at: Dict[World, int] = {}
-            for ls, m in classes:
-                for l in ls:
-                    at[l] = at.get(l, 0) | m
-            universe = self.universe
-            out = []
-            for l in sorted(at, key=world_sort_key):
-                m = at[l]
-                while m:
-                    low = m & -m
-                    m ^= low
-                    s = universe[low.bit_length() - 1]
-                    w = compose_worlds(l, s)
-                    if w is not None:
-                        out.append((l, s, w))
-            hit = self._triples_memo[classes] = tuple(out)
-        return hit
+        that order.  The worlds share their heaps and token maps, which are
+        hash-consed: a few dozen distinct ones make up thousands of
+        worlds."""
+        at: Dict[World, int] = {}
+        for ls, m in classes:
+            for l in ls:
+                at[l] = at.get(l, 0) | m
+        universe = self.universe
+        out = []
+        for l in sorted(at, key=world_sort_key):
+            m = at[l]
+            while m:
+                low = m & -m
+                m ^= low
+                s = universe[low.bit_length() - 1]
+                w = compose_worlds(l, s)
+                if w is not None:
+                    out.append((l, s, w))
+        return out
 
     # -- assertion satisfaction
 
@@ -247,9 +246,9 @@ class RgsepMonoid(ViewMonoid):
             return ()
         if isinstance(rho, BoxA):
             held = self._box_states(rho.body, interp, live)
-            return ((_EMP, held),) if held else ()
+            return ((UNIT, held),) if held else ()
         if isinstance(rho, StarA):
-            cur = ((_EMP, live),)
+            cur = ((UNIT, live),)
             for part in _pure_first(rho):
                 cur = _meet(self._composed_sets, cur, self._local_classes(
                     part, interp, _cover(cur)))
@@ -283,7 +282,7 @@ class RgsepMonoid(ViewMonoid):
         parts = body.parts if isinstance(body, StarA) else (body,)
         rest = [p for p in parts if not isinstance(p, TrueA)]
         core = StarA(tuple(rest)) if len(rest) != 1 else rest[0]
-        frags = self.fragments(core, interp) if rest else _EMP
+        frags = self.fragments(core, interp) if rest else UNIT
         key = (frags, len(rest) == len(parts))
         mask = self._box_memo.get(key)
         if mask is None:
@@ -353,36 +352,20 @@ class RgsepMonoid(ViewMonoid):
 
     def check_action(self, t: int, alpha: PrimCommand, p: Classes,
                      q: Classes):
-        """Sufficient frame-free condition for the action judgement:
-        `judge_action` over the predicates' pairs, each shared change none
-        or in thread t's guarantee.  Sufficient because every primitive is
-        local: the frame property in `views_core`.  A pre with no world
-        holds at once; otherwise the post's index is built, once per
-        predicate."""
-        pre = self.triples(p)
-        if not pre:
-            return True
-        post = self._post_memo.get(q)
-        if post is None:
-            post = self._post_memo[q] = post_index(
-                (s, w) for _l, s, w in self.triples(q))
-        return judge_action(
-            self, t, alpha, None, ((s, w) for _l, s, w in pre),
-            post, self.guarantee(t),
-            "no post predicate pair matches with a guarantee transition and "
-            "linearization steps")
+        """Sufficient frame-free condition for the action judgement: the
+        shared `judge_action` over the predicates' triples, each shared
+        change none or in thread t's guarantee.  Sufficient because every
+        primitive is local: the frame property in `views_core`."""
+        return judge_action(self, t, alpha, p, q, None)
 
-    def repart_implies(self, p: Classes, q: Classes) -> ImplVerdict:
+    def repart_implies(self, p: Classes, q: Classes) -> bool:
         """Sufficient condition only: containment state by state, checked
         once per pair of classes that share states.  Incompleteness is
         reported as `not established`, never as failure."""
-        if (not _cover(p) & ~_cover(q)
-                and all(ls <= rs for ls, m in p for rs, m2 in q if m & m2)):
-            return ImplVerdict.HOLDS
-        return ImplVerdict.NOT_ESTABLISHED
+        return not _cover(p) & ~_cover(q) and all(
+            ls <= rs for ls, m in p for rs, m2 in q if m & m2)
 
 
-_EMP = frozenset({EMPTY_WORLD})
 _NONE = frozenset()
 _MASK = itemgetter(1)
 
@@ -407,11 +390,6 @@ def _pure_first(star: StarA) -> tuple:
     Composition commutes and classes are canonical, so the order does not
     change the view."""
     return tuple(sorted(star.parts, key=lambda p: type(p) is not PureA))
-
-
-def _compose_sets(left: frozenset, right: frozenset) -> frozenset:
-    return frozenset(w for l1 in left for l2 in right
-                     for w in (compose_worlds(l1, l2),) if w is not None)
 
 
 def _meet(op, left: Classes, right: Classes) -> Classes:

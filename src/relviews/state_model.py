@@ -4,7 +4,8 @@ Concrete and abstract states are finite partial heaps (location -> value)
 plus a distinguished fault element.  Token maps assign each thread at most
 one one-time permission, either still pending (todo) or spent (done).
 A world triple bundles one concrete state, one abstract state and one token
-map; reification of any view produces a set of these.
+map; reification of any view produces a set of these, and both view
+monoids compose world sets with one kernel, `compose_sets`.
 """
 
 from __future__ import annotations
@@ -240,6 +241,18 @@ def compose_worlds(w1: World, w2: World) -> Optional[World]:
         if t is None:
             return None
     return _new_tuple(World, (c, a, t))
+
+
+UNIT = frozenset({EMPTY_WORLD})  # the unit of world-set composition
+
+
+def compose_sets(left: frozenset, right: frozenset) -> frozenset:
+    """Pairwise composition of two world sets, keeping undefined pairs
+    out; with the unit on either side, the other operand as a frozenset."""
+    if UNIT in (left, right):
+        return frozenset(right if left == UNIT else left)
+    return frozenset(w for w1 in left for w2 in right
+                     for w in (compose_worlds(w1, w2),) if w is not None)
 
 
 class Domains(NamedTuple):

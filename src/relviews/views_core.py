@@ -1,18 +1,17 @@
 """The generic relational-view layer.
 
-A view monoid supplies composition, a view's (local, shared, world)
-triples, the view of an assertion in thread t's context
-(`eval_vassn(rho, interp, t)`), the action judgement and the
-repartitioning implication.  Views reify a view to worlds (Dinsdale-Young
-et al., POPL 2013) and RGSep splits each world into a local and a shared
-part (Vafeiadis and Parkinson, CONCUR 2007); the soundness obligations
-read a view only through those triples, once for every monoid.  This
-module implements what is common to all monoids: reification, the
-denotation of box-free view assertions as world-fragment sets, the test
-that linearization steps lead from one (abstract state, tokens) pair to
-another, and the one loop of the action judgement, `judge_action`: RGSep
-runs it on (shared, world) pairs with its guarantee, and
-`check_action_with_frames` under each given frame with no shared part.
+A view monoid supplies only what differs between instances: composition,
+a view's (local, shared, world) triples, the view of an assertion in
+thread t's context (`eval_vassn(rho, interp, t)`), the repartitioning
+implication as a bool, each thread's guarantee and two failure words.
+Views reify a view to worlds (Dinsdale-Young et al., POPL 2013) and RGSep
+splits each world into a local and a shared part (Vafeiadis and
+Parkinson, CONCUR 2007); the obligations read a view only through its
+triples.  The rest is common and lives here: the triples and post index
+of a view, memoized per view, the denotation of box-free assertions, the
+test that linearization steps lead from one (abstract state, tokens) pair
+to another, and the one action judgement, `judge_action`, which DCSL runs
+under each frame of `check_action_with_frames`.
 
 Both monoids rest on the frame property of local actions (Calcagno,
 O'Hearn and Yang, LICS 2007).  Every primitive is a guarded update: a
@@ -28,7 +27,6 @@ primitive.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import TYPE_CHECKING, Dict, Iterable, NamedTuple
 
 from .command_lang import PrimCommand, eval_expr
@@ -37,17 +35,16 @@ from .state_model import (
     DONE,
     EMPTY_HEAP,
     EMPTY_TOKENS,
-    EMPTY_WORLD,
     FAULT,
     TODO,
+    UNIT,
     APCom,
     Domains,
     Heap,
     Token,
     TokenMap,
     World,
-    compose_worlds,
-    world_sort_key,
+    compose_sets,
 )
 from .vassn import (
     APt,
@@ -113,26 +110,13 @@ class ActionCounterexample(NamedTuple):
         )
 
 
-class ImplVerdict(Enum):
-    HOLDS = "holds"
-    FAILS = "fails"
-    NOT_ESTABLISHED = "not established"
-
-    def ok(self) -> bool:
-        return self is ImplVerdict.HOLDS
-
-
-_EMP = frozenset({EMPTY_WORLD})
-
-
 class ViewMonoid:
-    """Interface a monoid instantiation must supply.
+    """Interface a monoid instantiation must supply: `compose`, `_split`,
+    `eval_vassn`, `repart_implies`, `check_action`, the two failure words
+    below and, where it relates shared states, `guarantee`."""
 
-    Subclasses provide extensional views, the (in principle
-    frame-quantified) action judgement through `judge_action`, and the
-    repartitioning implication.  The denotation of box-free view assertions
-    does not depend on the monoid and lives here.
-    """
+    unmatched: str  # why a step that no post entry matches fails
+    implication_failure: str  # what a failed implication reports
 
     def __init__(self, dom: Domains, sem: Semantics):
         self.dom = dom
@@ -140,26 +124,49 @@ class ViewMonoid:
         self._frag_cache: Dict = {}
         self._locdoms = {CPt: dict(dom.cloc), APt: dict(dom.aloc)}
         self._apcoms = frozenset(dom.apcoms)
+        # view -> its triples and its post index
+        self._triples_memo: Dict = {}
+        self._post_memo: Dict = {}
 
     def compose(self, p, q):
         raise NotImplementedError
 
-    def triples(self, p) -> Iterable:
-        """The (local, shared, world) triples of a view: each world it
-        reifies to, split into a local part and a shared part that
-        compose to it.  Views compose local by local over one shared
-        state: the triples of compose(p, q) are the (l1 + l2, s, w) for
-        (l1, s, _) of p and (l2, s, _) of q whose parts compose to a world
-        w.  The obligations read a view through this method alone."""
+    def triples(self, p) -> tuple:
+        """The (local, shared, world) triples of a view, once per view in
+        `_split`'s order: each world it reifies to, split into a local and
+        a shared part that compose to it.  Views compose local by local
+        over one shared state: the triples of compose(p, q) are the
+        (l1 + l2, s, w) for (l1, s, _) of p and (l2, s, _) of q whose parts
+        compose to a world w.  The obligations read a view through this."""
+        hit = self._triples_memo.get(p)
+        if hit is None:
+            hit = self._triples_memo[p] = tuple(self._split(p))
+        return hit
+
+    def _split(self, p) -> Iterable:
+        """A view's triples, in the order reports read them."""
         raise NotImplementedError
+
+    def post_index(self, q) -> Dict[Heap, list]:
+        """A view's (shared, abstract heap, tokens) by concrete heap, from
+        its triples in their order; once per view."""
+        hit = self._post_memo.get(q)
+        if hit is None:
+            hit = self._post_memo[q] = {}
+            for _l, shared, (sigma, sigma_a, toks) in self.triples(q):
+                hit.setdefault(sigma, []).append((shared, sigma_a, toks))
+        return hit
 
     def reify(self, p) -> frozenset:
         return frozenset(w for _l, _s, w in self.triples(p))
 
+    def guarantee(self, t: int) -> frozenset:
+        return frozenset()  # thread t may change no shared state
+
     def check_action(self, t: int, alpha: PrimCommand, p, q):
         raise NotImplementedError
 
-    def repart_implies(self, p, q) -> ImplVerdict:
+    def repart_implies(self, p, q) -> bool:
         raise NotImplementedError
 
     def eval_vassn(self, rho: VAssn, interp: Dict[str, int], t: int):
@@ -182,7 +189,7 @@ class ViewMonoid:
             return eval_expr(e, EMPTY_HEAP, interp, 0, self.sem.modulus)
 
         if isinstance(rho, EmpA):
-            out = _EMP
+            out = UNIT
         elif isinstance(rho, (CPt, APt)):
             v = value(rho.value)
             loc = rho.loc.format_map(interp) if "{" in rho.loc else rho.loc
@@ -200,16 +207,13 @@ class ViewMonoid:
                 out = frozenset({World(EMPTY_HEAP, EMPTY_HEAP,
                                        TokenMap({tid: Token(rho.kind, ap)}))})
         elif isinstance(rho, PureA):
-            out = _EMP if value(rho.cond) != 0 else frozenset()
+            out = UNIT if value(rho.cond) != 0 else frozenset()
         elif isinstance(rho, StarA):
-            out = self.fragments(rho.parts[0], interp) if rho.parts else _EMP
-            for part in rho.parts[1:]:
+            out = UNIT
+            for part in rho.parts:
                 if not out:
                     break
-                frags = self.fragments(part, interp)
-                out = frozenset(w for f1 in out for f2 in frags
-                                for w in (compose_worlds(f1, f2),)
-                                if w is not None)
+                out = compose_sets(out, self.fragments(part, interp))
         elif isinstance(rho, OrA):
             out = frozenset().union(
                 *(self.fragments(part, interp) for part in rho.parts))
@@ -223,29 +227,25 @@ class ViewMonoid:
         return out
 
 
-def post_index(post: Iterable) -> Dict[Heap, list]:
-    """A post's (shared, world) pairs by concrete heap, as the
-    (shared, abstract heap, tokens) of each, in the post's order."""
-    index: Dict[Heap, list] = {}
-    for shared2, (sigma2, abs2, toks2) in post:
-        index.setdefault(sigma2, []).append((shared2, abs2, toks2))
-    return index
-
-
-def judge_action(monoid: ViewMonoid, t: int, alpha: PrimCommand, frame,
-                 pre: Iterable, post: Dict[Heap, list], guar, reason: str):
-    """The action judgement's loop, for every monoid.  `pre` holds
-    (shared, world) pairs in report order, and `post` is the `post_index`
-    of the post's pairs.  Each primitive step from a pre-world, taken from
-    the model's `Semantics.run`, must fault nowhere and reach a post world
-    with its result whose shared change is none or in `guar`, and to whose
-    (abstract heap, tokens) the pre-world's lead by linearization steps.
-    Each post entry with the result is tested goal first, rather than by
-    building every pair the steps reach, and cheapest test first: its
-    shared change, then, for the pre-world's own token map, its abstract
-    heap, and only then `linearizes`.  Returns True or the first
-    counterexample, under `frame`."""
-    for shared, world in pre:
+def judge_action(monoid: ViewMonoid, t: int, alpha: PrimCommand, p, q,
+                 frame):
+    """The action judgement of `alpha` in thread t from view p into view q,
+    for every monoid.  Each primitive step from a world of p's triples, in
+    their order, taken from the model's `Semantics.run`, must fault
+    nowhere and reach a world of q with its result whose shared change is
+    none or in the monoid's guarantee of t, and to whose (abstract heap,
+    tokens) the pre-world's lead by linearization steps.  Each entry of
+    q's `post_index` with the result is tested goal first and cheapest
+    test first: its shared change, then, for the pre-world's own token
+    map, its abstract heap, and only then `linearizes`.  A p with no world
+    holds before q is indexed.  Returns True or the first counterexample,
+    under `frame`."""
+    pre = monoid.triples(p)
+    if not pre:
+        return True
+    post = monoid.post_index(q)
+    guar = monoid.guarantee(t)
+    for _l, shared, world in pre:
         sigma, sigma_a, toks = world
         for sigma2 in monoid.sem.run(alpha, t, sigma):
             if sigma2 is FAULT:
@@ -258,26 +258,17 @@ def judge_action(monoid: ViewMonoid, t: int, alpha: PrimCommand, frame,
                     break
             else:
                 return ActionCounterexample(t, alpha, frame, world, sigma2,
-                                            reason)
+                                            monoid.unmatched)
     return True
 
 
 def check_action_with_frames(monoid: ViewMonoid, t: int, alpha: PrimCommand,
                              p, q, frames: Iterable):
-    """The action judgement of the simulation condition, quantified over the
-    given frames: `judge_action` under each frame r, from the reified
-    p * r in `world_sort_key` order into the reified q * r, with no shared
-    part.  Returns True or the first counterexample under the
-    deterministic enumeration order."""
+    """`judge_action` from p * r into q * r under each given frame r, in
+    order: True, or the first counterexample."""
     for r in frames:
-        pre = sorted(monoid.reify(monoid.compose(p, r)), key=world_sort_key)
-        if not pre:
-            continue
-        post = post_index(
-            (None, w) for w in monoid.reify(monoid.compose(q, r)))
-        got = judge_action(
-            monoid, t, alpha, r, ((None, w) for w in pre), post, frozenset(),
-            "no linearization choice reaches the postcondition")
+        got = judge_action(monoid, t, alpha, monoid.compose(p, r),
+                           monoid.compose(q, r), r)
         if got is not True:
             return got
     return True

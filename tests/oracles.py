@@ -165,13 +165,14 @@ from relviews.linearizability import (
     render_event,
 )
 from relviews.logic import OChoice, OConseq, OIter, OPrim, OSeq, OSkip
-from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
+from relviews.monoid_dcsl import DcslMonoid
 from relviews.monoid_rgsep import RgsepMonoid
 from relviews.state_model import (
     DONE,
     EMPTY_WORLD,
     FAULT,
     TODO,
+    UNIT,
     APCom,
     Heap,
     Token,
@@ -198,7 +199,7 @@ from relviews.vassn import (
     VAssn,
     free_lvars,
 )
-from relviews.views_core import ActionCounterexample, ImplVerdict
+from relviews.views_core import ActionCounterexample
 
 from util import rgsep_unit, rgsep_view, view_columns
 
@@ -1174,7 +1175,7 @@ def check_safe(t: int, p, cmd, q, universe, monoid, _caches=None) -> bool:
     def impl_ok(v1, v2):
         key = (v1, v2)
         if key not in impl_cache:
-            impl_cache[key] = monoid.repart_implies(v1, v2).ok()
+            impl_cache[key] = monoid.repart_implies(v1, v2)
         return impl_cache[key]
 
     changed = True
@@ -1241,7 +1242,7 @@ def singleton_frames(dom):
     """The unit plus every singleton view over the declared domains, in
     `world_sort_key` order; more than `dom.cap` worlds raise
     `UniverseTooLarge`."""
-    yield UNIT_DCSL
+    yield UNIT
     for w in enumerate_worlds(dom):
         yield frozenset({w})
 
@@ -1300,7 +1301,7 @@ def rgsep_action_by_pairs(mono, t: int, alpha: PrimCommand, p, q):
     return True
 
 
-def repart_implies_with_frames(monoid, p, q, frames) -> ImplVerdict:
+def repart_implies_with_frames(monoid, p, q, frames) -> bool:
     """Frame-preserving inclusion of reifications over the given frames."""
     for r in frames:
         pre = monoid.reify(monoid.compose(p, r))
@@ -1308,8 +1309,8 @@ def repart_implies_with_frames(monoid, p, q, frames) -> ImplVerdict:
             continue
         post = monoid.reify(monoid.compose(q, r))
         if not pre <= post:
-            return ImplVerdict.FAILS
-    return ImplVerdict.HOLDS
+            return False
+    return True
 
 
 def token_exclusive(p) -> bool:

@@ -17,7 +17,7 @@ as membership in the oracle's `lp_star` closure does.
 
 A model memoizes the judgement's inputs: its `Semantics` the primitive
 instances and the runs of primitives and abstract commands, and its
-monoid RGSep's post indexes.  Each judgement that `check-proof` makes is
+monoid, of either kind, each view's triples and post index.  Each judgement that `check-proof` makes is
 recomputed on its own copy of a freshly built monoid of a freshly loaded
 model, and of that model's `Semantics`, whose memos are empty, and each
 memoized instance must be the primitive substituted afresh.  `check-lin`
@@ -51,10 +51,11 @@ from relviews.linearizability import (
 )
 from relviews.logic import OPrim
 from relviews.model_io import attach_outlines, parse_model
-from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
+from relviews.monoid_dcsl import DcslMonoid
 from relviews.monoid_rgsep import RgsepMonoid
 from relviews.state_model import (
     FAULT,
+    UNIT,
     APCom,
     World,
     compose_worlds,
@@ -119,7 +120,7 @@ def test_dcsl_judgement_agrees_with_reference():
         ])
         got = mono.check_action(t, alpha, p, q)
         assert got == action_over_frames(mono, t, alpha, p, q,
-                                         (UNIT_DCSL,)), (t, alpha, p, q)
+                                         (UNIT,)), (t, alpha, p, q)
         kinds[_kind(got)] += 1
         # a frame other than the unit is named in the counterexample
         frames = (sample_view(rng, worlds, 2), sample_view(rng, worlds, 2))
@@ -127,7 +128,7 @@ def test_dcsl_judgement_agrees_with_reference():
         assert got == action_over_frames(mono, t, alpha, p, q, frames), (
             t, alpha, p, q, frames)
         if got is not True:
-            framed[got.frame != UNIT_DCSL] += 1
+            framed[got.frame != UNIT] += 1
     assert set(kinds) == {"holds", "fault", "no match"}, kinds
     assert framed[True] > 0, framed
 
@@ -275,6 +276,43 @@ def test_memoized_judgements_match_a_fresh_monoid(name, monkeypatch):
             if type(node) is OPrim:
                 assert model.sem.instance(node.prim, binding) is subst(
                     node.prim, binding)
+
+
+@pytest.mark.parametrize("name", ["atomic-inc", "dcsl-cell",
+                                  "dcsl-cell-v3-t2", "flat-combiner"])
+def test_a_second_judgement_builds_no_new_triples_or_post_index(
+        name, monkeypatch):
+    """Both monoids read a judgement's inputs from the per-view memos of
+    `ViewMonoid`: judging the same (p, q) again reads p's triples and q's
+    post index from them and builds no new entry."""
+    doc, outline_doc = _PROOF_CASES[name]
+    model = parse_model(copy.deepcopy(doc))
+    attach_outlines(copy.deepcopy(outline_doc), model)
+    mono = model.monoid()
+    cls = type(mono)
+    made = []
+
+    def record(self, t, alpha, p, q):
+        got = check(self, t, alpha, p, q)
+        made.append((t, alpha, p, q, got))
+        return got
+
+    check = cls.check_action
+    monkeypatch.setattr(cls, "check_action", record)
+    check_obligations(model)
+    monkeypatch.undo()
+    memos = (mono._triples_memo, mono._post_memo)
+    built = [dict(memo) for memo in memos]
+    for t, alpha, p, q, want in made:
+        assert check(mono, t, alpha, p, q) == want
+    for memo, before in zip(memos, built):
+        assert memo.keys() == before.keys()
+        assert all(memo[view] is got for view, got in before.items())
+    judged = [(p, q) for _t, _alpha, p, q, _w in made if mono.triples(p)]
+    assert judged
+    for p, q in judged:
+        assert mono.triples(p) is mono._triples_memo[p]
+        assert q in mono._post_memo
 
 
 _SHARED_CASES = {name: _PROOF_CASES[name] for name in (

@@ -26,8 +26,8 @@ from relviews.command_lang import (
     Read,
 )
 from relviews.linearizability import Semantics
-from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
-from relviews.state_model import FAULT, APCom, enumerate_worlds
+from relviews.monoid_dcsl import DcslMonoid
+from relviews.state_model import FAULT, UNIT, APCom, enumerate_worlds
 from relviews.views_core import ActionCounterexample
 from oracles import (
     action_over_frames,
@@ -94,7 +94,7 @@ def _kind(result):
         return "holds"
     if result.sigma2 is FAULT:
         return "fault"
-    return "unit frame" if result.frame == UNIT_DCSL else "other frame"
+    return "unit frame" if result.frame == UNIT else "other frame"
 
 
 @pytest.mark.parametrize("name", sorted(UNIVERSES))

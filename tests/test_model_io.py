@@ -1020,9 +1020,16 @@ def test_a_wrong_shape_section_names_its_section(capsys, tmp_path, section,
     (("rely_extra",), {}, "a list"),
     (("methods", "inc", "args"), 5, "a list"),
     (("methods", "inc", "args"), None, "a list"),
+    (("domains", "values"), 5, "a list"),
+    (("domains", "locations", "k"), 5, "a list"),
+    (("domains", "abstract_locations", "K"), 5, "a list"),
+    (("primitives", "inc_atomic", "params"), 5, "a list"),
+    (("primitives", "inc_atomic", "updates"), 5, "a list"),
+    (("abstract", "inc", "updates"), 5, "a list"),
 ], ids=["initial", "initial-concrete", "initial-abstract", "locations",
         "abstract-locations", "guarantee", "guarantee-string", "rely-extra",
-        "args", "args-null"])
+        "args", "args-null", "values", "location-domain",
+        "abstract-location-domain", "params", "updates", "abstract-updates"])
 def test_a_wrong_shape_field_names_its_path(capsys, tmp_path, keys, value,
                                            shape):
     """A field that must be an object or a list and is not is a model error
@@ -1041,3 +1048,25 @@ def test_a_wrong_shape_field_names_its_path(capsys, tmp_path, keys, value,
     assert out.out == ""
     assert out.err == (f"error: {model}/{'/'.join(keys)}: malformed "
                        f"document: expected {shape}, got {value!r}\n")
+
+
+@pytest.mark.parametrize("section,name", [
+    ("primitives", "inc_atomic"),
+    ("abstract", "inc"),
+])
+@pytest.mark.parametrize("entry", [5, ["k"], ["k", 1, 2], {"k": 1}])
+def test_a_wrong_shape_update_entry_names_its_path(capsys, tmp_path,
+                                                  section, name, entry):
+    """An update entry that is not a list of two items, a location and an
+    expression, is a model error naming the entry (exit 2), not Python's
+    own unpacking text under the document's name."""
+    doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
+    doc[section][name]["updates"].append(entry)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    assert main(["check-lin", str(model), "--bound", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {model}/{section}/{name}/updates[1]: "
+                       f"malformed document: expected a list of 2 items, "
+                       f"got {entry!r}\n")

@@ -17,7 +17,7 @@ from relviews.command_lang import (
     walk,
 )
 from relviews.errors import StabilityViolation
-from relviews.monoid_rgsep import RgsepMonoid, _compose_sets
+from relviews.monoid_rgsep import RgsepMonoid
 from relviews.state_model import (
     APCom,
     EMPTY_WORLD,
@@ -37,6 +37,7 @@ from relviews.model_io import (
     parse_model,
 )
 from relviews.state_model import (
+    compose_sets,
     compose_worlds,
     enumerate_worlds,
     world_sort_key,
@@ -53,7 +54,7 @@ from relviews.vassn import (
     TrueA,
     free_lvars,
 )
-from relviews.views_core import ActionCounterexample, ImplVerdict
+from relviews.views_core import ActionCounterexample
 from oracles import (
     columns_contained,
     compose_columns,
@@ -257,7 +258,7 @@ def _checked_proofs():
 @pytest.mark.parametrize("make", _checked_proofs())
 def test_every_set_composition_memo_entry_is_computed_afresh(make,
                                                              monkeypatch):
-    # star folds and `compose` read the monoid's memo of `_compose_sets`:
+    # star folds and `compose` read the monoid's memo of `compose_sets`:
     # each entry, and each answer it gave, is the composition of its sets
     composed = RgsepMonoid._composed_sets
     answers = []
@@ -273,9 +274,9 @@ def test_every_set_composition_memo_entry_is_computed_afresh(make,
     memo = model.monoid()._sets_memo
     assert memo and len(answers) > len(memo)
     for (left, right), got in memo.items():
-        assert got == _compose_sets(left, right), (left, right)
+        assert got == compose_sets(left, right), (left, right)
     for left, right, got in answers:
-        assert got == _compose_sets(left, right), (left, right)
+        assert got == compose_sets(left, right), (left, right)
 
 
 # Small assertions over one or two locations, each one that loads: a box
@@ -652,9 +653,9 @@ def test_repart_sufficient_condition():
     s = mono.universe[0]
     small = rgsep_view(mono, {(EMPTY_WORLD, s)})
     big = rgsep_view(mono, {(EMPTY_WORLD, x) for x in mono.universe})
-    assert mono.repart_implies(small, big) is ImplVerdict.HOLDS
-    assert mono.repart_implies(big, small) is ImplVerdict.NOT_ESTABLISHED
-    assert mono.repart_implies((), small) is ImplVerdict.HOLDS
+    assert mono.repart_implies(small, big) is True
+    assert mono.repart_implies(big, small) is False
+    assert mono.repart_implies((), small) is True
 
 
 # ---------------------------------------------------------------------------
@@ -842,9 +843,7 @@ def test_classwise_operations_match_per_state_columns(case):
     assert list(mono.triples(v1)) == composed_pairs(mono.universe, cols1)
     for p, q, cp, cq in ((v1, v2, cols1, cols2), (v2, v1, cols2, cols1),
                          (v1, got, cols1, view_columns(mono, got))):
-        want = (ImplVerdict.HOLDS if columns_contained(cp, cq)
-                else ImplVerdict.NOT_ESTABLISHED)
-        assert mono.repart_implies(p, q) is want
+        assert mono.repart_implies(p, q) is columns_contained(cp, cq)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -893,6 +892,5 @@ def test_generated_views_reach_every_outcome():
         seen.add("composes" if mono.compose(v1, v2) else "empty")
 
     collect()
-    assert seen == {"stable", "unstable", ImplVerdict.HOLDS,
-                    ImplVerdict.NOT_ESTABLISHED, "classes", "class",
+    assert seen == {"stable", "unstable", True, False, "classes", "class",
                     "composes", "empty"}

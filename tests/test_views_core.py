@@ -16,7 +16,7 @@ from relviews.command_lang import (
     walk,
 )
 from relviews.linearizability import Semantics
-from relviews.monoid_dcsl import UNIT_DCSL, DcslMonoid
+from relviews.monoid_dcsl import DcslMonoid
 from relviews.state_model import (
     APCom,
     DONE,
@@ -26,6 +26,7 @@ from relviews.state_model import (
     TODO,
     Token,
     TokenMap,
+    UNIT,
     World,
 )
 from relviews.vassn import (
@@ -38,7 +39,7 @@ from relviews.vassn import (
     StarA,
     TokA,
 )
-from relviews.views_core import ActionCounterexample, ImplVerdict, linearizes
+from relviews.views_core import ActionCounterexample, linearizes
 from oracles import lp_star, lp_step, ref_fragments
 from util import (disjoin, micro_dcsl, micro_domains, micro_semantics,
                   run_consequence, run_distributivity, run_locality)
@@ -191,7 +192,7 @@ def test_check_action_store():
 def test_check_action_store_without_footprint_faults():
     mono = _mono()
     alpha = PrimCommand("store", (Read("l"), Const(5)))
-    got = mono.check_action(1, alpha, UNIT_DCSL, UNIT_DCSL)
+    got = mono.check_action(1, alpha, UNIT, UNIT)
     assert isinstance(got, ActionCounterexample)
     assert "fault" in got.reason
 
@@ -200,9 +201,9 @@ def test_repart_reflexive_and_disjoin():
     mono = _mono()
     p = frozenset({World(Heap({"l": 0}), EMPTY_HEAP, EMPTY_TOKENS)})
     q = frozenset({World(Heap({"l": 1}), EMPTY_HEAP, EMPTY_TOKENS)})
-    assert mono.repart_implies(p, p) is ImplVerdict.HOLDS
-    assert mono.repart_implies(p, disjoin(mono, p, q)) is ImplVerdict.HOLDS
-    assert mono.repart_implies(p, q) is ImplVerdict.FAILS
+    assert mono.repart_implies(p, p) is True
+    assert mono.repart_implies(p, disjoin(mono, p, q)) is True
+    assert mono.repart_implies(p, q) is False
 
 
 # ---------------------------------------------------------------------------
