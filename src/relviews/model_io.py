@@ -5,6 +5,10 @@ method body templates, abstract atomic commands, initial states, the
 monoid selection, and (for proofs) predicate macros, rely/guarantee
 actions and per-method assertion families.  Outlines live in a second
 document mirroring the command tree with assertion slots.
+
+Both are read by one grammar, tables of forms and object fields walked by
+`_form` and `_fields`: a node of the wrong shape is an error naming its
+path, and the semantic checks run on what the walk built.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .command_lang import (
     BUILTIN_ARITY,
@@ -69,52 +73,21 @@ def _fail(path: str, msg: str):
     raise ModelError(f"{path}: {msg}")
 
 
-@contextmanager
-def _missing_key_is_model_error(path: str):
-    """A missing key is a model error naming `path`, a document or entry."""
-    try:
-        yield
-    except KeyError as exc:
-        _fail(path, f"malformed document: missing key {exc}")
+def _expected(path: str, what: str, doc):
+    _fail(path, f"malformed document: expected {what}, got {doc!r}")
 
 
 @contextmanager
 def _malformed_is_model_error(path: str):
-    """A missing key, a value of the wrong shape or nesting deeper than the
-    interpreter's stack in a document is a model error naming the
-    document, not a crash."""
+    """The safety net under the grammar: a value of a shape the grammar
+    let through, or nesting deeper than the interpreter's stack, is a model
+    error naming the document, not a crash."""
     try:
-        with _missing_key_is_model_error(path):
-            yield
-    except (ValueError, TypeError, AttributeError) as exc:
+        yield
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         _fail(path, f"malformed document: {exc}")
     except RecursionError:
         _fail(path, "document is nested too deeply")
-
-
-def _object(spec, path: str) -> dict:
-    """spec, which must be an object: another shape is a model error naming
-    `path`, a section or its entry."""
-    if type(spec) is not dict:
-        _fail(path, f"malformed document: expected an object, got {spec!r}")
-    return spec
-
-
-def _list(spec, path: str, size: Optional[int] = None) -> list:
-    """spec, which must be a list, of `size` items if given: another shape
-    is a model error naming `path`."""
-    if type(spec) is not list or size is not None and len(spec) != size:
-        shape = "a list" if size is None else f"a list of {size} items"
-        _fail(path, f"malformed document: expected {shape}, got {spec!r}")
-    return spec
-
-
-def _entries(doc: dict, key: str, path: str):
-    """(name, entry, entry path) for each entry of section `key` of doc, if
-    present; the section and each entry must be objects."""
-    for name, spec in _object(doc.get(key, {}), f"{path}/{key}").items():
-        where = f"{path}/{key}/{name}"
-        yield name, _object(spec, where), where
 
 
 def _check_placeholders(locs: Iterable[str], allowed: str, path: str):
@@ -139,26 +112,9 @@ def _check_vars(free, names, what: str, path: str, note: str = ""):
                     f"{bound}{note}")
 
 
-def _integer(x, what: str, path: str) -> int:
-    """x, which must be a JSON integer: a float, a string or a bool is a
-    model error, not truncated or coerced."""
-    if type(x) is not int:
-        _fail(path, f"{what} must be an integer, got {x!r}")
-    return x
-
-
-def _name(x, kind: str, path: str) -> str:
-    """x, which must be a JSON string: the name of a location, logical
-    variable, primitive or macro (`kind`) of another type is a model error,
-    not coerced."""
-    if type(x) is not str:
-        _fail(path, f"a {kind} name must be a string, got {x!r}")
-    return x
-
-
 def _distinct(entries, what: str, path: str) -> Tuple[int, ...]:
     """A domain list's integers, none listed twice."""
-    out = tuple(_integer(x, f"{what} entry", path) for x in entries)
+    out = tuple(entries)
     for i, x in enumerate(out):
         if x in out[:i]:
             _fail(path, f"{what} lists {x} twice")
@@ -166,41 +122,153 @@ def _distinct(entries, what: str, path: str) -> Tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# The grammar.  A shape is a function parse(doc, path, ctx) that checks doc
+# and builds its value; `ctx` is what the parse needs of the document.
+
+
+class _Scope(NamedTuple):
+    """A view assertion's macro table and expansion chain; `holes`, while
+    a macro body is checked at its declaration, holds its parameters."""
+    macros: "MacroTable"
+    stack: Tuple[str, ...] = ()
+    holes: Optional[frozenset] = None
+
+
+def _hole(doc, ctx) -> bool:
+    """Whether doc is a parameter's `["var", p]` in a macro body checked
+    at its declaration: a hole, which matches any shape."""
+    holes = getattr(ctx, "holes", None)
+    return holes is not None and _is_var(doc) and doc[1] in holes
+
+
+def _is_var(doc) -> bool:
+    return type(doc) is list and len(doc) == 2 and doc[0] == "var" and \
+        type(doc[1]) is str
+
+
+def _form(forms: dict, what: str, doc, path: str, scope):
+    """The value of doc, a tagged list of one of `forms` (`_f`)."""
+    checking = scope is not None and scope.holes is not None
+    if checking and _hole(doc, scope):
+        return None
+    try:
+        args, rest, build, scoped, check = \
+            forms[doc[0]] if type(doc) is list else None
+    except (IndexError, KeyError, TypeError):  # not one of the forms
+        _expected(path, what, doc)
+    if len(doc) - 1 != len(args) and (rest is None or len(doc) <= len(args)):
+        _expected(path, what, doc)
+    values = []
+    for i, (parse, step) in enumerate(args, 1):
+        values.append(parse(doc[i], path + step if step else path, scope))
+    if rest is not None:
+        parse, step = rest
+        values.append(tuple(
+            parse(a, f"{path}/{step}[{i}]" if step else path, scope)
+            for i, a in enumerate(doc[len(args) + 1:])))
+    if checking:
+        return check and check(path, scope, *values)
+    return build(path, scope, *values) if scoped else build(*values)
+
+
+def _f(build: Callable, *args, rest=None, scoped=False, check=None):
+    """A form: the shape and path step of each argument (a bare shape has
+    none) and of any further ones (`rest`), and its value: build(*values),
+    or build(path, scope, *values) if `scoped`.  A macro body checked at
+    its declaration builds nothing and runs `check`, if any, instead."""
+    return (tuple(a if type(a) is tuple else (a, "") for a in args), rest,
+            build, scoped, check)
+
+
+_REQUIRED = object()  # the default of a field whose key must be present
+
+
+def _field(key: str, parse: Callable, default=_REQUIRED, step: str = None):
+    """An object node's field: key, shape, default (None, or a JSON value
+    parsed as if given) and path step, `/key` unless given."""
+    return key, parse, default, f"/{key}" if step is None else step
+
+
+def _fields(fields: tuple, doc, path: str, ctx, out=None) -> dict:
+    """Object node doc's fields by key, parsed with `ctx` in table order
+    into `out`, a new dict unless given."""
+    if type(doc) is not dict:
+        _expected(path, "an object", doc)
+    for key, _, default, _ in fields:
+        if default is _REQUIRED and key not in doc:
+            _fail(path, f"malformed document: missing key {key!r}")
+    out = {} if out is None else out
+    for key, parse, default, step in fields:
+        out[key] = None if key not in doc and default is None else \
+            parse(doc.get(key, default), path + step, ctx)
+    return out
+
+
+def _object(*fields) -> Callable:
+    def parse(doc, path, ctx):
+        return _fields(fields, doc, path, ctx)
+    parse.fields = fields
+    return parse
+
+
+def _object_of(entry: Callable, kind: type = dict) -> Callable:
+    """An object, or a list if `kind` is list, of entries of one shape."""
+    def parse(doc, path, ctx):
+        if type(doc) is not kind:
+            _expected(path, "a list" if kind is list else "an object", doc)
+        if kind is list:
+            return [entry(x, f"{path}[{i}]", ctx) for i, x in enumerate(doc)]
+        return {key: entry(v, f"{path}/{key}", ctx) for key, v in doc.items()}
+    parse.entry = entry
+    return parse
+
+
+def _leaf(kind: type, error: Callable) -> Callable:
+    """A JSON value of type `kind`, never coerced (a bool is no integer),
+    or a hole; else the error that error(doc) names."""
+    def parse(doc, path, ctx=None):
+        if type(doc) is not kind and not _hole(doc, ctx):
+            _fail(path, error(doc))
+        return doc
+    return parse
+
+
+def _name(kind: str) -> Callable:
+    return _leaf(str, lambda doc: f"{kind} name must be a string, got {doc!r}")
+
+
+INT = _leaf(int, lambda doc: f"malformed document: expected an integer, "
+                             f"got {doc!r}")
+LOC = _name("a location")
+VAR = _name("a logical variable")
+
+
+def ANY(doc, path, ctx=None):
+    return doc
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 
 
-def parse_expr(doc, path: str = "expr") -> Expr:
-    if isinstance(doc, bool):
-        return Const(int(doc))
-    if isinstance(doc, int):
+def parse_expr(doc, path: str = "expr", scope=None) -> Expr:
+    """An expression; a bare integer is a constant, and `true` and `false`
+    stand for 1 and 0."""
+    if type(doc) is int:
         return Const(doc)
-    if not isinstance(doc, list) or not doc:
-        _fail(path, f"expected an expression, got {doc!r}")
-    tag = doc[0]
-    args = doc[1:]
-    if tag == "const" and len(args) == 1:
-        return Const(_integer(args[0], "a constant", path))
-    if tag == "var" and len(args) == 1:
-        return LVar(_name(args[0], "logical variable", path))
-    if tag == "read" and len(args) == 1:
-        return Read(_name(args[0], "location", path))
-    if tag == "tid" and not args:
-        return Tid()
-    if tag == "+" and len(args) == 2:
-        return Plus(parse_expr(args[0], path), parse_expr(args[1], path))
-    if tag == "==" and len(args) == 2:
-        return Eq(parse_expr(args[0], path), parse_expr(args[1], path))
-    if tag == "!=" and len(args) == 2:
-        return Not(Eq(parse_expr(args[0], path), parse_expr(args[1], path)))
-    if tag == "<" and len(args) == 2:
-        return Lt(parse_expr(args[0], path), parse_expr(args[1], path))
-    if tag == "not" and len(args) == 1:
-        return Not(parse_expr(args[0], path))
-    if tag == "and" and len(args) == 2:
-        return And(parse_expr(args[0], path), parse_expr(args[1], path))
-    if tag == "or" and len(args) == 2:
-        return Or(parse_expr(args[0], path), parse_expr(args[1], path))
-    _fail(path, f"unknown expression form {doc!r}")
+    if type(doc) is bool:
+        return Const(int(doc))
+    return _form(EXPR_FORMS, "an expression", doc, path, scope)
+
+
+EXPR = parse_expr
+EXPR_FORMS = {
+    "const": _f(Const, INT), "var": _f(LVar, VAR), "read": _f(Read, LOC),
+    "tid": _f(Tid), "+": _f(Plus, EXPR, EXPR), "==": _f(Eq, EXPR, EXPR),
+    "!=": _f(lambda a, b: Not(Eq(a, b)), EXPR, EXPR),
+    "<": _f(Lt, EXPR, EXPR), "not": _f(Not, EXPR),
+    "and": _f(And, EXPR, EXPR), "or": _f(Or, EXPR, EXPR),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -235,55 +303,39 @@ def validate_command(c: Command, prims: Dict[str, GuardedUpdate],
     _check_placeholders({n.loc for n in nodes[Read]}, "art", path)
 
 
-def parse_command(doc, path: str = "cmd") -> Command:
-    if not isinstance(doc, list) or not doc:
-        _fail(path, f"expected a command, got {doc!r}")
-    tag = doc[0]
-    args = doc[1:]
-    if tag == "skip":
-        return Skip()
-    if tag == "prim":
-        if not args:
-            _fail(path, "prim needs a name")
-        name = _name(args[0], "primitive", path)
-        prim = PrimCommand(
-            name, tuple(parse_expr(a, f"{path}/{name}") for a in args[1:]))
-        for i in _LOC_ARGS.get(name, ()):
-            if i < len(prim.args) and not isinstance(prim.args[i], Read):
-                _fail(path, f"argument {i + 1} of {name!r} must be a "
-                            f'location ["read", loc], got {args[i + 1]!r}')
-        return Prim(prim)
-    if tag == "assume" and len(args) == 1:
-        return Prim(PrimCommand("assume", (parse_expr(args[0], path),)))
-    if tag == "store" and len(args) == 2:
-        return Prim(PrimCommand(
-            "store", (Read(_name(args[0], "location", path)),
-                      parse_expr(args[1], path))))
-    if tag == "load" and len(args) == 2:
-        return Prim(PrimCommand(
-            "load", (Read(_name(args[0], "location", path)),
-                     Read(_name(args[1], "location", path)))))
-    if tag == "seq":
-        return seq(*(parse_command(a, f"{path}/seq[{i}]")
-                     for i, a in enumerate(args)))
-    if tag == "choice" and len(args) == 2:
-        return Choice(parse_command(args[0], f"{path}/left"),
-                      parse_command(args[1], f"{path}/right"))
-    if tag == "iter" and len(args) == 1:
-        return Iter(parse_command(args[0], f"{path}/iter"))
-    if tag == "cas" and len(args) == 5:
-        return cas(_name(args[0], "location", path), parse_expr(args[1], path),
-                   parse_expr(args[2], path),
-                   parse_command(args[3], f"{path}/then"),
-                   parse_command(args[4], f"{path}/else"))
-    if tag == "if" and len(args) == 3:
-        return desugar_if(parse_expr(args[0], path),
-                          parse_command(args[1], f"{path}/then"),
-                          parse_command(args[2], f"{path}/else"))
-    if tag == "while" and len(args) == 2:
-        return desugar_while(parse_expr(args[0], path),
-                             parse_command(args[1], f"{path}/do"))
-    _fail(path, f"unknown command form {doc!r}")
+
+def _prim(path: str, scope, name: str, args: tuple) -> Command:
+    """`["prim", name, *args]`; a builtin's location argument is a
+    location `["read", loc]`."""
+    prim = PrimCommand(name, tuple(parse_expr(a, f"{path}/{name}")
+                                   for a in args))
+    for i in _LOC_ARGS.get(name, ()):
+        if i < len(prim.args) and not isinstance(prim.args[i], Read):
+            _fail(path, f"argument {i + 1} of {name!r} must be a "
+                        f'location ["read", loc], got {args[i]!r}')
+    return Prim(prim)
+
+
+def parse_command(doc, path: str = "cmd", ctx=None) -> Command:
+    return _form(COMMAND_FORMS, "a command", doc, path, None)
+
+
+CMD = parse_command
+COMMAND_FORMS = {
+    "skip": _f(Skip),
+    "assume": _f(lambda e: Prim(PrimCommand("assume", (e,))), EXPR),
+    "prim": _f(_prim, _name("a primitive"), rest=(ANY, None), scoped=True),
+    "store": _f(lambda loc, e: Prim(PrimCommand("store", (Read(loc), e))),
+                LOC, EXPR),
+    "load": _f(lambda to, src: Prim(PrimCommand(
+        "load", (Read(to), Read(src)))), LOC, LOC),
+    "seq": _f(lambda cmds: seq(*cmds), rest=(CMD, "seq")),
+    "choice": _f(Choice, (CMD, "/left"), (CMD, "/right")),
+    "iter": _f(Iter, (CMD, "/iter")),
+    "cas": _f(cas, LOC, EXPR, EXPR, (CMD, "/then"), (CMD, "/else")),
+    "if": _f(desugar_if, EXPR, (CMD, "/then"), (CMD, "/else")),
+    "while": _f(desugar_while, EXPR, (CMD, "/do")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -296,37 +348,70 @@ class MacroTable:
     arguments) with the macro names its expansion reached, and reused
     under any chain that holds none of them: parsing again would build the
     same hash-consed tree.  Errors are not memoized, so each keeps its
-    path.  Each macro of `raw` is checked (params a list of names, a body)
-    when the table is built.  An outline's table extends its model's
-    (`parent`, of the same methods and threads), keeping each memo entry
-    that reaches no macro `raw` redefines and the `_check_boxes` results
-    in `boxes_passed`."""
+    path.  Each macro of `raw` is checked where it is declared (`path`),
+    in name order: a list of params and a body with a hole for each
+    (`_hole`).  An outline's table extends its model's (`parent`, of the
+    same methods and threads), keeping each memo entry that reaches no
+    macro `raw` redefines and the `_check_boxes` results in
+    `boxes_passed`."""
 
     def __init__(self, raw: Dict[str, dict], methods: Iterable[str],
-                 nthreads: int, path: str = "model",
+                 nthreads: int, path: str = "macros",
                  parent: Optional[MacroTable] = None):
-        for name in sorted(_object(raw, f"{path}/macros")):
-            where = f"{path}/macros/{name}"
-            params = _object(raw[name], where).get("params", [])
-            if type(params) is not list:
-                _fail(where, f"a macro's params must be a list, got "
-                             f"{params!r}")
-            for p in params:
-                _name(p, "logical variable", where)
-            if "body" not in raw[name]:
-                _fail(where, "malformed document: missing key 'body'")
         self.raw = raw
         self.methods = frozenset(methods)
         self.nthreads = nthreads
+        self.path = path
         # key -> (parsed assertion, names reached)
         self._parsed: Dict[tuple, Tuple[VAssn, frozenset]] = {}
         self._trail: List[str] = []  # every name reached, in order
         self.boxes_passed: set = set()  # see `_check_boxes`
+        # the macros whose body was checked, and (name, JSON arguments) of
+        # each application checked with its arguments
+        self._checked = set()
         if parent is not None:
             self.raw = {**parent.raw, **raw}
             self._parsed = {key: hit for key, hit in parent._parsed.items()
                             if hit[1].isdisjoint(raw)}
             self.boxes_passed = set(parent.boxes_passed)
+            self._checked = set(parent.raw) - set(raw)
+        for name in sorted(raw):
+            _fields(_MACRO, raw[name], f"{path}/{name}", None)
+        for name in sorted(raw):
+            self._declare(name)
+
+    def _declare(self, name: str):
+        if name not in self._checked:
+            self._checked.add(name)
+            spec = self.raw[name]
+            _vassn(spec["body"], f"{self.path}/{name}/body", _Scope(
+                self, (name,), frozenset(spec.get("params", []))))
+
+    def check_applied(self, path: str, scope: _Scope, name, args: tuple):
+        """An application in a macro body checked at its declaration: the
+        macro is declared, and its body is checked with the arguments that
+        are not holes, unless its name is a hole or recursive (an error
+        where it is parsed)."""
+        if name is None or name in scope.stack:
+            return
+        binding = dict(zip(self._params(name, args, path), args))
+        self._declare(name)
+        if all(_hole(arg, scope) for arg in args):
+            return
+        key = (name, json.dumps(args))
+        if key not in self._checked:
+            self._checked.add(key)
+            body = _subst_json(self.raw[name]["body"], binding, path)
+            _vassn(body, f"{path}/{name}",
+                   scope._replace(stack=scope.stack + (name,)))
+
+    def _params(self, name: str, args, path: str) -> list:
+        if name not in self.raw:
+            _fail(path, f"unknown macro {name!r}")
+        params = self.raw[name].get("params", [])
+        if len(params) != len(args):
+            _fail(path, f"macro {name!r} expects {len(params)} arguments")
+        return params
 
     def apply(self, name: str, args: List, path: str,
               stack: Tuple[str, ...]) -> VAssn:
@@ -338,13 +423,8 @@ class MacroTable:
             if name in stack:
                 _fail(path, f"recursive macro {name!r} "
                             f"(expansion chain {' -> '.join(stack)})")
-            if name not in self.raw:
-                _fail(path, f"unknown macro {name!r}")
-            spec = self.raw[name]
-            params = spec.get("params", [])
-            if len(params) != len(args):
-                _fail(path, f"macro {name!r} expects {len(params)} arguments")
-            body = _subst_json(spec["body"], dict(zip(params, args)), path)
+            binding = dict(zip(self._params(name, args, path), args))
+            body = _subst_json(self.raw[name]["body"], binding, path)
             start = len(self._trail)
             parsed = parse_vassn(body, self, f"{path}/{name}",
                                  stack + (name,))
@@ -359,7 +439,7 @@ def _subst_json(doc, binding: Dict[str, object], path: str):
     nodes are replaced by the argument document and `{p}` placeholders in
     location strings by its rendering."""
     if isinstance(doc, list):
-        if len(doc) == 2 and doc[0] == "var" and doc[1] in binding:
+        if _is_var(doc) and doc[1] in binding:
             return binding[doc[1]]
         return [_subst_json(d, binding, path) for d in doc]
     if isinstance(doc, str) and "{" in doc:
@@ -368,12 +448,10 @@ def _subst_json(doc, binding: Dict[str, object], path: str):
             hole = "{" + p + "}"
             if hole not in out:
                 continue
-            if isinstance(arg, int):
-                out = out.replace(hole, str(arg))
-            elif isinstance(arg, list) and len(arg) == 2 and arg[0] == "var":
-                out = out.replace(hole, "{" + arg[1] + "}")
-            else:
+            if type(arg) is not int and not _is_var(arg):
                 _fail(path, f"cannot splice {arg!r} into location {doc!r}")
+            out = out.replace(hole, str(arg) if type(arg) is int
+                              else "{" + arg[1] + "}")
         return out
     return doc
 
@@ -381,22 +459,10 @@ def _subst_json(doc, binding: Dict[str, object], path: str):
 _VAR_HOLE = re.compile(r"\{[A-Za-z_]\w*\}")
 
 
-def _cell(doc, path: str) -> Tuple[str, Expr]:
-    """An assertion cell's location and value.  The location's braces
-    must be `{name}` placeholders, name an identifier: the assertion's
-    interpretation fills them in."""
-    loc, value = doc
-    if set(_VAR_HOLE.sub("", _name(loc, "location", path))) & set("{}"):
-        _fail(path, f"location {loc!r} uses a brace that is not a "
-                    "placeholder {name}")
-    return loc, _value(value, path)
-
-
-def _value(doc, path: str) -> Expr:
+def _value(e: Expr, path: str) -> Expr:
     """An assertion's expression: it denotes a value under the assertion's
     interpretation alone, so it reads no heap location and not the thread
     id of `["tid"]`; an assertion names its thread as `["var", "t"]`."""
-    e = parse_expr(doc, path)
     for n in walk(e):
         if isinstance(n, Read):
             _fail(path, f"an assertion may not read the heap (location "
@@ -407,52 +473,69 @@ def _value(doc, path: str) -> Expr:
     return e
 
 
+def _cell(kind: Callable) -> tuple:
+    """A cell: its location's braces must be `{name}` placeholders, name an
+    identifier, which the assertion's interpretation fills in."""
+    def build(path, scope, loc, value):
+        if set(_VAR_HOLE.sub("", loc)) & set("{}"):
+            _fail(path, f"location {loc!r} uses a brace that is not a "
+                        "placeholder {name}")
+        return kind(loc, _value(value, path))
+    return _f(build, LOC, EXPR, scoped=True)
+
+
+def _token(tag: str) -> tuple:
+    def build(path, scope, thread, method, arg, ret):
+        if type(method) is not str or method not in scope.macros.methods:
+            _fail(path, f"{tag} token names undeclared method {method!r}")
+        return TokA(tag, _value(thread, path), method, _value(arg, path),
+                    _value(ret, path))
+    return _f(build, EXPR, ANY, EXPR, EXPR, scoped=True)
+
+
+def _sep_threads(path: str, scope: _Scope, var: str, body) -> VAssn:
+    """The star of body over every thread id j, `var` bound to j."""
+    return StarA(tuple(
+        parse_vassn(_subst_json(body, {var: j}, path), scope.macros,
+                    f"{path}/sep[{j}]", scope.stack)
+        for j in range(1, scope.macros.nthreads + 1)))
+
+
+def _apply_macro(path: str, scope: _Scope, name: str, args: tuple):
+    return scope.macros.apply(name, list(args), path, scope.stack)
+
+
+def _rimpl(path, scope, *args):
+    _fail(path, "a repartitioning implication is not an assertion; a "
+                "conseq outline node checks one")
+
+
+def _vassn(doc, path: str, scope: _Scope):
+    return _form(VASSN_FORMS, "a view assertion", doc, path, scope)
+
+
 def parse_vassn(doc, macros: MacroTable, path: str = "vassn",
                 stack: Tuple[str, ...] = ()):
-    if not isinstance(doc, list) or not doc:
-        _fail(path, f"expected a view assertion, got {doc!r}")
-    tag = doc[0]
-    args = doc[1:]
-    if tag == "emp":
-        return EmpA()
-    if tag == "true":
-        return TrueA()
-    if tag == "pt" and len(args) == 2:
-        return CPt(*_cell(args, path))
-    if tag == "apt" and len(args) == 2:
-        return APt(*_cell(args, path))
-    if tag in ("todo", "done") and len(args) == 4:
-        if not isinstance(args[1], str) or args[1] not in macros.methods:
-            _fail(path, f"{tag} token names undeclared method {args[1]!r}")
-        return TokA(tag, _value(args[0], path), args[1],
-                    _value(args[2], path), _value(args[3], path))
-    if tag == "pure" and len(args) == 1:
-        return PureA(_value(args[0], path))
-    if tag == "star":
-        return StarA(tuple(parse_vassn(a, macros, f"{path}/star[{i}]", stack)
-                           for i, a in enumerate(args)))
-    if tag == "or":
-        return OrA(tuple(parse_vassn(a, macros, f"{path}/or[{i}]", stack)
-                         for i, a in enumerate(args)))
-    if tag == "exists" and len(args) == 2:
-        return ExistsA(_name(args[0], "logical variable", path),
-                       parse_vassn(args[1], macros, f"{path}/exists", stack))
-    if tag == "box" and len(args) == 1:
-        return BoxA(parse_vassn(args[0], macros, f"{path}/box", stack))
-    if tag == "rimpl":
-        _fail(path, "a repartitioning implication is not an assertion; "
-                    "a conseq outline node checks one")
-    if tag == "macro" and args:
-        return macros.apply(_name(args[0], "macro", path), list(args[1:]),
-                            path, stack)
-    if tag == "sep_threads" and len(args) == 2:
-        var = _name(args[0], "logical variable", path)
-        parts = []
-        for j in range(1, macros.nthreads + 1):
-            body = _subst_json(args[1], {var: j}, path)
-            parts.append(parse_vassn(body, macros, f"{path}/sep[{j}]", stack))
-        return StarA(tuple(parts))
-    _fail(path, f"unknown view assertion form {doc!r}")
+    return _vassn(doc, path, _Scope(macros, stack))
+
+
+VASSN_FORMS = {
+    "emp": _f(EmpA), "true": _f(TrueA), "pt": _cell(CPt), "apt": _cell(APt),
+    "todo": _token("todo"), "done": _token("done"),
+    "pure": _f(lambda path, scope, e: PureA(_value(e, path)), EXPR,
+               scoped=True),
+    "star": _f(StarA, rest=(_vassn, "star")),
+    "or": _f(OrA, rest=(_vassn, "or")),
+    "exists": _f(ExistsA, VAR, (_vassn, "/exists")),
+    "box": _f(BoxA, (_vassn, "/box")),
+    "rimpl": _f(_rimpl, rest=(ANY, None), scoped=True, check=_rimpl),
+    "macro": _f(_apply_macro, _name("a macro"), rest=(ANY, None), scoped=True,
+                check=lambda path, scope, *app: scope.macros.check_applied(
+                    path, scope, *app)),
+    "sep_threads": _f(_sep_threads, VAR, ANY, scoped=True,
+                      check=lambda path, scope, var, body: _vassn(
+                          body, f"{path}/sep", scope)),
+}
 
 
 def _check_boxes(a, path: str, passed: set, no_box: Optional[str] = None,
@@ -485,6 +568,7 @@ def _check_boxes(a, path: str, passed: set, no_box: Optional[str] = None,
     passed.add(key)
 
 
+
 def parse_assertion(doc, macros: MacroTable, path: str = "assn",
                     no_box: Optional[str] = None):
     """Parse the view assertion in any assertion slot and check where its
@@ -495,53 +579,125 @@ def parse_assertion(doc, macros: MacroTable, path: str = "assn",
     return rho
 
 
+
+def _assertion(no_box: Optional[str] = None, null: bool = False):
+    """An assertion slot of an object node, null if `null`: `no_box` is
+    the error of a box in it, else the document's (`ctx["no_box"]`)."""
+    return lambda doc, path, ctx: None if null and doc is None else \
+        parse_assertion(doc, ctx["macros"], path, no_box or ctx["no_box"])
+
+
 # ---------------------------------------------------------------------------
 # Outlines
 
 
+def _steps(doc, path: str, ctx) -> OSeq:
+    """A seq node's steps: node, assertion, node, ..."""
+    if type(doc) is not list or len(doc) < 3 or len(doc) % 2 == 0:
+        _fail(path, "seq steps must alternate node, assertion, node, ...")
+    parsed = [_ASSERTION(e, f"{path}/mid[{i // 2}]", ctx) if i % 2
+              else _outline(e, f"{path}/seq[{i // 2}]", ctx)
+              for i, e in enumerate(doc)]
+    return OSeq(tuple(parsed[::2]), tuple(parsed[1::2]))
+
+
+def _outline_prim(path: str, cmd: Command):
+    if not isinstance(cmd, Prim):
+        _fail(path, "outline prim node must hold a primitive command")
+    return OPrim(cmd.prim)
+
+
 def parse_outline_node(doc, macros: MacroTable, path: str = "outline",
                        no_box: Optional[str] = None):
-    """An outline node; its assertions are checked as `parse_assertion`
-    checks them, `no_box` the error of a box in them."""
-    def node(sub, where: str):
-        return parse_outline_node(sub, macros, f"{path}/{where}", no_box)
+    """An outline node, an object whose `kind` selects its fields; its
+    assertions are checked as `parse_assertion` checks them, `no_box` the
+    error of a box in them."""
+    kind = doc.get("kind") if type(doc) is dict else None
+    if type(kind) is not str or kind not in OUTLINE_KINDS:
+        _expected(path, "an outline node", doc)
+    fields, build = OUTLINE_KINDS[kind]
+    ctx = {"macros": macros, "no_box": no_box}
+    return build(path, *_fields(fields, doc, path, ctx).values())
 
-    def assn(sub, where: str):
-        return parse_assertion(sub, macros, f"{path}/{where}", no_box)
 
-    if not isinstance(doc, dict) or "kind" not in doc:
-        _fail(path, f"expected an outline node object, got {doc!r}")
-    kind = doc["kind"]
-    if kind == "prim":
-        cmd = parse_command(doc["cmd"], f"{path}/cmd")
-        if not isinstance(cmd, Prim):
-            _fail(path, "outline prim node must hold a primitive command")
-        return OPrim(cmd.prim)
-    if kind == "skip":
-        return OSkip()
-    if kind == "seq":
-        steps = doc.get("steps", [])
-        if len(steps) < 3 or len(steps) % 2 == 0:
-            _fail(path, "seq steps must alternate node, assertion, node, ...")
-        parsed = [assn(e, f"mid[{i // 2}]") if i % 2 else
-                  node(e, f"seq[{i // 2}]") for i, e in enumerate(steps)]
-        return OSeq(tuple(parsed[::2]), tuple(parsed[1::2]))
-    if kind == "choice":
-        return OChoice(node(doc["left"], "left"), node(doc["right"], "right"))
-    if kind == "iter":
-        return OIter(assn(doc["invariant"], "invariant"),
-                     node(doc["body"], "body"))
-    if kind == "conseq":
-        return OConseq(assn(doc["pre"], "pre"), assn(doc["post"], "post"),
-                       node(doc["inner"], "inner"))
-    _fail(path, f"unknown outline node kind {kind!r}")
+def _outline(doc, path: str, ctx):
+    return parse_outline_node(doc, ctx["macros"], path, ctx["no_box"])
+
+
+_ASSERTION = _assertion()
+OUTLINE_KINDS = {
+    "prim": ((_field("cmd", CMD),), _outline_prim),
+    "skip": ((), lambda path: OSkip()),
+    "seq": ((_field("steps", _steps, step=""),), lambda path, steps: steps),
+    "choice": ((_field("left", _outline), _field("right", _outline)),
+               lambda path, *nodes: OChoice(*nodes)),
+    "iter": ((_field("invariant", _ASSERTION), _field("body", _outline)),
+             lambda path, *parts: OIter(*parts)),
+    "conseq": ((_field("pre", _ASSERTION), _field("post", _ASSERTION),
+                _field("inner", _outline)),
+               lambda path, *parts: OConseq(*parts)),
+}
 
 
 # ---------------------------------------------------------------------------
-# Models
+# Documents
 
 
 _NO_BOX_DCSL = "a box may not stand in a dcsl model"
+
+
+def _macros(doc, path: str, ctx) -> MacroTable:
+    """A document's macros, extending those of `ctx["parent"]` if any."""
+    if type(doc) is not dict:
+        _expected(path, "an object", doc)
+    return MacroTable(doc, ctx["methods"], ctx["domains"]["threads"], path,
+                      ctx.get("parent"))
+
+
+def _update_entry(doc, path: str, ctx):
+    """An update `[location, expression]`."""
+    if type(doc) is not list or len(doc) != 2:
+        _expected(path, "a list of 2 items", doc)
+    return LOC(doc[0], path), parse_expr(doc[1], path)
+
+
+_MACRO = (_field("params", _object_of(VAR, list), []), _field("body", ANY))
+_GUARDED_UPDATE = (
+    _field("guard", lambda doc, path, ctx: None if doc is None else
+           parse_expr(doc, path), None, ""),
+    _field("updates", _object_of(_update_entry, list), []))
+_CELLS = _object_of(_object_of(INT, list))
+_NO_BOX_ACTION = "a box may not stand in an action"
+# The model document's sections, in the order they are parsed: a section's
+# parse reads the sections before it (`ctx`).
+MODEL = _object(
+    _field("name", ANY),
+    _field("monoid", ANY),
+    _field("domains", _object(
+        _field("values", _object_of(INT, list)), _field("modulus", INT),
+        _field("threads", INT), _field("cap", INT, DEFAULT_CAP),
+        _field("locations", _CELLS), _field("abstract_locations", _CELLS))),
+    _field("primitives", _object_of(_object(
+        _field("params", _object_of(VAR, list), []), *_GUARDED_UPDATE)), {}),
+    _field("abstract", _object_of(_object(*_GUARDED_UPDATE))),
+    _field("methods", _object_of(_object(
+        _field("args", _object_of(INT, list), None),
+        _field("body", CMD, step="")))),
+    _field("initial", _object(_field("concrete", _object_of(INT), {}),
+                              _field("abstract", _object_of(INT), {}))),
+    _field("macros", _macros, {}),
+    _field("shared_universe", _assertion(
+        "a box may not stand in the shared universe", True), None),
+    _field("actions", _object_of(_object(
+        _field("pre", _assertion(_NO_BOX_ACTION)),
+        _field("post", _assertion(_NO_BOX_ACTION)))), {}),
+    _field("guarantee", _object_of(_name("an action"), list), []),
+    _field("rely_extra", _object_of(_name("an action"), list), []),
+    _field("assertions", _object_of(_object(
+        _field("pre", _ASSERTION), _field("post", _ASSERTION))), {}),
+)
+OUTLINE_DOCUMENT = _object(_field("macros", _macros, {}),
+                           _field("outlines", _object_of(_outline), step=""))
 
 
 def parse_model(doc: dict, path: str = "model",
@@ -556,16 +712,10 @@ def parse_model(doc: dict, path: str = "model",
     return model
 
 
-def _parse_update(spec: dict, params, what: str, path: str) -> GuardedUpdate:
+def _update(spec: dict, params, what: str, path: str) -> GuardedUpdate:
     """A guarded update with the given parameters, the only variables it
     may read; its locations may only use the `{t}` placeholder."""
-    guard = (parse_expr(spec["guard"], path)
-             if spec.get("guard") is not None else None)
-    entries = _list(spec.get("updates", []), f"{path}/updates")
-    updates = tuple(
-        (_name(loc, "location", path), parse_expr(e, path))
-        for loc, e in (_list(u, f"{path}/updates[{i}]", 2)
-                       for i, u in enumerate(entries)))
+    guard, updates = spec["guard"], tuple(spec["updates"])
     exprs = [e for _, e in updates] + ([] if guard is None else [guard])
     _check_vars(free_lvars_expr(*exprs), params, what, path)
     _check_placeholders({loc for loc, _ in updates} | expr_locs(*exprs), "t",
@@ -574,74 +724,55 @@ def _parse_update(spec: dict, params, what: str, path: str) -> GuardedUpdate:
 
 
 def _parse_model(doc: dict, path: str) -> LibraryModel:
-    if not isinstance(doc, dict):
-        _fail(path, "model document must be an object")
-    for key in ("name", "monoid", "domains", "methods", "abstract",
-                "initial"):
-        if key not in doc:
-            _fail(path, f"missing required section {key!r}")
-    name = doc["name"]
-    monoid_kind = doc["monoid"]
+    ctx = {"no_box": _NO_BOX_DCSL if type(doc) is dict
+           and doc.get("monoid") == "dcsl" else None}
+    _fields(MODEL.fields, doc, path, ctx, ctx)
+    monoid_kind, dd = ctx["monoid"], ctx["domains"]
     if monoid_kind not in ("dcsl", "rgsep"):
         _fail(path, f"monoid must be 'dcsl' or 'rgsep', got {monoid_kind!r}")
-
-    dd = _object(doc["domains"], f"{path}/domains")
-    for key in ("values", "modulus", "threads", "locations",
-                "abstract_locations"):
-        if key not in dd:
-            _fail(path, f"domains section missing {key!r}")
-    values = _distinct(_list(dd["values"], f"{path}/domains/values"),
-                       "domains.values", path)
+    values = _distinct(dd["values"], "domains.values", path)
     if not values:
         _fail(path, "values must be nonempty")
-    nthreads, modulus, cap = (dd["threads"], dd["modulus"],
-                              dd.get("cap", DEFAULT_CAP))
-    for key, value, least in (("threads", nthreads, 1),
-                              ("modulus", modulus, 1), ("cap", cap, 0)):
-        if type(value) is not int or value < least:
+    for key, least in (("threads", 1), ("modulus", 1), ("cap", 0)):
+        if dd[key] < least:
             _fail(path, f"domains.{key} must be an integer >= {least}, "
-                        f"got {value!r}")
+                        f"got {dd[key]!r}")
 
     prims = {}
-    for pname, spec, where in _entries(doc, "primitives", path):
+    for pname, spec in ctx["primitives"].items():
+        where = f"{path}/primitives/{pname}"
         if pname in BUILTIN_ARITY:
             _fail(where, f"primitive {pname!r} shadows a builtin")
-        prims[pname] = _parse_update(
-            spec, _list(spec.get("params", []), f"{where}/params"),
-            "this primitive", where)
-    amethods = {}
-    for mname, spec, where in _entries(doc, "abstract", path):
-        amethods[mname] = _parse_update(spec, ("a", "r"),
-                                        "an abstract method", where)
+        prims[pname] = _update(spec, spec["params"], "this primitive", where)
+    amethods = {mname: _update(spec, ("a", "r"), "an abstract method",
+                               f"{path}/abstract/{mname}")
+                for mname, spec in ctx["abstract"].items()}
 
     method_args = {}
     body_templates = {}
-    for mname, spec, where in _entries(doc, "methods", path):
+    for mname, spec in ctx["methods"].items():
+        where = f"{path}/methods/{mname}"
         if mname not in amethods:
             _fail(path, f"dom mismatch: method {mname!r} has no abstract "
                         "counterpart")
         method_args[mname] = _distinct(
-            _list(spec["args"], f"{where}/args") if "args" in spec else values,
+            values if spec["args"] is None else spec["args"],
             f"method {mname!r} args", path)
-        with _missing_key_is_model_error(where):
-            template = parse_command(spec["body"], where)
-        validate_command(template, prims, where)
-        if isinstance(template, Skip):
+        validate_command(spec["body"], prims, where)
+        if isinstance(spec["body"], Skip):
             # a zero-step body would let concrete histories outrun the
             # abstract generator at equal bounds
             _fail(path, f"method {mname!r} body must perform at least one "
                         "step")
-        body_templates[mname] = template
+        body_templates[mname] = spec["body"]
     for mname in amethods:
         if mname not in method_args:
             _fail(path, f"dom mismatch: abstract method {mname!r} has no "
                         "concrete body")
 
     def locdom(key: str, what: str) -> dict:
-        where = f"{path}/domains/{key}"
-        return {str(k): _distinct(_list(v, f"{where}/{k}"),
-                                  f"{what} {k!r} domain", path)
-                for k, v in _object(dd[key], where).items()}
+        return {k: _distinct(v, f"{what} {k!r} domain", path)
+                for k, v in dd[key].items()}
 
     apcoms = tuple(
         APCom(m, a, r)
@@ -651,20 +782,16 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
     )
     dom = Domains.make(
         values=values,
-        modulus=modulus,
-        nthreads=nthreads,
+        modulus=dd["modulus"],
+        nthreads=dd["threads"],
         cloc=locdom("locations", "location"),
         aloc=locdom("abstract_locations", "abstract location"),
         apcoms=apcoms,
-        cap=cap,
+        cap=dd["cap"],
     )
 
-    init = _object(doc["initial"], f"{path}/initial")
-    init_conc, init_abst = (
-        Heap({str(k): _integer(v, f"initial {side} {k!r}", path)
-              for k, v in _object(init.get(side, {}),
-                                  f"{path}/initial/{side}").items()})
-        for side in ("concrete", "abstract"))
+    init_conc, init_abst = (Heap(ctx["initial"][side])
+                            for side in ("concrete", "abstract"))
     for side, heap, locs in (("concrete", init_conc, dict(dom.cloc)),
                              ("abstract", init_abst, dict(dom.aloc))):
         for loc, v in heap.items():
@@ -675,45 +802,30 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
                 _fail(path, f"initial {side} value {v} of location {loc!r} "
                             f"is outside its domain {list(locs[loc])}")
 
-    macros = MacroTable(doc.get("macros", {}), method_args, nthreads, path)
-    no_box = _NO_BOX_DCSL if monoid_kind == "dcsl" else None
-
-    shared_universe = None
-    if doc.get("shared_universe") is not None:
-        where = f"{path}/shared_universe"
-        shared_universe = parse_assertion(
-            doc["shared_universe"], macros, where,
-            "a box may not stand in the shared universe")
+    shared_universe = ctx["shared_universe"]
+    if shared_universe is not None:
         _check_vars(free_lvars(shared_universe), (), "the shared universe",
-                    where)
+                    f"{path}/shared_universe")
 
-    actions = {}
-    for aname, spec, where in _entries(doc, "actions", path):
-        with _missing_key_is_model_error(where):
-            actions[aname] = tuple(
-                parse_assertion(spec[side], macros, f"{where}/{side}",
-                                "a box may not stand in an action")
-                for side in ("pre", "post"))
-    guarantee, rely_extra = (_list(doc.get(key, []), f"{path}/{key}")
-                             for key in ("guarantee", "rely_extra"))
+    actions = {aname: (spec["pre"], spec["post"])
+               for aname, spec in ctx["actions"].items()}
+    guarantee, rely_extra = ctx["guarantee"], ctx["rely_extra"]
     for aname in guarantee + rely_extra:
         if aname not in actions:
             _fail(path, f"guarantee/rely references unknown action {aname!r}")
 
     families = {"pre": {}, "post": {}}
-    for mname, spec, entry in _entries(doc, "assertions", path):
+    for mname, spec in ctx["assertions"].items():
         if mname not in method_args:
             _fail(path, f"assertions declared for unknown method {mname!r}")
         for side, templates in families.items():
-            where = f"{entry}/{side}"
-            with _missing_key_is_model_error(entry):
-                templates[mname] = parse_assertion(spec[side], macros, where,
-                                                   no_box)
-            _check_vars(free_lvars(templates[mname]), ("t", "a", "r"),
-                        "a pre/post family", where)
+            templates[mname] = spec[side]
+            _check_vars(free_lvars(spec[side]), ("t", "a", "r"),
+                        "a pre/post family",
+                        f"{path}/assertions/{mname}/{side}")
 
     return LibraryModel(
-        name=name,
+        name=ctx["name"],
         monoid_kind=monoid_kind,
         dom=dom,
         sem=Semantics(prims, amethods, dom.modulus),
@@ -728,7 +840,7 @@ def _parse_model(doc: dict, path: str) -> LibraryModel:
         guarantee_names=tuple(guarantee),
         rely_extra_names=tuple(rely_extra),
         shared_universe_assn=shared_universe,
-        macros=macros,
+        macros=ctx["macros"],
         path=path,
     )
 
@@ -768,28 +880,21 @@ def _erase(node) -> Command:
 
 
 def attach_outlines(doc: dict, model: LibraryModel, path: str = "outline") -> None:
-    if not isinstance(doc, dict):
-        _fail(path, "outline document must be an object")
+    ctx = {"methods": model.method_args, "parent": model.macros,
+           "domains": {"threads": model.dom.nthreads},
+           "no_box": _NO_BOX_DCSL if model.monoid_kind == "dcsl" else None}
     with _malformed_is_model_error(path):
-        macros = MacroTable(doc.get("macros", {}), model.method_args,
-                            model.dom.nthreads, path, model.macros)
-        outlines = doc.get("outlines")
-        if not isinstance(outlines, dict):
-            _fail(path, "outline document needs an 'outlines' object")
-        no_box = _NO_BOX_DCSL if model.monoid_kind == "dcsl" else None
-        templates = {}
-        for mname, node in outlines.items():
-            where = f"{path}/{mname}"
-            if mname not in model.method_args:
-                _fail(path, f"outline for unknown method {mname!r}")
-            if mname not in model.pre_templates:
-                _fail(where, f"method {mname!r} has an outline but its "
-                             "model declares no assertions for it")
-            with _missing_key_is_model_error(where):
-                templates[mname] = parse_outline_node(node, macros, where,
-                                                      no_box)
-            if _erase(templates[mname]) != model.body_templates[mname]:
-                _fail(where, "outline does not annotate the method body")
+        _fields(OUTLINE_DOCUMENT.fields, doc, path, ctx, ctx)
+    templates = ctx["outlines"]
+    for mname, node in templates.items():
+        where = f"{path}/{mname}"
+        if mname not in model.method_args:
+            _fail(path, f"outline for unknown method {mname!r}")
+        if mname not in model.pre_templates:
+            _fail(where, f"method {mname!r} has an outline but its "
+                         "model declares no assertions for it")
+        if _erase(node) != model.body_templates[mname]:
+            _fail(where, "outline does not annotate the method body")
     missing = [m for m in model.method_args if m not in templates]
     if missing:
         _fail(path, f"outlines missing for methods: {missing}")

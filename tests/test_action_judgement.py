@@ -432,5 +432,5 @@ def test_only_semantics_runs_a_guarded_update():
     assert calls == {
         ("linearizability.py", "Semantics.run", "apply_guarded"),
         ("linearizability.py", "Semantics.run", "builtin_update"),
-        ("model_io.py", "parse_vassn", "macros.apply"),
+        ("model_io.py", "_apply_macro", "scope.macros.apply"),
     }, calls

@@ -71,7 +71,7 @@ def test_model_error_exit_two(capsys, tmp_path):
     bad.write_text('{"name": "x"}')
     code, _, err = run(capsys, "check-lin", str(bad), "--bound", "2")
     assert code == 2
-    assert "missing required section" in err
+    assert "malformed document: missing key 'monoid'" in err
 
 
 def test_dom_mismatch_exit_two(capsys, tmp_path):
@@ -358,7 +358,7 @@ _MALFORMED = {
     # a macro's params is a list of names
     "params": (
         "dcsl-cell", _set(["macros", "cell", "params"], "V"), "check-proof",
-        "/macros/cell", "a macro's params must be a list, got 'V'"),
+        "/macros/cell/params", "malformed document: expected a list, got 'V'"),
 }
 
 
@@ -457,7 +457,8 @@ def test_outline_document_must_be_an_object(capsys, tmp_path, doc):
     code, out, err = run(capsys, "check-proof",
                          f"{FIX}/atomic-inc/model.json", str(bad))
     assert code == 2 and out == ""
-    assert err == f"error: {bad}: outline document must be an object\n"
+    assert err == (f"error: {bad}: malformed document: expected an object, "
+                   f"got {doc!r}\n")
 
 
 def test_check_lin_past_the_recursion_limit_gives_a_verdict(capsys):

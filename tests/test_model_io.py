@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -496,31 +497,31 @@ def _prepend_to_inc(doc, cmd):
     doc["methods"]["inc"]["body"] = ["seq", cmd, doc["methods"]["inc"]["body"]]
 
 
-# place -> (edit of atomic-inc, the message naming the file)
+# place -> (edit of atomic-inc, the path of the number and its value)
 _WRONG_TYPES = {
     "values": (lambda doc: doc["domains"].update(values=[0, 1, 2, 3.7]),
-               "domains.values entry must be an integer, got 3.7"),
+               "/domains/values[3]", 3.7),
     "method args": (lambda doc: doc["methods"]["inc"].update(args=["1"]),
-                    "method 'inc' args entry must be an integer, got '1'"),
+                    "/methods/inc/args[0]", "1"),
     "location domain": (
         lambda doc: doc["domains"]["locations"].update(k=[0, 1, 2, 3.0]),
-        "location 'k' domain entry must be an integer, got 3.0"),
+        "/domains/locations/k[3]", 3.0),
     "threads float": (lambda doc: doc["domains"].update(threads=2.9),
-                      "domains.threads must be an integer >= 1, got 2.9"),
+                      "/domains/threads", 2.9),
     "threads bool": (lambda doc: doc["domains"].update(threads=True),
-                     "domains.threads must be an integer >= 1, got True"),
+                     "/domains/threads", True),
     "modulus": (lambda doc: doc["domains"].update(modulus=4.0),
-                "domains.modulus must be an integer >= 1, got 4.0"),
+                "/domains/modulus", 4.0),
     "cap": (lambda doc: doc["domains"].update(cap="1000"),
-            "domains.cap must be an integer >= 0, got '1000'"),
+            "/domains/cap", "1000"),
     "initial concrete": (
         lambda doc: doc["initial"]["concrete"].update(k=0.5),
-        "initial concrete 'k' must be an integer, got 0.5"),
+        "/initial/concrete/k", 0.5),
     "initial abstract": (
         lambda doc: doc["initial"]["abstract"].update(K=False),
-        "initial abstract 'K' must be an integer, got False"),
+        "/initial/abstract/K", False),
     "const": (lambda doc: _prepend_to_inc(doc, ["assume", ["const", 1.5]]),
-              "a constant must be an integer, got 1.5"),
+              "/methods/inc/seq[0]", 1.5),
 }
 
 
@@ -528,8 +529,8 @@ _WRONG_TYPES = {
 def test_a_number_of_the_wrong_type_is_a_model_error(capsys, tmp_path,
                                                       place):
     """No number in a model is truncated or coerced: `check-lin` rejects
-    the model, naming the file, before any check runs."""
-    edit, message = _WRONG_TYPES[place]
+    the model, naming the number's path, before any check runs."""
+    edit, where, value = _WRONG_TYPES[place]
     doc = json.load(open(f"{FIX}/atomic-inc/model.json"))
     edit(doc)
     bad = tmp_path / "model.json"
@@ -537,7 +538,8 @@ def test_a_number_of_the_wrong_type_is_a_model_error(capsys, tmp_path,
     code = main(["check-lin", str(bad), "--bound", "4"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {bad}") and err.endswith(f"{message}\n")
+    assert err == (f"error: {bad}{where}: malformed document: expected an "
+                   f"integer, got {value!r}\n")
 
 
 def test_bare_booleans_are_expressions():
@@ -657,8 +659,9 @@ def _update(section, name):
     (_body_first(["assume", ["==", ["read", 7], 0]]), "/methods/inc/seq[0]"),
     (_universe(["pt", 7, 0]), "/shared_universe/star[0]"),
     (_universe(["apt", 7, 0]), "/shared_universe/star[0]"),
-    (_update("primitives", "inc_atomic"), "/primitives/inc_atomic"),
-    (_update("abstract", "inc"), "/abstract/inc"),
+    (_update("primitives", "inc_atomic"),
+     "/primitives/inc_atomic/updates[1]"),
+    (_update("abstract", "inc"), "/abstract/inc/updates[1]"),
 ], ids=["store", "load-from", "load-to", "cas", "read", "pt", "apt",
         "update", "abstract-update"])
 def test_a_location_name_must_be_a_string(capsys, tmp_path, put, where):
@@ -701,11 +704,11 @@ def _macro_params(name, params):
      "/methods/inc/seq[0]"),
     ("dcsl-cell",
      _macro_body("cell_any", ["exists", 7, ["macro", "cell", ["var", 7]]]),
-     "/assertions/put/pre/star[0]/cell_any"),
+     "/macros/cell_any/body"),
     ("flat-combiner",
      _macro_body("slots", ["sep_threads", 7, ["macro", "tinv", ["var", 7]]]),
-     "/shared_universe/star[1]/slots"),
-    ("dcsl-cell", _macro_params("cell", [7]), "/macros/cell"),
+     "/macros/slots/body"),
+    ("dcsl-cell", _macro_params("cell", [7]), "/macros/cell/params[0]"),
 ], ids=["var", "exists", "sep_threads", "macro-params"])
 def test_a_logical_variable_name_must_be_a_string(capsys, tmp_path, fixture,
                                                   put, where):
@@ -774,8 +777,8 @@ def test_an_unused_macro_with_a_bad_parameter_is_a_model_error(capsys,
         assert main(argv) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == (f"error: {bad}/macros/unused: a logical variable "
-                           "name must be a string, got 7\n")
+        assert out.err == (f"error: {bad}/macros/unused/params[0]: a logical "
+                           "variable name must be a string, got 7\n")
 
 
 def test_the_first_bad_macro_in_name_order_is_reported(capsys, tmp_path):
@@ -790,8 +793,8 @@ def test_the_first_bad_macro_in_name_order_is_reported(capsys, tmp_path):
                  str(bad)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == (f"error: {bad}/macros/bad: a logical variable name "
-                       "must be a string, got []\n")
+    assert out.err == (f"error: {bad}/macros/bad/params[0]: a logical "
+                       "variable name must be a string, got []\n")
 
 
 @pytest.mark.parametrize("side,loc", [("concrete", "x"), ("abstract", "X")])
@@ -934,11 +937,12 @@ def test_an_outline_token_naming_an_undeclared_method_is_a_load_error(
      "m.json/macros/kinv", "body"),
     ("flat-combiner",
      lambda doc, out: out["outlines"]["inc"]["steps"][4].pop("invariant"),
-     "o.json/inc", "invariant"),
+     "o.json/inc/seq[2]", "invariant"),
 ], ids=["method", "action", "assertion", "macro", "outline"])
 def test_a_missing_key_names_its_entry(name, edit, where, key):
-    """A required key missing from one entry of a per-entry section is a
-    model error naming that entry, not only the document."""
+    """A required key missing from an entry of a per-entry section or
+    from an outline node is a model error naming that entry or node, not
+    only the document."""
     doc = json.load(open(f"{FIX}/{name}/model.json"))
     out = json.load(open(f"{FIX}/{name}/outline.json"))
     edit(doc, out)
@@ -1070,3 +1074,47 @@ def test_a_wrong_shape_update_entry_names_its_path(capsys, tmp_path,
     assert out.err == (f"error: {model}/{section}/{name}/updates[1]: "
                        f"malformed document: expected a list of 2 items, "
                        f"got {entry!r}\n")
+
+
+def _grammar_tables():
+    """(node, form or key) of every form and object field of the grammar
+    tables, the object nodes named by their path in the model or outline
+    document (`*` for each entry of an object of entries)."""
+    rows = {("expression", tag) for tag in model_io.EXPR_FORMS}
+    rows |= {("command", tag) for tag in model_io.COMMAND_FORMS}
+    rows |= {("assertion", tag) for tag in model_io.VASSN_FORMS}
+    rows |= {("outline node", kind) for kind in model_io.OUTLINE_KINDS}
+
+    def walk(node, fields):
+        for key, parse, _, _ in fields:
+            rows.add((node, key))
+            sub = getattr(parse, "entry", parse)
+            if hasattr(sub, "fields"):
+                walk(f"{node}/{key}" + ("/*" if sub is not parse else ""),
+                     sub.fields)
+
+    walk("model", model_io.MODEL.fields)
+    walk("model/macros/*", model_io._MACRO)
+    walk("outline", model_io.OUTLINE_DOCUMENT.fields)
+    return rows
+
+
+def _readme_grammar():
+    """(node, form or key, shape) of each row of the README's grammar."""
+    text = open("README.md").read()
+    block = text.split("```text\nnode ", 1)[1].split("```", 1)[0]
+    return [tuple(re.split(r"\s{2,}", line.strip(), maxsplit=2))
+            for line in block.splitlines()[1:] if line.strip()]
+
+
+def test_the_readme_grammar_is_the_loaders_table():
+    """Every form and key the README's grammar names is a key of the
+    loader's tables, and the reverse; each outline node kind's row names
+    its fields."""
+    readme = _readme_grammar()
+    assert {(node, key) for node, key, _ in readme} == _grammar_tables()
+    assert len(readme) == len(_grammar_tables())
+    for node, kind, shape in readme:
+        if node == "outline node":
+            fields, _ = model_io.OUTLINE_KINDS[kind]
+            assert all(f'"{key}"' in shape for key, *_ in fields), shape
