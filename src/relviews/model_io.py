@@ -204,15 +204,17 @@ def _fields(fields: tuple, doc, path: str, ctx, out=None) -> dict:
     return out
 
 
-def _object(*fields) -> Callable:
+def _node(*fields) -> Callable:
+    """An object node of `fields` (`_field`), kept as `parse.fields`."""
     def parse(doc, path, ctx):
         return _fields(fields, doc, path, ctx)
     parse.fields = fields
     return parse
 
 
-def _object_of(entry: Callable, kind: type = dict) -> Callable:
-    """An object, or a list if `kind` is list, of entries of one shape."""
+def _each(entry: Callable, kind: type = dict) -> Callable:
+    """An object, or a list if `kind` is list, of entries of one shape,
+    kept as `parse.entry`."""
     def parse(doc, path, ctx):
         if type(doc) is not kind:
             _expected(path, "a list" if kind is list else "an object", doc)
@@ -661,43 +663,43 @@ def _update_entry(doc, path: str, ctx):
     return LOC(doc[0], path), parse_expr(doc[1], path)
 
 
-_MACRO = (_field("params", _object_of(VAR, list), []), _field("body", ANY))
+_MACRO = (_field("params", _each(VAR, list), []), _field("body", ANY))
 _GUARDED_UPDATE = (
     _field("guard", lambda doc, path, ctx: None if doc is None else
            parse_expr(doc, path), None, ""),
-    _field("updates", _object_of(_update_entry, list), []))
-_CELLS = _object_of(_object_of(INT, list))
+    _field("updates", _each(_update_entry, list), []))
+_CELLS = _each(_each(INT, list))
 _NO_BOX_ACTION = "a box may not stand in an action"
 # The model document's sections, in the order they are parsed: a section's
 # parse reads the sections before it (`ctx`).
-MODEL = _object(
+MODEL = _node(
     _field("name", ANY),
     _field("monoid", ANY),
-    _field("domains", _object(
-        _field("values", _object_of(INT, list)), _field("modulus", INT),
+    _field("domains", _node(
+        _field("values", _each(INT, list)), _field("modulus", INT),
         _field("threads", INT), _field("cap", INT, DEFAULT_CAP),
         _field("locations", _CELLS), _field("abstract_locations", _CELLS))),
-    _field("primitives", _object_of(_object(
-        _field("params", _object_of(VAR, list), []), *_GUARDED_UPDATE)), {}),
-    _field("abstract", _object_of(_object(*_GUARDED_UPDATE))),
-    _field("methods", _object_of(_object(
-        _field("args", _object_of(INT, list), None),
+    _field("primitives", _each(_node(
+        _field("params", _each(VAR, list), []), *_GUARDED_UPDATE)), {}),
+    _field("abstract", _each(_node(*_GUARDED_UPDATE))),
+    _field("methods", _each(_node(
+        _field("args", _each(INT, list), None),
         _field("body", CMD, step="")))),
-    _field("initial", _object(_field("concrete", _object_of(INT), {}),
-                              _field("abstract", _object_of(INT), {}))),
+    _field("initial", _node(_field("concrete", _each(INT), {}),
+                              _field("abstract", _each(INT), {}))),
     _field("macros", _macros, {}),
     _field("shared_universe", _assertion(
         "a box may not stand in the shared universe", True), None),
-    _field("actions", _object_of(_object(
+    _field("actions", _each(_node(
         _field("pre", _assertion(_NO_BOX_ACTION)),
         _field("post", _assertion(_NO_BOX_ACTION)))), {}),
-    _field("guarantee", _object_of(_name("an action"), list), []),
-    _field("rely_extra", _object_of(_name("an action"), list), []),
-    _field("assertions", _object_of(_object(
+    _field("guarantee", _each(_name("an action"), list), []),
+    _field("rely_extra", _each(_name("an action"), list), []),
+    _field("assertions", _each(_node(
         _field("pre", _ASSERTION), _field("post", _ASSERTION))), {}),
 )
-OUTLINE_DOCUMENT = _object(_field("macros", _macros, {}),
-                           _field("outlines", _object_of(_outline), step=""))
+OUTLINE_DOCUMENT = _node(_field("macros", _macros, {}),
+                           _field("outlines", _each(_outline), step=""))
 
 
 def parse_model(doc: dict, path: str = "model",
