@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .command_lang import (
     BUILTIN_ARITY,
@@ -43,7 +43,9 @@ from .command_lang import (
     desugar_if,
     desugar_while,
     expr_locs,
+    rebuild,
     seq,
+    tree_node,
     walk,
 )
 from .errors import ModelError
@@ -126,33 +128,10 @@ def _distinct(entries, what: str, path: str) -> Tuple[int, ...]:
 # and builds its value; `ctx` is what the parse needs of the document.
 
 
-class _Scope(NamedTuple):
-    """A view assertion's macro table and expansion chain; `holes`, while
-    a macro body is checked at its declaration, holds its parameters."""
-    macros: "MacroTable"
-    stack: Tuple[str, ...] = ()
-    holes: Optional[frozenset] = None
-
-
-def _hole(doc, ctx) -> bool:
-    """Whether doc is a parameter's `["var", p]` in a macro body checked
-    at its declaration: a hole, which matches any shape."""
-    holes = getattr(ctx, "holes", None)
-    return holes is not None and _is_var(doc) and doc[1] in holes
-
-
-def _is_var(doc) -> bool:
-    return type(doc) is list and len(doc) == 2 and doc[0] == "var" and \
-        type(doc[1]) is str
-
-
-def _form(forms: dict, what: str, doc, path: str, scope):
+def _form(forms: dict, what: str, doc, path: str, ctx):
     """The value of doc, a tagged list of one of `forms` (`_f`)."""
-    checking = scope is not None and scope.holes is not None
-    if checking and _hole(doc, scope):
-        return None
     try:
-        args, rest, build, scoped, check = \
+        args, rest, build, scoped = \
             forms[doc[0]] if type(doc) is list else None
     except (IndexError, KeyError, TypeError):  # not one of the forms
         _expected(path, what, doc)
@@ -160,24 +139,21 @@ def _form(forms: dict, what: str, doc, path: str, scope):
         _expected(path, what, doc)
     values = []
     for i, (parse, step) in enumerate(args, 1):
-        values.append(parse(doc[i], path + step if step else path, scope))
+        values.append(parse(doc[i], path + step if step else path, ctx))
     if rest is not None:
         parse, step = rest
         values.append(tuple(
-            parse(a, f"{path}/{step}[{i}]" if step else path, scope)
+            parse(a, f"{path}/{step}[{i}]" if step else path, ctx)
             for i, a in enumerate(doc[len(args) + 1:])))
-    if checking:
-        return check and check(path, scope, *values)
-    return build(path, scope, *values) if scoped else build(*values)
+    return build(path, ctx, *values) if scoped else build(*values)
 
 
-def _f(build: Callable, *args, rest=None, scoped=False, check=None):
+def _f(build: Callable, *args, rest=None, scoped=False):
     """A form: the shape and path step of each argument (a bare shape has
     none) and of any further ones (`rest`), and its value: build(*values),
-    or build(path, scope, *values) if `scoped`.  A macro body checked at
-    its declaration builds nothing and runs `check`, if any, instead."""
+    or build(path, ctx, *values) if `scoped`."""
     return (tuple(a if type(a) is tuple else (a, "") for a in args), rest,
-            build, scoped, check)
+            build, scoped)
 
 
 _REQUIRED = object()  # the default of a field whose key must be present
@@ -226,10 +202,10 @@ def _each(entry: Callable, kind: type = dict) -> Callable:
 
 
 def _leaf(kind: type, error: Callable) -> Callable:
-    """A JSON value of type `kind`, never coerced (a bool is no integer),
-    or a hole; else the error that error(doc) names."""
+    """A JSON value of type `kind`, never coerced (a bool is no integer);
+    else the error that error(doc) names."""
     def parse(doc, path, ctx=None):
-        if type(doc) is not kind and not _hole(doc, ctx):
+        if type(doc) is not kind:
             _fail(path, error(doc))
         return doc
     return parse
@@ -253,14 +229,14 @@ def ANY(doc, path, ctx=None):
 # Expressions
 
 
-def parse_expr(doc, path: str = "expr", scope=None) -> Expr:
+def parse_expr(doc, path: str = "expr", ctx=None) -> Expr:
     """An expression; a bare integer is a constant, and `true` and `false`
     stand for 1 and 0."""
     if type(doc) is int:
         return Const(doc)
     if type(doc) is bool:
         return Const(int(doc))
-    return _form(EXPR_FORMS, "an expression", doc, path, scope)
+    return _form(EXPR_FORMS, "an expression", doc, path, ctx)
 
 
 EXPR = parse_expr
@@ -305,8 +281,7 @@ def validate_command(c: Command, prims: Dict[str, GuardedUpdate],
     _check_placeholders({n.loc for n in nodes[Read]}, "art", path)
 
 
-
-def _prim(path: str, scope, name: str, args: tuple) -> Command:
+def _prim(path: str, ctx, name: str, args: tuple) -> Command:
     """`["prim", name, *args]`; a builtin's location argument is a
     location `["read", loc]`."""
     prim = PrimCommand(name, tuple(parse_expr(a, f"{path}/{name}")
@@ -344,127 +319,130 @@ COMMAND_FORMS = {
 # View assertions (with macro expansion)
 
 
+@tree_node
+class _Apply:
+    """A macro application in a parsed assertion, its arguments parsed;
+    `MacroTable.expand` replaces it by the macro's expansion."""
+
+    name: str
+    args: Tuple[Expr, ...]
+
+
 class MacroTable:
     """A model's predicate macros, the methods its tokens may name and its
-    thread count.  An application that parses is memoized on (name, JSON
-    arguments) with the macro names its expansion reached, and reused
-    under any chain that holds none of them: parsing again would build the
-    same hash-consed tree.  Errors are not memoized, so each keeps its
-    path.  Each macro of `raw` is checked where it is declared (`path`),
-    in name order: a list of params and a body with a hole for each
-    (`_hole`).  An outline's table extends its model's (`parent`, of the
-    same methods and threads), keeping each memo entry that reaches no
-    macro `raw` redefines and the `_check_boxes` results in
-    `boxes_passed`."""
+    thread count.  Each macro of `raw` is parsed where it is declared
+    (`path`), in name order: its params are logical variables, in its
+    body's expressions and as `{p}` in its cells' locations, and each
+    application in it stays an `_Apply`.  `expand` replaces applications
+    by their expansions, each distinct application expanded once per
+    table.  An outline's table extends its model's (`parent`, of the same
+    methods and threads): it keeps the parsed bodies of the macros `raw`
+    does not redefine, the `_check_boxes` results in `boxes_passed` and,
+    unless `raw` redefines a macro, the expansions."""
 
     def __init__(self, raw: Dict[str, dict], methods: Iterable[str],
                  nthreads: int, path: str = "macros",
                  parent: Optional[MacroTable] = None):
-        self.raw = raw
         self.methods = frozenset(methods)
         self.nthreads = nthreads
-        self.path = path
-        # key -> (parsed assertion, names reached)
-        self._parsed: Dict[tuple, Tuple[VAssn, frozenset]] = {}
-        self._trail: List[str] = []  # every name reached, in order
+        self.params: Dict[str, tuple] = {}
+        self.bodies: Dict[str, VAssn] = {}
         self.boxes_passed: set = set()  # see `_check_boxes`
-        # the macros whose body was checked, and (name, JSON arguments) of
-        # each application checked with its arguments
-        self._checked = set()
+        self._expanded: Dict[_Apply, VAssn] = {}
         if parent is not None:
-            self.raw = {**parent.raw, **raw}
-            self._parsed = {key: hit for key, hit in parent._parsed.items()
-                            if hit[1].isdisjoint(raw)}
-            self.boxes_passed = set(parent.boxes_passed)
-            self._checked = set(parent.raw) - set(raw)
-        for name in sorted(raw):
-            _fields(_MACRO, raw[name], f"{path}/{name}", None)
-        for name in sorted(raw):
-            self._declare(name)
+            self.params.update(parent.params)
+            self.bodies.update(parent.bodies)
+            self.boxes_passed.update(parent.boxes_passed)
+            if raw.keys().isdisjoint(parent.params):
+                self._expanded.update(parent._expanded)
+        specs = {name: _fields(_MACRO, raw[name], f"{path}/{name}", None)
+                 for name in sorted(raw)}
+        for name, spec in specs.items():
+            self.params[name] = spec["params"]
+        for name, spec in specs.items():
+            self.bodies[name] = _vassn(spec["body"], f"{path}/{name}/body",
+                                       self)
 
-    def _declare(self, name: str):
-        if name not in self._checked:
-            self._checked.add(name)
-            spec = self.raw[name]
-            _vassn(spec["body"], f"{self.path}/{name}/body", _Scope(
-                self, (name,), frozenset(spec.get("params", []))))
-
-    def check_applied(self, path: str, scope: _Scope, name, args: tuple):
-        """An application in a macro body checked at its declaration: the
-        macro is declared, and its body is checked with the arguments that
-        are not holes, unless its name is a hole or recursive (an error
-        where it is parsed)."""
-        if name is None or name in scope.stack:
-            return
-        binding = dict(zip(self._params(name, args, path), args))
-        self._declare(name)
-        if all(_hole(arg, scope) for arg in args):
-            return
-        key = (name, json.dumps(args))
-        if key not in self._checked:
-            self._checked.add(key)
-            body = _subst_json(self.raw[name]["body"], binding, path)
-            _vassn(body, f"{path}/{name}",
-                   scope._replace(stack=scope.stack + (name,)))
-
-    def _params(self, name: str, args, path: str) -> list:
-        if name not in self.raw:
+    def arity(self, name: str, count: int, path: str) -> tuple:
+        """The params of macro `name`, applied to `count` arguments."""
+        if name not in self.params:
             _fail(path, f"unknown macro {name!r}")
-        params = self.raw[name].get("params", [])
-        if len(params) != len(args):
+        params = self.params[name]
+        if len(params) != count:
             _fail(path, f"macro {name!r} expects {len(params)} arguments")
         return params
 
-    def apply(self, name: str, args: List, path: str,
-              stack: Tuple[str, ...]) -> VAssn:
-        """`["macro", name, *args]` parsed under the expansion chain
-        `stack`."""
-        key = (name, json.dumps(args))
-        hit = self._parsed.get(key)
-        if hit is None or not hit[1].isdisjoint(stack):
-            if name in stack:
-                _fail(path, f"recursive macro {name!r} "
-                            f"(expansion chain {' -> '.join(stack)})")
-            binding = dict(zip(self._params(name, args, path), args))
-            body = _subst_json(self.raw[name]["body"], binding, path)
-            start = len(self._trail)
-            parsed = parse_vassn(body, self, f"{path}/{name}",
-                                 stack + (name,))
-            hit = self._parsed[key] = (
-                parsed, frozenset(self._trail[start:]) | {name})
-        self._trail.extend(hit[1])
-        return hit[0]
+    def expand(self, tree, path: str,
+               binding: Optional[Dict[str, Expr]] = None,
+               stack: Tuple[str, ...] = ()) -> VAssn:
+        """tree with `binding` substituted and each application replaced
+        by the applied macro's body, its params bound to the arguments and
+        expanded in turn, under the expansion chain `stack`."""
+        def expansion(app: _Apply) -> VAssn:
+            out = self._expanded.get(app)
+            if out is None:
+                if app.name in stack:
+                    _fail(path, f"recursive macro {app.name!r} "
+                                f"(expansion chain {' -> '.join(stack)})")
+                params = self.arity(app.name, len(app.args), path)
+                out = self._expanded[app] = self.expand(
+                    self.bodies[app.name], path, dict(zip(params, app.args)),
+                    stack + (app.name,))
+            return out
+
+        return _substituted(tree, binding or {}, path, expansion)
 
 
-def _subst_json(doc, binding: Dict[str, object], path: str):
-    """Purely syntactic substitution of macro parameters: `["var", p]`
-    nodes are replaced by the argument document and `{p}` placeholders in
-    location strings by its rendering."""
-    if isinstance(doc, list):
-        if _is_var(doc) and doc[1] in binding:
-            return binding[doc[1]]
-        return [_subst_json(d, binding, path) for d in doc]
-    if isinstance(doc, str) and "{" in doc:
-        out = doc
-        for p, arg in binding.items():
-            hole = "{" + p + "}"
-            if hole not in out:
-                continue
-            if type(arg) is not int and not _is_var(arg):
-                _fail(path, f"cannot splice {arg!r} into location {doc!r}")
-            out = out.replace(hole, str(arg) if type(arg) is int
-                              else "{" + arg[1] + "}")
-        return out
-    return doc
+def _substituted(tree, binding: Dict[str, Expr], path: str,
+                 apply: Optional[Callable] = None):
+    """tree with each name that `binding` binds replaced by its
+    expression: a logical variable by the expression itself, and a `{p}`
+    in a cell's location by a constant's value or a variable's `{name}`.
+    An `exists` binds its variable in its body, where no outer binding of
+    the name reaches.  With `apply`, each macro application, its arguments
+    substituted, is replaced by apply(application)."""
+    def leaf(n):
+        kind = type(n)
+        if kind is LVar:
+            return binding.get(n.name)
+        if kind is _Apply and apply:
+            return apply(_Apply(n.name, tuple(
+                _substituted(a, binding, path) for a in n.args)))
+        if kind is ExistsA and n.var in binding:
+            return ExistsA(n.var, _substituted(
+                n.body, {k: e for k, e in binding.items() if k != n.var},
+                path, apply))
+        if kind in (CPt, APt) and "{" in n.loc:
+            return kind(_spliced(n.loc, binding, path),
+                        _substituted(n.value, binding, path))
+        return None
+
+    return rebuild(tree, leaf)
 
 
-_VAR_HOLE = re.compile(r"\{[A-Za-z_]\w*\}")
+def _spliced(loc: str, binding: Dict[str, Expr], path: str) -> str:
+    """loc with each `{p}` that `binding` binds replaced by the argument's
+    text: a constant's value or a variable's `{name}`."""
+    def splice(hole) -> str:
+        arg = binding.get(hole[1])
+        if arg is None:
+            return hole[0]
+        if type(arg) is Const:
+            return str(arg.value)
+        if type(arg) is not LVar:
+            _fail(path, f"cannot splice {arg!r} into location {loc!r}")
+        return "{" + arg.name + "}"
+    return _PLACEHOLDER.sub(splice, loc)
 
 
-def _value(e: Expr, path: str) -> Expr:
+_PLACEHOLDER = re.compile(r"\{([A-Za-z_]\w*)\}")
+
+
+def VALUE(doc, path: str, ctx=None) -> Expr:
     """An assertion's expression: it denotes a value under the assertion's
     interpretation alone, so it reads no heap location and not the thread
     id of `["tid"]`; an assertion names its thread as `["var", "t"]`."""
+    e = parse_expr(doc, path)
     for n in walk(e):
         if isinstance(n, Read):
             _fail(path, f"an assertion may not read the heap (location "
@@ -478,65 +456,58 @@ def _value(e: Expr, path: str) -> Expr:
 def _cell(kind: Callable) -> tuple:
     """A cell: its location's braces must be `{name}` placeholders, name an
     identifier, which the assertion's interpretation fills in."""
-    def build(path, scope, loc, value):
-        if set(_VAR_HOLE.sub("", loc)) & set("{}"):
+    def build(path, macros, loc, value):
+        if set(_PLACEHOLDER.sub("", loc)) & set("{}"):
             _fail(path, f"location {loc!r} uses a brace that is not a "
                         "placeholder {name}")
-        return kind(loc, _value(value, path))
-    return _f(build, LOC, EXPR, scoped=True)
+        return kind(loc, value)
+    return _f(build, LOC, VALUE, scoped=True)
 
 
 def _token(tag: str) -> tuple:
-    def build(path, scope, thread, method, arg, ret):
-        if type(method) is not str or method not in scope.macros.methods:
+    def build(path, macros, thread, method, arg, ret):
+        if type(method) is not str or method not in macros.methods:
             _fail(path, f"{tag} token names undeclared method {method!r}")
-        return TokA(tag, _value(thread, path), method, _value(arg, path),
-                    _value(ret, path))
-    return _f(build, EXPR, ANY, EXPR, EXPR, scoped=True)
+        return TokA(tag, thread, method, arg, ret)
+    return _f(build, VALUE, ANY, VALUE, VALUE, scoped=True)
 
 
-def _sep_threads(path: str, scope: _Scope, var: str, body) -> VAssn:
+def _sep_threads(path: str, macros: MacroTable, var: str, body) -> VAssn:
     """The star of body over every thread id j, `var` bound to j."""
-    return StarA(tuple(
-        parse_vassn(_subst_json(body, {var: j}, path), scope.macros,
-                    f"{path}/sep[{j}]", scope.stack)
-        for j in range(1, scope.macros.nthreads + 1)))
+    return StarA(tuple(_substituted(body, {var: Const(j)}, path)
+                       for j in range(1, macros.nthreads + 1)))
 
 
-def _apply_macro(path: str, scope: _Scope, name: str, args: tuple):
-    return scope.macros.apply(name, list(args), path, scope.stack)
+def _apply_macro(path: str, macros: MacroTable, name: str, args: tuple):
+    macros.arity(name, len(args), path)
+    return _Apply(name, args)
 
 
-def _rimpl(path, scope, *args):
+def _rimpl(path, macros, *args):
     _fail(path, "a repartitioning implication is not an assertion; a "
                 "conseq outline node checks one")
 
 
-def _vassn(doc, path: str, scope: _Scope):
-    return _form(VASSN_FORMS, "a view assertion", doc, path, scope)
+def _vassn(doc, path: str, macros: MacroTable):
+    return _form(VASSN_FORMS, "a view assertion", doc, path, macros)
 
 
-def parse_vassn(doc, macros: MacroTable, path: str = "vassn",
-                stack: Tuple[str, ...] = ()):
-    return _vassn(doc, path, _Scope(macros, stack))
+def parse_vassn(doc, macros: MacroTable, path: str = "vassn"):
+    """A view assertion, its macro applications expanded."""
+    return macros.expand(_vassn(doc, path, macros), path)
 
 
 VASSN_FORMS = {
     "emp": _f(EmpA), "true": _f(TrueA), "pt": _cell(CPt), "apt": _cell(APt),
-    "todo": _token("todo"), "done": _token("done"),
-    "pure": _f(lambda path, scope, e: PureA(_value(e, path)), EXPR,
-               scoped=True),
+    "todo": _token("todo"), "done": _token("done"), "pure": _f(PureA, VALUE),
     "star": _f(StarA, rest=(_vassn, "star")),
     "or": _f(OrA, rest=(_vassn, "or")),
     "exists": _f(ExistsA, VAR, (_vassn, "/exists")),
     "box": _f(BoxA, (_vassn, "/box")),
-    "rimpl": _f(_rimpl, rest=(ANY, None), scoped=True, check=_rimpl),
-    "macro": _f(_apply_macro, _name("a macro"), rest=(ANY, None), scoped=True,
-                check=lambda path, scope, *app: scope.macros.check_applied(
-                    path, scope, *app)),
-    "sep_threads": _f(_sep_threads, VAR, ANY, scoped=True,
-                      check=lambda path, scope, var, body: _vassn(
-                          body, f"{path}/sep", scope)),
+    "rimpl": _f(_rimpl, rest=(ANY, None), scoped=True),
+    "macro": _f(_apply_macro, _name("a macro"), rest=(VALUE, None),
+                scoped=True),
+    "sep_threads": _f(_sep_threads, VAR, (_vassn, "/sep"), scoped=True),
 }
 
 
@@ -570,7 +541,6 @@ def _check_boxes(a, path: str, passed: set, no_box: Optional[str] = None,
     passed.add(key)
 
 
-
 def parse_assertion(doc, macros: MacroTable, path: str = "assn",
                     no_box: Optional[str] = None):
     """Parse the view assertion in any assertion slot and check where its
@@ -579,7 +549,6 @@ def parse_assertion(doc, macros: MacroTable, path: str = "assn",
     rho = parse_vassn(doc, macros, path)
     _check_boxes(rho, path, macros.boxes_passed, no_box)
     return rho
-
 
 
 def _assertion(no_box: Optional[str] = None, null: bool = False):
@@ -663,7 +632,19 @@ def _update_entry(doc, path: str, ctx):
     return LOC(doc[0], path), parse_expr(doc[1], path)
 
 
-_MACRO = (_field("params", _each(VAR, list), []), _field("body", ANY))
+_VARS = _each(VAR, list)
+
+
+def _params(doc, path: str, ctx) -> tuple:
+    """A list of parameter names, none listed twice."""
+    params = tuple(_VARS(doc, path, ctx))
+    for i, p in enumerate(params):
+        if p in params[:i]:
+            _fail(f"{path}[{i}]", f"params lists {p!r} twice")
+    return params
+
+
+_MACRO = (_field("params", _params, []), _field("body", ANY))
 _GUARDED_UPDATE = (
     _field("guard", lambda doc, path, ctx: None if doc is None else
            parse_expr(doc, path), None, ""),
@@ -680,7 +661,7 @@ MODEL = _node(
         _field("threads", INT), _field("cap", INT, DEFAULT_CAP),
         _field("locations", _CELLS), _field("abstract_locations", _CELLS))),
     _field("primitives", _each(_node(
-        _field("params", _each(VAR, list), []), *_GUARDED_UPDATE)), {}),
+        _field("params", _params, []), *_GUARDED_UPDATE)), {}),
     _field("abstract", _each(_node(*_GUARDED_UPDATE))),
     _field("methods", _each(_node(
         _field("args", _each(INT, list), None),

@@ -109,6 +109,16 @@ command; `Semantics.run`, which runs every primitive as a guarded update
 (a builtin as its `builtin_update`), is tested against it, and the
 oracles here that step a command or fire a todo token run primitives
 through it.
+
+Macro expansion by JSON substitution, as the loader expanded before it
+parsed each macro body once where it is declared:
+`macro_free_documents(model_doc, outline_doc)` replaces each application
+in the documents by its macro's body document, with the argument
+documents substituted for the params (`subst_json`) and expanded in turn,
+and each `sep_threads` by the star of its body with each thread id
+substituted.  The loader's trees, built by substituting parsed arguments
+into parsed bodies, are tested to be the ones that the macro-free
+documents parse to.
 """
 
 from __future__ import annotations
@@ -1346,3 +1356,66 @@ def initial_coverage_by_product(model: LibraryModel) -> ObligationItem:
         "no choice of pending commands makes the composed preconditions "
         "cover the initial states (token composition undefined or "
         "assertions too strong)")
+
+
+# ---------------------------------------------------------------------------
+# Macro expansion by JSON substitution
+
+
+def subst_json(doc, binding: Dict[str, object]):
+    """Purely syntactic substitution of macro parameters: `["var", p]`
+    nodes are replaced by the argument document and `{p}` placeholders in
+    location strings by its rendering.  An `exists` of a param's name does
+    not stop it, where the loader's substitution stops."""
+    if isinstance(doc, list):
+        if len(doc) == 2 and doc[0] == "var" and doc[1] in binding:
+            return binding[doc[1]]
+        return [subst_json(d, binding) for d in doc]
+    if isinstance(doc, str) and "{" in doc:
+        out = doc
+        for p, arg in binding.items():
+            hole = "{" + p + "}"
+            if hole not in out:
+                continue
+            if type(arg) is not int and not (
+                    isinstance(arg, list) and arg[:1] == ["var"]):
+                raise ModelError(f"cannot splice {arg!r} into location "
+                                 f"{doc!r}")
+            out = out.replace(hole, str(arg) if type(arg) is int
+                              else "{" + arg[1] + "}")
+        return out
+    return doc
+
+
+def expand_json(doc, macros: dict, nthreads: int):
+    """doc with every macro application and `sep_threads` expanded by
+    JSON substitution; `macros` maps a name to its `params` and `body`."""
+    if isinstance(doc, dict):
+        return {k: expand_json(v, macros, nthreads) for k, v in doc.items()}
+    if not isinstance(doc, list) or not doc:
+        return doc
+    if doc[0] == "macro":
+        spec = macros[doc[1]]
+        return expand_json(subst_json(spec["body"], dict(zip(
+            spec.get("params", []), doc[2:]))), macros, nthreads)
+    if doc[0] == "sep_threads":
+        var, body = doc[1], doc[2]
+        return ["star", *(expand_json(subst_json(body, {var: j}), macros,
+                                      nthreads)
+                          for j in range(1, nthreads + 1))]
+    return [expand_json(d, macros, nthreads) for d in doc]
+
+
+def macro_free_documents(model_doc: dict, outline_doc: dict = None):
+    """The model and outline documents with every macro expanded
+    (`expand_json`) and no `macros` section; an outline's macros extend
+    and redefine its model's."""
+    nthreads = model_doc["domains"]["threads"]
+    macros = model_doc.get("macros", {})
+    model = expand_json({k: v for k, v in model_doc.items()
+                         if k != "macros"}, macros, nthreads)
+    if outline_doc is None:
+        return model, None
+    macros = {**macros, **outline_doc.get("macros", {})}
+    return model, expand_json({k: v for k, v in outline_doc.items()
+                               if k != "macros"}, macros, nthreads)

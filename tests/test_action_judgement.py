@@ -422,7 +422,7 @@ def _calls(node, names, scope=""):
 
 def test_only_semantics_runs_a_guarded_update():
     # every primitive and abstract command is run in `Semantics.run` alone,
-    # as a guarded update; the one `.apply` call applies a macro
+    # as a guarded update, and no `.apply` call runs one
     package = os.path.dirname(views_core.__file__)
     calls = {(name, scope, callee)
              for name in sorted(os.listdir(package)) if name.endswith(".py")
@@ -432,5 +432,4 @@ def test_only_semantics_runs_a_guarded_update():
     assert calls == {
         ("linearizability.py", "Semantics.run", "apply_guarded"),
         ("linearizability.py", "Semantics.run", "builtin_update"),
-        ("model_io.py", "_apply_macro", "scope.macros.apply"),
     }, calls

@@ -10,6 +10,7 @@ from relviews.command_lang import (
     SKIP,
     Choice,
     Const,
+    LVar,
     Read,
     cas,
     desugar_if,
@@ -21,15 +22,16 @@ from relviews.errors import ModelError
 from relviews.model_io import (
     attach_outlines,
     load_model,
-    load_outlines,
     parse_command,
     parse_expr,
     parse_model,
     parse_vassn,
     MacroTable,
 )
+from relviews.vassn import CPt, ExistsA, StarA
 from families import dcsl_cell, flat_combiner
-from oracles import command_prims, instance_body, per_instance_body_error
+from oracles import (command_prims, instance_body, macro_free_documents,
+                     per_instance_body_error)
 from util import fixture_manifest, store
 
 FIX = "src/relviews/fixtures"
@@ -77,19 +79,12 @@ def test_macro_recursion_rejected():
         parse_vassn(["macro", "a"], macros)
 
 
-class _Unmemoized(MacroTable):
-    """Every macro application expanded and parsed afresh."""
-
-    def apply(self, name, args, path, stack):
-        self._parsed.clear()
-        return super().apply(name, args, path, stack)
-
-
-def _parsed_trees(fixture):
-    """Every assertion and outline tree a fixture's load parses, keyed."""
-    model = load_model(fixture.model_path)
-    if fixture.outline_path:
-        load_outlines(fixture.outline_path, model)
+def _parsed_trees(model_doc, outline_doc=None):
+    """Every assertion and outline tree a load of the documents builds,
+    keyed."""
+    model = parse_model(model_doc, "m.json")
+    if outline_doc is not None:
+        attach_outlines(outline_doc, model, "o.json")
     out = [("shared universe", model.shared_universe_assn)]
     for kind in ("pre_templates", "post_templates", "outline_templates"):
         out += [((kind, m), tree)
@@ -100,35 +95,57 @@ def _parsed_trees(fixture):
     return out
 
 
-@pytest.mark.parametrize("fixture", fixture_manifest(), ids=lambda f: f.name)
-def test_memoized_macros_parse_to_the_same_trees(fixture, monkeypatch):
-    memoized = _parsed_trees(fixture)
-    monkeypatch.setattr(model_io, "MacroTable", _Unmemoized)
-    fresh = _parsed_trees(fixture)
-    assert [key for key, _ in memoized] == [key for key, _ in fresh]
-    assert all(a is b for (_, a), (_, b) in zip(memoized, fresh))
+def _fixture_documents(fixture):
+    docs = [json.load(open(fixture.model_path))]
+    if fixture.outline_path:
+        docs.append(json.load(open(fixture.outline_path)))
+    return docs
 
 
-def _record_macro_parses(monkeypatch) -> list:
-    """The list to which each parse of a macro's expanded body appends
-    (table, macro name, JSON body)."""
+def _record_body_parses(monkeypatch) -> list:
+    """The list to which each parse of a declared macro body appends its
+    path."""
     parses = []
-    original = model_io.parse_vassn
+    original = model_io._vassn
 
-    def recording(doc, macros, path="vassn", stack=()):
-        if stack and path.endswith("/" + stack[-1]):  # a macro's body
-            parses.append((macros, stack[-1], json.dumps(doc)))
-        return original(doc, macros, path, stack)
+    def recording(doc, path, macros):
+        parses.append(path)
+        return original(doc, path, macros)
 
-    monkeypatch.setattr(model_io, "parse_vassn", recording)
+    monkeypatch.setattr(model_io, "_vassn", recording)
     return parses
 
 
+def _record_expansions(monkeypatch) -> list:
+    """The list to which each expansion of a macro body appends (table,
+    macro name, its params' arguments)."""
+    expansions = []
+    original = MacroTable.expand
+
+    def recording(self, tree, path, binding=None, stack=()):
+        if stack:
+            expansions.append((self, stack[-1], tuple(binding.items())))
+        return original(self, tree, path, binding, stack)
+
+    monkeypatch.setattr(MacroTable, "expand", recording)
+    return expansions
+
+
 def test_each_macro_application_is_parsed_once_per_table(monkeypatch):
-    parses = _record_macro_parses(monkeypatch)
-    _parsed_trees(next(f for f in fixture_manifest()
-                       if f.name == "flat-combiner-noaction4"))
-    assert parses and len(parses) == len(set(parses))
+    """flat-combiner-noaction4: each macro body is parsed once, where it
+    is declared, and each distinct application is expanded once per
+    table."""
+    parses = _record_body_parses(monkeypatch)
+    expansions = _record_expansions(monkeypatch)
+    fixture = next(f for f in fixture_manifest()
+                   if f.name == "flat-combiner-noaction4")
+    model_doc, outline_doc = _fixture_documents(fixture)
+    _parsed_trees(model_doc, outline_doc)
+    bodies = [p for p in parses if "/macros/" in p]
+    assert sorted(bodies) == sorted(
+        [f"m.json/macros/{name}/body" for name in model_doc["macros"]]
+        + [f"o.json/macros/{name}/body" for name in outline_doc["macros"]])
+    assert expansions and len(expansions) == len(set(expansions))
 
 
 # flat-combiner's `slot_free` with one more conjunct: `slots` (so `global`
@@ -159,6 +176,31 @@ def _outline_cases():
             dcsl_cell(nvalues, nthreads), cell_outline)
     cases["flat-combiner-slot-free"] = _redefined_slot_free()
     return cases
+
+
+def _differential_cases():
+    """(model, outline or None) documents by id: `_outline_cases`, the
+    fixtures without an outline, and the N-thread flat combiner whose
+    initial state no choice of pending commands covers."""
+    cases = {f.name: tuple(_fixture_documents(f))
+             for f in fixture_manifest() if not f.outline_path}
+    for n in (2, 3, 4):
+        cases[f"flat-combiner-{n}-res1-4"] = flat_combiner(n, res1=4)
+    return {**_outline_cases(), **cases}
+
+
+@pytest.mark.parametrize("name", sorted(_differential_cases()))
+def test_memoized_macros_parse_to_the_same_trees(name):
+    """Each family, action, shared-universe and outline tree the loader
+    builds, substituting parsed arguments into bodies parsed where they
+    are declared, once per distinct application, is the tree that the
+    documents expanded by JSON substitution parse to
+    (`oracles.macro_free_documents`)."""
+    docs = _differential_cases()[name]
+    loaded = _parsed_trees(*docs)
+    expected = _parsed_trees(*macro_free_documents(*docs))
+    assert [key for key, _ in loaded] == [key for key, _ in expected]
+    assert all(a is b for (_, a), (_, b) in zip(loaded, expected))
 
 
 def _fresh_outline_templates(model_doc, outline_doc, model, path):
@@ -210,35 +252,42 @@ def _load_keeping_the_outline_table(monkeypatch, model_doc, outline_doc):
 def test_an_outline_redefinition_wins_and_reparses_what_reaches_it(
         monkeypatch):
     """flat-combiner's outline redefining `slot_free`: its templates are
-    not the fixture's, and of the model table's memo entries the outline
-    table inherits exactly those that do not reach `slot_free`."""
+    not the fixture's; its table holds the model table's parsed body of
+    every other model macro and expands each application afresh, one that
+    reaches `slot_free` to another tree, one that does not to the same."""
     plain_doc, plain_outline = flat_combiner(2)
     plain = parse_model(plain_doc, "m.json")
     attach_outlines(plain_outline, plain, "o.json")
     model, table = _load_keeping_the_outline_table(
         monkeypatch, *_redefined_slot_free())
     assert model.outline_templates != plain.outline_templates
-    parsed = model.macros._parsed
-    assert {key for key, hit in parsed.items()
-            if table._parsed.get(key) is hit} == {
-        key for key, hit in parsed.items() if "slot_free" not in hit[1]}
-    reparsed = [key for key, hit in parsed.items()
-                if "slot_free" in hit[1] and key in table._parsed]
-    assert reparsed and all(table._parsed[key][0] is not parsed[key][0]
-                            for key in reparsed)
+    assert {name for name, body in model.macros.bodies.items()
+            if table.bodies[name] is body} == \
+        set(model.macros.bodies) - {"slot_free"}
+    reaches, misses = (model_io._Apply("M", (LVar("t"),)),
+                       model_io._Apply("kinv_any", ()))
+    assert table.expand(reaches, "o") is not model.macros.expand(reaches, "m")
+    assert table.expand(misses, "o") is model.macros.expand(misses, "m")
 
 
 def test_an_outline_parses_no_expansion_its_model_parsed(monkeypatch):
-    """flat-combiner's outline applies model macros whose expansions the
-    model's table already parsed (18 of them); its table parses none of
-    them again, and keeps the model's box checks."""
-    parses = _record_macro_parses(monkeypatch)
+    """flat-combiner's outline applies model macros and redefines none:
+    its table parses only the outline's own macro bodies, holds the
+    model's, expands no application the model's table expanded, and keeps
+    the model's box checks."""
+    parses = _record_body_parses(monkeypatch)
+    expansions = _record_expansions(monkeypatch)
     model, table = _load_keeping_the_outline_table(monkeypatch,
                                                    *flat_combiner(2))
-    by_model = {p[1:] for p in parses if p[0] is model.macros}
-    by_outline = {p[1:] for p in parses if p[0] is table}
-    assert len(by_model) + len(by_outline) == len(parses)
+    by_model = {e[1:] for e in expansions if e[0] is model.macros}
+    by_outline = {e[1:] for e in expansions if e[0] is table}
+    assert len(by_model) + len(by_outline) == len(expansions)
     assert by_outline and not by_model & by_outline
+    assert sorted(p for p in parses if p.startswith("o.json/macros/")) == [
+        f"o.json/macros/{name}/body"
+        for name in ("GETFIRED", "GETIN", "GETPRE")]
+    assert all(table.bodies[name] is body
+               for name, body in model.macros.bodies.items())
     assert model.macros.boxes_passed < table.boxes_passed
 
 
@@ -249,22 +298,117 @@ def _macro_error(macros, doc):
 
 
 def test_memoized_macro_keeps_its_errors_and_paths():
+    """A table reuses each expansion it built, never an error: each is
+    raised again where it is met.  A recursive application is found as it
+    is expanded and names the slot; a fault of an application itself
+    (an unknown macro, an argument that is no expression) names the
+    application."""
     raw = {
-        "ok": {"params": [], "body": ["macro", "wrap", ["emp"]]},
-        # its parameter stands where an assertion goes, so an argument
-        # can carry a macro application
-        "wrap": {"params": ["p"], "body": ["or", ["var", "p"], ["emp"]]},
+        "ok": {"params": [], "body": ["macro", "wrap", 0]},
+        "wrap": {"params": ["p"], "body": ["pure", ["==", ["var", "p"], 0]]},
+        # declared, and recursive only once applied
+        "loop": {"params": ["p"], "body": [
+            "star", ["macro", "ok"], ["macro", "again", ["var", "p"]]]},
+        "again": {"params": ["q"],
+                  "body": ["macro", "loop", ["+", ["var", "q"], 1]]},
     }
-    # `ok` parses alone, but under `wrap` its own `wrap` is recursive: the
-    # memoized `ok` must not hide that
-    recursive = ["star", ["macro", "ok"], ["macro", "wrap", ["macro", "ok"]]]
-    unknown = ["star", ["macro", "ok"], ["macro", "ok"], ["macro", "nope"]]
+    table = MacroTable(raw, (), 2)
     for doc, want in (
-            (recursive, "vassn/star[1]/wrap/or[0]/ok: recursive macro "
-                        "'wrap' (expansion chain wrap -> ok)"),
-            (unknown, "vassn/star[2]: unknown macro 'nope'")):
-        assert _macro_error(MacroTable(raw, (), 2), doc) == want
-        assert _macro_error(_Unmemoized(raw, (), 2), doc) == want
+            (["star", ["macro", "ok"], ["macro", "loop", 1]],
+             "vassn: recursive macro 'loop' (expansion chain loop -> "
+             "again)"),
+            (["star", ["macro", "ok"], ["macro", "ok"], ["macro", "nope"]],
+             "vassn/star[2]: unknown macro 'nope'"),
+            (["star", ["macro", "ok"], ["macro", "wrap", ["emp"]]],
+             "vassn/star[1]: malformed document: expected an expression, "
+             "got ['emp']")):
+        for macros in (MacroTable(raw, (), 2), table, table):
+            assert _macro_error(macros, doc) == want
+
+
+def _applied(body, params, args, nthreads=2):
+    """`["macro", "m", *args]` parsed, m's params and body given."""
+    table = MacroTable({"m": {"params": params, "body": body}}, (), nthreads)
+    return parse_vassn(["macro", "m", *args], table)
+
+
+def test_an_exists_that_rebinds_a_param_binds_it_in_its_body():
+    """Substitution stops at a binder of the same name: before, m(1)
+    loaded as `exists x. c |-> 1`, and `c[{x}]` became `c[1]` under it."""
+    cell = ["pt", "c[{x}]", ["var", "x"]]
+    assert _applied(["star", cell, ["exists", "x", cell]], ["x"], [1]) is \
+        StarA((CPt("c[1]", Const(1)),
+               ExistsA("x", CPt("c[{x}]", LVar("x")))))
+
+
+def test_a_sep_threads_variable_that_reuses_a_param_is_not_captured():
+    """Each thread id is substituted into the parsed body where the body
+    is parsed: before, m(1) loaded as `c[1] * c[1]`, which denotes
+    nothing."""
+    assert _applied(["sep_threads", "x", ["pt", "c[{x}]", ["var", "x"]]],
+                    ["x"], [1]) is \
+        StarA((CPt("c[1]", Const(1)), CPt("c[2]", Const(2))))
+
+
+def test_a_param_listed_twice_is_a_load_error(capsys, tmp_path):
+    """Before, `m(1, 2)` with `"params": ["x", "x"]` loaded as m(2): the
+    last argument won.  A primitive's params are the same shape."""
+    with pytest.raises(ModelError) as info:
+        _applied(["pure", ["==", ["var", "x"], 0]], ["x", "x"], [1, 2])
+    assert str(info.value) == "macros/m/params[1]: params lists 'x' twice"
+    for fixture, section, name, param in (
+            ("dcsl-cell", "macros", "cell", "V"),
+            ("atomic-inc", "primitives", "inc_atomic", "a")):
+        doc = json.load(open(f"{FIX}/{fixture}/model.json"))
+        doc[section][name]["params"] = [param, param]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["check-lin", str(bad), "--bound", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: {bad}/{section}/{name}/params[1]: "
+                           f"params lists {param!r} twice\n")
+
+
+def test_a_macro_argument_must_be_an_expression(capsys, tmp_path):
+    """A param stands only where an expression or a `{p}` placeholder
+    does; an assertion passed as an argument names the application."""
+    doc = json.load(open(f"{FIX}/dcsl-cell/model.json"))
+    doc["macros"]["cell_any"]["body"] = [
+        "exists", "V", ["macro", "cell", ["emp"]]]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-proof", str(bad),
+                 f"{FIX}/dcsl-cell/outline.json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {bad}/macros/cell_any/body/exists: "
+                       "malformed document: expected an expression, got "
+                       "['emp']\n")
+
+
+@pytest.mark.parametrize("macro,code,err", [
+    ("task_todo", 2, "/shared_universe: unbound logical variable 'i': the "
+                     "shared universe binds none\n"),
+    ("TODOBOX", 1, ""),
+], ids=["task_todo", "TODOBOX"])
+def test_a_free_variable_of_a_callee_is_not_captured(capsys, tmp_path, macro,
+                                                     code, err):
+    """flat-combiner with a macro's param `i` renamed `x`: its body's `i`
+    is then free, and no caller's param `i` may capture it.  `task_todo`'s
+    free `i` reaches the shared universe; `TODOBOX`'s reaches the outline,
+    where `TASKMID`, whose own param is `i`, applies it, and the proof is
+    rejected.  Expanding a callee into its caller's body before the
+    caller's params are substituted would accept it."""
+    doc = json.load(open(f"{FIX}/flat-combiner/model.json"))
+    doc["macros"][macro]["params"] = ["x"]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-proof", str(bad), f"{FIX}/flat-combiner/outline.json",
+                 "--format", "machine"]) == code
+    out = capsys.readouterr()
+    assert out.err == (err and f"error: {bad}{err}")
+    assert ('"verdict": "proof rejected"' in out.out) == (code == 1)
 
 
 def test_macro_arity_checked():
@@ -891,7 +1035,7 @@ def _rename_pre_token(name):
      "incX"),
     (_star_first("shared_universe"), "/shared_universe/star[0]", "incX"),
     (_star_first("macros", "kinv_any", "body"),
-     "/shared_universe/kinv_any/star[0]", "incX"),
+     "/macros/kinv_any/body/star[0]", "incX"),
     (_rename_pre_token(["var", "m"]), "/assertions/inc/pre/star[1]",
      ["var", "m"]),
     (_rename_pre_token(5), "/assertions/inc/pre/star[1]", 5),
